@@ -6,7 +6,7 @@ GO ?= go
 # to keep CI fast (the full suite still runs race-free in `test`).
 RACE_PKGS = ./internal/transport/... ./internal/p2p/...
 
-.PHONY: all build test race bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
+.PHONY: all build test race benchmark-check bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
 
 all: build
 
@@ -18,6 +18,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The benchmark harness is a nested module (benchmark/go.mod), invisible
+# to `go vet ./...` and `go test ./...` at the root: its smoke test boots
+# toy rings and asserts the per-layer metrics a routing or transport change
+# can silently zero (p2p.handle_find_owner_us, transport.calls_per_op).
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Examples and commands must stay vet-clean and buildable: they are the
 # documentation of the public Client API.
@@ -42,15 +49,18 @@ examples:
 # join and an owner crash on all three backends) — race detector on. The
 # faulted variant (TestFaultedRing) re-runs the scenario table on both
 # live fabrics under a seeded 5%-drop/20ms-jitter fault plan plus a
-# partition-heal case, and the overload suite pins the p2p contract that
-# a shedding peer is retried once and never evicted. The transport
+# partition-heal case, the overload suite pins the p2p contract that
+# a shedding peer is retried once and never evicted, and the carried-op
+# suite (TestCarried*) pins that an op riding the walk's last hop costs
+# the hops alone, runs exactly once across a splice, and — a write — is
+# never re-sent after a lost reply. The transport
 # package contributes the wire-level contracts: codec negotiation (incl.
 # a mixed binary/JSON ring and legacy no-handshake peers), TLS round
 # trips, and overload shedding (saturate past the in-flight cap: typed
 # ErrOverloaded, bounded goroutines, recovery).
 conformance:
 	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
-	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha' ./internal/p2p/
+	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha|TestCarried' ./internal/p2p/
 	$(GO) test -race -run 'TestCodecNegotiation|TestLegacyFramesAccepted|TestTLS|TestOverloadShedding|TestClientInflightCapOverload' ./internal/transport/
 
 # Replication bench smoke: the replicated write path compiles and runs on
@@ -70,32 +80,41 @@ bench-antientropy:
 bench-stream:
 	$(GO) test -run=NONE -bench='BenchmarkScan$$|BenchmarkBlobRoundTrip' -benchtime=1x . | tee bench-stream.txt
 
+# Where the JSON renderings of the smoke targets below land. They run at
+# -benchtime=1x (iterations: 1 — a shape check, not a measurement), so by
+# default they write beside the other build leftovers and never over a
+# committed BENCH_*.json; regenerate a committed artifact with a real
+# bench time and BENCH_OUT=. (e.g. `make bench-routing BENCHTIME=2s
+# BENCH_OUT=.`).
+BENCH_OUT ?= .bench_build
+BENCHTIME ?= 1x
+
+$(BENCH_OUT):
+	mkdir -p $(BENCH_OUT)
+
 # Durability bench smoke: WAL append cost under each fsync policy plus
 # cold recovery (snapshot load + replay) at 10k and 100k keys; the JSON
 # rendering lands in the CI artifact (the raw bench-wal.txt log is
 # retired — BENCH_*.json is the interchange format).
-bench-wal:
-	$(GO) test -run=NONE -bench='BenchmarkWALAppend|BenchmarkRecovery' -benchtime=1x ./internal/wal/ | $(GO) run ./cmd/oscar-benchjson -o BENCH_durability.json
+bench-wal: | $(BENCH_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkWALAppend|BenchmarkRecovery' -benchtime=$(BENCHTIME) ./internal/wal/ | $(GO) run ./cmd/oscar-benchjson -o $(BENCH_OUT)/BENCH_durability.json
 
 # Transport bench: dial-per-call vs pooled mux, binary vs JSON codec at
 # 1/8/64 in-flight, TLS on/off, the frame-encode micro-bench, and the
-# live-cluster put+get headline per codec. The JSON rendering is the
-# committed BENCH_transport.json (the raw txt log is retired); re-run
-# with -benchtime=1s for real measurements (this target is a 1x shape
-# check).
-bench-transport:
-	( $(GO) test -run=NONE -bench='BenchmarkFrameEncode|BenchmarkDialPerCall|BenchmarkPooledMux' -benchtime=1x ./internal/transport/ && \
-	  $(GO) test -run=NONE -bench='BenchmarkLiveClusterPutGetTCP' -benchtime=1x . ) | $(GO) run ./cmd/oscar-benchjson -o BENCH_transport.json
+# live-cluster put+get headline per codec. The committed
+# BENCH_transport.json is this target's JSON rendering at BENCHTIME=1s
+# (the raw txt log is retired).
+bench-transport: | $(BENCH_OUT)
+	( $(GO) test -run=NONE -bench='BenchmarkFrameEncode|BenchmarkDialPerCall|BenchmarkPooledMux' -benchtime=$(BENCHTIME) ./internal/transport/ && \
+	  $(GO) test -run=NONE -bench='BenchmarkLiveClusterPutGetTCP' -benchtime=$(BENCHTIME) . ) | $(GO) run ./cmd/oscar-benchjson -o $(BENCH_OUT)/BENCH_transport.json
 
 # Routing bench: a Zipf hot-key workload against a live in-memory cluster
 # after a crash, comparing α=1 with caches off against α=2/α=3 with the
 # route and hot-key caches on — lookup hops per op, p50/p95 latency, and
-# the owner-vs-cache serve ratio. The JSON rendering is the committed
-# BENCH_routing.json; this 1x run is a shape check (regenerate the
-# artifact with BENCHTIME=2s for real numbers).
-BENCHTIME ?= 1x
-bench-routing:
-	$(GO) test -run=NONE -bench='BenchmarkRoutingZipf' -benchtime=$(BENCHTIME) -timeout 20m . | $(GO) run ./cmd/oscar-benchjson -o BENCH_routing.json
+# the owner-vs-cache serve ratio. The committed BENCH_routing.json is this
+# target's JSON rendering at BENCHTIME=2s.
+bench-routing: | $(BENCH_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkRoutingZipf' -benchtime=$(BENCHTIME) -timeout 20m . | $(GO) run ./cmd/oscar-benchjson -o $(BENCH_OUT)/BENCH_routing.json
 
 # Bench smoke: compile and run every benchmark once (shape check, not a
 # measurement). Full measurements: `go test -bench=. -benchtime=2s ./...`.
@@ -135,4 +154,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test examples race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench
+ci: fmt-check vet build test benchmark-check examples race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench

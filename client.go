@@ -20,7 +20,10 @@ import (
 //
 // Implementations are safe for concurrent use by multiple goroutines.
 type Client interface {
-	// Put stores value under key at the key's owner.
+	// Put stores value under key at the key's owner. The store may keep
+	// the slice itself (the simulator, the in-memory fabric, and a live
+	// node writing a key it owns all do): do not modify value afterwards,
+	// nor a value a Get returned.
 	Put(ctx context.Context, key Key, value []byte) (PutResponse, error)
 	// Get fetches the value under key from the key's owner. A missing key
 	// is ErrNotFound (the response still carries the routing cost).
@@ -150,7 +153,11 @@ type OwnerRef struct {
 type PutResponse struct {
 	// Owner is the peer now holding the item.
 	Owner OwnerRef
-	// Cost is the message cost of the operation (routing plus the write).
+	// Cost is the message cost of the operation: the remote routing hops
+	// (the write rides the last one; the entry node's own routing step and
+	// a write to a key it owns are free) plus one message per replica
+	// push. A write through a cached route pays one data message instead
+	// of the hops.
 	Cost int
 	// Replaced reports whether an existing value was overwritten.
 	Replaced bool
@@ -165,7 +172,10 @@ type PutResponse struct {
 type GetResponse struct {
 	// Owner is the peer holding the item.
 	Owner OwnerRef
-	// Cost is the message cost of the operation.
+	// Cost is the message cost of the operation: the remote routing hops
+	// (the read rides the last one; a key the entry node owns costs
+	// nothing), plus one message per replica asked when the owner could
+	// not answer.
 	Cost int
 	// Value is the stored value.
 	Value []byte
@@ -175,7 +185,7 @@ type GetResponse struct {
 type DeleteResponse struct {
 	// Owner is the peer that held the item.
 	Owner OwnerRef
-	// Cost is the message cost of the operation.
+	// Cost is the message cost of the operation, counted like a Put's.
 	Cost int
 	// Acks is how many stores (the owner plus replica chain members)
 	// acknowledged the delete.
@@ -187,8 +197,9 @@ type RangeResponse struct {
 	// Items are the matching records in clockwise key order from the range
 	// start.
 	Items []Item
-	// Cost is the total message cost: routing to the range start plus one
-	// hop per additional peer scanned along the ring.
+	// Cost is the total message cost: routing to the range start (the
+	// first page rides the last hop) plus one message per further page or
+	// peer scanned along the ring.
 	Cost int
 	// PeersScanned is the number of peers whose shards were visited.
 	PeersScanned int
@@ -198,7 +209,8 @@ type RangeResponse struct {
 type LookupResponse struct {
 	// Owner is the peer owning the key.
 	Owner OwnerRef
-	// Cost is the routing message cost.
+	// Cost is the routing message cost: the remote hops of the walk (the
+	// entry node's own step is free).
 	Cost int
 }
 

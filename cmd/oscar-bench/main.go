@@ -1,5 +1,5 @@
 // Command oscar-bench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §2 for the experiment index):
+// evaluation:
 //
 //	fig1a   synthetic spiky node-degree pdf
 //	fig1b   relative degree load per peer (three cap distributions)

@@ -42,6 +42,11 @@ type Faults struct {
 	// Drop is the probability a call is lost before delivery. The caller
 	// sees transport.ErrUnreachable; the peer sees nothing.
 	Drop float64
+	// DropReply is the probability a call is delivered — the peer executes
+	// it — and its response is lost: the caller sees
+	// transport.ErrUnreachable for an op that ran, the ambiguous failure
+	// that makes re-sending a write unsafe.
+	DropReply float64
 	// Overload is the probability a call is shed before delivery with
 	// transport.ErrOverloaded — synthetic backpressure, for exercising the
 	// overloaded-is-not-dead contract on fabrics that never saturate.
@@ -64,7 +69,7 @@ type Stats struct {
 	// Calls is every outbound call that consulted the model.
 	Calls int64
 	// Dropped, Overloaded, Duplicated and Blocked count the faults
-	// injected: lost calls, shed calls, extra deliveries, and calls
+	// injected: lost calls (or replies), shed calls, extra deliveries, and calls
 	// refused by a partition.
 	Dropped    int64
 	Overloaded int64
@@ -178,6 +183,7 @@ func (n *Network) Stats() Stats {
 type verdict struct {
 	blocked   bool
 	drop      bool
+	dropReply bool
 	overload  bool
 	duplicate bool
 	delay     time.Duration
@@ -225,6 +231,9 @@ func (n *Network) decide(src, dst transport.Addr) verdict {
 	switch {
 	case f.Drop > 0 && u01(splitmix(base)) < f.Drop:
 		v.drop = true
+		n.stats.Dropped++
+	case f.DropReply > 0 && u01(splitmix(base+4)) < f.DropReply:
+		v.dropReply = true
 		n.stats.Dropped++
 	case f.Overload > 0 && u01(splitmix(base+1)) < f.Overload:
 		v.overload = true
@@ -311,6 +320,9 @@ func (e *endpoint) CallCtx(ctx context.Context, addr transport.Addr, req *transp
 		return nil, fmt.Errorf("faultnet: shed %s -> %s: %w", e.inner.Addr(), addr, transport.ErrOverloaded)
 	}
 	resp, err := e.inner.CallCtx(ctx, addr, req)
+	if v.dropReply && err == nil {
+		return nil, fmt.Errorf("faultnet: reply lost %s -> %s: %w", addr, e.inner.Addr(), transport.ErrUnreachable)
+	}
 	if v.duplicate && err == nil && req.Op != transport.OpMigrate {
 		dup := *req
 		go func() {

@@ -81,11 +81,23 @@ func TestSeededScheduleIsDeterministic(t *testing.T) {
 
 func TestDropAndOverloadAreTyped(t *testing.T) {
 	net := New(1)
-	tr, dst := pair(t, net, nil)
+	var served atomic.Int64
+	tr, dst := pair(t, net, &served)
 
 	net.SetDefault(Faults{Drop: 1})
 	if _, err := tr.CallCtx(context.Background(), dst, &transport.Request{Op: transport.OpPing}); !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("full drop = %v, want ErrUnreachable", err)
+	}
+	if served.Load() != 0 {
+		t.Fatal("a dropped call reached the peer")
+	}
+	// A lost reply looks the same to the caller, but the peer ran the op.
+	net.SetDefault(Faults{DropReply: 1})
+	if _, err := tr.CallCtx(context.Background(), dst, &transport.Request{Op: transport.OpPing}); !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("lost reply = %v, want ErrUnreachable", err)
+	}
+	if served.Load() != 1 {
+		t.Fatalf("a call whose reply is lost ran %d times at the peer, want 1", served.Load())
 	}
 	net.SetDefault(Faults{Overload: 1})
 	if _, err := tr.CallCtx(context.Background(), dst, &transport.Request{Op: transport.OpPing}); !errors.Is(err, transport.ErrOverloaded) {

@@ -4,8 +4,8 @@
 // Data-oriented overlays are order-preserving, so peer identifiers inherit
 // whatever skew the application data has. The paper draws peer keys from the
 // "Gnutella filename distribution", a proprietary 2005 trace; GnutellaLike
-// is our synthetic stand-in (see DESIGN.md §3): a heavy-tailed, multi-modal
-// mixture whose narrow density spikes are exactly the feature that defeats
+// is our synthetic stand-in: a heavy-tailed, multi-modal mixture whose
+// narrow density spikes are exactly the feature that defeats
 // uniform-resolution histogram estimation (Mercury) while leaving Oscar's
 // median-based partitioning unaffected.
 //

@@ -651,13 +651,19 @@ func (n *Node) Close() error {
 	return err
 }
 
-// handle dispatches one incoming request. It runs on transport goroutines.
+// handle dispatches one incoming request. It runs on transport goroutines
+// and, for calls the node addresses to itself, on the caller's (callRetry).
 func (n *Node) handle(req *transport.Request) *transport.Response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return &transport.Response{OK: false, Err: "node down"}
 	}
+	return n.handleLocked(req)
+}
+
+// handleLocked serves one request under n.mu.
+func (n *Node) handleLocked(req *transport.Request) *transport.Response {
 	switch req.Op {
 	case transport.OpPing:
 		return &transport.Response{OK: true, Peer: n.self}
@@ -732,7 +738,22 @@ func (n *Node) handle(req *transport.Request) *transport.Response {
 		return &transport.Response{OK: true}
 
 	case transport.OpFindOwner:
-		return n.findOwnerLocked(req.Key, req.Exclude)
+		// A routing step that ends here also runs the data op it carries,
+		// through that op's own case below — ownership gate, join-dirty
+		// mark and WAL sink included — inside this same lock hold, so the
+		// walk's last hop is the data RPC. Only the four client ops may
+		// ride; anything else is ignored and the requester, seeing no
+		// Result, sends it directly.
+		resp := n.findOwnerLocked(req.Key, req.Exclude)
+		if resp.Found {
+			switch req.Carry {
+			case transport.OpGet, transport.OpPut, transport.OpDelete, transport.OpScan:
+				op := *req
+				op.Op, op.Carry = req.Carry, ""
+				resp.Result = n.handleLocked(&op)
+			}
+		}
+		return resp
 
 	case transport.OpPut:
 		// Peers carries the replica chain the writer must push copies to;

@@ -592,59 +592,104 @@ func (n *Node) CountPeers(ctx context.Context, max int) int {
 // the message cost (routing steps plus dead-peer probes). Cancelling the
 // context aborts the walk between hops with ctx.Err().
 func (n *Node) Lookup(ctx context.Context, key keyspace.Key) (transport.PeerRef, int, error) {
-	owner, _, cost, err := n.lookupChain(ctx, n.self.Addr, key)
-	return owner, cost, err
+	rt, cost, err := n.walk(ctx, n.self.Addr, key, nil)
+	return rt.owner, cost, err
 }
 
-// lookupVia routes starting at a given peer; see lookupChain.
+// lookupVia routes starting at a given peer; see walk.
 func (n *Node) lookupVia(ctx context.Context, start transport.Addr, key keyspace.Key) (transport.PeerRef, int, error) {
-	owner, _, cost, err := n.lookupChain(ctx, start, key)
-	return owner, cost, err
+	rt, cost, err := n.walk(ctx, start, key, nil)
+	return rt.owner, cost, err
 }
 
-// lookupChain iteratively routes starting at a given peer. The query
-// carries the knowledge it gathers: peers discovered dead (or routeless
-// for this key) go into an exclude set that visited peers honour, and the
-// walk backtracks when its current peer is exhausted — the live analogue
-// of the simulator's backtracking router. Backtrack candidates are
+// route is what a walk resolved: the key's owner, the owner's replica
+// chain (the successor list entries holding copies of its arc; reads fall
+// back through it when the owner dies), and — when the walk carried an op
+// and the owner ran it — that op's response.
+type route struct {
+	owner  transport.PeerRef
+	chain  []transport.PeerRef
+	result *transport.Response
+}
+
+// carried returns the find_owner request that routes toward key and asks
+// a responder that turns out to be the owner to run op in the same
+// message (see transport.Request.Carry). op's arguments ride along in its
+// own fields.
+func carried(op *transport.Request, key keyspace.Key, exclude []transport.Addr) *transport.Request {
+	req := *op
+	req.Op, req.Carry, req.Key, req.Exclude = transport.OpFindOwner, op.Op, key, exclude
+	return &req
+}
+
+// walk iteratively routes to the owner of key starting at a given peer,
+// and — given an op — has the owner run it on the hop that reaches it, so
+// a data op costs its routing hops and nothing more. The query carries
+// the knowledge it gathers: peers discovered dead (or routeless for this
+// key) go into an exclude set that visited peers honour, and the walk
+// backtracks when its current peer is exhausted — the live analogue of
+// the simulator's backtracking router. Backtrack candidates are
 // liveness-probed in parallel, so a run of dead peers costs one overlapped
 // timeout instead of a serial timeout each.
 //
-// With Config.Alpha > 1 each hop is an α-way step: the current peer and
-// up to α-1 backtrack candidates are probed concurrently with the same
-// find_owner query (over fanoutReadRetry, so every leg rides the
-// overload/read-retry contracts). The primary's answer drives the walk
-// exactly as at α=1 — same cost accounting, same ctx-cancel points, same
-// typed ErrOverloaded surface — and the extra answers are folded in: a
-// Found is a terminal answer held in reserve, a next-hop suggestion is an
-// instant detour if the primary turns out dead (skipping the backtrack
-// ping round entirely), dead extras move to the exclude set, and live
-// ones return to the stack. α buys a shorter tail under churn for α-1
-// extra messages per hop.
+// The op rides only where it can run: on the step this node computes
+// itself (dispatched in-process, see callRetry) and on a hop whose target
+// the previous responder named as the owner — key ∈ (responder, target],
+// which is how every walk arrives, because long links never overshoot.
+// Intermediate hops stay plain find_owner queries. A hop carrying a put
+// or a delete is sent under the data RPC's contract, not the walk's: it
+// is re-sent only when shed (never executed), and an ambiguous failure
+// ends the op with an error instead of excluding the peer and re-sending
+// the write somewhere else. A route that comes back without a result —
+// the owner was reached by a plain hop, or ignored the op — leaves the
+// op to the caller's direct RPC.
 //
-// Alongside the owner it returns the owner's replica chain (the successor
-// list entries holding copies of its arc), piggybacked on the terminal
-// find_owner response; reads fall back through it when the owner dies
-// between routing and the data RPC.
+// With Config.Alpha > 1 each hop is an α-way step: the current peer and
+// up to α-1 backtrack candidates are probed concurrently (the extras over
+// fanoutReadRetry with the plain query — they never carry the op — so
+// every leg rides the overload/read-retry contracts). The primary's
+// answer drives the walk exactly as at α=1 — same cost accounting, same
+// ctx-cancel points, same typed ErrOverloaded surface — and the extra
+// answers are folded in: a Found is a terminal answer held in reserve, a
+// next-hop suggestion is an instant detour if the primary turns out dead
+// (skipping the backtrack ping round entirely), dead extras move to the
+// exclude set, and live ones return to the stack. α buys a shorter tail
+// under churn for α-1 extra messages per hop.
 //
 // The context is checked before every hop and a transport failure caused by
 // cancellation surfaces as ctx.Err() rather than being mistaken for a dead
 // peer, so a cancelled multi-hop walk stops issuing RPCs immediately.
-func (n *Node) lookupChain(ctx context.Context, start transport.Addr, key keyspace.Key) (transport.PeerRef, []transport.PeerRef, int, error) {
+func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cur := start
+	// curKey is cur's position when the walk knows it (a backtrack or a
+	// detour lands on a bare address); named says the previous responder
+	// gave cur as the key's owner.
+	curKey, curKeyed, named := n.self.Key, start == n.self.Addr, false
 	cost := 0
 	var bad []transport.Addr   // dead or routeless peers
 	var stack []transport.Addr // peers to backtrack to
 	for hop := 0; hop < maxRouteHops; hop++ {
 		if err := ctx.Err(); err != nil {
-			return transport.PeerRef{}, nil, cost, err
+			return route{}, cost, err
 		}
-		req := &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
+		// query is the plain routing step; probe is what cur is sent.
+		query := func() *transport.Request {
+			return &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
+		}
+		var probe *transport.Request
+		call, carriesWrite := n.readRetry, false
+		if op != nil && (cur == n.self.Addr || named) {
+			probe = carried(op, key, bad)
+			if op.Op == transport.OpPut || op.Op == transport.OpDelete {
+				call, carriesWrite = n.callRetry, true
+			}
+		} else {
+			probe = query()
+		}
 		var resp *transport.Response
 		var err error
 		// Knowledge folded from the α-1 extra probes of this hop.
-		var foundPeer transport.PeerRef // a Found answer held in reserve
-		var foundChain []transport.PeerRef
+		var found route // a Found answer held in reserve
 		haveFound := false
 		var detour transport.Addr // a live extra's next-hop suggestion
 		if k := n.cfg.Alpha - 1; k > 0 && len(stack) > 0 {
@@ -653,20 +698,30 @@ func (n *Node) lookupChain(ctx context.Context, start transport.Addr, key keyspa
 			}
 			extras := append([]transport.Addr(nil), stack[len(stack)-k:]...)
 			stack = stack[:len(stack)-k]
-			probes := append([]transport.Addr{cur}, extras...)
-			results := n.fanoutReadRetry(ctx, probes, req)
-			resp, err = results[0].Resp, results[0].Err
+			extraReq := probe
+			if probe.Carry != "" {
+				extraReq = query()
+			}
+			var results []transport.FanoutResult
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results = n.fanoutReadRetry(ctx, extras, extraReq)
+			}()
+			resp, err = call(ctx, cur, probe)
+			wg.Wait()
 			cost += k // the extra probes are messages too
 			if cerr := ctx.Err(); cerr != nil {
-				return transport.PeerRef{}, nil, cost, cerr
+				return route{}, cost, cerr
 			}
 			// Fold shallowest→deepest so the deepest (closest to the
 			// target) wins conflicts, and stack order is preserved on
 			// re-push.
-			for i, r := range results[1:] {
+			for i, r := range results {
 				switch {
 				case r.OK() && r.Resp.Found:
-					foundPeer, foundChain, haveFound = r.Resp.Peer, r.Resp.Peers, true
+					found, haveFound = route{owner: r.Resp.Peer, chain: r.Resp.Peers}, true
 					stack = append(stack, extras[i]) // still a live waypoint
 				case r.OK():
 					if s := r.Resp.Peer.Addr; s != "" && s != cur && !addrIn(bad, s) {
@@ -680,11 +735,11 @@ func (n *Node) lookupChain(ctx context.Context, start transport.Addr, key keyspa
 				}
 			}
 		} else {
-			resp, err = n.readRetry(ctx, cur, req)
+			resp, err = call(ctx, cur, probe)
 		}
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
-				return transport.PeerRef{}, nil, cost, cerr
+				return route{}, cost, cerr
 			}
 			if errors.Is(err, transport.ErrOverloaded) {
 				// The hop shed both the call and its retry. The peer is
@@ -694,15 +749,22 @@ func (n *Node) lookupChain(ctx context.Context, start transport.Addr, key keyspa
 				// Found still completes the lookup: the owner answered, the
 				// congested waypoint no longer matters.
 				if haveFound {
-					return foundPeer, foundChain, cost, nil
+					return found, cost, nil
 				}
-				return transport.PeerRef{}, nil, cost, fmt.Errorf("p2p: lookup via %s: %w", cur, err)
+				return route{}, cost, fmt.Errorf("p2p: lookup via %s: %w", cur, err)
+			}
+			if err != nil && carriesWrite {
+				// The write may have run with its ack lost: re-sending it
+				// anywhere — even to an owner an extra just found — could
+				// apply it twice.
+				return route{}, cost, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Op, err)
 			}
 			cost++ // wasted message (dead probe) or exhausted peer
 			bad = append(bad, cur)
 			if haveFound {
-				return foundPeer, foundChain, cost, nil
+				return found, cost, nil
 			}
+			named, curKeyed = false, false
 			if detour != "" {
 				// An α sibling already told us where it would go next:
 				// take that hop instead of a backtrack ping round. The
@@ -713,27 +775,28 @@ func (n *Node) lookupChain(ctx context.Context, start transport.Addr, key keyspa
 			next, probeCost := n.backtrack(ctx, &stack, &bad)
 			cost += probeCost
 			if cerr := ctx.Err(); cerr != nil {
-				return transport.PeerRef{}, nil, cost, cerr
+				return route{}, cost, cerr
 			}
 			if next == "" {
-				return transport.PeerRef{}, nil, cost, fmt.Errorf("%w to %v", ErrNoRoute, key)
+				return route{}, cost, fmt.Errorf("%w to %v", ErrNoRoute, key)
 			}
 			cur = next
 			continue
 		}
 		if resp.Found {
-			return resp.Peer, resp.Peers, cost, nil
+			return route{owner: resp.Peer, chain: resp.Peers, result: resp.Result}, cost, nil
 		}
 		if haveFound {
 			// A deeper sibling already reached the owner; the primary only
 			// offered another hop. Terminal beats progress.
-			return foundPeer, foundChain, cost, nil
+			return found, cost, nil
 		}
 		stack = append(stack, cur)
-		cur = resp.Peer.Addr
+		named = curKeyed && key.BetweenIncl(curKey, resp.Peer.Key)
+		cur, curKey, curKeyed = resp.Peer.Addr, resp.Peer.Key, true
 		cost++
 	}
-	return transport.PeerRef{}, nil, cost, fmt.Errorf("%w to %v: hop budget exhausted", ErrNoRoute, key)
+	return route{}, cost, fmt.Errorf("%w to %v: hop budget exhausted", ErrNoRoute, key)
 }
 
 // addrIn reports whether a is in the set.
@@ -791,26 +854,27 @@ func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]tr
 	return "", cost
 }
 
-// resolveRead resolves key → owner + replica chain for a read path,
-// consulting the route cache first. A hit is validated with one direct
-// find_owner to the cached owner: Found from the gate that terminates
-// every real walk confirms the resolution and refreshes the chain in
-// the same RPC, so a multi-hop walk collapses to one message. Anything
-// else falls back to the full walk — an overloaded owner keeps its
-// entry (alive, just shedding), any other answer invalidates it. A
-// successful resolve (either path) re-primes the cache.
-func (n *Node) resolveRead(ctx context.Context, key keyspace.Key) (transport.PeerRef, []transport.PeerRef, int, error) {
+// resolveRead resolves key → owner + replica chain for a read and runs
+// the read op (a get or one scan page) at the owner in the same messages,
+// consulting the route cache first. A hit sends one find_owner carrying
+// the op straight to the cached owner: Found from the gate that
+// terminates every real walk confirms the resolution, refreshes the chain
+// and answers the read, so a multi-hop walk plus a data RPC collapse to
+// one message. Anything else falls back to the full walk — an overloaded
+// owner keeps its entry (alive, just shedding), any other answer
+// invalidates it. A successful resolve (either path) re-primes the cache.
+func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cost := 0
 	if ent, ok := n.routes.Get(key); ok {
 		cost++
-		resp, err := n.readRetry(ctx, ent.owner.Addr, &transport.Request{Op: transport.OpFindOwner, Key: key})
+		resp, err := n.readRetry(ctx, ent.owner.Addr, carried(op, key, nil))
 		if cerr := ctx.Err(); cerr != nil {
-			return transport.PeerRef{}, nil, cost, cerr
+			return route{}, cost, cerr
 		}
 		if err == nil && resp.OK && resp.Found && resp.Peer.Addr == ent.owner.Addr {
 			n.routeHits.Add(1)
 			n.routes.Put(key, routeEntry{owner: resp.Peer, chain: resp.Peers})
-			return resp.Peer, resp.Peers, cost, nil
+			return route{owner: resp.Peer, chain: resp.Peers, result: resp.Result}, cost, nil
 		}
 		if !errors.Is(err, transport.ErrOverloaded) {
 			n.routes.Invalidate(key)
@@ -819,19 +883,22 @@ func (n *Node) resolveRead(ctx context.Context, key keyspace.Key) (transport.Pee
 	if n.routes != nil {
 		n.routeMisses.Add(1)
 	}
-	owner, chain, c, err := n.lookupChain(ctx, n.self.Addr, key)
+	rt, c, err := n.walk(ctx, n.self.Addr, key, op)
 	cost += c
 	if err == nil {
-		n.routes.Put(key, routeEntry{owner: owner, chain: chain})
+		n.routes.Put(key, routeEntry{owner: rt.owner, chain: rt.chain})
 	}
-	return owner, chain, cost, err
+	return rt, cost, err
 }
 
 // OpResult reports one data-layer operation executed at the key's owner.
 type OpResult struct {
 	// Owner is the peer that served the operation.
 	Owner transport.PeerRef
-	// Cost is the message cost: routing plus the data RPC itself.
+	// Cost is the message cost: the remote routing hops — the op rides the
+	// last one, and the step this node computes itself and an op it runs
+	// on its own store are free — plus any direct data RPC (a cached
+	// route, a chain fallback) and one message per replica push.
 	Cost int
 	// Replaced reports whether a Put overwrote an existing value.
 	Replaced bool
@@ -846,19 +913,22 @@ type OpResult struct {
 	Acks int
 }
 
-// dataOp routes to the owner of key and executes one data RPC there. The
-// raw response is returned alongside so write ops can read the replica
-// chain the owner piggybacks on it.
+// dataOp runs one write at the owner of key: the walk carries it, so it
+// costs the routing hops and no separate data RPC. The raw response is
+// returned alongside so write ops can read the replica chain the owner
+// piggybacks on it.
 //
-// The route cache short-circuits the walk: a cached owner is tried
+// The route cache short-circuits the walk: a cached owner is sent the op
 // directly, with no validation RPC — the write ops' own ownership gate
 // is the validation. A stale entry earns a typed errNotOwner (or an
 // unreachable peer), which invalidates the entry and falls back to the
 // full walk without consuming one of the owner-moved attempts: cache
-// staleness is the cache's fault, not ring churn.
+// staleness is the cache's fault, not ring churn. The direct RPC also
+// serves a walk that found the owner without running the op there.
 //
-// A "not owner" rejection means the arc moved between the routing step
-// and the data RPC (a joiner spliced in): the op was definitely not
+// A "not owner" rejection — from the gate behind the carried hop or the
+// direct RPC alike — means the arc moved after the routing step that
+// named the owner (a joiner spliced in): the op was definitely not
 // executed, so re-routing and retrying is safe for writes. The retry is
 // bounded and paced — one splice is a few notifies away from visible.
 func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Request) (OpResult, *transport.Response, error) {
@@ -876,17 +946,21 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 				n.routeMisses.Add(1)
 			}
 		}
+		var resp *transport.Response
+		var err error
 		if owner.Addr == "" {
-			o, _, cost, err := n.lookupChain(ctx, n.self.Addr, key)
+			rt, cost, werr := n.walk(ctx, n.self.Addr, key, req)
 			res.Cost += cost
-			if err != nil {
-				return res, nil, err
+			if werr != nil {
+				return res, nil, werr
 			}
-			owner = o
+			owner, resp = rt.owner, rt.result
 		}
 		res.Owner = owner
-		res.Cost++
-		resp, err := n.callRetry(ctx, owner.Addr, req)
+		if resp == nil {
+			res.Cost++
+			resp, err = n.callRetry(ctx, owner.Addr, req)
+		}
 		if err == nil && resp != nil && !resp.OK && resp.Err == errNotOwner {
 			n.routes.Invalidate(key)
 			if fromCache {
@@ -1115,29 +1189,39 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 	if res, served, err := n.hotGet(ctx, key); served {
 		return res, err
 	}
-	owner, chain, cost, err := n.resolveRead(ctx, key)
+	req := &transport.Request{Op: transport.OpGet, Key: key, From: n.self}
+	rt, cost, err := n.resolveRead(ctx, key, req)
 	if err != nil {
 		return OpResult{Cost: cost}, err
 	}
+	owner := rt.owner
 	res := OpResult{Owner: owner, Cost: cost}
-	req := &transport.Request{Op: transport.OpGet, Key: key, From: n.self}
 	ownerStale := false // the owner answered with no copy and no tombstone
 	answered := false
 	var lastErr error
-	for i, t := range append([]transport.PeerRef{owner}, chain...) {
+	for i, t := range append([]transport.PeerRef{owner}, rt.chain...) {
 		if cerr := ctx.Err(); cerr != nil {
 			return res, cerr
 		}
-		res.Cost++
-		call := n.callRetry
-		if i == 0 {
-			// The owner read rides out transient unreachability before the
-			// chain walk: with r=1 there are no replicas, and a chain
-			// member honestly reporting "absent" would turn one lost
-			// packet into a wrong not-found.
-			call = n.readRetry
+		// The walk normally brings the owner's answer with it; the direct
+		// RPC is for an owner that was found without being asked and for
+		// the chain.
+		var resp *transport.Response
+		var err error
+		if i == 0 && rt.result != nil {
+			resp = rt.result
+		} else {
+			res.Cost++
+			call := n.callRetry
+			if i == 0 {
+				// The owner read rides out transient unreachability before
+				// the chain walk: with r=1 there are no replicas, and a
+				// chain member honestly reporting "absent" would turn one
+				// lost packet into a wrong not-found.
+				call = n.readRetry
+			}
+			resp, err = call(ctx, t.Addr, req)
 		}
-		resp, err := call(ctx, t.Addr, req)
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
 				return res, cerr

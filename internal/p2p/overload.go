@@ -32,7 +32,19 @@ const (
 // comparable round trip; otherwise (or when the retry is shed too) the
 // typed error is returned for the caller to surface, never to treat as
 // proof of death.
+//
+// A call the node addresses to itself — a walk's first step, a replica
+// push when the writer sits in the owner's chain, an op on a key the node
+// owns — goes straight to the handler: no socket, no pooled connection
+// to self, no message. Request and response pass by pointer, as they do
+// on the in-memory fabric.
 func (n *Node) callRetry(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
+	if addr == n.self.Addr {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return n.handle(req), nil
+	}
 	resp, err := n.tr.CallCtx(ctx, addr, req)
 	if err == nil || !errors.Is(err, transport.ErrOverloaded) {
 		return resp, err

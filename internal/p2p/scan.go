@@ -38,7 +38,8 @@ type ScanChunk struct {
 }
 
 // ScanSession drives one paged scan over the clockwise arc [start, end):
-// it routes to the owner of the cursor, pulls frame-bounded pages with
+// it routes to the owner of the cursor — the walk brings that shard's
+// first page back with it — pulls further frame-bounded pages with
 // OpScan, follows successor pointers shard by shard, and — when the
 // serving peer dies between pages — resumes through the owner's replica
 // chain (piggybacked on routing), whose replica stores cover the dead
@@ -79,10 +80,14 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
+		// The routing step brings the shard's first page with it; later
+		// pages, and an owner found without being asked, take the scan RPC.
+		var resp *transport.Response
+		var err error
 		if !s.have {
-			owner, chain, cost, err := s.n.resolveRead(ctx, cursor)
+			rt, cost, rerr := s.n.resolveRead(ctx, cursor, req)
 			out.Cost += cost
-			if err != nil {
+			if rerr != nil {
 				// Routing itself fails transiently while the ring digests a
 				// crash or a lossy link eats a hop; the first failure opens
 				// the churn-recovery window, and inside it the session waits
@@ -90,18 +95,21 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 				if retryUntil.IsZero() {
 					retryUntil = time.Now().Add(scanRetryGrace)
 				} else if time.Now().After(retryUntil) {
-					return out, err
+					return out, rerr
 				}
 				if serr := sleepCtx(ctx, scanRetryStep); serr != nil {
 					return out, serr
 				}
 				continue
 			}
-			s.cur, s.chain, s.have, s.counted = owner, chain, true, false
+			s.cur, s.chain, s.have, s.counted = rt.owner, rt.chain, true, false
+			resp = rt.result
 		}
 		served := s.cur
-		out.Cost++
-		resp, err := s.n.readRetry(ctx, s.cur.Addr, req)
+		if resp == nil {
+			out.Cost++
+			resp, err = s.n.readRetry(ctx, s.cur.Addr, req)
+		}
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
 				return out, cerr

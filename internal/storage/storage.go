@@ -284,6 +284,7 @@ func (s *Store) Scan(rg keyspace.Range, fn func(Item) bool) {
 // in the range past the returned page; resume from the last returned key
 // plus one.
 func (s *Store) ScanPage(rg keyspace.Range, maxItems, maxBytes int) (out []Item, more bool) {
+	out = makePage(maxItems, s.rangeViews(rg))
 	bytes := 0
 	s.Scan(rg, func(it Item) bool {
 		if maxItems > 0 && len(out) >= maxItems {
@@ -317,6 +318,26 @@ func (s *Store) rangeViews(rg keyspace.Range) [][]Item {
 		return [][]Item{s.items[i:s.search(rg.End)]}
 	}
 	return [][]Item{s.items[i:], s.items[:s.search(rg.End)]}
+}
+
+// makePage returns an empty page sized for what a bounded scan over the
+// given views can return — min(maxItems, items in the views) — so filling
+// it never regrows. Without an item cap the page grows on demand: the byte
+// cap alone says nothing about the count.
+func makePage(maxItems int, views ...[][]Item) []Item {
+	if maxItems <= 0 {
+		return nil
+	}
+	left := 0
+	for _, parts := range views {
+		for _, part := range parts {
+			left += len(part)
+		}
+	}
+	if left == 0 {
+		return nil
+	}
+	return make([]Item, 0, min(maxItems, left))
 }
 
 // pageWalker pulls items one at a time from a store's clockwise range
@@ -357,6 +378,7 @@ func ScanPageMerged(primary, fallback *Store, rg keyspace.Range, maxItems, maxBy
 	}
 	p := &pageWalker{parts: primary.rangeViews(rg)}
 	f := &pageWalker{parts: fallback.rangeViews(rg)}
+	out = makePage(maxItems, p.parts, f.parts)
 	bytes := 0
 	for {
 		it, ok := nextMerged(p, f, rg.Start, primary)

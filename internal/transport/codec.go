@@ -85,6 +85,7 @@ const (
 	rtagStates
 	rtagSizeEst
 	rtagExclude
+	rtagCarry
 )
 
 // Response field tags.
@@ -108,6 +109,7 @@ const (
 	stagMaxIn
 	stagMaxOut
 	stagInDeg
+	stagResult
 )
 
 var errBadPayload = errors.New("transport: bad binary payload")
@@ -325,12 +327,30 @@ func appendRequest(b []byte, req *Request) []byte {
 	w.statesField(rtagStates, req.States)
 	w.float64Field(rtagSizeEst, req.SizeEst)
 	w.addrsField(rtagExclude, req.Exclude)
+	w.stringField(rtagCarry, string(req.Carry))
 	return w.b
 }
 
 // appendResponse appends the binary encoding of resp to b.
 func appendResponse(b []byte, resp *Response) []byte {
 	w := binWriter{b: append(b, binKindResponse)}
+	w.responseFields(resp)
+	if resp.Result != nil {
+		// The carried op's response nests one level deep, as a plain field
+		// sequence; its own Result is never encoded (nor decoded), so a
+		// frame cannot make the decoder recurse.
+		scratch := scratchPool.Get().(*binWriter)
+		scratch.b = scratch.b[:0]
+		scratch.responseFields(resp.Result)
+		w.field(stagResult, len(scratch.b))
+		w.b = append(w.b, scratch.b...)
+		scratchPool.Put(scratch)
+	}
+	return w.b
+}
+
+// responseFields appends every field of resp except Result.
+func (w *binWriter) responseFields(resp *Response) {
 	w.boolField(stagOK, resp.OK)
 	w.stringField(stagErr, resp.Err)
 	w.peerRefField(stagPeer, resp.Peer)
@@ -350,7 +370,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 	w.intField(stagMaxIn, resp.MaxIn)
 	w.intField(stagMaxOut, resp.MaxOut)
 	w.intField(stagInDeg, resp.InDeg)
-	return w.b
 }
 
 // --- decoding ------------------------------------------------------------
@@ -619,6 +638,9 @@ func decodeRequest(b []byte, req *Request) error {
 			req.SizeEst = math.Float64frombits(fr.fixed64())
 		case rtagExclude:
 			req.Exclude = fr.addrs()
+		case rtagCarry:
+			req.Carry = Op(fr.b)
+			fr.b = nil
 		default:
 			// Unknown field from a newer peer: skipped by length.
 		}
@@ -639,6 +661,13 @@ func decodeResponse(b []byte, resp *Response) error {
 		return fmt.Errorf("%w: not a response", errBadPayload)
 	}
 	r := binReader{b: b[1:]}
+	return r.responseFields(resp, true)
+}
+
+// responseFields decodes a response field sequence into resp. nest allows
+// one Result field; inside a Result the tag is skipped like an unknown
+// one, which bounds the recursion at one level whatever the frame holds.
+func (r *binReader) responseFields(resp *Response, nest bool) error {
 	for !r.empty() && !r.err {
 		tag, fr := r.field()
 		if r.err {
@@ -685,6 +714,13 @@ func decodeResponse(b []byte, resp *Response) error {
 			resp.MaxOut = fr.zigzag()
 		case stagInDeg:
 			resp.InDeg = fr.zigzag()
+		case stagResult:
+			if nest {
+				resp.Result = new(Response)
+				if err := fr.responseFields(resp.Result, false); err != nil {
+					return err
+				}
+			}
 		default:
 		}
 		if fr.err {

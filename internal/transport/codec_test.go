@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -38,6 +40,7 @@ func fullRequest() *Request {
 		},
 		SizeEst: 147.25,
 		Exclude: []Addr{"1.2.3.4:1", "5.6.7.8:2"},
+		Carry:   OpPut,
 	}
 }
 
@@ -62,6 +65,12 @@ func fullResponse() *Response {
 		MaxIn:   27,
 		MaxOut:  16,
 		InDeg:   5,
+		Result: &Response{
+			OK: true, Found: true, Value: []byte("carried"), Acks: 1,
+			Peers: []PeerRef{{Addr: "c:3", Key: 9}},
+			Items: []storage.Item{{Key: 14, Value: []byte("page")}},
+			More:  true, Cursor: 15,
+		},
 	}
 }
 
@@ -71,6 +80,7 @@ func TestBinaryRoundTripRequest(t *testing.T) {
 		{Op: OpPing},
 		{Op: OpGet, Key: 99},
 		{Op: OpPut, Key: 1, Value: []byte("v"), From: PeerRef{Addr: "x:1", Key: 2}},
+		{Op: OpFindOwner, Key: 1, Carry: OpScan, Range: keyspace.Range{Start: 1, End: 9}, Limit: 512},
 		fullRequest(),
 	}
 	for i, req := range cases {
@@ -90,6 +100,10 @@ func TestBinaryRoundTripResponse(t *testing.T) {
 		{},
 		{OK: true},
 		{OK: true, Peer: PeerRef{Addr: "y:2", Key: 3}},
+		// A carried op the gate refused, and one that ran and found nothing
+		// (an all-zero Result must still arrive as "ran here", not as nil).
+		{OK: true, Found: true, Result: &Response{Err: "not owner", Peer: PeerRef{Addr: "z:3", Key: 4}}},
+		{OK: true, Found: true, Result: &Response{}},
 		fullResponse(),
 	}
 	for i, resp := range cases {
@@ -129,6 +143,9 @@ func normalizeResp(r *Response) *Response {
 			c.Items[i].Value = nil
 		}
 	}
+	if c.Result != nil {
+		c.Result = normalizeResp(c.Result)
+	}
 	return &c
 }
 
@@ -140,6 +157,9 @@ func randomRequest(rng *rand.Rand) *Request {
 		OpMigrate, OpSuccList, OpReplicate, OpReplicateDel, OpDigest,
 		OpSyncPull, OpReadRepair, OpNotify, OpNeighbors, OpLink, OpUnlink}
 	req := &Request{Op: ops[rng.Intn(len(ops))]}
+	if req.Op == OpFindOwner && rng.Intn(2) == 0 {
+		req.Carry = []Op{OpGet, OpPut, OpDelete, OpScan}[rng.Intn(4)]
+	}
 	if rng.Intn(2) == 0 {
 		req.Key = keyspace.Key(rng.Uint64())
 	}
@@ -255,6 +275,67 @@ func TestBinaryUnknownFieldSkipped(t *testing.T) {
 	}
 }
 
+// TestCarriedOpBothCodecs round-trips the carried-op fields through whole
+// frames in both negotiated codecs: the binary tags and the JSON omitempty
+// fields must say the same thing, or a mixed ring would run an op on one
+// side and lose its result on the other.
+func TestCarriedOpBothCodecs(t *testing.T) {
+	for _, codec := range []uint8{codecBinary, codecJSON} {
+		f := acquireFrame()
+		if err := f.encode(1, fullRequest(), codec); err != nil {
+			t.Fatalf("%s: encode request: %v", CodecName(int(codec)), err)
+		}
+		var req Request
+		if _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(f.bytes())), &req, codec); err != nil {
+			t.Fatalf("%s: decode request: %v", CodecName(int(codec)), err)
+		}
+		if !reflect.DeepEqual(normalizeReq(fullRequest()), normalizeReq(&req)) {
+			t.Errorf("%s: request mismatch:\n in: %+v\nout: %+v", CodecName(int(codec)), fullRequest(), &req)
+		}
+		if err := f.encode(2, fullResponse(), codec); err != nil {
+			t.Fatalf("%s: encode response: %v", CodecName(int(codec)), err)
+		}
+		var resp Response
+		if _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(f.bytes())), &resp, codec); err != nil {
+			t.Fatalf("%s: decode response: %v", CodecName(int(codec)), err)
+		}
+		if !reflect.DeepEqual(normalizeResp(fullResponse()), normalizeResp(&resp)) {
+			t.Errorf("%s: response mismatch:\n in: %+v\nout: %+v", CodecName(int(codec)), fullResponse(), &resp)
+		}
+		releaseFrame(f)
+	}
+}
+
+// nestedResult hand-builds a response whose Result field holds a Result of
+// its own, depth levels deep — a frame no encoder of ours produces.
+func nestedResult(depth int) []byte {
+	var inner []byte
+	for i := 0; i < depth; i++ {
+		w := binWriter{}
+		w.boolField(stagOK, true)
+		w.field(stagResult, len(inner))
+		w.b = append(w.b, inner...)
+		inner = w.b
+	}
+	return append([]byte{binKindResponse}, inner...)
+}
+
+// TestBinaryResultNestsOnce pins the decoder's recursion bound: a Result
+// inside a Result is skipped like an unknown tag, so a hostile frame of
+// nested results costs one level of decoding, not one stack frame each.
+func TestBinaryResultNestsOnce(t *testing.T) {
+	var resp Response
+	if err := decodeResponse(nestedResult(1000), &resp); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !resp.OK || resp.Result == nil || !resp.Result.OK {
+		t.Fatalf("outer levels lost: %+v", resp)
+	}
+	if resp.Result.Result != nil {
+		t.Fatal("a Result nested inside a Result was decoded")
+	}
+}
+
 // TestBinaryRejectsCrossKind ensures a response payload cannot decode as a
 // request and vice versa.
 func TestBinaryRejectsCrossKind(t *testing.T) {
@@ -277,6 +358,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(appendRequest(nil, fullRequest()))
 	f.Add(appendRequest(nil, &Request{}))
 	f.Add(appendRequest(nil, &Request{Op: OpPut, Key: 3, Value: []byte("v")}))
+	f.Add(appendRequest(nil, &Request{Op: OpFindOwner, Key: 3, Value: []byte("v"), Carry: OpPut}))
 	f.Add([]byte{binKindRequest})
 	f.Add([]byte{binKindRequest, 1, 255, 255, 255})
 	rng := rand.New(rand.NewSource(11))
@@ -304,6 +386,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(appendResponse(nil, fullResponse()))
 	f.Add(appendResponse(nil, &Response{}))
 	f.Add(appendResponse(nil, &Response{OK: true, Value: []byte("x"), Found: true}))
+	f.Add(appendResponse(nil, &Response{OK: true, Found: true, Result: &Response{}}))
+	f.Add(nestedResult(3))
 	f.Add([]byte{binKindResponse})
 	f.Add([]byte{binKindResponse, 4, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {

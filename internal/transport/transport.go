@@ -150,6 +150,12 @@ type Request struct {
 	// find_owner skips them — the live analogue of the simulator's
 	// per-query known-dead set.
 	Exclude []Addr `json:"exclude,omitempty"`
+	// Carry, on a find_owner, names a data op (get, put, delete or scan)
+	// whose arguments ride in this request's own fields: a responder that
+	// answers Found runs it as if it had arrived on its own and returns
+	// the outcome in Response.Result, so the walk's last hop is also the
+	// data RPC. A responder that is not the owner ignores it.
+	Carry Op `json:"carry,omitempty"`
 }
 
 // Response is the wire response.
@@ -195,6 +201,11 @@ type Response struct {
 	MaxIn   int     `json:"max_in,omitempty"`
 	MaxOut  int     `json:"max_out,omitempty"`
 	InDeg   int     `json:"in_deg,omitempty"`
+	// Result, on a find_owner that answered Found, is the response of the
+	// op the request carried (Request.Carry), executed at the responder.
+	// Nil means the op did not run here — no op was carried, or the
+	// responder predates carrying — and the requester sends it directly.
+	Result *Response `json:"result,omitempty"`
 }
 
 // Handler processes one incoming request. Handlers run on transport

@@ -148,12 +148,22 @@ func (s *Scanner) Next() bool {
 			// items still ahead of the old cursor and inside the range — a
 			// safety net against a lagging replica re-serving keys a
 			// previous page already covered.
+			// The filter almost never drops anything, so the page is
+			// the raw slice itself until the first rejected item; only
+			// then is the kept part copied out (raw is never written).
 			rem := Range{Start: s.cursor, End: s.rg.End}
-			page := raw[:0:0]
-			for _, it := range raw {
-				if rem.Contains(it.Key) {
-					page = append(page, it)
+			page := raw
+			for i := range raw {
+				if rem.Contains(raw[i].Key) {
+					continue
 				}
+				page = append(make([]Item, 0, len(raw)-1), raw[:i]...)
+				for _, it := range raw[i+1:] {
+					if rem.Contains(it.Key) {
+						page = append(page, it)
+					}
+				}
+				break
 			}
 			next := raw[len(raw)-1].Key + 1
 			if !rem.Contains(next) {
