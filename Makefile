@@ -53,15 +53,23 @@ examples:
 # a shedding peer is retried once and never evicted, and the carried-op
 # suite (TestCarried*) pins that an op riding the walk's last hop costs
 # the hops alone, runs exactly once across a splice, and — a write — is
-# never re-sent after a lost reply. The transport
+# never re-sent after a lost reply, and that a step churn routes back
+# through the entry node is as free as the first. The transport
 # package contributes the wire-level contracts: codec negotiation (incl.
 # a mixed binary/JSON ring and legacy no-handshake peers), TLS round
-# trips, and overload shedding (saturate past the in-flight cap: typed
-# ErrOverloaded, bounded goroutines, recovery).
+# trips, overload shedding (saturate past the in-flight cap: typed
+# ErrOverloaded, bounded goroutines, recovery), and the call path's own —
+# resident handler workers (TestWorker*: sequential traffic starts at most
+# two, a blocked handler delays nobody, parked ones retire on the reaper
+# tick and on Close) and the caller-side flush (TestFlush*, TestCancelled*,
+# TestWriteFailure*, TestLargeFrame*, TestWriterBounds*: one write per
+# lone call, shared writes under concurrency, nothing sent for a context
+# already done, one break and sent=true on a write error, big frames not
+# pinned, pending frames capped against a peer that stops reading).
 conformance:
 	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
-	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha|TestCarried' ./internal/p2p/
-	$(GO) test -race -run 'TestCodecNegotiation|TestLegacyFramesAccepted|TestTLS|TestOverloadShedding|TestClientInflightCapOverload' ./internal/transport/
+	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
+	$(GO) test -race -run 'TestCodecNegotiation|TestLegacyFramesAccepted|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds' ./internal/transport/
 
 # Replication bench smoke: the replicated write path compiles and runs on
 # both backends, including the ack-awaited write-concern ladder (w=1 vs

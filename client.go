@@ -20,10 +20,10 @@ import (
 //
 // Implementations are safe for concurrent use by multiple goroutines.
 type Client interface {
-	// Put stores value under key at the key's owner. The store may keep
-	// the slice itself (the simulator, the in-memory fabric, and a live
-	// node writing a key it owns all do): do not modify value afterwards,
-	// nor a value a Get returned.
+	// Put stores value under key at the key's owner. The store keeps a
+	// copy: the caller may reuse value afterwards, and may overwrite a
+	// value a Get returned. (One exception, for tests only: between two
+	// peers of the in-memory fabric a request travels by reference.)
 	Put(ctx context.Context, key Key, value []byte) (PutResponse, error)
 	// Get fetches the value under key from the key's owner. A missing key
 	// is ErrNotFound (the response still carries the routing cost).
@@ -154,9 +154,9 @@ type PutResponse struct {
 	// Owner is the peer now holding the item.
 	Owner OwnerRef
 	// Cost is the message cost of the operation: the remote routing hops
-	// (the write rides the last one; the entry node's own routing step and
-	// a write to a key it owns are free) plus one message per replica
-	// push. A write through a cached route pays one data message instead
+	// (the write rides the last one; a step the entry node takes itself
+	// and a write or replica push to its own store are free) plus one
+	// message per replica push. A write through a cached route pays one data message instead
 	// of the hops.
 	Cost int
 	// Replaced reports whether an existing value was overwritten.

@@ -65,6 +65,13 @@
 // signal arrives — the mode for containers and process supervisors, where
 // stdin is closed and the interactive loop would exit immediately.
 //
+// With -debug-addr the node serves the standard net/http/pprof endpoints
+// (and nothing else) on that address, for profiling a live peer; it is off
+// by default and should stay on a loopback or otherwise private address:
+//
+//	oscar-node -listen 127.0.0.1:7001 -key 0.10 -debug-addr 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
+//
 // The -fault-* flags wrap the node's transport in a seeded fault injector
 // (internal/faultnet): every outbound call rolls deterministic per-link
 // dice for drops (-fault-drop), duplication (-fault-dup), and added
@@ -87,6 +94,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -130,6 +140,7 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "data directory for the WAL + snapshots (empty = memory only)")
 		fsync       = flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never (needs -data-dir)")
 		daemon      = flag.Bool("daemon", false, "no stdin command loop: run until SIGINT/SIGTERM (for containers)")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off); keep it private")
 
 		faultSeed    = flag.Int64("fault-seed", 0, "seed for the deterministic fault injector (active when any -fault-* rate is set)")
 		faultDrop    = flag.Float64("fault-drop", 0, "probability an outbound call is dropped before delivery")
@@ -152,6 +163,16 @@ func main() {
 	tlsConf, err := loadTLS(*tlsCert, *tlsKey)
 	if err != nil {
 		log.Fatal(err)
+	}
+
+	if *debugAddr != "" {
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			log.Fatalf("debug-addr: %v", err)
+		}
+		defer ln.Close()
+		fmt.Printf("pprof at http://%s/debug/pprof/\n", ln.Addr())
+		go func() { _ = http.Serve(ln, pprofMux()) }()
 	}
 
 	// The fault injector wraps the node's own transport: caller-side,
@@ -279,6 +300,19 @@ func main() {
 }
 
 var errQuit = errors.New("quit")
+
+// pprofMux serves the net/http/pprof handlers and nothing else. (The
+// package also registers them on http.DefaultServeMux, which is not
+// served.)
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
 
 // loadTLS builds the node's TLS configuration from a PEM certificate and
 // key pair. The certificate is also installed as the trust root, so a

@@ -302,6 +302,37 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		}
 	})
 
+	// A store owns its bytes: the caller may reuse the buffer it put and
+	// scribble on a value it got. The serving peer owns its own key, so on
+	// a live backend these ops are dispatched in-process — the one path on
+	// which no frame copies them. (Between two peers of the in-memory
+	// fabric a request still travels by reference; that fabric is for
+	// tests.)
+	t.Run("value-ownership", func(t *testing.T) {
+		info, err := cl.Info(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := info.Self.Key // zero on the simulator, where any key will do
+		buf := []byte("mine")
+		if _, err := cl.Put(ctx, own, buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "BUF!")
+		got, err := cl.Get(ctx, own)
+		if err != nil || string(got.Value) != "mine" {
+			t.Fatalf("get after the put buffer was reused = %q, %v", got.Value, err)
+		}
+		copy(got.Value, "GOT!")
+		again, err := cl.Get(ctx, own)
+		if err != nil || string(again.Value) != "mine" {
+			t.Fatalf("get after a returned value was overwritten = %q, %v", again.Value, err)
+		}
+		if _, err := cl.Delete(ctx, own); err != nil {
+			t.Fatal(err)
+		}
+	})
+
 	// Bulk data for the range scenarios: one item per fraction i/40.
 	const items = 40
 	for i := 0; i < items; i++ {

@@ -217,6 +217,132 @@ func TestCarriedOpMessageCount(t *testing.T) {
 	}
 }
 
+// staleHop is a transport under which, once armed, the next find_owner
+// this node sends is answered "not mine, try <back>" without reaching
+// anyone — what a responder whose view churn left stale says.
+type staleHop struct {
+	transport.Transport
+	mu   sync.Mutex
+	back *transport.PeerRef
+}
+
+func (s *staleHop) arm(back transport.PeerRef) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.back = &back
+}
+
+func (s *staleHop) CallCtx(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
+	s.mu.Lock()
+	back := s.back
+	if req.Op == transport.OpFindOwner {
+		s.back = nil
+	} else {
+		back = nil
+	}
+	s.mu.Unlock()
+	if back != nil {
+		return &transport.Response{OK: true, Peer: *back}, nil
+	}
+	return s.Transport.CallCtx(ctx, addr, req)
+}
+
+// TestCarriedOpLoopedWalkCost pins the cost of a walk that churn routes
+// back through its entry node: that step is dispatched in-process, like
+// the walk's first, so the op still costs exactly the calls it put on the
+// fabric — the stale hop included.
+func TestCarriedOpLoopedWalkCost(t *testing.T) {
+	var stale []*staleHop
+	nodes, trs, _ := carryRing(t, 8, 1, true, func(inner transport.Transport) transport.Transport {
+		s := &staleHop{Transport: inner}
+		stale = append(stale, s)
+		return s
+	})
+	entry, tr := nodes[0], trs[0]
+	k, owner := remoteKey(t, nodes, entry)
+	_, hops, err := entry.Lookup(bg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, cost int, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cost != tr.calls() || cost != hops+1 {
+			t.Errorf("%s through a stale hop cost %d and sent %d calls, want both to be the %d hops plus the stale one", name, cost, tr.calls(), hops)
+		}
+	}
+	run := func(name string, op func() (int, error)) {
+		t.Helper()
+		stale[0].arm(entry.Self())
+		tr.reset()
+		cost, err := op()
+		check(name, cost, err)
+	}
+	run("lookup", func() (int, error) {
+		got, cost, err := entry.Lookup(bg, k)
+		if err == nil && got.Addr != owner.Self().Addr {
+			t.Errorf("lookup through a stale hop = %s, want %s", got.Addr, owner.Self().Addr)
+		}
+		return cost, err
+	})
+	run("put", func() (int, error) {
+		res, err := entry.Put(bg, k, []byte("v"))
+		return res.Cost, err
+	})
+	run("get", func() (int, error) {
+		res, err := entry.Get(bg, k)
+		if err == nil && (!res.Found || !bytes.Equal(res.Value, []byte("v"))) {
+			t.Errorf("get through a stale hop = %+v, want v", res)
+		}
+		return res.Cost, err
+	})
+	run("delete", func() (int, error) {
+		res, err := entry.Delete(bg, k)
+		return res.Cost, err
+	})
+}
+
+// TestInProcessDispatchCopies pins the one boundary no frame copies for:
+// what the node stores for itself — as the owner, or as a member of the
+// owner's chain taking the writer's replica push — is a copy of the
+// caller's buffer, and what Get hands back from its own store is a copy
+// too. Three nodes at r=3, so the writer is in every chain.
+func TestInProcessDispatchCopies(t *testing.T) {
+	c, err := NewCluster(bg, ClusterConfig{Size: 3, Seed: 42, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	entry := c.Nodes[0]
+	own := entry.Self().Key
+	remote, _ := pickRemoteKey(t, c, entry)
+
+	for name, k := range map[string]keyspace.Key{"owner": own, "chain member": remote} {
+		buf := []byte("mine")
+		if _, err := entry.Put(bg, k, buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		copy(buf, "BUF!")
+		held, ok := entry.PrimaryValue(k)
+		if name != "owner" {
+			held, ok = entry.ReplicaValue(k)
+		}
+		if !ok || string(held) != "mine" {
+			t.Errorf("%s: the node's own store holds %q, %v after the caller reused its buffer", name, held, ok)
+		}
+	}
+	got, err := entry.Get(bg, own)
+	if err != nil || string(got.Value) != "mine" {
+		t.Fatalf("get = %q, %v", got.Value, err)
+	}
+	copy(got.Value, "GOT!")
+	if held, _ := entry.PrimaryValue(own); string(held) != "mine" {
+		t.Errorf("the store holds %q after the caller overwrote the value Get returned", held)
+	}
+}
+
 // remoteKey is pickRemoteKey on a bare node list, returning the owner as
 // a node.
 func remoteKey(t *testing.T, nodes []*Node, from *Node) (keyspace.Key, *Node) {

@@ -11,6 +11,7 @@
 package p2p
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -651,19 +652,28 @@ func (n *Node) Close() error {
 	return err
 }
 
-// handle dispatches one incoming request. It runs on transport goroutines
-// and, for calls the node addresses to itself, on the caller's (callRetry).
+// handle dispatches one request that arrived over the transport; it runs
+// on transport goroutines. The request's bytes are the frame's (or, on the
+// in-memory fabric, passed by reference): the stores keep them as they are.
 func (n *Node) handle(req *transport.Request) *transport.Response {
+	return n.dispatch(req, false)
+}
+
+// dispatch serves one request. borrowed marks a request the node addressed
+// to itself, served on the caller's goroutine (callRetry): its bytes are
+// still the caller's, so what a store keeps of them, it copies.
+func (n *Node) dispatch(req *transport.Request, borrowed bool) *transport.Response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return &transport.Response{OK: false, Err: "node down"}
 	}
-	return n.handleLocked(req)
+	return n.handleLocked(req, borrowed)
 }
 
-// handleLocked serves one request under n.mu.
-func (n *Node) handleLocked(req *transport.Request) *transport.Response {
+// handleLocked serves one request under n.mu. borrowed says the request's
+// byte slices belong to a caller in this process (see dispatch).
+func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Response {
 	switch req.Op {
 	case transport.OpPing:
 		return &transport.Response{OK: true, Peer: n.self}
@@ -750,7 +760,7 @@ func (n *Node) handleLocked(req *transport.Request) *transport.Response {
 			case transport.OpGet, transport.OpPut, transport.OpDelete, transport.OpScan:
 				op := *req
 				op.Op, op.Carry = req.Carry, ""
-				resp.Result = n.handleLocked(&op)
+				resp.Result = n.handleLocked(&op, borrowed)
 			}
 		}
 		return resp
@@ -768,7 +778,11 @@ func (n *Node) handleLocked(req *transport.Request) *transport.Response {
 			return &transport.Response{OK: false, Err: errNotOwner, Peer: n.succLocked()}
 		}
 		n.markJoinDirtyLocked(req.Key)
-		replaced := n.store.Put(req.Key, req.Value)
+		value := req.Value
+		if borrowed {
+			value = bytes.Clone(value)
+		}
+		replaced := n.store.Put(req.Key, value)
 		return &transport.Response{OK: true, Found: replaced, Peers: n.replicaTargetsLocked(), Acks: 1}
 
 	case transport.OpGet:
@@ -839,7 +853,11 @@ func (n *Node) handleLocked(req *transport.Request) *transport.Response {
 			n.replStore.Drop(k)
 		}
 		n.replStore.InsertTombstones(req.Tombs)
-		n.replStore.InsertBulk(req.Items)
+		items := req.Items
+		if borrowed {
+			items = ownItems(items)
+		}
+		n.replStore.InsertBulk(items)
 		return &transport.Response{OK: true, Acks: 1}
 
 	case transport.OpReplicateDel:

@@ -686,6 +686,11 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 		} else {
 			probe = query()
 		}
+		// A message is charged where it is sent; a step this node takes on
+		// itself — the walk's first, or a later one when churn routes the
+		// walk back through its entry node — is dispatched in-process
+		// (callRetry) and costs nothing.
+		cost += n.messages(cur)
 		var resp *transport.Response
 		var err error
 		// Knowledge folded from the α-1 extra probes of this hop.
@@ -711,7 +716,7 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 			}()
 			resp, err = call(ctx, cur, probe)
 			wg.Wait()
-			cost += k // the extra probes are messages too
+			cost += n.messages(extras...) // the extra probes are messages too
 			if cerr := ctx.Err(); cerr != nil {
 				return route{}, cost, cerr
 			}
@@ -759,16 +764,14 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 				// apply it twice.
 				return route{}, cost, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Op, err)
 			}
-			cost++ // wasted message (dead probe) or exhausted peer
-			bad = append(bad, cur)
+			bad = append(bad, cur) // a dead probe or an exhausted peer
 			if haveFound {
 				return found, cost, nil
 			}
 			named, curKeyed = false, false
 			if detour != "" {
 				// An α sibling already told us where it would go next:
-				// take that hop instead of a backtrack ping round. The
-				// message was paid for above.
+				// take that hop instead of a backtrack ping round.
 				cur = detour
 				continue
 			}
@@ -794,9 +797,20 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 		stack = append(stack, cur)
 		named = curKeyed && key.BetweenIncl(curKey, resp.Peer.Key)
 		cur, curKey, curKeyed = resp.Peer.Addr, resp.Peer.Key, true
-		cost++
 	}
 	return route{}, cost, fmt.Errorf("%w to %v: hop budget exhausted", ErrNoRoute, key)
+}
+
+// messages is the message cost of one call to each of addrs: calls the
+// node addresses to itself never reach the fabric.
+func (n *Node) messages(addrs ...transport.Addr) int {
+	cost := 0
+	for _, a := range addrs {
+		if a != n.self.Addr {
+			cost++
+		}
+	}
+	return cost
 }
 
 // addrIn reports whether a is in the set.
@@ -827,7 +841,7 @@ func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]tr
 		cands := append([]transport.Addr(nil), (*stack)[len(*stack)-k:]...)
 		*stack = (*stack)[:len(*stack)-k]
 		results := n.fanoutReadRetry(ctx, cands, &transport.Request{Op: transport.OpPing})
-		cost += k
+		cost += n.messages(cands...)
 		if ctx.Err() != nil {
 			return "", cost // cancelled probes prove nothing about the peers
 		}
@@ -866,7 +880,7 @@ func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]tr
 func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cost := 0
 	if ent, ok := n.routes.Get(key); ok {
-		cost++
+		cost += n.messages(ent.owner.Addr)
 		resp, err := n.readRetry(ctx, ent.owner.Addr, carried(op, key, nil))
 		if cerr := ctx.Err(); cerr != nil {
 			return route{}, cost, cerr
@@ -896,9 +910,11 @@ type OpResult struct {
 	// Owner is the peer that served the operation.
 	Owner transport.PeerRef
 	// Cost is the message cost: the remote routing hops — the op rides the
-	// last one, and the step this node computes itself and an op it runs
-	// on its own store are free — plus any direct data RPC (a cached
-	// route, a chain fallback) and one message per replica push.
+	// last one — plus any direct data RPC (a cached route, a chain
+	// fallback) and one message per replica push. Whatever this node
+	// addresses to itself is free, wherever it falls: the walk's first
+	// step, a step churn routes back through this node, an op or a replica
+	// push on its own store.
 	Cost int
 	// Replaced reports whether a Put overwrote an existing value.
 	Replaced bool
@@ -958,7 +974,7 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 		}
 		res.Owner = owner
 		if resp == nil {
-			res.Cost++
+			res.Cost += n.messages(owner.Addr)
 			resp, err = n.callRetry(ctx, owner.Addr, req)
 		}
 		if err == nil && resp != nil && !resp.OK && resp.Err == errNotOwner {
@@ -1029,7 +1045,7 @@ func (n *Node) pushReplicas(ctx context.Context, targets []transport.PeerRef, re
 			acks += r.Resp.Acks
 		}
 	}
-	return len(addrs), acks
+	return n.messages(addrs...), acks
 }
 
 // Put stores value under key at the key's owner, then pushes copies to the
@@ -1101,7 +1117,7 @@ func (n *Node) hotGet(ctx context.Context, key keyspace.Key) (OpResult, bool, er
 		n.hotMisses.Add(1)
 		return OpResult{}, false, nil
 	}
-	res := OpResult{Owner: ent.owner, Cost: 1}
+	res := OpResult{Owner: ent.owner, Cost: n.messages(ent.owner.Addr)}
 	resp, err := n.readRetry(ctx, ent.owner.Addr, &transport.Request{Op: transport.OpKeyHash, Key: key})
 	if cerr := ctx.Err(); cerr != nil {
 		return res, true, cerr
@@ -1134,7 +1150,7 @@ func (n *Node) hotGet(ctx context.Context, key keyspace.Key) (OpResult, bool, er
 		// Owner unreachable: ask the cached replica chain for the hash —
 		// the same authority order the full read's fallback walk uses.
 		for _, t := range ent.chain {
-			res.Cost++
+			res.Cost += n.messages(t.Addr)
 			r2, e2 := n.callRetry(ctx, t.Addr, &transport.Request{Op: transport.OpKeyHashChain, Key: key})
 			if cerr := ctx.Err(); cerr != nil {
 				return res, true, cerr
@@ -1211,7 +1227,7 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 		if i == 0 && rt.result != nil {
 			resp = rt.result
 		} else {
-			res.Cost++
+			res.Cost += n.messages(t.Addr)
 			call := n.callRetry
 			if i == 0 {
 				// The owner read rides out transient unreachability before

@@ -1,11 +1,13 @@
 package p2p
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
 	"time"
 
+	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
@@ -36,14 +38,18 @@ const (
 // A call the node addresses to itself — a walk's first step, a replica
 // push when the writer sits in the owner's chain, an op on a key the node
 // owns — goes straight to the handler: no socket, no pooled connection
-// to self, no message. Request and response pass by pointer, as they do
-// on the in-memory fabric.
+// to self, no message. What a frame would have copied is copied on this
+// path alone — by the handler where it stores request bytes (dispatch's
+// borrowed), here for the bytes of the response — so the store never keeps
+// a slice the caller still holds, nor the caller one of the store's.
 func (n *Node) callRetry(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
 	if addr == n.self.Addr {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return n.handle(req), nil
+		resp := n.dispatch(req, true)
+		ownResponse(resp)
+		return resp, nil
 	}
 	resp, err := n.tr.CallCtx(ctx, addr, req)
 	if err == nil || !errors.Is(err, transport.ErrOverloaded) {
@@ -61,6 +67,36 @@ func (n *Node) callRetry(ctx context.Context, addr transport.Addr, req *transpor
 	case <-t.C:
 	}
 	return n.tr.CallCtx(ctx, addr, req)
+}
+
+// ownResponse replaces, in a response the handler has just built, the
+// bytes that alias the store — a get's value, a page's item values, the
+// same in a carried op's result — with copies.
+func ownResponse(resp *transport.Response) {
+	resp.Value = bytes.Clone(resp.Value)
+	resp.Items = ownItems(resp.Items)
+	if resp.Result != nil {
+		ownResponse(resp.Result)
+	}
+}
+
+// ownItems copies items with their values laid out in one new buffer, the
+// way a decoded frame holds them.
+func ownItems(items []storage.Item) []storage.Item {
+	if len(items) == 0 {
+		return items
+	}
+	size := 0
+	for i := range items {
+		size += len(items[i].Value)
+	}
+	buf := make([]byte, 0, size)
+	own := make([]storage.Item, len(items))
+	for i, it := range items {
+		buf = append(buf, it.Value...)
+		own[i] = storage.Item{Key: it.Key, Value: buf[len(buf)-len(it.Value) : len(buf) : len(buf)]}
+	}
+	return own
 }
 
 // Read retry policy: a read re-sent to a peer that already executed it is

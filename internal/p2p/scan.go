@@ -107,7 +107,7 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 		}
 		served := s.cur
 		if resp == nil {
-			out.Cost++
+			out.Cost += s.n.messages(s.cur.Addr)
 			resp, err = s.n.readRetry(ctx, s.cur.Addr, req)
 		}
 		if err != nil || !resp.OK {
@@ -121,7 +121,7 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 			for len(s.chain) > 0 {
 				fb := s.chain[0]
 				s.chain = s.chain[1:]
-				out.Cost++
+				out.Cost += s.n.messages(fb.Addr)
 				r, ferr := s.n.callRetry(ctx, fb.Addr, req)
 				if ferr == nil && r.OK {
 					resp, served = r, fb

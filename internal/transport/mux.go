@@ -22,19 +22,12 @@ const maxFrame = 16 << 20
 // frameHeaderSize is [4-byte payload length][8-byte request id].
 const frameHeaderSize = 12
 
-// maxPooledBuf caps the encode buffers kept in the frame pool: the
-// occasional giant frame (a bulk migrate or re-replicate) is returned to
-// the allocator instead of pinning megabytes in the pool forever.
+// maxPooledBuf caps the buffers the transport keeps for reuse — the encode
+// buffers of the frame pool and each connection's pending-write buffers:
+// the occasional giant frame (a bulk migrate, a scan page) is written from
+// the buffer it was encoded into and returned to the allocator instead of
+// pinning megabytes forever.
 const maxPooledBuf = 64 << 10
-
-// Adaptive flush window bounds (see connWriter.loop): the window starts at
-// zero (flush immediately), grows only while flushes demonstrably batch
-// multiple frames, and never exceeds maxFlushWindow so a lone frame is
-// delayed by at most a fraction of a loopback round trip.
-const (
-	baseFlushWindow = 20 * time.Microsecond
-	maxFlushWindow  = 100 * time.Microsecond
-)
 
 // wireFrame is a reusable encode buffer for one outgoing frame. Encoding
 // writes the header placeholder and the payload into one contiguous buffer
@@ -129,133 +122,153 @@ func writeMuxFrame(w io.Writer, id uint64, v interface{}) error {
 	return err
 }
 
-// connWriter owns one connection's write half: callers enqueue encoded
-// frames and a dedicated goroutine drains everything queued before each
-// flush, so under high in-flight counts many frames leave per syscall
-// while a lone frame still flushes immediately. Between those regimes an
-// adaptive flush window holds a lone frame for a few tens of microseconds
-// — but only while recent flushes prove that batching is actually
-// happening — trading a bounded sliver of latency for large syscall
-// savings under load. The first write error fires onErr (once) and stops
-// the writer — frame state past an error is unknown, so the connection
-// must die with it.
+// connWriter is one connection's write half, and it has no goroutine of its
+// own. A sender appends its encoded frame to the pending buffer under mu;
+// whoever finds no flush in progress becomes the flusher and writes
+// everything pending with one Write, again until nothing is pending, so a
+// lone frame costs one lock and one syscall on its caller's goroutine and
+// a burst from many callers leaves in one syscall. When other calls are in
+// flight on the connection the flusher yields the processor once before it
+// takes the buffer — that is what lets their frames join its write. A
+// frame over maxPooledBuf is written from its own buffer instead of being
+// copied into (and pinned by) the pending one. The flusher is a caller: it
+// returns when its Write returns, which the write deadline bounds by
+// timeout. Pending frames are capped at limit, the in-flight cap of the
+// side that owns the writer: a sender past it waits for the flusher (or
+// its context), the backpressure against a peer that stops reading. The
+// first write error fires onErr (once) and closes the writer — frame state
+// past an error is unknown, so the connection must die with it.
 type connWriter struct {
 	conn    net.Conn
 	timeout time.Duration
+	limit   int
 	onErr   func(error)
 
-	frames chan *wireFrame
-	stop   chan struct{}
-	once   sync.Once
+	mu       sync.Mutex
+	pending  []byte   // frames up to maxPooledBuf, back to back
+	spare    []byte   // the buffer of the previous write, for reuse
+	large    [][]byte // frames over maxPooledBuf, each in its own buffer
+	queued   int      // frames in pending and large
+	flushing bool     // a flusher is at work and will take what is queued
+	closed   bool
+	// space is non-nil while a sender waits for room; taking the buffer (or
+	// closing) closes it.
+	space chan struct{}
+
+	// deadlineAt is when the write deadline was last set; flusher only.
+	deadlineAt time.Time
 }
 
-func startConnWriter(conn net.Conn, timeout time.Duration, onErr func(error)) *connWriter {
-	w := &connWriter{
-		conn:    conn,
-		timeout: timeout,
-		onErr:   onErr,
-		frames:  make(chan *wireFrame, 256),
-		stop:    make(chan struct{}),
+func newConnWriter(conn net.Conn, timeout time.Duration, limit int, onErr func(error)) *connWriter {
+	if limit <= 0 {
+		limit = defaultMaxInflight
 	}
-	go w.loop()
-	return w
+	return &connWriter{conn: conn, timeout: timeout, limit: limit, onErr: onErr}
 }
 
 var errWriterClosed = errors.New("transport: connection writer closed")
 
-// enqueue hands one frame to the writer goroutine, blocking only if the
-// queue is full (backpressure against a stalled peer). The caller's
-// context bounds the wait so a slow-draining connection cannot hold a
-// call past its deadline. On success the writer owns the frame and will
-// release it back to the pool after the wire write; on failure ownership
-// stays with the caller.
-func (w *connWriter) enqueue(ctx context.Context, frame *wireFrame) error {
-	select {
-	case w.frames <- frame:
-		return nil
-	case <-w.stop:
-		return errWriterClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// close stops the writer goroutine; queued frames are dropped (the
-// connection is dying anyway). Idempotent.
-func (w *connWriter) close() {
-	w.once.Do(func() { close(w.stop) })
-}
-
-func (w *connWriter) loop() {
-	bw := bufio.NewWriter(w.conn)
-	// window is the adaptive flush hold for lone frames. It grows
-	// (bounded) each time a flush carries more than one frame and halves
-	// each time it carries exactly one, so idle connections converge to
-	// flush-immediately while loaded ones amortise syscalls.
-	var window time.Duration
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-w.stop:
-			return
-		case frame := <-w.frames:
-			_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-			_, err := bw.Write(frame.bytes())
-			releaseFrame(frame)
-			n := 1
-			// Yield once before draining: concurrent callers get a chance
-			// to enqueue, so a burst leaves in one flush instead of many.
-			runtime.Gosched()
-		drain:
-			for err == nil {
-				select {
-				case next := <-w.frames:
-					_, err = bw.Write(next.bytes())
-					releaseFrame(next)
-					n++
-				default:
-					if n == 1 && window > 0 {
-						// A lone frame right after batched flushes: hold it
-						// briefly — under real load the next frame lands
-						// within the window and shares the syscall.
-						timer.Reset(window)
-						select {
-						case next := <-w.frames:
-							if !timer.Stop() {
-								<-timer.C
-							}
-							_, err = bw.Write(next.bytes())
-							releaseFrame(next)
-							n++
-							continue
-						case <-timer.C:
-						case <-w.stop:
-							return
-						}
-					}
-					break drain
-				}
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
-			if n > 1 {
-				if window = 2*window + baseFlushWindow; window > maxFlushWindow {
-					window = maxFlushWindow
-				}
-			} else {
-				window /= 2
-			}
-			if err != nil {
-				w.onErr(err)
-				w.close()
-				return
-			}
+// send queues one frame for the wire and, when no flush is in progress,
+// flushes. busy says other calls are in flight on the connection. It
+// blocks only while limit frames are already pending, and then no longer
+// than ctx allows. On success the writer owns the frame; on failure
+// nothing was queued and ownership stays with the caller.
+func (w *connWriter) send(ctx context.Context, frame *wireFrame, busy bool) error {
+	w.mu.Lock()
+	for !w.closed && w.queued >= w.limit {
+		if w.space == nil {
+			w.space = make(chan struct{})
 		}
+		space := w.space
+		w.mu.Unlock()
+		select {
+		case <-space:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		w.mu.Lock()
 	}
+	if w.closed {
+		w.mu.Unlock()
+		return errWriterClosed
+	}
+	if b := frame.bytes(); len(b) > maxPooledBuf {
+		w.large = append(w.large, b)
+	} else {
+		w.pending = append(w.pending, b...)
+	}
+	w.queued++
+	flush := !w.flushing
+	w.flushing = true
+	w.mu.Unlock()
+	releaseFrame(frame) // which keeps no buffer over maxPooledBuf: a large frame's stays ours
+	if flush {
+		w.flush(busy)
+	}
+	return nil
+}
+
+// flush writes what is queued until nothing is; the caller has set
+// flushing.
+func (w *connWriter) flush(busy bool) {
+	var written []byte
+	for {
+		w.mu.Lock()
+		if written != nil && cap(written) <= maxPooledBuf {
+			w.spare = written[:0]
+		}
+		if w.queued == 0 || w.closed {
+			w.flushing = false
+			w.mu.Unlock()
+			return
+		}
+		if busy {
+			w.mu.Unlock()
+			runtime.Gosched()
+			w.mu.Lock()
+		}
+		buf, large := w.pending, w.large
+		w.pending, w.spare, w.large, w.queued = w.spare, nil, nil, 0
+		if w.space != nil {
+			close(w.space)
+			w.space = nil
+		}
+		w.mu.Unlock()
+
+		// A quarter of the interval is the most a write can find missing
+		// from its deadline; setting one costs a runtime timer update.
+		if now := time.Now(); now.Sub(w.deadlineAt) > w.timeout/4 {
+			w.deadlineAt = now
+			_ = w.conn.SetWriteDeadline(now.Add(w.timeout))
+		}
+		var err error
+		if len(buf) > 0 {
+			_, err = w.conn.Write(buf)
+		}
+		for i := 0; err == nil && i < len(large); i++ {
+			_, err = w.conn.Write(large[i])
+		}
+		if err != nil {
+			w.close()
+			w.onErr(err)
+			return
+		}
+		// Frames that arrived during the write are other callers at work.
+		written, busy = buf, true
+	}
+}
+
+// close stops the writer: queued frames are dropped (the connection is
+// dying anyway) and waiting senders fail. Idempotent.
+func (w *connWriter) close() {
+	w.mu.Lock()
+	w.closed = true
+	w.pending, w.spare, w.large, w.queued = nil, nil, nil, 0
+	if w.space != nil {
+		close(w.space)
+		w.space = nil
+	}
+	w.mu.Unlock()
 }
 
 // readMuxFrame receives one frame and decodes its payload into v using the
@@ -328,31 +341,39 @@ type muxConn struct {
 	codec uint8
 	sem   chan struct{} // in-flight cap; nil = uncapped
 
-	mu       sync.Mutex
-	pending  map[uint64]chan *Response
-	nextID   uint64
-	broken   bool
-	cause    error
-	lastUsed time.Time
+	mu      sync.Mutex
+	pending map[uint64]chan *Response
+	nextID  uint64
+	broken  bool
+	cause   error
+	// idleTicks counts the reaper ticks since a call last started; the
+	// call path reads no clock for it.
+	idleTicks int
 
 	dead chan struct{} // closed when the read loop exits
 }
+
+// maxIdleTicks is how many reaper ticks in a row must find a connection
+// with no call in flight and none started since the tick before, for the
+// reaper to close it. The reaper ticks twice per idle timeout, so three
+// ticks span at least one whole timeout of silence and at most one and a
+// half.
+const maxIdleTicks = 3
 
 // newMuxConn wraps a dialed (and handshaken) connection and starts its
 // demux loop. maxInflight caps concurrent calls on this connection (0 =
 // uncapped).
 func newMuxConn(conn net.Conn, writeTimeout time.Duration, codec uint8, maxInflight int) *muxConn {
 	c := &muxConn{
-		conn:     conn,
-		codec:    codec,
-		pending:  make(map[uint64]chan *Response),
-		lastUsed: time.Now(),
-		dead:     make(chan struct{}),
+		conn:    conn,
+		codec:   codec,
+		pending: make(map[uint64]chan *Response),
+		dead:    make(chan struct{}),
 	}
 	if maxInflight > 0 {
 		c.sem = make(chan struct{}, maxInflight)
 	}
-	c.wr = startConnWriter(conn, writeTimeout, c.fail)
+	c.wr = newConnWriter(conn, writeTimeout, maxInflight, c.fail)
 	go c.readLoop()
 	return c
 }
@@ -373,7 +394,6 @@ func (c *muxConn) readLoop() {
 		if ok {
 			delete(c.pending, id)
 		}
-		c.lastUsed = time.Now()
 		c.mu.Unlock()
 		if ok {
 			ch <- &resp // buffered: never blocks the loop
@@ -414,25 +434,68 @@ func (c *muxConn) inflight() int {
 	return len(c.pending)
 }
 
-// idleSince returns the last moment the connection did useful work, or the
-// zero time if calls are still in flight.
-func (c *muxConn) idleSince() time.Time {
+// idleTick is one reaper tick: it reports whether the connection has now
+// been idle for maxIdleTicks of them.
+func (c *muxConn) idleTick() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.pending) > 0 {
-		return time.Time{}
+		c.idleTicks = 0
+		return false
 	}
-	return c.lastUsed
+	c.idleTicks++
+	return c.idleTicks >= maxIdleTicks
+}
+
+// brokenErr is the error of a call that found the connection broken; sent
+// says whether its frame had been queued by then.
+func (c *muxConn) brokenErr(sent bool) error {
+	c.mu.Lock()
+	cause := c.cause
+	c.mu.Unlock()
+	return errConnBroken{cause: cause, sent: sent}
+}
+
+// waiterPool recycles the one-slot channels calls wait on. A channel goes
+// back only when nothing can send on it any more: its one response was
+// received, or its id was still registered when the call took it back.
+var waiterPool = sync.Pool{New: func() interface{} { return make(chan *Response, 1) }}
+
+// timerPool recycles the timers of calls whose context has no deadline.
+var timerPool sync.Pool
+
+func acquireTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// releaseTimer stops and recycles t: a stopped timer's channel holds no
+// stale tick (Go 1.23 timers), so the next call can wait on it.
+func releaseTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
 }
 
 // call sends one request over the shared connection and waits for its
-// response, the context deadline, or connection failure. A context expiry
-// abandons the response slot without harming the connection; a write
-// failure breaks the connection (frame state is unknown past it). A
-// context that expires while the in-flight cap is saturated — before the
-// call even acquired a slot — fails with ErrOverloaded, the typed signal
-// that this client is outrunning the peer.
-func (c *muxConn) call(ctx context.Context, req *Request) (*Response, error) {
+// response, the context deadline, or connection failure; timeout, when
+// positive, bounds the call as a context deadline would (the endpoint's
+// default for a context that has none — a pooled timer, not a derived
+// context per call). An expiry abandons the response slot without harming
+// the connection; a context already done when the frame is ready sends
+// nothing; a write failure breaks the connection (frame state is unknown
+// past it). A context that expires while the in-flight cap is saturated —
+// before the call even acquired a slot — fails with ErrOverloaded, the
+// typed signal that this client is outrunning the peer.
+func (c *muxConn) call(ctx context.Context, req *Request, timeout time.Duration) (*Response, error) {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := acquireTimer(timeout)
+		defer releaseTimer(t)
+		expired = t.C
+	}
 	if c.sem != nil {
 		select {
 		case c.sem <- struct{}{}:
@@ -442,12 +505,11 @@ func (c *muxConn) call(ctx context.Context, req *Request) (*Response, error) {
 			select {
 			case c.sem <- struct{}{}:
 			case <-c.dead:
-				c.mu.Lock()
-				cause := c.cause
-				c.mu.Unlock()
-				return nil, errConnBroken{cause: cause}
+				return nil, c.brokenErr(false)
 			case <-ctx.Done():
 				return nil, fmt.Errorf("%w: %d calls in flight (%v)", ErrOverloaded, cap(c.sem), ctx.Err())
+			case <-expired:
+				return nil, fmt.Errorf("%w: %d calls in flight (%v)", ErrOverloaded, cap(c.sem), context.DeadlineExceeded)
 			}
 		}
 		defer func() { <-c.sem }()
@@ -455,59 +517,66 @@ func (c *muxConn) call(ctx context.Context, req *Request) (*Response, error) {
 
 	c.mu.Lock()
 	if c.broken {
-		cause := c.cause
 		c.mu.Unlock()
-		return nil, errConnBroken{cause: cause}
+		return nil, c.brokenErr(false)
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan *Response, 1)
+	ch := waiterPool.Get().(chan *Response)
 	c.pending[id] = ch
-	c.lastUsed = time.Now()
+	busy := len(c.pending) > 1
+	c.idleTicks = 0
 	c.mu.Unlock()
 
 	frame := acquireFrame()
-	if err := frame.encode(id, req, c.codec); err != nil {
-		// The request itself is unsendable; the connection is untouched.
-		releaseFrame(frame)
-		c.forget(id)
-		return nil, err
+	err := frame.encode(id, req, c.codec)
+	if err == nil {
+		// Checked last, so a call whose context ended while it waited for
+		// a slot or encoded puts nothing on the wire.
+		err = ctx.Err()
 	}
-	if err := c.wr.enqueue(ctx, frame); err != nil {
+	if err == nil {
+		err = c.wr.send(ctx, frame, busy)
+	}
+	if err != nil {
+		// Nothing was queued: the request is unsendable, its context is
+		// done, or the connection broke first.
 		releaseFrame(frame)
-		c.forget(id)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr // deadline while queueing; nothing was sent
+		c.forget(id, ch)
+		if err == errWriterClosed {
+			return nil, c.brokenErr(false)
 		}
-		c.mu.Lock()
-		if c.cause != nil {
-			err = c.cause
-		}
-		c.mu.Unlock()
-		return nil, errConnBroken{cause: err}
+		return nil, err
 	}
 
 	select {
 	case resp := <-ch:
+		waiterPool.Put(ch)
 		return resp, nil
 	case <-c.dead:
-		c.forget(id)
-		c.mu.Lock()
-		cause := c.cause
-		c.mu.Unlock()
+		c.forget(id, ch)
 		// The frame was queued and possibly delivered: not retryable.
-		return nil, errConnBroken{cause: cause, sent: true}
+		return nil, c.brokenErr(true)
 	case <-ctx.Done():
-		c.forget(id)
+		c.forget(id, ch)
 		return nil, ctx.Err()
+	case <-expired:
+		c.forget(id, ch)
+		return nil, context.DeadlineExceeded
 	}
 }
 
-// forget abandons a pending call's response slot.
-func (c *muxConn) forget(id uint64) {
+// forget abandons a pending call's response slot. The waiter channel is
+// recycled only if the id was still registered: once the read loop has
+// taken it, a response may yet land on the channel.
+func (c *muxConn) forget(id uint64, ch chan *Response) {
 	c.mu.Lock()
+	_, registered := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
+	if registered {
+		waiterPool.Put(ch)
+	}
 }
 
 // close tears the connection down, failing any in-flight calls.

@@ -173,7 +173,15 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 	}
 	pc.mu.Unlock()
 
-	conn, codec, err := p.dial(ctx, addr)
+	// A call whose context has no deadline is bounded by a timer of its
+	// own (muxConn.call); the dial it may need is bounded here.
+	dialCtx := ctx
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		dialCtx, cancel = context.WithTimeout(ctx, p.dialTimeout)
+		defer cancel()
+	}
+	conn, codec, err := p.dial(dialCtx, addr)
 
 	pc.mu.Lock()
 	pc.dialing--
@@ -239,9 +247,10 @@ func (p *pool) evict(addr Addr, mc *muxConn) {
 	mc.close()
 }
 
-// reap closes connections that have sat idle (no in-flight calls) longer
-// than maxIdle, returning how many it closed.
-func (p *pool) reap(maxIdle time.Duration) int {
+// reap is one reaper tick: it closes the connections that have now sat
+// idle (nothing in flight, no call started) for maxIdleTicks ticks in a
+// row, returning how many it closed.
+func (p *pool) reap() int {
 	p.mu.Lock()
 	peers := make([]*peerConns, 0, len(p.peers))
 	for _, pc := range p.peers {
@@ -249,13 +258,12 @@ func (p *pool) reap(maxIdle time.Duration) int {
 	}
 	p.mu.Unlock()
 
-	cutoff := time.Now().Add(-maxIdle)
 	closed := 0
 	for _, pc := range peers {
 		pc.mu.Lock()
 		kept := pc.conns[:0]
 		for _, c := range pc.conns {
-			if idle := c.idleSince(); !idle.IsZero() && idle.Before(cutoff) {
+			if c.idleTick() {
 				c.close()
 				closed++
 				continue

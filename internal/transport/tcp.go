@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -127,10 +128,14 @@ func WithTLS(cfg *tls.Config) TCPOption {
 // many in-flight Calls multiplex over one connection in each direction.
 // The payload codec — compact binary by default, JSON for legacy peers —
 // is negotiated once per connection by a one-byte-version handshake. The
-// server side reads frames in a loop and answers each request on its own
-// goroutine, bounded by the endpoint's in-flight cap; excess load is shed
-// with a typed overload error. Broken connections are evicted and
-// redialed on the next call. With WithTLS, every connection is encrypted.
+// server side reads frames in a loop and hands each request to a resident
+// worker goroutine, at most one per slot of the endpoint's in-flight cap;
+// excess load is shed with a typed overload error. Neither side has a
+// writer goroutine: the goroutine that has a frame to send appends it to
+// the connection's pending buffer and, unless a flush is already under
+// way, writes the buffer itself (see connWriter). Broken connections are
+// evicted and redialed on the next call. With WithTLS, every connection is
+// encrypted.
 type TCPEndpoint struct {
 	ln   net.Listener
 	pool *pool
@@ -144,6 +149,19 @@ type TCPEndpoint struct {
 	handler Handler
 	closed  bool
 	conns   map[net.Conn]struct{} // live server-side connections
+
+	// Resident handler workers. A worker that has answered its request
+	// parks itself here, and the next admitted request wakes the one that
+	// parked last: the goroutines in use are as few as the requests in
+	// flight, and they keep the stacks the handler grew. Only a request
+	// that finds nobody parked starts a new worker, so a slow handler
+	// delays no one. Every worker holds a slot or is parked, which keeps
+	// them under cap(slots); the reaper retires the parked ones on each of
+	// its ticks, Close retires them all.
+	workerMu       sync.Mutex
+	parked         []chan serverJob
+	retired        bool         // Close has run: a worker that finishes exits
+	workersStarted atomic.Int64 // for tests
 
 	wg         sync.WaitGroup
 	stopReaper chan struct{}
@@ -200,7 +218,8 @@ func (e *TCPEndpoint) PeerCodecs() map[Addr]int {
 	return e.pool.peerCodecs()
 }
 
-// reapLoop periodically closes idle pooled connections.
+// reapLoop periodically closes idle pooled connections and retires parked
+// workers.
 func (e *TCPEndpoint) reapLoop() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.opts.idleTimeout / 2)
@@ -210,7 +229,8 @@ func (e *TCPEndpoint) reapLoop() {
 		case <-e.stopReaper:
 			return
 		case <-ticker.C:
-			e.pool.reap(e.opts.idleTimeout)
+			e.pool.reap()
+			e.retireParked(false)
 		}
 	}
 }
@@ -287,44 +307,134 @@ func (e *TCPEndpoint) acceptCodec(conn net.Conn, br *bufio.Reader) (uint8, error
 	return version, nil
 }
 
+// serverConn is the write side of one inbound connection, shared by the
+// read loop (which sheds on it) and the workers answering its requests.
+type serverConn struct {
+	e     *TCPEndpoint
+	conn  net.Conn
+	codec uint8
+	wr    *connWriter
+}
+
+// respond encodes resp and sends it through the connection's writer; the
+// calling goroutine writes it to the socket itself unless a flush is
+// already under way. The writer yields for company when other requests
+// are being handled.
+func (sc *serverConn) respond(id uint64, resp *Response) {
+	frame := acquireFrame()
+	err := frame.encode(id, resp, sc.codec)
+	if err != nil {
+		err = frame.encode(id, &Response{OK: false, Err: err.Error()}, sc.codec)
+	}
+	if err != nil {
+		releaseFrame(frame)
+		_ = sc.conn.Close() // unblocks the read loop
+		return
+	}
+	if sc.wr.send(context.Background(), frame, len(sc.e.slots) > 1) != nil {
+		releaseFrame(frame) // a closed writer already closed the conn
+	}
+}
+
+// serverJob is one admitted request on its way to a worker.
+type serverJob struct {
+	sc  *serverConn
+	id  uint64
+	req *Request
+	h   Handler
+}
+
+func (j serverJob) run() {
+	if j.h == nil {
+		j.sc.respond(j.id, &Response{OK: false, Err: "no handler"})
+		return
+	}
+	j.sc.respond(j.id, j.h(j.req))
+}
+
+// dispatch hands an admitted request (the caller holds its slot) to the
+// worker that parked last, or to a new one when none is parked.
+func (e *TCPEndpoint) dispatch(j serverJob) {
+	e.workerMu.Lock()
+	if n := len(e.parked); n > 0 {
+		w := e.parked[n-1]
+		e.parked = e.parked[:n-1]
+		e.workerMu.Unlock()
+		w <- j // one-slot buffer, and a parked worker's is empty
+		return
+	}
+	e.workerMu.Unlock()
+	e.workersStarted.Add(1)
+	e.wg.Add(1)
+	go e.work(make(chan serverJob, 1), j)
+}
+
+// work is one resident worker: run a request, park, wait for the next.
+// It parks before it frees its slot, so whoever takes that slot finds it.
+func (e *TCPEndpoint) work(jobs chan serverJob, j serverJob) {
+	defer e.wg.Done()
+	for {
+		j.run()
+		e.workerMu.Lock()
+		retired := e.retired
+		if !retired {
+			e.parked = append(e.parked, jobs)
+		}
+		e.workerMu.Unlock()
+		<-e.slots
+		if retired {
+			return
+		}
+		var ok bool
+		if j, ok = <-jobs; !ok {
+			return
+		}
+	}
+}
+
+// retireParked ends every parked worker; final also ends the busy ones as
+// they finish.
+func (e *TCPEndpoint) retireParked(final bool) {
+	e.workerMu.Lock()
+	parked := e.parked
+	e.parked = nil
+	e.retired = e.retired || final
+	e.workerMu.Unlock()
+	for _, w := range parked {
+		close(w)
+	}
+}
+
 // serveConn is the server half of one multiplexed connection: negotiate
-// the codec, then read frames in a loop, answering each on its own
-// goroutine so a slow handler never head-of-line-blocks the connection,
-// with response writes serialized by the connection writer. When every
-// handler slot of the endpoint is taken, further requests are answered
-// with an overload error without touching the handler — the node sheds
-// load at a deterministic bound instead of ballooning goroutines. Any
-// protocol violation (oversized frame, garbage payload) or idle expiry
-// ends the connection.
+// the codec, then read frames in a loop, handing each to a resident worker
+// (see TCPEndpoint) so a slow handler never head-of-line-blocks the
+// connection; the worker sends the response through the connection's
+// writer. When every handler slot of the endpoint is taken, further
+// requests are answered with an overload error without touching the
+// handler or a worker — the node sheds load at a deterministic bound
+// instead of ballooning goroutines; a shed response waits, like any other,
+// for room in the writer, so a peer that floods without reading stalls its
+// own read loop here. Any protocol violation (oversized frame, garbage
+// payload) or idle expiry ends the connection.
 func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	codec, err := e.acceptCodec(conn, br)
 	if err != nil {
 		return
 	}
-	wr := startConnWriter(conn, e.opts.callTimeout, func(error) { _ = conn.Close() })
-	defer wr.close()
-	respond := func(id uint64, resp *Response) bool {
-		frame := acquireFrame()
-		err := frame.encode(id, resp, codec)
-		if err != nil {
-			err = frame.encode(id, &Response{OK: false, Err: err.Error()}, codec)
-		}
-		if err != nil {
-			releaseFrame(frame)
-			_ = conn.Close() // unblocks the read loop
-			return false
-		}
-		if wr.enqueue(context.Background(), frame) != nil {
-			releaseFrame(frame) // a dead writer already closed the conn
-			return false
-		}
-		return true
-	}
+	sc := &serverConn{e: e, conn: conn, codec: codec}
+	sc.wr = newConnWriter(conn, e.opts.callTimeout, cap(e.slots), func(error) { _ = conn.Close() })
+	defer sc.wr.close()
+	// The idle deadline is four idle timeouts out and pushed back only
+	// once one of them has passed, not on every frame.
+	var deadlineAt time.Time
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(4 * e.opts.idleTimeout))
-		var req Request
-		id, err := readMuxFrame(br, &req, codec)
+		if now := time.Now(); now.Sub(deadlineAt) > e.opts.idleTimeout {
+			deadlineAt = now
+			_ = conn.SetReadDeadline(now.Add(4 * e.opts.idleTimeout))
+		}
+		req := new(Request)
+		id, err := readMuxFrame(br, req, codec)
 		if err != nil {
 			return
 		}
@@ -337,23 +447,13 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 		}
 		select {
 		case e.slots <- struct{}{}:
+			e.dispatch(serverJob{sc: sc, id: id, req: req, h: h})
 		default:
 			// Every handler slot is busy: shed this request now. The
 			// response is encoded on the read goroutine — cheap, bounded —
 			// and the caller gets a typed ErrOverloaded.
-			respond(id, &Response{OK: false, Err: overloadedWireErr})
-			continue
+			sc.respond(id, &Response{OK: false, Err: overloadedWireErr})
 		}
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer func() { <-e.slots }()
-			resp := &Response{OK: false, Err: "no handler"}
-			if h != nil {
-				resp = h(&req)
-			}
-			respond(id, resp)
-		}()
 	}
 }
 
@@ -378,10 +478,9 @@ func (e *TCPEndpoint) CallCtx(ctx context.Context, addr Addr, req *Request) (*Re
 	if closed {
 		return nil, ErrUnreachable
 	}
+	var timeout time.Duration
 	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.opts.callTimeout)
-		defer cancel()
+		timeout = e.opts.callTimeout
 	}
 
 	const attempts = 2
@@ -391,7 +490,7 @@ func (e *TCPEndpoint) CallCtx(ctx context.Context, addr Addr, req *Request) (*Re
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 		}
-		resp, err := mc.call(ctx, req)
+		resp, err := mc.call(ctx, req, timeout)
 		if err == nil {
 			if resp.Err == overloadedWireErr {
 				return nil, fmt.Errorf("%w: %s shed the request", ErrOverloaded, addr)
@@ -434,6 +533,7 @@ func (e *TCPEndpoint) Close() error {
 	for _, c := range conns {
 		_ = c.Close() // unblocks server read loops
 	}
+	e.retireParked(true)
 	e.wg.Wait()
 	return err
 }

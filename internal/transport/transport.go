@@ -17,11 +17,27 @@
 // default when the context carries none); a call that times out simply
 // abandons its response slot without poisoning the shared connection.
 //
+// A call costs its two writes and its two wake-ups. Writing is done by the
+// goroutine that has something to send: it appends its encoded frame to
+// the connection's pending buffer and, if no flush is in progress, writes
+// everything pending with one Write — yielding once first when other calls
+// are in flight, so that a burst shares a syscall while a lone call pays
+// for nothing but its own. No connection has a writer goroutine, a frame
+// queue or a flush timer. The caller that flushes returns when its Write
+// does, which the connection's write deadline bounds. On the server side a
+// request is run by a resident worker goroutine — the one that parked
+// last, a new one only when none is parked — so the stack a handler grew
+// is there for the next request, a slow handler never blocks the
+// connection behind it, and idle workers retire with the idle reaper.
+// Frames are read into buffers of their own, never pooled: decoded values
+// alias them and end up in the store.
+//
 // Backpressure is symmetric: each client connection caps its in-flight
-// calls and each endpoint caps its concurrently-running handlers, so an
-// overloaded node sheds excess requests with a typed ErrOverloaded —
-// deterministically and with a bounded goroutine count — instead of
-// queueing without limit.
+// calls and each endpoint caps its concurrently-running handlers (and so
+// its workers), so an overloaded node sheds excess requests with a typed
+// ErrOverloaded — deterministically and with a bounded goroutine count —
+// instead of queueing without limit; the frames waiting behind a write
+// that a stalled peer holds up are capped the same way.
 //
 // Delivery is at-most-once: a call on a connection that proves stale
 // before the request is sent retries once on a fresh dial, but once a
@@ -209,7 +225,8 @@ type Response struct {
 }
 
 // Handler processes one incoming request. Handlers run on transport
-// goroutines and may be invoked concurrently.
+// goroutines (the TCP fabric's resident workers) and may be invoked
+// concurrently.
 type Handler func(*Request) *Response
 
 // Transport is one node's endpoint on the fabric.

@@ -1,6 +1,7 @@
 package oscar
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -189,7 +190,7 @@ func (c *simClient) hotGetLocked(key Key) (GetResponse, bool, error) {
 	switch {
 	case found && antientropy.ItemHash(key, v) == antientropy.ItemHash(key, val):
 		c.hotHits.Add(1)
-		return GetResponse{Owner: c.ownerLocked(id), Cost: 1, Value: val}, true, nil
+		return GetResponse{Owner: c.ownerLocked(id), Cost: 1, Value: bytes.Clone(val)}, true, nil
 	case found:
 		// The owner holds a newer value: the cached copy lost.
 		c.hot.Invalidate(key)
@@ -215,7 +216,9 @@ func (c *simClient) Put(ctx context.Context, key Key, value []byte) (PutResponse
 	if err != nil {
 		return PutResponse{Cost: cost}, fmt.Errorf("%w: put %v", ErrRoutingFailed, key)
 	}
-	res := o.putAtLocked(owner, cost, key, value, c.replicas)
+	// The overlay keeps a copy, as a live node does: the caller may reuse
+	// its buffer.
+	res := o.putAtLocked(owner, cost, key, bytes.Clone(value), c.replicas)
 	c.hot.Invalidate(key)
 	out := PutResponse{Owner: c.ownerLocked(res.Owner), Cost: res.Cost, Replaced: res.Replaced, Acks: res.Acks}
 	if w := c.concern(ctx); res.Acks < w {
@@ -247,7 +250,7 @@ func (c *simClient) Get(ctx context.Context, key Key) (GetResponse, error) {
 		return out, fmt.Errorf("%w: %v", ErrNotFound, key)
 	}
 	c.hot.Put(key, value)
-	out.Value = value
+	out.Value = bytes.Clone(value) // the caller's to scribble on
 	return out, nil
 }
 
