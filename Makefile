@@ -6,7 +6,7 @@ GO ?= go
 # to keep CI fast (the full suite still runs race-free in `test`).
 RACE_PKGS = ./internal/transport/... ./internal/p2p/...
 
-.PHONY: all build test race benchmark-check bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
+.PHONY: all build test race benchmark-check bench fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
 
 all: build
 
@@ -55,9 +55,10 @@ examples:
 # the hops alone, runs exactly once across a splice, and — a write — is
 # never re-sent after a lost reply, and that a step churn routes back
 # through the entry node is as free as the first. The transport
-# package contributes the wire-level contracts: codec negotiation (incl.
-# a mixed binary/JSON ring and legacy no-handshake peers), TLS round
-# trips, overload shedding (saturate past the in-flight cap: typed
+# package contributes the wire-level contracts: the hello (a binary
+# client settles on the binary codec; a raw frame or a version-1 hello is
+# refused without disturbing the server), TLS round trips, overload
+# shedding (saturate past the in-flight cap: typed
 # ErrOverloaded, bounded goroutines, recovery), and the call path's own —
 # resident handler workers (TestWorker*: sequential traffic starts at most
 # two, a blocked handler delays nobody, parked ones retire on the reaper
@@ -67,65 +68,13 @@ examples:
 # already done, one break and sent=true on a write error, big frames not
 # pinned, pending frames capped against a peer that stops reading).
 conformance:
-	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
-	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
-	$(GO) test -race -run 'TestCodecNegotiation|TestLegacyFramesAccepted|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds' ./internal/transport/
-
-# Replication bench smoke: the replicated write path compiles and runs on
-# both backends, including the ack-awaited write-concern ladder (w=1 vs
-# quorum vs all) whose overhead CI tracks in bench.txt.
-bench-replication:
-	$(GO) test -run=NONE -bench='PutReplicated|PutWriteConcern' -benchtime=1x .
-
-# Anti-entropy bench smoke: the arc-digest maintenance cost (incremental vs
-# rebuild) and one digest-sync repair pass over a live chain.
-bench-antientropy:
-	$(GO) test -run=NONE -bench='ArcDigest' -benchtime=1x ./internal/storage/
-	$(GO) test -run=NONE -bench='AntiEntropySync' -benchtime=1x ./internal/p2p/
-
-# Streaming bench smoke: the paged Scan iterator end to end (1k and 100k
-# item arcs) and a 16 MiB blob round trip through a live cluster.
-bench-stream:
-	$(GO) test -run=NONE -bench='BenchmarkScan$$|BenchmarkBlobRoundTrip' -benchtime=1x . | tee bench-stream.txt
-
-# Where the JSON renderings of the smoke targets below land. They run at
-# -benchtime=1x (iterations: 1 — a shape check, not a measurement), so by
-# default they write beside the other build leftovers and never over a
-# committed BENCH_*.json; regenerate a committed artifact with a real
-# bench time and BENCH_OUT=. (e.g. `make bench-routing BENCHTIME=2s
-# BENCH_OUT=.`).
-BENCH_OUT ?= .bench_build
-BENCHTIME ?= 1x
-
-$(BENCH_OUT):
-	mkdir -p $(BENCH_OUT)
-
-# Durability bench smoke: WAL append cost under each fsync policy plus
-# cold recovery (snapshot load + replay) at 10k and 100k keys; the JSON
-# rendering lands in the CI artifact (the raw bench-wal.txt log is
-# retired — BENCH_*.json is the interchange format).
-bench-wal: | $(BENCH_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkWALAppend|BenchmarkRecovery' -benchtime=$(BENCHTIME) ./internal/wal/ | $(GO) run ./cmd/oscar-benchjson -o $(BENCH_OUT)/BENCH_durability.json
-
-# Transport bench: dial-per-call vs pooled mux, binary vs JSON codec at
-# 1/8/64 in-flight, TLS on/off, the frame-encode micro-bench, and the
-# live-cluster put+get headline per codec. The committed
-# BENCH_transport.json is this target's JSON rendering at BENCHTIME=1s
-# (the raw txt log is retired).
-bench-transport: | $(BENCH_OUT)
-	( $(GO) test -run=NONE -bench='BenchmarkFrameEncode|BenchmarkDialPerCall|BenchmarkPooledMux' -benchtime=$(BENCHTIME) ./internal/transport/ && \
-	  $(GO) test -run=NONE -bench='BenchmarkLiveClusterPutGetTCP' -benchtime=$(BENCHTIME) . ) | $(GO) run ./cmd/oscar-benchjson -o $(BENCH_OUT)/BENCH_transport.json
-
-# Routing bench: a Zipf hot-key workload against a live in-memory cluster
-# after a crash, comparing α=1 with caches off against α=2/α=3 with the
-# route and hot-key caches on — lookup hops per op, p50/p95 latency, and
-# the owner-vs-cache serve ratio. The committed BENCH_routing.json is this
-# target's JSON rendering at BENCHTIME=2s.
-bench-routing: | $(BENCH_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkRoutingZipf' -benchtime=$(BENCHTIME) -timeout 20m . | $(GO) run ./cmd/oscar-benchjson -o $(BENCH_OUT)/BENCH_routing.json
+	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
+	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
+	$(GO) test -race -run 'TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds' ./internal/transport/
 
 # Bench smoke: compile and run every benchmark once (shape check, not a
-# measurement). Full measurements: `go test -bench=. -benchtime=2s ./...`.
+# measurement). End-to-end and per-layer numbers come from the benchmark
+# harness: `bash benchmark/run.sh` (see benchmark/README.md).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./... | tee bench.txt
 
@@ -162,4 +111,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test benchmark-check examples race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench
+ci: fmt-check vet build test benchmark-check examples race conformance bench

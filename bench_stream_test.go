@@ -1,61 +1,13 @@
-// Streaming-read benchmarks: the paged Scan iterator and the chunked blob
-// layer. `make bench-stream` runs these once (benchtime=1x) as a CI smoke;
-// locally, plain `go test -bench` gives stable numbers.
+// Streaming-read benchmark: the chunked blob layer over the paged scan.
 package oscar
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 )
-
-// BenchmarkScan streams a populated arc end to end through the paged
-// iterator on the simulator backend. The two sizes bracket the page
-// machinery: 1k items is a handful of pages, 100k items exercises hundreds
-// of cursor hand-offs across shard boundaries.
-func BenchmarkScan(b *testing.B) {
-	for _, n := range []int{1_000, 100_000} {
-		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
-			ctx := context.Background()
-			ov, err := Build(Config{Size: 128, Seed: 21, Keys: UniformKeys()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl := ov.Client()
-			defer cl.Close()
-			lo, hi := KeyFromFloat(0.1), KeyFromFloat(0.9)
-			val := []byte("v")
-			for i := 0; i < n; i++ {
-				k := KeyFromFloat(0.1 + 0.8*float64(i)/float64(n))
-				if _, err := cl.Put(ctx, k, val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var pages int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc := cl.Scan(ctx, lo, hi)
-				count := 0
-				for sc.Next() {
-					count++
-				}
-				if err := sc.Err(); err != nil {
-					b.Fatal(err)
-				}
-				if count != n {
-					b.Fatalf("scan streamed %d items, want %d", count, n)
-				}
-				pages = sc.Stats().Pages
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(pages), "pages/op")
-			b.ReportMetric(float64(n), "items/op")
-		})
-	}
-}
 
 // BenchmarkBlobRoundTrip writes and streams back a 16 MiB blob through a
 // live in-memory cluster: chunking, per-chunk and whole-blob checksums,

@@ -7,10 +7,8 @@
 package oscar
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/oscar-overlay/oscar/internal/degreedist"
@@ -18,12 +16,10 @@ import (
 	"github.com/oscar-overlay/oscar/internal/keydist"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/mercury"
-	"github.com/oscar-overlay/oscar/internal/p2p"
 	"github.com/oscar-overlay/oscar/internal/rng"
 	"github.com/oscar-overlay/oscar/internal/routing"
 	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/sim"
-	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
 // benchSize keeps figure benchmarks quick while preserving shapes; the full
@@ -275,235 +271,6 @@ func BenchmarkGraphAddLink(b *testing.B) {
 		to := graph.NodeID(r.Intn(n))
 		if err := g.AddLink(from, to); err == nil && i%8 == 7 {
 			g.DropLinks(from) // keep lists from growing unboundedly
-		}
-	}
-}
-
-// BenchmarkOverlayPutGet times the public data-layer round trip.
-func BenchmarkOverlayPutGet(b *testing.B) {
-	ov, err := Build(Config{Size: 800, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.Derive(6, "putget-bench")
-	val := []byte("benchmark-value")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := Key(r.Uint64())
-		if _, err := ov.Put(key, val); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, _, err := ov.Get(key); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- live-runtime benchmarks (internal/p2p over the transport fabric) ---
-
-// BenchmarkLiveClusterLookup times concurrent lookups through a live
-// 48-node cluster: every iteration is a full iterative routing walk of
-// find_owner RPCs, issued from many goroutines at once — the workload the
-// multiplexed transport exists for.
-func BenchmarkLiveClusterLookup(b *testing.B) {
-	c, err := p2p.NewCluster(context.Background(), p2p.ClusterConfig{Size: 48, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			node := c.Nodes[int(i)%len(c.Nodes)]
-			key := keyspace.Key(i * 0x9e3779b97f4a7c15) // golden-ratio spread
-			if _, _, err := node.Lookup(context.Background(), key); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkLiveClusterPutGetTCP times put+get round trips through a live
-// loopback-TCP cluster: real sockets, pooled multiplexed connections,
-// multi-hop routing per operation. The codec sub-benchmarks compare the
-// negotiated binary wire codec against a ring pinned to the legacy JSON
-// codec — the payload-encoding share of a full data-path operation.
-func BenchmarkLiveClusterPutGetTCP(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts []transport.TCPOption
-	}{
-		{"codec=binary", nil},
-		{"codec=json", []transport.TCPOption{transport.WithJSONCodec()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			benchLivePutGetTCP(b, bc.opts...)
-		})
-	}
-}
-
-func benchLivePutGetTCP(b *testing.B, topts ...transport.TCPOption) {
-	const size = 8
-	var nodes []*p2p.Node
-	for i := 0; i < size; i++ {
-		ep, err := transport.ListenTCP("127.0.0.1:0", topts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := p2p.NewNode(ep, p2p.Config{
-			Key:    keyspace.FromFloat(float64(i)/size + 0.01),
-			MaxIn:  8,
-			MaxOut: 8,
-			Seed:   int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i > 0 {
-			if err := n.Join(context.Background(), nodes[0].Self().Addr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		nodes = append(nodes, n)
-	}
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-	for round := 0; round < 2; round++ {
-		for _, n := range nodes {
-			n.Stabilize(context.Background())
-		}
-	}
-	val := []byte("live-bench")
-	var next atomic.Uint64
-	// The mux exists for concurrent callers: keep several ops in flight
-	// per core so connection sharing, flush batching and the codec are
-	// actually exercised (with the default parallelism a single-core
-	// machine would serialise every RPC and measure only syscall latency).
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			node := nodes[int(i)%size]
-			key := keyspace.Key(i * 0x9e3779b97f4a7c15)
-			if _, err := node.Put(context.Background(), key, val); err != nil {
-				b.Error(err)
-				return
-			}
-			if _, err := node.Get(context.Background(), key); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkPutReplicated times a replicated write (owner + 2 successor
-// copies) through the simulator — the baseline for the replicated-path
-// perf trajectory.
-func BenchmarkPutReplicated(b *testing.B) {
-	ov, err := Build(Config{Size: 800, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.Derive(12, "putrepl-bench")
-	val := []byte("replicated-value")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ov.PutReplicated(Key(r.Uint64()), val, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLiveClusterPutReplicated times the live replicated write path
-// on the in-memory fabric: route to the owner, owner write, parallel
-// replicate pushes to the owner's successor-list chain.
-func BenchmarkLiveClusterPutReplicated(b *testing.B) {
-	c, err := p2p.NewCluster(context.Background(), p2p.ClusterConfig{Size: 24, Seed: 13, Replicas: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	for round := 0; round < 4; round++ {
-		c.StabilizeAll(context.Background())
-	}
-	val := []byte("replicated-live")
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			node := c.Nodes[int(i)%len(c.Nodes)]
-			key := keyspace.Key(i * 0x9e3779b97f4a7c15)
-			if _, err := node.Put(context.Background(), key, val); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkPutWriteConcern times the live replicated write path under the
-// three write-concern regimes: w=1 (owner ack only — the pushes are still
-// awaited, so this is the ack-counting overhead baseline), w=2 (majority
-// quorum of r=3) and w=3 (all copies). The spread between the rows is the
-// price of each durability level; CI tracks it in bench.txt.
-func BenchmarkPutWriteConcern(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		w    int
-	}{{"w1-owner", 1}, {"w2-quorum", 2}, {"w3-all", 3}} {
-		b.Run(bc.name, func(b *testing.B) {
-			c, err := p2p.NewCluster(context.Background(), p2p.ClusterConfig{Size: 24, Seed: 13, Replicas: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			for round := 0; round < 4; round++ {
-				c.StabilizeAll(context.Background())
-			}
-			val := []byte("write-concern")
-			var next atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := next.Add(1)
-					node := c.Nodes[int(i)%len(c.Nodes)]
-					key := keyspace.Key(i * 0x9e3779b97f4a7c15)
-					if _, err := node.PutW(context.Background(), key, val, bc.w); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkOverlayRangeQuery times a 1%-of-circle range query.
-func BenchmarkOverlayRangeQuery(b *testing.B) {
-	ov, err := Build(Config{Size: 800, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		if _, err := ov.Put(KeyFromFloat(float64(i)/2000), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := rng.Derive(8, "range-bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := r.Float64()
-		if _, err := ov.RangeQuery(KeyFromFloat(start), KeyFromFloat(start+0.01), 0); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -40,15 +40,6 @@ type Client interface {
 	// fail). Construction is lazy: no messages are sent until the first
 	// Next. Iterate with Next/Item/Err or range over All.
 	Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Scanner
-	// RangeQuery returns up to limit items with keys in the clockwise arc
-	// [start, end), in clockwise key order. start > end wraps around the
-	// top of the identifier circle. limit <= 0 means no limit; start ==
-	// end is ErrBadRange.
-	//
-	// Deprecated: RangeQuery buffers the whole result in memory. Use Scan,
-	// which streams page by page; RangeQuery is a thin wrapper over it and
-	// returns byte-identical results.
-	RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error)
 	// PutBlob chunks the stream r into fixed-size pieces stored under the
 	// contiguous key sub-range [base+1, base+1+chunks) with a JSON manifest
 	// at base, so a whole blob reads back as one Scan. The returned
@@ -192,19 +183,6 @@ type DeleteResponse struct {
 	Acks int
 }
 
-// RangeResponse reports a RangeQuery.
-type RangeResponse struct {
-	// Items are the matching records in clockwise key order from the range
-	// start.
-	Items []Item
-	// Cost is the total message cost: routing to the range start (the
-	// first page rides the last hop) plus one message per further page or
-	// peer scanned along the ring.
-	Cost int
-	// PeersScanned is the number of peers whose shards were visited.
-	PeersScanned int
-}
-
 // LookupResponse reports a Lookup.
 type LookupResponse struct {
 	// Owner is the peer owning the key.
@@ -305,27 +283,21 @@ type InfoResponse struct {
 // options collects the functional construction options shared by NewClient
 // and StartCluster.
 type options struct {
-	size              int
-	seed              int64
-	keys              KeyDistribution
-	degrees           DegreeDistribution
-	algorithm         Algorithm
-	disablePowerOfTwo bool
-	oraclePartitions  bool
-	sampleSize        int
-	walkSteps         int
-	stabilizeRounds   int
-	replicas          int
-	writeConcern      int
-	autoMaintenance   time.Duration
-	antiEntropy       time.Duration
-	dataDir           string
-	fsync             string
-	transportWrapper  func(transport.Transport) transport.Transport
-	alpha             int
-	routeCacheSize    int
-	routeCacheTTL     time.Duration
-	hotKeyCache       int
+	size             int
+	seed             int64
+	keys             KeyDistribution
+	degrees          DegreeDistribution
+	stabilizeRounds  int
+	replicas         int
+	writeConcern     int
+	autoMaintenance  time.Duration
+	antiEntropy      time.Duration
+	dataDir          string
+	transportWrapper func(transport.Transport) transport.Transport
+	alpha            int
+	routeCacheSize   int
+	routeCacheTTL    time.Duration
+	hotKeyCache      int
 }
 
 // Option customises client construction. The zero configuration builds a
@@ -344,23 +316,6 @@ func WithKeys(d KeyDistribution) Option { return func(o *options) { o.keys = d }
 
 // WithDegrees sets the per-peer link budget distribution.
 func WithDegrees(d DegreeDistribution) Option { return func(o *options) { o.degrees = d } }
-
-// WithAlgorithm selects the construction algorithm (simulator only; the
-// live runtime always runs Oscar).
-func WithAlgorithm(a Algorithm) Option { return func(o *options) { o.algorithm = a } }
-
-// WithoutPowerOfTwo turns off the two-choices in-degree balancing rule.
-func WithoutPowerOfTwo() Option { return func(o *options) { o.disablePowerOfTwo = true } }
-
-// WithOraclePartitions uses exact global-knowledge medians instead of
-// random-walk estimates (simulator only; for calibration).
-func WithOraclePartitions() Option { return func(o *options) { o.oraclePartitions = true } }
-
-// WithSampling tunes median estimation: samples per level and walk steps
-// per sample (0 keeps the default for either).
-func WithSampling(samples, steps int) Option {
-	return func(o *options) { o.sampleSize, o.walkSteps = samples, steps }
-}
 
 // WithStabilizeRounds sets how many stabilisation rounds StartCluster runs
 // after boot (live backend only).
@@ -392,11 +347,6 @@ func WithWriteConcern(w int) Option { return func(o *options) { o.writeConcern =
 // subdirectory recovers its shard instead of re-filling it over the
 // network. The simulator ignores it.
 func WithDataDir(dir string) Option { return func(o *options) { o.dataDir = dir } }
-
-// WithFsync selects the WAL fsync policy ("always", "interval", or
-// "never") for durable cluster nodes; see NodeConfig.Fsync. Only
-// meaningful together with WithDataDir.
-func WithFsync(policy string) Option { return func(o *options) { o.fsync = policy } }
 
 // WithAutoMaintenance starts the background maintenance loop on every
 // node StartCluster boots: ring stabilisation every interval (jittered
@@ -479,15 +429,10 @@ func buildOptions(opts []Option) options {
 func NewClient(opts ...Option) (Client, error) {
 	o := buildOptions(opts)
 	ov, err := Build(Config{
-		Size:              o.size,
-		Seed:              o.seed,
-		Keys:              o.keys,
-		Degrees:           o.degrees,
-		Algorithm:         o.algorithm,
-		DisablePowerOfTwo: o.disablePowerOfTwo,
-		OraclePartitions:  o.oraclePartitions,
-		SampleSize:        o.sampleSize,
-		WalkSteps:         o.walkSteps,
+		Size:    o.size,
+		Seed:    o.seed,
+		Keys:    o.keys,
+		Degrees: o.degrees,
 	})
 	if err != nil {
 		return nil, err

@@ -56,26 +56,22 @@ func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, erro
 	for i := 0; i < size; i++ {
 		caps := degrees.Sample(capRand)
 		cfg := NodeConfig{
-			Key:               keys.Sample(keyRand),
-			MaxIn:             caps,
-			MaxOut:            caps,
-			Samples:           o.sampleSize,
-			WalkSteps:         o.walkSteps,
-			DisablePowerOfTwo: o.disablePowerOfTwo,
-			Replicas:          o.replicas,
-			WriteConcern:      o.writeConcern,
-			AutoMaintenance:   o.autoMaintenance,
-			AntiEntropy:       o.antiEntropy,
-			Alpha:             o.alpha,
-			RouteCacheSize:    o.routeCacheSize,
-			RouteCacheTTL:     o.routeCacheTTL,
-			HotKeyCache:       o.hotKeyCache,
-			Seed:              o.seed + int64(i),
-			WrapTransport:     o.transportWrapper,
+			Key:             keys.Sample(keyRand),
+			MaxIn:           caps,
+			MaxOut:          caps,
+			Replicas:        o.replicas,
+			WriteConcern:    o.writeConcern,
+			AutoMaintenance: o.autoMaintenance,
+			AntiEntropy:     o.antiEntropy,
+			Alpha:           o.alpha,
+			RouteCacheSize:  o.routeCacheSize,
+			RouteCacheTTL:   o.routeCacheTTL,
+			HotKeyCache:     o.hotKeyCache,
+			Seed:            o.seed + int64(i),
+			WrapTransport:   o.transportWrapper,
 		}
 		if o.dataDir != "" {
 			cfg.DataDir = filepath.Join(o.dataDir, fmt.Sprintf("node-%d", i))
-			cfg.Fsync = o.fsync
 		}
 		node, err := startNodeOn(c.fabric.Endpoint(), cfg)
 		if err != nil {

@@ -16,14 +16,12 @@
 //	put <frac> <value>    store value under the key at fraction <frac>
 //	get <frac>            fetch the value
 //	delete <frac>         remove the value
-//	range <lo> <hi>       list items with keys in [lo, hi)
 //	scan <lo> <hi> [n]    stream items in [lo, hi) page by page (limit n)
 //	putblob <frac> <file> store a file as a chunked blob based at <frac>
 //	getblob <frac> <out>  stream a blob back into a file, verifying checksums
 //	lookup <frac>         route to the key's owner
 //	info                  print ring pointers, links, stored items,
-//	                      tombstones, ring-size estimate, sync stats, and
-//	                      the negotiated wire codec per connected peer
+//	                      tombstones, ring-size estimate and sync stats
 //	wal-stats             print WAL size, frames since snapshot, and the
 //	                      last snapshot time (needs -data-dir)
 //	snapshot              force a compacted snapshot now (needs -data-dir)
@@ -55,11 +53,9 @@
 //
 // With -tls-cert/-tls-key every connection — the listener and all dials —
 // runs over TLS. All ring members must use TLS, and a fleet can share one
-// self-signed certificate (it doubles as the trust root). -codec json pins
-// the node to the legacy JSON wire codec during a rolling upgrade from
-// pre-binary builds; -max-inflight caps in-flight calls per connection and
-// concurrently running handlers, shedding the excess deterministically
-// instead of queueing without bound.
+// self-signed certificate (it doubles as the trust root). -max-inflight
+// caps in-flight calls per connection and concurrently running handlers,
+// shedding the excess deterministically instead of queueing without bound.
 //
 // With -daemon the node skips the stdin command loop and runs until a
 // signal arrives — the mode for containers and process supervisors, where
@@ -99,7 +95,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -134,7 +129,6 @@ func main() {
 		callTimeout = flag.Duration("call-timeout", 5*time.Second, "per-RPC timeout")
 		idleTimeout = flag.Duration("idle-timeout", 60*time.Second, "reap pooled connections idle this long")
 		maxInflight = flag.Int("max-inflight", 0, "backpressure cap: calls in flight per connection and concurrent handlers (0 = default 256); excess inbound requests are shed")
-		codec       = flag.String("codec", "binary", "wire codec: binary (negotiated, with JSON fallback for old peers) or json (pin to the legacy codec)")
 		tlsCert     = flag.String("tls-cert", "", "PEM certificate; with -tls-key, all connections are TLS (every ring member must use TLS, and the certificate doubles as the trust root)")
 		tlsKey      = flag.String("tls-key", "", "PEM private key for -tls-cert")
 		dataDir     = flag.String("data-dir", "", "data directory for the WAL + snapshots (empty = memory only)")
@@ -207,7 +201,6 @@ func main() {
 		IdleTimeout:    *idleTimeout,
 		MaxInflight:    *maxInflight,
 		TLS:            tlsConf,
-		Codec:          *codec,
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
 		WrapTransport:  wrap,
@@ -217,9 +210,9 @@ func main() {
 	}
 	tlsNote := ""
 	if tlsConf != nil {
-		tlsNote = ", tls"
+		tlsNote = " (tls)"
 	}
-	fmt.Printf("node up at %s, key %s (codec %s%s)\n", node.Addr(), node.Key(), *codec, tlsNote)
+	fmt.Printf("node up at %s, key %s%s\n", node.Addr(), node.Key(), tlsNote)
 	if rec := node.Recovery(); rec.Enabled {
 		how := "crash"
 		if rec.Clean {
@@ -389,16 +382,6 @@ func execute(ctx context.Context, node *oscar.Node, args []string) error {
 			fmt.Printf("durable: wal=%dB frames=%d last-snapshot=%s\n",
 				info.WALBytes, info.WALFrames, fmtSnapTime(info.LastSnapshot))
 		}
-		if codecs := node.PeerCodecs(); len(codecs) > 0 {
-			addrs := make([]string, 0, len(codecs))
-			for addr := range codecs {
-				addrs = append(addrs, addr)
-			}
-			sort.Strings(addrs)
-			for _, addr := range addrs {
-				fmt.Printf("conn  %s codec=%s\n", addr, codecs[addr])
-			}
-		}
 		return nil
 
 	case "wal-stats":
@@ -526,28 +509,6 @@ func execute(ctx context.Context, node *oscar.Node, args []string) error {
 			return err
 		}
 		fmt.Printf("deleted (%d messages, %d acks)\n", res.Cost, res.Acks)
-		return nil
-
-	case "range":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: range <lo> <hi>")
-		}
-		lo, err := parseFrac(args[1])
-		if err != nil {
-			return err
-		}
-		hi, err := parseFrac(args[2])
-		if err != nil {
-			return err
-		}
-		res, err := node.RangeQuery(ctx, lo, hi, 0)
-		if err != nil {
-			return err
-		}
-		for _, it := range res.Items {
-			fmt.Printf("  %s = %q\n", it.Key, it.Value)
-		}
-		fmt.Printf("%d items from %d peers (%d messages)\n", len(res.Items), res.PeersScanned, res.Cost)
 		return nil
 
 	case "scan":

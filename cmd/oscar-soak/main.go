@@ -33,9 +33,8 @@
 // -converge-timeout is a violation: the run prints the evidence, still
 // writes its report, and exits 1.
 //
-// The report lands in -o (default BENCH_soak.json) using the same schema
-// cmd/oscar-benchjson emits, so CI publishes soak numbers next to the
-// other benchmark artifacts.
+// The report lands in -o (default BENCH_soak.json): a JSON list of one
+// record with the run's name, op count, mean ns per op and its metrics.
 //
 // Determinism: the fault schedule is fully determined by -seed (faultnet
 // decides per-link, per-call), and the workers' key and op streams are
@@ -74,8 +73,7 @@ import (
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
-// benchResult mirrors cmd/oscar-benchjson's output schema, so the soak
-// report concatenates cleanly with the other BENCH_*.json artifacts.
+// benchResult is the soak report's one record.
 type benchResult struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs,omitempty"`

@@ -152,8 +152,9 @@ func faultedTCPHarness(t *testing.T) *conformanceHarness {
 // because faults shed requests before delivery, re-issuing is always safe.
 // Everything else — not-found, bad ranges, write concern, context errors,
 // closed clients — passes through untouched: the scenario table's
-// assertions about those must hold verbatim on a faulted fabric. Scans are
-// not wrapped; the scan session carries its own churn-recovery retries.
+// assertions about those must hold verbatim on a faulted fabric. A scan
+// retries page by page, from the cursor the failed page started at, on top
+// of the scan session's own churn-recovery retries.
 type retryClient struct {
 	Client
 }
@@ -196,8 +197,14 @@ func (r *retryClient) Lookup(ctx context.Context, key Key) (LookupResponse, erro
 	return retryOp(ctx, func() (LookupResponse, error) { return r.Client.Lookup(ctx, key) })
 }
 
-func (r *retryClient) RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error) {
-	return retryOp(ctx, func() (RangeResponse, error) { return r.Client.RangeQuery(ctx, start, end, limit) })
+func (r *retryClient) Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Scanner {
+	sc := r.Client.Scan(ctx, start, end, opts...)
+	if fetch := sc.fetch; fetch != nil {
+		sc.fetch = func(ctx context.Context, cursor Key, want int) (scanChunk, error) {
+			return retryOp(ctx, func() (scanChunk, error) { return fetch(ctx, cursor, want) })
+		}
+	}
+	return sc
 }
 
 func (r *retryClient) Info(ctx context.Context) (InfoResponse, error) {

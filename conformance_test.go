@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -129,80 +130,14 @@ func tcpClusterHarness(t *testing.T) *conformanceHarness {
 	}
 }
 
-// tcpMixedCodecHarness is tcpClusterHarness with half the ring pinned to
-// the legacy JSON wire codec: every binary↔json pairing falls back to
-// JSON via the per-connection handshake while binary↔binary pairs speak
-// binary — the rolling-upgrade topology. The whole scenario table must
-// pass across the mixed fabric.
-func tcpMixedCodecHarness(t *testing.T) *conformanceHarness {
-	t.Helper()
-	ctx := context.Background()
-	const size = 8
-	var nodes []*Node
-	for i := 0; i < size; i++ {
-		codec := "binary"
-		if i%2 == 1 {
-			codec = "json"
-		}
-		n, err := StartNode(NodeConfig{
-			Listen: "127.0.0.1:0",
-			Key:    KeyFromFloat(float64(i)/size + 0.013),
-			MaxIn:  8, MaxOut: 8,
-			Seed:  int64(i),
-			Codec: codec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 {
-			if err := n.Join(ctx, nodes[0].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		nodes = append(nodes, n)
+// scanAll drains a Scan into a slice, with the scan's stats and error.
+func scanAll(ctx context.Context, cl Client, start, end Key, opts ...ScanOption) ([]Item, ScanStats, error) {
+	var items []Item
+	sc := cl.Scan(ctx, start, end, opts...)
+	for sc.Next() {
+		items = append(items, sc.Item())
 	}
-	for round := 0; round < 2; round++ {
-		for _, n := range nodes {
-			n.Stabilize(ctx)
-		}
-	}
-	for _, n := range nodes {
-		if err := n.Rewire(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The client node is binary-capable and its ring successor is pinned to
-	// JSON, so after stabilisation its pool must hold at least one
-	// connection that fell back to the legacy codec.
-	fellBack := false
-	for _, codec := range nodes[0].PeerCodecs() {
-		if codec == "json" {
-			fellBack = true
-		}
-	}
-	if !fellBack {
-		t.Fatalf("no connection negotiated the JSON fallback: %v", nodes[0].PeerCodecs())
-	}
-	return &conformanceHarness{
-		name:   "p2p/tcp-mixed-codec",
-		client: nodes[0],
-		crash: func() {
-			_ = nodes[5].Close()
-			for round := 0; round < 6; round++ {
-				for _, n := range nodes {
-					if !n.isClosed() {
-						n.Stabilize(ctx)
-					}
-				}
-			}
-		},
-		close: func() {
-			for _, n := range nodes {
-				_ = n.Close()
-			}
-		},
-		peersAfterCrash: 7,
-	}
+	return items, sc.Stats(), sc.Err()
 }
 
 func TestConformance(t *testing.T) {
@@ -210,7 +145,6 @@ func TestConformance(t *testing.T) {
 		simHarness,
 		memClusterHarness,
 		tcpClusterHarness,
-		tcpMixedCodecHarness,
 	}
 	for _, mk := range harnesses {
 		h := mk(t)
@@ -342,14 +276,14 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	}
 
 	t.Run("range", func(t *testing.T) {
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.2), KeyFromFloat(0.5), 0)
+		got, _, err := scanAll(ctx, cl, KeyFromFloat(0.2), KeyFromFloat(0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Items) != 12 { // fractions 8/40 .. 19/40
-			t.Fatalf("range returned %d items, want 12", len(res.Items))
+		if len(got) != 12 { // fractions 8/40 .. 19/40
+			t.Fatalf("range returned %d items, want 12", len(got))
 		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != byte(8+i) {
 				t.Fatalf("range item %d = value %d, want %d", i, it.Value[0], 8+i)
 			}
@@ -357,14 +291,14 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 
 	t.Run("range-limit", func(t *testing.T) {
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.2), KeyFromFloat(0.5), 5)
+		got, _, err := scanAll(ctx, cl, KeyFromFloat(0.2), KeyFromFloat(0.5), WithLimit(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Items) != 5 {
-			t.Fatalf("limit ignored: %d items", len(res.Items))
+		if len(got) != 5 {
+			t.Fatalf("limit ignored: %d items", len(got))
 		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != byte(8+i) {
 				t.Fatalf("limited range kept item %d, want the first clockwise", it.Value[0])
 			}
@@ -373,15 +307,15 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 
 	t.Run("range-wraparound", func(t *testing.T) {
 		// [0.9, 0.1) crosses the top of the circle: fractions 36..39, 0..3.
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.9), KeyFromFloat(0.1), 0)
+		got, _, err := scanAll(ctx, cl, KeyFromFloat(0.9), KeyFromFloat(0.1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := []byte{36, 37, 38, 39, 0, 1, 2, 3}
-		if len(res.Items) != len(want) {
-			t.Fatalf("wrap-around range returned %d items, want %d", len(res.Items), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("wrap-around range returned %d items, want %d", len(got), len(want))
 		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != want[i] {
 				t.Fatalf("wrap-around item %d = value %d, want %d (clockwise order)", i, it.Value[0], want[i])
 			}
@@ -389,24 +323,24 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 
 	t.Run("range-wraparound-limit", func(t *testing.T) {
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.9), KeyFromFloat(0.1), 3)
+		got, _, err := scanAll(ctx, cl, KeyFromFloat(0.9), KeyFromFloat(0.1), WithLimit(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := []byte{36, 37, 38}
-		if len(res.Items) != len(want) {
-			t.Fatalf("wrap-around limit returned %d items, want %d", len(res.Items), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("wrap-around limit returned %d items, want %d", len(got), len(want))
 		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != want[i] {
 				t.Fatalf("wrap-around limited item %d = value %d, want %d", i, it.Value[0], want[i])
 			}
 		}
 	})
 
-	// Scan must agree with RangeQuery byte for byte on every backend —
-	// including when forced to page, to wrap around the circle, and to
-	// stop at a limit.
+	// Scan must return exactly the model's items, in clockwise order from
+	// the range start, on every backend — including when forced to page,
+	// to wrap around the circle, and to stop at a limit.
 	t.Run("scan-matches-range", func(t *testing.T) {
 		cases := []struct {
 			name     string
@@ -425,34 +359,37 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
 				lo, hi := KeyFromFloat(tc.lo), KeyFromFloat(tc.hi)
-				want, err := cl.RangeQuery(ctx, lo, hi, tc.limit)
-				if err != nil {
-					t.Fatal(err)
+				// The model: fraction i/items holds byte(i); the arc
+				// [lo, hi) is every key closer to lo, clockwise, than hi.
+				var want []Item
+				first := int(math.Ceil(tc.lo * items))
+				for j := 0; j < items; j++ {
+					k := KeyFromFloat(float64((first+j)%items) / items)
+					if lo.Distance(k) >= lo.Distance(hi) || (tc.limit > 0 && len(want) == tc.limit) {
+						break
+					}
+					want = append(want, Item{Key: k, Value: []byte{byte((first + j) % items)}})
 				}
 				opts := []ScanOption{WithLimit(tc.limit)}
 				if tc.pageSize > 0 {
 					opts = append(opts, WithPageSize(tc.pageSize))
 				}
-				var got []Item
-				sc := cl.Scan(ctx, lo, hi, opts...)
-				for sc.Next() {
-					got = append(got, sc.Item())
-				}
-				if err := sc.Err(); err != nil {
+				got, st, err := scanAll(ctx, cl, lo, hi, opts...)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want.Items) {
-					t.Fatalf("scan = %d items, range query = %d", len(got), len(want.Items))
+				if len(got) != len(want) {
+					t.Fatalf("scan = %d items, model = %d", len(got), len(want))
 				}
 				for i := range got {
-					if got[i].Key != want.Items[i].Key || !bytes.Equal(got[i].Value, want.Items[i].Value) {
-						t.Fatalf("scan item %d = (%v, %q), range query has (%v, %q)",
-							i, got[i].Key, got[i].Value, want.Items[i].Key, want.Items[i].Value)
+					if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+						t.Fatalf("scan item %d = (%v, %q), model has (%v, %q)",
+							i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 					}
 				}
-				if tc.pageSize > 0 && len(want.Items) > tc.pageSize && sc.Stats().Pages < 2 {
+				if tc.pageSize > 0 && len(want) > tc.pageSize && st.Pages < 2 {
 					t.Fatalf("page size %d over %d items fetched only %d page(s)",
-						tc.pageSize, len(want.Items), sc.Stats().Pages)
+						tc.pageSize, len(want), st.Pages)
 				}
 			})
 		}
@@ -487,8 +424,7 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 
 	t.Run("scan-bad-range", func(t *testing.T) {
 		// start == end denotes the full circle in range semantics; the
-		// streaming API refuses the footgun with a typed error on both
-		// surfaces.
+		// streaming API refuses the footgun with a typed error.
 		k := KeyFromFloat(0.4)
 		sc := cl.Scan(ctx, k, k)
 		if sc.Next() {
@@ -497,8 +433,8 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		if !errors.Is(sc.Err(), ErrBadRange) {
 			t.Fatalf("degenerate scan err = %v, want ErrBadRange", sc.Err())
 		}
-		if _, err := cl.RangeQuery(ctx, k, k, 0); !errors.Is(err, ErrBadRange) {
-			t.Fatalf("degenerate range query = %v, want ErrBadRange", err)
+		if _, _, err := scanAll(ctx, cl, k, k, WithLimit(3)); !errors.Is(err, ErrBadRange) {
+			t.Fatalf("degenerate limited scan = %v, want ErrBadRange", err)
 		}
 	})
 
@@ -578,8 +514,8 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		if _, err := cl.Delete(cctx, key); !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled delete = %v, want context.Canceled", err)
 		}
-		if _, err := cl.RangeQuery(cctx, key, KeyFromFloat(0.6), 0); !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled range = %v, want context.Canceled", err)
+		if _, _, err := scanAll(cctx, cl, key, KeyFromFloat(0.6), WithLimit(5)); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled limited scan = %v, want context.Canceled", err)
 		}
 		if sc := cl.Scan(cctx, key, KeyFromFloat(0.6)); sc.Next() || !errors.Is(sc.Err(), context.Canceled) {
 			t.Errorf("cancelled scan err = %v, want context.Canceled", sc.Err())

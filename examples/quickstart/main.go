@@ -60,12 +60,17 @@ func main() {
 	}
 	fmt.Printf("get 0.35: %q (%d messages)\n", got.Value, got.Cost)
 
-	res, err := cl.RangeQuery(ctx, oscar.KeyFromFloat(0.32), oscar.KeyFromFloat(0.36), 0)
-	if err != nil {
+	sc := cl.Scan(ctx, oscar.KeyFromFloat(0.32), oscar.KeyFromFloat(0.36))
+	items := 0
+	for sc.Next() {
+		items++
+	}
+	if err := sc.Err(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("range [0.32,0.36): %d items from %d peers, %d messages\n",
-		len(res.Items), res.PeersScanned, res.Cost)
+	st := sc.Stats()
+	fmt.Printf("scan [0.32,0.36): %d items from %d peers, %d messages\n",
+		items, st.PeersScanned, st.Cost)
 
 	// Deletes are first-class; a missing key is the typed ErrNotFound.
 	if _, err := cl.Delete(ctx, oscar.KeyFromFloat(0.35)); err != nil {

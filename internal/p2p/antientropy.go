@@ -396,9 +396,10 @@ func (n *Node) maybeGCReplicas(ctx context.Context) {
 // node's first r-1 predecessors — copies stranded when this node left an
 // owner's chain. The union of those arcs is (pred_r, pred_1], so the walk
 // must reach the r-th predecessor: pred_1 is known locally and the
-// remaining r-1 hops are get_pred RPCs; everything outside (pred_r, self]
-// is extracted. A failed or wrapped walk skips the collection — never
-// guess about what to forget. It returns how many keys were reclaimed.
+// remaining r-1 hops are succ_list RPCs, each answering with the
+// responder's predecessor; everything outside (pred_r, self] is
+// extracted. A failed or wrapped walk skips the collection — never guess
+// about what to forget. It returns how many keys were reclaimed.
 func (n *Node) gcReplicas(ctx context.Context) int {
 	r := n.cfg.Replicas
 	if r <= 1 {
@@ -409,7 +410,8 @@ func (n *Node) gcReplicas(ctx context.Context) int {
 		return 0
 	}
 	for i := 0; i < r-1; i++ {
-		resp, err := n.tr.CallCtx(ctx, start.Addr, &transport.Request{Op: transport.OpGetPred})
+		// succ_list answers with the responder's predecessor in Peer.
+		resp, err := n.tr.CallCtx(ctx, start.Addr, &transport.Request{Op: transport.OpSuccList})
 		if err != nil || !resp.OK || resp.Peer.Addr == "" {
 			return 0
 		}

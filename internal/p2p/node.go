@@ -684,12 +684,6 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 			MaxIn: n.cfg.MaxIn, MaxOut: n.cfg.MaxOut, InDeg: len(n.in),
 		}
 
-	case transport.OpGetSucc:
-		return &transport.Response{OK: true, Peer: n.succLocked()}
-
-	case transport.OpGetPred:
-		return &transport.Response{OK: true, Peer: n.pred}
-
 	case transport.OpSuccList:
 		// One RPC answers both stabilisation questions: the responder's
 		// predecessor (Peer) and its successor list (Peers). The exchange
@@ -698,11 +692,14 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		// averaging in inverse space preserves the mean of 1/est and
 		// spreads every local density estimate across the ring). An exact
 		// local count — the list wraps the whole ring — overrides gossip
-		// instead of blending into it.
-		if local, exact := n.localSizeEstimateLocked(); exact {
-			n.sizeEst = local
-		} else if req.SizeEst > 0 {
-			if n.sizeEst == 0 {
+		// instead of blending into it. A request without an estimate
+		// (a join, a ring walk, replica GC) is no gossip round and leaves
+		// ours alone: a premature count of one would dominate every
+		// harmonic blend after it.
+		if req.SizeEst > 0 {
+			if local, exact := n.localSizeEstimateLocked(); exact {
+				n.sizeEst = local
+			} else if n.sizeEst == 0 {
 				n.sizeEst = req.SizeEst
 			} else {
 				n.sizeEst = harmonicBlend(n.sizeEst, 0.5, req.SizeEst, 0.5)

@@ -58,7 +58,8 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 	if err != nil {
 		return fmt.Errorf("p2p: join: %w", err)
 	}
-	resp, err := n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpGetPred})
+	// succ_list answers with the owner's predecessor in Peer.
+	resp, err := n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpSuccList})
 	if err != nil || !resp.OK {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
@@ -575,12 +576,21 @@ func (n *Node) CountPeers(ctx context.Context, max int) int {
 		if ctx.Err() != nil {
 			return -1
 		}
-		resp, err := n.readRetry(ctx, cur.Addr, &transport.Request{Op: transport.OpGetSucc})
-		if err != nil || !resp.OK || resp.Peer.Addr == "" || resp.Peer.Addr == cur.Addr {
+		resp, err := n.readRetry(ctx, cur.Addr, &transport.Request{Op: transport.OpSuccList})
+		if err != nil || !resp.OK {
+			return -1
+		}
+		// The responder's successor heads its list; an empty list means
+		// the responder is its own successor.
+		next := cur
+		if len(resp.Peers) > 0 {
+			next = resp.Peers[0]
+		}
+		if next.Addr == "" || next.Addr == cur.Addr {
 			return -1
 		}
 		count++
-		cur = resp.Peer
+		cur = next
 	}
 	if cur.Addr == n.self.Addr {
 		return count
@@ -1322,58 +1332,6 @@ func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, 
 		return res, &WriteConcernError{Acks: res.Acks, Want: w}
 	}
 	return res, nil
-}
-
-// RangeResult reports one range query: the matching items in clockwise key
-// order, the total message cost, and how many peers' shards were scanned.
-type RangeResult struct {
-	Items        []storage.Item
-	Cost         int
-	PeersScanned int
-}
-
-// RangeQuery collects up to limit items with keys in [start, end), walking
-// shards clockwise from the owner of start. limit <= 0 means unlimited.
-// Cancelling the context aborts the scan between pages. It is a buffering
-// wrapper over a ScanSession: large results should use the session (or the
-// public Scan API) directly and stream page by page.
-func (n *Node) RangeQuery(ctx context.Context, start, end keyspace.Key, limit int) (RangeResult, error) {
-	var res RangeResult
-	rg := keyspace.Range{Start: start, End: end}
-	s := n.NewScanSession(start, end)
-	cursor := start
-	for {
-		want := 0
-		if limit > 0 {
-			want = limit - len(res.Items)
-			if want <= 0 {
-				return res, nil
-			}
-		}
-		chunk, err := s.NextPage(ctx, cursor, want)
-		res.Cost += chunk.Cost
-		res.PeersScanned += chunk.Peers
-		if err != nil {
-			return res, err
-		}
-		res.Items = append(res.Items, chunk.Items...)
-		if limit > 0 && len(res.Items) >= limit {
-			res.Items = res.Items[:limit]
-			return res, nil
-		}
-		if chunk.Done {
-			return res, nil
-		}
-		if len(chunk.Items) == 0 {
-			// NextPage only returns an empty non-done chunk after advancing
-			// shards internally; the cursor is unchanged.
-			continue
-		}
-		cursor = chunk.Items[len(chunk.Items)-1].Key + 1
-		if !rg.Contains(cursor) {
-			return res, nil
-		}
-	}
 }
 
 // Rewire rebuilds the node's long-range links: release current ones,

@@ -74,11 +74,11 @@ func TestRingFormation(t *testing.T) {
 		}
 		visited[cur.Addr] = true
 		keys = append(keys, cur.Key)
-		resp, err := c.Nodes[0].tr.Call(cur.Addr, &transport.Request{Op: transport.OpGetSucc})
-		if err != nil || !resp.OK {
-			t.Fatalf("get_succ %s: %v", cur.Addr, err)
+		resp, err := c.Nodes[0].tr.Call(cur.Addr, &transport.Request{Op: transport.OpSuccList})
+		if err != nil || !resp.OK || len(resp.Peers) == 0 {
+			t.Fatalf("succ_list %s: %+v, %v", cur.Addr, resp, err)
 		}
-		cur = resp.Peer
+		cur = resp.Peers[0]
 	}
 	if len(visited) != 24 {
 		t.Fatalf("ring covers %d of 24 nodes", len(visited))
@@ -186,14 +186,14 @@ func TestDeleteAcrossCluster(t *testing.T) {
 	}
 }
 
-func TestRangeQueryAcrossShards(t *testing.T) {
+func TestScanAcrossShards(t *testing.T) {
 	c := newTestCluster(t, 16)
 	for i := 0; i < 40; i++ {
 		if _, err := c.Nodes[0].Put(bg, keyspace.FromFloat(float64(i)/40), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Nodes[5].RangeQuery(bg, keyspace.FromFloat(0.25), keyspace.FromFloat(0.75), 0)
+	res, err := scanAll(bg, c.Nodes[5], keyspace.FromFloat(0.25), keyspace.FromFloat(0.75), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,9 @@ func TestRangeQueryAcrossShards(t *testing.T) {
 	}
 }
 
-// TestRangeQueryWrapAround exercises a range crossing the top of the
-// identifier circle (start > end), including the limit early-stop path.
-func TestRangeQueryWrapAround(t *testing.T) {
+// TestScanWrapAround exercises a range crossing the top of the identifier
+// circle (start > end), including the limit early-stop path.
+func TestScanWrapAround(t *testing.T) {
 	c := newTestCluster(t, 12)
 	fracs := []float64{0.85, 0.92, 0.97, 0.03, 0.08, 0.5}
 	for _, f := range fracs {
@@ -220,7 +220,7 @@ func TestRangeQueryWrapAround(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Nodes[3].RangeQuery(bg, keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 0)
+	res, err := scanAll(bg, c.Nodes[3], keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRangeQueryWrapAround(t *testing.T) {
 	}
 
 	// Limit stops the scan early, keeping the first items clockwise.
-	lim, err := c.Nodes[7].RangeQuery(bg, keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 2)
+	lim, err := scanAll(bg, c.Nodes[7], keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,13 +555,13 @@ func TestLookupCancelledMidWalk(t *testing.T) {
 	}
 }
 
-func TestRangeQueryCancelled(t *testing.T) {
+func TestScanCancelled(t *testing.T) {
 	c := newTestCluster(t, 16)
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	_, err := c.Nodes[0].RangeQuery(ctx, keyspace.FromFloat(0.1), keyspace.FromFloat(0.9), 0)
+	_, err := scanAll(ctx, c.Nodes[0], keyspace.FromFloat(0.1), keyspace.FromFloat(0.9), 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled range query returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
 	}
 }
 

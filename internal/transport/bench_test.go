@@ -1,11 +1,7 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 
@@ -15,24 +11,6 @@ import (
 // benchInflights are the concurrency levels the transport benchmarks
 // sweep: a single caller, a moderate fanout, and a heavy fanout.
 var benchInflights = []int{1, 8, 64}
-
-// dialPerCall is the old transport discipline reproduced as a baseline:
-// a fresh TCP dial, one framed exchange, a teardown — per call.
-func dialPerCall(addr Addr, req *Request) (*Response, error) {
-	conn, err := net.Dial("tcp", string(addr))
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if err := writeMuxFrame(conn, 1, req); err != nil {
-		return nil, err
-	}
-	var resp Response
-	if _, err := readMuxFrame(bufio.NewReader(conn), &resp, codecJSON); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
 
 // benchCalls drives b.N calls through fn from `inflight` workers and
 // reports aggregate throughput.
@@ -68,67 +46,22 @@ func benchCalls(b *testing.B, inflight int, fn func(*Request) (*Response, error)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "calls/s")
 }
 
-// BenchmarkFrameEncode isolates the frame write path's encoding cost:
-// the pre-pool discipline (json.Marshal into a fresh payload, then a
-// fresh header+payload buffer) against the pooled wireFrame encoder that
-// the mux now uses. The delta is the per-frame allocation saving.
+// BenchmarkFrameEncode isolates the frame write path's encoding cost: a
+// pooled wireFrame encoding one routing step, header and payload into one
+// buffer.
 func BenchmarkFrameEncode(b *testing.B) {
 	req := &Request{
 		Op: OpFindOwner, Key: keyspace.FromFloat(0.42),
 		From:    PeerRef{Addr: "127.0.0.1:9999", Key: keyspace.FromFloat(0.17)},
 		Exclude: []Addr{"127.0.0.1:9001", "127.0.0.1:9002"},
 	}
-	b.Run("marshal-copy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			payload, err := json.Marshal(req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, frameHeaderSize+len(payload))
-			binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-			binary.BigEndian.PutUint64(buf[4:12], uint64(i))
-			copy(buf[frameHeaderSize:], payload)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := acquireFrame()
+		if err := f.encode(uint64(i), req); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f := acquireFrame()
-			if err := f.encode(uint64(i), req, codecJSON); err != nil {
-				b.Fatal(err)
-			}
-			releaseFrame(f)
-		}
-	})
-	b.Run("pooled-binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f := acquireFrame()
-			if err := f.encode(uint64(i), req, codecBinary); err != nil {
-				b.Fatal(err)
-			}
-			releaseFrame(f)
-		}
-	})
-}
-
-// BenchmarkDialPerCall measures the pre-pool baseline: every RPC pays
-// dial + exchange + close.
-func BenchmarkDialPerCall(b *testing.B) {
-	server, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	server.Serve(echoHandler)
-
-	for _, inflight := range benchInflights {
-		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
-			benchCalls(b, inflight, func(req *Request) (*Response, error) {
-				return dialPerCall(server.Addr(), req)
-			})
-		})
+		releaseFrame(f)
 	}
 }
 
@@ -162,15 +95,11 @@ func benchPooled(b *testing.B, opts ...TCPOption) {
 }
 
 // BenchmarkPooledMux measures the pooled, multiplexed transport: calls
-// share persistent connections and demux by request id. The codec
-// sub-benchmarks isolate the wire-codec cost — same framing, same pool,
-// same socket, only the payload encoding differs.
-func BenchmarkPooledMux(b *testing.B) {
-	b.Run("codec=binary", func(b *testing.B) { benchPooled(b) })
-	b.Run("codec=json", func(b *testing.B) { benchPooled(b, WithJSONCodec()) })
-}
+// share persistent connections and demux by request id. The in-flight 8
+// and 64 rows are the ones the caller-side flush's batching shows in.
+func BenchmarkPooledMux(b *testing.B) { benchPooled(b) }
 
-// BenchmarkPooledMuxTLS is BenchmarkPooledMux over TLS (binary codec):
+// BenchmarkPooledMuxTLS is BenchmarkPooledMux over TLS:
 // the delta against the plaintext rows is the record-layer cost once the
 // handshake is amortised by the pool.
 func BenchmarkPooledMuxTLS(b *testing.B) {

@@ -212,13 +212,13 @@ func (c *wireConn) Close() error {
 // the connection over a wireConn.
 func dialMux(t *testing.T, server *TCPEndpoint) (*muxConn, *wireConn) {
 	t.Helper()
-	p := newPool(1, time.Second, time.Second, defaultMaxInflight, codecMax, nil)
-	conn, codec, err := p.dial(context.Background(), server.Addr())
+	p := newPool(1, time.Second, time.Second, defaultMaxInflight, nil)
+	conn, err := p.dial(context.Background(), server.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wc := &wireConn{Conn: conn}
-	mc := newMuxConn(wc, time.Second, codec, defaultMaxInflight)
+	mc := newMuxConn(wc, time.Second, defaultMaxInflight)
 	t.Cleanup(mc.close)
 	return mc, wc
 }
@@ -379,7 +379,7 @@ func TestWriterBoundsPendingFrames(t *testing.T) {
 	w := newConnWriter(conn, time.Second, limit, func(err error) { failed <- err })
 	frame := func() *wireFrame {
 		f := acquireFrame()
-		if err := f.encode(1, &Response{OK: true}, codecBinary); err != nil {
+		if err := f.encode(1, &Response{OK: true}); err != nil {
 			t.Fatal(err)
 		}
 		return f

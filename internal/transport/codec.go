@@ -12,46 +12,19 @@ import (
 	"github.com/oscar-overlay/oscar/internal/storage"
 )
 
-// Wire codec versions, negotiated once per connection (see the handshake in
-// tcp.go / pool.go). The payload inside each length-delimited frame is
-// encoded in the connection's negotiated codec; the frame header itself is
-// identical across versions, so the demux and framing layers never care.
-const (
-	// codecJSON is the v1 payload encoding: one JSON document per frame.
-	// It is also the implicit codec of legacy peers that predate the
-	// handshake — a connection that opens with a frame instead of the
-	// handshake magic speaks JSON.
-	codecJSON = 1
-	// codecBinary is the v2 payload encoding: the hand-rolled tag/length/
-	// value format below. Roughly 5-10x cheaper to encode+decode than JSON
-	// (no reflection, no base64, values alias the read buffer) and 2-4x
-	// smaller on the wire.
-	codecBinary = 2
-	// codecMax is the newest codec this build speaks; the handshake
-	// negotiates min(codecMax, peer's offer) per connection.
-	codecMax = codecBinary
-)
-
-// CodecName renders a negotiated codec version (as reported by
-// TCPEndpoint.PeerCodecs) for humans.
-func CodecName(v int) string {
-	switch v {
-	case codecJSON:
-		return "json"
-	case codecBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("v%d", v)
-	}
-}
+// codecBinary is the wire codec version, offered and confirmed in the
+// 5-byte hello that opens every connection (see the handshake in tcp.go /
+// pool.go): the hand-rolled tag/length/value format below, in every
+// length-delimited frame. A peer that offers less is refused; the version
+// byte stays so that a future codec can still be negotiated.
+const codecBinary = 2
 
 // The binary payload is a flat sequence of fields, each encoded as
 // [tag uvarint][length uvarint][value], preceded by one kind byte ('Q' for
 // requests, 'S' for responses) that makes a frame self-describing enough to
-// reject cross-decoding. Zero-valued fields are omitted, mirroring the JSON
-// codec's omitempty. Unknown tags are skipped by length, so fields can be
-// added without a codec version bump as long as old decoders may ignore
-// them.
+// reject cross-decoding. Zero-valued fields are omitted. Unknown tags are
+// skipped by length, so fields can be added without a codec version bump as
+// long as old decoders may ignore them.
 //
 // Value encodings inside a field:
 //   - bool: zero-length (presence means true)
@@ -375,8 +348,8 @@ func (w *binWriter) responseFields(resp *Response) {
 // --- decoding ------------------------------------------------------------
 
 // binReader consumes a binary payload. Every read is bounds-checked; any
-// overrun or malformed varint fails the whole decode — the connection-level
-// protocol-violation semantics the JSON codec has for invalid JSON.
+// overrun or malformed varint fails the whole decode, a protocol violation
+// that ends the connection.
 type binReader struct {
 	b   []byte
 	err bool

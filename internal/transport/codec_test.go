@@ -118,8 +118,8 @@ func TestBinaryRoundTripResponse(t *testing.T) {
 	}
 }
 
-// normalizeReq maps empty-but-non-nil slices to nil: the codec, like JSON
-// omitempty, does not distinguish them on the wire.
+// normalizeReq maps empty-but-non-nil slices to nil: the codec, which
+// omits empty fields, does not distinguish them on the wire.
 func normalizeReq(r *Request) *Request {
 	c := *r
 	if len(c.Value) == 0 {
@@ -151,7 +151,7 @@ func normalizeResp(r *Response) *Response {
 
 // randomRequest builds a request with an arbitrary subset of fields set —
 // the property-test generator. It never produces empty-but-non-nil slices
-// (the codec cannot represent them, by design, mirroring JSON omitempty).
+// (the codec cannot represent them, by design: empty fields are omitted).
 func randomRequest(rng *rand.Rand) *Request {
 	ops := []Op{OpPing, OpInfo, OpFindOwner, OpPut, OpGet, OpDelete, OpScan,
 		OpMigrate, OpSuccList, OpReplicate, OpReplicateDel, OpDigest,
@@ -275,34 +275,31 @@ func TestBinaryUnknownFieldSkipped(t *testing.T) {
 	}
 }
 
-// TestCarriedOpBothCodecs round-trips the carried-op fields through whole
-// frames in both negotiated codecs: the binary tags and the JSON omitempty
-// fields must say the same thing, or a mixed ring would run an op on one
-// side and lose its result on the other.
-func TestCarriedOpBothCodecs(t *testing.T) {
-	for _, codec := range []uint8{codecBinary, codecJSON} {
-		f := acquireFrame()
-		if err := f.encode(1, fullRequest(), codec); err != nil {
-			t.Fatalf("%s: encode request: %v", CodecName(int(codec)), err)
-		}
-		var req Request
-		if _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(f.bytes())), &req, codec); err != nil {
-			t.Fatalf("%s: decode request: %v", CodecName(int(codec)), err)
-		}
-		if !reflect.DeepEqual(normalizeReq(fullRequest()), normalizeReq(&req)) {
-			t.Errorf("%s: request mismatch:\n in: %+v\nout: %+v", CodecName(int(codec)), fullRequest(), &req)
-		}
-		if err := f.encode(2, fullResponse(), codec); err != nil {
-			t.Fatalf("%s: encode response: %v", CodecName(int(codec)), err)
-		}
-		var resp Response
-		if _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(f.bytes())), &resp, codec); err != nil {
-			t.Fatalf("%s: decode response: %v", CodecName(int(codec)), err)
-		}
-		if !reflect.DeepEqual(normalizeResp(fullResponse()), normalizeResp(&resp)) {
-			t.Errorf("%s: response mismatch:\n in: %+v\nout: %+v", CodecName(int(codec)), fullResponse(), &resp)
-		}
-		releaseFrame(f)
+// TestCarriedOpRoundTrip round-trips the carried-op fields through whole
+// frames: a Carry the decoder drops would run nowhere, and a lost Result
+// would make the requester send the op a second time.
+func TestCarriedOpRoundTrip(t *testing.T) {
+	f := acquireFrame()
+	defer releaseFrame(f)
+	if err := f.encode(1, fullRequest()); err != nil {
+		t.Fatalf("encode request: %v", err)
+	}
+	var req Request
+	if _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(f.bytes())), &req); err != nil {
+		t.Fatalf("decode request: %v", err)
+	}
+	if !reflect.DeepEqual(normalizeReq(fullRequest()), normalizeReq(&req)) {
+		t.Errorf("request mismatch:\n in: %+v\nout: %+v", fullRequest(), &req)
+	}
+	if err := f.encode(2, fullResponse()); err != nil {
+		t.Fatalf("encode response: %v", err)
+	}
+	var resp Response
+	if _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(f.bytes())), &resp); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	if !reflect.DeepEqual(normalizeResp(fullResponse()), normalizeResp(&resp)) {
+		t.Errorf("response mismatch:\n in: %+v\nout: %+v", fullResponse(), &resp)
 	}
 }
 

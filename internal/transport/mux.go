@@ -2,10 +2,8 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -32,95 +30,50 @@ const maxPooledBuf = 64 << 10
 // wireFrame is a reusable encode buffer for one outgoing frame. Encoding
 // writes the header placeholder and the payload into one contiguous buffer
 // — no intermediate marshal allocation, no header+payload copy — and the
-// buffer (with its json.Encoder's internal state) is recycled through
-// framePool once the frame has left for the wire.
+// buffer is recycled through framePool once the frame has left for the
+// wire.
 type wireFrame struct {
-	buf bytes.Buffer // JSON codec scratch
-	enc *json.Encoder
-	out []byte // binary codec scratch
-	bin bool   // which scratch holds the current frame
+	out []byte
 }
 
-var framePool = sync.Pool{New: func() interface{} {
-	f := &wireFrame{}
-	f.enc = json.NewEncoder(&f.buf)
-	return f
-}}
+var framePool = sync.Pool{New: func() interface{} { return &wireFrame{} }}
 
 func acquireFrame() *wireFrame { return framePool.Get().(*wireFrame) }
 
 func releaseFrame(f *wireFrame) {
-	if f.buf.Cap() > maxPooledBuf || cap(f.out) > maxPooledBuf {
+	if cap(f.out) > maxPooledBuf {
 		return
 	}
 	framePool.Put(f)
 }
 
 // encode fills the frame with header (payload length + request id) and the
-// payload for v in the given codec. Encoding failures (unserializable
-// value, oversized payload) happen before anything touches the wire, so
-// they never corrupt the connection's frame stream. The frame is reusable
-// after an error.
-func (f *wireFrame) encode(id uint64, v interface{}, codec uint8) error {
-	f.bin = codec >= codecBinary
-	if f.bin {
-		var hdr [frameHeaderSize]byte
-		out := append(f.out[:0], hdr[:]...)
-		switch m := v.(type) {
-		case *Request:
-			out = appendRequest(out, m)
-		case *Response:
-			out = appendResponse(out, m)
-		default:
-			return fmt.Errorf("transport: cannot binary-encode %T", v)
-		}
-		f.out = out
-		payload := len(out) - frameHeaderSize
-		if payload > maxFrame {
-			return fmt.Errorf("transport: frame of %d bytes exceeds limit", payload)
-		}
-		binary.BigEndian.PutUint32(out[0:4], uint32(payload))
-		binary.BigEndian.PutUint64(out[4:12], id)
-		return nil
-	}
-	f.buf.Reset()
+// payload for v. Encoding failures (unencodable value, oversized payload)
+// happen before anything touches the wire, so they never corrupt the
+// connection's frame stream. The frame is reusable after an error.
+func (f *wireFrame) encode(id uint64, v interface{}) error {
 	var hdr [frameHeaderSize]byte
-	f.buf.Write(hdr[:])
-	if err := f.enc.Encode(v); err != nil {
-		return err
+	out := append(f.out[:0], hdr[:]...)
+	switch m := v.(type) {
+	case *Request:
+		out = appendRequest(out, m)
+	case *Response:
+		out = appendResponse(out, m)
+	default:
+		return fmt.Errorf("transport: cannot encode %T", v)
 	}
-	// The payload includes the encoder's trailing newline; Unmarshal on the
-	// receive side skips trailing whitespace.
-	payload := f.buf.Len() - frameHeaderSize
+	f.out = out
+	payload := len(out) - frameHeaderSize
 	if payload > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", payload)
 	}
-	b := f.buf.Bytes()
-	binary.BigEndian.PutUint32(b[0:4], uint32(payload))
-	binary.BigEndian.PutUint64(b[4:12], id)
+	binary.BigEndian.PutUint32(out[0:4], uint32(payload))
+	binary.BigEndian.PutUint64(out[4:12], id)
 	return nil
 }
 
 // bytes returns the encoded frame, valid until the next encode or release.
-func (f *wireFrame) bytes() []byte {
-	if f.bin {
-		return f.out
-	}
-	return f.buf.Bytes()
-}
-
-// writeMuxFrame encodes and sends one frame with a single Write — the
-// unshared (one frame per connection) discipline used by tests and the
-// dial-per-call baseline. Legacy framing: JSON payload, no handshake.
-func writeMuxFrame(w io.Writer, id uint64, v interface{}) error {
-	f := acquireFrame()
-	defer releaseFrame(f)
-	if err := f.encode(id, v, codecJSON); err != nil {
-		return err
-	}
-	_, err := w.Write(f.bytes())
-	return err
-}
+func (f *wireFrame) bytes() []byte { return f.out }
 
 // connWriter is one connection's write half, and it has no goroutine of its
 // own. A sender appends its encoded frame to the pending buffer under mu;
@@ -271,12 +224,11 @@ func (w *connWriter) close() {
 	w.mu.Unlock()
 }
 
-// readMuxFrame receives one frame and decodes its payload into v using the
-// connection's negotiated codec, returning the frame's request id. A
-// length over maxFrame or an undecodable payload is a protocol violation:
-// the caller must close the connection. Decoded byte slices alias the
-// per-frame read buffer, which is never reused.
-func readMuxFrame(r *bufio.Reader, v interface{}, codec uint8) (uint64, error) {
+// readMuxFrame receives one frame and decodes its payload into v, returning
+// the frame's request id. A length over maxFrame or an undecodable payload
+// is a protocol violation: the caller must close the connection. Decoded
+// byte slices alias the per-frame read buffer, which is never reused.
+func readMuxFrame(r *bufio.Reader, v interface{}) (uint64, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err
@@ -290,22 +242,16 @@ func readMuxFrame(r *bufio.Reader, v interface{}, codec uint8) (uint64, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, err
 	}
-	if codec >= codecBinary {
-		var err error
-		switch m := v.(type) {
-		case *Request:
-			err = decodeRequest(buf, m)
-		case *Response:
-			err = decodeResponse(buf, m)
-		default:
-			err = fmt.Errorf("transport: cannot binary-decode %T", v)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("transport: bad frame payload: %w", err)
-		}
-		return id, nil
+	var err error
+	switch m := v.(type) {
+	case *Request:
+		err = decodeRequest(buf, m)
+	case *Response:
+		err = decodeResponse(buf, m)
+	default:
+		err = fmt.Errorf("transport: cannot decode %T", v)
 	}
-	if err := json.Unmarshal(buf, v); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("transport: bad frame payload: %w", err)
 	}
 	return id, nil
@@ -329,17 +275,15 @@ func (e errConnBroken) Unwrap() error { return e.cause }
 
 // muxConn is one client-side persistent connection: many concurrent calls
 // share it, each tagged with a request id; a demux read loop routes
-// response frames to the waiting caller's channel. The connection's codec
-// is fixed at handshake time. A semaphore caps the calls in flight — the
+// response frames to the waiting caller's channel. A semaphore caps the calls in flight — the
 // client half of transport backpressure: a caller that cannot get a slot
 // before its deadline fails with ErrOverloaded instead of piling onto a
 // peer that is already behind. The first I/O error breaks the connection:
 // all in-flight calls fail, and the pool evicts it.
 type muxConn struct {
-	conn  net.Conn
-	wr    *connWriter
-	codec uint8
-	sem   chan struct{} // in-flight cap; nil = uncapped
+	conn net.Conn
+	wr   *connWriter
+	sem  chan struct{} // in-flight cap; nil = uncapped
 
 	mu      sync.Mutex
 	pending map[uint64]chan *Response
@@ -363,10 +307,9 @@ const maxIdleTicks = 3
 // newMuxConn wraps a dialed (and handshaken) connection and starts its
 // demux loop. maxInflight caps concurrent calls on this connection (0 =
 // uncapped).
-func newMuxConn(conn net.Conn, writeTimeout time.Duration, codec uint8, maxInflight int) *muxConn {
+func newMuxConn(conn net.Conn, writeTimeout time.Duration, maxInflight int) *muxConn {
 	c := &muxConn{
 		conn:    conn,
-		codec:   codec,
 		pending: make(map[uint64]chan *Response),
 		dead:    make(chan struct{}),
 	}
@@ -384,7 +327,7 @@ func (c *muxConn) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
 		var resp Response
-		id, err := readMuxFrame(br, &resp, c.codec)
+		id, err := readMuxFrame(br, &resp)
 		if err != nil {
 			c.fail(err)
 			return
@@ -529,7 +472,7 @@ func (c *muxConn) call(ctx context.Context, req *Request, timeout time.Duration)
 	c.mu.Unlock()
 
 	frame := acquireFrame()
-	err := frame.encode(id, req, c.codec)
+	err := frame.encode(id, req)
 	if err == nil {
 		// Checked last, so a call whose context ended while it waited for
 		// a slot or encoded puts nothing on the wire.

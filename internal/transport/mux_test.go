@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -227,9 +226,10 @@ func TestMuxCallTimeoutDoesNotPoisonPool(t *testing.T) {
 	}
 }
 
-// TestMuxGarbageFrames feeds the server protocol violations — an oversized
-// length header and a non-JSON payload — and checks it drops those
-// connections while continuing to serve well-formed traffic.
+// TestMuxGarbageFrames feeds the server protocol violations after a proper
+// hello — an oversized length header and an undecodable payload — and
+// checks it drops those connections while continuing to serve well-formed
+// traffic.
 func TestMuxGarbageFrames(t *testing.T) {
 	server, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -240,11 +240,10 @@ func TestMuxGarbageFrames(t *testing.T) {
 
 	send := func(raw []byte) {
 		t.Helper()
-		conn, err := net.Dial("tcp", string(server.Addr()))
-		if err != nil {
-			t.Fatal(err)
+		conn, version, err := open(t, server, hello(codecBinary))
+		if err != nil || version != codecBinary {
+			t.Fatalf("hello: %d, %v", version, err)
 		}
-		defer conn.Close()
 		if _, err := conn.Write(raw); err != nil {
 			t.Fatal(err)
 		}

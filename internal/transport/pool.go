@@ -9,15 +9,14 @@ import (
 )
 
 // pool keeps the persistent client connections of one TCP endpoint: a small
-// set per peer, dialed lazily on first use (TLS-wrapped and codec-
-// negotiated before first use), shared by concurrent calls, evicted when
-// broken, and reaped when idle.
+// set per peer, dialed lazily on first use (TLS-wrapped and past the hello
+// before first use), shared by concurrent calls, evicted when broken, and
+// reaped when idle.
 type pool struct {
 	dialTimeout  time.Duration
 	writeTimeout time.Duration
 	perPeer      int // connection cap per peer
 	maxInflight  int // per-connection in-flight cap
-	codecMax     uint8
 	tlsConf      *tls.Config
 
 	mu     sync.Mutex
@@ -68,27 +67,25 @@ func (pc *peerConns) leastLoadedLocked() (*muxConn, int) {
 	return best, bestLoad
 }
 
-func newPool(perPeer int, dialTimeout, writeTimeout time.Duration, maxInflight int, codecMax uint8, tlsConf *tls.Config) *pool {
+func newPool(perPeer int, dialTimeout, writeTimeout time.Duration, maxInflight int, tlsConf *tls.Config) *pool {
 	return &pool{
 		dialTimeout:  dialTimeout,
 		writeTimeout: writeTimeout,
 		perPeer:      perPeer,
 		maxInflight:  maxInflight,
-		codecMax:     codecMax,
 		tlsConf:      tlsConf,
 		peers:        make(map[Addr]*peerConns),
 	}
 }
 
-// dial opens, wraps and negotiates one connection to addr: TCP dial, TLS
-// handshake when configured, then the codec handshake (skipped entirely
-// when this endpoint is pinned to the legacy JSON codec, which is exactly
-// what pre-handshake peers expect). The context bounds the whole sequence.
-func (p *pool) dial(ctx context.Context, addr Addr) (net.Conn, uint8, error) {
+// dial opens, wraps and greets one connection to addr: TCP dial, TLS
+// handshake when configured, then the hello offering codecBinary, which the
+// server must confirm. The context bounds the whole sequence.
+func (p *pool) dial(ctx context.Context, addr Addr) (net.Conn, error) {
 	dialer := net.Dialer{Timeout: p.dialTimeout}
 	conn, err := dialer.DialContext(ctx, "tcp", string(addr))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
@@ -104,35 +101,31 @@ func (p *pool) dial(ctx context.Context, addr Addr) (net.Conn, uint8, error) {
 		tconn := tls.Client(conn, cfg)
 		if err := tconn.HandshakeContext(ctx); err != nil {
 			_ = conn.Close()
-			return nil, 0, err
+			return nil, err
 		}
 		conn = tconn
 	}
-	codec := uint8(codecJSON)
-	if p.codecMax >= codecBinary {
-		deadline := time.Now().Add(p.dialTimeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		_ = conn.SetDeadline(deadline)
-		hello := [5]byte{codecMagic[0], codecMagic[1], codecMagic[2], codecMagic[3], p.codecMax}
-		if _, err := conn.Write(hello[:]); err != nil {
-			_ = conn.Close()
-			return nil, 0, err
-		}
-		var reply [1]byte
-		if _, err := conn.Read(reply[:]); err != nil {
-			_ = conn.Close()
-			return nil, 0, err
-		}
-		codec = reply[0]
-		if codec < codecJSON || codec > p.codecMax {
-			_ = conn.Close()
-			return nil, 0, errBadPayload
-		}
-		_ = conn.SetDeadline(time.Time{})
+	deadline := time.Now().Add(p.dialTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	return conn, codec, nil
+	_ = conn.SetDeadline(deadline)
+	hello := [5]byte{codecMagic[0], codecMagic[1], codecMagic[2], codecMagic[3], codecBinary}
+	if _, err := conn.Write(hello[:]); err != nil {
+		_ = conn.Close()
+		return nil, err
+	}
+	var reply [1]byte
+	if _, err := conn.Read(reply[:]); err != nil {
+		_ = conn.Close()
+		return nil, err
+	}
+	if reply[0] != codecBinary {
+		_ = conn.Close()
+		return nil, errBadPayload
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return conn, nil
 }
 
 // get returns a live connection to addr, dialing lazily. Under concurrent
@@ -181,7 +174,7 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 		dialCtx, cancel = context.WithTimeout(ctx, p.dialTimeout)
 		defer cancel()
 	}
-	conn, codec, err := p.dial(dialCtx, addr)
+	conn, err := p.dial(dialCtx, addr)
 
 	pc.mu.Lock()
 	pc.dialing--
@@ -195,36 +188,12 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 		}
 		return nil, err
 	}
-	mc := newMuxConn(conn, p.writeTimeout, codec, p.maxInflight)
+	mc := newMuxConn(conn, p.writeTimeout, p.maxInflight)
 	pc.pruneLocked()
 	// The reserved dialing slot guarantees room under the cap.
 	pc.conns = append(pc.conns, mc)
 	pc.mu.Unlock()
 	return mc, nil
-}
-
-// peerCodecs snapshots the negotiated codec version of each peer with at
-// least one live connection.
-func (p *pool) peerCodecs() map[Addr]int {
-	p.mu.Lock()
-	peers := make(map[Addr]*peerConns, len(p.peers))
-	for addr, pc := range p.peers {
-		peers[addr] = pc
-	}
-	p.mu.Unlock()
-
-	out := make(map[Addr]int)
-	for addr, pc := range peers {
-		pc.mu.Lock()
-		for _, c := range pc.conns {
-			if !c.isBroken() {
-				out[addr] = int(c.codec)
-				break
-			}
-		}
-		pc.mu.Unlock()
-	}
-	return out
 }
 
 // evict removes a broken connection from the peer's set and closes it.

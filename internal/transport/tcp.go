@@ -35,12 +35,11 @@ const (
 	defaultMaxInflight = 256
 )
 
-// Codec handshake preamble: a connection that opens with these four bytes
-// is negotiating a codec version (one more byte: the client's best).
-// A legacy frame can never start with 0xF7 — the first byte of its 4-byte
-// big-endian length prefix is at most 0x01 under the 16 MiB frame cap —
-// so the server distinguishes handshaking peers from legacy JSON peers by
-// peeking one byte.
+// Every connection opens with a 5-byte hello: these four magic bytes and
+// the codec version the client offers. The server answers with the one
+// version byte both will speak, and refuses — closes without a word — a
+// connection that opens with anything else or offers less than
+// codecBinary.
 var codecMagic = [4]byte{0xF7, 'O', 'S', 'C'}
 
 // overloadedWireErr is the Response.Err marker of a shed request. It is
@@ -56,7 +55,6 @@ type tcpOptions struct {
 	callTimeout time.Duration
 	idleTimeout time.Duration
 	maxInflight int
-	codecMax    uint8
 	tlsConf     *tls.Config
 }
 
@@ -104,15 +102,6 @@ func WithMaxInflight(n int) TCPOption {
 	}
 }
 
-// WithJSONCodec pins the endpoint to the legacy JSON wire codec: outbound
-// connections skip the version handshake entirely (so they interoperate
-// with peers that predate it), and inbound negotiation never offers more
-// than JSON. Use it on one side of a rolling upgrade; binary-capable peers
-// fall back per connection automatically.
-func WithJSONCodec() TCPOption {
-	return func(o *tcpOptions) { o.codecMax = codecJSON }
-}
-
 // WithTLS wraps every connection — inbound and outbound — in TLS using
 // cfg. The listener side needs cfg.Certificates; the dial side needs the
 // peers' roots in cfg.RootCAs (or InsecureSkipVerify) and derives
@@ -126,8 +115,7 @@ func WithTLS(cfg *tls.Config) TCPOption {
 // TCPEndpoint is a Transport over real sockets: persistent pooled
 // connections carrying length-prefixed frames tagged with request ids, so
 // many in-flight Calls multiplex over one connection in each direction.
-// The payload codec — compact binary by default, JSON for legacy peers —
-// is negotiated once per connection by a one-byte-version handshake. The
+// Each connection opens with a hello that confirms the binary codec. The
 // server side reads frames in a loop and hands each request to a resident
 // worker goroutine, at most one per slot of the endpoint's in-flight cap;
 // excess load is shed with a typed overload error. Neither side has a
@@ -175,7 +163,6 @@ func ListenTCP(bind string, options ...TCPOption) (*TCPEndpoint, error) {
 		callTimeout: defaultCallTimeout,
 		idleTimeout: defaultIdleTimeout,
 		maxInflight: defaultMaxInflight,
-		codecMax:    codecMax,
 	}
 	for _, opt := range options {
 		opt(&opts)
@@ -189,7 +176,7 @@ func ListenTCP(bind string, options ...TCPOption) (*TCPEndpoint, error) {
 	}
 	e := &TCPEndpoint{
 		ln:         ln,
-		pool:       newPool(opts.poolSize, opts.callTimeout, opts.callTimeout, opts.maxInflight, opts.codecMax, opts.tlsConf),
+		pool:       newPool(opts.poolSize, opts.callTimeout, opts.callTimeout, opts.maxInflight, opts.tlsConf),
 		opts:       opts,
 		slots:      make(chan struct{}, opts.maxInflight),
 		conns:      make(map[net.Conn]struct{}),
@@ -209,13 +196,6 @@ func (e *TCPEndpoint) Serve(h Handler) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.handler = h
-}
-
-// PeerCodecs reports the negotiated wire codec version of each peer this
-// endpoint currently holds a live pooled connection to (2 = binary,
-// 1 = JSON). Peers without a live connection are absent.
-func (e *TCPEndpoint) PeerCodecs() map[Addr]int {
-	return e.pool.peerCodecs()
 }
 
 // reapLoop periodically closes idle pooled connections and retires parked
@@ -274,46 +254,33 @@ func setNoDelay(conn net.Conn) {
 	}
 }
 
-// acceptCodec runs the server half of the codec handshake: peek one byte;
-// the handshake magic negotiates min(ours, theirs) and answers with it,
-// anything else is a legacy JSON peer mid-frame (nothing is consumed).
-func (e *TCPEndpoint) acceptCodec(conn net.Conn, br *bufio.Reader) (uint8, error) {
+// acceptHello runs the server half of the hello: it reads the magic and
+// the offered version, and confirms codecBinary. Anything else — a raw
+// frame, a version below codecBinary — is refused before a byte is
+// answered.
+func (e *TCPEndpoint) acceptHello(conn net.Conn, br *bufio.Reader) error {
 	_ = conn.SetReadDeadline(time.Now().Add(e.opts.callTimeout))
-	first, err := br.Peek(1)
-	if err != nil {
-		return 0, err
-	}
-	if first[0] != codecMagic[0] {
-		return codecJSON, nil
-	}
 	var hello [5]byte
 	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if [4]byte(hello[:4]) != codecMagic {
-		return 0, errors.New("transport: bad codec handshake")
+		return errors.New("transport: connection did not open with the hello")
 	}
-	version := hello[4]
-	if version > e.opts.codecMax {
-		version = e.opts.codecMax
-	}
-	if version < codecJSON {
-		return 0, fmt.Errorf("transport: peer offered codec %d", hello[4])
+	if hello[4] < codecBinary {
+		return fmt.Errorf("transport: peer offered codec %d", hello[4])
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(e.opts.callTimeout))
-	if _, err := conn.Write([]byte{version}); err != nil {
-		return 0, err
-	}
-	return version, nil
+	_, err := conn.Write([]byte{codecBinary})
+	return err
 }
 
 // serverConn is the write side of one inbound connection, shared by the
 // read loop (which sheds on it) and the workers answering its requests.
 type serverConn struct {
-	e     *TCPEndpoint
-	conn  net.Conn
-	codec uint8
-	wr    *connWriter
+	e    *TCPEndpoint
+	conn net.Conn
+	wr   *connWriter
 }
 
 // respond encodes resp and sends it through the connection's writer; the
@@ -322,9 +289,9 @@ type serverConn struct {
 // are being handled.
 func (sc *serverConn) respond(id uint64, resp *Response) {
 	frame := acquireFrame()
-	err := frame.encode(id, resp, sc.codec)
+	err := frame.encode(id, resp)
 	if err != nil {
-		err = frame.encode(id, &Response{OK: false, Err: err.Error()}, sc.codec)
+		err = frame.encode(id, &Response{OK: false, Err: err.Error()})
 	}
 	if err != nil {
 		releaseFrame(frame)
@@ -405,8 +372,8 @@ func (e *TCPEndpoint) retireParked(final bool) {
 	}
 }
 
-// serveConn is the server half of one multiplexed connection: negotiate
-// the codec, then read frames in a loop, handing each to a resident worker
+// serveConn is the server half of one multiplexed connection: accept the
+// hello, then read frames in a loop, handing each to a resident worker
 // (see TCPEndpoint) so a slow handler never head-of-line-blocks the
 // connection; the worker sends the response through the connection's
 // writer. When every handler slot of the endpoint is taken, further
@@ -418,11 +385,10 @@ func (e *TCPEndpoint) retireParked(final bool) {
 // payload) or idle expiry ends the connection.
 func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	codec, err := e.acceptCodec(conn, br)
-	if err != nil {
+	if e.acceptHello(conn, br) != nil {
 		return
 	}
-	sc := &serverConn{e: e, conn: conn, codec: codec}
+	sc := &serverConn{e: e, conn: conn}
 	sc.wr = newConnWriter(conn, e.opts.callTimeout, cap(e.slots), func(error) { _ = conn.Close() })
 	defer sc.wr.close()
 	// The idle deadline is four idle timeouts out and pushed back only
@@ -434,7 +400,7 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 			_ = conn.SetReadDeadline(now.Add(4 * e.opts.idleTimeout))
 		}
 		req := new(Request)
-		id, err := readMuxFrame(br, req, codec)
+		id, err := readMuxFrame(br, req)
 		if err != nil {
 			return
 		}

@@ -35,51 +35,82 @@ func listen(t testing.TB, h Handler, opts ...TCPOption) *TCPEndpoint {
 	return e
 }
 
-// TestCodecNegotiation covers the version-handshake matrix: binary↔binary
-// settles on the binary codec, a JSON-pinned peer on either side settles
-// on JSON, and every pairing still round-trips requests correctly.
-func TestCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		name       string
-		serverOpts []TCPOption
-		clientOpts []TCPOption
-		wantCodec  int
-	}{
-		{"binary-binary", nil, nil, codecBinary},
-		{"json-client", nil, []TCPOption{WithJSONCodec()}, codecJSON},
-		{"json-server", []TCPOption{WithJSONCodec()}, nil, codecJSON},
-		{"json-json", []TCPOption{WithJSONCodec()}, []TCPOption{WithJSONCodec()}, codecJSON},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			server := listen(t, echoV2Handler, tc.serverOpts...)
-			client := listen(t, nil, tc.clientOpts...)
-			resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: 42, Value: []byte("hello")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resp.OK || resp.Peer.Key != 42 || string(resp.Value) != "hello" {
-				t.Fatalf("echo mismatch: %+v", resp)
-			}
-			codecs := client.PeerCodecs()
-			if got := codecs[server.Addr()]; got != tc.wantCodec {
-				t.Fatalf("negotiated codec = %d, want %d (map %v)", got, tc.wantCodec, codecs)
-			}
-		})
-	}
-}
-
-// TestLegacyFramesAccepted proves a pre-handshake peer — one that opens
-// with a raw JSON frame and never speaks the magic — still works against
-// an upgraded server: the rolling-upgrade guarantee.
-func TestLegacyFramesAccepted(t *testing.T) {
-	server := listen(t, echoV2Handler)
-	resp, err := dialPerCall(server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(7)})
+// open dials server, writes the opening bytes and reads one byte back: the
+// server's answer to a hello, or an error if it hung up instead.
+func open(t *testing.T, server *TCPEndpoint, opening []byte) (net.Conn, byte, error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", string(server.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || resp.Peer.Key != 7 {
-		t.Fatalf("legacy echo mismatch: %+v", resp)
+	t.Cleanup(func() { _ = conn.Close() })
+	if _, err := conn.Write(opening); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var reply [1]byte
+	_, err = conn.Read(reply[:])
+	return conn, reply[0], err
+}
+
+// hello is the 5-byte hello offering version.
+func hello(version byte) []byte { return append(codecMagic[:], version) }
+
+// TestCodecNegotiation checks the hello: a binary client settles on the
+// binary codec and round-trips requests, and a client offering a newer
+// version than the server speaks is answered with the binary codec.
+func TestCodecNegotiation(t *testing.T) {
+	server := listen(t, echoV2Handler)
+	t.Run("binary-binary", func(t *testing.T) {
+		client := listen(t, nil)
+		resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: 42, Value: []byte("hello")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || resp.Peer.Key != 42 || string(resp.Value) != "hello" {
+			t.Fatalf("echo mismatch: %+v", resp)
+		}
+	})
+	t.Run("newer-client", func(t *testing.T) {
+		if _, got, err := open(t, server, hello(codecBinary+1)); err != nil || got != codecBinary {
+			t.Fatalf("hello offering %d answered %d, %v; want %d", codecBinary+1, got, err, codecBinary)
+		}
+	})
+}
+
+// TestHandshakeRequired proves the server refuses a connection that does
+// not open with the hello — a raw frame, or the wrong magic — or whose
+// hello offers a version below the binary codec: no byte comes back and
+// the connection is closed. None of them disturbs a proper client of the
+// same server.
+func TestHandshakeRequired(t *testing.T) {
+	server := listen(t, echoV2Handler)
+	client := listen(t, nil)
+	f := acquireFrame()
+	defer releaseFrame(f)
+	if err := f.encode(1, &Request{Op: OpPing, Key: 7}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"raw frame", f.bytes()},
+		{"version 1", hello(1)},
+		{"wrong magic", []byte{'X', 'O', 'S', 'C', codecBinary}},
+	} {
+		conn, got, err := open(t, server, tc.opening)
+		if err == nil {
+			t.Fatalf("%s: server answered %d", tc.name, got)
+		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: server kept the connection open", tc.name)
+		}
+		_ = conn.Close()
+		resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: 7})
+		if err != nil || !resp.OK || resp.Peer.Key != 7 {
+			t.Fatalf("proper call after a %s: %+v, %v", tc.name, resp, err)
+		}
 	}
 }
 
@@ -120,8 +151,7 @@ func selfSignedTLS(t testing.TB) *tls.Config {
 }
 
 // TestTLSTransport runs the full call path over TLS, with certificate
-// verification on (shared self-signed cert as the trust root), in both
-// codecs.
+// verification on (shared self-signed cert as the trust root).
 func TestTLSTransport(t *testing.T) {
 	cfg := selfSignedTLS(t)
 	for _, tc := range []struct {
@@ -129,7 +159,6 @@ func TestTLSTransport(t *testing.T) {
 		opts []TCPOption
 	}{
 		{"binary", []TCPOption{WithTLS(cfg)}},
-		{"json", []TCPOption{WithTLS(cfg), WithJSONCodec()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			server := listen(t, echoV2Handler, tc.opts...)
@@ -265,7 +294,7 @@ func TestClientInflightCapOverload(t *testing.T) {
 	// Let both slow calls occupy the cap.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if codecs := client.PeerCodecs(); len(codecs) > 0 {
+		if clientConnCount(client, server.Addr()) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

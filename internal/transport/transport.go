@@ -10,9 +10,10 @@
 // a per-connection demux loop routes responses to their waiting callers by
 // id, and a broken connection fails its in-flight calls, is evicted from
 // the pool, and is replaced by a fresh dial on the next call. The payload
-// codec — a compact binary tag/length/value format by default, JSON for
-// legacy peers — is negotiated once per connection by a one-byte version
-// handshake, and connections can be TLS-wrapped end to end (WithTLS).
+// is a compact binary tag/length/value format, confirmed once per
+// connection by a 5-byte hello that carries its version; a connection that
+// opens without it is refused. Connections can be TLS-wrapped end to end
+// (WithTLS).
 // Per-call deadlines come from the caller's context (with a transport
 // default when the context carries none); a call that times out simply
 // abandons its response slot without poisoning the shared connection.
@@ -74,8 +75,6 @@ type Op string
 const (
 	OpPing      Op = "ping"       // liveness probe
 	OpInfo      Op = "info"       // peer's key, caps, degrees
-	OpGetSucc   Op = "get_succ"   // successor pointer
-	OpGetPred   Op = "get_pred"   // predecessor pointer
 	OpNotify    Op = "notify"     // Chord notify: candidate predecessor
 	OpNeighbors Op = "neighbors"  // neighbour refs within a range + degree
 	OpLink      Op = "link"       // request a long-range in-link
@@ -128,100 +127,100 @@ const (
 )
 
 // Request is the wire request. One struct covers all ops; unused fields are
-// zero (JSON-omitted).
+// zero and stay off the wire.
 type Request struct {
-	Op   Op      `json:"op"`
-	From PeerRef `json:"from,omitempty"`
+	Op   Op
+	From PeerRef
 
-	Key   keyspace.Key   `json:"key,omitempty"`
-	Range keyspace.Range `json:"range,omitempty"`
-	Value []byte         `json:"value,omitempty"`
-	Limit int            `json:"limit,omitempty"`
+	Key   keyspace.Key
+	Range keyspace.Range
+	Value []byte
+	Limit int
 	// Items carries item copies for replicate pushes (write-time copies and
 	// anti-entropy repair batches alike).
-	Items []storage.Item `json:"items,omitempty"`
+	Items []storage.Item
 	// Tombs carries deletes a replica must apply: each key is cleared and
 	// marked deleted (replicate pushes, arc migrations).
-	Tombs []storage.Tombstone `json:"tombs,omitempty"`
+	Tombs []storage.Tombstone
 	// Drop lists keys a replica must forget entirely — stray state the arc
 	// owner has no record of (no copy, no tombstone).
-	Drop []keyspace.Key `json:"drop,omitempty"`
+	Drop []keyspace.Key
 	// Depth is the digest tree depth for digest / sync_pull.
-	Depth int `json:"depth,omitempty"`
+	Depth int
 	// Buckets selects the digest leaf buckets a sync_pull asks about.
-	Buckets []int `json:"buckets,omitempty"`
+	Buckets []int
 	// Values asks a sync_pull to return the item values and tombstones of
 	// the selected buckets alongside the per-key states, so a read-repair
 	// pull can diff and heal in one RPC.
-	Values bool `json:"values,omitempty"`
+	Values bool
 	// States carries the per-key state a recovered joiner already holds
 	// of the arc it is claiming (migrate): the responder filters items
 	// the joiner proved it has, shipping only the downtime delta.
-	States []antientropy.State `json:"states,omitempty"`
+	States []antientropy.State
 	// SizeEst piggybacks the sender's ring-size estimate on stabilisation
 	// traffic (succ_list); receivers fold it into their own — the gossip
 	// half of membership estimation. 0 means "no estimate yet".
-	SizeEst float64 `json:"size_est,omitempty"`
+	SizeEst float64
 	// Exclude lists peers the query has discovered dead (or routeless);
 	// find_owner skips them — the live analogue of the simulator's
 	// per-query known-dead set.
-	Exclude []Addr `json:"exclude,omitempty"`
+	Exclude []Addr
 	// Carry, on a find_owner, names a data op (get, put, delete or scan)
 	// whose arguments ride in this request's own fields: a responder that
 	// answers Found runs it as if it had arrived on its own and returns
 	// the outcome in Response.Result, so the walk's last hop is also the
 	// data RPC. A responder that is not the owner ignores it.
-	Carry Op `json:"carry,omitempty"`
+	Carry Op
 }
 
 // Response is the wire response.
 type Response struct {
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	OK  bool
+	Err string
 
-	Peer   PeerRef   `json:"peer,omitempty"`
-	Peers  []PeerRef `json:"peers,omitempty"`
-	Degree int       `json:"degree,omitempty"`
-	Value  []byte    `json:"value,omitempty"`
-	Found  bool      `json:"found,omitempty"`
+	Peer   PeerRef
+	Peers  []PeerRef
+	Degree int
+	Value  []byte
+	Found  bool
 	// Deleted reports, on a negative get, that the responder holds a
 	// tombstone for the key: the miss is an authoritative delete, not a
 	// hole a fallback read should try to fill from the replica chain.
-	Deleted bool `json:"deleted,omitempty"`
+	Deleted bool
 	// Acks is the number of stores that applied a write-path op (put,
 	// delete, replicate, replicate_del): 1 from the responder itself.
 	// Writers sum it across the owner and the chain to enforce a write
 	// concern.
-	Acks  int            `json:"acks,omitempty"`
-	Items []storage.Item `json:"items,omitempty"`
+	Acks  int
+	Items []storage.Item
 	// More reports that a migrate or scan response was truncated to bound
 	// the frame size and the requester must call again for the rest of the
 	// range (migrate extracts, so repeated calls progress; scan resumes
 	// from Cursor).
-	More bool `json:"more,omitempty"`
+	More bool
 	// Cursor is the resume key of a truncated scan page (set when More):
 	// the next scan request against the same range continues from here —
 	// one past the last returned item.
-	Cursor keyspace.Key `json:"cursor,omitempty"`
+	Cursor keyspace.Key
 	// Tombs carries the tombstones of a migrated arc (migrate): the delete
 	// knowledge travels with the items it covers.
-	Tombs []storage.Tombstone `json:"tombs,omitempty"`
+	Tombs []storage.Tombstone
 	// Digest is the responder's digest-tree leaf vector for the requested
 	// arc (digest).
-	Digest []uint64 `json:"digest,omitempty"`
+	Digest []uint64
 	// States is the responder's per-key sync states for the requested
 	// buckets (sync_pull).
-	States []antientropy.State `json:"states,omitempty"`
+	States []antientropy.State
 	// SizeEst returns the responder's ring-size estimate on succ_list.
-	SizeEst float64 `json:"size_est,omitempty"`
-	MaxIn   int     `json:"max_in,omitempty"`
-	MaxOut  int     `json:"max_out,omitempty"`
-	InDeg   int     `json:"in_deg,omitempty"`
+	SizeEst float64
+	MaxIn   int
+	MaxOut  int
+	InDeg   int
 	// Result, on a find_owner that answered Found, is the response of the
 	// op the request carried (Request.Carry), executed at the responder.
 	// Nil means the op did not run here — no op was carried, or the
 	// responder predates carrying — and the requester sends it directly.
-	Result *Response `json:"result,omitempty"`
+	Result *Response
 }
 
 // Handler processes one incoming request. Handlers run on transport

@@ -120,7 +120,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Errorf("resp = %+v", resp)
 	}
 	if resp.Peer.Key != keyspace.MaxKey {
-		t.Error("uint64 key did not survive the JSON round trip")
+		t.Error("uint64 key did not survive the round trip")
 	}
 }
 

@@ -107,11 +107,6 @@ type NodeConfig struct {
 	// fleet sharing one self-signed certificate, put the certificate in
 	// both Certificates and RootCAs.
 	TLS *tls.Config
-	// Codec pins the wire codec: "" or "binary" (the default — the compact
-	// binary codec, negotiated per connection with JSON fallback for older
-	// peers) or "json" (speak only the legacy JSON codec; use during a
-	// rolling upgrade from pre-binary builds).
-	Codec string
 	// DataDir, when non-empty, makes the node durable: every storage
 	// mutation is appended to a write-ahead log in this directory and
 	// periodically compacted into snapshots; the next StartNode with the
@@ -169,13 +164,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.TLS != nil {
 		topts = append(topts, transport.WithTLS(cfg.TLS))
-	}
-	switch cfg.Codec {
-	case "", "binary":
-	case "json":
-		topts = append(topts, transport.WithJSONCodec())
-	default:
-		return nil, fmt.Errorf("oscar: start node: unknown codec %q (want binary or json)", cfg.Codec)
 	}
 	ep, err := transport.ListenTCP(cfg.Listen, topts...)
 	if err != nil {
@@ -298,23 +286,6 @@ func jitterInterval(d time.Duration, seed int64) time.Duration {
 // Addr returns the node's transport address — hand it to other nodes'
 // Join calls.
 func (n *Node) Addr() string { return string(n.inner.Self().Addr) }
-
-// PeerCodecs reports, per peer this node currently holds pooled
-// connections to, the wire codec those connections negotiated ("binary"
-// or "json"). Empty for non-TCP nodes (StartCluster) and for peers with
-// no live connection. Use it to watch a rolling upgrade converge: once
-// every peer reads "binary", the JSON fallback is no longer exercised.
-func (n *Node) PeerCodecs() map[string]string {
-	ep, ok := n.tr.(*transport.TCPEndpoint)
-	if !ok {
-		return nil
-	}
-	out := make(map[string]string)
-	for addr, codec := range ep.PeerCodecs() {
-		out[string(addr)] = transport.CodecName(codec)
-	}
-	return out
-}
 
 // Key returns the node's position on the identifier circle.
 func (n *Node) Key() Key { return n.inner.Self().Key }
@@ -525,17 +496,6 @@ func (n *Node) Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Sc
 		}
 		return out, nil
 	})
-}
-
-// RangeQuery implements Client.
-//
-// Deprecated: use Scan — RangeQuery buffers the whole result in memory
-// and is now a thin wrapper over the same paged scan.
-func (n *Node) RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return drainScanner(n.Scan(ctx, start, end, WithLimit(limit)))
 }
 
 // PutBlob implements Client.

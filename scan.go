@@ -221,16 +221,3 @@ func (s *Scanner) All() iter.Seq2[Item, error] {
 		}
 	}
 }
-
-// drainScanner buffers a whole scan into a RangeResponse — the engine
-// behind the deprecated RangeQuery methods.
-func drainScanner(s *Scanner) (RangeResponse, error) {
-	var out RangeResponse
-	for s.Next() {
-		out.Items = append(out.Items, s.Item())
-	}
-	st := s.Stats()
-	out.Cost = st.Cost
-	out.PeersScanned = st.PeersScanned
-	return out, s.Err()
-}

@@ -371,17 +371,6 @@ func (c *simClient) Scan(ctx context.Context, start, end Key, opts ...ScanOption
 	})
 }
 
-// RangeQuery implements Client.
-//
-// Deprecated: use Scan — RangeQuery buffers the whole result in memory
-// and is now a thin wrapper over the same paged scan.
-func (c *simClient) RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return drainScanner(c.Scan(ctx, start, end, WithLimit(limit)))
-}
-
 // PutBlob implements Client.
 func (c *simClient) PutBlob(ctx context.Context, base Key, r io.Reader, opts ...BlobOption) (BlobManifest, error) {
 	return putBlob(ctx, c, base, r, opts)
