@@ -86,9 +86,11 @@ SOAK_NODES ?= 49
 # (flash-crowd join, correlated crash of adjacent arc owners, rolling
 # WAL restarts), loaded with a mixed Zipf put/get/delete/scan workload.
 # Teardown asserts no w-acked write is lost and the ring reconverges;
-# the committed BENCH_soak.json is this target's output.
+# the committed BENCH_soak.json is this target's output, stamped with the
+# commit it ran (suffixed -dirty for uncommitted changes).
 soak:
-	$(GO) run ./cmd/oscar-soak -seed $(SOAK_SEED) -o BENCH_soak.json
+	OSCAR_BENCH_COMMIT=$$(git describe --always --dirty 2>/dev/null || echo unknown) \
+		$(GO) run ./cmd/oscar-soak -seed $(SOAK_SEED) -o BENCH_soak.json
 
 # Short race-enabled soak for PR CI: the same schedule compressed — the
 # race detector rides the full fault/churn/verify path on every PR.

@@ -390,15 +390,17 @@ func WithAntiEntropy(interval time.Duration) Option {
 // cut and treats every α alike.
 func WithAlpha(alpha int) Option { return func(o *options) { o.alpha = alpha } }
 
-// WithRouteCache configures the per-node route cache: an LRU of key →
+// WithRouteCache configures the per-node route cache: an LRU of
 // owner+chain resolutions that lets data operations skip the routing
-// walk on a hit. Entries are TTL-aged, flushed on every membership
-// change the node observes, and — decisively — every hit is
-// re-validated against the ring (the write ops' ownership gate, one
-// direct find_owner for reads) before being trusted, so a stale entry
-// costs one wasted RPC, never a wrong answer. size 0 keeps the default
-// (128 entries); size < 0 disables the cache. ttl 0 keeps the default
-// (2s); ttl < 0 disables aging.
+// walk on a hit. On the live backends size counts arcs — an entry covers
+// the owner's whole arc, so one walk serves every key the owner holds;
+// the simulator caches one key per entry. Entries are TTL-aged, flushed
+// on every membership change the node observes, and — decisively —
+// every hit is re-validated against the ring (the write ops' ownership
+// gate, one direct find_owner for reads) before being trusted, so a
+// stale entry costs one wasted RPC, never a wrong answer. size 0 keeps
+// the default (128); size < 0 disables the cache. ttl 0 keeps the
+// default (2s); ttl < 0 disables aging.
 func WithRouteCache(size int, ttl time.Duration) Option {
 	return func(o *options) { o.routeCacheSize, o.routeCacheTTL = size, ttl }
 }

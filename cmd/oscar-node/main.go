@@ -120,7 +120,7 @@ func main() {
 		antiEntropy = flag.Duration("anti-entropy", time.Minute, "digest-sync the replica chain this often (0 = manual `sync` only; needs -replicas > 1 and a running maintenance loop)")
 		tombTTL     = flag.Duration("tombstone-ttl", 10*time.Minute, "remember deletes this long for anti-entropy repair")
 		alpha       = flag.Int("alpha", 1, "routing parallelism: probe up to α candidates per lookup hop (1 = classic single-probe walk)")
-		routeCache  = flag.Int("route-cache", 0, "route-cache entries (0 = default 128, negative = disabled); hits are always re-validated against the ring")
+		routeCache  = flag.Int("route-cache", 0, "route-cache size in arcs, one per owner (0 = default 128, negative = disabled); hits are always re-validated against the ring")
 		routeTTL    = flag.Duration("route-cache-ttl", 0, "route-cache entry TTL (0 = default 2s, negative = no aging); the hot-key cache shares it")
 		hotCache    = flag.Int("hot-key-cache", 0, "hot-key value-cache entries (0 = default 128, negative = disabled); served only after a digest check at the owner")
 		interval    = flag.Duration("stabilize", 2*time.Second, "stabilisation interval (0 = manual)")

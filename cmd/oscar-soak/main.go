@@ -34,7 +34,9 @@
 // writes its report, and exits 1.
 //
 // The report lands in -o (default BENCH_soak.json): a JSON list of one
-// record with the run's name, op count, mean ns per op and its metrics.
+// record with the run's name, the environment header the benchmark
+// stamps on its records (commit, Go, CPU, nproc, GOMAXPROCS, kernel), op
+// count, mean ns per op and its metrics.
 //
 // Determinism: the fault schedule is fully determined by -seed (faultnet
 // decides per-link, per-call), and the workers' key and op streams are
@@ -62,6 +64,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -76,10 +79,46 @@ import (
 // benchResult is the soak report's one record.
 type benchResult struct {
 	Name       string             `json:"name"`
+	Env        environment        `json:"env"`
 	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+}
+
+// environment is the header the benchmark stamps on its records, under
+// the same names, so a soak report says what it ran on. The commit comes
+// from OSCAR_BENCH_COMMIT (`make soak` sets it), as in the benchmark.
+type environment struct {
+	Commit     string `json:"commit"`
+	Go         string `json:"go"`
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Kernel     string `json:"kernel"`
+}
+
+func readEnvironment() environment {
+	env := environment{
+		Commit: os.Getenv("OSCAR_BENCH_COMMIT"), Go: runtime.Version(),
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU: "unknown", Kernel: "unknown",
+	}
+	if env.Commit == "" {
+		env.Commit = "unknown"
+	}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if name, ok := strings.CutPrefix(line, "model name"); ok {
+				env.CPU = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+				break
+			}
+		}
+	}
+	if b, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		env.Kernel = strings.TrimSpace(string(b))
+	}
+	return env
 }
 
 type soakConfig struct {
@@ -956,6 +995,7 @@ func buildReport(cfg soakConfig, mode string, ws []*worker, loadDur time.Duratio
 
 	return benchResult{
 		Name:       fmt.Sprintf("Soak/mode=%s/seed=%d", mode, cfg.seed),
+		Env:        readEnvironment(),
 		Procs:      runtime.GOMAXPROCS(0),
 		Iterations: t.ops,
 		NsPerOp:    mean,

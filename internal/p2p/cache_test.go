@@ -52,6 +52,175 @@ func TestRouteCacheServesWrites(t *testing.T) {
 	}
 }
 
+// ownerArc is the arc a node owns, as its Found answers carry it.
+func ownerArc(t *testing.T, owner *Node) keyspace.Range {
+	t.Helper()
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	arc, ok := owner.arcLocked()
+	if !ok {
+		t.Fatalf("%s has no arc", owner.Self().Addr)
+	}
+	return arc
+}
+
+// TestRouteCacheArcHit pins what caching by the owner's arc buys: once one
+// op has walked to an owner, a put and a get on a different key of the
+// same arc each go straight there — one message, no walk through the
+// owner's predecessor.
+func TestRouteCacheArcHit(t *testing.T) {
+	nodes, trs, _ := countedRing(t, 16, Config{Alpha: 1, HotKeyCache: -1}, true, nil)
+	entry, tr, owner := nodes[0], trs[0], nodes[6]
+	k, other := keyspace.FromFloat(5.3/16), keyspace.FromFloat(5.7/16)
+	for _, key := range []keyspace.Key{k, other} {
+		if got := expectedOwner(nodes, key); got.Addr != owner.Self().Addr {
+			t.Fatalf("test setup: %v is owned by %s, want %s", key, got.Addr, owner.Self().Addr)
+		}
+	}
+	if _, err := entry.Put(bg, k, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if ent, ok := entry.routes.Get(other); !ok || ent.owner.Addr != owner.Self().Addr || ent.arc != ownerArc(t, owner) {
+		t.Fatalf("after one put the cache holds %+v, %v for another key; want %s under its arc %v", ent, ok, owner.Self().Addr, ownerArc(t, owner))
+	}
+	hits := entry.CacheStats().RouteHits
+
+	check := func(name string, res OpResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Cost != 1 || tr.calls() != 1 || res.Owner.Addr != owner.Self().Addr {
+			t.Errorf("%s on another key of the arc cost %d and sent %d calls to %s; want 1 and 1 to %s", name, res.Cost, tr.calls(), res.Owner.Addr, owner.Self().Addr)
+		}
+		tr.reset()
+	}
+	tr.reset()
+	put, err := entry.Put(bg, other, []byte("second"))
+	check("put", put, err)
+	get, err := entry.Get(bg, other)
+	check("get", get, err)
+	if !get.Found || !bytes.Equal(get.Value, []byte("second")) {
+		t.Errorf("get = %+v, want second", get)
+	}
+	if st := entry.CacheStats(); st.RouteHits != hits+2 {
+		t.Errorf("route hits %d → %d, want two more", hits, st.RouteHits)
+	}
+}
+
+// TestRouteCacheArcSplitByJoin splices a joiner into an arc the requester
+// has cached. Ops on keys of both halves must land on their true owners
+// with the right values, whether a write or a read meets the stale arc
+// first, and the cache must end up holding the two halves.
+func TestRouteCacheArcSplitByJoin(t *testing.T) {
+	for _, writeFirst := range []bool{true, false} {
+		name := "read first"
+		if writeFirst {
+			name = "write first"
+		}
+		t.Run(name, func(t *testing.T) {
+			nodes, _, fabric := countedRing(t, 8, Config{Alpha: 1, HotKeyCache: -1}, true, nil)
+			entry, old := nodes[0], nodes[4]
+			lo, hi := keyspace.FromFloat(3.25/8), keyspace.FromFloat(3.75/8)
+			for key, v := range map[keyspace.Key]string{lo: "lo1", hi: "hi1"} {
+				if _, err := entry.Put(bg, key, []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ent, ok := entry.routes.Get(lo); !ok || ent.owner.Addr != old.Self().Addr || !ent.arc.Contains(hi) {
+				t.Fatalf("test setup: cache holds %+v, %v; want %s's arc over both keys", ent, ok, old.Self().Addr)
+			}
+
+			// The joiner takes the lower half. Only its neighbours
+			// stabilise, so the entry node keeps its stale arc.
+			joiner := mustNode(t, fabric.Endpoint(), Config{Key: keyspace.FromFloat(3.5 / 8), MaxIn: 8, MaxOut: 8, Seed: 99, HotKeyCache: -1})
+			t.Cleanup(func() { _ = joiner.Close() })
+			if err := joiner.Join(bg, old.Self().Addr); err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 3; round++ {
+				for _, n := range []*Node{nodes[3], joiner, old} {
+					n.Stabilize(bg)
+				}
+			}
+			if ent, ok := entry.routes.Get(lo); !ok || ent.owner.Addr != old.Self().Addr {
+				t.Fatalf("test setup: the join flushed the entry's cache (%+v, %v)", ent, ok)
+			}
+
+			owners := map[keyspace.Key]*Node{lo: joiner, hi: old}
+			put := func(key keyspace.Key, v string) {
+				t.Helper()
+				res, err := entry.Put(bg, key, []byte(v))
+				if err != nil {
+					t.Fatalf("put %v: %v", key, err)
+				}
+				if res.Owner.Addr != owners[key].Self().Addr {
+					t.Errorf("put %v landed on %s, want %s", key, res.Owner.Addr, owners[key].Self().Addr)
+				}
+				if got, ok := owners[key].PrimaryValue(key); !ok || string(got) != v {
+					t.Errorf("owner of %v holds %q, %v; want %q", key, got, ok, v)
+				}
+			}
+			get := func(key keyspace.Key, want string) {
+				t.Helper()
+				res, err := entry.Get(bg, key)
+				if err != nil {
+					t.Fatalf("get %v: %v", key, err)
+				}
+				if !res.Found || string(res.Value) != want || res.Owner.Addr != owners[key].Self().Addr {
+					t.Errorf("get %v = %q (found %v) from %s; want %q from %s", key, res.Value, res.Found, res.Owner.Addr, want, owners[key].Self().Addr)
+				}
+			}
+			if writeFirst {
+				put(lo, "lo2")
+				put(hi, "hi2")
+				get(lo, "lo2")
+				get(hi, "hi2")
+			} else {
+				get(lo, "lo1")
+				get(hi, "hi1")
+				put(lo, "lo2")
+				put(hi, "hi2")
+			}
+			for key, owner := range owners {
+				if ent, ok := entry.routes.Get(key); !ok || ent.owner.Addr != owner.Self().Addr || ent.arc != ownerArc(t, owner) {
+					t.Errorf("cache for %v holds %+v, %v; want %s under %v", key, ent, ok, owner.Self().Addr, ownerArc(t, owner))
+				}
+			}
+		})
+	}
+}
+
+// TestRouteCacheNoArcWithoutPred: an owner whose predecessor slot is
+// cleared claims the whole circle when routing, so its Found answer must
+// carry no arc, and the requester caches the one key it resolved.
+func TestRouteCacheNoArcWithoutPred(t *testing.T) {
+	nodes, _, _ := countedRing(t, 8, Config{Alpha: 1, HotKeyCache: -1}, true, nil)
+	entry, owner := nodes[0], nodes[4]
+	k, other := keyspace.FromFloat(3.5/8), keyspace.FromFloat(3.75/8)
+	owner.mu.Lock()
+	owner.pred = owner.self
+	owner.mu.Unlock()
+
+	resp, err := entry.tr.CallCtx(bg, owner.Self().Addr, &transport.Request{Op: transport.OpFindOwner, Key: k})
+	if err != nil || !resp.Found || resp.Arc != (keyspace.Range{}) {
+		t.Fatalf("find_owner at a predecessor-less owner = %+v, %v; want Found with no arc", resp, err)
+	}
+	if _, err := entry.Put(bg, k, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := entry.Get(bg, k); err != nil || !got.Found || string(got.Value) != "v" {
+		t.Fatalf("get = %+v, %v", got, err)
+	}
+	ent, ok := entry.routes.Get(k)
+	if !ok || ent.owner.Addr != owner.Self().Addr || ent.arc != (keyspace.Range{Start: k, End: k + 1}) {
+		t.Errorf("cache for %v holds %+v, %v; want %s under the one key", k, ent, ok, owner.Self().Addr)
+	}
+	if ent, ok := entry.routes.Get(other); ok {
+		t.Errorf("another key of the owner's arc is cached: %+v", ent)
+	}
+}
+
 // TestRouteCacheStaleAfterJoin is the arc-moving stale-safety contract: a
 // node joins exactly at a cached key, taking over its arc, and the next
 // write through the stale cache must land on the new owner — the old

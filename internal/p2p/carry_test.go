@@ -107,6 +107,12 @@ func (c *countingTransport) reset() {
 // The fabric comes back too, for tests that add a peer later.
 func carryRing(t *testing.T, size, alpha int, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
 	t.Helper()
+	return countedRing(t, size, Config{Alpha: alpha, RouteCacheSize: -1, HotKeyCache: -1}, rewire, wrap)
+}
+
+// countedRing is carryRing with the routing and cache settings of base.
+func countedRing(t *testing.T, size int, base Config, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
+	t.Helper()
 	fabric := transport.NewFabric()
 	var nodes []*Node
 	var trs []*countingTransport
@@ -116,10 +122,9 @@ func carryRing(t *testing.T, size, alpha int, rewire bool, wrap func(transport.T
 			inner = wrap(inner)
 		}
 		tr := newCountingTransport(inner)
-		n := mustNode(t, tr, Config{
-			Key: keyspace.FromFloat(float64(i) / float64(size)), MaxIn: 8, MaxOut: 8, Seed: int64(i),
-			Alpha: alpha, RouteCacheSize: -1, HotKeyCache: -1,
-		})
+		cfg := base
+		cfg.Key, cfg.MaxIn, cfg.MaxOut, cfg.Seed = keyspace.FromFloat(float64(i)/float64(size)), 8, 8, int64(i)
+		n := mustNode(t, tr, cfg)
 		if i > 0 {
 			if err := n.Join(bg, nodes[0].Self().Addr); err != nil {
 				t.Fatal(err)

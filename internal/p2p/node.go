@@ -89,12 +89,13 @@ type Config struct {
 	// of a serial ping round. α=1 (the default) is the classic one-probe
 	// walk; higher values spend more messages per hop to cut the tail.
 	Alpha int
-	// RouteCacheSize bounds the per-node LRU of key → owner+chain
-	// resolutions; a hit lets data ops skip the routing walk. Every hit
-	// is re-validated against the ring (ownership gates for writes, a
+	// RouteCacheSize bounds the per-node LRU of owner+chain resolutions,
+	// counted in arcs: an entry covers the owner's whole arc (pred, owner],
+	// so a hit on any key of it lets data ops skip the routing walk. Every
+	// hit is re-validated against the ring (ownership gates for writes, a
 	// direct find_owner for reads) before being trusted, so a stale entry
 	// costs one wasted RPC, never a wrong answer. 0 means the default
-	// (128); negative disables the cache.
+	// (128 arcs); negative disables the cache.
 	RouteCacheSize int
 	// RouteCacheTTL ages route-cache entries (default 2s); <0 disables
 	// aging.
@@ -267,8 +268,9 @@ type Node struct {
 	eng      *wal.Engine
 	recovery RecoveryInfo
 
-	// routes caches key → owner+chain resolutions so data ops skip the
-	// routing walk; hot caches value copies of read-heavy keys. Both are
+	// routes caches owner+chain resolutions by the owner's arc so data ops
+	// on any key of it skip the routing walk; hot caches value copies of
+	// read-heavy keys. Both are
 	// freshness caches only — every use is validated against the ring
 	// (see resolveRead / dataOp / hotGet) — and both are flushed on
 	// membership change. nil when disabled; routecache methods are
@@ -282,12 +284,15 @@ type Node struct {
 	rnd *lockedRand
 }
 
-// routeEntry is one cached owner resolution: the peer that owned the
-// key's arc when it was cached, plus its replica chain for read
-// fallback.
+// routeEntry is one cached owner resolution: the peer that owned arc
+// when it was cached, plus its replica chain for read fallback. arc is
+// what the entry is cached under — the owner's arc when its Found answer
+// carried one, else the one key that was resolved — so a refresh on a hit
+// keeps it.
 type routeEntry struct {
 	owner transport.PeerRef
 	chain []transport.PeerRef
+	arc   keyspace.Range
 }
 
 // CacheStats is a snapshot of the node's cache effectiveness counters:
@@ -1043,10 +1048,20 @@ func (n *Node) neighborsLocked(rg keyspace.Range) *transport.Response {
 // RPC); otherwise Peer is the best non-overshooting next hop not in the
 // query's exclude set. With every useful neighbour excluded it reports no
 // route (OK=false) and the querier backtracks.
+//
+// A Found answer also carries the owned arc, so the querier can cache one
+// route for every key of it — but only from a node with a real, distinct
+// predecessor and a successor other than itself. A cleared predecessor
+// slot or a lone node claims the whole circle here, and that claim, cached,
+// would send every read to a node whose chain then answers "absent".
 func (n *Node) findOwnerLocked(key keyspace.Key, exclude []transport.Addr) *transport.Response {
 	succ := n.succLocked()
 	if key.BetweenIncl(n.pred.Key, n.self.Key) || succ.Addr == n.self.Addr {
-		return &transport.Response{OK: true, Found: true, Peer: n.self, Peers: n.replicaTargetsLocked()}
+		resp := &transport.Response{OK: true, Found: true, Peer: n.self, Peers: n.replicaTargetsLocked()}
+		if arc, ok := n.arcLocked(); ok && succ.Addr != n.self.Addr {
+			resp.Arc = arc
+		}
+		return resp
 	}
 	excluded := func(a transport.Addr) bool {
 		for _, x := range exclude {

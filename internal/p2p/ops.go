@@ -614,12 +614,24 @@ func (n *Node) lookupVia(ctx context.Context, start transport.Addr, key keyspace
 
 // route is what a walk resolved: the key's owner, the owner's replica
 // chain (the successor list entries holding copies of its arc; reads fall
-// back through it when the owner dies), and — when the walk carried an op
-// and the owner ran it — that op's response.
+// back through it when the owner dies), the owner's arc when its Found
+// answer carried one (the zero Range otherwise), and — when the walk
+// carried an op and the owner ran it — that op's response.
 type route struct {
 	owner  transport.PeerRef
 	chain  []transport.PeerRef
+	arc    keyspace.Range
 	result *transport.Response
+}
+
+// cacheRoute caches a resolution of key under e.arc — the owner's arc, so
+// one walk serves every key the owner holds — or, when the owner sent no
+// arc (the zero Range, which is full), under key alone.
+func (n *Node) cacheRoute(key keyspace.Key, e routeEntry) {
+	if e.arc.IsFull() {
+		e.arc = keyspace.Range{Start: key, End: key + 1}
+	}
+	n.routes.PutArc(e.arc, e)
 }
 
 // carried returns the find_owner request that routes toward key and asks
@@ -736,7 +748,7 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 			for i, r := range results {
 				switch {
 				case r.OK() && r.Resp.Found:
-					found, haveFound = route{owner: r.Resp.Peer, chain: r.Resp.Peers}, true
+					found, haveFound = route{owner: r.Resp.Peer, chain: r.Resp.Peers, arc: r.Resp.Arc}, true
 					stack = append(stack, extras[i]) // still a live waypoint
 				case r.OK():
 					if s := r.Resp.Peer.Addr; s != "" && s != cur && !addrIn(bad, s) {
@@ -797,7 +809,7 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 			continue
 		}
 		if resp.Found {
-			return route{owner: resp.Peer, chain: resp.Peers, result: resp.Result}, cost, nil
+			return route{owner: resp.Peer, chain: resp.Peers, arc: resp.Arc, result: resp.Result}, cost, nil
 		}
 		if haveFound {
 			// A deeper sibling already reached the owner; the primary only
@@ -880,13 +892,14 @@ func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]tr
 
 // resolveRead resolves key → owner + replica chain for a read and runs
 // the read op (a get or one scan page) at the owner in the same messages,
-// consulting the route cache first. A hit sends one find_owner carrying
-// the op straight to the cached owner: Found from the gate that
-// terminates every real walk confirms the resolution, refreshes the chain
-// and answers the read, so a multi-hop walk plus a data RPC collapse to
-// one message. Anything else falls back to the full walk — an overloaded
-// owner keeps its entry (alive, just shedding), any other answer
-// invalidates it. A successful resolve (either path) re-primes the cache.
+// consulting the route cache first. A hit — the cached arc of an owner
+// contains key — sends one find_owner carrying the op straight to that
+// owner: Found from the gate that terminates every real walk confirms the
+// resolution, refreshes the chain and answers the read, so a multi-hop
+// walk plus a data RPC collapse to one message. Anything else falls back
+// to the full walk — an overloaded owner keeps its entry (alive, just
+// shedding), any other answer drops the arc containing key. A successful
+// resolve (either path) re-primes the cache.
 func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cost := 0
 	if ent, ok := n.routes.Get(key); ok {
@@ -897,7 +910,8 @@ func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.
 		}
 		if err == nil && resp.OK && resp.Found && resp.Peer.Addr == ent.owner.Addr {
 			n.routeHits.Add(1)
-			n.routes.Put(key, routeEntry{owner: resp.Peer, chain: resp.Peers})
+			ent.chain = resp.Peers
+			n.cacheRoute(key, ent)
 			return route{owner: resp.Peer, chain: resp.Peers, result: resp.Result}, cost, nil
 		}
 		if !errors.Is(err, transport.ErrOverloaded) {
@@ -910,7 +924,7 @@ func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.
 	rt, c, err := n.walk(ctx, n.self.Addr, key, op)
 	cost += c
 	if err == nil {
-		n.routes.Put(key, routeEntry{owner: rt.owner, chain: rt.chain})
+		n.cacheRoute(key, routeEntry{owner: rt.owner, chain: rt.chain, arc: rt.arc})
 	}
 	return rt, cost, err
 }
@@ -944,13 +958,14 @@ type OpResult struct {
 // returned alongside so write ops can read the replica chain the owner
 // piggybacks on it.
 //
-// The route cache short-circuits the walk: a cached owner is sent the op
-// directly, with no validation RPC — the write ops' own ownership gate
-// is the validation. A stale entry earns a typed errNotOwner (or an
-// unreachable peer), which invalidates the entry and falls back to the
-// full walk without consuming one of the owner-moved attempts: cache
-// staleness is the cache's fault, not ring churn. The direct RPC also
-// serves a walk that found the owner without running the op there.
+// The route cache short-circuits the walk: the owner whose cached arc
+// contains key is sent the op directly, with no validation RPC — the
+// write ops' own ownership gate is the validation. A stale entry earns a
+// typed errNotOwner (or an unreachable peer), which drops the arc and
+// falls back to the full walk without consuming one of the owner-moved
+// attempts: cache staleness is the cache's fault, not ring churn. The
+// direct RPC also serves a walk that found the owner without running the
+// op there.
 //
 // A "not owner" rejection — from the gate behind the carried hop or the
 // direct RPC alike — means the arc moved after the routing step that
@@ -963,11 +978,12 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 	cacheTried := false
 	for attempt := 0; ; {
 		var owner transport.PeerRef
+		var arc keyspace.Range // what the route is cached under on success
 		fromCache := false
 		if !cacheTried && attempt == 0 {
 			cacheTried = true
 			if ent, ok := n.routes.Get(key); ok {
-				owner, fromCache = ent.owner, true
+				owner, arc, fromCache = ent.owner, ent.arc, true
 			} else if n.routes != nil {
 				n.routeMisses.Add(1)
 			}
@@ -980,7 +996,7 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 			if werr != nil {
 				return res, nil, werr
 			}
-			owner, resp = rt.owner, rt.result
+			owner, arc, resp = rt.owner, rt.arc, rt.result
 		}
 		res.Owner = owner
 		if resp == nil {
@@ -1029,7 +1045,7 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 		if fromCache {
 			n.routeHits.Add(1)
 		}
-		n.routes.Put(key, routeEntry{owner: owner, chain: resp.Peers})
+		n.cacheRoute(key, routeEntry{owner: owner, chain: resp.Peers, arc: arc})
 		res.Replaced, res.Found, res.Value = resp.Found, resp.Found, resp.Value
 		return res, resp, nil
 	}
@@ -1136,7 +1152,8 @@ func (n *Node) hotGet(ctx context.Context, key keyspace.Key) (OpResult, bool, er
 	case err == nil && resp.OK && resp.Found:
 		if len(resp.Digest) == 1 && resp.Digest[0] == antientropy.ItemHash(key, val) {
 			n.hotHits.Add(1)
-			n.routes.Put(key, routeEntry{owner: ent.owner, chain: resp.Peers})
+			ent.chain = resp.Peers
+			n.cacheRoute(key, ent)
 			res.Found, res.Value = true, val
 			return res, true, nil
 		}

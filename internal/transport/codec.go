@@ -83,6 +83,7 @@ const (
 	stagMaxOut
 	stagInDeg
 	stagResult
+	stagArc
 )
 
 var errBadPayload = errors.New("transport: bad binary payload")
@@ -343,6 +344,7 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.intField(stagMaxIn, resp.MaxIn)
 	w.intField(stagMaxOut, resp.MaxOut)
 	w.intField(stagInDeg, resp.InDeg)
+	w.rangeField(stagArc, resp.Arc)
 }
 
 // --- decoding ------------------------------------------------------------
@@ -687,6 +689,8 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 			resp.MaxOut = fr.zigzag()
 		case stagInDeg:
 			resp.InDeg = fr.zigzag()
+		case stagArc:
+			resp.Arc = keyspace.Range{Start: keyspace.Key(fr.fixed64()), End: keyspace.Key(fr.fixed64())}
 		case stagResult:
 			if nest {
 				resp.Result = new(Response)

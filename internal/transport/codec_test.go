@@ -71,6 +71,47 @@ func fullResponse() *Response {
 			Items: []storage.Item{{Key: 14, Value: []byte("page")}},
 			More:  true, Cursor: 15,
 		},
+		Arc: keyspace.Range{Start: keyspace.FromFloat(0.95), End: 8},
+	}
+}
+
+// arcAnswers are the two shapes of a find_owner answered Found with the
+// owner's arc: a plain routing answer, and one beside a carried op's
+// Result.
+func arcAnswers() []*Response {
+	owner := PeerRef{Addr: "10.0.0.9:7000", Key: keyspace.FromFloat(0.5)}
+	arc := keyspace.Range{Start: keyspace.FromFloat(0.25) + 1, End: owner.Key + 1}
+	chain := []PeerRef{{Addr: "10.0.0.10:7000", Key: keyspace.FromFloat(0.75)}}
+	return []*Response{
+		{OK: true, Found: true, Peer: owner, Peers: chain, Arc: arc},
+		{OK: true, Found: true, Peer: owner, Peers: chain, Arc: arc,
+			Result: &Response{OK: true, Found: true, Value: []byte("carried"), Peers: chain, Acks: 1}},
+	}
+}
+
+// TestArcRoundTrip round-trips the owner's arc on both find_owner shapes,
+// and pins that an answer without one decodes as the zero Range — the
+// full circle, which the requester reads as "no arc".
+func TestArcRoundTrip(t *testing.T) {
+	for i, resp := range arcAnswers() {
+		var got Response
+		if err := decodeResponse(appendResponse(nil, resp), &got); err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(normalizeResp(resp), normalizeResp(&got)) {
+			t.Fatalf("case %d: round trip mismatch:\n in: %+v\nout: %+v", i, resp, &got)
+		}
+		if got.Result != nil && got.Result.Arc != (keyspace.Range{}) {
+			t.Errorf("case %d: the carried Result grew an arc: %v", i, got.Result.Arc)
+		}
+	}
+	var got Response
+	plain := &Response{OK: true, Found: true, Peer: PeerRef{Addr: "a:1", Key: 4}}
+	if err := decodeResponse(appendResponse(nil, plain), &got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.Arc != (keyspace.Range{}) || !got.Arc.IsFull() {
+		t.Fatalf("absent arc decoded as %v, want the zero Range", got.Arc)
 	}
 }
 
@@ -384,6 +425,9 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(appendResponse(nil, &Response{}))
 	f.Add(appendResponse(nil, &Response{OK: true, Value: []byte("x"), Found: true}))
 	f.Add(appendResponse(nil, &Response{OK: true, Found: true, Result: &Response{}}))
+	for _, resp := range arcAnswers() {
+		f.Add(appendResponse(nil, resp))
+	}
 	f.Add(nestedResult(3))
 	f.Add([]byte{binKindResponse})
 	f.Add([]byte{binKindResponse, 4, 255, 255, 255, 255})

@@ -221,6 +221,12 @@ type Response struct {
 	// Nil means the op did not run here — no op was carried, or the
 	// responder predates carrying — and the requester sends it directly.
 	Result *Response
+	// Arc, on a find_owner that answered Found, is the owner's arc
+	// (pred, owner] as the clockwise range {pred.Key+1, owner.Key+1}: the
+	// requester may route every key of it to this owner. The zero value —
+	// a full range — means the owner sent no arc: it has no distinct
+	// predecessor to bound one, or it predates the field.
+	Arc keyspace.Range
 }
 
 // Handler processes one incoming request. Handlers run on transport

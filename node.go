@@ -71,8 +71,9 @@ type NodeConfig struct {
 	// extra messages for lower tail latency on lossy or overloaded rings.
 	// 0 or 1 keeps the classic single-probe walk.
 	Alpha int
-	// RouteCacheSize bounds the node's key→owner route cache (0 = default
-	// 128 entries, negative = disabled). Cached routes are always validated
+	// RouteCacheSize bounds the node's route cache in arcs: each entry
+	// maps an owner's whole arc to the owner and its chain (0 = default
+	// 128 arcs, negative = disabled). Cached routes are always validated
 	// against the ring before use — the cache can only save hops, never
 	// serve a stale owner.
 	RouteCacheSize int
