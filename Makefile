@@ -45,8 +45,10 @@ examples:
 # and the restart-durability contract (crash a durable owner mid-WAL,
 # restart it on the same data dir, lose no acked write, resurrect no
 # delete, re-ship only the downtime delta), and the cache stale-safety
-# contract (route + hot-key caches stay correct across an arc-moving
-# join and an owner crash on all three backends) — race detector on. The
+# contract (the route cache stays correct across an arc-moving join and
+# an owner crash on all three backends; TestRouteCache* adds one message
+# per cached read, freshness after remote writes, and crash-window reads
+# served by the chain) — race detector on. The
 # faulted variant (TestFaultedRing) re-runs the scenario table on both
 # live fabrics under a seeded 5%-drop/20ms-jitter fault plan plus a
 # partition-heal case, the overload suite pins the p2p contract that
@@ -69,7 +71,7 @@ examples:
 # pinned, pending frames capped against a peer that stops reading).
 conformance:
 	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
-	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
+	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
 	$(GO) test -race -run 'TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds' ./internal/transport/
 
 # Bench smoke: compile and run every benchmark once (shape check, not a

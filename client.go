@@ -274,9 +274,9 @@ type InfoResponse struct {
 	// ones that paid the full routing walk (including invalidated stale
 	// hits). Both zero when the cache is disabled.
 	RouteCacheHits, RouteCacheMisses uint64
-	// HotKeyCacheHits counts reads served from the local hot-key value
-	// cache after the owner (or chain) confirmed the copy's digest;
-	// HotKeyCacheMisses counts reads that fetched the value in full.
+	// HotKeyCacheHits and HotKeyCacheMisses always read 0: no backend
+	// caches values any more, every read asks the key's owner. They stay
+	// so existing readers of Info keep compiling.
 	HotKeyCacheHits, HotKeyCacheMisses uint64
 }
 
@@ -297,7 +297,6 @@ type options struct {
 	alpha            int
 	routeCacheSize   int
 	routeCacheTTL    time.Duration
-	hotKeyCache      int
 }
 
 // Option customises client construction. The zero configuration builds a
@@ -405,17 +404,6 @@ func WithRouteCache(size int, ttl time.Duration) Option {
 	return func(o *options) { o.routeCacheSize, o.routeCacheTTL = size, ttl }
 }
 
-// WithHotKeyCache configures the requester-side hot-key value cache: an
-// LRU of recently read values served only after a cheap digest check
-// against the key's owner (or its chain, when the owner is dead)
-// confirms the copy — so a Zipf-hot key costs its owner one hash
-// comparison instead of a value transfer, stale copies always lose to
-// the ring, and tombstones are honoured. size 0 keeps the default (128
-// entries); size < 0 disables the cache.
-func WithHotKeyCache(size int) Option {
-	return func(o *options) { o.hotKeyCache = size }
-}
-
 func buildOptions(opts []Option) options {
 	var o options
 	for _, f := range opts {
@@ -442,6 +430,6 @@ func NewClient(opts ...Option) (Client, error) {
 	cl := ov.clientWith(o.replicas, o.writeConcern)
 	// The simulator routes synchronously, so WithAlpha has nothing to
 	// parallelise there; the cache options map directly.
-	cl.setCaches(o.routeCacheSize, o.routeCacheTTL, o.hotKeyCache)
+	cl.setCaches(o.routeCacheSize, o.routeCacheTTL)
 	return cl, nil
 }

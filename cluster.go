@@ -66,7 +66,6 @@ func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, erro
 			Alpha:           o.alpha,
 			RouteCacheSize:  o.routeCacheSize,
 			RouteCacheTTL:   o.routeCacheTTL,
-			HotKeyCache:     o.hotKeyCache,
 			Seed:            o.seed + int64(i),
 			WrapTransport:   o.transportWrapper,
 		}

@@ -121,8 +121,7 @@ func main() {
 		tombTTL     = flag.Duration("tombstone-ttl", 10*time.Minute, "remember deletes this long for anti-entropy repair")
 		alpha       = flag.Int("alpha", 1, "routing parallelism: probe up to α candidates per lookup hop (1 = classic single-probe walk)")
 		routeCache  = flag.Int("route-cache", 0, "route-cache size in arcs, one per owner (0 = default 128, negative = disabled); hits are always re-validated against the ring")
-		routeTTL    = flag.Duration("route-cache-ttl", 0, "route-cache entry TTL (0 = default 2s, negative = no aging); the hot-key cache shares it")
-		hotCache    = flag.Int("hot-key-cache", 0, "hot-key value-cache entries (0 = default 128, negative = disabled); served only after a digest check at the owner")
+		routeTTL    = flag.Duration("route-cache-ttl", 0, "route-cache entry TTL (0 = default 2s, negative = no aging)")
 		interval    = flag.Duration("stabilize", 2*time.Second, "stabilisation interval (0 = manual)")
 		rewireEvery = flag.Int("rewire-every", 5, "rebuild long links every N stabilisations (0 = manual)")
 		poolSize    = flag.Int("pool", 2, "persistent connections per peer")
@@ -194,7 +193,6 @@ func main() {
 		Alpha:          *alpha,
 		RouteCacheSize: *routeCache,
 		RouteCacheTTL:  *routeTTL,
-		HotKeyCache:    *hotCache,
 		Seed:           time.Now().UnixNano(),
 		PoolSize:       *poolSize,
 		CallTimeout:    *callTimeout,
@@ -374,9 +372,8 @@ func execute(ctx context.Context, node *oscar.Node, args []string) error {
 			fmt.Printf("anti-entropy: %d rounds, %d keys pushed, %d tombstones, %d dropped\n",
 				ae.Rounds, ae.KeysPushed, ae.TombstonesPushed, ae.Dropped)
 		}
-		if info.RouteCacheHits+info.RouteCacheMisses+info.HotKeyCacheHits+info.HotKeyCacheMisses > 0 {
-			fmt.Printf("caches: route %d hits / %d misses, hot-key %d hits / %d misses\n",
-				info.RouteCacheHits, info.RouteCacheMisses, info.HotKeyCacheHits, info.HotKeyCacheMisses)
+		if info.RouteCacheHits+info.RouteCacheMisses > 0 {
+			fmt.Printf("route cache: %d hits / %d misses\n", info.RouteCacheHits, info.RouteCacheMisses)
 		}
 		if info.Durable {
 			fmt.Printf("durable: wal=%dB frames=%d last-snapshot=%s\n",

@@ -15,8 +15,8 @@
 //
 //   - a fault plan: baseline loss+jitter with one deliberately slow node,
 //     a hot-key crowd (every worker narrows to the head of its stripe, so
-//     the route and hot-key caches — on by default — carry a flash of
-//     popularity under a concurrent write mix), a flash crowd of joiners,
+//     the route cache — on by default — carries a flash of popularity
+//     under a concurrent write mix), a flash crowd of joiners,
 //     a correlated crash of two key-adjacent arc owners, a full partition
 //     of one node (which dies for good at heal time — a cut-off node is
 //     declared failed and replaced, never readmitted with stale state), a
@@ -604,9 +604,9 @@ func buildMemPlan(ctx context.Context, cfg soakConfig, c *oscar.Cluster, fn *fau
 			{
 				// A hot-key crowd: every worker narrows its draws to the
 				// head of its stripe while the put/delete mix keeps
-				// mutating the same keys — the route and hot-key caches
-				// (on by default) must absorb the read traffic without
-				// ever serving a value the ledger disallows.
+				// mutating the same keys — the route cache (on by
+				// default) must absorb the read traffic without ever
+				// serving a value the ledger disallows.
 				Name:     "hot-key",
 				Duration: frac(0.10),
 				Apply: func(*faultnet.Network) {
@@ -900,8 +900,8 @@ func finalGet(ctx context.Context, client oscar.Client, key oscar.Key) (val stri
 // ---------------------------------------------------------------------------
 // Report
 
-// cacheCounters reads the client's route/hot-key cache counters for the
-// report; nil if Info itself fails (the report then just omits them).
+// cacheCounters reads the client's route-cache counters for the report;
+// nil if Info itself fails (the report then just omits them).
 func cacheCounters(ctx context.Context, client oscar.Client) map[string]float64 {
 	octx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
@@ -910,10 +910,8 @@ func cacheCounters(ctx context.Context, client oscar.Client) map[string]float64 
 		return nil
 	}
 	return map[string]float64{
-		"route_cache_hits":     float64(info.RouteCacheHits),
-		"route_cache_misses":   float64(info.RouteCacheMisses),
-		"hot_key_cache_hits":   float64(info.HotKeyCacheHits),
-		"hot_key_cache_misses": float64(info.HotKeyCacheMisses),
+		"route_cache_hits":   float64(info.RouteCacheHits),
+		"route_cache_misses": float64(info.RouteCacheMisses),
 	}
 }
 
@@ -1027,10 +1025,8 @@ func printVerdict(cfg soakConfig, ws []*worker, v soakVerdict, res benchResult) 
 			int(m["fault_calls"]), int(m["fault_dropped"]), int(m["fault_blocked"]))
 	}
 	if _, ok := m["route_cache_hits"]; ok {
-		fmt.Printf("caches: %d hot ops; route %d hits / %d misses, hot-key %d hits / %d misses\n",
-			int(m["hot_ops"]),
-			int(m["route_cache_hits"]), int(m["route_cache_misses"]),
-			int(m["hot_key_cache_hits"]), int(m["hot_key_cache_misses"]))
+		fmt.Printf("caches: %d hot ops; route %d hits / %d misses\n",
+			int(m["hot_ops"]), int(m["route_cache_hits"]), int(m["route_cache_misses"]))
 	}
 	if v.converged {
 		fmt.Printf("converged: all %d tracked keys (%d indeterminate) read ledger-allowed values after %v\n",
@@ -1045,16 +1041,13 @@ func printVerdict(cfg soakConfig, ws []*worker, v soakVerdict, res benchResult) 
 	}
 	if cfg.mode == "mem" {
 		// The hot-key phase must have actually run its crowd through the
-		// caches — a zero here means the caching path went untested, not
-		// that the invariants held.
+		// route cache — a zero here means the caching path went untested,
+		// not that the invariants held.
 		if int(m["hot_ops"]) == 0 {
 			return fmt.Errorf("harness error: the hot-key phase drove no ops")
 		}
 		if m["route_cache_hits"]+m["route_cache_misses"] == 0 {
 			return fmt.Errorf("harness error: the route cache never saw traffic")
-		}
-		if m["hot_key_cache_hits"]+m["hot_key_cache_misses"] == 0 {
-			return fmt.Errorf("harness error: the hot-key cache never saw traffic")
 		}
 	}
 	if !v.converged {

@@ -67,9 +67,10 @@ func ownerArc(t *testing.T, owner *Node) keyspace.Range {
 // TestRouteCacheArcHit pins what caching by the owner's arc buys: once one
 // op has walked to an owner, a put and a get on a different key of the
 // same arc each go straight there — one message, no walk through the
-// owner's predecessor.
+// owner's predecessor. A get right after the reader's own overwrite is
+// still one message, and Cost counts it.
 func TestRouteCacheArcHit(t *testing.T) {
-	nodes, trs, _ := countedRing(t, 16, Config{Alpha: 1, HotKeyCache: -1}, true, nil)
+	nodes, trs, _ := countedRing(t, 16, Config{Alpha: 1}, true, nil)
 	entry, tr, owner := nodes[0], trs[0], nodes[6]
 	k, other := keyspace.FromFloat(5.3/16), keyspace.FromFloat(5.7/16)
 	for _, key := range []keyspace.Key{k, other} {
@@ -96,15 +97,17 @@ func TestRouteCacheArcHit(t *testing.T) {
 		tr.reset()
 	}
 	tr.reset()
-	put, err := entry.Put(bg, other, []byte("second"))
-	check("put", put, err)
-	get, err := entry.Get(bg, other)
-	check("get", get, err)
-	if !get.Found || !bytes.Equal(get.Value, []byte("second")) {
-		t.Errorf("get = %+v, want second", get)
+	for _, v := range []string{"second", "third"} {
+		put, err := entry.Put(bg, other, []byte(v))
+		check("put", put, err)
+		get, err := entry.Get(bg, other)
+		check("get", get, err)
+		if !get.Found || string(get.Value) != v {
+			t.Errorf("get = %+v, want %s", get, v)
+		}
 	}
-	if st := entry.CacheStats(); st.RouteHits != hits+2 {
-		t.Errorf("route hits %d → %d, want two more", hits, st.RouteHits)
+	if st := entry.CacheStats(); st.RouteHits != hits+4 {
+		t.Errorf("route hits %d → %d, want four more", hits, st.RouteHits)
 	}
 }
 
@@ -119,7 +122,7 @@ func TestRouteCacheArcSplitByJoin(t *testing.T) {
 			name = "write first"
 		}
 		t.Run(name, func(t *testing.T) {
-			nodes, _, fabric := countedRing(t, 8, Config{Alpha: 1, HotKeyCache: -1}, true, nil)
+			nodes, _, fabric := countedRing(t, 8, Config{Alpha: 1}, true, nil)
 			entry, old := nodes[0], nodes[4]
 			lo, hi := keyspace.FromFloat(3.25/8), keyspace.FromFloat(3.75/8)
 			for key, v := range map[keyspace.Key]string{lo: "lo1", hi: "hi1"} {
@@ -133,7 +136,7 @@ func TestRouteCacheArcSplitByJoin(t *testing.T) {
 
 			// The joiner takes the lower half. Only its neighbours
 			// stabilise, so the entry node keeps its stale arc.
-			joiner := mustNode(t, fabric.Endpoint(), Config{Key: keyspace.FromFloat(3.5 / 8), MaxIn: 8, MaxOut: 8, Seed: 99, HotKeyCache: -1})
+			joiner := mustNode(t, fabric.Endpoint(), Config{Key: keyspace.FromFloat(3.5 / 8), MaxIn: 8, MaxOut: 8, Seed: 99})
 			t.Cleanup(func() { _ = joiner.Close() })
 			if err := joiner.Join(bg, old.Self().Addr); err != nil {
 				t.Fatal(err)
@@ -195,7 +198,7 @@ func TestRouteCacheArcSplitByJoin(t *testing.T) {
 // cleared claims the whole circle when routing, so its Found answer must
 // carry no arc, and the requester caches the one key it resolved.
 func TestRouteCacheNoArcWithoutPred(t *testing.T) {
-	nodes, _, _ := countedRing(t, 8, Config{Alpha: 1, HotKeyCache: -1}, true, nil)
+	nodes, _, _ := countedRing(t, 8, Config{Alpha: 1}, true, nil)
 	entry, owner := nodes[0], nodes[4]
 	k, other := keyspace.FromFloat(3.5/8), keyspace.FromFloat(3.75/8)
 	owner.mu.Lock()
@@ -297,82 +300,54 @@ func TestRouteCacheStaleAfterOwnerCrash(t *testing.T) {
 	}
 }
 
-// TestHotKeyCacheFreshness pins the digest-validation contract: a hot
-// read is served from cache only while the owner's hash confirms it, a
-// remote overwrite wins immediately, and a remote delete is honoured as
-// an authoritative not-found — never a resurrected stale value.
-func TestHotKeyCacheFreshness(t *testing.T) {
+// TestRouteCacheReadFreshness: a read through a cached arc asks the owner
+// every time, so a remote overwrite wins at once and a remote delete is an
+// authoritative not-found — never a value the reader saw before.
+func TestRouteCacheReadFreshness(t *testing.T) {
 	c := newTestCluster(t, 12)
 	reader := c.Nodes[0]
 	k, owner := pickRemoteKey(t, c, reader)
-	var writer *Node
-	for _, m := range c.Nodes[1:] {
-		if m.Self().Addr != owner.Addr && m.Self().Addr != reader.Self().Addr {
-			writer = m
-			break
+	writer := c.Nodes[1]
+	if writer.Self().Addr == owner.Addr {
+		writer = c.Nodes[2]
+	}
+	steps := []struct {
+		write func() (OpResult, error)
+		want  string // "" reads as not found
+	}{
+		{func() (OpResult, error) { return writer.Put(bg, k, []byte("v1")) }, "v1"},
+		{func() (OpResult, error) { return writer.Put(bg, k, []byte("v2")) }, "v2"},
+		{func() (OpResult, error) { return writer.Delete(bg, k) }, ""},
+	}
+	var hits uint64
+	for i, step := range steps {
+		if _, err := step.write(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := reader.Get(bg, k)
+		if err != nil || got.Found != (step.want != "") || string(got.Value) != step.want {
+			t.Fatalf("read %d = %q (found %v, %v), want %q", i, got.Value, got.Found, err, step.want)
+		}
+		if i == 0 {
+			hits = reader.CacheStats().RouteHits // the walk that primed the cache
 		}
 	}
-	if writer == nil {
-		t.Fatal("no third node to write through")
-	}
-
-	if _, err := writer.Put(bg, k, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := reader.Get(bg, k); err != nil || !got.Found {
-		t.Fatalf("prime read: %v", err)
-	}
-	// Second read: digest-validated cache hit, one message to the owner.
-	got, err := reader.Get(bg, k)
-	if err != nil || !got.Found || !bytes.Equal(got.Value, []byte("v1")) {
-		t.Fatalf("hot read: found=%v value=%q err=%v", got.Found, got.Value, err)
-	}
-	if got.Cost != 1 {
-		t.Errorf("hot read cost %d, want 1 (the digest check)", got.Cost)
-	}
-	if st := reader.CacheStats(); st.HotHits == 0 {
-		t.Errorf("hot-key cache recorded no hit: %+v", st)
-	}
-
-	// A remote overwrite: the reader's cached copy must lose the digest
-	// comparison and the fresh value be fetched.
-	if _, err := writer.Put(bg, k, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	got, err = reader.Get(bg, k)
-	if err != nil || !got.Found || !bytes.Equal(got.Value, []byte("v2")) {
-		t.Fatalf("read after remote overwrite: found=%v value=%q err=%v", got.Found, got.Value, err)
-	}
-
-	// A remote delete: the tombstone is authoritative — the cached copy
-	// must not resurrect the key.
-	if _, err := writer.Delete(bg, k); err != nil {
-		t.Fatal(err)
-	}
-	got, err = reader.Get(bg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Found {
-		t.Fatalf("deleted key resurrected from hot cache: %q", got.Value)
+	if st := reader.CacheStats(); st.RouteHits != hits+2 {
+		t.Errorf("route hits %d → %d, want both later reads through the cached arc", hits, st.RouteHits)
 	}
 }
 
-// TestHotKeyCacheOwnerCrashChainFallback: with the cached owner dead and
-// the ring not yet healed, a hot read validates its copy against the
-// cached replica chain instead — the read stays correct (and served)
-// through the crash window.
-func TestHotKeyCacheOwnerCrashChainFallback(t *testing.T) {
-	c, err := NewCluster(bg, ClusterConfig{Size: 12, Seed: 33, Replicas: 3})
-	if err != nil {
-		t.Fatal(err)
+// TestRouteCacheOwnerCrashChainFallback: with the cached owner dead and the
+// ring not yet healed, a read through the stale route still returns the
+// value, from the owner's replica chain, and its Cost counts every call it
+// sent.
+func TestRouteCacheOwnerCrashChainFallback(t *testing.T) {
+	nodes, trs, _ := countedRing(t, 12, Config{Alpha: 1, Replicas: 3}, true, nil)
+	reader, tr, owner := nodes[0], trs[0], nodes[6]
+	k := keyspace.FromFloat(5.5 / 12)
+	if got := expectedOwner(nodes, k); got.Addr != owner.Self().Addr {
+		t.Fatalf("test setup: %v is owned by %s, want %s", k, got.Addr, owner.Self().Addr)
 	}
-	defer c.Close()
-	for round := 0; round < 6; round++ {
-		c.StabilizeAll(bg)
-	}
-	reader := c.Nodes[0]
-	k, owner := pickRemoteKey(t, c, reader)
 	if _, err := reader.Put(bg, k, []byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
@@ -380,24 +355,21 @@ func TestHotKeyCacheOwnerCrashChainFallback(t *testing.T) {
 		t.Fatalf("prime read: %v", err)
 	}
 
-	for _, m := range c.Nodes {
-		if m.Self().Addr == owner.Addr {
-			_ = m.Close()
-		}
-	}
+	_ = owner.Close()
 	// No stabilisation: the reader's route cache still names the corpse.
+	if ent, ok := reader.routes.Get(k); !ok || ent.owner.Addr != owner.Self().Addr {
+		t.Fatalf("test setup: cache holds %+v, %v; want the dead owner", ent, ok)
+	}
+	tr.reset()
 	got, err := reader.Get(bg, k)
-	if err != nil || !got.Found || !bytes.Equal(got.Value, []byte("survivor")) {
+	if err != nil || !got.Found || string(got.Value) != "survivor" {
 		t.Fatalf("read during crash window: found=%v value=%q err=%v", got.Found, got.Value, err)
 	}
-
-	// And after the ring heals the key stays readable the ordinary way.
-	for round := 0; round < 6; round++ {
-		c.StabilizeAll(bg)
+	if got.Owner.Addr == owner.Self().Addr {
+		t.Errorf("read served by the dead owner %s", got.Owner.Addr)
 	}
-	got, err = reader.Get(bg, k)
-	if err != nil || !got.Found || !bytes.Equal(got.Value, []byte("survivor")) {
-		t.Fatalf("read after heal: found=%v value=%q err=%v", got.Found, got.Value, err)
+	if got.Cost != tr.calls() {
+		t.Errorf("read during crash window cost %d but sent %d calls", got.Cost, tr.calls())
 	}
 }
 

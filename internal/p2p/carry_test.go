@@ -107,7 +107,7 @@ func (c *countingTransport) reset() {
 // The fabric comes back too, for tests that add a peer later.
 func carryRing(t *testing.T, size, alpha int, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
 	t.Helper()
-	return countedRing(t, size, Config{Alpha: alpha, RouteCacheSize: -1, HotKeyCache: -1}, rewire, wrap)
+	return countedRing(t, size, Config{Alpha: alpha, RouteCacheSize: -1}, rewire, wrap)
 }
 
 // countedRing is carryRing with the routing and cache settings of base.
@@ -434,7 +434,7 @@ func TestCarriedOpStaleSafety(t *testing.T) {
 			entry := nodes[0]
 			k, old := remoteKey(t, nodes, entry)
 			jtr := newCountingTransport(fabric.Endpoint())
-			joiner := mustNode(t, jtr, Config{Key: k, MaxIn: 8, MaxOut: 8, Seed: 99, RouteCacheSize: -1, HotKeyCache: -1})
+			joiner := mustNode(t, jtr, Config{Key: k, MaxIn: 8, MaxOut: 8, Seed: 99, RouteCacheSize: -1})
 			t.Cleanup(func() { _ = joiner.Close() })
 			for _, tr := range trs {
 				tr.reset()

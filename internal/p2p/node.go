@@ -100,12 +100,6 @@ type Config struct {
 	// RouteCacheTTL ages route-cache entries (default 2s); <0 disables
 	// aging.
 	RouteCacheTTL time.Duration
-	// HotKeyCache bounds the requester-side LRU of hot-key value copies.
-	// A cached read is served only after the owner (or chain, when the
-	// owner is dead) confirms the copy's item hash, so stale copies lose
-	// to the ring and tombstones are honoured. 0 means the default (128);
-	// negative disables the cache.
-	HotKeyCache int
 }
 
 func (c *Config) fillDefaults() {
@@ -150,9 +144,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RouteCacheTTL == 0 {
 		c.RouteCacheTTL = 2 * time.Second
-	}
-	if c.HotKeyCache == 0 {
-		c.HotKeyCache = 128
 	}
 }
 
@@ -269,17 +260,14 @@ type Node struct {
 	recovery RecoveryInfo
 
 	// routes caches owner+chain resolutions by the owner's arc so data ops
-	// on any key of it skip the routing walk; hot caches value copies of
-	// read-heavy keys. Both are
-	// freshness caches only — every use is validated against the ring
-	// (see resolveRead / dataOp / hotGet) — and both are flushed on
-	// membership change. nil when disabled; routecache methods are
-	// nil-safe.
+	// on any key of it skip the routing walk. It is a freshness cache
+	// only — every use is validated against the ring (see resolveRead /
+	// dataOp) — and is flushed on membership change. nil when disabled;
+	// routecache methods are nil-safe.
 	routes *routecache.Cache[routeEntry]
-	hot    *routecache.Cache[[]byte]
 	// Cache effectiveness counters, surfaced through CacheStats. Atomics:
 	// they are bumped on the read path without n.mu.
-	routeHits, routeMisses, hotHits, hotMisses atomic.Uint64
+	routeHits, routeMisses atomic.Uint64
 
 	rnd *lockedRand
 }
@@ -295,13 +283,11 @@ type routeEntry struct {
 	arc   keyspace.Range
 }
 
-// CacheStats is a snapshot of the node's cache effectiveness counters:
-// route hits are data ops that reached the owner through a cached
-// resolution, hot hits are reads served from the local value cache after
-// a digest check; misses are the ops that paid the full path.
+// CacheStats is a snapshot of the node's route-cache effectiveness
+// counters: hits are data ops that reached the owner through a cached
+// resolution, misses are the ops that paid the full walk.
 type CacheStats struct {
 	RouteHits, RouteMisses uint64
-	HotHits, HotMisses     uint64
 }
 
 // CacheStats returns the accumulated cache hit/miss counters.
@@ -309,8 +295,6 @@ func (n *Node) CacheStats() CacheStats {
 	return CacheStats{
 		RouteHits:   n.routeHits.Load(),
 		RouteMisses: n.routeMisses.Load(),
-		HotHits:     n.hotHits.Load(),
-		HotMisses:   n.hotMisses.Load(),
 	}
 }
 
@@ -329,7 +313,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		rnd:  &lockedRand{r: rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Key)))},
 	}
 	n.routes = routecache.New[routeEntry](cfg.RouteCacheSize, cfg.RouteCacheTTL)
-	n.hot = routecache.New[[]byte](cfg.HotKeyCache, cfg.RouteCacheTTL)
 	n.pred = n.self
 	if cfg.DataDir != "" {
 		// Recovery runs before anything serves: the stores NewNode
@@ -808,26 +791,6 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		}
 		return resp
 
-	case transport.OpKeyHash:
-		// Hot-key cache validation at the owner. The ownership gate makes
-		// the answer authoritative the same way OpPut's does: a node whose
-		// arc no longer covers the key rejects with errNotOwner instead of
-		// confirming a hash for state it no longer answers for — the typed
-		// rejection doubles as the requester's route-cache invalidation
-		// signal. Peers carries the replica chain for owner-death fallback.
-		if !n.ownsLocked(req.Key) {
-			return &transport.Response{OK: false, Err: errNotOwner, Peer: n.succLocked()}
-		}
-		resp := n.keyHashLocked(req.Key)
-		resp.Peers = n.replicaTargetsLocked()
-		return resp
-
-	case transport.OpKeyHashChain:
-		// Chain fallback of OpKeyHash: like OpGet, chain members answer
-		// ungated over their merged view — the requester only asks them
-		// after the owner proved unreachable.
-		return n.keyHashLocked(req.Key)
-
 	case transport.OpDelete:
 		// Same ownership gate as OpPut: a delete acked by a node that
 		// already handed the key's arc to a joiner would tombstone a store
@@ -994,25 +957,6 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 	default:
 		return &transport.Response{OK: false, Err: "unknown op"}
 	}
-}
-
-// keyHashLocked answers one hot-key digest check over the same merged
-// view OpGet reads (primary first, then replica copies; tombstones
-// reported as Deleted): Found plus the item hash when the key is held,
-// Deleted for an authoritative tombstone, a bare OK for no record.
-func (n *Node) keyHashLocked(key keyspace.Key) *transport.Response {
-	v, found := n.store.Get(key)
-	if !found {
-		v, found = n.replStore.Get(key)
-	}
-	if found {
-		return &transport.Response{OK: true, Found: true, Digest: []uint64{antientropy.ItemHash(key, v)}}
-	}
-	_, dead := n.store.Tombstone(key)
-	if !dead {
-		_, dead = n.replStore.Tombstone(key)
-	}
-	return &transport.Response{OK: true, Deleted: dead}
 }
 
 // neighborsLocked lists this node's neighbours (ring pointers, out-links,

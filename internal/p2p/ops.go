@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/oscar-overlay/oscar/internal/antientropy"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/storage"
@@ -59,7 +58,7 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 		return fmt.Errorf("p2p: join: %w", err)
 	}
 	// succ_list answers with the owner's predecessor in Peer.
-	resp, err := n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpSuccList})
+	resp, _, err := n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpSuccList})
 	if err != nil || !resp.OK {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
@@ -133,7 +132,7 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 		var mig *transport.Response
 		var err error
 		for attempt := 0; ; attempt++ {
-			mig, err = n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpMigrate, Range: arc, From: n.self, States: states})
+			mig, _, err = n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpMigrate, Range: arc, From: n.self, States: states})
 			if (err == nil && mig.OK) || attempt >= 3 || ctx.Err() != nil {
 				break
 			}
@@ -271,7 +270,7 @@ func (n *Node) Stabilize(ctx context.Context) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		succResp, succErr = n.readRetry(ctx, succ.Addr, &transport.Request{Op: transport.OpSuccList, SizeEst: est, From: n.self})
+		succResp, _, succErr = n.readRetry(ctx, succ.Addr, &transport.Request{Op: transport.OpSuccList, SizeEst: est, From: n.self})
 	}()
 	if pred.Addr != n.self.Addr {
 		wg.Add(1)
@@ -283,7 +282,7 @@ func (n *Node) Stabilize(ctx context.Context) {
 			// out transient drops too (readRetry): a cleared slot makes
 			// this node claim the whole counterclockwise circle until the
 			// next notify, so a false positive here corrupts routing.
-			if _, err := n.readRetry(ctx, pred.Addr, &transport.Request{Op: transport.OpPing}); err != nil && !errors.Is(err, transport.ErrOverloaded) {
+			if _, _, err := n.readRetry(ctx, pred.Addr, &transport.Request{Op: transport.OpPing}); err != nil && !errors.Is(err, transport.ErrOverloaded) {
 				predDead = true
 			}
 		}()
@@ -326,7 +325,7 @@ func (n *Node) Stabilize(ctx context.Context) {
 		x := succResp.Peer // the successor's predecessor
 		adopted := false
 		if x.Addr != "" && x.Addr != n.self.Addr && x.Key.Between(n.self.Key, succ.Key) {
-			if _, err := n.readRetry(ctx, x.Addr, &transport.Request{Op: transport.OpPing}); err == nil || errors.Is(err, transport.ErrOverloaded) {
+			if _, _, err := n.readRetry(ctx, x.Addr, &transport.Request{Op: transport.OpPing}); err == nil || errors.Is(err, transport.ErrOverloaded) {
 				n.mu.Lock()
 				n.setSuccLocked(x)
 				n.mu.Unlock()
@@ -576,7 +575,7 @@ func (n *Node) CountPeers(ctx context.Context, max int) int {
 		if ctx.Err() != nil {
 			return -1
 		}
-		resp, err := n.readRetry(ctx, cur.Addr, &transport.Request{Op: transport.OpSuccList})
+		resp, _, err := n.readRetry(ctx, cur.Addr, &transport.Request{Op: transport.OpSuccList})
 		if err != nil || !resp.OK {
 			return -1
 		}
@@ -708,12 +707,12 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 		} else {
 			probe = query()
 		}
-		// A message is charged where it is sent; a step this node takes on
-		// itself — the walk's first, or a later one when churn routes the
-		// walk back through its entry node — is dispatched in-process
-		// (callRetry) and costs nothing.
-		cost += n.messages(cur)
+		// A message is charged where it is sent, retries included; a step
+		// this node takes on itself — the walk's first, or a later one when
+		// churn routes the walk back through its entry node — is dispatched
+		// in-process (callRetry) and costs nothing.
 		var resp *transport.Response
+		var sends int
 		var err error
 		// Knowledge folded from the α-1 extra probes of this hop.
 		var found route // a Found answer held in reserve
@@ -736,9 +735,9 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 				defer wg.Done()
 				results = n.fanoutReadRetry(ctx, extras, extraReq)
 			}()
-			resp, err = call(ctx, cur, probe)
+			resp, sends, err = call(ctx, cur, probe)
 			wg.Wait()
-			cost += n.messages(extras...) // the extra probes are messages too
+			cost += sends + n.messages(extras...) // the extra probes are messages too
 			if cerr := ctx.Err(); cerr != nil {
 				return route{}, cost, cerr
 			}
@@ -762,7 +761,8 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 				}
 			}
 		} else {
-			resp, err = call(ctx, cur, probe)
+			resp, sends, err = call(ctx, cur, probe)
+			cost += sends
 		}
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
@@ -900,11 +900,16 @@ func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]tr
 // to the full walk — an overloaded owner keeps its entry (alive, just
 // shedding), any other answer drops the arc containing key. A successful
 // resolve (either path) re-primes the cache.
+//
+// A cached owner that does not answer at all crashed after it last did.
+// Until its predecessor repairs, every walk dead-ends there, so the read
+// goes to the replica chain the owner last named instead: its head stands
+// in as the owner — it inherits the arc — and the rest stay the chain.
 func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cost := 0
 	if ent, ok := n.routes.Get(key); ok {
-		cost += n.messages(ent.owner.Addr)
-		resp, err := n.readRetry(ctx, ent.owner.Addr, carried(op, key, nil))
+		resp, sends, err := n.readRetry(ctx, ent.owner.Addr, carried(op, key, nil))
+		cost += sends
 		if cerr := ctx.Err(); cerr != nil {
 			return route{}, cost, cerr
 		}
@@ -916,6 +921,10 @@ func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.
 		}
 		if !errors.Is(err, transport.ErrOverloaded) {
 			n.routes.Invalidate(key)
+			if err != nil && len(ent.chain) > 0 {
+				n.routeMisses.Add(1)
+				return route{owner: ent.chain[0], chain: ent.chain[1:]}, cost, nil
+			}
 		}
 	}
 	if n.routes != nil {
@@ -935,7 +944,9 @@ type OpResult struct {
 	Owner transport.PeerRef
 	// Cost is the message cost: the remote routing hops — the op rides the
 	// last one — plus any direct data RPC (a cached route, a chain
-	// fallback) and one message per replica push. Whatever this node
+	// fallback) and one message per replica push. A hop or direct RPC
+	// that is re-sent — a shed call, an unanswered read — counts each
+	// send. Whatever this node
 	// addresses to itself is free, wherever it falls: the walk's first
 	// step, a step churn routes back through this node, an op or a replica
 	// push on its own store.
@@ -1000,8 +1011,9 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 		}
 		res.Owner = owner
 		if resp == nil {
-			res.Cost += n.messages(owner.Addr)
-			resp, err = n.callRetry(ctx, owner.Addr, req)
+			var sends int
+			resp, sends, err = n.callRetry(ctx, owner.Addr, req)
+			res.Cost += sends
 		}
 		if err == nil && resp != nil && !resp.OK && resp.Err == errNotOwner {
 			n.routes.Invalidate(key)
@@ -1116,107 +1128,11 @@ func (n *Node) PutW(ctx context.Context, key keyspace.Key, value []byte, w int) 
 	return res, nil
 }
 
-// hotGet tries to serve a read from the requester-side hot-key cache.
-// The cached copy is never trusted on its own: one OpKeyHash to the
-// cached owner fetches the key's current item hash, and only a matching
-// digest serves the copy — one small RPC instead of a routing walk plus
-// a value transfer. The check needs a cached route as well as a cached
-// value; lacking either, the full path runs (and repopulates both).
-//
-// served reports the read was answered here: with the value on a hash
-// match (from the owner, or from a chain member once the owner proved
-// unreachable), or as an authoritative not-found when the validator
-// reports a tombstone. Any disagreement — hash mismatch, no record,
-// moved arc — drops the stale state and lets the full path decide, so
-// the cache can shed load but never change an answer.
-func (n *Node) hotGet(ctx context.Context, key keyspace.Key) (OpResult, bool, error) {
-	if n.hot == nil {
-		return OpResult{}, false, nil
-	}
-	val, ok := n.hot.Get(key)
-	if !ok {
-		n.hotMisses.Add(1)
-		return OpResult{}, false, nil
-	}
-	ent, ok := n.routes.Get(key)
-	if !ok {
-		n.hotMisses.Add(1)
-		return OpResult{}, false, nil
-	}
-	res := OpResult{Owner: ent.owner, Cost: n.messages(ent.owner.Addr)}
-	resp, err := n.readRetry(ctx, ent.owner.Addr, &transport.Request{Op: transport.OpKeyHash, Key: key})
-	if cerr := ctx.Err(); cerr != nil {
-		return res, true, cerr
-	}
-	switch {
-	case err == nil && resp.OK && resp.Found:
-		if len(resp.Digest) == 1 && resp.Digest[0] == antientropy.ItemHash(key, val) {
-			n.hotHits.Add(1)
-			ent.chain = resp.Peers
-			n.cacheRoute(key, ent)
-			res.Found, res.Value = true, val
-			return res, true, nil
-		}
-		// The owner holds a different value: our copy lost. Evict and
-		// take the full path to fetch the fresh one.
-		n.hot.Invalidate(key)
-
-	case err == nil && resp.OK && resp.Deleted:
-		// Authoritative tombstone behind the ownership gate: the read is
-		// answered — not-found — and the stale copy dies.
-		n.hot.Invalidate(key)
-		n.hotMisses.Add(1)
-		return res, true, nil
-
-	case err == nil && !resp.OK && resp.Err == errNotOwner:
-		// The arc moved: the cached route is stale (the copy may still be
-		// good — the next full read revalidates it against the new owner).
-		n.routes.Invalidate(key)
-
-	case err != nil && !errors.Is(err, transport.ErrOverloaded):
-		// Owner unreachable: ask the cached replica chain for the hash —
-		// the same authority order the full read's fallback walk uses.
-		for _, t := range ent.chain {
-			res.Cost += n.messages(t.Addr)
-			r2, e2 := n.callRetry(ctx, t.Addr, &transport.Request{Op: transport.OpKeyHashChain, Key: key})
-			if cerr := ctx.Err(); cerr != nil {
-				return res, true, cerr
-			}
-			if e2 != nil || !r2.OK {
-				continue
-			}
-			if r2.Found {
-				if len(r2.Digest) == 1 && r2.Digest[0] == antientropy.ItemHash(key, val) {
-					n.hotHits.Add(1)
-					res.Owner, res.Found, res.Value = t, true, val
-					return res, true, nil
-				}
-				break // a fresher value exists: full path fetches it
-			}
-			if r2.Deleted {
-				n.hot.Invalidate(key)
-				n.hotMisses.Add(1)
-				return res, true, nil
-			}
-			// No record here: try the next chain member.
-		}
-		// Nothing confirmed the copy; the cached owner is likely dead.
-		dead := ent.owner.Addr
-		n.routes.InvalidateMatching(func(_ keyspace.Key, e routeEntry) bool {
-			return e.owner.Addr == dead
-		})
-	}
-	// Overloaded owner falls through here too: caches kept, full path
-	// (with its own overload surface) decides.
-	n.hotMisses.Add(1)
-	return OpResult{}, false, nil
-}
-
 // Get fetches the value under key from the key's owner. A missing item is
 // not an error: Found reports existence. When the owner is unreachable
-// (it crashed between routing and the data RPC) the read falls back
-// through the owner's replica chain, so a crash loses routing entries but
-// no data.
+// (it crashed between routing and the data RPC, or after the route cache
+// last heard from it) the read falls back through the owner's replica
+// chain, so a crash loses routing entries but no data.
 //
 // The owner's authority is tombstone-scoped: a miss backed by a tombstone
 // is an authoritative delete and ends the read, while a miss with no
@@ -1229,9 +1145,6 @@ func (n *Node) hotGet(ctx context.Context, key keyspace.Key) (OpResult, bool, er
 // replica and re-syncs its trailing chain, asynchronously and counted in
 // its anti-entropy stats — fallback reads heal the data path they expose.
 func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
-	if res, served, err := n.hotGet(ctx, key); served {
-		return res, err
-	}
 	req := &transport.Request{Op: transport.OpGet, Key: key, From: n.self}
 	rt, cost, err := n.resolveRead(ctx, key, req)
 	if err != nil {
@@ -1254,7 +1167,6 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 		if i == 0 && rt.result != nil {
 			resp = rt.result
 		} else {
-			res.Cost += n.messages(t.Addr)
 			call := n.callRetry
 			if i == 0 {
 				// The owner read rides out transient unreachability before
@@ -1263,7 +1175,9 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 				// lost packet into a wrong not-found.
 				call = n.readRetry
 			}
-			resp, err = call(ctx, t.Addr, req)
+			var sends int
+			resp, sends, err = call(ctx, t.Addr, req)
+			res.Cost += sends
 		}
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
@@ -1277,7 +1191,6 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 		}
 		if resp.Found {
 			res.Owner, res.Found, res.Value = t, true, resp.Value
-			n.hot.Put(key, resp.Value)
 			if i > 0 && ownerStale {
 				// A replica holds state the live owner has no record of:
 				// one cheap nudge makes the owner pull the divergence.
@@ -1290,7 +1203,6 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 			if resp.Deleted {
 				// Tombstoned at the owner: authoritatively deleted, no
 				// chain walk — a replica's stale copy must not resurrect.
-				n.hot.Invalidate(key)
 				return res, nil
 			}
 			ownerStale = true
@@ -1301,7 +1213,6 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 			// dead or recordless it ends the read, or a staler copy
 			// further down the chain would resurrect the key. A stale
 			// owner is nudged so it adopts the tombstone as well.
-			n.hot.Invalidate(key)
 			if ownerStale {
 				res.Cost++
 				_, _ = n.tr.CallCtx(ctx, owner.Addr, &transport.Request{Op: transport.OpReadRepair, From: t})
@@ -1387,7 +1298,7 @@ func (n *Node) Rewire(ctx context.Context) error {
 		if cand.Addr == "" {
 			continue
 		}
-		resp, err := n.callRetry(ctx, cand.Addr, &transport.Request{Op: transport.OpLink, From: n.self})
+		resp, _, err := n.callRetry(ctx, cand.Addr, &transport.Request{Op: transport.OpLink, From: n.self})
 		if err != nil || !resp.OK {
 			continue // refused, shedding, or dead: the slot stays open until next rewire
 		}

@@ -33,7 +33,8 @@ const (
 // provided the context's deadline leaves room for the wait plus a
 // comparable round trip; otherwise (or when the retry is shed too) the
 // typed error is returned for the caller to surface, never to treat as
-// proof of death.
+// proof of death. sends is the number of messages the call put on the
+// fabric, the retry included — what an op's Cost charges for it.
 //
 // A call the node addresses to itself — a walk's first step, a replica
 // push when the writer sits in the owner's chain, an op on a key the node
@@ -42,31 +43,32 @@ const (
 // path alone — by the handler where it stores request bytes (dispatch's
 // borrowed), here for the bytes of the response — so the store never keeps
 // a slice the caller still holds, nor the caller one of the store's.
-func (n *Node) callRetry(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
+func (n *Node) callRetry(ctx context.Context, addr transport.Addr, req *transport.Request) (resp *transport.Response, sends int, err error) {
 	if addr == n.self.Addr {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		resp := n.dispatch(req, true)
 		ownResponse(resp)
-		return resp, nil
+		return resp, 0, nil
 	}
-	resp, err := n.tr.CallCtx(ctx, addr, req)
+	resp, err = n.tr.CallCtx(ctx, addr, req)
 	if err == nil || !errors.Is(err, transport.ErrOverloaded) {
-		return resp, err
+		return resp, 1, err
 	}
 	backoff := overloadBackoffBase + time.Duration(n.rnd.Float64()*float64(overloadBackoffJitter))
 	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < 2*backoff {
-		return resp, err // no budget to wait out the backoff
+		return resp, 1, err // no budget to wait out the backoff
 	}
 	t := time.NewTimer(backoff)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 1, ctx.Err()
 	case <-t.C:
 	}
-	return n.tr.CallCtx(ctx, addr, req)
+	resp, err = n.tr.CallCtx(ctx, addr, req)
+	return resp, 2, err
 }
 
 // ownResponse replaces, in a response the handler has just built, the
@@ -119,25 +121,26 @@ const (
 // contract, unreachable answers are retried up to readRetryAttempts total
 // sends with short pauses. Overload still surfaces per the overload
 // contract (callRetry already retried once), and application-level
-// failures (resp.OK = false) are never retried.
-func (n *Node) readRetry(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
-	var resp *transport.Response
-	var err error
+// failures (resp.OK = false) are never retried. sends counts every
+// message put on the fabric across the attempts.
+func (n *Node) readRetry(ctx context.Context, addr transport.Addr, req *transport.Request) (resp *transport.Response, sends int, err error) {
 	for attempt := 0; attempt < readRetryAttempts; attempt++ {
 		if attempt > 0 {
 			if serr := sleepCtx(ctx, readRetryStep); serr != nil {
-				return resp, err
+				return resp, sends, err
 			}
 		}
-		resp, err = n.callRetry(ctx, addr, req)
+		var s int
+		resp, s, err = n.callRetry(ctx, addr, req)
+		sends += s
 		if err == nil || errors.Is(err, transport.ErrOverloaded) {
-			return resp, err
+			return resp, sends, err
 		}
 		if ctx.Err() != nil {
-			return resp, err
+			return resp, sends, err
 		}
 	}
-	return resp, err
+	return resp, sends, err
 }
 
 // fanoutRetry is transport.Fanout through callRetry: the same parallel
@@ -150,7 +153,7 @@ func (n *Node) fanoutRetry(ctx context.Context, addrs []transport.Addr, req *tra
 		wg.Add(1)
 		go func(i int, addr transport.Addr) {
 			defer wg.Done()
-			resp, err := n.callRetry(ctx, addr, req)
+			resp, _, err := n.callRetry(ctx, addr, req)
 			results[i] = transport.FanoutResult{Addr: addr, Resp: resp, Err: err}
 		}(i, addr)
 	}
@@ -169,7 +172,7 @@ func (n *Node) fanoutReadRetry(ctx context.Context, addrs []transport.Addr, req 
 		wg.Add(1)
 		go func(i int, addr transport.Addr) {
 			defer wg.Done()
-			resp, err := n.readRetry(ctx, addr, req)
+			resp, _, err := n.readRetry(ctx, addr, req)
 			results[i] = transport.FanoutResult{Addr: addr, Resp: resp, Err: err}
 		}(i, addr)
 	}

@@ -107,8 +107,9 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 		}
 		served := s.cur
 		if resp == nil {
-			out.Cost += s.n.messages(s.cur.Addr)
-			resp, err = s.n.readRetry(ctx, s.cur.Addr, req)
+			var sends int
+			resp, sends, err = s.n.readRetry(ctx, s.cur.Addr, req)
+			out.Cost += sends
 		}
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
@@ -121,8 +122,8 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 			for len(s.chain) > 0 {
 				fb := s.chain[0]
 				s.chain = s.chain[1:]
-				out.Cost += s.n.messages(fb.Addr)
-				r, ferr := s.n.callRetry(ctx, fb.Addr, req)
+				r, sends, ferr := s.n.callRetry(ctx, fb.Addr, req)
+				out.Cost += sends
 				if ferr == nil && r.OK {
 					resp, served = r, fb
 					s.cur, s.counted = fb, false

@@ -1,14 +1,13 @@
-// Package routecache provides the small bounded caches that sit on the
-// hot lookup/read path: a per-node LRU of owner resolutions and a
-// requester-side LRU of hot-key value copies. Both are freshness caches,
+// Package routecache provides the route cache: a small bounded LRU of
+// owner resolutions on the lookup/read path. It is a freshness cache,
 // never authority — every consumer validates an entry against the ring
-// (ownership gates, digest checks) before trusting it, so the cache is
-// allowed to be stale without ever being wrong.
+// (the owner's ownership gate, a direct find_owner) before trusting it, so
+// the cache is allowed to be stale without ever being wrong.
 //
-// An entry covers a clockwise arc of keys, not one key: the route cache
-// stores an owner under the arc it owns, (pred, owner], so one resolution
-// serves every key of that arc, while the hot-key cache stores each value
-// under the one-key arc of its key (Put). Arcs in one cache never overlap:
+// An entry covers a clockwise arc of keys, not one key: a live node stores
+// an owner under the arc it owns, (pred, owner], so one resolution serves
+// every key of that arc. Put caches under the one-key arc of a single key,
+// for resolutions that carry no arc. Arcs in one cache never overlap:
 // inserting an arc drops every entry it shares a key with, so an arc that
 // split is re-learned half by half.
 //
@@ -26,12 +25,6 @@ import (
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 )
-
-// Stats is a point-in-time hit/miss snapshot.
-type Stats struct {
-	Hits   uint64
-	Misses uint64
-}
 
 type entry[V any] struct {
 	arc keyspace.Range
@@ -62,8 +55,6 @@ type Cache[V any] struct {
 	// byLast indexes the same elements by their arc's final key, so the
 	// arc containing a key is found by one binary search.
 	byLast []slot
-	hits   uint64
-	miss   uint64
 	now    func() time.Time // test seam
 }
 
@@ -94,17 +85,14 @@ func (c *Cache[V]) Get(k keyspace.Key) (V, bool) {
 	defer c.mu.Unlock()
 	el := c.containingLocked(k)
 	if el == nil {
-		c.miss++
 		return zero, false
 	}
 	e := el.Value.(*entry[V])
 	if !e.expires.IsZero() && c.now().After(e.expires) {
 		c.removeLocked(el)
-		c.miss++
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits++
 	return e.val, true
 }
 
@@ -205,16 +193,6 @@ func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns the accumulated hit/miss counters.
-func (c *Cache[V]) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.miss}
 }
 
 // searchLocked returns the index of the first entry clockwise from k: the

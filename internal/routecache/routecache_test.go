@@ -28,10 +28,6 @@ func TestPutGet(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 hits / 1 miss", st)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -350,7 +346,7 @@ func TestNilCache(t *testing.T) {
 	c.Invalidate(k(1))
 	c.InvalidateMatching(func(keyspace.Key, string) bool { return true })
 	c.Flush()
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	if c.Len() != 0 {
 		t.Fatal("nil cache reports non-empty state")
 	}
 }

@@ -114,16 +114,6 @@ const (
 	// re-sync its chain). The nudge is cheap and asynchronous; the owner
 	// deduplicates concurrent nudges.
 	OpReadRepair Op = "read_repair" // reader→owner: pull your arc's divergence from From
-
-	// Hot-key cache validation: a requester holding a cached copy of a
-	// read-heavy key asks the owner (or, when the owner is unreachable, a
-	// chain member) for the key's current item hash instead of the value.
-	// A matching digest serves the cached copy without shipping the value;
-	// anything else — mismatch, tombstone, no record, not-owner — makes
-	// the requester fall back to the full read path, so a stale cached
-	// copy always loses to the ring.
-	OpKeyHash      Op = "key_hash"       // owner-gated: item hash + replica chain
-	OpKeyHashChain Op = "key_hash_chain" // ungated chain fallback of key_hash
 )
 
 // Request is the wire request. One struct covers all ops; unused fields are

@@ -78,15 +78,8 @@ type NodeConfig struct {
 	// serve a stale owner.
 	RouteCacheSize int
 	// RouteCacheTTL ages route-cache entries (0 = default 2s, negative =
-	// no aging). The hot-key value cache shares this TTL.
+	// no aging).
 	RouteCacheTTL time.Duration
-	// HotKeyCache bounds the requester-side hot-key value cache (0 =
-	// default 128 entries, negative = disabled). A cached value is served
-	// only after a one-message digest check against the owner (or its
-	// replica chain when the owner is unreachable), so reads stay as fresh
-	// as an uncached read while skipping the routing walk and the value
-	// transfer.
-	HotKeyCache int
 	// PoolSize is the number of persistent connections per peer (0 =
 	// transport default).
 	PoolSize int
@@ -204,7 +197,6 @@ func startNodeOn(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 		Alpha:             cfg.Alpha,
 		RouteCacheSize:    cfg.RouteCacheSize,
 		RouteCacheTTL:     cfg.RouteCacheTTL,
-		HotKeyCache:       cfg.HotKeyCache,
 		Seed:              cfg.Seed,
 		DataDir:           cfg.DataDir,
 		Fsync:             policy,
@@ -573,10 +565,8 @@ func (n *Node) Info(ctx context.Context) (InfoResponse, error) {
 			TombstonesPushed: sync.TombsPushed,
 			Dropped:          sync.Dropped,
 		},
-		RouteCacheHits:    caches.RouteHits,
-		RouteCacheMisses:  caches.RouteMisses,
-		HotKeyCacheHits:   caches.HotHits,
-		HotKeyCacheMisses: caches.HotMisses,
+		RouteCacheHits:   caches.RouteHits,
+		RouteCacheMisses: caches.RouteMisses,
 	}
 	if st, ok := n.inner.PersistStats(); ok {
 		resp.Durable = true

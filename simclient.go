@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/oscar-overlay/oscar/internal/antientropy"
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/routecache"
 	"github.com/oscar-overlay/oscar/internal/storage"
@@ -47,26 +46,22 @@ func (o *Overlay) clientWith(replicas, writeConcern int) *simClient {
 		writeConcern = replicas
 	}
 	c := &simClient{ov: o, replicas: replicas, writeConcern: writeConcern}
-	c.setCaches(0, 0, 0)
+	c.setCaches(0, 0)
 	return c
 }
 
-// setCaches (re)builds the client's route and hot-key caches with the same
+// setCaches (re)builds the client's route cache with the same
 // normalisation the live runtime applies: size 0 means the 128-entry
 // default and negative disables; TTL 0 means the 2-second default and
-// negative disables aging. The hot-key cache shares the route cache's TTL.
-func (c *simClient) setCaches(routeSize int, ttl time.Duration, hotSize int) {
+// negative disables aging.
+func (c *simClient) setCaches(routeSize int, ttl time.Duration) {
 	if routeSize == 0 {
 		routeSize = 128
-	}
-	if hotSize == 0 {
-		hotSize = 128
 	}
 	if ttl == 0 {
 		ttl = 2 * time.Second
 	}
 	c.routes = routecache.New[NodeID](routeSize, ttl)
-	c.hot = routecache.New[[]byte](hotSize, ttl)
 }
 
 // simClient adapts the simulator Overlay to the Client interface. Each
@@ -79,16 +74,13 @@ type simClient struct {
 	writeConcern int
 	closed       atomic.Bool
 
-	// routes caches key → owner resolutions and hot caches recently read
-	// values — the simulator mirror of the live runtime's caching layer,
-	// so the three-backend conformance table exercises one contract. Both
-	// are validated against the sim graph on every hit (ownership for
-	// routes, a digest comparison for values), never trusted blind.
+	// routes caches key → owner resolutions — the simulator mirror of the
+	// live runtime's route cache, so the three-backend conformance table
+	// exercises one contract. Every hit is validated against the sim graph
+	// (the owner must still own the key), never trusted blind.
 	routes *routecache.Cache[NodeID]
-	hot    *routecache.Cache[[]byte]
 
 	routeHits, routeMisses atomic.Uint64
-	hotHits, hotMisses     atomic.Uint64
 }
 
 // concern resolves the write concern for one call: the context override
@@ -162,49 +154,6 @@ func (c *simClient) resolveLocked(key Key) (NodeID, int, error) {
 	return route.Owner, route.Cost(), nil
 }
 
-// hotGetLocked tries to serve a read from the hot-key cache: the cached
-// value counts only if a digest comparison against the validated owner's
-// own copy confirms it — the sim analogue of the live OpKeyHash check.
-// served=true means the response is final (a confirmed value, or an
-// authoritative not-found from an owner tombstone); served=false falls
-// through to the regular replicated read. Callers hold o.mu.
-func (c *simClient) hotGetLocked(key Key) (GetResponse, bool, error) {
-	if c.hot == nil {
-		return GetResponse{}, false, nil
-	}
-	val, ok := c.hot.Get(key)
-	if !ok {
-		c.hotMisses.Add(1)
-		return GetResponse{}, false, nil
-	}
-	o := c.ov
-	id, cached := c.routes.Get(key)
-	if !cached || !o.simOwnsLocked(id, key) {
-		if cached {
-			c.routes.Invalidate(key)
-		}
-		c.hotMisses.Add(1)
-		return GetResponse{}, false, nil
-	}
-	v, found, deleted := o.peekLocked(id, key)
-	switch {
-	case found && antientropy.ItemHash(key, v) == antientropy.ItemHash(key, val):
-		c.hotHits.Add(1)
-		return GetResponse{Owner: c.ownerLocked(id), Cost: 1, Value: bytes.Clone(val)}, true, nil
-	case found:
-		// The owner holds a newer value: the cached copy lost.
-		c.hot.Invalidate(key)
-	case deleted:
-		// An owner tombstone is authoritative: the read ends as not-found
-		// and the stale cached value is evicted.
-		c.hot.Invalidate(key)
-		c.hotMisses.Add(1)
-		return GetResponse{Owner: c.ownerLocked(id), Cost: 1}, true, fmt.Errorf("%w: %v", ErrNotFound, key)
-	}
-	c.hotMisses.Add(1)
-	return GetResponse{}, false, nil
-}
-
 func (c *simClient) Put(ctx context.Context, key Key, value []byte) (PutResponse, error) {
 	if err := c.begin(ctx); err != nil {
 		return PutResponse{}, err
@@ -219,7 +168,6 @@ func (c *simClient) Put(ctx context.Context, key Key, value []byte) (PutResponse
 	// The overlay keeps a copy, as a live node does: the caller may reuse
 	// its buffer.
 	res := o.putAtLocked(owner, cost, key, bytes.Clone(value), c.replicas)
-	c.hot.Invalidate(key)
 	out := PutResponse{Owner: c.ownerLocked(res.Owner), Cost: res.Cost, Replaced: res.Replaced, Acks: res.Acks}
 	if w := c.concern(ctx); res.Acks < w {
 		// The write holds wherever it was placed; the shortfall is
@@ -236,9 +184,6 @@ func (c *simClient) Get(ctx context.Context, key Key) (GetResponse, error) {
 	o := c.ov
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if res, served, err := c.hotGetLocked(key); served {
-		return res, err
-	}
 	owner, cost, err := c.resolveLocked(key)
 	if err != nil {
 		return GetResponse{Cost: cost}, fmt.Errorf("%w: get %v", ErrRoutingFailed, key)
@@ -246,10 +191,8 @@ func (c *simClient) Get(ctx context.Context, key Key) (GetResponse, error) {
 	servedBy, value, found, cost := o.getAtLocked(owner, cost, key, c.replicas)
 	out := GetResponse{Owner: c.ownerLocked(servedBy), Cost: cost}
 	if !found {
-		c.hot.Invalidate(key)
 		return out, fmt.Errorf("%w: %v", ErrNotFound, key)
 	}
-	c.hot.Put(key, value)
 	out.Value = bytes.Clone(value) // the caller's to scribble on
 	return out, nil
 }
@@ -266,7 +209,6 @@ func (c *simClient) Delete(ctx context.Context, key Key) (DeleteResponse, error)
 		return DeleteResponse{Cost: cost}, fmt.Errorf("%w: delete %v", ErrRoutingFailed, key)
 	}
 	res := o.deleteAtLocked(owner, cost, key, c.replicas)
-	c.hot.Invalidate(key)
 	out := DeleteResponse{Owner: c.ownerLocked(res.Owner), Cost: res.Cost, Acks: res.Acks}
 	if w := c.concern(ctx); res.Acks < w {
 		return out, &WriteConcernError{Acks: res.Acks, Want: w}
@@ -419,10 +361,8 @@ func (c *simClient) Info(ctx context.Context) (InfoResponse, error) {
 		Tombstones:   o.Tombstones(),
 		AntiEntropy:  sync,
 
-		RouteCacheHits:    c.routeHits.Load(),
-		RouteCacheMisses:  c.routeMisses.Load(),
-		HotKeyCacheHits:   c.hotHits.Load(),
-		HotKeyCacheMisses: c.hotMisses.Load(),
+		RouteCacheHits:   c.routeHits.Load(),
+		RouteCacheMisses: c.routeMisses.Load(),
 	}, nil
 }
 
