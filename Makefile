@@ -68,11 +68,16 @@ examples:
 # TestWriteFailure*, TestLargeFrame*, TestWriterBounds*: one write per
 # lone call, shared writes under concurrency, nothing sent for a context
 # already done, one break and sent=true on a write error, big frames not
-# pinned, pending frames capped against a peer that stops reading).
+# pinned, pending frames capped against a peer that stops reading). The
+# storage package contributes the store contract that every backend's
+# answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
+# store spanning several blocks agrees with a map model on every read, page,
+# digest and WAL replay).
 conformance:
 	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
 	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
 	$(GO) test -race -run 'TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds' ./internal/transport/
+	$(GO) test -race -run 'TestStoreMatchesModel|FuzzStoreOps' ./internal/storage/
 
 # Bench smoke: compile and run every benchmark once (shape check, not a
 # measurement). End-to-end and per-layer numbers come from the benchmark

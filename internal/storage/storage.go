@@ -3,9 +3,14 @@
 // range-partitioned: peer p holds every item whose key falls in the arc
 // (pred(p), p], and range queries scan consecutive peers' stores.
 //
-// Items are kept in a sorted slice: stores hold one peer's shard (thousands
-// of items, not millions), where binary search plus contiguous memory beats
-// pointer-chasing tree structures.
+// Items are kept in key-ordered blocks of at most PageMaxItems sorted
+// items, each found by a binary search over a contiguous index of the
+// blocks' last keys. A shard under insert load grows to tens of thousands
+// of items, and in one sorted slice every new key shifts every larger item,
+// under the node's lock, on the owner and again on each replica. With
+// blocks an insert or remove shifts items inside one block, a full block
+// splits in two, and a read is still two binary searches over contiguous
+// memory.
 //
 // Two replication concerns live here alongside the items:
 //
@@ -23,6 +28,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -34,7 +40,8 @@ import (
 // layer: replicate pushes, migrate responses and scan pages alike stop at
 // PageMaxItems items or once the accumulated value bytes would pass
 // PageMaxBytes — an order of magnitude under the transport's 16 MiB frame
-// cap, so no single response can approach it.
+// cap, so no single response can approach it. PageMaxItems also bounds a
+// store block.
 const (
 	PageMaxItems = 512
 	PageMaxBytes = 4 << 20
@@ -59,8 +66,12 @@ type Tombstone struct {
 // Store is one peer's shard, ordered by key. The zero value is an empty
 // store ready to use.
 type Store struct {
-	items []Item      // sorted by Key ascending
-	tombs []Tombstone // sorted by Key ascending; disjoint from items
+	// blocks holds the items in key order: every block is non-empty,
+	// sorted, at most PageMaxItems long, and below the next block.
+	blocks [][]Item
+	lasts  []keyspace.Key // lasts[b] is the last key of blocks[b]
+	n      int            // items across all blocks
+	tombs  []Tombstone    // sorted by Key ascending; disjoint from items
 	// tree, when enabled, is the incrementally-maintained digest of items
 	// and tombstones together.
 	tree *antientropy.Tree
@@ -71,14 +82,44 @@ type Store struct {
 }
 
 // Len returns the number of live items (tombstones excluded).
-func (s *Store) Len() int { return len(s.items) }
+func (s *Store) Len() int { return s.n }
 
 // TombstoneCount returns the number of recorded tombstones.
 func (s *Store) TombstoneCount() int { return len(s.tombs) }
 
-// search returns the index of the first item with key >= k.
-func (s *Store) search(k keyspace.Key) int {
-	return sort.Search(len(s.items), func(i int) bool { return s.items[i].Key >= k })
+// locate returns the position of the first item with key >= k: item i of
+// block b, or b == len(s.blocks) when every key is below k.
+func (s *Store) locate(k keyspace.Key) (b, i int) {
+	lo, hi := 0, len(s.lasts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.lasts[m] < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(s.blocks) {
+		return lo, 0
+	}
+	return lo, searchBlock(s.blocks[lo], k)
+}
+
+// searchBlock returns the index of the first item in blk with key >= k.
+// It and locate search by hand, because a point read is nothing but these
+// two searches: sort.Search calls a closure per probe, and
+// slices.BinarySearch is not inlined.
+func searchBlock(blk []Item, k keyspace.Key) int {
+	lo, hi := 0, len(blk)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if blk[m].Key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // searchTomb returns the index of the first tombstone with key >= k.
@@ -99,25 +140,99 @@ func (s *Store) apply(k keyspace.Key, h uint64) {
 func (s *Store) Put(k keyspace.Key, v []byte) (replaced bool) {
 	s.emit(Mutation{Op: MutPut, Key: k, Value: v})
 	s.clearTombstone(k)
-	i := s.search(k)
-	if i < len(s.items) && s.items[i].Key == k {
-		s.apply(k, antientropy.ItemHash(k, s.items[i].Value))
-		s.items[i].Value = v
+	b, i := s.locate(k)
+	if b < len(s.blocks) && s.blocks[b][i].Key == k {
+		it := &s.blocks[b][i]
+		s.apply(k, antientropy.ItemHash(k, it.Value))
+		it.Value = v
 		s.apply(k, antientropy.ItemHash(k, v))
 		return true
 	}
-	s.items = append(s.items, Item{})
-	copy(s.items[i+1:], s.items[i:])
-	s.items[i] = Item{Key: k, Value: v}
+	s.insert(b, i, Item{Key: k, Value: v})
 	s.apply(k, antientropy.ItemHash(k, v))
 	return false
 }
 
+// insert places it at position (b, i), where locate put its key. A key
+// past the last one joins the last block, or opens a new block when that
+// one is full, so a store filled in key order (a snapshot load, a migrated
+// arc) packs its blocks full. Anywhere else a full block splits in two.
+func (s *Store) insert(b, i int, it Item) {
+	if b == len(s.blocks) {
+		if b == 0 || len(s.blocks[b-1]) == PageMaxItems {
+			s.blocks = append(s.blocks, nil)
+			s.lasts = append(s.lasts, it.Key)
+		} else {
+			b--
+		}
+		i = len(s.blocks[b])
+	}
+	if len(s.blocks[b]) == PageMaxItems {
+		b, i = s.split(b, i)
+	}
+	blk := s.blocks[b]
+	if len(blk) == cap(blk) {
+		blk = newBlock(blk, grow(len(blk)))
+	}
+	blk = blk[:len(blk)+1]
+	copy(blk[i+1:], blk[i:])
+	blk[i] = it
+	s.blocks[b] = blk
+	if i == len(blk)-1 {
+		s.lasts[b] = it.Key
+	}
+	s.n++
+}
+
+// split copies the halves of the full block b into two right-sized
+// blocks and returns the pending insert's position among them.
+func (s *Store) split(b, i int) (int, int) {
+	const half = PageMaxItems / 2
+	full := s.blocks[b]
+	s.blocks[b] = newBlock(full[:half], 0)
+	s.blocks = slices.Insert(s.blocks, b+1, newBlock(full[half:], 0))
+	s.lasts = slices.Insert(s.lasts, b, full[half-1].Key)
+	if i < half {
+		return b, i
+	}
+	return b + 1, i - half
+}
+
+// newBlock copies items into a fresh block with room for extra more.
+func newBlock(items []Item, extra int) []Item {
+	return append(make([]Item, 0, len(items)+extra), items...)
+}
+
+// grow returns how many slots a full block of n items gains when it must
+// grow: about an eighth, where append would nearly double a slice this
+// small. A shard's spare capacity then stays near 8 % of its items; one
+// sorted slice carried 7–24 % at 5 k–30 k items. A sixteenth would save
+// half that slack, but filling a store would then make 1.6× the garbage
+// and take twice as long.
+func grow(n int) int { return min(PageMaxItems-n, n/8+16) }
+
+// removeAt deletes item i of block b, dropping the block if it empties.
+func (s *Store) removeAt(b, i int) {
+	blk := s.blocks[b]
+	copy(blk[i:], blk[i+1:])
+	blk[len(blk)-1] = Item{} // release the value to the collector
+	blk = blk[:len(blk)-1]
+	s.n--
+	if len(blk) == 0 {
+		s.blocks = slices.Delete(s.blocks, b, b+1)
+		s.lasts = slices.Delete(s.lasts, b, b+1)
+		return
+	}
+	s.blocks[b] = blk
+	if i == len(blk) {
+		s.lasts[b] = blk[i-1].Key
+	}
+}
+
 // Get returns the value for k.
 func (s *Store) Get(k keyspace.Key) ([]byte, bool) {
-	i := s.search(k)
-	if i < len(s.items) && s.items[i].Key == k {
-		return s.items[i].Value, true
+	if b, i := s.locate(k); b < len(s.blocks) && s.blocks[b][i].Key == k {
+		return s.blocks[b][i].Value, true
 	}
 	return nil, false
 }
@@ -140,12 +255,12 @@ func (s *Store) DeleteAt(k keyspace.Key, at int64) bool {
 
 // removeItem removes the live item for k without recording a tombstone.
 func (s *Store) removeItem(k keyspace.Key) bool {
-	i := s.search(k)
-	if i == len(s.items) || s.items[i].Key != k {
+	b, i := s.locate(k)
+	if b == len(s.blocks) || s.blocks[b][i].Key != k {
 		return false
 	}
-	s.apply(k, antientropy.ItemHash(k, s.items[i].Value))
-	s.items = append(s.items[:i], s.items[i+1:]...)
+	s.apply(k, antientropy.ItemHash(k, s.blocks[b][i].Value))
+	s.removeAt(b, i)
 	return true
 }
 
@@ -239,38 +354,15 @@ func (s *Store) GCTombstones(cutoff int64) int {
 // Scan visits items whose keys lie in the clockwise arc rg, in clockwise
 // order starting from rg.Start; fn returning false stops the scan. Wrapping
 // arcs are handled (the scan may start near the top of the key space and
-// continue from the bottom). Tombstoned keys are not visited.
+// continue from the bottom). Tombstoned keys are not visited. fn must not
+// mutate the store.
 func (s *Store) Scan(rg keyspace.Range, fn func(Item) bool) {
-	if len(s.items) == 0 {
-		return
-	}
-	if rg.IsFull() {
-		// Clockwise from rg.Start over the whole circle.
-		start := s.search(rg.Start)
-		for i := 0; i < len(s.items); i++ {
-			if !fn(s.items[(start+i)%len(s.items)]) {
+	c := s.cursor(rg)
+	for v := c.nextView(); v != nil; v = c.nextView() {
+		for _, it := range v {
+			if !fn(it) {
 				return
 			}
-		}
-		return
-	}
-	if rg.Start < rg.End {
-		for i := s.search(rg.Start); i < len(s.items) && s.items[i].Key < rg.End; i++ {
-			if !fn(s.items[i]) {
-				return
-			}
-		}
-		return
-	}
-	// Wrapping arc: [Start, MaxKey] then [0, End).
-	for i := s.search(rg.Start); i < len(s.items); i++ {
-		if !fn(s.items[i]) {
-			return
-		}
-	}
-	for i := 0; i < len(s.items) && s.items[i].Key < rg.End; i++ {
-		if !fn(s.items[i]) {
-			return
 		}
 	}
 }
@@ -284,80 +376,108 @@ func (s *Store) Scan(rg keyspace.Range, fn func(Item) bool) {
 // in the range past the returned page; resume from the last returned key
 // plus one.
 func (s *Store) ScanPage(rg keyspace.Range, maxItems, maxBytes int) (out []Item, more bool) {
-	out = makePage(maxItems, s.rangeViews(rg))
-	bytes := 0
-	s.Scan(rg, func(it Item) bool {
-		if maxItems > 0 && len(out) >= maxItems {
-			more = true
-			return false
-		}
-		if maxBytes > 0 && len(out) > 0 && bytes+len(it.Value) > maxBytes {
-			more = true
-			return false
-		}
-		bytes += len(it.Value)
-		out = append(out, it)
-		return true
-	})
-	return out, more
+	return ScanPageMerged(s, nil, rg, maxItems, maxBytes)
 }
 
-// rangeViews returns up to two subslice views of s.items covering rg in
-// clockwise order from rg.Start (two when the arc wraps the top of the
-// circle). The views alias the store's backing array — read-only, valid
-// until the next mutation.
-func (s *Store) rangeViews(rg keyspace.Range) [][]Item {
-	if s == nil || len(s.items) == 0 {
+// span is the run of item positions from item i of block b up to, not
+// including, item endI of block endB. The zero span is empty.
+type span struct{ b, i, endB, endI int }
+
+func (sp span) empty() bool { return sp.b > sp.endB || sp.b == sp.endB && sp.i >= sp.endI }
+
+// head returns the span's items in its first block, and the rest of it.
+func (sp span) head(blocks [][]Item) ([]Item, span) {
+	blk := blocks[sp.b]
+	end := len(blk)
+	if sp.b == sp.endB {
+		end = sp.endI
+	}
+	return blk[sp.i:end], span{sp.b + 1, 0, sp.endB, sp.endI}
+}
+
+// cursor walks a store's items over one range in clockwise order, one
+// block at a time, so a bounded page reads only the blocks it returns.
+// Its views alias the store's blocks: read-only, valid until the next
+// mutation.
+type cursor struct {
+	blocks     [][]Item
+	cur, after span   // the range's positions; after is empty unless rg wraps
+	view       []Item // the unread rest of the current view (peek/advance)
+}
+
+// cursor returns a cursor over the items of s in rg; a nil store is empty.
+func (s *Store) cursor(rg keyspace.Range) cursor {
+	if s == nil || s.n == 0 {
+		return cursor{}
+	}
+	c := cursor{blocks: s.blocks}
+	b, i := s.locate(rg.Start)
+	switch {
+	case rg.IsFull():
+		c.cur, c.after = span{b, i, len(s.blocks), 0}, span{0, 0, b, i}
+	case rg.Start < rg.End:
+		eb, ei := s.locate(rg.End)
+		c.cur = span{b, i, eb, ei}
+	default: // wrapping: [Start, MaxKey] then [0, End)
+		eb, ei := s.locate(rg.End)
+		c.cur, c.after = span{b, i, len(s.blocks), 0}, span{0, 0, eb, ei}
+	}
+	return c
+}
+
+// nextView returns the next run of the walk, which lies in one block, or
+// nil once the walk is done. Blocks are never empty, so neither is a view.
+func (c *cursor) nextView() []Item {
+	if c.cur.empty() {
+		c.cur, c.after = c.after, span{}
+	}
+	if c.cur.empty() {
 		return nil
 	}
-	i := s.search(rg.Start)
-	if rg.IsFull() {
-		return [][]Item{s.items[i:], s.items[:i]}
+	var v []Item
+	v, c.cur = c.cur.head(c.blocks)
+	return v
+}
+
+func (c *cursor) peek() (Item, bool) {
+	if len(c.view) == 0 {
+		if c.view = c.nextView(); c.view == nil {
+			return Item{}, false
+		}
 	}
-	if rg.Start < rg.End {
-		return [][]Item{s.items[i:s.search(rg.End)]}
+	return c.view[0], true
+}
+
+func (c *cursor) advance() { c.view = c.view[1:] }
+
+// countUpTo returns how many items the walk has left, counting no further
+// than limit.
+func (c *cursor) countUpTo(limit int) int {
+	n := len(c.view)
+	for _, sp := range [2]span{c.cur, c.after} {
+		for n < limit && !sp.empty() {
+			var v []Item
+			v, sp = sp.head(c.blocks)
+			n += len(v)
+		}
 	}
-	return [][]Item{s.items[i:], s.items[:s.search(rg.End)]}
+	return min(n, limit)
 }
 
 // makePage returns an empty page sized for what a bounded scan over the
-// given views can return — min(maxItems, items in the views) — so filling
+// two walks can return — min(maxItems, items left in them) — so filling
 // it never regrows. Without an item cap the page grows on demand: the byte
 // cap alone says nothing about the count.
-func makePage(maxItems int, views ...[][]Item) []Item {
+func makePage(maxItems int, p, f *cursor) []Item {
 	if maxItems <= 0 {
 		return nil
 	}
-	left := 0
-	for _, parts := range views {
-		for _, part := range parts {
-			left += len(part)
-		}
-	}
+	left := p.countUpTo(maxItems) + f.countUpTo(maxItems)
 	if left == 0 {
 		return nil
 	}
 	return make([]Item, 0, min(maxItems, left))
 }
-
-// pageWalker pulls items one at a time from a store's clockwise range
-// views — the pull-style iterator a two-store merge needs.
-type pageWalker struct {
-	parts [][]Item
-}
-
-func (w *pageWalker) peek() (Item, bool) {
-	for len(w.parts) > 0 {
-		if len(w.parts[0]) == 0 {
-			w.parts = w.parts[1:]
-			continue
-		}
-		return w.parts[0][0], true
-	}
-	return Item{}, false
-}
-
-func (w *pageWalker) advance() { w.parts[0] = w.parts[0][1:] }
 
 // ScanPageMerged returns one bounded page of the clockwise merge of two
 // stores restricted to rg, from rg.Start: primary items win key
@@ -376,12 +496,14 @@ func ScanPageMerged(primary, fallback *Store, rg keyspace.Range, maxItems, maxBy
 	if primary == nil {
 		primary = &Store{}
 	}
-	p := &pageWalker{parts: primary.rangeViews(rg)}
-	f := &pageWalker{parts: fallback.rangeViews(rg)}
-	out = makePage(maxItems, p.parts, f.parts)
+	p, f := primary.cursor(rg), fallback.cursor(rg)
+	out = makePage(maxItems, &p, &f)
 	bytes := 0
 	for {
-		it, ok := nextMerged(p, f, rg.Start, primary)
+		if _, ok := f.peek(); !ok {
+			return appendRuns(out, bytes, &p, maxItems, maxBytes)
+		}
+		it, ok := nextMerged(&p, &f, rg.Start, primary)
 		if !ok {
 			return out, false
 		}
@@ -396,11 +518,43 @@ func ScanPageMerged(primary, fallback *Store, rg keyspace.Range, maxItems, maxBy
 	}
 }
 
+// appendRuns fills the page from c alone once the fallback has nothing
+// left in the range, under ScanPageMerged's bounds: every item is then
+// emittable, so whole runs of a block are copied at once.
+func appendRuns(out []Item, bytes int, c *cursor, maxItems, maxBytes int) ([]Item, bool) {
+	for {
+		v := c.view
+		if len(v) == 0 {
+			if v = c.nextView(); v == nil {
+				return out, false
+			}
+		}
+		n := len(v)
+		if maxItems > 0 {
+			n = min(n, maxItems-len(out))
+		}
+		if maxBytes > 0 {
+			for j := range n {
+				if (len(out) > 0 || j > 0) && bytes+len(v[j].Value) > maxBytes {
+					n = j
+					break
+				}
+				bytes += len(v[j].Value)
+			}
+		}
+		out = append(out, v[:n]...)
+		if n < len(v) {
+			return out, true
+		}
+		c.view = nil
+	}
+}
+
 // nextMerged pops the next emittable item of the two-store clockwise
 // merge: ordering is by clockwise distance from start, duplicate keys keep
 // the primary's copy, and fallback-only keys tombstoned at the primary are
 // skipped entirely.
-func nextMerged(p, f *pageWalker, start keyspace.Key, primary *Store) (Item, bool) {
+func nextMerged(p, f *cursor, start keyspace.Key, primary *Store) (Item, bool) {
 	for {
 		pi, pok := p.peek()
 		fi, fok := f.peek()
@@ -426,26 +580,55 @@ func nextMerged(p, f *pageWalker, start keyspace.Key, primary *Store) (Item, boo
 // Items returns all items in key order (a copy of the slice headers; values
 // are shared).
 func (s *Store) Items() []Item {
-	return append([]Item(nil), s.items...)
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]Item, 0, s.n)
+	for _, blk := range s.blocks {
+		out = append(out, blk...)
+	}
+	return out
 }
 
 // ExtractRange removes and returns the items whose keys lie in rg — the
 // migration primitive used when a joining peer takes over part of its
 // successor's arc. Tombstones in rg are not touched; migrate them
-// separately with ExtractTombstones.
+// separately with ExtractTombstones. The items left behind are repacked
+// into full blocks.
 func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 	var out []Item
-	kept := s.items[:0]
-	for _, it := range s.items {
-		if rg.Contains(it.Key) {
-			s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
-			s.apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
-			out = append(out, it)
-		} else {
-			kept = append(kept, it)
+	for _, blk := range s.blocks {
+		for _, it := range blk {
+			if rg.Contains(it.Key) {
+				s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
+				s.apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+				out = append(out, it)
+			}
 		}
 	}
-	s.items = kept
+	if len(out) == 0 {
+		return nil
+	}
+	old, kept := s.blocks, s.n-len(out)
+	s.blocks, s.lasts, s.n = nil, nil, 0
+	var blk []Item
+	for _, ob := range old {
+		for _, it := range ob {
+			if rg.Contains(it.Key) {
+				continue
+			}
+			if blk == nil { // full blocks, then one sized to what is left
+				blk = make([]Item, 0, min(PageMaxItems, kept-s.n))
+			}
+			blk = append(blk, it)
+			s.n++
+			if len(blk) == cap(blk) {
+				s.blocks = append(s.blocks, blk)
+				s.lasts = append(s.lasts, it.Key)
+				blk = nil
+			}
+		}
+	}
 	return out
 }
 
@@ -458,20 +641,7 @@ func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 // chunk — the pagination primitive for migrating a large arc in bounded
 // frames.
 func (s *Store) ExtractRangeLimit(rg keyspace.Range, maxItems, maxBytes int) (out []Item, more bool) {
-	bytes := 0
-	s.Scan(rg, func(it Item) bool {
-		if maxItems > 0 && len(out) >= maxItems {
-			more = true
-			return false
-		}
-		if maxBytes > 0 && len(out) > 0 && bytes+len(it.Value) > maxBytes {
-			more = true
-			return false
-		}
-		bytes += len(it.Value)
-		out = append(out, it)
-		return true
-	})
+	out, more = s.ScanPage(rg, maxItems, maxBytes)
 	for _, it := range out {
 		s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
 		s.removeItem(it.Key)
@@ -509,8 +679,10 @@ func (s *Store) InsertBulk(items []Item) {
 // subsequent mutation updates it in O(1).
 func (s *Store) EnableDigest(depth int) {
 	s.tree = antientropy.NewTree(depth)
-	for _, it := range s.items {
-		s.tree.Apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+	for _, blk := range s.blocks {
+		for _, it := range blk {
+			s.tree.Apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+		}
 	}
 	for _, tb := range s.tombs {
 		s.tree.Apply(tb.Key, antientropy.TombHash(tb.Key))

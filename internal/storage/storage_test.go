@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -375,5 +376,64 @@ func TestScanPageMerged(t *testing.T) {
 	got, _ = ScanPageMerged(&hi, &lo, keyspace.Range{Start: ^keyspace.Key(0) - 5, End: 10}, 0, 0)
 	if len(got) != 2 || got[0].Key != ^keyspace.Key(0)-1 || got[1].Key != 3 {
 		t.Fatalf("wrap-around merged = %+v", got)
+	}
+}
+
+// BenchmarkStore times one digest-enabled store at fixed sizes: a hit, an
+// in-place overwrite, a new key's insert plus its removal (so the size
+// holds), one ScanPageMerged page of PageMaxItems from a stored key, and
+// filling an empty store to the size, as a preload or a replay does.
+// Fixed sizes keep per-op costs comparable across store layouts, where a
+// probe that inserts for a fixed time measures a bigger store the faster
+// inserts get.
+func BenchmarkStore(b *testing.B) {
+	for _, size := range []int{1000, 10000, 50000} {
+		rnd := rand.New(rand.NewSource(5))
+		var s, empty Store
+		s.EnableDigest(antientropy.DefaultDepth)
+		keys := make([]keyspace.Key, size)
+		val := make([]byte, 64)
+		for i := range keys {
+			keys[i] = keyspace.Key(rnd.Uint64())
+			s.Put(keys[i], val)
+		}
+		fresh := make([]keyspace.Key, 4096)
+		for i := range fresh {
+			fresh[i] = keyspace.Key(rnd.Uint64())
+		}
+		b.Run(fmt.Sprintf("items=%d/get", size), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				s.Get(keys[i%size])
+			}
+		})
+		b.Run(fmt.Sprintf("items=%d/put-replace", size), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				s.Put(keys[i%size], val)
+			}
+		})
+		b.Run(fmt.Sprintf("items=%d/insert-remove", size), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				k := fresh[i%len(fresh)]
+				s.Put(k, val)
+				s.Drop(k)
+			}
+		})
+		b.Run(fmt.Sprintf("items=%d/scan-page", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				k := keys[i%size]
+				ScanPageMerged(&s, &empty, keyspace.Range{Start: k, End: k - 1}, PageMaxItems, PageMaxBytes)
+			}
+		})
+		b.Run(fmt.Sprintf("items=%d/fill", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				var f Store
+				f.EnableDigest(antientropy.DefaultDepth)
+				for _, k := range keys {
+					f.Put(k, val)
+				}
+			}
+		})
 	}
 }

@@ -207,6 +207,7 @@ func TestSyncStatesMergesItemsAndTombstones(t *testing.T) {
 // rebuild a replica pays when asked to digest an arc on demand.
 func BenchmarkArcDigest(b *testing.B) {
 	const items = 8192
+	keys := make([]keyspace.Key, items)
 	mkStore := func(digest bool) *Store {
 		var s Store
 		if digest {
@@ -215,8 +216,9 @@ func BenchmarkArcDigest(b *testing.B) {
 		rnd := rand.New(rand.NewSource(3))
 		val := make([]byte, 64)
 		rnd.Read(val)
-		for i := 0; i < items; i++ {
-			s.Put(keyspace.Key(rnd.Uint64()), val)
+		for i := range keys {
+			keys[i] = keyspace.Key(rnd.Uint64())
+			s.Put(keys[i], val)
 		}
 		return &s
 	}
@@ -228,7 +230,7 @@ func BenchmarkArcDigest(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Overwrite in place: isolates hash+toggle from slice growth.
-			s.Put(s.items[i%items].Key, val)
+			s.Put(keys[i%items], val)
 		}
 	})
 
