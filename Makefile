@@ -26,17 +26,22 @@ race:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Examples and commands must stay vet-clean and buildable: they are the
-# documentation of the public Client API.
+# Examples and commands must stay vet-clean and buildable, and every
+# example must run to completion: they are the documentation of the
+# public Client API.
+EXAMPLES = blobstream churn heterogeneous quickstart rangequery tcpcluster
+
 examples:
 	$(GO) vet ./examples/... ./cmd/...
 	$(GO) build ./examples/... ./cmd/...
+	@for e in $(EXAMPLES); do echo "go run ./examples/$$e"; $(GO) run ./examples/$$e || exit 1; done
 
-# Cross-backend conformance: the identical scenario table against the
-# simulator Client and the live Client (in-memory fabric and TCP), the
-# crash-durability contract (write with r=3, kill the owner, lose
-# nothing), the divergence-heal contract (corrupt a replica, anti-entropy
-# repairs exactly the divergence, deletes stay deleted), the write-concern
+# Conformance: the identical scenario table against the Client on two
+# harnesses (a StartCluster ring on the in-memory fabric and StartNode
+# peers on loopback TCP), the crash-durability contract (write with r=3,
+# kill the owner, lose nothing), the divergence-heal contract (corrupt a
+# replica, anti-entropy repairs exactly the divergence, the owner's Info
+# reports that work, deletes stay deleted), the write-concern
 # contract (w=2 succeeds past a dead replica, w=3 fails with honest ack
 # counts), the read-repair contract (a fallback read heals a stale owner
 # by exactly the divergence), the ring-size estimate on a ring past
@@ -46,7 +51,7 @@ examples:
 # restart it on the same data dir, lose no acked write, resurrect no
 # delete, re-ship only the downtime delta), and the cache stale-safety
 # contract (the route cache stays correct across an arc-moving join and
-# an owner crash on all three backends; TestRouteCache* adds one message
+# an owner crash on both harnesses; TestRouteCache* adds one message
 # per cached read, freshness after remote writes, and crash-window reads
 # served by the chain) — race detector on. The
 # faulted variant (TestFaultedRing) re-runs the scenario table on both

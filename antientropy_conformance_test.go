@@ -11,7 +11,7 @@ import (
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
-// The divergence-heal contract, asserted against every backend: a replica
+// The divergence-heal contract, asserted on both fabrics: a replica
 // that diverged from its arc's owner (missed writes, a stale value, a
 // resurrected delete, stray keys) is repaired by one anti-entropy pass, the
 // pass transfers only the diverged keys — counted via sync stats, never the
@@ -31,6 +31,9 @@ type divergenceHarness struct {
 	divergeReplica func(missing []Key, stale Key, staleVal []byte, zombie Key, zombieVal []byte, stray Key, strayVal []byte)
 	// sync runs one anti-entropy pass and returns its stats.
 	sync func() SyncStats
+	// ownerInfo is the keys' owner's own Info: it reports the repair work
+	// the owner's syncs did.
+	ownerInfo func() InfoResponse
 	// killOwner crashes the keys' owner and heals the overlay enough for
 	// routing to succeed.
 	killOwner func()
@@ -38,52 +41,6 @@ type divergenceHarness struct {
 }
 
 const divergenceReplicas = 3
-
-func divergenceSimHarness(t *testing.T) *divergenceHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 23, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := ov.ReplicatedClient(divergenceReplicas)
-
-	// Anchor the key set on one owner: probe a key, then walk counter-
-	// clockwise from the owner's own identifier.
-	put, err := cl.Put(context.Background(), KeyFromFloat(0.37), []byte("probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerID := put.Owner.ID
-	ownerKey := put.Owner.Key
-	keys := make([]Key, 8)
-	for i := range keys {
-		keys[i] = ownerKey - Key(i)
-	}
-	succ := ov.sim.Net().Node(ownerID).Succ
-	if succ == ownerID {
-		t.Fatal("test setup: one-peer ring")
-	}
-	return &divergenceHarness{
-		name:   "simulator",
-		client: cl,
-		keys:   keys[:7],
-		stray:  ownerKey - 1000,
-		divergeReplica: func(missing []Key, stale Key, staleVal []byte, zombie Key, zombieVal []byte, stray Key, strayVal []byte) {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			st := ov.replStoreFor(succ)
-			for _, k := range missing {
-				st.Drop(k)
-			}
-			st.Put(stale, staleVal)
-			st.Put(zombie, zombieVal)
-			st.Put(stray, strayVal)
-		},
-		sync:      func() SyncStats { return ov.AntiEntropy(divergenceReplicas) },
-		killOwner: func() { ov.CrashNode(ownerID) },
-		close:     func() {},
-	}
-}
 
 // liveDivergenceHarness is the shared live-backend setup: both fabrics boot
 // a ring of *Node, pick an owner other than the client's node, and reach
@@ -140,6 +97,13 @@ func liveDivergenceHarness(t *testing.T, name string, nodes []*Node, closeAll fu
 			}
 			return st
 		},
+		ownerInfo: func() InfoResponse {
+			info, err := owner.Info(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return info
+		},
 		killOwner: func() {
 			_ = owner.Close()
 			stabilize(6)
@@ -187,10 +151,9 @@ func divergenceTCPHarness(t *testing.T) *divergenceHarness {
 	})
 }
 
-// TestDivergenceHeal is the cross-backend anti-entropy contract.
+// TestDivergenceHeal is the anti-entropy contract on both fabrics.
 func TestDivergenceHeal(t *testing.T) {
 	harnesses := []func(*testing.T) *divergenceHarness{
-		divergenceSimHarness,
 		divergenceMemHarness,
 		divergenceTCPHarness,
 	}
@@ -264,6 +227,12 @@ func runDivergenceHeal(t *testing.T, h *divergenceHarness) {
 		t.Fatalf("second pass still moved data: %+v", again)
 	}
 
+	// The owner's Info surfaces the accumulated repair work: both passes
+	// (at least one round each) and the divergence the first one moved.
+	if ae := h.ownerInfo().AntiEntropy; ae.Rounds < 2 || ae.KeysPushed < 3 || ae.TombstonesPushed < 1 || ae.Dropped < 1 {
+		t.Errorf("owner info anti-entropy stats = %+v, want >= 2 rounds / 3 pushed / 1 tombstone / 1 dropped", ae)
+	}
+
 	// Kill the owner: the repaired chain must serve every live key with
 	// its exact value, and the deleted key must stay deleted — no
 	// resurrection from the replica that once held a zombie copy.
@@ -282,17 +251,6 @@ func runDivergenceHeal(t *testing.T, h *divergenceHarness) {
 	}
 	if _, err := cl.Get(ctx, h.stray); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("stray key after owner crash = %v, want ErrNotFound", err)
-	}
-
-	// Info surfaces the accumulated repair work on every backend.
-	info, err := cl.Info(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.name == "simulator" {
-		if info.AntiEntropy.KeysPushed < 3 || info.AntiEntropy.TombstonesPushed < 1 {
-			t.Errorf("info anti-entropy stats = %+v", info.AntiEntropy)
-		}
 	}
 }
 

@@ -11,15 +11,16 @@ import (
 	"time"
 )
 
+// blobTestClient is one node of a live in-memory cluster, so the blob
+// layer runs over Node's Scan-backed GetBlob.
 func blobTestClient(t *testing.T) Client {
 	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 9, Keys: UniformKeys()})
+	c, err := StartCluster(context.Background(), 16, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := ov.Client()
-	t.Cleanup(func() { _ = cl.Close() })
-	return cl
+	t.Cleanup(func() { _ = c.Close() })
+	return c.Node(0)
 }
 
 func blobData(n int) []byte {
@@ -182,8 +183,8 @@ func TestBlobReaderCloseMidStream(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 }
 
-// TestBlobLiveCluster runs the blob layer against the live runtime on the
-// in-memory fabric — same API, message-passing data path.
+// TestBlobLiveCluster writes a blob through one node and streams it back
+// through another.
 func TestBlobLiveCluster(t *testing.T) {
 	ctx := context.Background()
 	c, err := StartCluster(ctx, 8, WithSeed(12))

@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// TestCacheStaleSafety is the cross-backend cache contract: with the route
+// TestCacheStaleSafety is the cache contract on both fabrics: with the route
 // cache on (the default), a crash that moves arcs must never produce a
 // stale answer — post-crash writes re-resolve their routes, overwritten
-// values win immediately, and deletes do not resurrect. The same scenario
-// runs against all three backends, like the main conformance table.
+// values win immediately, and deletes do not resurrect. It reuses the main
+// conformance table's harnesses.
 func TestCacheStaleSafety(t *testing.T) {
 	harnesses := []func(*testing.T) *conformanceHarness{
-		simHarness,
 		memClusterHarness,
 		tcpClusterHarness,
 	}
@@ -89,7 +88,7 @@ func runCacheStaleSafety(t *testing.T, h *conformanceHarness) {
 		}
 	}
 
-	// The route cache's counters surface through Info on every backend.
+	// The route cache's counters surface through Info.
 	info, err := cl.Info(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -10,20 +10,21 @@ import (
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
-// Client is the unified public surface of the overlay: the same
-// operations against either backend — the in-process simulator
-// (NewClient) or the live message-passing runtime (StartNode /
-// StartCluster). Every method takes a context whose cancellation or
-// deadline aborts the operation, and failures surface as typed errors
-// (ErrNotFound, ErrRoutingFailed, ErrClosed, ErrUnavailable,
-// ErrBadRange) that callers test with errors.Is.
+// Client is the public data surface of the overlay. The live
+// message-passing runtime implements it: a *Node, started over TCP by
+// StartNode or on the in-memory fabric by StartCluster (Cluster.Node).
+// Code written against the interface runs unchanged on either transport.
+// Every method takes a context whose cancellation or deadline aborts the
+// operation, and failures surface as typed errors (ErrNotFound,
+// ErrRoutingFailed, ErrClosed, ErrUnavailable, ErrBadRange) that callers
+// test with errors.Is.
 //
 // Implementations are safe for concurrent use by multiple goroutines.
 type Client interface {
 	// Put stores value under key at the key's owner. The store keeps a
 	// copy: the caller may reuse value afterwards, and may overwrite a
-	// value a Get returned. (One exception, for tests only: between two
-	// peers of the in-memory fabric a request travels by reference.)
+	// value a Get returned. (One exception: between two peers of
+	// StartCluster's in-memory fabric a request travels by reference.)
 	Put(ctx context.Context, key Key, value []byte) (PutResponse, error)
 	// Get fetches the value under key from the key's owner. A missing key
 	// is ErrNotFound (the response still carries the routing cost).
@@ -128,16 +129,12 @@ func writeConcernFrom(ctx context.Context) int {
 	return w
 }
 
-// OwnerRef identifies the peer that served an operation in a
-// backend-neutral way: the key is always set; Addr is the transport
-// address on the live backend; ID is the simulator node id.
+// OwnerRef identifies the peer that served an operation.
 type OwnerRef struct {
 	// Key is the peer's position on the identifier circle.
 	Key Key
-	// Addr is the live backend's transport address ("" on the simulator).
+	// Addr is the peer's transport address.
 	Addr string
-	// ID is the simulator's node id (0 and meaningless on the live backend).
-	ID NodeID
 }
 
 // PutResponse reports a Put.
@@ -210,21 +207,19 @@ type SyncStats struct {
 	Dropped int
 }
 
-// InfoResponse is a snapshot of the backend's view of the overlay. The
-// simulator has global knowledge; a live node reports only its local state.
+// InfoResponse is a snapshot of the serving node's view of the overlay:
+// its local state, plus the ring size it can count or estimate.
 type InfoResponse struct {
-	// Backend names the implementation: "simulator" or "p2p".
-	Backend string
-	// Peers is the number of alive peers. The simulator knows it exactly.
-	// A live node reports an exact successor-pointer ring walk while the
-	// gossip size estimate says the ring is small enough (up to 128 peers),
-	// and the gossip estimate itself beyond that — an honest estimate at
-	// any scale instead of the former -1. Treat it as an estimate either
-	// way: concurrent joins and crashes skew both sources.
+	// Peers is the number of alive peers. The node reports an exact
+	// successor-pointer ring walk while the gossip size estimate says the
+	// ring is small enough (up to 128 peers), and the gossip estimate
+	// itself beyond that — an honest estimate at any scale instead of the
+	// former -1. Treat it as an estimate either way: concurrent joins and
+	// crashes skew both sources.
 	Peers int
-	// SizeEstimate is the raw gossip-maintained ring-size estimate a live
-	// node blends from successor-list density and neighbour exchanges (the
-	// exact count on the simulator). Peers derives from it.
+	// SizeEstimate is the raw gossip-maintained ring-size estimate the node
+	// blends from successor-list density and neighbour exchanges. Peers
+	// derives from it.
 	SizeEstimate float64
 	// Replicas is the replication factor r the client writes with: every
 	// item is stored at its owner and on the owner's r-1 ring successors
@@ -234,36 +229,30 @@ type InfoResponse struct {
 	// the client's writes require (1 = the owner's ack alone);
 	// ContextWithWriteConcern overrides it per call.
 	WriteConcern int
-	// Self is the serving peer (zero on the simulator, which has no
-	// distinguished vantage point).
+	// Self is the serving peer.
 	Self OwnerRef
-	// Successor and Predecessor are the serving peer's ring pointers
-	// (live backend only).
+	// Successor and Predecessor are the serving peer's ring pointers.
 	Successor, Predecessor OwnerRef
-	// OutLinks and InLinks count the serving peer's long-range links
-	// (live backend only).
+	// OutLinks and InLinks count the serving peer's long-range links.
 	OutLinks, InLinks int
-	// StoredItems is the primary item count (replica copies excluded): the
-	// local shard on the live backend, the sum over all shards on the
-	// simulator.
+	// StoredItems is the serving peer's primary item count (its local
+	// shard; replica copies excluded).
 	StoredItems int
 	// ReplicaItems is the number of replica copies the serving peer holds
-	// for its predecessors' arcs (live backend only).
+	// for its predecessors' arcs.
 	ReplicaItems int
-	// Tombstones is the number of deletes remembered for anti-entropy and
-	// not yet TTL-collected (the serving peer's on the live backend, the
-	// overlay total on the simulator).
+	// Tombstones is the number of deletes the serving peer remembers for
+	// anti-entropy and has not yet TTL-collected.
 	Tombstones int
-	// AntiEntropy accumulates the backend's digest-sync repair work: the
-	// serving peer's lifetime totals on the live backend, the overlay's on
-	// the simulator.
+	// AntiEntropy is the serving peer's lifetime digest-sync repair work:
+	// its scheduled syncs as owner plus the read-repair passes it ran.
 	AntiEntropy SyncStats
 	// Durable reports the serving peer runs with a data directory (WAL +
 	// compacted snapshots; see NodeConfig.DataDir / WithDataDir).
 	Durable bool
 	// WALBytes and WALFrames are the size and intact frame count of the
 	// serving peer's write-ahead log since its last snapshot — the replay
-	// cost of a crash right now (durable live backend only).
+	// cost of a crash right now (durable nodes only).
 	WALBytes  int64
 	WALFrames int
 	// LastSnapshot is when the serving peer last wrote a compacted
@@ -274,16 +263,14 @@ type InfoResponse struct {
 	// ones that paid the full routing walk (including invalidated stale
 	// hits). Both zero when the cache is disabled.
 	RouteCacheHits, RouteCacheMisses uint64
-	// HotKeyCacheHits and HotKeyCacheMisses always read 0: no backend
-	// caches values any more, every read asks the key's owner. They stay
+	// HotKeyCacheHits and HotKeyCacheMisses always read 0: no node caches
+	// values any more, every read asks the key's owner. They stay
 	// so existing readers of Info keep compiling.
 	HotKeyCacheHits, HotKeyCacheMisses uint64
 }
 
-// options collects the functional construction options shared by NewClient
-// and StartCluster.
+// options collects StartCluster's functional construction options.
 type options struct {
-	size             int
 	seed             int64
 	keys             KeyDistribution
 	degrees          DegreeDistribution
@@ -299,13 +286,9 @@ type options struct {
 	routeCacheTTL    time.Duration
 }
 
-// Option customises client construction. The zero configuration builds a
-// 1000-peer Oscar overlay on Gnutella-like keys with constant budgets.
+// Option customises StartCluster. The zero configuration boots nodes on
+// Gnutella-like keys with constant budgets of 16 links.
 type Option func(*options)
-
-// WithSize sets the simulator overlay's target peer count (NewClient only;
-// StartCluster takes its size as an argument).
-func WithSize(n int) Option { return func(o *options) { o.size = n } }
 
 // WithSeed seeds all randomness; runs with equal seeds are identical.
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
@@ -317,16 +300,15 @@ func WithKeys(d KeyDistribution) Option { return func(o *options) { o.keys = d }
 func WithDegrees(d DegreeDistribution) Option { return func(o *options) { o.degrees = d } }
 
 // WithStabilizeRounds sets how many stabilisation rounds StartCluster runs
-// after boot (live backend only).
+// after boot.
 func WithStabilizeRounds(n int) Option { return func(o *options) { o.stabilizeRounds = n } }
 
 // WithReplicas sets the replication factor r (default 1 = no replication):
 // every Put stores the item at its owner and pushes copies to the owner's
 // r-1 immediate ring successors, Delete propagates along the same chain,
-// and Get falls back through it when the owner is unreachable. Both
-// backends honour it, so the durability contract is identical on the
-// simulator and the live runtime: killing fewer than r consecutive ring
-// members loses no data once maintenance has re-replicated.
+// and Get falls back through it when the owner is unreachable. Killing
+// fewer than r consecutive ring members loses no data once maintenance
+// has re-replicated. NodeConfig.Replicas is the per-node form.
 func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 
 // WithWriteConcern sets the default write concern w (default 1): a Put or
@@ -336,15 +318,14 @@ func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 // shortfall; it holds wherever it was acked and anti-entropy converges
 // the rest. w is clamped to the replication factor (WithReplicas), since
 // a chain cannot produce more acks than it has members; use
-// ContextWithWriteConcern for an unclamped per-call requirement. Both
-// backends honour it identically.
+// ContextWithWriteConcern for an unclamped per-call requirement.
+// NodeConfig.WriteConcern is the per-node form.
 func WithWriteConcern(w int) Option { return func(o *options) { o.writeConcern = w } }
 
-// WithDataDir makes cluster nodes durable (StartCluster only): node i
-// logs every storage mutation to a write-ahead log under dir/node-i and
-// compacts it into snapshots, so a node restarted on the same
-// subdirectory recovers its shard instead of re-filling it over the
-// network. The simulator ignores it.
+// WithDataDir makes cluster nodes durable: node i logs every storage
+// mutation to a write-ahead log under dir/node-i and compacts it into
+// snapshots, so a node restarted on the same subdirectory recovers its
+// shard instead of re-filling it over the network.
 func WithDataDir(dir string) Option { return func(o *options) { o.dataDir = dir } }
 
 // WithAutoMaintenance starts the background maintenance loop on every
@@ -352,7 +333,7 @@ func WithDataDir(dir string) Option { return func(o *options) { o.dataDir = dir 
 // per node so rounds do not synchronise across the cluster) and a
 // long-range rewiring pass every 16 stabilisations. Zero (the default)
 // leaves maintenance manual: call Stabilize/StabilizeAll/RewireAll or
-// Node.StartMaintenance yourself. Live backend only.
+// Node.StartMaintenance yourself.
 func WithAutoMaintenance(interval time.Duration) Option {
 	return func(o *options) { o.autoMaintenance = interval }
 }
@@ -362,15 +343,14 @@ func WithAutoMaintenance(interval time.Duration) Option {
 // NodeConfig.WrapTransport. Fault harnesses pass a
 // faultnet.Network's Wrap here to subject the whole cluster to
 // deterministic, seeded drop/latency/duplication/partition faults; see
-// internal/faultnet. Nil (the default) leaves endpoints bare. Live
-// backend only; the simulator has no transport to wrap.
+// internal/faultnet. Nil (the default) leaves endpoints bare.
 func WithTransportWrapper(wrap func(transport.Transport) transport.Transport) Option {
 	return func(o *options) { o.transportWrapper = wrap }
 }
 
 // WithAntiEntropy starts the periodic digest sync on every node
-// StartCluster boots (live backend, with WithAutoMaintenance): each node,
-// as the owner of its arc, reconciles its replica chain against
+// StartCluster boots (with WithAutoMaintenance): each node, as the owner
+// of its arc, reconciles its replica chain against
 // Merkle-style arc digests every interval and ships only diverged keys —
 // repairing writes a replica missed, deletes that raced a crash, and stray
 // copies, without re-pushing arcs. Requires WithReplicas(r > 1) to have
@@ -384,21 +364,19 @@ func WithAntiEntropy(interval time.Duration) Option {
 // probes the current peer plus up to α-1 backtrack candidates
 // concurrently, so a dead or slow hop is recovered from answers already
 // in hand instead of a serial ping round. Higher α spends α-1 extra
-// messages per hop to cut the lookup tail under churn. Both live
-// fabrics honour it; the simulator's synchronous router has no tail to
-// cut and treats every α alike.
+// messages per hop to cut the lookup tail under churn. NodeConfig.Alpha
+// is the per-node form.
 func WithAlpha(alpha int) Option { return func(o *options) { o.alpha = alpha } }
 
 // WithRouteCache configures the per-node route cache: an LRU of
 // owner+chain resolutions that lets data operations skip the routing
-// walk on a hit. On the live backends size counts arcs — an entry covers
-// the owner's whole arc, so one walk serves every key the owner holds;
-// the simulator caches one key per entry. Entries are TTL-aged, flushed
-// on every membership change the node observes, and — decisively —
-// every hit is re-validated against the ring (the write ops' ownership
-// gate, one direct find_owner for reads) before being trusted, so a
-// stale entry costs one wasted RPC, never a wrong answer. size 0 keeps
-// the default (128); size < 0 disables the cache. ttl 0 keeps the
+// walk on a hit. size counts arcs — an entry covers the owner's whole
+// arc, so one walk serves every key the owner holds. Entries are
+// TTL-aged, flushed on every membership change the node observes, and —
+// decisively — every hit is re-validated against the ring (the write ops'
+// ownership gate, one direct find_owner for reads) before being trusted,
+// so a stale entry costs one wasted RPC, never a wrong answer. size 0
+// keeps the default (128); size < 0 disables the cache. ttl 0 keeps the
 // default (2s); ttl < 0 disables aging.
 func WithRouteCache(size int, ttl time.Duration) Option {
 	return func(o *options) { o.routeCacheSize, o.routeCacheTTL = size, ttl }
@@ -410,26 +388,4 @@ func buildOptions(opts []Option) options {
 		f(&o)
 	}
 	return o
-}
-
-// NewClient builds a simulator-backed Client: an in-process overlay grown
-// to the configured size, sharing the Client surface with the live
-// runtime. The simulator executes operations synchronously, so contexts
-// are honoured at operation entry.
-func NewClient(opts ...Option) (Client, error) {
-	o := buildOptions(opts)
-	ov, err := Build(Config{
-		Size:    o.size,
-		Seed:    o.seed,
-		Keys:    o.keys,
-		Degrees: o.degrees,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cl := ov.clientWith(o.replicas, o.writeConcern)
-	// The simulator routes synchronously, so WithAlpha has nothing to
-	// parallelise there; the cache options map directly.
-	cl.setCaches(o.routeCacheSize, o.routeCacheTTL)
-	return cl, nil
 }

@@ -14,9 +14,8 @@ import (
 // Cluster is an in-process overlay of live message-passing nodes on the
 // in-memory fabric: every node runs the real protocol (joins, Chord
 // stabilisation, walk-based link acquisition, iterative routing) without
-// sockets. It is the bridge between simulator-scale experiments and a TCP
-// deployment — integration tests and examples run the deployment code path
-// at in-memory speed. Every node satisfies Client.
+// sockets. It is the in-process Client: integration tests and examples run
+// the deployment code path at in-memory speed, and Node(i) is a Client.
 type Cluster struct {
 	fabric *transport.Fabric
 	nodes  []*Node
@@ -28,10 +27,10 @@ type Cluster struct {
 
 // StartCluster boots size live nodes on a shared in-memory fabric: the
 // first node creates the overlay, the rest join through it, then the
-// cluster stabilises and wires long-range links. Options follow NewClient
-// (WithSeed, WithKeys, WithDegrees, WithStabilizeRounds, WithReplicas,
-// WithAutoMaintenance, WithAntiEntropy); the context bounds the whole boot
-// sequence.
+// cluster stabilises and wires long-range links. Options (WithSeed,
+// WithKeys, WithDegrees, WithStabilizeRounds, WithReplicas,
+// WithAutoMaintenance, WithAntiEntropy, ...) configure every node; the
+// context bounds the whole boot sequence.
 func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("oscar: cluster size %d", size)

@@ -13,12 +13,12 @@ import (
 	"github.com/oscar-overlay/oscar/internal/p2p"
 )
 
-// The conformance suite runs one identical scenario sequence against every
-// Client backend: the simulator, the live runtime on the in-memory channel
-// fabric, and the live runtime on loopback TCP. It is the contract that
-// makes the Client interface mean the same thing everywhere.
+// The conformance suite runs one identical scenario sequence against the
+// Client on both fabrics the runtime speaks: the in-memory channel fabric
+// (StartCluster) and loopback TCP (StartNode). It is the contract that
+// makes the Client interface mean the same thing on either.
 
-// conformanceHarness is one backend under test.
+// conformanceHarness is one fabric under test.
 type conformanceHarness struct {
 	name   string
 	client Client
@@ -27,27 +27,8 @@ type conformanceHarness struct {
 	crash func()
 	close func()
 	// peersAfterCrash is the alive count Info must report once crash() has
-	// run — the simulator from its global view, a live node from its ring
-	// walk. Both backends fill the same field honestly.
+	// run, from the serving node's ring walk.
 	peersAfterCrash int
-}
-
-func simHarness(t *testing.T) *conformanceHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 3, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &conformanceHarness{
-		name:   "simulator",
-		client: ov.Client(),
-		crash: func() {
-			ov.Crash(0.2)
-			ov.RewireAll()
-		},
-		close:           func() {},
-		peersAfterCrash: 52, // 64 - ⌊0.2·64⌋
-	}
 }
 
 func memClusterHarness(t *testing.T) *conformanceHarness {
@@ -142,7 +123,6 @@ func scanAll(ctx context.Context, cl Client, start, end Key, opts ...ScanOption)
 
 func TestConformance(t *testing.T) {
 	harnesses := []func(*testing.T) *conformanceHarness{
-		simHarness,
 		memClusterHarness,
 		tcpClusterHarness,
 	}
@@ -155,7 +135,7 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// runConformance is the single scenario table: every backend must pass it
+// runConformance is the single scenario table: both fabrics must pass it
 // verbatim.
 func runConformance(t *testing.T, h *conformanceHarness) {
 	ctx := context.Background()
@@ -237,17 +217,16 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 
 	// A store owns its bytes: the caller may reuse the buffer it put and
-	// scribble on a value it got. The serving peer owns its own key, so on
-	// a live backend these ops are dispatched in-process — the one path on
-	// which no frame copies them. (Between two peers of the in-memory
-	// fabric a request still travels by reference; that fabric is for
-	// tests.)
+	// scribble on a value it got. The serving peer owns its own key, so
+	// these ops are dispatched in-process — the one path on which no frame
+	// copies them. (Between two peers of the in-memory fabric a request
+	// still travels by reference.)
 	t.Run("value-ownership", func(t *testing.T) {
 		info, err := cl.Info(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own := info.Self.Key // zero on the simulator, where any key will do
+		own := info.Self.Key
 		buf := []byte("mine")
 		if _, err := cl.Put(ctx, own, buf); err != nil {
 			t.Fatal(err)
@@ -339,7 +318,7 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 
 	// Scan must return exactly the model's items, in clockwise order from
-	// the range start, on every backend — including when forced to page,
+	// the range start, on both fabrics — including when forced to page,
 	// to wrap around the circle, and to stop at a limit.
 	t.Run("scan-matches-range", func(t *testing.T) {
 		cases := []struct {
@@ -557,15 +536,11 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Backend == "" {
-			t.Error("backend not reported")
-		}
-		// Both backends fill Peers honestly: global knowledge on the
-		// simulator, a successor-pointer ring walk on a live node. After
-		// the crash scenario healed, both see the same survivor count. The
-		// walk crosses every ring link, so on a faulted fabric any one
-		// probe can transiently fail — poll briefly, then hold the count
-		// to the exact survivor number.
+		// Peers is a successor-pointer ring walk: after the crash
+		// scenario healed, it sees the exact survivor count. The walk
+		// crosses every ring link, so on a faulted fabric any one probe
+		// can transiently fail — poll briefly, then hold the count to the
+		// exact survivor number.
 		deadline := time.Now().Add(10 * time.Second)
 		for info.Peers != h.peersAfterCrash && time.Now().Before(deadline) {
 			time.Sleep(20 * time.Millisecond)
@@ -597,15 +572,14 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 }
 
-// durabilityHarness is one backend under the crash-durability contract:
+// durabilityHarness is one fabric under the crash-durability contract:
 // a client writing with r=3, a way to kill the peer that owns a key, and
 // a way to know when the overlay has healed enough to assert on.
 type durabilityHarness struct {
 	name   string
 	client Client
 	// kill removes the peer identified by an operation's OwnerRef. The
-	// overlay heals on its own afterwards (instantly on the simulator,
-	// via auto-maintenance on the live fabrics).
+	// overlay heals on its own afterwards, via auto-maintenance.
 	kill  func(t *testing.T, owner OwnerRef)
 	close func()
 }
@@ -628,22 +602,6 @@ func waitRingSize(t *testing.T, cl Client, want int) {
 			t.Fatalf("ring never reached %d peers (last: %d, err %v)", want, info.Peers, err)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func durabilitySimHarness(t *testing.T) *durabilityHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 11, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &durabilityHarness{
-		name:   "simulator",
-		client: ov.ReplicatedClient(durabilityReplicas),
-		kill: func(t *testing.T, owner OwnerRef) {
-			ov.CrashNode(owner.ID)
-		},
-		close: func() {},
 	}
 }
 
@@ -720,14 +678,13 @@ func durabilityTCPHarness(t *testing.T) *durabilityHarness {
 	}
 }
 
-// TestCrashDurability is the cross-backend durability contract: writing
+// TestCrashDurability is the durability contract on both fabrics: writing
 // with r=3, then killing the node that owns some of the keys and letting
-// maintenance heal the ring, loses zero previously-written keys. The live
+// maintenance heal the ring, loses zero previously-written keys. The
 // fabrics heal through their jittered auto-maintenance loops — no manual
 // StabilizeAll.
 func TestCrashDurability(t *testing.T) {
 	harnesses := []func(*testing.T) *durabilityHarness{
-		durabilitySimHarness,
 		durabilityMemHarness,
 		durabilityTCPHarness,
 	}
@@ -771,7 +728,7 @@ func runCrashDurability(t *testing.T, h *durabilityHarness) {
 	}
 	victim := -1
 	for i, o := range owners {
-		if o.Addr != self.Self.Addr || (o.Addr == "" && o.ID != 0) {
+		if o.Addr != self.Self.Addr {
 			victim = i
 			break
 		}
@@ -808,7 +765,7 @@ func runCrashDurability(t *testing.T, h *durabilityHarness) {
 	}
 }
 
-// writeConcernHarness is one backend under the write-concern contract: a
+// writeConcernHarness is one fabric under the write-concern contract: a
 // client configured with r=3 and a default write concern of 2, a key
 // whose owner's chain has exactly one member unable to acknowledge by the
 // time the runner writes, and no background maintenance to repair the
@@ -824,30 +781,6 @@ const (
 	writeConcernReplicas = 3
 	writeConcernDefault  = 2
 )
-
-func writeConcernSimHarness(t *testing.T) *writeConcernHarness {
-	t.Helper()
-	// The simulator's ring heals instantly around a crash, so the only way
-	// a chain can come up short of acks is a ring with fewer members than
-	// the chain wants: three peers, one killed, leaves owner + one.
-	ov, err := Build(Config{Size: 3, Seed: 9, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := ov.clientWith(writeConcernReplicas, writeConcernDefault)
-	key := KeyFromFloat(0.4)
-	put, err := cl.Put(context.Background(), key, []byte("probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ov.Nodes() {
-		if id != put.Owner.ID {
-			ov.CrashNode(id)
-			break
-		}
-	}
-	return &writeConcernHarness{name: "simulator", client: cl, key: key, close: func() {}}
-}
 
 // liveWriteConcernHarness finds a key whose owner and first replica are
 // both distinct from the client's node, then kills that first replica
@@ -936,7 +869,7 @@ func writeConcernTCPHarness(t *testing.T) *writeConcernHarness {
 	})
 }
 
-// TestWriteConcern is the cross-backend write-concern contract: with r=3
+// TestWriteConcern is the write-concern contract on both fabrics: with r=3
 // and one chain member gone, a write collects exactly two acks — the
 // configured default w=2 succeeds, a per-call w=3 fails with
 // ErrWriteConcern carrying the honest 2/3 counts, and an unsatisfied
@@ -944,7 +877,6 @@ func writeConcernTCPHarness(t *testing.T) *writeConcernHarness {
 // succeeding or silently disappearing.
 func TestWriteConcern(t *testing.T) {
 	harnesses := []func(*testing.T) *writeConcernHarness{
-		writeConcernSimHarness,
 		writeConcernMemHarness,
 		writeConcernTCPHarness,
 	}
@@ -1011,7 +943,7 @@ func runWriteConcern(t *testing.T, h *writeConcernHarness) {
 	}
 }
 
-// readRepairHarness is one backend under the read-repair contract: keys
+// readRepairHarness is one fabric under the read-repair contract: keys
 // sharing one owner written with r=3, a hook that silently erases some of
 // them from the owner's primary shard, and visibility into the healing
 // side's repair stats and shard.
@@ -1030,48 +962,6 @@ type readRepairHarness struct {
 }
 
 const readRepairReplicas = 3
-
-func readRepairSimHarness(t *testing.T) *readRepairHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 29, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := ov.ReplicatedClient(readRepairReplicas)
-	put, err := cl.Put(context.Background(), KeyFromFloat(0.61), []byte("probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerID := put.Owner.ID
-	keys := make([]Key, 6)
-	for i := range keys {
-		keys[i] = put.Owner.Key - Key(i)
-	}
-	return &readRepairHarness{
-		name:   "simulator",
-		client: cl,
-		keys:   keys,
-		dropPrimary: func(ks []Key) {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			for _, k := range ks {
-				ov.storeFor(ownerID).Drop(k)
-			}
-		},
-		stats: func() SyncStats {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			return ov.syncStats
-		},
-		ownerHas: func(k Key) bool {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			_, ok := ov.storeFor(ownerID).Get(k)
-			return ok
-		},
-		close: func() {},
-	}
-}
 
 // liveReadRepairHarness picks an owner whose arc comfortably holds a run
 // of keys below its identifier, writes nothing itself (the runner does),
@@ -1168,14 +1058,13 @@ func readRepairTCPHarness(t *testing.T) *readRepairHarness {
 	})
 }
 
-// TestReadRepair is the cross-backend read-repair contract: an owner that
+// TestReadRepair is the read-repair contract on both fabrics: an owner that
 // silently lost part of its arc still serves those reads through the
 // chain fallback, and the first such read heals the owner — with repair
 // stats equal to the exact divergence, visible through the same counters
 // as scheduled anti-entropy.
 func TestReadRepair(t *testing.T) {
 	harnesses := []func(*testing.T) *readRepairHarness{
-		readRepairSimHarness,
 		readRepairMemHarness,
 		readRepairTCPHarness,
 	}
@@ -1227,7 +1116,7 @@ func runReadRepair(t *testing.T, h *readRepairHarness) {
 
 	// ...and heals the owner: both lost keys return to its shard, and the
 	// repair moved exactly the divergence (2 keys, no tombstones, no
-	// drops). The live backends repair asynchronously, so poll.
+	// drops). Repair runs asynchronously, so poll.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		st := h.stats()
@@ -1271,7 +1160,6 @@ func runReadRepair(t *testing.T, h *readRepairHarness) {
 // and forces tiny pages so the kill lands between fetches.
 func TestScanChurn(t *testing.T) {
 	harnesses := []func(*testing.T) *durabilityHarness{
-		durabilitySimHarness,
 		durabilityMemHarness,
 		durabilityTCPHarness,
 	}
@@ -1338,7 +1226,7 @@ func runScanChurn(t *testing.T, h *durabilityHarness) {
 			}
 			// Never kill the node serving the client; try again one item
 			// later — some other peer owns the rest of the range.
-			if self.Backend == "simulator" || route.Owner.Addr != self.Self.Addr {
+			if route.Owner.Addr != self.Self.Addr {
 				h.kill(t, route.Owner)
 				killed = true
 			}

@@ -1,7 +1,6 @@
-// Quickstart: the context-first Client API against the simulator backend —
-// build an overlay, look keys up, store, fetch, delete and range-query
-// data. The same Client interface runs against the live runtime (see
-// examples/tcpcluster).
+// Quickstart: the context-first Client API on a live in-process cluster —
+// boot a ring, look keys up, store, fetch, scan and delete data. The same
+// Client runs over TCP (see examples/tcpcluster).
 //
 //	go run ./examples/quickstart
 package main
@@ -18,24 +17,22 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// A 2000-peer overlay on a heavy-tailed key distribution with every
-	// peer allowing 27 links — the paper's baseline setting, built from
-	// scratch in-process. (oscar.NewClient(oscar.WithSize(2000)) builds the
-	// same thing in one call; going through Build keeps the Overlay handle
-	// for the measurement pass below.) The client is safe for concurrent
-	// use.
-	ov, err := oscar.Build(oscar.Config{Size: 2000, Seed: 1})
+	// 64 message-passing peers on an in-memory fabric, keyed by a
+	// heavy-tailed distribution: every peer runs the real protocol (join,
+	// stabilisation, walk-based long-link acquisition) without sockets.
+	// Every node is a Client, safe for concurrent use.
+	c, err := oscar.StartCluster(ctx, 64, oscar.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl := ov.Client()
-	defer cl.Close()
+	defer c.Close()
+	cl := c.Node(0)
 
 	info, err := cl.Info(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("overlay up: %d peers\n", info.Peers)
+	fmt.Printf("cluster up: %d peers\n", info.Peers)
 
 	// Route to the owner of a key. Routing is greedy over each peer's ring
 	// pointers and long-range links; cost is the number of messages.
@@ -79,11 +76,4 @@ func main() {
 	if _, err := cl.Get(ctx, oscar.KeyFromFloat(0.35)); errors.Is(err, oscar.ErrNotFound) {
 		fmt.Println("get 0.35 after delete: not found (as it should be)")
 	}
-
-	// The lower-level Overlay API stays available for experiments: the
-	// measurement pass the paper's figures are made of, on the same overlay
-	// the client has been writing to.
-	m := ov.Measure()
-	fmt.Printf("avg search cost %.2f over %d queries; degree volume %.0f%%\n",
-		m.AvgSearchCost, m.Queries, 100*m.DegreeVolume)
 }

@@ -3,8 +3,9 @@
 // multiplexing concurrent RPCs, Chord-style stabilisation, walk-based
 // partition discovery and link acquisition, puts/gets/deletes/range
 // queries, a concurrent workload burst, a deadline-bounded call, and a
-// crash that the ring heals around. This is the deployment path; the
-// sequential simulator is only for 10000-peer experiments.
+// crash that the ring heals around. examples/quickstart runs the same
+// runtime on the in-memory fabric; Build's graph simulator is only for the
+// paper's 10000-peer experiments.
 //
 //	go run ./examples/tcpcluster
 package main

@@ -546,7 +546,6 @@ func (n *Node) Info(ctx context.Context) (InfoResponse, error) {
 	sync := n.inner.SyncTotals()
 	caches := n.inner.CacheStats()
 	resp := InfoResponse{
-		Backend:      "p2p",
 		Peers:        peers,
 		SizeEstimate: est,
 		Replicas:     n.inner.Replicas(),

@@ -13,30 +13,27 @@
 //
 // # Quick start
 //
-// The context-first Client interface is the public surface; it runs against
-// two backends. The simulator backend models thousands of peers in one
-// process:
+// The context-first Client interface is the public surface. One runtime
+// implements it: message-passing peers, over in-memory channels in one
+// process (StartCluster) or over TCP (StartNode):
 //
-//	cl, err := oscar.NewClient(oscar.WithSize(2000), oscar.WithSeed(1))
+//	c, err := oscar.StartCluster(ctx, 64, oscar.WithSeed(1))
 //	if err != nil { ... }
-//	defer cl.Close()
-//	res, err := cl.Lookup(ctx, oscar.KeyFromFloat(0.42))
+//	defer c.Close()
+//	res, err := c.Node(0).Lookup(ctx, oscar.KeyFromFloat(0.42))
 //	fmt.Println(res.Cost)
-//
-// The live backend runs the same algorithms as message-passing peers, over
-// in-memory channels (StartCluster) or TCP (StartNode):
 //
 //	node, err := oscar.StartNode(oscar.NodeConfig{Listen: "127.0.0.1:0", Key: oscar.KeyFromFloat(0.5)})
 //	if err != nil { ... }
 //	defer node.Close()
 //	err = node.Join(ctx, "127.0.0.1:7001")
 //
-// Both satisfy Client, so application code is backend-agnostic. The lower
-// level Build/Overlay API remains for experiments: the package also bundles
-// a Mercury baseline and a global-knowledge Kleinberg reference for
-// comparison, a churn model, and a per-peer ordered key-value layer with
-// range queries; cmd/oscar-bench regenerates every figure and table of the
-// paper.
+// Both are *Node, so application code does not depend on the transport.
+// The Build/Overlay API is the graph-level simulator behind the paper's
+// experiments: it bundles a Mercury baseline and a global-knowledge
+// Kleinberg reference for comparison, a churn model, and an unreplicated
+// per-peer ordered key-value layer with range queries; cmd/oscar-bench
+// regenerates every figure and table of the paper.
 package oscar
 
 import (
@@ -149,24 +146,17 @@ type Config struct {
 	SampleSize, WalkSteps int
 }
 
-// Overlay is a running overlay network plus its data layer, modelling a
-// distributed system inside one process (StartNode/StartCluster run the
-// message-passing runtime). All methods are safe for concurrent use: a
-// single mutex serialises operations, so concurrent callers observe the
-// overlay as a sequentially consistent store. For the context-aware facade
-// shared with the live runtime, see Client.
+// Overlay is a simulated overlay network plus an unreplicated data layer,
+// modelling the paper's experiments inside one process. It is not a Client:
+// StartNode and StartCluster run the message-passing runtime that is. All
+// methods are safe for concurrent use: a single mutex serialises
+// operations, so concurrent callers observe the overlay as a sequentially
+// consistent store.
 type Overlay struct {
 	mu     sync.Mutex
 	sim    *sim.Sim
 	stores map[NodeID]*storage.Store
-	// replStores holds replica copies pushed by PutReplicated (and the
-	// replicated Client): kept apart from the primary shards so range
-	// queries and migrations never see an item twice.
-	replStores map[NodeID]*storage.Store
-	// syncStats accumulates AntiEntropy repair work over the overlay's
-	// lifetime (reported by the Client facade's Info).
-	syncStats SyncStats
-	rnd       *rand.Rand
+	rnd    *rand.Rand
 }
 
 // Build grows an overlay from scratch to cfg.Size peers, performs one full
@@ -210,10 +200,9 @@ func Build(cfg Config) (*Overlay, error) {
 		return nil, err
 	}
 	ov := &Overlay{
-		sim:        s,
-		stores:     make(map[NodeID]*storage.Store),
-		replStores: make(map[NodeID]*storage.Store),
-		rnd:        rng.Derive(cfg.Seed, "overlay-facade"),
+		sim:    s,
+		stores: make(map[NodeID]*storage.Store),
+		rnd:    rng.Derive(cfg.Seed, "overlay-facade"),
 	}
 	ov.Grow(sc.TargetSize)
 	s.RewireAll()
@@ -242,7 +231,6 @@ type NodeInfo struct {
 	InDeg, OutDeg int
 	Alive         bool
 	StoredItems   int
-	ReplicaItems  int
 	Successor     NodeID
 	Predecessor   NodeID
 }
@@ -264,9 +252,6 @@ func (o *Overlay) infoLocked(id NodeID) NodeInfo {
 	}
 	if st := o.stores[id]; st != nil {
 		info.StoredItems = st.Len()
-	}
-	if st := o.replStores[id]; st != nil {
-		info.ReplicaItems = st.Len()
 	}
 	return info
 }
@@ -310,21 +295,8 @@ func (o *Overlay) Crash(fraction float64) int {
 	victims := o.sim.Churn(fraction)
 	for _, id := range victims {
 		delete(o.stores, id)
-		delete(o.replStores, id)
 	}
 	return len(victims)
-}
-
-// CrashNode kills exactly one peer: its shard (and any replica copies it
-// held) are gone, the ring re-stitches around it, and long-range links to
-// it go stale until the next rewiring. With replication, items the victim
-// owned remain readable from its ring successors.
-func (o *Overlay) CrashNode(id NodeID) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.sim.Ring().Kill(id)
-	delete(o.stores, id)
-	delete(o.replStores, id)
 }
 
 // Lookup routes to the owner of key from a random peer.
@@ -372,16 +344,6 @@ func (o *Overlay) storeFor(id NodeID) *storage.Store {
 	return st
 }
 
-// replStoreFor returns (creating if needed) the replica store of peer id.
-func (o *Overlay) replStoreFor(id NodeID) *storage.Store {
-	st := o.replStores[id]
-	if st == nil {
-		st = &storage.Store{}
-		o.replStores[id] = st
-	}
-	return st
-}
-
 // PutResult reports a data-layer write.
 type PutResult struct {
 	// Owner is the peer now holding the item.
@@ -390,9 +352,6 @@ type PutResult struct {
 	Cost int
 	// Replaced reports whether an existing value was overwritten.
 	Replaced bool
-	// Acks is how many stores applied the write: the owner plus every
-	// replica copy placed (always 1 for the unreplicated Put).
-	Acks int
 }
 
 // Put routes from a random peer to the owner of key and stores the value
@@ -405,7 +364,7 @@ func (o *Overlay) Put(key Key, value []byte) (PutResult, error) {
 		return PutResult{}, fmt.Errorf("oscar: put %v: routing failed", key)
 	}
 	replaced := o.storeFor(route.Owner).Put(key, value)
-	return PutResult{Owner: route.Owner, Cost: route.Cost(), Replaced: replaced, Acks: 1}, nil
+	return PutResult{Owner: route.Owner, Cost: route.Cost(), Replaced: replaced}, nil
 }
 
 // Get routes to the owner of key and returns the stored value, if any,
@@ -431,9 +390,6 @@ type DeleteResult struct {
 	Cost int
 	// Existed reports whether an item was actually removed.
 	Existed bool
-	// Acks is how many stores applied the delete (owner plus chain
-	// members visited; always 1 for the unreplicated Delete).
-	Acks int
 }
 
 // Delete routes to the owner of key and removes the stored item, if any.
@@ -444,7 +400,7 @@ func (o *Overlay) Delete(key Key) (DeleteResult, error) {
 	if !route.Found {
 		return DeleteResult{}, fmt.Errorf("oscar: delete %v: routing failed", key)
 	}
-	res := DeleteResult{Owner: route.Owner, Cost: route.Cost(), Acks: 1}
+	res := DeleteResult{Owner: route.Owner, Cost: route.Cost()}
 	if st := o.stores[route.Owner]; st != nil {
 		res.Existed = st.Delete(key)
 	}
@@ -465,8 +421,12 @@ type RangeResult struct {
 // RangeQuery returns up to limit items with keys in [start, end): it routes
 // to the owner of start and walks ring successors until the arc is covered —
 // the non-exact query class that order-preserving overlays exist for.
-// limit <= 0 means no limit.
+// limit <= 0 means no limit. start == end would be the full circle and is
+// refused with ErrBadRange, as Client.Scan refuses it.
 func (o *Overlay) RangeQuery(start, end Key, limit int) (RangeResult, error) {
+	if start == end {
+		return RangeResult{}, fmt.Errorf("%w: start == end (full-circle range query; split into two ranges)", ErrBadRange)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	rg := Range{Start: start, End: end}
@@ -495,7 +455,7 @@ func (o *Overlay) RangeQuery(start, end Key, limit int) (RangeResult, error) {
 		// The successor is the next shard clockwise; stop once the current
 		// peer's key has passed the end of the arc (its successor's shard
 		// starts beyond the range).
-		if node.Succ == cur || !rg.Contains(node.Key) && res.PeersScanned > 0 {
+		if node.Succ == cur || !rg.Contains(node.Key) {
 			// Current owner's arc extends past `end` (it owns keys up to its
 			// own key ≥ end), so the scan is complete.
 			return res, nil
@@ -506,17 +466,6 @@ func (o *Overlay) RangeQuery(start, end Key, limit int) (RangeResult, error) {
 			return res, fmt.Errorf("oscar: range query did not terminate")
 		}
 	}
-}
-
-// StoredItems returns the total number of items across all peers' shards.
-func (o *Overlay) StoredItems() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	total := 0
-	for _, st := range o.stores {
-		total += st.Len()
-	}
-	return total
 }
 
 // CheckInvariants verifies graph and ring consistency (used by tests).

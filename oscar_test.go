@@ -2,6 +2,7 @@ package oscar
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -170,6 +171,41 @@ func TestRangeQueryWrapping(t *testing.T) {
 	}
 	if len(res.Items) != 4 { // all but 0.5
 		t.Errorf("wrapping range returned %d items, want 4", len(res.Items))
+	}
+}
+
+// TestRangeQueryFullCircle: start == end is the full circle, which a range
+// query refuses like a Scan does. Split in two halves, the same read
+// returns every item exactly once.
+func TestRangeQueryFullCircle(t *testing.T) {
+	ov := buildSmall(t, Config{Size: 50})
+	const items = 20
+	for i := 0; i < items; i++ {
+		if _, err := ov.Put(KeyFromFloat(float64(i)/items+0.01), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := KeyFromFloat(0.3)
+	res, err := ov.RangeQuery(k, k, 0)
+	if !errors.Is(err, ErrBadRange) {
+		t.Fatalf("full-circle range query = %d items, %v; want ErrBadRange", len(res.Items), err)
+	}
+	mid := KeyFromFloat(0.8)
+	seen := make(map[Key]bool)
+	for _, rg := range []Range{{Start: k, End: mid}, {Start: mid, End: k}} {
+		half, err := ov.RangeQuery(rg.Start, rg.End, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range half.Items {
+			if seen[it.Key] {
+				t.Fatalf("key %v returned twice", it.Key)
+			}
+			seen[it.Key] = true
+		}
+	}
+	if len(seen) != items {
+		t.Fatalf("two halves returned %d items, want %d", len(seen), items)
 	}
 }
 

@@ -287,7 +287,7 @@ func waitGet(t *testing.T, cl Client, k Key) {
 	}
 }
 
-// restartBackend is one backend under the delete-survives-restart
+// restartBackend is one fabric under the delete-survives-restart
 // contract: a ring of durable nodes and a way to bring a crashed slot
 // back from its data directory.
 type restartBackend struct {
@@ -379,44 +379,10 @@ func restartTCPBackend(t *testing.T) *restartBackend {
 	return b
 }
 
-// TestDeleteSurvivesRestart is the tombstone-durability contract on all
-// three backends. The live fabrics run the full scenario — delete before
-// the crash, delete during the downtime, restart the owner from its data
-// directory, nothing resurrects. The simulator cannot restart a process,
-// so it asserts its half of the contract: with the owner permanently
-// gone, the replica chain keeps both deletes deleted.
+// TestDeleteSurvivesRestart is the tombstone-durability contract on both
+// fabrics: delete before the crash, delete during the downtime, restart
+// the owner from its data directory, nothing resurrects.
 func TestDeleteSurvivesRestart(t *testing.T) {
-	t.Run("simulator", func(t *testing.T) {
-		ctx := context.Background()
-		ov, err := Build(Config{Size: 64, Seed: 31, Keys: UniformKeys()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl := ov.ReplicatedClient(restartReplicas)
-		probe, err := cl.Put(ctx, KeyFromFloat(0.52), []byte("probe"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		k1, k2 := probe.Owner.Key-1, probe.Owner.Key-2
-		for _, k := range []Key{k1, k2} {
-			if _, err := cl.Put(ctx, k, []byte("doomed")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := cl.Delete(ctx, k1); err != nil {
-			t.Fatal(err)
-		}
-		ov.CrashNode(probe.Owner.ID)
-		if _, err := cl.Delete(ctx, k2); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []Key{k1, k2} {
-			if _, err := cl.Get(ctx, k); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("deleted key %v = %v, want ErrNotFound", k, err)
-			}
-		}
-	})
-
 	backends := []func(*testing.T) *restartBackend{
 		restartMemBackend,
 		restartTCPBackend,

@@ -40,7 +40,7 @@ type ScanStats struct {
 	Pages int
 }
 
-// scanChunk is one backend page: the raw items, whether the range is
+// scanChunk is one fetched page: the raw items, whether the range is
 // exhausted, and the page's message/peer accounting.
 type scanChunk struct {
 	items []Item
@@ -50,9 +50,8 @@ type scanChunk struct {
 }
 
 // scanPager fetches one page of a scan, clockwise from cursor, with at
-// most want items (<= 0: backend page bounds alone). Implementations keep
-// their own shard position between calls; the cursor carries the resume
-// key.
+// most want items (<= 0: the frame bounds alone). The pager keeps its own
+// shard position between calls; the cursor carries the resume key.
 type scanPager func(ctx context.Context, cursor Key, want int) (scanChunk, error)
 
 // Scanner streams the items of a range query page by page. It holds at
