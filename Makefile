@@ -61,7 +61,9 @@ examples:
 # suite (TestCarried*) pins that an op riding the walk's last hop costs
 # the hops alone, runs exactly once across a splice, and — a write — is
 # never re-sent after a lost reply, and that a step churn routes back
-# through the entry node is as free as the first. The transport
+# through the entry node is as free as the first; TestLookupCorrectness
+# and TestCrashAndHeal pin that every lookup ends at the true owner, also
+# after crashes. The transport
 # package contributes the wire-level contracts: the hello (a binary
 # client settles on the binary codec; a raw frame or a version-1 hello is
 # refused without disturbing the server), TLS round trips, overload
@@ -78,11 +80,27 @@ examples:
 # answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
 # store spanning several blocks agrees with a map model on every read, page,
 # digest and WAL replay).
+CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds
+CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
+
+# conform PKG PATTERN: fail when an alternative of PATTERN matches no test
+# in PKG (a renamed test would otherwise drop out of the gate silently),
+# then run PATTERN's tests under the race detector.
+define conform
+	@names="$$($(GO) test -race -list '.*' $(1) | grep -E '^(Test|Fuzz)')" || exit 1; \
+	for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$names" | grep -Eq "$$alt" || { echo "conformance: -run alternative $$alt matches no test in $(1)"; exit 1; }; \
+	done
+	$(GO) test -race -run '$(2)' $(1)
+endef
+
 conformance:
-	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
-	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestAlpha|TestCarried|TestInProcessDispatchCopies' ./internal/p2p/
-	$(GO) test -race -run 'TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds' ./internal/transport/
-	$(GO) test -race -run 'TestStoreMatchesModel|FuzzStoreOps' ./internal/storage/
+	$(call conform,.,$(CONF_ROOT))
+	$(call conform,./internal/p2p/,$(CONF_P2P))
+	$(call conform,./internal/transport/,$(CONF_TRANSPORT))
+	$(call conform,./internal/storage/,$(CONF_STORAGE))
 
 # Bench smoke: compile and run every benchmark once (shape check, not a
 # measurement). End-to-end and per-layer numbers come from the benchmark

@@ -281,7 +281,6 @@ type options struct {
 	antiEntropy      time.Duration
 	dataDir          string
 	transportWrapper func(transport.Transport) transport.Transport
-	alpha            int
 	routeCacheSize   int
 	routeCacheTTL    time.Duration
 }
@@ -359,14 +358,6 @@ func WithTransportWrapper(wrap func(transport.Transport) transport.Transport) Op
 func WithAntiEntropy(interval time.Duration) Option {
 	return func(o *options) { o.antiEntropy = interval }
 }
-
-// WithAlpha sets the lookup parallelism α (default 1): each routing hop
-// probes the current peer plus up to α-1 backtrack candidates
-// concurrently, so a dead or slow hop is recovered from answers already
-// in hand instead of a serial ping round. Higher α spends α-1 extra
-// messages per hop to cut the lookup tail under churn. NodeConfig.Alpha
-// is the per-node form.
-func WithAlpha(alpha int) Option { return func(o *options) { o.alpha = alpha } }
 
 // WithRouteCache configures the per-node route cache: an LRU of
 // owner+chain resolutions that lets data operations skip the routing

@@ -119,7 +119,6 @@ func main() {
 		writeCon    = flag.Int("write-concern", 1, "owner+chain acks a put/delete must collect (1 = owner only; clamped to -replicas)")
 		antiEntropy = flag.Duration("anti-entropy", time.Minute, "digest-sync the replica chain this often (0 = manual `sync` only; needs -replicas > 1 and a running maintenance loop)")
 		tombTTL     = flag.Duration("tombstone-ttl", 10*time.Minute, "remember deletes this long for anti-entropy repair")
-		alpha       = flag.Int("alpha", 1, "routing parallelism: probe up to α candidates per lookup hop (1 = classic single-probe walk)")
 		routeCache  = flag.Int("route-cache", 0, "route-cache size in arcs, one per owner (0 = default 128, negative = disabled); hits are always re-validated against the ring")
 		routeTTL    = flag.Duration("route-cache-ttl", 0, "route-cache entry TTL (0 = default 2s, negative = no aging)")
 		interval    = flag.Duration("stabilize", 2*time.Second, "stabilisation interval (0 = manual)")
@@ -190,7 +189,6 @@ func main() {
 		WriteConcern:   *writeCon,
 		AntiEntropy:    *antiEntropy,
 		TombstoneTTL:   *tombTTL,
-		Alpha:          *alpha,
 		RouteCacheSize: *routeCache,
 		RouteCacheTTL:  *routeTTL,
 		Seed:           time.Now().UnixNano(),

@@ -296,10 +296,6 @@ func (e *endpoint) Addr() transport.Addr      { return e.inner.Addr() }
 func (e *endpoint) Serve(h transport.Handler) { e.inner.Serve(h) }
 func (e *endpoint) Close() error              { return e.inner.Close() }
 
-func (e *endpoint) Call(addr transport.Addr, req *transport.Request) (*transport.Response, error) {
-	return e.CallCtx(context.Background(), addr, req)
-}
-
 func (e *endpoint) CallCtx(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
 	v := e.net.decide(e.inner.Addr(), addr)
 	if v.delay > 0 {

@@ -70,7 +70,7 @@ func ownerArc(t *testing.T, owner *Node) keyspace.Range {
 // owner's predecessor. A get right after the reader's own overwrite is
 // still one message, and Cost counts it.
 func TestRouteCacheArcHit(t *testing.T) {
-	nodes, trs, _ := countedRing(t, 16, Config{Alpha: 1}, true, nil)
+	nodes, trs, _ := countedRing(t, 16, Config{}, true, nil)
 	entry, tr, owner := nodes[0], trs[0], nodes[6]
 	k, other := keyspace.FromFloat(5.3/16), keyspace.FromFloat(5.7/16)
 	for _, key := range []keyspace.Key{k, other} {
@@ -122,7 +122,7 @@ func TestRouteCacheArcSplitByJoin(t *testing.T) {
 			name = "write first"
 		}
 		t.Run(name, func(t *testing.T) {
-			nodes, _, fabric := countedRing(t, 8, Config{Alpha: 1}, true, nil)
+			nodes, _, fabric := countedRing(t, 8, Config{}, true, nil)
 			entry, old := nodes[0], nodes[4]
 			lo, hi := keyspace.FromFloat(3.25/8), keyspace.FromFloat(3.75/8)
 			for key, v := range map[keyspace.Key]string{lo: "lo1", hi: "hi1"} {
@@ -198,7 +198,7 @@ func TestRouteCacheArcSplitByJoin(t *testing.T) {
 // cleared claims the whole circle when routing, so its Found answer must
 // carry no arc, and the requester caches the one key it resolved.
 func TestRouteCacheNoArcWithoutPred(t *testing.T) {
-	nodes, _, _ := countedRing(t, 8, Config{Alpha: 1}, true, nil)
+	nodes, _, _ := countedRing(t, 8, Config{}, true, nil)
 	entry, owner := nodes[0], nodes[4]
 	k, other := keyspace.FromFloat(3.5/8), keyspace.FromFloat(3.75/8)
 	owner.mu.Lock()
@@ -342,7 +342,7 @@ func TestRouteCacheReadFreshness(t *testing.T) {
 // value, from the owner's replica chain, and its Cost counts every call it
 // sent.
 func TestRouteCacheOwnerCrashChainFallback(t *testing.T) {
-	nodes, trs, _ := countedRing(t, 12, Config{Alpha: 1, Replicas: 3}, true, nil)
+	nodes, trs, _ := countedRing(t, 12, Config{Replicas: 3}, true, nil)
 	reader, tr, owner := nodes[0], trs[0], nodes[6]
 	k := keyspace.FromFloat(5.5 / 12)
 	if got := expectedOwner(nodes, k); got.Addr != owner.Self().Addr {
@@ -370,51 +370,5 @@ func TestRouteCacheOwnerCrashChainFallback(t *testing.T) {
 	}
 	if got.Cost != tr.calls() {
 		t.Errorf("read during crash window cost %d but sent %d calls", got.Cost, tr.calls())
-	}
-}
-
-// TestAlphaLookupCorrectness runs the lookup correctness sweep with α=3:
-// parallel probing must change cost, never answers — including on a ring
-// that has just absorbed crashes.
-func TestAlphaLookupCorrectness(t *testing.T) {
-	c, err := NewCluster(bg, ClusterConfig{Size: 24, Seed: 5, Alpha: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 64; i++ {
-		key := keyspace.FromFloat(float64(i) / 64)
-		want := expectedOwner(c.Nodes, key)
-		got, _, err := c.Nodes[i%len(c.Nodes)].Lookup(bg, key)
-		if err != nil {
-			t.Fatalf("α=3 lookup %v: %v", key, err)
-		}
-		if got.Addr != want.Addr {
-			t.Errorf("α=3 lookup %v: owner %s, want %s", key, got.Addr, want.Addr)
-		}
-	}
-
-	// Crash a few peers and heal: α-probing must still terminate at the
-	// true owner, folding dead candidates into the exclude set.
-	for _, i := range []int{3, 11, 17} {
-		_ = c.Nodes[i].Close()
-	}
-	for round := 0; round < 6; round++ {
-		c.StabilizeAll(bg)
-	}
-	for i := 0; i < 64; i++ {
-		key := keyspace.FromFloat(float64(i) / 64)
-		want := expectedOwner(c.Nodes, key)
-		from := c.Nodes[i%len(c.Nodes)]
-		if from.isDown() {
-			continue
-		}
-		got, _, err := from.Lookup(bg, key)
-		if err != nil {
-			t.Fatalf("α=3 lookup after crashes %v: %v", key, err)
-		}
-		if got.Addr != want.Addr {
-			t.Errorf("α=3 lookup after crashes %v: owner %s, want %s", key, got.Addr, want.Addr)
-		}
 	}
 }

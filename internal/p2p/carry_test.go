@@ -53,10 +53,6 @@ func (c *countingTransport) CallCtx(ctx context.Context, addr transport.Addr, re
 	return c.Transport.CallCtx(ctx, addr, req)
 }
 
-func (c *countingTransport) Call(addr transport.Addr, req *transport.Request) (*transport.Response, error) {
-	return c.CallCtx(context.Background(), addr, req)
-}
-
 func (c *countingTransport) Serve(h transport.Handler) {
 	c.Transport.Serve(func(req *transport.Request) *transport.Response {
 		c.mu.Lock()
@@ -105,9 +101,9 @@ func (c *countingTransport) reset() {
 // fabric, caches off so every op pays its walk, each speaking through a
 // countingTransport (over wrap, when given). Node i sits at key i/size.
 // The fabric comes back too, for tests that add a peer later.
-func carryRing(t *testing.T, size, alpha int, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
+func carryRing(t *testing.T, size int, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
 	t.Helper()
-	return countedRing(t, size, Config{Alpha: alpha, RouteCacheSize: -1}, rewire, wrap)
+	return countedRing(t, size, Config{RouteCacheSize: -1}, rewire, wrap)
 }
 
 // countedRing is carryRing with the routing and cache settings of base.
@@ -161,7 +157,7 @@ func countedRing(t *testing.T, size int, base Config, rewire bool, wrap func(tra
 // reports — and none at all when the entry node owns the key.
 func TestCarriedOpMessageCount(t *testing.T) {
 	for _, size := range []int{3, 8} {
-		nodes, trs, _ := carryRing(t, size, 1, true, nil)
+		nodes, trs, _ := carryRing(t, size, true, nil)
 		local, multi := 0, 0
 		for e, n := range nodes {
 			tr := trs[e]
@@ -258,7 +254,7 @@ func (s *staleHop) CallCtx(ctx context.Context, addr transport.Addr, req *transp
 // fabric — the stale hop included.
 func TestCarriedOpLoopedWalkCost(t *testing.T) {
 	var stale []*staleHop
-	nodes, trs, _ := carryRing(t, 8, 1, true, func(inner transport.Transport) transport.Transport {
+	nodes, trs, _ := carryRing(t, 8, true, func(inner transport.Transport) transport.Transport {
 		s := &staleHop{Transport: inner}
 		stale = append(stale, s)
 		return s
@@ -360,11 +356,10 @@ func remoteKey(t *testing.T, nodes []*Node, from *Node) (keyspace.Key, *Node) {
 // write. It is the data RPC, not a routing probe: when its reply is lost
 // the owner has run the write, so the caller gets the owner-unreachable
 // error and nothing is sent again — no retry, no exclusion and re-route.
-// And the α extras of a step never carry it: one execution per op.
 func TestCarriedWriteContract(t *testing.T) {
 	t.Run("lost reply", func(t *testing.T) {
 		fnet := faultnet.New(1)
-		nodes, trs, _ := carryRing(t, 4, 1, false, fnet.Wrap)
+		nodes, trs, _ := carryRing(t, 4, false, fnet.Wrap)
 		entry := nodes[0]
 		k, owner := remoteKey(t, nodes, entry)
 		for _, tr := range trs {
@@ -384,26 +379,6 @@ func TestCarriedWriteContract(t *testing.T) {
 		}
 		if c, d := trs[0].get(trs[0].sentCarry, transport.OpPut), trs[0].get(trs[0].sent, transport.OpPut); c != 1 || d != 0 {
 			t.Errorf("entry sent %d carrying hops and %d direct puts, want 1 and 0: the write was re-sent", c, d)
-		}
-	})
-
-	t.Run("alpha extras", func(t *testing.T) {
-		// No long links, so the walk takes several successor-list hops and
-		// the hop that reaches the owner has a stack of extras to probe.
-		// The entry's predecessor owns the key: the farthest walk there is.
-		nodes, trs, _ := carryRing(t, 8, 3, false, nil)
-		entry, owner := nodes[0], nodes[7]
-		k := keyspace.FromFloat(0.8)
-		res, err := entry.Put(bg, k, []byte("once"))
-		if err != nil || res.Owner.Addr != owner.Self().Addr {
-			t.Fatalf("put = %+v, %v; want owner %s", res, err, owner.Self().Addr)
-		}
-		if ran := ranTotal(transport.OpPut, trs...); ran != 1 {
-			t.Errorf("α=3: the put ran %d times, want 1", ran)
-		}
-		probes, carrying := trs[0].get(trs[0].sent, transport.OpFindOwner), trs[0].get(trs[0].sentCarry, transport.OpPut)
-		if carrying != 1 || probes < 4 {
-			t.Errorf("α=3: %d find_owner probes, %d carrying the put; want extras beside exactly one carrier", probes, carrying)
 		}
 	})
 }
@@ -430,7 +405,7 @@ func TestCarriedOpStaleSafety(t *testing.T) {
 			name = "arc floor refuses"
 		}
 		t.Run(name, func(t *testing.T) {
-			nodes, trs, fabric := carryRing(t, 4, 1, false, nil)
+			nodes, trs, fabric := carryRing(t, 4, false, nil)
 			entry := nodes[0]
 			k, old := remoteKey(t, nodes, entry)
 			jtr := newCountingTransport(fabric.Endpoint())
@@ -484,7 +459,7 @@ func TestCarriedOpStaleSafety(t *testing.T) {
 // carry tag skips it by length): every op still completes, through the
 // direct data RPC, at one message more than the walk.
 func TestCarriedOpIgnored(t *testing.T) {
-	nodes, trs, _ := carryRing(t, 4, 1, false, nil)
+	nodes, trs, _ := carryRing(t, 4, false, nil)
 	for _, tr := range trs {
 		tr.onServe = func(req *transport.Request) *transport.Request {
 			plain := *req

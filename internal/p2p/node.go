@@ -25,22 +25,16 @@ import (
 	"github.com/oscar-overlay/oscar/internal/wal"
 )
 
-// Config parameterises one node.
+// Config parameterises one node. The wiring constants are not settable:
+// median estimation and partition recursion use
+// partition.DefaultSampleParams, in-partition draws walk
+// core.DefaultConfig().PickSteps steps, and link candidates always take
+// the power-of-two choice.
 type Config struct {
 	// Key is the node's position on the identifier circle.
 	Key keyspace.Key
 	// MaxIn and MaxOut are the link budgets (ρmax).
 	MaxIn, MaxOut int
-	// Samples and WalkSteps tune median estimation (defaults 12 and 8).
-	Samples, WalkSteps int
-	// MaxLevels bounds the partition recursion (default 48).
-	MaxLevels int
-	// PickSteps is the walk length for in-partition candidate draws
-	// (default 10).
-	PickSteps int
-	// DisablePowerOfTwo turns off the two-choices in-degree balancing
-	// (enabled by default).
-	DisablePowerOfTwo bool
 	// Replicas is the replication factor r: every item is stored at its
 	// owner and pushed to the owner's r-1 immediate ring successors, so a
 	// crash loses routing entries but no data as long as fewer than r
@@ -75,20 +69,9 @@ type Config struct {
 	// (memory only).
 	DataDir string
 	// Fsync is the WAL fsync policy (wal.PolicyAlways / Interval /
-	// Never). Only meaningful with DataDir set.
+	// Never; Interval fsyncs every wal.DefaultFsyncInterval). Only
+	// meaningful with DataDir set.
 	Fsync wal.Policy
-	// FsyncInterval overrides the background fsync cadence for
-	// wal.PolicyInterval (default 100ms).
-	FsyncInterval time.Duration
-	// SnapshotEvery is the WAL frame count that triggers a compacting
-	// snapshot at the next stabilisation round (default 4096).
-	SnapshotEvery int
-	// Alpha is the lookup parallelism α: each routing hop probes the
-	// current peer plus up to α-1 backtrack candidates concurrently, so a
-	// dead or slow hop is recovered from answers already in hand instead
-	// of a serial ping round. α=1 (the default) is the classic one-probe
-	// walk; higher values spend more messages per hop to cut the tail.
-	Alpha int
 	// RouteCacheSize bounds the per-node LRU of owner+chain resolutions,
 	// counted in arcs: an entry covers the owner's whole arc (pred, owner],
 	// so a hit on any key of it lets data ops skip the routing walk. Every
@@ -109,18 +92,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxOut == 0 {
 		c.MaxOut = 27
 	}
-	if c.Samples == 0 {
-		c.Samples = 12
-	}
-	if c.WalkSteps == 0 {
-		c.WalkSteps = 8
-	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = 48
-	}
-	if c.PickSteps == 0 {
-		c.PickSteps = 10
-	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
 	}
@@ -132,12 +103,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.TombstoneTTL == 0 {
 		c.TombstoneTTL = 10 * time.Minute
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 4096
-	}
-	if c.Alpha < 1 {
-		c.Alpha = 1
 	}
 	if c.RouteCacheSize == 0 {
 		c.RouteCacheSize = 128
@@ -622,6 +587,13 @@ func (n *Node) ReplicaDeleted(k keyspace.Key) bool {
 	defer n.mu.Unlock()
 	_, ok := n.replStore.Tombstone(k)
 	return ok
+}
+
+// isDown reports whether the node has been closed.
+func (n *Node) isDown() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.down
 }
 
 // Close takes the node off the network (a crash: no graceful handover,

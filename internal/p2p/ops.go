@@ -7,7 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/partition"
 	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
@@ -665,26 +667,14 @@ func carried(op *transport.Request, key keyspace.Key, exclude []transport.Addr) 
 // the owner was reached by a plain hop, or ignored the op — leaves the
 // op to the caller's direct RPC.
 //
-// With Config.Alpha > 1 each hop is an α-way step: the current peer and
-// up to α-1 backtrack candidates are probed concurrently (the extras over
-// fanoutReadRetry with the plain query — they never carry the op — so
-// every leg rides the overload/read-retry contracts). The primary's
-// answer drives the walk exactly as at α=1 — same cost accounting, same
-// ctx-cancel points, same typed ErrOverloaded surface — and the extra
-// answers are folded in: a Found is a terminal answer held in reserve, a
-// next-hop suggestion is an instant detour if the primary turns out dead
-// (skipping the backtrack ping round entirely), dead extras move to the
-// exclude set, and live ones return to the stack. α buys a shorter tail
-// under churn for α-1 extra messages per hop.
-//
 // The context is checked before every hop and a transport failure caused by
 // cancellation surfaces as ctx.Err() rather than being mistaken for a dead
 // peer, so a cancelled multi-hop walk stops issuing RPCs immediately.
 func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cur := start
-	// curKey is cur's position when the walk knows it (a backtrack or a
-	// detour lands on a bare address); named says the previous responder
-	// gave cur as the key's owner.
+	// curKey is cur's position when the walk knows it (a backtrack lands
+	// on a bare address); named says the previous responder gave cur as
+	// the key's owner.
 	curKey, curKeyed, named := n.self.Key, start == n.self.Addr, false
 	cost := 0
 	var bad []transport.Addr   // dead or routeless peers
@@ -692,10 +682,6 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 	for hop := 0; hop < maxRouteHops; hop++ {
 		if err := ctx.Err(); err != nil {
 			return route{}, cost, err
-		}
-		// query is the plain routing step; probe is what cur is sent.
-		query := func() *transport.Request {
-			return &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
 		}
 		var probe *transport.Request
 		call, carriesWrite := n.readRetry, false
@@ -705,65 +691,14 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 				call, carriesWrite = n.callRetry, true
 			}
 		} else {
-			probe = query()
+			probe = &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
 		}
 		// A message is charged where it is sent, retries included; a step
 		// this node takes on itself — the walk's first, or a later one when
 		// churn routes the walk back through its entry node — is dispatched
 		// in-process (callRetry) and costs nothing.
-		var resp *transport.Response
-		var sends int
-		var err error
-		// Knowledge folded from the α-1 extra probes of this hop.
-		var found route // a Found answer held in reserve
-		haveFound := false
-		var detour transport.Addr // a live extra's next-hop suggestion
-		if k := n.cfg.Alpha - 1; k > 0 && len(stack) > 0 {
-			if k > len(stack) {
-				k = len(stack)
-			}
-			extras := append([]transport.Addr(nil), stack[len(stack)-k:]...)
-			stack = stack[:len(stack)-k]
-			extraReq := probe
-			if probe.Carry != "" {
-				extraReq = query()
-			}
-			var results []transport.FanoutResult
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results = n.fanoutReadRetry(ctx, extras, extraReq)
-			}()
-			resp, sends, err = call(ctx, cur, probe)
-			wg.Wait()
-			cost += sends + n.messages(extras...) // the extra probes are messages too
-			if cerr := ctx.Err(); cerr != nil {
-				return route{}, cost, cerr
-			}
-			// Fold shallowest→deepest so the deepest (closest to the
-			// target) wins conflicts, and stack order is preserved on
-			// re-push.
-			for i, r := range results {
-				switch {
-				case r.OK() && r.Resp.Found:
-					found, haveFound = route{owner: r.Resp.Peer, chain: r.Resp.Peers, arc: r.Resp.Arc}, true
-					stack = append(stack, extras[i]) // still a live waypoint
-				case r.OK():
-					if s := r.Resp.Peer.Addr; s != "" && s != cur && !addrIn(bad, s) {
-						detour = s
-					}
-					stack = append(stack, extras[i])
-				case errors.Is(r.Err, transport.ErrOverloaded):
-					stack = append(stack, extras[i]) // alive, just shedding
-				default:
-					bad = append(bad, extras[i]) // dead or routeless
-				}
-			}
-		} else {
-			resp, sends, err = call(ctx, cur, probe)
-			cost += sends
-		}
+		resp, sends, err := call(ctx, cur, probe)
+		cost += sends
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
 				return route{}, cost, cerr
@@ -772,31 +707,16 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 				// The hop shed both the call and its retry. The peer is
 				// alive — excluding it would route every later query around
 				// a functioning node — so surface the backpressure and let
-				// the caller decide to retry the whole operation. An extra's
-				// Found still completes the lookup: the owner answered, the
-				// congested waypoint no longer matters.
-				if haveFound {
-					return found, cost, nil
-				}
+				// the caller decide to retry the whole operation.
 				return route{}, cost, fmt.Errorf("p2p: lookup via %s: %w", cur, err)
 			}
 			if err != nil && carriesWrite {
 				// The write may have run with its ack lost: re-sending it
-				// anywhere — even to an owner an extra just found — could
-				// apply it twice.
+				// anywhere could apply it twice.
 				return route{}, cost, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Op, err)
 			}
 			bad = append(bad, cur) // a dead probe or an exhausted peer
-			if haveFound {
-				return found, cost, nil
-			}
 			named, curKeyed = false, false
-			if detour != "" {
-				// An α sibling already told us where it would go next:
-				// take that hop instead of a backtrack ping round.
-				cur = detour
-				continue
-			}
 			next, probeCost := n.backtrack(ctx, &stack, &bad)
 			cost += probeCost
 			if cerr := ctx.Err(); cerr != nil {
@@ -810,11 +730,6 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 		}
 		if resp.Found {
 			return route{owner: resp.Peer, chain: resp.Peers, arc: resp.Arc, result: resp.Result}, cost, nil
-		}
-		if haveFound {
-			// A deeper sibling already reached the owner; the primary only
-			// offered another hop. Terminal beats progress.
-			return found, cost, nil
 		}
 		stack = append(stack, cur)
 		named = curKeyed && key.BetweenIncl(curKey, resp.Peer.Key)
@@ -833,16 +748,6 @@ func (n *Node) messages(addrs ...transport.Addr) int {
 		}
 	}
 	return cost
-}
-
-// addrIn reports whether a is in the set.
-func addrIn(set []transport.Addr, a transport.Addr) bool {
-	for _, x := range set {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // backtrack returns the deepest live peer on the stack, probing up to
@@ -1262,14 +1167,15 @@ func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, 
 	return res, nil
 }
 
-// Rewire rebuilds the node's long-range links: release current ones,
-// estimate partitions by remote restricted walks, then acquire up to MaxOut
-// links with the admission + power-of-two rules. It returns the number of
-// links established.
+// Rewire rebuilds the node's long-range links: estimate partitions by
+// remote restricted walks, release the current links, then acquire up to
+// MaxOut links with the admission + power-of-two rules. A rebuild that
+// cannot start — it finds no partition borders, or ctx is done once the
+// walks end — keeps the current links, and every target keeps its
+// in-link. It returns ctx.Err().
 func (n *Node) Rewire(ctx context.Context) error {
-	// Caller-cancel before any work: keep the current links instead of
-	// dropping them ahead of a rebuild that cannot run.
-	if err := ctx.Err(); err != nil {
+	borders := n.discoverPartitions(ctx)
+	if err := ctx.Err(); err != nil || len(borders) == 0 {
 		return err
 	}
 	n.mu.Lock()
@@ -1281,13 +1187,9 @@ func (n *Node) Rewire(ctx context.Context) error {
 		for i, ref := range old {
 			addrs[i] = ref.Addr
 		}
-		// Releases are fire-and-forget: broadcast them in parallel.
-		transport.Broadcast(ctx, n.tr, addrs, &transport.Request{Op: transport.OpUnlink, From: n.self})
-	}
-
-	borders := n.discoverPartitions(ctx)
-	if len(borders) == 0 {
-		return ctx.Err()
+		// Releases are fire-and-forget, sent in parallel. They precede the
+		// links below, so no target counts this node twice.
+		transport.Fanout(ctx, n.tr, addrs, &transport.Request{Op: transport.OpUnlink, From: n.self})
 	}
 	var out []transport.PeerRef
 	for slot := 0; slot < n.cfg.MaxOut; slot++ {
@@ -1317,14 +1219,15 @@ func (n *Node) discoverPartitions(ctx context.Context) []keyspace.Key {
 	if succ.Addr == n.self.Addr {
 		return nil
 	}
+	params := partition.DefaultSampleParams()
 	var borders []keyspace.Key
 	prev := n.self.Key
-	for level := 0; level < n.cfg.MaxLevels; level++ {
+	for level := 0; level < params.MaxLevels; level++ {
 		if ctx.Err() != nil {
 			break
 		}
 		remaining := keyspace.Range{Start: n.self.Key, End: prev}
-		keys := n.sampleKeys(ctx, remaining, n.cfg.Samples, n.cfg.WalkSteps)
+		keys := n.sampleKeys(ctx, remaining, params.Samples, params.Steps)
 		// Drop our own samples; see partition.BuildSampled.
 		filtered := keys[:0]
 		for _, k := range keys {
@@ -1401,9 +1304,6 @@ func (n *Node) sampleKeys(ctx context.Context, rg keyspace.Range, count, steps i
 // The two draws — and the two load probes deciding between them — are
 // independent multi-RPC chains, so they run in parallel.
 func (n *Node) pickCandidate(ctx context.Context, borders []keyspace.Key, existing []transport.PeerRef) transport.PeerRef {
-	if n.cfg.DisablePowerOfTwo {
-		return n.pickOne(ctx, borders, existing)
-	}
 	var first, second transport.PeerRef
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -1464,7 +1364,7 @@ func (n *Node) pickOne(ctx context.Context, borders []keyspace.Key, existing []t
 	if err != nil || !rg.Contains(entry.Key) {
 		return transport.PeerRef{}
 	}
-	cand := n.walkOnce(ctx, entry, rg, n.cfg.PickSteps)
+	cand := n.walkOnce(ctx, entry, rg, core.DefaultConfig().PickSteps)
 	if cand.Addr == n.self.Addr {
 		return transport.PeerRef{}
 	}

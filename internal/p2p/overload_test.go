@@ -60,10 +60,6 @@ func (s *shedTransport) CallCtx(ctx context.Context, addr transport.Addr, req *t
 	return s.Transport.CallCtx(ctx, addr, req)
 }
 
-func (s *shedTransport) Call(addr transport.Addr, req *transport.Request) (*transport.Response, error) {
-	return s.CallCtx(context.Background(), addr, req)
-}
-
 // shedRing builds a 4-node ring whose node 0 speaks through a
 // shedTransport, so tests can saturate any peer from node 0's viewpoint.
 func shedRing(t *testing.T) ([]*Node, *shedTransport) {

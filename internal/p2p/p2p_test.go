@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -74,7 +75,7 @@ func TestRingFormation(t *testing.T) {
 		}
 		visited[cur.Addr] = true
 		keys = append(keys, cur.Key)
-		resp, err := c.Nodes[0].tr.Call(cur.Addr, &transport.Request{Op: transport.OpSuccList})
+		resp, err := c.Nodes[0].tr.CallCtx(bg, cur.Addr, &transport.Request{Op: transport.OpSuccList})
 		if err != nil || !resp.OK || len(resp.Peers) == 0 {
 			t.Fatalf("succ_list %s: %+v, %v", cur.Addr, resp, err)
 		}
@@ -127,6 +128,54 @@ func TestRewireEstablishesLinks(t *testing.T) {
 	for _, n := range c.Nodes {
 		if n.InDegree() > n.cfg.MaxIn {
 			t.Errorf("node exceeds in-cap: %d > %d", n.InDegree(), n.cfg.MaxIn)
+		}
+	}
+}
+
+// TestRewireCancelledKeepsLinks cancels a wired node's rewire a few
+// calls in, while it is still sampling partitions: the node must keep
+// routing on its current long links, and none of their targets may lose
+// its in-link.
+func TestRewireCancelledKeepsLinks(t *testing.T) {
+	c := newTestCluster(t, 24)
+	ct := &cancellingTransport{Transport: c.Fabric.Endpoint(), cancel: func() {}, after: 1 << 60}
+	n := mustNode(t, ct, Config{Key: keyspace.FromFloat(0.001), MaxIn: 8, MaxOut: 8, Seed: 5})
+	defer n.Close()
+	if err := n.Join(bg, c.Nodes[0].Self().Addr); err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([]*Node(nil), c.Nodes...), n)
+	for round := 0; round < 2; round++ {
+		for _, m := range all {
+			m.Stabilize(bg)
+		}
+	}
+	if err := n.Rewire(bg); err != nil {
+		t.Fatal(err)
+	}
+	links := n.OutLinks()
+	if len(links) == 0 {
+		t.Fatal("test setup: the node wired no long links")
+	}
+	inDeg := make(map[transport.Addr]int)
+	for _, ref := range links {
+		inDeg[ref.Addr] = nodeByAddr(t, all, ref.Addr).InDegree()
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	ct.cancel = cancel
+	ct.calls.Store(0)
+	ct.after = 3
+	if err := n.Rewire(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled rewire returned %v, want context.Canceled", err)
+	}
+	if got := n.OutLinks(); !slices.Equal(got, links) {
+		t.Errorf("cancelled rewire left out-links %v, want %v", got, links)
+	}
+	for addr, want := range inDeg {
+		if got := nodeByAddr(t, all, addr).InDegree(); got != want {
+			t.Errorf("target %s in-degree %d after the cancelled rewire, want %d", addr, got, want)
 		}
 	}
 }
@@ -477,7 +526,7 @@ func TestCrashAndHeal(t *testing.T) {
 
 // cancellingTransport wraps a Transport and cancels the given context after
 // a fixed number of CallCtx invocations — a deterministic way to cancel a
-// lookup mid-walk.
+// lookup mid-walk or a rewire mid-discovery.
 type cancellingTransport struct {
 	transport.Transport
 	cancel context.CancelFunc
@@ -490,10 +539,6 @@ func (c *cancellingTransport) CallCtx(ctx context.Context, addr transport.Addr, 
 		c.cancel()
 	}
 	return c.Transport.CallCtx(ctx, addr, req)
-}
-
-func (c *cancellingTransport) Call(addr transport.Addr, req *transport.Request) (*transport.Response, error) {
-	return c.CallCtx(context.Background(), addr, req)
 }
 
 // TestLookupCancelledBeforeCall proves a context cancelled before a

@@ -36,11 +36,7 @@ func (r RecoveryInfo) HasState() bool {
 // recovered stores and WAL sinks on the node. Called from NewNode
 // before the transport starts serving, so no mutation can race it.
 func (n *Node) openEngine() error {
-	eng, rec, err := wal.Open(wal.Options{
-		Dir:           n.cfg.DataDir,
-		Policy:        n.cfg.Fsync,
-		FsyncInterval: n.cfg.FsyncInterval,
-	})
+	eng, rec, err := wal.Open(wal.Options{Dir: n.cfg.DataDir, Policy: n.cfg.Fsync})
 	if err != nil {
 		return err
 	}
@@ -95,15 +91,19 @@ func (n *Node) Snapshot() error {
 	return n.eng.Snapshot(&n.store, &n.replStore, time.Now().UnixNano())
 }
 
-// maybeSnapshot compacts when the WAL has grown past the configured
-// frame threshold. Runs at the end of every stabilisation round, so
+// snapshotEvery is the WAL frame count that triggers a compacting
+// snapshot at the next stabilisation round.
+const snapshotEvery = 4096
+
+// maybeSnapshot compacts when the WAL has grown past snapshotEvery
+// frames. Runs at the end of every stabilisation round, so
 // compaction cost is amortised into maintenance, never a foreground
 // write.
 func (n *Node) maybeSnapshot() {
 	if n.eng == nil {
 		return
 	}
-	if st := n.eng.Stats(); st.Frames >= uint64(n.cfg.SnapshotEvery) {
+	if st := n.eng.Stats(); st.Frames >= snapshotEvery {
 		_ = n.Snapshot()
 	}
 }

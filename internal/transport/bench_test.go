@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -84,11 +85,11 @@ func benchPooled(b *testing.B, opts ...TCPOption) {
 			}
 			defer client.Close()
 			// Warm the pool so dials happen outside the timed region.
-			if _, err := client.Call(server.Addr(), &Request{Op: OpPing}); err != nil {
+			if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
 				b.Fatal(err)
 			}
 			benchCalls(b, inflight, func(req *Request) (*Response, error) {
-				return client.Call(server.Addr(), req)
+				return client.CallCtx(context.Background(), server.Addr(), req)
 			})
 		})
 	}

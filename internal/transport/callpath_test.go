@@ -56,7 +56,7 @@ func TestWorkersStayResident(t *testing.T) {
 	client := listen(t, nil)
 	call := func(i int) {
 		t.Helper()
-		resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(i)})
+		resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(i)})
 		if err != nil || resp.Peer.Key != keyspace.Key(i) {
 			t.Fatalf("call %d = %+v, %v", i, resp, err)
 		}
@@ -90,7 +90,7 @@ func TestWorkerSlowHandlerDoesNotBlockConnection(t *testing.T) {
 
 	slow := make(chan error, 1)
 	go func() {
-		_, err := client.Call(server.Addr(), &Request{Op: OpGet})
+		_, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpGet})
 		slow <- err
 	}()
 	<-entered
@@ -137,7 +137,7 @@ func (b *burst) fire(t *testing.T, client, server *TCPEndpoint) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := client.Call(server.Addr(), &Request{Op: OpGet}); err != nil {
+			if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpGet}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -159,7 +159,7 @@ func TestWorkersRetire(t *testing.T) {
 		}
 		waitFor(t, "the parked workers to retire", func() bool { return parkedWorkers(server) == 0 })
 		// The endpoint still serves: the next request starts a worker.
-		if _, err := client.Call(server.Addr(), &Request{Op: OpPing}); err != nil {
+		if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -66,15 +66,11 @@ func (e *chanEndpoint) Serve(h Handler) {
 	e.handler = h
 }
 
-// Call implements Transport. The handler runs on the caller's goroutine —
-// in-memory "messages" are synchronous function calls, which preserves the
-// request/response semantics while avoiding per-call goroutines.
-func (e *chanEndpoint) Call(addr Addr, req *Request) (*Response, error) {
-	return e.CallCtx(context.Background(), addr, req)
-}
-
-// CallCtx implements Transport. Cancellation is honoured at entry only:
-// the in-memory handler runs synchronously and cannot be interrupted.
+// CallCtx implements Transport. The handler runs on the caller's goroutine
+// — in-memory "messages" are synchronous function calls, which preserves
+// the request/response semantics while avoiding per-call goroutines.
+// Cancellation is honoured at entry only: the in-memory handler runs
+// synchronously and cannot be interrupted.
 func (e *chanEndpoint) CallCtx(ctx context.Context, addr Addr, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func TestMuxConcurrentCallsShareConnection(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < callsPer; j++ {
 				key := keyspace.Key(uint64(w)<<32 | uint64(j))
-				resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: key})
+				resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: key})
 				if err != nil {
 					t.Error(err)
 					return
@@ -114,7 +114,7 @@ func TestMuxPoolSpreadsLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := client.Call(server.Addr(), &Request{Op: OpGet}); err != nil {
+			if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpGet}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -149,13 +149,13 @@ func TestMuxReconnectAfterRestart(t *testing.T) {
 	}
 	defer client.Close()
 
-	if _, err := client.Call(addr, &Request{Op: OpPing, Key: 1}); err != nil {
+	if _, err := client.CallCtx(context.Background(), addr, &Request{Op: OpPing, Key: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Call(addr, &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
+	if _, err := client.CallCtx(context.Background(), addr, &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call to dead server: err = %v, want ErrUnreachable", err)
 	}
 
@@ -167,7 +167,7 @@ func TestMuxReconnectAfterRestart(t *testing.T) {
 	defer server2.Close()
 	server2.Serve(echoHandler)
 
-	resp, err := client.Call(addr, &Request{Op: OpPing, Key: 7})
+	resp, err := client.CallCtx(context.Background(), addr, &Request{Op: OpPing, Key: 7})
 	if err != nil {
 		t.Fatalf("call after restart: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestMuxCallTimeoutDoesNotPoisonPool(t *testing.T) {
 	close(release)
 	for i := 0; i < 20; i++ {
 		key := keyspace.Key(100 + i)
-		resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: key})
+		resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: key})
 		if err != nil {
 			t.Fatalf("call %d after timeout: %v", i, err)
 		}
@@ -273,7 +273,7 @@ func TestMuxGarbageFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: 5})
+	resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: 5})
 	if err != nil || !resp.OK || resp.Peer.Key != 5 {
 		t.Fatalf("honest call after garbage: %+v, %v", resp, err)
 	}
@@ -295,11 +295,11 @@ func TestMuxOversizedRequestRejected(t *testing.T) {
 	}
 	defer client.Close()
 
-	if _, err := client.Call(server.Addr(), &Request{Op: OpPut, Value: make([]byte, maxFrame)}); err == nil {
+	if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPut, Value: make([]byte, maxFrame)}); err == nil {
 		t.Fatal("oversized request succeeded")
 	}
 	// The transport recovers: a normal call still goes through.
-	if _, err := client.Call(server.Addr(), &Request{Op: OpPing}); err != nil {
+	if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("call after oversized request: %v", err)
 	}
 }
@@ -320,7 +320,7 @@ func TestMuxIdleReap(t *testing.T) {
 	}
 	defer client.Close()
 
-	if _, err := client.Call(server.Addr(), &Request{Op: OpPing}); err != nil {
+	if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -330,7 +330,7 @@ func TestMuxIdleReap(t *testing.T) {
 	if n := clientConnCount(client, server.Addr()); n != 0 {
 		t.Fatalf("reaper left %d idle connections", n)
 	}
-	if _, err := client.Call(server.Addr(), &Request{Op: OpPing}); err != nil {
+	if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("call after reap: %v", err)
 	}
 }

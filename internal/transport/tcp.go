@@ -423,11 +423,6 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	}
 }
 
-// Call implements Transport.
-func (e *TCPEndpoint) Call(addr Addr, req *Request) (*Response, error) {
-	return e.CallCtx(context.Background(), addr, req)
-}
-
 // CallCtx implements Transport. It multiplexes the call over a pooled
 // persistent connection; if the connection turns out to be stale before
 // the request is sent (e.g. the peer restarted since it was dialed) it

@@ -63,7 +63,7 @@ func TestCodecNegotiation(t *testing.T) {
 	server := listen(t, echoV2Handler)
 	t.Run("binary-binary", func(t *testing.T) {
 		client := listen(t, nil)
-		resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: 42, Value: []byte("hello")})
+		resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: 42, Value: []byte("hello")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestHandshakeRequired(t *testing.T) {
 			t.Fatalf("%s: server kept the connection open", tc.name)
 		}
 		_ = conn.Close()
-		resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: 7})
+		resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: 7})
 		if err != nil || !resp.OK || resp.Peer.Key != 7 {
 			t.Fatalf("proper call after a %s: %+v, %v", tc.name, resp, err)
 		}
@@ -168,7 +168,7 @@ func TestTLSTransport(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(i)})
+					resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(i)})
 					if err != nil {
 						t.Error(err)
 						return
@@ -261,7 +261,7 @@ func TestOverloadShedding(t *testing.T) {
 	}
 
 	// After the flood: the node serves again immediately.
-	resp, err := client.Call(server.Addr(), &Request{Op: OpPing})
+	resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing})
 	if err != nil || !resp.OK {
 		t.Fatalf("post-flood call = %+v, %v", resp, err)
 	}
@@ -288,7 +288,7 @@ func TestClientInflightCapOverload(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = client.Call(server.Addr(), &Request{Op: OpGet})
+			_, _ = client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpGet})
 		}()
 	}
 	// Let both slow calls occupy the cap.
@@ -313,7 +313,7 @@ func TestClientInflightCapOverload(t *testing.T) {
 
 	close(release)
 	wg.Wait()
-	resp, err := client.Call(server.Addr(), &Request{Op: OpPing})
+	resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing})
 	if err != nil || !resp.OK {
 		t.Fatalf("post-saturation call = %+v, %v", resp, err)
 	}

@@ -1,5 +1,5 @@
 // Package transport provides the message fabric for the live (non-simulated)
-// overlay runtime in internal/p2p: a blocking request/response Call
+// overlay runtime in internal/p2p: a blocking request/response CallCtx
 // abstraction with two implementations — an in-memory channel fabric for
 // tests and single-process clusters, and a pooled, multiplexed TCP fabric
 // for real deployments.
@@ -44,7 +44,7 @@
 // before the request is sent retries once on a fresh dial, but once a
 // request may have reached the peer a failure surfaces as ErrUnreachable
 // without retrying, so no op — idempotent or not (migrate is not) — ever
-// executes twice for one Call.
+// executes twice for one call.
 package transport
 
 import (
@@ -228,19 +228,17 @@ type Handler func(*Request) *Response
 type Transport interface {
 	// Addr returns the endpoint's address.
 	Addr() Addr
-	// Call sends a request to a remote endpoint and waits for its response.
-	// A transport-level failure (dead peer, closed endpoint) returns an
-	// error — the live-network analogue of probing a stale link. It is
-	// CallCtx with a background context (the transport's default per-call
-	// timeout applies).
-	Call(addr Addr, req *Request) (*Response, error)
-	// CallCtx is Call with a caller-supplied context: the context's
-	// deadline bounds the round trip and its cancellation aborts the wait.
-	// Many CallCtx invocations may be in flight concurrently; the TCP
-	// fabric multiplexes them over shared pooled connections.
+	// CallCtx sends a request to a remote endpoint and waits for its
+	// response. A transport-level failure (dead peer, closed endpoint)
+	// returns an error — the live-network analogue of probing a stale
+	// link. The context's deadline bounds the round trip (without one the
+	// transport's default per-call timeout applies) and its cancellation
+	// aborts the wait. Many CallCtx invocations may be in flight
+	// concurrently; the TCP fabric multiplexes them over shared pooled
+	// connections.
 	CallCtx(ctx context.Context, addr Addr, req *Request) (*Response, error)
 	// Serve installs the handler for incoming requests. It must be called
-	// exactly once before the first Call arrives.
+	// exactly once before the first call arrives.
 	Serve(h Handler)
 	// Close tears the endpoint down; subsequent calls to it fail.
 	Close() error
@@ -287,20 +285,4 @@ func Fanout(ctx context.Context, t Transport, addrs []Addr, req *Request) []Fano
 	}
 	wg.Wait()
 	return results
-}
-
-// Broadcast sends the request to every address in parallel, discarding
-// responses, and reports how many peers answered OK. Use it for
-// notifications whose individual outcomes don't matter (unlink storms,
-// ring announcements). A zero count under a cancelled context means the
-// caller gave up, not that every peer is dead — check ctx.Err() before
-// reading anything into the number.
-func Broadcast(ctx context.Context, t Transport, addrs []Addr, req *Request) int {
-	ok := 0
-	for _, r := range Fanout(ctx, t, addrs, req) {
-		if r.OK() {
-			ok++
-		}
-	}
-	return ok
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func TestFabricCall(t *testing.T) {
 	f := NewFabric()
 	a, b := f.Endpoint(), f.Endpoint()
 	b.Serve(echoHandler)
-	resp, err := a.Call(b.Addr(), &Request{Op: OpPing, Key: 42})
+	resp, err := a.CallCtx(context.Background(), b.Addr(), &Request{Op: OpPing, Key: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestFabricCall(t *testing.T) {
 func TestFabricUnknownAddr(t *testing.T) {
 	f := NewFabric()
 	a := f.Endpoint()
-	if _, err := a.Call("nope", &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
+	if _, err := a.CallCtx(context.Background(), "nope", &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -41,13 +42,13 @@ func TestFabricClosedEndpoint(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Call(b.Addr(), &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
+	if _, err := a.CallCtx(context.Background(), b.Addr(), &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("call to closed endpoint: %v", err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Call(a.Addr(), &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
+	if _, err := a.CallCtx(context.Background(), a.Addr(), &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("call from closed endpoint: %v", err)
 	}
 }
@@ -82,7 +83,7 @@ func TestFabricConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			client := f.Endpoint()
 			for j := 0; j < 50; j++ {
-				if _, err := client.Call(server.Addr(), &Request{Op: OpPing}); err != nil {
+				if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -110,7 +111,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer client.Close()
 
-	resp, err := client.Call(server.Addr(), &Request{
+	resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{
 		Op: OpPut, Key: keyspace.MaxKey, Value: []byte("hello"),
 	})
 	if err != nil {
@@ -139,7 +140,7 @@ func TestTCPDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Call(addr, &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
+	if _, err := client.CallCtx(context.Background(), addr, &Request{Op: OpPing}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("dead peer call: %v", err)
 	}
 }
@@ -162,7 +163,7 @@ func TestTCPConcurrent(t *testing.T) {
 		go func(k uint64) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				resp, err := client.Call(server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(k)})
+				resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing, Key: keyspace.Key(k)})
 				if err != nil {
 					t.Error(err)
 					return

@@ -15,7 +15,11 @@ import (
 	"github.com/oscar-overlay/oscar/internal/wal"
 )
 
-// NodeConfig configures one live peer (StartNode).
+// NodeConfig configures one live peer (StartNode). The wiring algorithm
+// is not tunable here: median estimation, in-partition draws and the
+// power-of-two choice run at the paper's settings (12 samples of 8 walk
+// steps, 10-step draws, two choices), the ones the graph simulator's
+// default Config uses. A lookup sends one probe per hop.
 type NodeConfig struct {
 	// Listen is the TCP listen address, e.g. "127.0.0.1:0" (":0" picks a
 	// free port; read the bound address back with Addr).
@@ -29,10 +33,6 @@ type NodeConfig struct {
 	MaxIn, MaxOut int
 	// Seed drives the node's local randomness.
 	Seed int64
-	// Samples and WalkSteps tune median estimation (0 = defaults).
-	Samples, WalkSteps int
-	// DisablePowerOfTwo turns off the two-choices in-degree balancing.
-	DisablePowerOfTwo bool
 	// Replicas is the replication factor r (default 1 = no replication):
 	// items this node owns are pushed to its r-1 immediate ring successors,
 	// writes served by this node honour the owner's factor, and reads fall
@@ -66,11 +66,6 @@ type NodeConfig struct {
 	// interval: a tombstone must survive until every replica has applied
 	// it, or a stale copy could resurrect the key.
 	TombstoneTTL time.Duration
-	// Alpha is the routing parallelism: each lookup hop probes up to Alpha
-	// candidates concurrently and takes the first useful answer, trading
-	// extra messages for lower tail latency on lossy or overloaded rings.
-	// 0 or 1 keeps the classic single-probe walk.
-	Alpha int
 	// RouteCacheSize bounds the node's route cache in arcs: each entry
 	// maps an owner's whole arc to the owner and its chain (0 = default
 	// 128 arcs, negative = disabled). Cached routes are always validated
@@ -184,22 +179,18 @@ func startNodeOn(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 		tr = cfg.WrapTransport(tr)
 	}
 	inner, err := p2p.NewNode(tr, p2p.Config{
-		Key:               cfg.Key,
-		MaxIn:             cfg.MaxIn,
-		MaxOut:            cfg.MaxOut,
-		Samples:           cfg.Samples,
-		WalkSteps:         cfg.WalkSteps,
-		DisablePowerOfTwo: cfg.DisablePowerOfTwo,
-		Replicas:          cfg.Replicas,
-		WriteConcern:      cfg.WriteConcern,
-		AntiEntropy:       cfg.AntiEntropy,
-		TombstoneTTL:      cfg.TombstoneTTL,
-		Alpha:             cfg.Alpha,
-		RouteCacheSize:    cfg.RouteCacheSize,
-		RouteCacheTTL:     cfg.RouteCacheTTL,
-		Seed:              cfg.Seed,
-		DataDir:           cfg.DataDir,
-		Fsync:             policy,
+		Key:            cfg.Key,
+		MaxIn:          cfg.MaxIn,
+		MaxOut:         cfg.MaxOut,
+		Replicas:       cfg.Replicas,
+		WriteConcern:   cfg.WriteConcern,
+		AntiEntropy:    cfg.AntiEntropy,
+		TombstoneTTL:   cfg.TombstoneTTL,
+		RouteCacheSize: cfg.RouteCacheSize,
+		RouteCacheTTL:  cfg.RouteCacheTTL,
+		Seed:           cfg.Seed,
+		DataDir:        cfg.DataDir,
+		Fsync:          policy,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("oscar: start node: %w", err)
