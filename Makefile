@@ -75,14 +75,19 @@ examples:
 # TestWriteFailure*, TestLargeFrame*, TestWriterBounds*: one write per
 # lone call, shared writes under concurrency, nothing sent for a context
 # already done, one break and sent=true on a write error, big frames not
-# pinned, pending frames capped against a peer that stops reading). The
+# pinned, pending frames capped against a peer that stops reading) — and
+# value ownership (TestDecodedValue*, TestLargeFrameReadNotPinned and the
+# FuzzDecode* seed corpora: nothing decoded aliases a reused read buffer,
+# a value arrives in an allocation of its own size, no read buffer over
+# the pool cap outlives its frame; TestTCPStoresExactValues carries the
+# last two to a TCP owner's and replica's stores). The
 # storage package contributes the store contract that every backend's
 # answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
 # store spanning several blocks agrees with a map model on every read, page,
 # digest and WAL replay).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies
-CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|FuzzDecodeRequest|FuzzDecodeResponse
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
 
 # conform PKG PATTERN: fail when an alternative of PATTERN matches no test

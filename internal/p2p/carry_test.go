@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/oscar-overlay/oscar/internal/faultnet"
@@ -305,6 +307,46 @@ func TestCarriedOpLoopedWalkCost(t *testing.T) {
 	})
 }
 
+// shedReplicate is a transport that, once armed, sheds the next replica
+// push it is asked to send, as a saturated replica would.
+type shedReplicate struct {
+	transport.Transport
+	armed *atomic.Bool
+}
+
+func (s shedReplicate) CallCtx(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpReplicate && s.armed.CompareAndSwap(true, false) {
+		return nil, fmt.Errorf("%w: %s is saturated", transport.ErrOverloaded, addr)
+	}
+	return s.Transport.CallCtx(ctx, addr, req)
+}
+
+// TestCarriedPutShedPushCost: at r=2, a replica push the replica sheds is
+// sent again, and the put's Cost counts both sends — it equals the calls
+// the writer put on the fabric.
+func TestCarriedPutShedPushCost(t *testing.T) {
+	var armed atomic.Bool
+	nodes, trs, _ := countedRing(t, 4, Config{RouteCacheSize: -1, Replicas: 2}, false, func(inner transport.Transport) transport.Transport {
+		return shedReplicate{Transport: inner, armed: &armed}
+	})
+	entry, tr := nodes[0], trs[0]
+	k := keyspace.FromFloat(0.3) // owned by nodes[2], replicated on nodes[3]
+	armed.Store(true)
+	res, err := entry.PutW(bg, k, []byte("v"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Owner.Addr != nodes[2].Self().Addr || armed.Load() {
+		t.Fatalf("put served by %s with the shed still armed: %v; the test needs a remote owner and replica", res.Owner.Addr, armed.Load())
+	}
+	if pushes := tr.get(tr.sent, transport.OpReplicate); pushes != 2 {
+		t.Errorf("%d replica pushes sent, want the shed one and its retry", pushes)
+	}
+	if res.Cost != tr.calls() {
+		t.Errorf("put cost %d and sent %d calls", res.Cost, tr.calls())
+	}
+}
+
 // TestInProcessDispatchCopies pins the one boundary no frame copies for:
 // what the node stores for itself — as the owner, or as a member of the
 // owner's chain taking the writer's replica push — is a copy of the
@@ -341,6 +383,50 @@ func TestInProcessDispatchCopies(t *testing.T) {
 	copy(got.Value, "GOT!")
 	if held, _ := entry.PrimaryValue(own); string(held) != "mine" {
 		t.Errorf("the store holds %q after the caller overwrote the value Get returned", held)
+	}
+}
+
+// TestTCPStoresExactValues is TestInProcessDispatchCopies's TCP twin: the
+// value an owner stores from a carried put's frame, and the copy its
+// replica stores from the writer's push, each sit in an allocation of
+// exactly their size — no frame bytes around them.
+func TestTCPStoresExactValues(t *testing.T) {
+	const size = 3
+	var nodes []*Node
+	for i := 0; i < size; i++ {
+		ep, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := mustNode(t, ep, Config{
+			Key: keyspace.FromFloat(float64(i) / size), MaxIn: 8, MaxOut: 8, Seed: int64(i),
+			Replicas: 2, RouteCacheSize: -1,
+		})
+		t.Cleanup(func() { _ = n.Close() })
+		if i > 0 {
+			if err := n.Join(bg, nodes[0].Self().Addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes = append(nodes, n)
+	}
+	for round := 0; round < 3; round++ {
+		for _, n := range nodes {
+			n.Stabilize(bg)
+		}
+	}
+	k := keyspace.FromFloat(0.2) // owned by nodes[1], replicated on nodes[2]
+	value := bytes.Repeat([]byte("v"), 256)
+	res, err := nodes[0].PutW(bg, k, value, 2)
+	if err != nil || res.Owner.Addr != nodes[1].Self().Addr {
+		t.Fatalf("put served by %s: %v; the test needs a remote owner", res.Owner.Addr, err)
+	}
+	for name, held := range map[string]func(keyspace.Key) ([]byte, bool){
+		"owner": nodes[1].PrimaryValue, "replica": nodes[2].ReplicaValue,
+	} {
+		if v, ok := held(k); !ok || !bytes.Equal(v, value) || cap(v) != len(v) {
+			t.Errorf("%s holds %d bytes in a buffer of %d (found %v), want %d in %d", name, len(v), cap(v), ok, len(value), len(value))
+		}
 	}
 }
 

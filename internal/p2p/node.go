@@ -613,8 +613,9 @@ func (n *Node) Close() error {
 }
 
 // handle dispatches one request that arrived over the transport; it runs
-// on transport goroutines. The request's bytes are the frame's (or, on the
-// in-memory fabric, passed by reference): the stores keep them as they are.
+// on transport goroutines. The request's bytes are its own — over TCP the
+// decoder's exact-size copies, on the in-memory fabric the sender's,
+// passed by reference — so the stores keep them as they are.
 func (n *Node) handle(req *transport.Request) *transport.Response {
 	return n.dispatch(req, false)
 }

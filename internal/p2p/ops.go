@@ -96,7 +96,8 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 	if pred.Addr != "" && pred.Addr != owner.Addr {
 		targets = append(targets, pred.Addr)
 	}
-	for _, r := range n.fanoutRetry(ctx, targets, notify) {
+	results, _ := n.fanoutRetry(ctx, targets, notify)
+	for _, r := range results {
 		if r.Err != nil {
 			// A cancelled fanout fails every call: surface the caller's
 			// cancellation, never a fabricated dead-peer report.
@@ -437,7 +438,7 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 		for i, c := range tail {
 			addrs[i] = c.Addr
 		}
-		results := n.fanoutReadRetry(ctx, addrs, &transport.Request{Op: transport.OpPing})
+		results, _ := n.fanoutReadRetry(ctx, addrs, &transport.Request{Op: transport.OpPing})
 		if ctx.Err() != nil {
 			return // cancelled probes are not dead list entries
 		}
@@ -471,7 +472,7 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 	for i, c := range filtered {
 		addrs[i] = c.Addr
 	}
-	results := n.fanoutReadRetry(ctx, addrs, &transport.Request{Op: transport.OpPing})
+	results, _ := n.fanoutReadRetry(ctx, addrs, &transport.Request{Op: transport.OpPing})
 	if ctx.Err() != nil {
 		return // cancelled sweep: keep the current (possibly stale) head
 	}
@@ -738,18 +739,6 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 	return route{}, cost, fmt.Errorf("%w to %v: hop budget exhausted", ErrNoRoute, key)
 }
 
-// messages is the message cost of one call to each of addrs: calls the
-// node addresses to itself never reach the fabric.
-func (n *Node) messages(addrs ...transport.Addr) int {
-	cost := 0
-	for _, a := range addrs {
-		if a != n.self.Addr {
-			cost++
-		}
-	}
-	return cost
-}
-
 // backtrack returns the deepest live peer on the stack, probing up to
 // backtrackFan candidates per round with a parallel ping fanout. Peers
 // found dead move to the query's exclude set; live-but-shallower peers go
@@ -767,8 +756,8 @@ func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]tr
 		}
 		cands := append([]transport.Addr(nil), (*stack)[len(*stack)-k:]...)
 		*stack = (*stack)[:len(*stack)-k]
-		results := n.fanoutReadRetry(ctx, cands, &transport.Request{Op: transport.OpPing})
-		cost += n.messages(cands...)
+		results, sends := n.fanoutReadRetry(ctx, cands, &transport.Request{Op: transport.OpPing})
+		cost += sends
 		if ctx.Err() != nil {
 			return "", cost // cancelled probes prove nothing about the peers
 		}
@@ -848,10 +837,10 @@ type OpResult struct {
 	// Owner is the peer that served the operation.
 	Owner transport.PeerRef
 	// Cost is the message cost: the remote routing hops — the op rides the
-	// last one — plus any direct data RPC (a cached route, a chain
-	// fallback) and one message per replica push. A hop or direct RPC
-	// that is re-sent — a shed call, an unanswered read — counts each
-	// send. Whatever this node
+	// last one — plus any backtrack probe, direct data RPC (a cached route,
+	// a chain fallback, a read-repair nudge) and replica push. A message
+	// that is re-sent — a shed call or push, an unanswered read or probe —
+	// counts each send. Whatever this node
 	// addresses to itself is free, wherever it falls: the walk's first
 	// step, a step churn routes back through this node, an op or a replica
 	// push on its own store.
@@ -983,12 +972,13 @@ func (n *Node) pushReplicas(ctx context.Context, targets []transport.PeerRef, re
 	for i, p := range targets {
 		addrs[i] = p.Addr
 	}
-	for _, r := range n.fanoutRetry(ctx, addrs, req) {
+	results, msgs := n.fanoutRetry(ctx, addrs, req)
+	for _, r := range results {
 		if r.OK() {
 			acks += r.Resp.Acks
 		}
 	}
-	return n.messages(addrs...), acks
+	return msgs, acks
 }
 
 // Put stores value under key at the key's owner, then pushes copies to the
@@ -1099,8 +1089,7 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 			if i > 0 && ownerStale {
 				// A replica holds state the live owner has no record of:
 				// one cheap nudge makes the owner pull the divergence.
-				res.Cost++
-				_, _ = n.tr.CallCtx(ctx, owner.Addr, &transport.Request{Op: transport.OpReadRepair, From: t})
+				res.Cost += n.nudgeRepair(ctx, owner, t)
 			}
 			return res, nil
 		}
@@ -1119,8 +1108,7 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 			// further down the chain would resurrect the key. A stale
 			// owner is nudged so it adopts the tombstone as well.
 			if ownerStale {
-				res.Cost++
-				_, _ = n.tr.CallCtx(ctx, owner.Addr, &transport.Request{Op: transport.OpReadRepair, From: t})
+				res.Cost += n.nudgeRepair(ctx, owner, t)
 			}
 			return res, nil
 		}
@@ -1131,6 +1119,13 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 		return res, nil
 	}
 	return res, fmt.Errorf("p2p: get: owner and replicas unreachable: %w", lastErr)
+}
+
+// nudgeRepair asks owner to read-repair its arc from replica and returns
+// the messages that took: none when the reader is the owner itself.
+func (n *Node) nudgeRepair(ctx context.Context, owner, replica transport.PeerRef) int {
+	_, sends, _ := n.callRetry(ctx, owner.Addr, &transport.Request{Op: transport.OpReadRepair, From: replica})
+	return sends
 }
 
 // Delete removes the item under key at the key's owner and propagates the

@@ -82,8 +82,9 @@ func ownResponse(resp *transport.Response) {
 	}
 }
 
-// ownItems copies items with their values laid out in one new buffer, the
-// way a decoded frame holds them.
+// ownItems copies items with their values laid out back to back in one
+// buffer of exactly their size, each capped at its own length: what a TCP
+// frame's decoder hands the handler, done here for the in-process path.
 func ownItems(items []storage.Item) []storage.Item {
 	if len(items) == 0 {
 		return items
@@ -146,38 +147,42 @@ func (n *Node) readRetry(ctx context.Context, addr transport.Addr, req *transpor
 // fanoutRetry is transport.Fanout through callRetry: the same parallel
 // shape, with each leg honouring the overload retry contract. Use it
 // where a shed leg would otherwise read as a dead peer or a lost ack.
-func (n *Node) fanoutRetry(ctx context.Context, addrs []transport.Addr, req *transport.Request) []transport.FanoutResult {
-	results := make([]transport.FanoutResult, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr transport.Addr) {
-			defer wg.Done()
-			resp, _, err := n.callRetry(ctx, addr, req)
-			results[i] = transport.FanoutResult{Addr: addr, Resp: resp, Err: err}
-		}(i, addr)
-	}
-	wg.Wait()
-	return results
+// sends is the messages all legs put on the fabric, retries included.
+func (n *Node) fanoutRetry(ctx context.Context, addrs []transport.Addr, req *transport.Request) (results []transport.FanoutResult, sends int) {
+	return fanout(ctx, addrs, req, n.callRetry)
 }
 
 // fanoutReadRetry is fanoutRetry for idempotent probes (pings, succ-list
 // reads): each leg additionally rides out transient unreachability via
 // readRetry. Liveness sweeps must use this, or one dropped datagram on a
 // lossy link reads as a dead peer and splices a live node out of the ring.
-func (n *Node) fanoutReadRetry(ctx context.Context, addrs []transport.Addr, req *transport.Request) []transport.FanoutResult {
+func (n *Node) fanoutReadRetry(ctx context.Context, addrs []transport.Addr, req *transport.Request) (results []transport.FanoutResult, sends int) {
+	return fanout(ctx, addrs, req, n.readRetry)
+}
+
+// fanout runs call against every addr in parallel and sums the legs'
+// sends.
+func fanout(ctx context.Context, addrs []transport.Addr, req *transport.Request,
+	call func(context.Context, transport.Addr, *transport.Request) (*transport.Response, int, error),
+) ([]transport.FanoutResult, int) {
 	results := make([]transport.FanoutResult, len(addrs))
+	sends := make([]int, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
 		wg.Add(1)
 		go func(i int, addr transport.Addr) {
 			defer wg.Done()
-			resp, _, err := n.readRetry(ctx, addr, req)
+			resp, s, err := call(ctx, addr, req)
 			results[i] = transport.FanoutResult{Addr: addr, Resp: resp, Err: err}
+			sends[i] = s
 		}(i, addr)
 	}
 	wg.Wait()
-	return results
+	total := 0
+	for _, s := range sends {
+		total += s
+	}
+	return results, total
 }
 
 // aliveResult reads a liveness-probe outcome: an OK response is proof of

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/storage"
 )
 
 // The contracts of the TCP call path: resident handler workers on the
@@ -352,6 +354,109 @@ func TestLargeFrameNotPinned(t *testing.T) {
 	}
 	if len(mc.wr.large) != 0 {
 		t.Errorf("%d large frames still referenced", len(mc.wr.large))
+	}
+}
+
+// TestLargeFrameReadNotPinned is TestLargeFrameNotPinned's read-side twin:
+// once a 1 MiB frame has been read on each side of a connection, neither
+// the connection nor the frame pool keeps a buffer over maxPooledBuf. The
+// heap is read after one collection, which a pooled buffer survives.
+func TestLargeFrameReadNotPinned(t *testing.T) {
+	server := listen(t, echoV2Handler)
+	mc, _ := dialMux(t, server)
+	call := func(req *Request) {
+		t.Helper()
+		resp, err := mc.call(context.Background(), req, 5*time.Second)
+		if err != nil || len(resp.Value) != len(req.Value) {
+			t.Fatalf("%d-byte call: %d bytes back, %v", len(req.Value), len(resp.Value), err)
+		}
+	}
+	call(&Request{Op: OpPing})
+	liveHeap := func(collections int) int64 {
+		var ms runtime.MemStats
+		for i := 0; i < collections; i++ {
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap(2) // the second collection empties the pools
+	for i := 0; i < 3; i++ {
+		call(&Request{Op: OpPut, Value: make([]byte, 1<<20)})
+		call(&Request{Op: OpPing})
+	}
+	if grown := liveHeap(1) - before; grown > 1<<19 {
+		t.Errorf("the live heap grew by %d bytes after 1 MiB frames were read and dropped", grown)
+	}
+}
+
+// TestDecodedValuesOwnTheirBytes: a value the handler keeps from a
+// connection's first frame, and one the caller keeps from its response,
+// stay as they were while later frames reuse the read buffers on both
+// sides — small frames decoded in place in the connection's read buffer,
+// one larger than it read through the frame pool.
+func TestDecodedValuesOwnTheirBytes(t *testing.T) {
+	var mu sync.Mutex
+	var kept []byte
+	server := listen(t, func(req *Request) *Response {
+		mu.Lock()
+		if kept == nil {
+			kept = req.Value
+		}
+		mu.Unlock()
+		return &Response{OK: true, Value: req.Value}
+	})
+	mc, _ := dialMux(t, server)
+	call := func(value []byte) []byte {
+		t.Helper()
+		resp, err := mc.call(context.Background(), &Request{Op: OpPut, Key: 1, Value: value}, 5*time.Second)
+		if err != nil || !bytes.Equal(resp.Value, value) {
+			t.Fatalf("%d-byte put: %d bytes back, %v", len(value), len(resp.Value), err)
+		}
+		return resp.Value
+	}
+	first := bytes.Repeat([]byte("a"), 256)
+	answer := call(first)
+	for i, size := range []int{16, 256, 8 << 10, 256, 16} {
+		call(bytes.Repeat([]byte{byte('b' + i)}, size))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !bytes.Equal(kept, first) {
+		t.Errorf("the value the handler kept from the first frame changed under later frames")
+	}
+	if !bytes.Equal(answer, first) {
+		t.Errorf("the value the caller kept from the first response changed under later frames")
+	}
+}
+
+// TestDecodedValueExactSize: a value arrives in an allocation of exactly
+// its size, nothing of its frame around it, whether it rides a put, a put
+// carried by a routing step, or a replica push.
+func TestDecodedValueExactSize(t *testing.T) {
+	got := make(chan []byte, 1)
+	server := listen(t, func(req *Request) *Response {
+		v := req.Value
+		if len(req.Items) == 1 {
+			v = req.Items[0].Value
+		}
+		got <- v
+		return &Response{OK: true}
+	})
+	client := listen(t, nil)
+	value := bytes.Repeat([]byte("v"), 256)
+	from := PeerRef{Addr: client.Addr(), Key: 9}
+	for _, req := range []*Request{
+		{Op: OpPut, Key: 1, Value: value, From: from},
+		{Op: OpFindOwner, Key: 1, Value: value, From: from, Carry: OpPut},
+		{Op: OpReplicate, Items: []storage.Item{{Key: 1, Value: value}}, From: from},
+	} {
+		if _, err := client.CallCtx(context.Background(), server.Addr(), req); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		if v := <-got; !bytes.Equal(v, value) || cap(v) != len(v) {
+			t.Errorf("%s: the handler got %d bytes in a buffer of %d, want %d in %d", req.Op, len(v), cap(v), len(value), len(value))
+		}
 	}
 }
 

@@ -567,9 +567,10 @@ func (r *binReader) ints() []int {
 	return vs
 }
 
-// decodeRequest decodes a binary request payload into req. The decoded
-// slices and strings alias b, which must stay immutable for their lifetime
-// (the mux allocates one read buffer per frame, so this holds).
+// decodeRequest decodes a binary request payload into req. Nothing decoded
+// aliases b: strings are converted, slices are built fresh, and the values
+// (Value and each Items[].Value) are copied into one allocation of exactly
+// their summed length, so b may be reused as soon as decodeRequest returns.
 func decodeRequest(b []byte, req *Request) error {
 	if len(b) == 0 || b[0] != binKindRequest {
 		return fmt.Errorf("%w: not a request", errBadPayload)
@@ -626,17 +627,72 @@ func decodeRequest(b []byte, req *Request) error {
 	if r.err {
 		return errBadPayload
 	}
+	o := ownBuf{b: make([]byte, valuesLen(req.Value, req.Items))}
+	req.Value = o.copy(req.Value)
+	o.items(req.Items)
 	return nil
 }
 
-// decodeResponse decodes a binary response payload into resp; aliasing
-// rules match decodeRequest.
+// decodeResponse decodes a binary response payload into resp, a nested
+// Result included; like decodeRequest, it leaves nothing aliasing b, with
+// the values of both levels sharing one exact-size allocation.
 func decodeResponse(b []byte, resp *Response) error {
 	if len(b) == 0 || b[0] != binKindResponse {
 		return fmt.Errorf("%w: not a response", errBadPayload)
 	}
 	r := binReader{b: b[1:]}
-	return r.responseFields(resp, true)
+	if err := r.responseFields(resp, true); err != nil {
+		return err
+	}
+	size := valuesLen(resp.Value, resp.Items)
+	if resp.Result != nil {
+		size += valuesLen(resp.Result.Value, resp.Result.Items)
+	}
+	o := ownBuf{b: make([]byte, size)}
+	resp.Value = o.copy(resp.Value)
+	o.items(resp.Items)
+	if resp.Result != nil {
+		resp.Result.Value = o.copy(resp.Result.Value)
+		o.items(resp.Result.Items)
+	}
+	return nil
+}
+
+// valuesLen is the byte count of v and of every value in items.
+func valuesLen(v []byte, items []storage.Item) int {
+	n := len(v)
+	for i := range items {
+		n += len(items[i].Value)
+	}
+	return n
+}
+
+// ownBuf hands out the decoded values' copies, back to back, from one
+// buffer sized to hold them exactly.
+type ownBuf struct {
+	b []byte
+}
+
+// copy moves v into the buffer and returns the copy, its capacity clipped
+// to its length so an append never writes into its neighbour. nil stays
+// nil and an empty value becomes an empty one that points at nothing.
+func (o *ownBuf) copy(v []byte) []byte {
+	if len(v) == 0 {
+		if v == nil {
+			return nil
+		}
+		return []byte{}
+	}
+	n := copy(o.b, v)
+	c := o.b[:n:n]
+	o.b = o.b[n:]
+	return c
+}
+
+func (o *ownBuf) items(items []storage.Item) {
+	for i := range items {
+		items[i].Value = o.copy(items[i].Value)
+	}
 }
 
 // responseFields decodes a response field sequence into resp. nest allows

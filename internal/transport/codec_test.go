@@ -391,7 +391,8 @@ func TestBinaryRejectsCrossKind(t *testing.T) {
 // FuzzDecodeRequest fuzzes the binary request decoder: arbitrary input
 // must never panic or over-allocate, and any input that decodes must
 // re-encode into a payload that decodes to the same request (canonical
-// stability).
+// stability) — and into the same bytes after the input is overwritten,
+// since nothing decoded may alias the buffer it was read from.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(appendRequest(nil, fullRequest()))
 	f.Add(appendRequest(nil, &Request{}))
@@ -405,10 +406,15 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		if err := decodeRequest(data, &req); err != nil {
+		buf := bytes.Clone(data)
+		if err := decodeRequest(buf, &req); err != nil {
 			return
 		}
 		enc := appendRequest(nil, &req)
+		scribble(buf)
+		if after := appendRequest(nil, &req); !bytes.Equal(enc, after) {
+			t.Fatalf("decoded request changed with its input buffer:\nbefore: %x\nafter:  %x", enc, after)
+		}
 		var again Request
 		if err := decodeRequest(enc, &again); err != nil {
 			t.Fatalf("re-decode of re-encoded request failed: %v", err)
@@ -433,10 +439,15 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{binKindResponse, 4, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp Response
-		if err := decodeResponse(data, &resp); err != nil {
+		buf := bytes.Clone(data)
+		if err := decodeResponse(buf, &resp); err != nil {
 			return
 		}
 		enc := appendResponse(nil, &resp)
+		scribble(buf)
+		if after := appendResponse(nil, &resp); !bytes.Equal(enc, after) {
+			t.Fatalf("decoded response changed with its input buffer:\nbefore: %x\nafter:  %x", enc, after)
+		}
 		var again Response
 		if err := decodeResponse(enc, &again); err != nil {
 			t.Fatalf("re-decode of re-encoded response failed: %v", err)
@@ -445,4 +456,11 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("re-encode not stable:\n1st: %+v\n2nd: %+v", &resp, &again)
 		}
 	})
+}
+
+// scribble overwrites b, as the next frame overwrites a reused read buffer.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xAA
+	}
 }

@@ -20,18 +20,20 @@ const maxFrame = 16 << 20
 // frameHeaderSize is [4-byte payload length][8-byte request id].
 const frameHeaderSize = 12
 
-// maxPooledBuf caps the buffers the transport keeps for reuse — the encode
-// buffers of the frame pool and each connection's pending-write buffers:
-// the occasional giant frame (a bulk migrate, a scan page) is written from
-// the buffer it was encoded into and returned to the allocator instead of
-// pinning megabytes forever.
+// maxPooledBuf caps the buffers the transport keeps for reuse — the frame
+// pool's buffers, which encode outgoing frames and receive incoming ones
+// too large for a connection's read buffer, and each connection's
+// pending-write buffers: the occasional giant frame (a bulk migrate) is
+// written from the buffer it was encoded into, or read into one of its
+// own, and returned to the allocator instead of pinning megabytes forever.
+// A 512-item scan page (~51 KB) stays under the cap.
 const maxPooledBuf = 64 << 10
 
-// wireFrame is a reusable encode buffer for one outgoing frame. Encoding
-// writes the header placeholder and the payload into one contiguous buffer
-// — no intermediate marshal allocation, no header+payload copy — and the
-// buffer is recycled through framePool once the frame has left for the
-// wire.
+// wireFrame is a reusable buffer for one frame. Encoding writes the header
+// placeholder and the payload into one contiguous buffer — no intermediate
+// marshal allocation, no header+payload copy — and the buffer is recycled
+// through framePool once the frame has left for the wire. readMuxFrame
+// borrows one for an incoming frame too large to decode in place.
 type wireFrame struct {
 	out []byte
 }
@@ -226,11 +228,13 @@ func (w *connWriter) close() {
 
 // readMuxFrame receives one frame and decodes its payload into v, returning
 // the frame's request id. A length over maxFrame or an undecodable payload
-// is a protocol violation: the caller must close the connection. Decoded
-// byte slices alias the per-frame read buffer, which is never reused.
+// is a protocol violation: the caller must close the connection. Decoding
+// copies what it keeps, so no buffer outlives the frame: one that fits r's
+// buffer is decoded in place there, a larger one from a pooled buffer that
+// goes back to the pool (or, over maxPooledBuf, to the allocator) at once.
 func readMuxFrame(r *bufio.Reader, v interface{}) (uint64, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(frameHeaderSize)
+	if err != nil {
 		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
@@ -238,23 +242,43 @@ func readMuxFrame(r *bufio.Reader, v interface{}) (uint64, error) {
 	if n > maxFrame {
 		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if size := frameHeaderSize + int(n); size <= r.Size() {
+		frame, err := r.Peek(size)
+		if err != nil {
+			return 0, err
+		}
+		err = decodeFrame(frame[frameHeaderSize:], v)
+		_, _ = r.Discard(size)
+		return id, err
+	}
+	_, _ = r.Discard(frameHeaderSize)
+	f := acquireFrame()
+	defer releaseFrame(f)
+	if cap(f.out) < int(n) {
+		f.out = make([]byte, n)
+	}
+	payload := f.out[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, err
 	}
+	return id, decodeFrame(payload, v)
+}
+
+// decodeFrame decodes one frame's payload into v.
+func decodeFrame(payload []byte, v interface{}) error {
 	var err error
 	switch m := v.(type) {
 	case *Request:
-		err = decodeRequest(buf, m)
+		err = decodeRequest(payload, m)
 	case *Response:
-		err = decodeResponse(buf, m)
+		err = decodeResponse(payload, m)
 	default:
 		err = fmt.Errorf("transport: cannot decode %T", v)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("transport: bad frame payload: %w", err)
+		return fmt.Errorf("transport: bad frame payload: %w", err)
 	}
-	return id, nil
+	return nil
 }
 
 // errConnBroken marks a connection-level failure (as opposed to a per-call

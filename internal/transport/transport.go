@@ -30,8 +30,10 @@
 // last, a new one only when none is parked — so the stack a handler grew
 // is there for the next request, a slow handler never blocks the
 // connection behind it, and idle workers retire with the idle reaper.
-// Frames are read into buffers of their own, never pooled: decoded values
-// alias them and end up in the store.
+// Decoding copies every value it keeps into one allocation of exactly the
+// values' size, so a stored value costs its own bytes, not its frame's,
+// and read buffers are reused: a frame that fits the connection's read
+// buffer is decoded in place, a larger one from the frame pool.
 //
 // Backpressure is symmetric: each client connection caps its in-flight
 // calls and each endpoint caps its concurrently-running handlers (and so
