@@ -80,14 +80,23 @@ examples:
 # FuzzDecode* seed corpora: nothing decoded aliases a reused read buffer,
 # a value arrives in an allocation of its own size, no read buffer over
 # the pool cap outlives its frame; TestTCPStoresExactValues carries the
-# last two to a TCP owner's and replica's stores). The
+# last two to a TCP owner's and replica's stores; TestDecodedValue* also
+# pins that no decoded op or address string aliases a read buffer, and
+# TestDecodeIntern* that ops and known addresses decode without allocating
+# and that a connection's address table stays bounded). The p2p package
+# adds the fan-out's resident legs (TestFanoutLegs*: a put at r=2 starts
+# no leg and sequential puts at r=3 keep one, Close leaves none, 16
+# concurrent writers share them, a cancelled fan-out still fills every
+# slot and counts every send) and the seeded link pick
+# (TestPickCandidateSeedDeterministic: one seed picks one long-link
+# candidate however the two parallel draws interleave). The
 # storage package contributes the store contract that every backend's
 # answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
 # store spanning several blocks agrees with a map model on every read, page,
 # digest and WAL replay).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues
-CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|FuzzDecodeRequest|FuzzDecodeResponse
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|FuzzDecodeRequest|FuzzDecodeResponse
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
 
 # conform PKG PATTERN: fail when an alternative of PATTERN matches no test

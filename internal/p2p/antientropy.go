@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/oscar-overlay/oscar/internal/antientropy"
@@ -87,22 +86,14 @@ func (n *Node) AntiEntropy(ctx context.Context) SyncStats {
 // syncChain digest-syncs every chain target in parallel and merges the
 // stats (the caller accounts them).
 func (n *Node) syncChain(ctx context.Context, targets []transport.PeerRef, arc keyspace.Range) SyncStats {
-	var (
-		mu    sync.Mutex
-		total SyncStats
-		wg    sync.WaitGroup
-	)
-	for _, t := range targets {
-		wg.Add(1)
-		go func(t transport.PeerRef) {
-			defer wg.Done()
-			st := n.syncTarget(ctx, t, arc)
-			mu.Lock()
-			total.add(st)
-			mu.Unlock()
-		}(t)
+	stats := make([]SyncStats, len(targets))
+	n.parallel(len(targets), func(i int) {
+		stats[i] = n.syncTarget(ctx, targets[i], arc)
+	})
+	var total SyncStats
+	for _, st := range stats {
+		total.add(st)
 	}
-	wg.Wait()
 	return total
 }
 

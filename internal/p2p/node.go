@@ -12,7 +12,9 @@ package p2p
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +140,14 @@ func (l *lockedRand) Intn(n int) int {
 	return l.r.Intn(n)
 }
 
+// split draws a seed and returns a new stream of its own for one
+// goroutine, so concurrent draws do not interleave on the shared one.
+func (l *lockedRand) split() *rand.Rand {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return rand.New(rand.NewSource(l.r.Int63()))
+}
+
 // Node is one live overlay peer.
 type Node struct {
 	cfg  Config
@@ -235,6 +245,9 @@ type Node struct {
 	routeHits, routeMisses atomic.Uint64
 
 	rnd *lockedRand
+
+	// legs run the fan-outs' handed-off legs (see parallel).
+	legs legs
 }
 
 // routeEntry is one cached owner resolution: the peer that owned arc
@@ -604,6 +617,7 @@ func (n *Node) Close() error {
 	n.down = true
 	n.mu.Unlock()
 	err := n.tr.Close()
+	n.legs.close()
 	if n.eng != nil {
 		if cerr := n.eng.Close(); err == nil {
 			err = cerr
@@ -953,9 +967,16 @@ func (n *Node) neighborsLocked(rg keyspace.Range) *transport.Response {
 	for _, ref := range n.out {
 		consider(ref)
 	}
+	links := len(peers)
 	for addr, key := range n.in {
 		consider(transport.PeerRef{Addr: addr, Key: key})
 	}
+	// In-links come out of a map: put them in key order, so a walk that
+	// indexes this list with a seeded stream takes the same steps on
+	// every run.
+	slices.SortFunc(peers[links:], func(a, b transport.PeerRef) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Addr, b.Addr))
+	})
 	return &transport.Response{OK: true, Peers: peers, Degree: len(peers), Peer: n.self}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -958,9 +959,12 @@ func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Requ
 }
 
 // pushReplicas sends one replication request to every chain target in
-// parallel, returning the number of messages spent and how many targets
-// acknowledged the push (summed from the wire ack counts, so a misbehaving
-// transport handing back a nil or not-OK response never counts). Failures
+// parallel — the last push on the caller's goroutine, the others on the
+// node's resident legs, so a put at r=2 starts no goroutine and one at
+// r=3 hands one push off — returning the number of messages spent and
+// how many targets acknowledged the push (summed from the wire ack
+// counts, so a misbehaving transport handing back a nil or not-OK
+// response never counts). Failures
 // are tolerated at this layer — the caller decides whether the ack count
 // satisfies its write concern — and a target that missed a push is
 // re-filled by the owner's next membership-change or anti-entropy re-sync.
@@ -984,8 +988,9 @@ func (n *Node) pushReplicas(ctx context.Context, targets []transport.PeerRef, re
 // Put stores value under key at the key's owner, then pushes copies to the
 // owner's replica chain (the owner's replication factor governs how many),
 // under the node's configured default write concern. The pushes run in
-// parallel and are awaited — when Put returns, every reachable chain
-// member holds the copy — and the collected acks are checked against the
+// parallel — one on the caller's goroutine, the rest on resident legs (see
+// pushReplicas) — and are awaited: when Put returns, every reachable chain
+// member holds the copy, and the collected acks are checked against the
 // write concern; see PutW.
 func (n *Node) Put(ctx context.Context, key keyspace.Key, value []byte) (OpResult, error) {
 	return n.PutW(ctx, key, value, 0)
@@ -1182,9 +1187,9 @@ func (n *Node) Rewire(ctx context.Context) error {
 		for i, ref := range old {
 			addrs[i] = ref.Addr
 		}
-		// Releases are fire-and-forget, sent in parallel. They precede the
-		// links below, so no target counts this node twice.
-		transport.Fanout(ctx, n.tr, addrs, &transport.Request{Op: transport.OpUnlink, From: n.self})
+		// Releases are fire-and-forget, sent in parallel and never retried.
+		// They precede the links below, so no target counts this node twice.
+		n.fanout(ctx, addrs, &transport.Request{Op: transport.OpUnlink, From: n.self}, (*Node).callOnce)
 	}
 	var out []transport.PeerRef
 	for slot := 0; slot < n.cfg.MaxOut; slot++ {
@@ -1297,39 +1302,28 @@ func (n *Node) sampleKeys(ctx context.Context, rg keyspace.Range, count, steps i
 // pickCandidate draws a link candidate: uniform partition, uniform peer
 // inside it (remote walk), with the power-of-two choice across two draws.
 // The two draws — and the two load probes deciding between them — are
-// independent multi-RPC chains, so they run in parallel.
+// independent multi-RPC chains, so they run in parallel. Each draw takes
+// its own random stream, split off the node's before either starts, so the
+// schedule of the two never decides what they pick.
 func (n *Node) pickCandidate(ctx context.Context, borders []keyspace.Key, existing []transport.PeerRef) transport.PeerRef {
-	var first, second transport.PeerRef
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		first = n.pickOne(ctx, borders, existing)
-	}()
-	go func() {
-		defer wg.Done()
-		second = n.pickOne(ctx, borders, existing)
-	}()
-	wg.Wait()
+	rnds := [2]*rand.Rand{n.rnd.split(), n.rnd.split()}
+	var picks [2]transport.PeerRef
+	n.parallel(2, func(i int) {
+		picks[i] = n.pickOne(ctx, rnds[i], borders, existing)
+	})
+	first, second := picks[0], picks[1]
 	switch {
 	case first.Addr == "":
 		return second
 	case second.Addr == "" || second.Addr == first.Addr:
 		return first
 	default:
-		var lf, ls float64
-		var okf, oks bool
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			lf, okf = n.relativeLoad(ctx, first)
-		}()
-		go func() {
-			defer wg.Done()
-			ls, oks = n.relativeLoad(ctx, second)
-		}()
-		wg.Wait()
-		if oks && (!okf || ls < lf) {
+		var loads [2]float64
+		var oks [2]bool
+		n.parallel(2, func(i int) {
+			loads[i], oks[i] = n.relativeLoad(ctx, picks[i])
+		})
+		if oks[1] && (!oks[0] || loads[1] < loads[0]) {
 			return second
 		}
 		return first
@@ -1346,8 +1340,8 @@ func (n *Node) relativeLoad(ctx context.Context, ref transport.PeerRef) (float64
 }
 
 // pickOne draws one candidate from a uniformly chosen partition.
-func (n *Node) pickOne(ctx context.Context, borders []keyspace.Key, existing []transport.PeerRef) transport.PeerRef {
-	i := n.rnd.Intn(len(borders))
+func (n *Node) pickOne(ctx context.Context, rnd *rand.Rand, borders []keyspace.Key, existing []transport.PeerRef) transport.PeerRef {
+	i := rnd.Intn(len(borders))
 	var rg keyspace.Range
 	if i == 0 {
 		rg = keyspace.Range{Start: borders[0], End: n.self.Key}
@@ -1359,7 +1353,7 @@ func (n *Node) pickOne(ctx context.Context, borders []keyspace.Key, existing []t
 	if err != nil || !rg.Contains(entry.Key) {
 		return transport.PeerRef{}
 	}
-	cand := n.walkOnce(ctx, entry, rg, core.DefaultConfig().PickSteps)
+	cand := n.walkOnce(ctx, rnd, entry, rg, core.DefaultConfig().PickSteps)
 	if cand.Addr == n.self.Addr {
 		return transport.PeerRef{}
 	}
@@ -1371,15 +1365,15 @@ func (n *Node) pickOne(ctx context.Context, borders []keyspace.Key, existing []t
 	return cand
 }
 
-// walkOnce performs one bounded remote walk from entry within rg.
-func (n *Node) walkOnce(ctx context.Context, entry transport.PeerRef, rg keyspace.Range, steps int) transport.PeerRef {
+// walkOnce performs one bounded remote walk from entry within rg, drawing
+// its steps from rnd.
+func (n *Node) walkOnce(ctx context.Context, rnd *rand.Rand, entry transport.PeerRef, rg keyspace.Range, steps int) transport.PeerRef {
 	cur := entry
 	resp, err := n.tr.CallCtx(ctx, cur.Addr, &transport.Request{Op: transport.OpNeighbors, Range: rg})
 	if err != nil || !resp.OK {
 		return transport.PeerRef{}
 	}
 	nbrs := resp.Peers
-	rnd := n.rnd
 	for s := 0; s < steps; s++ {
 		if ctx.Err() != nil {
 			break

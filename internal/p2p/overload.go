@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"github.com/oscar-overlay/oscar/internal/storage"
@@ -144,12 +143,12 @@ func (n *Node) readRetry(ctx context.Context, addr transport.Addr, req *transpor
 	return resp, sends, err
 }
 
-// fanoutRetry is transport.Fanout through callRetry: the same parallel
-// shape, with each leg honouring the overload retry contract. Use it
-// where a shed leg would otherwise read as a dead peer or a lost ack.
-// sends is the messages all legs put on the fabric, retries included.
+// fanoutRetry sends req to every addr in parallel through callRetry, so
+// each leg honours the overload retry contract. Use it where a shed leg
+// would otherwise read as a dead peer or a lost ack. sends is the
+// messages all legs put on the fabric, retries included.
 func (n *Node) fanoutRetry(ctx context.Context, addrs []transport.Addr, req *transport.Request) (results []transport.FanoutResult, sends int) {
-	return fanout(ctx, addrs, req, n.callRetry)
+	return n.fanout(ctx, addrs, req, (*Node).callRetry)
 }
 
 // fanoutReadRetry is fanoutRetry for idempotent probes (pings, succ-list
@@ -157,27 +156,32 @@ func (n *Node) fanoutRetry(ctx context.Context, addrs []transport.Addr, req *tra
 // readRetry. Liveness sweeps must use this, or one dropped datagram on a
 // lossy link reads as a dead peer and splices a live node out of the ring.
 func (n *Node) fanoutReadRetry(ctx context.Context, addrs []transport.Addr, req *transport.Request) (results []transport.FanoutResult, sends int) {
-	return fanout(ctx, addrs, req, n.readRetry)
+	return n.fanout(ctx, addrs, req, (*Node).readRetry)
 }
 
-// fanout runs call against every addr in parallel and sums the legs'
-// sends.
-func fanout(ctx context.Context, addrs []transport.Addr, req *transport.Request,
-	call func(context.Context, transport.Addr, *transport.Request) (*transport.Response, int, error),
+// callOnce is one plain CallCtx: no retry, no self-dispatch.
+func (n *Node) callOnce(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, int, error) {
+	resp, err := n.tr.CallCtx(ctx, addr, req)
+	return resp, 1, err
+}
+
+// fanout runs call against every addr in parallel (see parallel: the last
+// leg on the caller's goroutine, the others on resident legs) and returns
+// the per-peer results in input order with the legs' summed sends. Every
+// leg runs to its end and fills its slot, also when ctx is cancelled
+// mid-flight — and then the results cannot tell a dead peer from a caller
+// that gave up, so callers check ctx.Err() before reading failures as
+// deaths.
+func (n *Node) fanout(ctx context.Context, addrs []transport.Addr, req *transport.Request,
+	call func(*Node, context.Context, transport.Addr, *transport.Request) (*transport.Response, int, error),
 ) ([]transport.FanoutResult, int) {
 	results := make([]transport.FanoutResult, len(addrs))
 	sends := make([]int, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr transport.Addr) {
-			defer wg.Done()
-			resp, s, err := call(ctx, addr, req)
-			results[i] = transport.FanoutResult{Addr: addr, Resp: resp, Err: err}
-			sends[i] = s
-		}(i, addr)
-	}
-	wg.Wait()
+	n.parallel(len(addrs), func(i int) {
+		resp, s, err := call(n, ctx, addrs[i], req)
+		results[i] = transport.FanoutResult{Addr: addrs[i], Resp: resp, Err: err}
+		sends[i] = s
+	})
 	total := 0
 	for _, s := range sends {
 		total += s

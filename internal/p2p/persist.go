@@ -124,6 +124,7 @@ func (n *Node) CloseClean() error {
 	}
 	n.mu.Unlock()
 	terr := n.tr.Close()
+	n.legs.close()
 	cerr := n.eng.Close()
 	if serr != nil {
 		return serr

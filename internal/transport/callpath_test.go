@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -390,43 +391,56 @@ func TestLargeFrameReadNotPinned(t *testing.T) {
 	}
 }
 
-// TestDecodedValuesOwnTheirBytes: a value the handler keeps from a
-// connection's first frame, and one the caller keeps from its response,
-// stay as they were while later frames reuse the read buffers on both
-// sides — small frames decoded in place in the connection's read buffer,
-// one larger than it read through the frame pool.
+// TestDecodedValuesOwnTheirBytes: a request the handler keeps from a
+// connection's first frame, and the response the caller keeps, stay as
+// they were while later frames reuse the read buffers on both sides —
+// small frames decoded in place in the connection's read buffer, one
+// larger than it read through the frame pool. That holds for the values
+// and for the strings: the op, From's address and the chain's addresses,
+// which later frames overwrite with other ops and addresses of the same
+// length at the same offsets.
 func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 	var mu sync.Mutex
-	var kept []byte
+	var kept *Request
 	server := listen(t, func(req *Request) *Response {
 		mu.Lock()
 		if kept == nil {
-			kept = req.Value
+			kept = req
 		}
 		mu.Unlock()
-		return &Response{OK: true, Value: req.Value}
+		chain := []PeerRef{{Addr: req.From.Addr + "1", Key: 1}, {Addr: req.From.Addr + "2", Key: 2}}
+		return &Response{OK: true, Value: req.Value, Peers: chain}
 	})
 	mc, _ := dialMux(t, server)
-	call := func(value []byte) []byte {
+	call := func(op Op, from Addr, value []byte) *Response {
 		t.Helper()
-		resp, err := mc.call(context.Background(), &Request{Op: OpPut, Key: 1, Value: value}, 5*time.Second)
-		if err != nil || !bytes.Equal(resp.Value, value) {
-			t.Fatalf("%d-byte put: %d bytes back, %v", len(value), len(resp.Value), err)
+		req := &Request{Op: op, Key: 1, Value: value, From: PeerRef{Addr: from, Key: 9}}
+		resp, err := mc.call(context.Background(), req, 5*time.Second)
+		if err != nil || !bytes.Equal(resp.Value, value) || len(resp.Peers) != 2 {
+			t.Fatalf("%d-byte %s: %d bytes and %d peers back, %v", len(value), op, len(resp.Value), len(resp.Peers), err)
 		}
-		return resp.Value
+		return resp
 	}
 	first := bytes.Repeat([]byte("a"), 256)
-	answer := call(first)
+	answer := call(OpPut, "10.0.0.1:7001", first)
 	for i, size := range []int{16, 256, 8 << 10, 256, 16} {
-		call(bytes.Repeat([]byte{byte('b' + i)}, size))
+		call(OpGet, Addr(fmt.Sprintf("10.0.0.%d:700%d", i+2, i+2)), bytes.Repeat([]byte{byte('b' + i)}, size))
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !bytes.Equal(kept, first) {
+	if !bytes.Equal(kept.Value, first) {
 		t.Errorf("the value the handler kept from the first frame changed under later frames")
 	}
-	if !bytes.Equal(answer, first) {
+	if kept.Op != OpPut || kept.From.Addr != "10.0.0.1:7001" {
+		t.Errorf("the handler's first request reads op %q from %q after later frames, want put from 10.0.0.1:7001", kept.Op, kept.From.Addr)
+	}
+	if !bytes.Equal(answer.Value, first) {
 		t.Errorf("the value the caller kept from the first response changed under later frames")
+	}
+	for i, p := range answer.Peers {
+		if want := Addr(fmt.Sprintf("10.0.0.1:7001%d", i+1)); p.Addr != want {
+			t.Errorf("the first response's peer %d reads %q after later frames, want %q", i, p.Addr, want)
+		}
 	}
 }
 

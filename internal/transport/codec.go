@@ -351,10 +351,69 @@ func (w *binWriter) responseFields(resp *Response) {
 
 // binReader consumes a binary payload. Every read is bounds-checked; any
 // overrun or malformed varint fails the whole decode, a protocol violation
-// that ends the connection.
+// that ends the connection. Addresses go through intern (nil: each one
+// converted on its own).
 type binReader struct {
-	b   []byte
-	err bool
+	b      []byte
+	err    bool
+	intern *addrTable
+}
+
+// opNames maps the wire spelling of every protocol op to its constant, so
+// a known op decodes without allocating. It is filled at start-up and only
+// read after.
+var opNames = func() map[string]Op {
+	m := make(map[string]Op)
+	for _, op := range []Op{
+		OpPing, OpInfo, OpNotify, OpNeighbors, OpLink, OpUnlink, OpFindOwner,
+		OpPut, OpGet, OpDelete, OpScan, OpMigrate, OpSuccList, OpReplicate,
+		OpReplicateDel, OpDigest, OpSyncPull, OpReadRepair,
+	} {
+		m[string(op)] = op
+	}
+	return m
+}()
+
+// decodeOp returns the op spelled b: the table's constant for a protocol
+// op, a string of its own for an unknown one.
+func decodeOp(b []byte) Op {
+	if op, ok := opNames[string(b)]; ok {
+		return op
+	}
+	return Op(b)
+}
+
+// maxInternedAddrs bounds an addrTable. A table that is full when a new
+// address arrives is emptied and starts over, so a connection that sees
+// more distinct peers than this keeps at most this many, and pays one
+// conversion per address as if there were no table.
+const maxInternedAddrs = 256
+
+// addrTable interns the peer addresses one connection's read loop decodes:
+// a ring's frames name the same few peers over and over (From, the replica
+// chain), so each is converted to a string once, not once per frame. The
+// read loop owns its table, so it needs no lock; every string in it is a
+// copy, so none aliases a read buffer.
+type addrTable struct {
+	m map[string]Addr
+}
+
+// addr returns b as an Addr, from the table when it holds it.
+func (t *addrTable) addr(b []byte) Addr {
+	if t == nil || len(b) == 0 {
+		return Addr(b)
+	}
+	if a, ok := t.m[string(b)]; ok {
+		return a
+	}
+	a := Addr(b)
+	if t.m == nil {
+		t.m = make(map[string]Addr)
+	} else if len(t.m) >= maxInternedAddrs {
+		clear(t.m)
+	}
+	t.m[string(a)] = a
+	return a
 }
 
 func (r *binReader) fail() {
@@ -407,7 +466,7 @@ func (r *binReader) field() (int, binReader) {
 	if r.err {
 		return 0, binReader{}
 	}
-	return int(tag), binReader{b: r.take(int(length))}
+	return int(tag), binReader{b: r.take(int(length)), intern: r.intern}
 }
 
 // sliceCount reads a slice's element count and sanity-checks it against the
@@ -429,7 +488,7 @@ func (r *binReader) peerRef() PeerRef {
 	if r.err {
 		return PeerRef{}
 	}
-	return PeerRef{Addr: Addr(addr), Key: keyspace.Key(key)}
+	return PeerRef{Addr: r.intern.addr(addr), Key: keyspace.Key(key)}
 }
 
 func (r *binReader) keys() []keyspace.Key {
@@ -530,7 +589,7 @@ func (r *binReader) peers() []PeerRef {
 			return nil
 		}
 		peers = append(peers, PeerRef{
-			Addr: Addr(r.take(int(alen))), Key: keyspace.Key(key),
+			Addr: r.intern.addr(r.take(int(alen))), Key: keyspace.Key(key),
 		})
 	}
 	return peers
@@ -547,7 +606,7 @@ func (r *binReader) addrs() []Addr {
 		if r.err {
 			return nil
 		}
-		addrs = append(addrs, Addr(r.take(int(alen))))
+		addrs = append(addrs, r.intern.addr(r.take(int(alen))))
 	}
 	return addrs
 }
@@ -568,14 +627,17 @@ func (r *binReader) ints() []int {
 }
 
 // decodeRequest decodes a binary request payload into req. Nothing decoded
-// aliases b: strings are converted, slices are built fresh, and the values
-// (Value and each Items[].Value) are copied into one allocation of exactly
-// their summed length, so b may be reused as soon as decodeRequest returns.
-func decodeRequest(b []byte, req *Request) error {
+// aliases b: Op and Carry come from the table of protocol ops (opNames),
+// addresses from addrs (the connection's table; nil converts each one), an
+// unknown op or a new address is converted to a string of its own, slices
+// are built fresh, and the values (Value and each Items[].Value) are
+// copied into one allocation of exactly their summed length, so b may be
+// reused as soon as decodeRequest returns.
+func decodeRequest(b []byte, req *Request, addrs *addrTable) error {
 	if len(b) == 0 || b[0] != binKindRequest {
 		return fmt.Errorf("%w: not a request", errBadPayload)
 	}
-	r := binReader{b: b[1:]}
+	r := binReader{b: b[1:], intern: addrs}
 	for !r.empty() && !r.err {
 		tag, fr := r.field()
 		if r.err {
@@ -583,7 +645,7 @@ func decodeRequest(b []byte, req *Request) error {
 		}
 		switch tag {
 		case rtagOp:
-			req.Op = Op(fr.b)
+			req.Op = decodeOp(fr.b)
 			fr.b = nil
 		case rtagFrom:
 			req.From = fr.peerRef()
@@ -615,7 +677,7 @@ func decodeRequest(b []byte, req *Request) error {
 		case rtagExclude:
 			req.Exclude = fr.addrs()
 		case rtagCarry:
-			req.Carry = Op(fr.b)
+			req.Carry = decodeOp(fr.b)
 			fr.b = nil
 		default:
 			// Unknown field from a newer peer: skipped by length.
@@ -634,13 +696,14 @@ func decodeRequest(b []byte, req *Request) error {
 }
 
 // decodeResponse decodes a binary response payload into resp, a nested
-// Result included; like decodeRequest, it leaves nothing aliasing b, with
-// the values of both levels sharing one exact-size allocation.
-func decodeResponse(b []byte, resp *Response) error {
+// Result included; like decodeRequest, it leaves nothing aliasing b: the
+// addresses (Peer, Peers) come from addrs or are converted, and the values
+// of both levels share one exact-size allocation.
+func decodeResponse(b []byte, resp *Response, addrs *addrTable) error {
 	if len(b) == 0 || b[0] != binKindResponse {
 		return fmt.Errorf("%w: not a response", errBadPayload)
 	}
-	r := binReader{b: b[1:]}
+	r := binReader{b: b[1:], intern: addrs}
 	if err := r.responseFields(resp, true); err != nil {
 		return err
 	}
@@ -749,8 +812,11 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 			resp.Arc = keyspace.Range{Start: keyspace.Key(fr.fixed64()), End: keyspace.Key(fr.fixed64())}
 		case stagResult:
 			if nest {
+				// The recursive call makes its receiver escape: a copy
+				// made here moves to the heap, fr (every field's) stays.
+				nested := fr
 				resp.Result = new(Response)
-				if err := fr.responseFields(resp.Result, false); err != nil {
+				if err := nested.responseFields(resp.Result, false); err != nil {
 					return err
 				}
 			}

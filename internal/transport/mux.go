@@ -232,7 +232,8 @@ func (w *connWriter) close() {
 // copies what it keeps, so no buffer outlives the frame: one that fits r's
 // buffer is decoded in place there, a larger one from a pooled buffer that
 // goes back to the pool (or, over maxPooledBuf, to the allocator) at once.
-func readMuxFrame(r *bufio.Reader, v interface{}) (uint64, error) {
+// addrs is the calling read loop's address table (see addrTable).
+func readMuxFrame(r *bufio.Reader, v interface{}, addrs *addrTable) (uint64, error) {
 	hdr, err := r.Peek(frameHeaderSize)
 	if err != nil {
 		return 0, err
@@ -247,7 +248,7 @@ func readMuxFrame(r *bufio.Reader, v interface{}) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		err = decodeFrame(frame[frameHeaderSize:], v)
+		err = decodeFrame(frame[frameHeaderSize:], v, addrs)
 		_, _ = r.Discard(size)
 		return id, err
 	}
@@ -261,17 +262,17 @@ func readMuxFrame(r *bufio.Reader, v interface{}) (uint64, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, err
 	}
-	return id, decodeFrame(payload, v)
+	return id, decodeFrame(payload, v, addrs)
 }
 
 // decodeFrame decodes one frame's payload into v.
-func decodeFrame(payload []byte, v interface{}) error {
+func decodeFrame(payload []byte, v interface{}, addrs *addrTable) error {
 	var err error
 	switch m := v.(type) {
 	case *Request:
-		err = decodeRequest(payload, m)
+		err = decodeRequest(payload, m, addrs)
 	case *Response:
-		err = decodeResponse(payload, m)
+		err = decodeResponse(payload, m, addrs)
 	default:
 		err = fmt.Errorf("transport: cannot decode %T", v)
 	}
@@ -349,9 +350,10 @@ func newMuxConn(conn net.Conn, writeTimeout time.Duration, maxInflight int) *mux
 // connection dies.
 func (c *muxConn) readLoop() {
 	br := bufio.NewReader(c.conn)
+	var addrs addrTable
 	for {
 		var resp Response
-		id, err := readMuxFrame(br, &resp)
+		id, err := readMuxFrame(br, &resp, &addrs)
 		if err != nil {
 			c.fail(err)
 			return

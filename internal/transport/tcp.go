@@ -394,13 +394,14 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	// The idle deadline is four idle timeouts out and pushed back only
 	// once one of them has passed, not on every frame.
 	var deadlineAt time.Time
+	var addrs addrTable
 	for {
 		if now := time.Now(); now.Sub(deadlineAt) > e.opts.idleTimeout {
 			deadlineAt = now
 			_ = conn.SetReadDeadline(now.Add(4 * e.opts.idleTimeout))
 		}
 		req := new(Request)
-		id, err := readMuxFrame(br, req)
+		id, err := readMuxFrame(br, req, &addrs)
 		if err != nil {
 			return
 		}

@@ -33,7 +33,11 @@
 // Decoding copies every value it keeps into one allocation of exactly the
 // values' size, so a stored value costs its own bytes, not its frame's,
 // and read buffers are reused: a frame that fits the connection's read
-// buffer is decoded in place, a larger one from the frame pool.
+// buffer is decoded in place, a larger one from the frame pool. Strings
+// are interned rather than converted per frame: an op from a fixed table
+// of the protocol's ops, a peer address (From, Peer, Peers, Exclude) from
+// a bounded table owned by the connection's read loop. Every interned
+// string is a copy, so none aliases a read buffer.
 //
 // Backpressure is symmetric: each client connection caps its in-flight
 // calls and each endpoint caps its concurrently-running handlers (and so
@@ -52,7 +56,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"github.com/oscar-overlay/oscar/internal/antientropy"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
@@ -255,7 +258,8 @@ var ErrUnreachable = errors.New("transport: peer unreachable")
 // should back off or retry elsewhere rather than declare it dead.
 var ErrOverloaded = errors.New("transport: peer overloaded")
 
-// FanoutResult is one peer's outcome from a Fanout.
+// FanoutResult is one peer's outcome from a fan-out: the same request
+// sent to several peers in parallel.
 type FanoutResult struct {
 	Addr Addr
 	Resp *Response
@@ -264,27 +268,3 @@ type FanoutResult struct {
 
 // OK reports whether the peer answered and accepted the request.
 func (r FanoutResult) OK() bool { return r.Err == nil && r.Resp != nil && r.Resp.OK }
-
-// Fanout issues the same request to every address in parallel and returns
-// the per-peer results in input order. It is the building block for
-// parallel maintenance RPCs: liveness sweeps, link negotiation, neighbour
-// sampling probes.
-//
-// A cancelled (or expired) context fails every outstanding call, so the
-// results cannot distinguish a dead peer from a caller that gave up.
-// Callers must check ctx.Err() before interpreting failures as dead
-// peers — the same convention the data path follows for single calls.
-func Fanout(ctx context.Context, t Transport, addrs []Addr, req *Request) []FanoutResult {
-	results := make([]FanoutResult, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr Addr) {
-			defer wg.Done()
-			resp, err := t.CallCtx(ctx, addr, req)
-			results[i] = FanoutResult{Addr: addr, Resp: resp, Err: err}
-		}(i, addr)
-	}
-	wg.Wait()
-	return results
-}
