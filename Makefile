@@ -6,7 +6,7 @@ GO ?= go
 # to keep CI fast (the full suite still runs race-free in `test`).
 RACE_PKGS = ./internal/transport/... ./internal/p2p/...
 
-.PHONY: all build test race benchmark-check bench fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
+.PHONY: all build test race benchmark-check bench paper fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
 
 all: build
 
@@ -121,6 +121,15 @@ conformance:
 # harness: `bash benchmark/run.sh` (see benchmark/README.md).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./... | tee bench.txt
+
+# The paper's evaluation at quick scale (3000 peers, seed 1): every figure,
+# table and ablation of cmd/oscar-bench as text tables, each under its
+# `# paper:` reference line. Stdout depends only on scale and seed, so the
+# committed BENCH_paper.txt must be reproduced byte for byte (CI's paper job
+# diffs it). It is an amd64 artifact: Go may fuse multiply-adds on arm64,
+# which can move the last printed digit. Takes ~2.5–4 minutes.
+paper:
+	$(GO) run ./cmd/oscar-bench -seed 1 > BENCH_paper.txt
 
 SOAK_SEED ?= 1
 SOAK_NODES ?= 49

@@ -1,18 +1,24 @@
 // Command oscar-bench regenerates every table and figure of the paper's
 // evaluation:
 //
-//	fig1a   synthetic spiky node-degree pdf
-//	fig1b   relative degree load per peer (three cap distributions)
-//	fig1c   average search cost vs network size (three cap distributions)
-//	fig2a   search cost under churn, constant caps
-//	fig2b   search cost under churn, "realistic" caps
-//	volume  degree-volume utilisation: Oscar vs Mercury (≈85% vs ≈61%)
-//	homog   homogeneous-caps search cost: Oscar vs Mercury vs Kleinberg
-//	ablation-p2c, ablation-samples, ablation-oracle
+//	fig1a             synthetic spiky node-degree pdf
+//	fig1b             relative degree load per peer (three cap distributions)
+//	fig1c             average search cost vs network size (three cap distributions)
+//	fig2a             search cost under churn, constant caps
+//	fig2b             search cost under churn, "realistic" caps
+//	volume            degree-volume utilisation: Oscar vs Mercury (≈85% vs ≈61%)
+//	homog             homogeneous-caps search cost: Oscar vs Mercury vs Kleinberg
+//	ablation-p2c      power-of-two-choices on vs off
+//	ablation-samples  samples per median estimate
+//	ablation-oracle   sampled vs exact-median partitions
+//	ablation-routing  clockwise vs bidirectional routing, healthy and churned
+//	access-skew       per-peer forwarding load under uniform vs Zipf targets
 //
 // By default the harness runs at a laptop-friendly scale (3000 peers); pass
 // -full for the paper's 10000-peer setup. Results are printed as aligned
-// tables; -csv DIR additionally writes one CSV per experiment.
+// tables on stdout, which depends only on the scale and the seed (`make
+// paper` commits it as BENCH_paper.txt); the wall time goes to stderr.
+// -csv DIR additionally writes one CSV per experiment.
 package main
 
 import (
@@ -32,7 +38,7 @@ func main() {
 	log.SetPrefix("oscar-bench: ")
 
 	var (
-		exp  = flag.String("exp", "all", "experiment id (all|fig1a|fig1b|fig1c|fig2a|fig2b|volume|homog|ablation-p2c|ablation-samples|ablation-oracle)")
+		exp  = flag.String("exp", "all", "comma-separated experiment ids (all|"+strings.Join(bench.AllExperiments, "|")+")")
 		full = flag.Bool("full", false, "paper scale: 10000 peers (default: 3000)")
 		seed = flag.Int64("seed", 1, "root random seed")
 		csv  = flag.String("csv", "", "directory to write per-experiment CSV files")
@@ -69,5 +75,5 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("\n# done in %.1fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "\n# done in %.1fs\n", time.Since(start).Seconds())
 }

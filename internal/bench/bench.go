@@ -1,6 +1,7 @@
-// Package bench contains the experiment implementations shared by
-// cmd/oscar-bench and the root-level testing.B benchmarks: one function per
-// paper figure/table, each producing the rows behind the published plot.
+// Package bench is the paper's evaluation harness behind cmd/oscar-bench:
+// one function per paper figure, table or ablation, each producing the rows
+// behind the published plot. `make paper` commits its quick-scale output as
+// BENCH_paper.txt.
 package bench
 
 import (

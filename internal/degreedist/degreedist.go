@@ -187,21 +187,3 @@ func PaperRealistic() *PMF {
 	}
 	return d
 }
-
-// ByName returns a registered distribution by CLI name. mean is used by
-// constant (rounded) and realistic.
-func ByName(name string, mean float64) (Distribution, error) {
-	switch name {
-	case "constant":
-		return Constant(int(math.Round(mean))), nil
-	case "stepped":
-		return PaperStepped(), nil
-	case "realistic":
-		if mean == 27 {
-			return PaperRealistic(), nil
-		}
-		return RealisticSpiky(mean, 256)
-	default:
-		return nil, fmt.Errorf("degreedist: unknown distribution %q (want constant|stepped|realistic)", name)
-	}
-}

@@ -167,18 +167,3 @@ func TestRealisticSpikyCustomMean(t *testing.T) {
 		t.Errorf("mean = %g, want 20", got)
 	}
 }
-
-func TestByName(t *testing.T) {
-	for name, wantMean := range map[string]float64{"constant": 27, "stepped": 27, "realistic": 27} {
-		d, err := ByName(name, 27)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if math.Abs(d.Mean()-wantMean) > 1e-9 {
-			t.Errorf("%s mean = %g, want %g", name, d.Mean(), wantMean)
-		}
-	}
-	if _, err := ByName("nope", 27); err == nil {
-		t.Error("unknown name must be rejected")
-	}
-}

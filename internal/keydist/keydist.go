@@ -378,20 +378,6 @@ func (e *Empirical) CDF(x float64) float64 {
 	return float64(sort.SearchFloat64s(e.sorted, x)) / float64(len(e.sorted))
 }
 
-// ByName returns a registered distribution by CLI name.
-func ByName(name string) (Distribution, error) {
-	switch name {
-	case "uniform":
-		return Uniform{}, nil
-	case "gnutella":
-		return GnutellaLike(), nil
-	case "zipf":
-		return NewZipf(64, 1.0, 0.002)
-	default:
-		return nil, fmt.Errorf("keydist: unknown distribution %q (want uniform|gnutella|zipf)", name)
-	}
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -175,21 +175,6 @@ func TestQuantileExtremes(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"uniform", "gnutella", "zipf"} {
-		d, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if d == nil {
-			t.Fatalf("ByName(%q) returned nil", name)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name must be rejected")
-	}
-}
-
 func TestSampleN(t *testing.T) {
 	keys := SampleN(Uniform{}, testRand(), 17)
 	if len(keys) != 17 {

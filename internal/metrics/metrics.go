@@ -1,10 +1,9 @@
 // Package metrics collects and formats the statistics reported by the
-// experiments: summaries (mean/percentiles), linear and logarithmic
-// histograms, and aligned-table / CSV writers for the harness output.
+// experiments: summaries (mean/percentiles), an integer pmf, and
+// aligned-table / CSV writers for the harness output.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -105,61 +104,6 @@ func MeanInts(xs []int) float64 {
 	return float64(sum) / float64(len(xs))
 }
 
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples < Lo
-	Over   int // samples >= Hi
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if !(lo < hi) {
-		return nil, fmt.Errorf("metrics: histogram bounds [%g,%g) are empty", lo, hi)
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one bin")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard the x==Hi-epsilon rounding edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded samples, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the probability density estimate of bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.total) * w)
-}
-
 // IntPMF counts integer-valued samples and reports their empirical pmf —
 // used for the Fig 1a degree-distribution plot, where bins are exact degrees.
 type IntPMF struct {
@@ -186,13 +130,3 @@ func (p *IntPMF) Prob(v int) float64 {
 
 // Total returns the number of recorded samples.
 func (p *IntPMF) Total() int { return p.total }
-
-// Support returns the observed values in ascending order.
-func (p *IntPMF) Support() []int {
-	vs := make([]int, 0, len(p.Counts))
-	for v := range p.Counts {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	return vs
-}

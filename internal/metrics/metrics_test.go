@@ -88,58 +88,6 @@ func TestMeanHelpers(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %g", got)
-	}
-}
-
-func TestHistogramDensityIntegratesToCoverage(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 10)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i%1000) / 1000)
-	}
-	w := 0.1
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * w
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Errorf("density integrates to %g", integral)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(1, 1, 5); err == nil {
-		t.Error("empty bounds must be rejected")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins must be rejected")
-	}
-}
-
 func TestIntPMF(t *testing.T) {
 	p := NewIntPMF()
 	for _, v := range []int{3, 3, 3, 7} {
@@ -151,9 +99,6 @@ func TestIntPMF(t *testing.T) {
 	if got := p.Prob(9); got != 0 {
 		t.Errorf("Prob(9) = %g", got)
 	}
-	if sup := p.Support(); len(sup) != 2 || sup[0] != 3 || sup[1] != 7 {
-		t.Errorf("Support = %v", sup)
-	}
 	if p.Total() != 4 {
 		t.Errorf("Total = %d", p.Total())
 	}
@@ -161,7 +106,7 @@ func TestIntPMF(t *testing.T) {
 
 func TestIntPMFEmpty(t *testing.T) {
 	p := NewIntPMF()
-	if p.Prob(1) != 0 || p.Total() != 0 || len(p.Support()) != 0 {
+	if p.Prob(1) != 0 || p.Total() != 0 {
 		t.Error("empty pmf misbehaves")
 	}
 }

@@ -83,8 +83,6 @@ type Config struct {
 	// QueriesPerMeasure is the query count per measurement; 0 uses the
 	// current network size (the paper's "N random queries").
 	QueriesPerMeasure int
-	// Paranoid enables invariant checks at every checkpoint.
-	Paranoid bool
 }
 
 // DefaultConfig returns the paper's baseline setup: growth to 10000 peers,
@@ -250,8 +248,7 @@ func (s *Sim) GrowTo(n int) {
 }
 
 // AddPeer adds exactly one peer (sampled key and caps, ring splice, join
-// wiring) and returns its id — the hook the data layer uses to migrate items
-// to joining peers.
+// wiring) and returns its id.
 func (s *Sim) AddPeer() graph.NodeID {
 	return s.addPeer().ID
 }
@@ -426,16 +423,15 @@ func zipfRanks(n int, s float64) []float64 {
 }
 
 // Run executes the full growth schedule: grow to each checkpoint, rewire all
-// peers, measure, continue; it returns one Measurement per checkpoint.
+// peers, check the graph and ring invariants, measure, continue; it returns
+// one Measurement per checkpoint.
 func (s *Sim) Run() (*Result, error) {
 	res := &Result{Config: s.cfg}
 	for _, cp := range s.cfg.Checkpoints {
 		s.GrowTo(cp)
 		s.RewireAll()
-		if s.cfg.Paranoid {
-			if err := s.CheckInvariants(); err != nil {
-				return res, fmt.Errorf("sim: invariant violation at size %d: %w", cp, err)
-			}
+		if err := s.CheckInvariants(); err != nil {
+			return res, fmt.Errorf("sim: invariant violation at size %d: %w", cp, err)
 		}
 		res.Checkpoints = append(res.Checkpoints, s.Measure(false))
 	}

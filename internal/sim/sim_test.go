@@ -14,7 +14,6 @@ func smallConfig() Config {
 	cfg.TargetSize = 600
 	cfg.Checkpoints = []int{300, 600}
 	cfg.QueriesPerMeasure = 400
-	cfg.Paranoid = true
 	return cfg
 }
 

@@ -256,11 +256,6 @@ func (r *modelRun) check() {
 	merged := r.mergedModel()
 	for _, rg := range r.ranges() {
 		want := arcOf(byKey, rg)
-		got := make([]Item, 0, len(want))
-		s.Scan(rg, func(it Item) bool { got = append(got, it); return true })
-		if !itemsEqual(got, want) {
-			t.Fatalf("step %d: Scan(%v) = %d items, model %d", r.step, rg, len(got), len(want))
-		}
 		mergedArc := arcOf(merged, rg)
 		for _, caps := range [][2]int{{0, 0}, {1, 0}, {PageMaxItems + 100, 0}, {0, 600}, {40, 300}} {
 			wp, wmore := page(want, caps[0], caps[1])

@@ -351,22 +351,6 @@ func (s *Store) GCTombstones(cutoff int64) int {
 	return dropped
 }
 
-// Scan visits items whose keys lie in the clockwise arc rg, in clockwise
-// order starting from rg.Start; fn returning false stops the scan. Wrapping
-// arcs are handled (the scan may start near the top of the key space and
-// continue from the bottom). Tombstoned keys are not visited. fn must not
-// mutate the store.
-func (s *Store) Scan(rg keyspace.Range, fn func(Item) bool) {
-	c := s.cursor(rg)
-	for v := c.nextView(); v != nil; v = c.nextView() {
-		for _, it := range v {
-			if !fn(it) {
-				return
-			}
-		}
-	}
-}
-
 // ScanPage returns up to maxItems items (whose accumulated value bytes
 // stay within maxBytes) with keys in rg, in clockwise order from rg.Start,
 // without removing them — the non-destructive sibling of ExtractRangeLimit
@@ -704,10 +688,12 @@ func (s *Store) DigestLeaves() []uint64 {
 // answering a digest request for one owner's arc.
 func (s *Store) Digest(rg keyspace.Range, depth int) []uint64 {
 	t := antientropy.NewTree(depth)
-	s.Scan(rg, func(it Item) bool {
-		t.Apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
-		return true
-	})
+	c := s.cursor(rg)
+	for v := c.nextView(); v != nil; v = c.nextView() {
+		for _, it := range v {
+			t.Apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+		}
+	}
 	for _, tb := range s.tombs {
 		if rg.Contains(tb.Key) {
 			t.Apply(tb.Key, antientropy.TombHash(tb.Key))
@@ -721,10 +707,12 @@ func (s *Store) Digest(rg keyspace.Range, depth int) []uint64 {
 // anti-entropy pull round.
 func (s *Store) SyncStates(rg keyspace.Range) []antientropy.State {
 	var out []antientropy.State
-	s.Scan(rg, func(it Item) bool {
-		out = append(out, antientropy.State{Key: it.Key, Hash: antientropy.ItemHash(it.Key, it.Value)})
-		return true
-	})
+	c := s.cursor(rg)
+	for v := c.nextView(); v != nil; v = c.nextView() {
+		for _, it := range v {
+			out = append(out, antientropy.State{Key: it.Key, Hash: antientropy.ItemHash(it.Key, it.Value)})
+		}
+	}
 	for _, tb := range s.tombs {
 		if rg.Contains(tb.Key) {
 			out = append(out, antientropy.State{Key: tb.Key, Hash: antientropy.TombHash(tb.Key), Deleted: true})

@@ -81,11 +81,7 @@ func TestScanPlainRange(t *testing.T) {
 	for k := keyspace.Key(0); k < 100; k += 10 {
 		s.Put(k, nil)
 	}
-	var got []keyspace.Key
-	s.Scan(keyspace.Range{Start: 25, End: 65}, func(it Item) bool {
-		got = append(got, it.Key)
-		return true
-	})
+	got := scanKeys(&s, keyspace.Range{Start: 25, End: 65})
 	want := []keyspace.Key{30, 40, 50, 60}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -102,45 +98,38 @@ func TestScanWrappingRange(t *testing.T) {
 	for _, k := range []keyspace.Key{5, 50, keyspace.MaxKey - 5} {
 		s.Put(k, nil)
 	}
-	var got []keyspace.Key
-	s.Scan(keyspace.Range{Start: keyspace.MaxKey - 10, End: 10}, func(it Item) bool {
-		got = append(got, it.Key)
-		return true
-	})
+	got := scanKeys(&s, keyspace.Range{Start: keyspace.MaxKey - 10, End: 10})
 	if len(got) != 2 || got[0] != keyspace.MaxKey-5 || got[1] != 5 {
 		t.Errorf("wrapping scan = %v", got)
 	}
 }
 
-func TestScanFullRangeAndEarlyStop(t *testing.T) {
+func TestScanFullRange(t *testing.T) {
 	var s Store
 	for k := keyspace.Key(0); k < 50; k += 10 {
 		s.Put(k, nil)
 	}
-	count := 0
-	s.Scan(keyspace.FullRange(), func(Item) bool {
-		count++
-		return true
-	})
-	if count != 5 {
-		t.Errorf("full scan visited %d", count)
-	}
-	count = 0
-	s.Scan(keyspace.FullRange(), func(Item) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("early stop visited %d", count)
+	if got := scanKeys(&s, keyspace.FullRange()); len(got) != 5 {
+		t.Errorf("full scan returned %v", got)
 	}
 }
 
 func TestScanEmptyStore(t *testing.T) {
 	var s Store
-	s.Scan(keyspace.FullRange(), func(Item) bool {
-		t.Fatal("empty store scanned something")
-		return false
-	})
+	if items, more := s.ScanPage(keyspace.FullRange(), 0, 0); len(items) != 0 || more {
+		t.Fatalf("empty store scanned %d items, more=%v", len(items), more)
+	}
+}
+
+// scanKeys returns the keys of every item in rg, in scan order, as one
+// uncapped page.
+func scanKeys(s *Store, rg keyspace.Range) []keyspace.Key {
+	items, _ := s.ScanPage(rg, 0, 0)
+	keys := make([]keyspace.Key, len(items))
+	for i, it := range items {
+		keys[i] = it.Key
+	}
+	return keys
 }
 
 func TestExtractRange(t *testing.T) {
@@ -184,10 +173,9 @@ func TestExtractInsertRoundTripProperty(t *testing.T) {
 			t.Fatalf("items lost in migration: %d + %d != %d", s.Len(), dst.Len(), before)
 		}
 		// Nothing left in the source belongs to the range.
-		s.Scan(rg, func(it Item) bool {
-			t.Fatalf("item %v left behind in extracted range", it.Key)
-			return false
-		})
+		if left := scanKeys(&s, rg); len(left) > 0 {
+			t.Fatalf("items %v left behind in extracted range", left)
+		}
 	}
 }
 

@@ -30,10 +30,9 @@
 //
 // Both are *Node, so application code does not depend on the transport.
 // The Build/Overlay API is the graph-level simulator behind the paper's
-// experiments: it bundles a Mercury baseline and a global-knowledge
-// Kleinberg reference for comparison, a churn model, and an unreplicated
-// per-peer ordered key-value layer with range queries; cmd/oscar-bench
-// regenerates every figure and table of the paper.
+// experiments: topology only (no data), with a Mercury baseline and a
+// global-knowledge Kleinberg reference for comparison and a churn model.
+// cmd/oscar-bench regenerates every figure and table of the paper.
 package oscar
 
 import (
@@ -69,7 +68,7 @@ type Route = routing.Result
 // relative loads) as used by the paper's experiments.
 type Measurement = sim.Measurement
 
-// Item is one stored record of the data layer.
+// Item is one stored record: a key and its value, as a Scanner yields it.
 type Item = storage.Item
 
 // KeyFromFloat maps a fraction in [0,1) onto the identifier circle.
@@ -137,26 +136,17 @@ type Config struct {
 	Degrees DegreeDistribution
 	// Algorithm selects the construction (default AlgorithmOscar).
 	Algorithm Algorithm
-	// DisablePowerOfTwo turns off the in-degree balancing rule (Oscar only).
-	DisablePowerOfTwo bool
-	// OraclePartitions uses exact global-knowledge medians instead of
-	// random-walk estimates (Oscar only; for calibration).
-	OraclePartitions bool
-	// SampleSize and WalkSteps tune median estimation (0 = defaults).
-	SampleSize, WalkSteps int
 }
 
-// Overlay is a simulated overlay network plus an unreplicated data layer,
-// modelling the paper's experiments inside one process. It is not a Client:
-// StartNode and StartCluster run the message-passing runtime that is. All
-// methods are safe for concurrent use: a single mutex serialises
-// operations, so concurrent callers observe the overlay as a sequentially
-// consistent store.
+// Overlay is a simulated overlay network, modelling the paper's experiments
+// inside one process. It holds topology only: it stores no data and is not a
+// Client (StartNode and StartCluster run the message-passing runtime that
+// is). All methods are safe for concurrent use: a single mutex serialises
+// them.
 type Overlay struct {
-	mu     sync.Mutex
-	sim    *sim.Sim
-	stores map[NodeID]*storage.Store
-	rnd    *rand.Rand
+	mu  sync.Mutex
+	sim *sim.Sim
+	rnd *rand.Rand
 }
 
 // Build grows an overlay from scratch to cfg.Size peers, performs one full
@@ -186,23 +176,14 @@ func Build(cfg Config) (*Overlay, error) {
 	default:
 		return nil, fmt.Errorf("oscar: unknown algorithm %d", cfg.Algorithm)
 	}
-	sc.Oscar.PowerOfTwo = !cfg.DisablePowerOfTwo
-	sc.Oscar.Oracle = cfg.OraclePartitions
-	if cfg.SampleSize > 0 {
-		sc.Oscar.Sample.Samples = cfg.SampleSize
-	}
-	if cfg.WalkSteps > 0 {
-		sc.Oscar.Sample.Steps = cfg.WalkSteps
-	}
 
 	s, err := sim.New(sc)
 	if err != nil {
 		return nil, err
 	}
 	ov := &Overlay{
-		sim:    s,
-		stores: make(map[NodeID]*storage.Store),
-		rnd:    rng.Derive(cfg.Seed, "overlay-facade"),
+		sim: s,
+		rnd: rng.Derive(cfg.Seed, "overlay-facade"),
 	}
 	ov.Grow(sc.TargetSize)
 	s.RewireAll()
@@ -230,7 +211,6 @@ type NodeInfo struct {
 	MaxIn, MaxOut int
 	InDeg, OutDeg int
 	Alive         bool
-	StoredItems   int
 	Successor     NodeID
 	Predecessor   NodeID
 }
@@ -239,42 +219,20 @@ type NodeInfo struct {
 func (o *Overlay) Info(id NodeID) NodeInfo {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.infoLocked(id)
-}
-
-func (o *Overlay) infoLocked(id NodeID) NodeInfo {
 	n := o.sim.Net().Node(id)
-	info := NodeInfo{
+	return NodeInfo{
 		ID: n.ID, Key: n.Key,
 		MaxIn: n.MaxIn, MaxOut: n.MaxOut,
 		InDeg: n.InDeg(), OutDeg: len(n.Out),
 		Alive: n.Alive, Successor: n.Succ, Predecessor: n.Pred,
 	}
-	if st := o.stores[id]; st != nil {
-		info.StoredItems = st.Len()
-	}
-	return info
 }
 
-// Grow adds peers one at a time until the overlay has n alive peers,
-// migrating stored items to each joining peer (it takes over the arc
-// (pred, self] from its successor).
+// Grow adds peers one at a time until the overlay has n alive peers.
 func (o *Overlay) Grow(n int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for o.sim.Net().AliveCount() < n {
-		id := o.sim.AddPeer()
-		node := o.sim.Net().Node(id)
-		succStore := o.stores[node.Succ]
-		if succStore == nil || node.Succ == id {
-			continue
-		}
-		pred := o.sim.Net().Node(node.Pred)
-		arc := Range{Start: pred.Key + 1, End: node.Key + 1} // (pred, self]
-		if moved := succStore.ExtractRange(arc); len(moved) > 0 {
-			o.storeFor(id).InsertBulk(moved)
-		}
-	}
+	o.sim.GrowTo(n)
 }
 
 // RewireAll rebuilds every peer's long-range links (the paper's periodic
@@ -286,27 +244,18 @@ func (o *Overlay) RewireAll() {
 }
 
 // Crash kills the given fraction of peers. The ring self-stabilises;
-// long-range links to victims go stale until the next rewiring; items stored
-// on victims are lost (the data layer is an index, not a replicated store).
-// It returns the number of peers killed.
+// long-range links to victims go stale until the next rewiring. It returns
+// the number of peers killed.
 func (o *Overlay) Crash(fraction float64) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	victims := o.sim.Churn(fraction)
-	for _, id := range victims {
-		delete(o.stores, id)
-	}
-	return len(victims)
+	return len(o.sim.Churn(fraction))
 }
 
 // Lookup routes to the owner of key from a random peer.
 func (o *Overlay) Lookup(key Key) Route {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lookupLocked(key)
-}
-
-func (o *Overlay) lookupLocked(key Key) Route {
 	return o.lookupFromLocked(o.sim.Ring().RandomAlive(o.rnd), key)
 }
 
@@ -332,140 +281,6 @@ func (o *Overlay) Measure() Measurement {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.sim.Measure(o.sim.Net().Len() > o.sim.Net().AliveCount())
-}
-
-// storeFor returns (creating if needed) the primary store of peer id.
-func (o *Overlay) storeFor(id NodeID) *storage.Store {
-	st := o.stores[id]
-	if st == nil {
-		st = &storage.Store{}
-		o.stores[id] = st
-	}
-	return st
-}
-
-// PutResult reports a data-layer write.
-type PutResult struct {
-	// Owner is the peer now holding the item.
-	Owner NodeID
-	// Cost is the routing message cost to reach it.
-	Cost int
-	// Replaced reports whether an existing value was overwritten.
-	Replaced bool
-}
-
-// Put routes from a random peer to the owner of key and stores the value
-// there.
-func (o *Overlay) Put(key Key, value []byte) (PutResult, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	route := o.lookupLocked(key)
-	if !route.Found {
-		return PutResult{}, fmt.Errorf("oscar: put %v: routing failed", key)
-	}
-	replaced := o.storeFor(route.Owner).Put(key, value)
-	return PutResult{Owner: route.Owner, Cost: route.Cost(), Replaced: replaced}, nil
-}
-
-// Get routes to the owner of key and returns the stored value, if any,
-// along with the routing cost.
-func (o *Overlay) Get(key Key) (value []byte, found bool, cost int, err error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	route := o.lookupLocked(key)
-	if !route.Found {
-		return nil, false, route.Cost(), fmt.Errorf("oscar: get %v: routing failed", key)
-	}
-	if st := o.stores[route.Owner]; st != nil {
-		value, found = st.Get(key)
-	}
-	return value, found, route.Cost(), nil
-}
-
-// DeleteResult reports a data-layer delete.
-type DeleteResult struct {
-	// Owner is the peer that held (or would have held) the item.
-	Owner NodeID
-	// Cost is the routing message cost to reach it.
-	Cost int
-	// Existed reports whether an item was actually removed.
-	Existed bool
-}
-
-// Delete routes to the owner of key and removes the stored item, if any.
-func (o *Overlay) Delete(key Key) (DeleteResult, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	route := o.lookupLocked(key)
-	if !route.Found {
-		return DeleteResult{}, fmt.Errorf("oscar: delete %v: routing failed", key)
-	}
-	res := DeleteResult{Owner: route.Owner, Cost: route.Cost()}
-	if st := o.stores[route.Owner]; st != nil {
-		res.Existed = st.Delete(key)
-	}
-	return res, nil
-}
-
-// RangeResult reports a range query.
-type RangeResult struct {
-	// Items are the matching records in clockwise key order.
-	Items []Item
-	// Cost is the total message cost: routing to the range start plus one
-	// hop per additional peer scanned along the ring.
-	Cost int
-	// PeersScanned is the number of peers whose shards contributed.
-	PeersScanned int
-}
-
-// RangeQuery returns up to limit items with keys in [start, end): it routes
-// to the owner of start and walks ring successors until the arc is covered —
-// the non-exact query class that order-preserving overlays exist for.
-// limit <= 0 means no limit. start == end would be the full circle and is
-// refused with ErrBadRange, as Client.Scan refuses it.
-func (o *Overlay) RangeQuery(start, end Key, limit int) (RangeResult, error) {
-	if start == end {
-		return RangeResult{}, fmt.Errorf("%w: start == end (full-circle range query; split into two ranges)", ErrBadRange)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	rg := Range{Start: start, End: end}
-	route := o.lookupLocked(start)
-	if !route.Found {
-		return RangeResult{}, fmt.Errorf("oscar: range query: routing failed")
-	}
-	res := RangeResult{Cost: route.Cost()}
-	net := o.sim.Net()
-	cur := route.Owner
-	for {
-		res.PeersScanned++
-		if st := o.stores[cur]; st != nil {
-			st.Scan(rg, func(it Item) bool {
-				if limit > 0 && len(res.Items) >= limit {
-					return false
-				}
-				res.Items = append(res.Items, it)
-				return true
-			})
-		}
-		if limit > 0 && len(res.Items) >= limit {
-			return res, nil
-		}
-		node := net.Node(cur)
-		// The successor is the next shard clockwise; stop once the current
-		// peer's key has passed the end of the arc (its successor's shard
-		// starts beyond the range).
-		if node.Succ == cur || !rg.Contains(node.Key) {
-			// Current owner's arc extends past `end` (it owns keys up to its
-			// own key ≥ end), so the scan is complete.
-			return res, nil
-		}
-		cur = node.Succ
-		res.Cost++
-		if res.PeersScanned > net.AliveCount() {
-			return res, fmt.Errorf("oscar: range query did not terminate")
-		}
-	}
 }
 
 // CheckInvariants verifies graph and ring consistency (used by tests).
