@@ -6,7 +6,7 @@ GO ?= go
 # to keep CI fast (the full suite still runs race-free in `test`).
 RACE_PKGS = ./internal/transport/... ./internal/p2p/...
 
-.PHONY: all build test race benchmark-check bench paper fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
+.PHONY: all build test race fuzz-smoke benchmark-check bench paper fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
 
 all: build
 
@@ -18,6 +18,14 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Fuzz smoke: 15 s of new inputs for each fuzzer that guards a byte format,
+# one invocation per target (-fuzz takes one). The decode fuzzers re-encode
+# what they decode and compare, so they exercise the encoder too.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeRequest$$' -fuzztime=15s ./internal/transport/
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeResponse$$' -fuzztime=15s ./internal/transport/
+	$(GO) test -run=NONE -fuzz='^FuzzStoreOps$$' -fuzztime=15s ./internal/storage/
 
 # The benchmark harness is a nested module (benchmark/go.mod), invisible
 # to `go vet ./...` and `go test ./...` at the root: its smoke test boots
@@ -83,7 +91,9 @@ examples:
 # last two to a TCP owner's and replica's stores; TestDecodedValue* also
 # pins that no decoded op or address string aliases a read buffer, and
 # TestDecodeIntern* that ops and known addresses decode without allocating
-# and that a connection's address table stays bounded). The p2p package
+# and that a connection's address table stays bounded) — and the wire
+# bytes themselves (TestWireGolden: every counted-slice field, a scan page
+# and a carried op's nested page encode to the committed hex). The p2p package
 # adds the fan-out's resident legs (TestFanoutLegs*: a put at r=2 starts
 # no leg and sequential puts at r=3 keep one, Close leaves none, 16
 # concurrent writers share them, a cancelled fan-out still fills every
@@ -96,7 +106,7 @@ examples:
 # digest and WAL replay).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
 CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic
-CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|FuzzDecodeRequest|FuzzDecodeResponse
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|FuzzDecodeRequest|FuzzDecodeResponse
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
 
 # conform PKG PATTERN: fail when an alternative of PATTERN matches no test
@@ -166,4 +176,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test benchmark-check examples race conformance bench
+ci: fmt-check vet build test benchmark-check examples race fuzz-smoke conformance bench

@@ -127,10 +127,19 @@ func (s *Store) searchTomb(k keyspace.Key) int {
 	return sort.Search(len(s.tombs), func(i int) bool { return s.tombs[i].Key >= k })
 }
 
-// apply toggles a state hash in the digest tree, if one is maintained.
-func (s *Store) apply(k keyspace.Key, h uint64) {
+// applyItem toggles a live item's state hash in the digest tree, if one is
+// maintained. The hash is computed only then: a store without a tree (every
+// replica's) never reads the value.
+func (s *Store) applyItem(k keyspace.Key, v []byte) {
 	if s.tree != nil {
-		s.tree.Apply(k, h)
+		s.tree.Apply(k, antientropy.ItemHash(k, v))
+	}
+}
+
+// applyTomb is applyItem for a tombstone.
+func (s *Store) applyTomb(k keyspace.Key) {
+	if s.tree != nil {
+		s.tree.Apply(k, antientropy.TombHash(k))
 	}
 }
 
@@ -143,13 +152,13 @@ func (s *Store) Put(k keyspace.Key, v []byte) (replaced bool) {
 	b, i := s.locate(k)
 	if b < len(s.blocks) && s.blocks[b][i].Key == k {
 		it := &s.blocks[b][i]
-		s.apply(k, antientropy.ItemHash(k, it.Value))
+		s.applyItem(k, it.Value)
 		it.Value = v
-		s.apply(k, antientropy.ItemHash(k, v))
+		s.applyItem(k, v)
 		return true
 	}
 	s.insert(b, i, Item{Key: k, Value: v})
-	s.apply(k, antientropy.ItemHash(k, v))
+	s.applyItem(k, v)
 	return false
 }
 
@@ -259,7 +268,7 @@ func (s *Store) removeItem(k keyspace.Key) bool {
 	if b == len(s.blocks) || s.blocks[b][i].Key != k {
 		return false
 	}
-	s.apply(k, antientropy.ItemHash(k, s.blocks[b][i].Value))
+	s.applyItem(k, s.blocks[b][i].Value)
 	s.removeAt(b, i)
 	return true
 }
@@ -278,7 +287,7 @@ func (s *Store) setTomb(k keyspace.Key, at int64) {
 	s.tombs = append(s.tombs, Tombstone{})
 	copy(s.tombs[i+1:], s.tombs[i:])
 	s.tombs[i] = Tombstone{Key: k, At: at}
-	s.apply(k, antientropy.TombHash(k))
+	s.applyTomb(k)
 }
 
 // clearTombstone removes the tombstone for k, if any.
@@ -287,7 +296,7 @@ func (s *Store) clearTombstone(k keyspace.Key) bool {
 	if i == len(s.tombs) || s.tombs[i].Key != k {
 		return false
 	}
-	s.apply(k, antientropy.TombHash(k))
+	s.applyTomb(k)
 	s.tombs = append(s.tombs[:i], s.tombs[i+1:]...)
 	return true
 }
@@ -338,7 +347,7 @@ func (s *Store) GCTombstones(cutoff int64) int {
 	dropped := 0
 	for _, tb := range s.tombs {
 		if tb.At < cutoff {
-			s.apply(tb.Key, antientropy.TombHash(tb.Key))
+			s.applyTomb(tb.Key)
 			dropped++
 		} else {
 			kept = append(kept, tb)
@@ -585,7 +594,7 @@ func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 		for _, it := range blk {
 			if rg.Contains(it.Key) {
 				s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
-				s.apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+				s.applyItem(it.Key, it.Value)
 				out = append(out, it)
 			}
 		}
@@ -641,7 +650,7 @@ func (s *Store) ExtractTombstones(rg keyspace.Range) []Tombstone {
 	for _, tb := range s.tombs {
 		if rg.Contains(tb.Key) {
 			s.emit(Mutation{Op: MutRemoveTomb, Key: tb.Key})
-			s.apply(tb.Key, antientropy.TombHash(tb.Key))
+			s.applyTomb(tb.Key)
 			out = append(out, tb)
 		} else {
 			kept = append(kept, tb)

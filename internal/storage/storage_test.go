@@ -425,3 +425,27 @@ func BenchmarkStore(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStoreReplace overwrites a 256 B value in a 10 k-item store,
+// with a digest tree (an owner's store) and without one (a replica's): the
+// difference is the two value hashes a replace costs when a tree is kept.
+func BenchmarkStoreReplace(b *testing.B) {
+	for _, digest := range []bool{true, false} {
+		b.Run(fmt.Sprintf("digest=%v", digest), func(b *testing.B) {
+			var s Store
+			if digest {
+				s.EnableDigest(antientropy.DefaultDepth)
+			}
+			rnd := rand.New(rand.NewSource(5))
+			keys := make([]keyspace.Key, 10000)
+			val := make([]byte, 256)
+			for i := range keys {
+				keys[i] = keyspace.Key(rnd.Uint64())
+				s.Put(keys[i], val)
+			}
+			for i := 0; b.Loop(); i++ {
+				s.Put(keys[i%len(keys)], val)
+			}
+		})
+	}
+}

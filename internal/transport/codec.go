@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"math/bits"
+	"slices"
 
 	"github.com/oscar-overlay/oscar/internal/antientropy"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
@@ -36,6 +37,11 @@ const codecBinary = 2
 //   - PeerRef: [8-byte key][addr bytes]
 //   - slices: uvarint count, then the elements (except []Key and []uint64,
 //     which are raw 8-byte concatenations with the count implied by length)
+//
+// Encoding is one pass: every field's length is known before its bytes are
+// written (a slice's from its count and element lengths), so values go
+// straight into the frame. The one exception is a nested Result, written
+// in place and then moved right by the width of its header.
 const (
 	binKindRequest  = 'Q'
 	binKindResponse = 'S'
@@ -91,8 +97,9 @@ var errBadPayload = errors.New("transport: bad binary payload")
 // --- encoding ------------------------------------------------------------
 
 // binWriter appends the binary encoding to a byte slice (the pooled frame
-// buffer's tail, in practice). All methods are infallible; size limits are
-// enforced by the frame layer after encoding.
+// buffer's tail, in practice), in one pass with no staging buffer. All
+// methods are infallible; size limits are enforced by the frame layer
+// after encoding.
 type binWriter struct {
 	b []byte
 }
@@ -122,14 +129,10 @@ func (w *binWriter) intField(tag int, v int) {
 	if v == 0 {
 		return
 	}
-	zz := uint64(uint(v)<<1) ^ uint64(v>>(intBits-1))
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], zz)
-	w.field(tag, n)
-	w.b = append(w.b, tmp[:n]...)
+	zz := zigzag(int64(v))
+	w.field(tag, uvarintLen(zz))
+	w.uvarint(zz)
 }
-
-const intBits = 32 << (^uint(0) >> 63)
 
 func (w *binWriter) float64Field(tag int, v float64) {
 	if v == 0 {
@@ -181,106 +184,108 @@ func (w *binWriter) peerRefField(tag int, p PeerRef) {
 	w.b = append(w.b, p.Addr...)
 }
 
-func (w *binWriter) keysField(tag int, ks []keyspace.Key) {
-	if len(ks) == 0 {
-		return
-	}
-	w.field(tag, 8*len(ks))
-	for _, k := range ks {
-		w.fixed64(uint64(k))
-	}
-}
-
-func (w *binWriter) uint64sField(tag int, vs []uint64) {
+// fixed64sField writes keys or hashes as their raw 8-byte concatenation.
+func fixed64sField[T ~uint64](w *binWriter, tag int, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
 	w.field(tag, 8*len(vs))
 	for _, v := range vs {
-		w.fixed64(v)
+		w.fixed64(uint64(v))
 	}
 }
 
-// scratchPool recycles the staging writers of varSliceField across frames
-// so var-size fields don't allocate on the hot encode path.
-var scratchPool = sync.Pool{
-	New: func() interface{} { return &binWriter{b: make([]byte, 0, 512)} },
-}
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// varSliceField writes a counted slice whose elements have variable size:
-// the element encodings are built in a scratch writer first so the field
-// length is known up front.
-func (w *binWriter) varSliceField(tag int, count int, enc func(*binWriter)) {
+// zigzag maps a signed value onto an unsigned one, small magnitudes first.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// sliceHeader starts a counted slice of count elements whose encodings add
+// up to body bytes: tag, field length and count, then room for the body, so
+// the caller writes its elements straight into the frame. Nothing is
+// written for an empty slice.
+func (w *binWriter) sliceHeader(tag, count, body int) {
 	if count == 0 {
 		return
 	}
-	scratch := scratchPool.Get().(*binWriter)
-	scratch.b = scratch.b[:0]
-	scratch.uvarint(uint64(count))
-	enc(scratch)
-	w.field(tag, len(scratch.b))
-	w.b = append(w.b, scratch.b...)
-	scratchPool.Put(scratch)
+	w.field(tag, uvarintLen(uint64(count))+body)
+	w.uvarint(uint64(count))
+	w.b = slices.Grow(w.b, body)
 }
 
 func (w *binWriter) itemsField(tag int, items []storage.Item) {
-	w.varSliceField(tag, len(items), func(s *binWriter) {
-		for _, it := range items {
-			s.fixed64(uint64(it.Key))
-			s.uvarint(uint64(len(it.Value)))
-			s.b = append(s.b, it.Value...)
-		}
-	})
+	body := 8 * len(items)
+	for _, it := range items {
+		body += uvarintLen(uint64(len(it.Value))) + len(it.Value)
+	}
+	w.sliceHeader(tag, len(items), body)
+	for _, it := range items {
+		w.fixed64(uint64(it.Key))
+		w.uvarint(uint64(len(it.Value)))
+		w.b = append(w.b, it.Value...)
+	}
 }
 
 func (w *binWriter) tombsField(tag int, tombs []storage.Tombstone) {
-	w.varSliceField(tag, len(tombs), func(s *binWriter) {
-		for _, tb := range tombs {
-			s.fixed64(uint64(tb.Key))
-			s.uvarint(uint64(tb.At)<<1 ^ uint64(tb.At>>63))
-		}
-	})
+	body := 8 * len(tombs)
+	for _, tb := range tombs {
+		body += uvarintLen(zigzag(tb.At))
+	}
+	w.sliceHeader(tag, len(tombs), body)
+	for _, tb := range tombs {
+		w.fixed64(uint64(tb.Key))
+		w.uvarint(zigzag(tb.At))
+	}
 }
 
 func (w *binWriter) statesField(tag int, states []antientropy.State) {
-	w.varSliceField(tag, len(states), func(s *binWriter) {
-		for _, st := range states {
-			s.fixed64(uint64(st.Key))
-			s.fixed64(st.Hash)
-			if st.Deleted {
-				s.b = append(s.b, 1)
-			} else {
-				s.b = append(s.b, 0)
-			}
+	w.sliceHeader(tag, len(states), 17*len(states))
+	for _, st := range states {
+		w.fixed64(uint64(st.Key))
+		w.fixed64(st.Hash)
+		if st.Deleted {
+			w.b = append(w.b, 1)
+		} else {
+			w.b = append(w.b, 0)
 		}
-	})
+	}
 }
 
 func (w *binWriter) peersField(tag int, peers []PeerRef) {
-	w.varSliceField(tag, len(peers), func(s *binWriter) {
-		for _, p := range peers {
-			s.fixed64(uint64(p.Key))
-			s.uvarint(uint64(len(p.Addr)))
-			s.b = append(s.b, p.Addr...)
-		}
-	})
+	body := 8 * len(peers)
+	for _, p := range peers {
+		body += uvarintLen(uint64(len(p.Addr))) + len(p.Addr)
+	}
+	w.sliceHeader(tag, len(peers), body)
+	for _, p := range peers {
+		w.fixed64(uint64(p.Key))
+		w.uvarint(uint64(len(p.Addr)))
+		w.b = append(w.b, p.Addr...)
+	}
 }
 
 func (w *binWriter) addrsField(tag int, addrs []Addr) {
-	w.varSliceField(tag, len(addrs), func(s *binWriter) {
-		for _, a := range addrs {
-			s.uvarint(uint64(len(a)))
-			s.b = append(s.b, a...)
-		}
-	})
+	body := 0
+	for _, a := range addrs {
+		body += uvarintLen(uint64(len(a))) + len(a)
+	}
+	w.sliceHeader(tag, len(addrs), body)
+	for _, a := range addrs {
+		w.uvarint(uint64(len(a)))
+		w.b = append(w.b, a...)
+	}
 }
 
 func (w *binWriter) intsField(tag int, vs []int) {
-	w.varSliceField(tag, len(vs), func(s *binWriter) {
-		for _, v := range vs {
-			s.uvarint(uint64(uint(v))<<1 ^ uint64(v>>(intBits-1)))
-		}
-	})
+	body := 0
+	for _, v := range vs {
+		body += uvarintLen(zigzag(int64(v)))
+	}
+	w.sliceHeader(tag, len(vs), body)
+	for _, v := range vs {
+		w.uvarint(zigzag(int64(v)))
+	}
 }
 
 // appendRequest appends the binary encoding of req to b.
@@ -294,7 +299,7 @@ func appendRequest(b []byte, req *Request) []byte {
 	w.intField(rtagLimit, req.Limit)
 	w.itemsField(rtagItems, req.Items)
 	w.tombsField(rtagTombs, req.Tombs)
-	w.keysField(rtagDrop, req.Drop)
+	fixed64sField(&w, rtagDrop, req.Drop)
 	w.intField(rtagDepth, req.Depth)
 	w.intsField(rtagBuckets, req.Buckets)
 	w.boolField(rtagValues, req.Values)
@@ -312,13 +317,17 @@ func appendResponse(b []byte, resp *Response) []byte {
 	if resp.Result != nil {
 		// The carried op's response nests one level deep, as a plain field
 		// sequence; its own Result is never encoded (nor decoded), so a
-		// frame cannot make the decoder recurse.
-		scratch := scratchPool.Get().(*binWriter)
-		scratch.b = scratch.b[:0]
-		scratch.responseFields(resp.Result)
-		w.field(stagResult, len(scratch.b))
-		w.b = append(w.b, scratch.b...)
-		scratchPool.Put(scratch)
+		// frame cannot make the decoder recurse. It is written in place and
+		// then moved right by the width of its header, once its length is
+		// known: one copy of bytes still in cache.
+		start := len(w.b)
+		w.responseFields(resp.Result)
+		n := len(w.b) - start
+		var hdr [2 * binary.MaxVarintLen64]byte
+		h := binary.AppendUvarint(binary.AppendUvarint(hdr[:0], stagResult), uint64(n))
+		w.b = append(w.b, h...)
+		copy(w.b[start+len(h):], w.b[start:start+n])
+		copy(w.b[start:], h)
 	}
 	return w.b
 }
@@ -338,7 +347,7 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.boolField(stagMore, resp.More)
 	w.keyField(stagCursor, resp.Cursor)
 	w.tombsField(stagTombs, resp.Tombs)
-	w.uint64sField(stagDigest, resp.Digest)
+	fixed64sField(w, stagDigest, resp.Digest)
 	w.statesField(stagStates, resp.States)
 	w.float64Field(stagSizeEst, resp.SizeEst)
 	w.intField(stagMaxIn, resp.MaxIn)
@@ -491,30 +500,17 @@ func (r *binReader) peerRef() PeerRef {
 	return PeerRef{Addr: r.intern.addr(addr), Key: keyspace.Key(key)}
 }
 
-func (r *binReader) keys() []keyspace.Key {
+// fixed64s reads what fixed64sField wrote.
+func fixed64s[T ~uint64](r *binReader) []T {
 	if len(r.b) == 0 || len(r.b)%8 != 0 {
 		if len(r.b) != 0 {
 			r.fail()
 		}
 		return nil
 	}
-	ks := make([]keyspace.Key, 0, len(r.b)/8)
+	vs := make([]T, 0, len(r.b)/8)
 	for !r.empty() {
-		ks = append(ks, keyspace.Key(r.fixed64()))
-	}
-	return ks
-}
-
-func (r *binReader) uint64s() []uint64 {
-	if len(r.b) == 0 || len(r.b)%8 != 0 {
-		if len(r.b) != 0 {
-			r.fail()
-		}
-		return nil
-	}
-	vs := make([]uint64, 0, len(r.b)/8)
-	for !r.empty() {
-		vs = append(vs, r.fixed64())
+		vs = append(vs, T(r.fixed64()))
 	}
 	return vs
 }
@@ -663,7 +659,7 @@ func decodeRequest(b []byte, req *Request, addrs *addrTable) error {
 		case rtagTombs:
 			req.Tombs = fr.tombs()
 		case rtagDrop:
-			req.Drop = fr.keys()
+			req.Drop = fixed64s[keyspace.Key](&fr)
 		case rtagDepth:
 			req.Depth = fr.zigzag()
 		case rtagBuckets:
@@ -797,7 +793,7 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 		case stagTombs:
 			resp.Tombs = fr.tombs()
 		case stagDigest:
-			resp.Digest = fr.uint64s()
+			resp.Digest = fixed64s[uint64](&fr)
 		case stagStates:
 			resp.States = fr.states()
 		case stagSizeEst:

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -542,5 +543,20 @@ func TestDecodeInternBounded(t *testing.T) {
 		if len(addrs.m) > maxInternedAddrs {
 			t.Fatalf("after %d addresses the table holds %d, over its bound of %d", i+1, len(addrs.m), maxInternedAddrs)
 		}
+	}
+}
+
+// TestUvarintLen pins the field-length arithmetic of the one-pass encoder
+// against what binary.AppendUvarint writes, at every width boundary.
+func TestUvarintLen(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(v), len(binary.AppendUvarint(nil, v)); got != want {
+				t.Fatalf("uvarintLen(%d) = %d, want %d", v, got, want)
+			}
+		}
+	}
+	if got := uvarintLen(math.MaxUint64); got != binary.MaxVarintLen64 {
+		t.Fatalf("uvarintLen(max) = %d", got)
 	}
 }

@@ -30,6 +30,9 @@
 // last, a new one only when none is parked — so the stack a handler grew
 // is there for the next request, a slow handler never blocks the
 // connection behind it, and idle workers retire with the idle reaper.
+// Encoding is one pass straight into the pooled frame buffer: each field's
+// length is worked out from the counts and lengths it holds before its
+// bytes are written, so no value is staged and copied a second time.
 // Decoding copies every value it keeps into one allocation of exactly the
 // values' size, so a stored value costs its own bytes, not its frame's,
 // and read buffers are reused: a frame that fits the connection's read
