@@ -4,9 +4,11 @@
 package oscar
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keydist"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
@@ -97,16 +99,25 @@ func BenchmarkMercuryWirePeer(b *testing.B) {
 }
 
 // BenchmarkMedianEstimation times one restricted-walk median estimate over
-// the full circle.
+// the full circle: the chained walk of partition discovery's first level.
 func BenchmarkMedianEstimation(b *testing.B) {
 	s := builtNetwork(b, sim.SystemOscar)
-	w := sampling.NewWalker(s.Net(), rng.Derive(3, "median-bench"))
-	ids := s.Net().AliveIDs()
+	net, rnd := s.Net(), rng.Derive(3, "median-bench")
+	ids := net.AliveIDs()
+	ctx, full := context.Background(), keyspace.FullRange()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := w.EstimateMedian(ids[i%len(ids)], keyspace.FullRange(), 12, 8); err != nil {
+		id := ids[i%len(ids)]
+		nbrs, _ := net.Neighbors(ctx, id, full)
+		samples, _, err := sampling.SampleChain(ctx, net, rnd, id, nbrs, full, core.DefaultConfig().Samples, core.SampleSteps)
+		if err != nil {
 			b.Fatal(err)
 		}
+		keys := make([]keyspace.Key, len(samples))
+		for j, p := range samples {
+			keys[j] = net.Node(p).Key
+		}
+		_ = sampling.MedianFrom(net.Node(id).Key, keys)
 	}
 }
 

@@ -197,7 +197,7 @@ func (h *Harness) AblationSamples() error {
 	tab := metrics.NewTable("samples", "avg_cost", "p90_cost", "volume", "sample_msgs/peer")
 	for _, samples := range []int{4, 8, 16, 32} {
 		s, err := h.buildAt(h.Scale.Target, sim.SystemOscar, degreedist.Constant(27), func(cfg *sim.Config) {
-			cfg.Oscar.Sample.Samples = samples
+			cfg.Oscar.Samples = samples
 		})
 		if err != nil {
 			return err

@@ -1,58 +1,100 @@
-// Package core implements the Oscar node logic — the paper's primary
+// Package core implements the Oscar construction — the paper's primary
 // contribution: long-range link acquisition over median-based logarithmic
 // partitions, honouring per-peer degree budgets.
 //
 // The long-range link acquiring procedure (§2): "each peer u first chooses
 // uniformly at random one logarithmic partition Ai and then within that
 // partition uniformly at random one peer v. This peer v will become a
-// long-range neighbor of u." Uniform in-partition choice is a restricted
-// random walk (package sampling). A contacted peer accepts only while below
-// ρmax_in (§3), and because the approach is randomized the power-of-two
-// technique [Mitzenmacher et al.] balances in-degree load: draw two
-// candidates, link the one with the lower relative in-degree load.
+// long-range neighbor of u." Partition borders are sampled medians and the
+// uniform in-partition choice is a restricted random walk (package
+// sampling). A contacted peer accepts only while below ρmax_in (§3), and
+// because the approach is randomized the power-of-two technique
+// [Mitzenmacher et al.] balances in-degree load: draw two candidates, link
+// the one with the lower relative in-degree load.
+//
+// The construction is written once, against Substrate. The simulator runs
+// it over graph.Network (internal/sim) and the live node over RPCs
+// (internal/p2p).
 package core
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 
-	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/partition"
-	"github.com/oscar-overlay/oscar/internal/ring"
 	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
-// Config tunes the Oscar wiring algorithm.
+// Config tunes the Oscar wiring algorithm; the paper harness sets each
+// field for one of its ablations.
 type Config struct {
-	// Sample parameterises median estimation (partition discovery).
-	Sample partition.SampleParams
-	// PickSteps is the walk length used to draw a uniform peer inside a
-	// chosen partition.
-	PickSteps int
-	// PowerOfTwo enables the two-choices in-degree balancing rule.
+	// Samples is the number of walk samples per median estimate (A2).
+	Samples int
+	// PowerOfTwo enables the two-choices in-degree balancing rule (A1).
 	PowerOfTwo bool
-	// LinkRetries is how many fresh partition+peer draws a node spends on a
-	// link slot after a refused or duplicate candidate, before giving the
-	// slot up. Unfilled slots are why degree-volume utilisation stays below
-	// 100%. The default of 0 (one power-of-two draw per slot) reproduces
-	// the paper's ≈85% exploited degree volume; raising it trades wiring
-	// traffic for fill.
-	LinkRetries int
 	// Oracle replaces sampled medians and sampled in-partition picks with
-	// exact global-knowledge versions (ablation and tests).
+	// exact global-knowledge versions (A3). Only the simulator has them:
+	// it hands them to Relink, and Wire ignores the field.
 	Oracle bool
 }
 
-// DefaultConfig returns the configuration used by the paper-reproduction
-// experiments.
+// The construction's fixed walk parameters, at the paper's "very low
+// sample sizes".
+const (
+	// SampleSteps is the number of walk moves between two samples of a
+	// median estimate.
+	SampleSteps = 8
+	// PickSteps is the walk length of an in-partition draw.
+	PickSteps = 10
+	// MaxLevels bounds the partition count: a safety net, since the
+	// successor stopping rule ends the recursion at ~log₂ N levels.
+	MaxLevels = 48
+)
+
+// DefaultConfig returns the configuration of the live node and of the
+// paper-reproduction experiments.
 func DefaultConfig() Config {
-	return Config{
-		Sample:      partition.DefaultSampleParams(),
-		PickSteps:   10,
-		PowerOfTwo:  true,
-		LinkRetries: 0,
-	}
+	return Config{Samples: 12, PowerOfTwo: true}
 }
+
+// Rand is the node's random stream. The walks of partition discovery draw
+// from it, and each candidate draw from the stream Split returns: a stream
+// of its own where draws run concurrently, so their schedule never decides
+// what they pick.
+type Rand interface {
+	sampling.Rand
+	Split() *rand.Rand
+}
+
+// Substrate is one node as the construction sees it: Self is the node,
+// Successor its ring successor (Self when alone), MaxOut its out-link
+// budget ρmax_out, and LocalNeighbors its own neighbours in rg, read with
+// no message. Neighbors and Load (p's relative in-degree load
+// InDeg/MaxIn) are one message each; Owner routes to the owner of k and
+// reports the messages that took. Release drops the node's long-range
+// links, telling each target without waiting for its answer; Link asks p
+// to accept one, which p refuses at its in-degree cap. Parallel runs
+// fn(0) … fn(k-1), concurrently where the substrate can, and returns once
+// every one has.
+type Substrate[P comparable] interface {
+	sampling.Graph[P]
+	Self() P
+	Key(p P) keyspace.Key
+	LocalNeighbors(rg keyspace.Range) []P
+	Successor() P
+	MaxOut() int
+	Owner(ctx context.Context, k keyspace.Key) (P, int, error)
+	Load(ctx context.Context, p P) (float64, error)
+	Release(ctx context.Context)
+	Link(ctx context.Context, p P) error
+	Parallel(k int, fn func(i int))
+}
+
+// Draw draws one peer inside rg from rnd and returns it with the messages
+// it sent; ok is false when the partition yielded nobody.
+type Draw[P comparable] func(ctx context.Context, rnd *rand.Rand, rg keyspace.Range) (p P, msgs int, ok bool)
 
 // WireStats reports one wiring pass.
 type WireStats struct {
@@ -60,13 +102,11 @@ type WireStats struct {
 	LinksWanted int
 	// LinksMade is how many link slots were filled.
 	LinksMade int
-	// Refusals counts candidates that declined (in-degree cap).
-	Refusals int
 	// Levels is the partition count the node discovered (≈ log₂ N).
 	Levels int
-	// SampleCost counts walk messages spent on median estimation.
+	// SampleCost counts the messages spent on median estimation.
 	SampleCost int
-	// PickCost counts walk messages spent drawing candidates.
+	// PickCost counts the messages spent drawing candidates.
 	PickCost int
 }
 
@@ -74,116 +114,154 @@ type WireStats struct {
 func (s *WireStats) Add(o WireStats) {
 	s.LinksWanted += o.LinksWanted
 	s.LinksMade += o.LinksMade
-	s.Refusals += o.Refusals
 	s.Levels += o.Levels
 	s.SampleCost += o.SampleCost
 	s.PickCost += o.PickCost
 }
 
-// Wire (re)builds node u's long-range links: it drops existing out-links,
-// discovers partitions, and fills up to ρmax_out link slots. It is both the
-// join-time wiring and the periodic rewiring of §3.
-func Wire(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID, cfg Config, rnd *rand.Rand) WireStats {
-	node := net.Node(u)
-	stats := WireStats{LinksWanted: node.MaxOut}
-	net.DropLinks(u)
-
-	var parts *partition.Partitions
-	if cfg.Oracle {
-		parts = partition.BuildExact(net, rg, u)
-	} else {
-		parts = partition.BuildSampled(net, w, u, cfg.Sample)
+// Wire (re)builds the node's long-range links — both the join-time wiring
+// and the periodic rewiring of §3: Discover the partitions, then Relink
+// with walk draws. Discovery walks over the current links, so it runs
+// before they are released; a rebuild that cannot start (no partition
+// border, or ctx done once discovery ends) keeps them and returns no
+// links. Otherwise Wire returns the links it made and ctx.Err().
+func Wire[P comparable](ctx context.Context, s Substrate[P], cfg Config, rnd Rand) ([]P, WireStats, error) {
+	parts, msgs, err := Discover(ctx, s, cfg.Samples, rnd)
+	if err != nil {
+		return nil, WireStats{LinksWanted: s.MaxOut(), SampleCost: msgs}, err
 	}
-	stats.Levels = parts.Count()
-	stats.SampleCost = parts.Cost
+	out, st, err := Relink(ctx, s, parts, WalkDraw(s), cfg.PowerOfTwo, rnd)
+	st.SampleCost = msgs
+	return out, st, err
+}
+
+// Discover estimates the node's partition borders with restricted walks
+// (§2). Border m_i is the median of the remaining population
+// [uid, m_(i-1)), estimated from samples of one chained walk from the node.
+// The recursion stops when the estimate reaches the node's successor —
+// the open range (uid, m) then holds no peers — so ~log₂ N levels emerge
+// without global knowledge. It returns the partitions, the messages the
+// walks sent and ctx.Err().
+func Discover[P comparable](ctx context.Context, s Substrate[P], samples int, rnd sampling.Rand) (*partition.Partitions, int, error) {
+	self := s.Self()
+	p := &partition.Partitions{NodeKey: s.Key(self)}
+	succ := s.Successor()
+	if succ == self {
+		return p, 0, ctx.Err() // alone on the ring: no population to link to
+	}
+	succKey := s.Key(succ)
+	msgs := 0
+	for prev := p.NodeKey; len(p.Borders) < MaxLevels; {
+		remaining := keyspace.Range{Start: p.NodeKey, End: prev}
+		peers, m, err := sampling.SampleChain(ctx, s, rnd, self, s.LocalNeighbors(remaining), remaining, samples, SampleSteps)
+		msgs += m
+		if err != nil {
+			return p, msgs, err
+		}
+		// The median is of the *other* peers in the range: the node's own
+		// key would anchor the estimate at distance zero, which on tiny
+		// populations drowns the signal.
+		keys := make([]keyspace.Key, 0, len(peers))
+		for _, q := range peers {
+			if k := s.Key(q); k != p.NodeKey {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) == 0 {
+			break // the remaining population appears empty
+		}
+		border := sampling.MedianFrom(p.NodeKey, keys)
+		if len(p.Borders) > 0 && !remaining.Contains(border) {
+			break // defensive: a stale estimate escaped the range
+		}
+		p.Borders = append(p.Borders, border)
+		prev = border
+		if border == succKey {
+			break
+		}
+	}
+	// If the recursion stopped short of the successor, close the tiling
+	// with it so every peer stays reachable through some partition.
+	if n := len(p.Borders); n > 0 && p.Borders[n-1] != succKey &&
+		(keyspace.Range{Start: p.NodeKey, End: p.Borders[n-1]}).Contains(succKey) {
+		p.Borders = append(p.Borders, succKey)
+	}
+	return p, msgs, ctx.Err()
+}
+
+// Relink releases the node's links and fills its MaxOut link slots from
+// parts, one Pick and one link request per slot; a refused slot stays open
+// until the next rewire. With no partition it keeps the links. It returns
+// the links made and ctx.Err().
+func Relink[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], powerOfTwo bool, rnd Rand) ([]P, WireStats, error) {
+	st := WireStats{LinksWanted: s.MaxOut(), Levels: parts.Count()}
 	if parts.Count() == 0 {
-		return stats // alone (or effectively alone) on the ring
+		return nil, st, nil
 	}
-
-	for slot := 0; slot < node.MaxOut; slot++ {
-		if acquireLink(net, rg, w, u, parts, cfg, rnd, &stats) {
-			stats.LinksMade++
+	s.Release(ctx)
+	var out []P
+	for slot := 0; slot < st.LinksWanted && ctx.Err() == nil; slot++ {
+		cand, msgs, ok := Pick(ctx, s, parts, draw, out, powerOfTwo, rnd)
+		st.PickCost += msgs
+		if ok && s.Link(ctx, cand) == nil {
+			out = append(out, cand)
 		}
 	}
-	return stats
+	st.LinksMade = len(out)
+	return out, st, ctx.Err()
 }
 
-// acquireLink fills one link slot, retrying with fresh draws on refusal.
-func acquireLink(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID,
-	parts *partition.Partitions, cfg Config, rnd *rand.Rand, stats *WireStats) bool {
-
-	for attempt := 0; attempt <= cfg.LinkRetries; attempt++ {
-		cand := pickCandidate(net, rg, w, u, parts, cfg, rnd, stats)
-		if cand == graph.NoNode {
-			continue
-		}
-		switch err := net.AddLink(u, cand); err {
-		case nil:
-			return true
-		case graph.ErrRefused:
-			stats.Refusals++
-		default:
-			// duplicate or (transiently) dead candidate: just redraw
-		}
+// Pick draws a link candidate: a uniformly random partition, then draw's
+// peer inside it; a draw of the node itself or of a peer in existing
+// counts as none. With powerOfTwo it makes two draws and keeps the one
+// with the lower relative in-degree load. The draws, and the load probes
+// deciding between them, run in parallel; each draw takes its stream from
+// rnd.Split before either starts. It returns the candidate, the messages
+// the draws sent and whether any draw yielded one.
+func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], existing []P, powerOfTwo bool, rnd Rand) (P, int, bool) {
+	k := 1
+	if powerOfTwo {
+		k = 2
 	}
-	return false
-}
-
-// pickCandidate draws one candidate per the paper's procedure: a uniformly
-// random partition, then a uniformly random peer within it. With PowerOfTwo
-// enabled it draws two and keeps the one with lower relative in-degree load.
-func pickCandidate(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID,
-	parts *partition.Partitions, cfg Config, rnd *rand.Rand, stats *WireStats) graph.NodeID {
-
-	first := pickOne(net, rg, w, u, parts, cfg, rnd, stats)
-	if !cfg.PowerOfTwo {
-		return first
+	var rnds [2]*rand.Rand
+	for i := range k {
+		rnds[i] = rnd.Split()
 	}
-	second := pickOne(net, rg, w, u, parts, cfg, rnd, stats)
+	var picks [2]P
+	var oks [2]bool
+	var sent [2]int
+	s.Parallel(k, func(i int) {
+		p, msgs, ok := draw(ctx, rnds[i], parts.Range(rnds[i].Intn(parts.Count())))
+		picks[i], sent[i] = p, msgs
+		oks[i] = ok && p != s.Self() && !slices.Contains(existing, p)
+	})
+	msgs := sent[0] + sent[1]
 	switch {
-	case first == graph.NoNode:
-		return second
-	case second == graph.NoNode:
-		return first
-	case net.Node(second).InLoad() < net.Node(first).InLoad():
-		return second
-	default:
-		return first
+	case !oks[0]:
+		return picks[1], msgs, oks[1]
+	case !oks[1] || picks[1] == picks[0]:
+		return picks[0], msgs, true
 	}
+	var loads [2]float64
+	var errs [2]error
+	s.Parallel(2, func(i int) {
+		loads[i], errs[i] = s.Load(ctx, picks[i])
+	})
+	if errs[1] == nil && (errs[0] != nil || loads[1] < loads[0]) {
+		return picks[1], msgs, true
+	}
+	return picks[0], msgs, true
 }
 
-// pickOne draws a single uniform peer from a uniformly chosen partition.
-func pickOne(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID,
-	parts *partition.Partitions, cfg Config, rnd *rand.Rand, stats *WireStats) graph.NodeID {
-
-	pr := parts.Range(rnd.Intn(parts.Count()))
-	if cfg.Oracle {
-		cand := rg.RandomAliveInRange(rnd, pr)
-		if cand == u {
-			return graph.NoNode
+// WalkDraw is the deployable draw: route to the partition's lower border
+// and walk PickSteps steps from the peer owning it.
+func WalkDraw[P comparable](s Substrate[P]) Draw[P] {
+	return func(ctx context.Context, rnd *rand.Rand, rg keyspace.Range) (P, int, bool) {
+		entry, msgs, err := s.Owner(ctx, rg.Start)
+		if err != nil || !rg.Contains(s.Key(entry)) {
+			return entry, msgs, false
 		}
-		return cand
+		cand, m, err := sampling.Walk(ctx, s, rnd, entry, rg, PickSteps)
+		return cand, msgs + m, err == nil
 	}
-	start := startIn(net, rg, pr)
-	if start == graph.NoNode {
-		return graph.NoNode // stale border left the partition empty
-	}
-	cand, cost, err := w.UniformInRange(start, pr, cfg.PickSteps)
-	stats.PickCost += cost
-	if err != nil || cand == u {
-		return graph.NoNode
-	}
-	return cand
-}
-
-// startIn resolves a walk entry point inside the partition: the overlay
-// routes to the partition's lower border and starts the walk at the peer
-// owning it. The simulator resolves ownership directly; the message cost of
-// that routing step is not part of the paper's search-cost metric.
-func startIn(net *graph.Network, rg *ring.Ring, pr keyspace.Range) graph.NodeID {
-	owner := rg.OwnerOf(pr.Start)
-	if !pr.Contains(net.Node(owner).Key) {
-		return graph.NoNode
-	}
-	return owner
 }

@@ -1,16 +1,24 @@
-package core
+package core_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keydist"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/partition"
 	"github.com/oscar-overlay/oscar/internal/ring"
-	"github.com/oscar-overlay/oscar/internal/sampling"
+	"github.com/oscar-overlay/oscar/internal/sim"
 )
+
+var bg = context.Background()
 
 // buildPopulation creates n ring-stitched peers with the given caps and keys
 // drawn from dist; no long links yet.
@@ -27,22 +35,20 @@ func buildPopulation(t *testing.T, n, maxIn, maxOut int, dist keydist.Distributi
 }
 
 // wireAll wires every node once in random order.
-func wireAll(g *graph.Network, r *ring.Ring, cfg Config, seed int64) WireStats {
+func wireAll(g *graph.Network, r *ring.Ring, cfg core.Config, seed int64) core.WireStats {
 	rnd := rand.New(rand.NewSource(seed))
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(seed+1)))
 	ids := g.AliveIDs()
 	rnd.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	var total WireStats
+	var total core.WireStats
 	for _, id := range ids {
-		st := Wire(g, r, w, id, cfg, rnd)
-		total.Add(st)
+		total.Add(sim.WireOscar(g, r, id, cfg, rnd))
 	}
 	return total
 }
 
 func TestWireRespectsCaps(t *testing.T) {
 	g, r := buildPopulation(t, 300, 8, 8, keydist.Uniform{}, 1)
-	wireAll(g, r, DefaultConfig(), 2)
+	wireAll(g, r, core.DefaultConfig(), 2)
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +64,7 @@ func TestWireRespectsCaps(t *testing.T) {
 
 func TestWireOracleMode(t *testing.T) {
 	g, r := buildPopulation(t, 300, 12, 12, keydist.GnutellaLike(), 3)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Oracle = true
 	stats := wireAll(g, r, cfg, 4)
 	if stats.SampleCost != 0 || stats.PickCost != 0 {
@@ -74,7 +80,7 @@ func TestWireOracleMode(t *testing.T) {
 
 func TestWireSampledFillsSlots(t *testing.T) {
 	g, r := buildPopulation(t, 400, 16, 16, keydist.GnutellaLike(), 5)
-	stats := wireAll(g, r, DefaultConfig(), 6)
+	stats := wireAll(g, r, core.DefaultConfig(), 6)
 	if float64(stats.LinksMade) < 0.7*float64(stats.LinksWanted) {
 		t.Errorf("sampled wiring filled only %d/%d slots", stats.LinksMade, stats.LinksWanted)
 	}
@@ -87,7 +93,7 @@ func TestWireSampledFillsSlots(t *testing.T) {
 }
 
 func TestWireLevelsGrowLogarithmically(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Oracle = true
 	var levels [2]float64
 	for i, n := range []int{128, 1024} {
@@ -109,7 +115,7 @@ func TestHarmonicRankDistribution(t *testing.T) {
 	for _, dist := range []keydist.Distribution{keydist.Uniform{}, keydist.GnutellaLike()} {
 		const n = 1024
 		g, r := buildPopulation(t, n, 64, 16, dist, 9)
-		cfg := DefaultConfig()
+		cfg := core.DefaultConfig()
 		cfg.Oracle = true
 		cfg.PowerOfTwo = false // measure the raw draw, not the balancer
 		wireAll(g, r, cfg, 10)
@@ -149,7 +155,7 @@ func TestHarmonicRankDistribution(t *testing.T) {
 func TestPowerOfTwoBalancesLoad(t *testing.T) {
 	spread := func(p2c bool) float64 {
 		g, r := buildPopulation(t, 500, 27, 27, keydist.GnutellaLike(), 11)
-		cfg := DefaultConfig()
+		cfg := core.DefaultConfig()
 		cfg.Oracle = true
 		cfg.PowerOfTwo = p2c
 		wireAll(g, r, cfg, 12)
@@ -174,17 +180,14 @@ func TestPowerOfTwoBalancesLoad(t *testing.T) {
 
 func TestWireDropsOldLinks(t *testing.T) {
 	g, r := buildPopulation(t, 100, 16, 16, keydist.Uniform{}, 13)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	rnd := rand.New(rand.NewSource(14))
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(15)))
 	id := g.AliveIDs()[0]
-	Wire(g, r, w, id, cfg, rnd)
-	first := append([]graph.NodeID(nil), g.Node(id).Out...)
-	Wire(g, r, w, id, cfg, rnd)
+	sim.WireOscar(g, r, id, cfg, rnd)
+	sim.WireOscar(g, r, id, cfg, rnd)
 	if len(g.Node(id).Out) > g.Node(id).MaxOut {
 		t.Error("rewiring must not accumulate links")
 	}
-	_ = first // old links were dropped; accounting verified below
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +198,7 @@ func TestWireSingleton(t *testing.T) {
 	r := ring.New(g)
 	n := g.Add(1, 4, 4)
 	r.Insert(n.ID)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(1)))
-	stats := Wire(g, r, w, n.ID, DefaultConfig(), rand.New(rand.NewSource(2)))
+	stats := sim.WireOscar(g, r, n.ID, core.DefaultConfig(), rand.New(rand.NewSource(2)))
 	if stats.LinksMade != 0 || stats.Levels != 0 {
 		t.Errorf("singleton wired: %+v", stats)
 	}
@@ -209,8 +211,7 @@ func TestWirePair(t *testing.T) {
 	b := g.Add(keyspace.Key(1)<<60, 4, 4)
 	r.Insert(a.ID)
 	r.Insert(b.ID)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(1)))
-	stats := Wire(g, r, w, a.ID, DefaultConfig(), rand.New(rand.NewSource(2)))
+	stats := sim.WireOscar(g, r, a.ID, core.DefaultConfig(), rand.New(rand.NewSource(2)))
 	if stats.LinksMade == 0 {
 		t.Error("a pair must be able to link")
 	}
@@ -223,9 +224,153 @@ func TestZeroOutCapWiresNothing(t *testing.T) {
 	g, r := buildPopulation(t, 50, 8, 8, keydist.Uniform{}, 16)
 	n := g.Add(12345, 8, 0) // freeloader: accepts links, opens none
 	r.Insert(n.ID)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(17)))
-	stats := Wire(g, r, w, n.ID, DefaultConfig(), rand.New(rand.NewSource(18)))
+	stats := sim.WireOscar(g, r, n.ID, core.DefaultConfig(), rand.New(rand.NewSource(18)))
 	if stats.LinksMade != 0 || len(g.Node(n.ID).Out) != 0 {
 		t.Error("zero out-cap peer must open no links")
+	}
+}
+
+// linkedNet is buildPopulation plus a few random long-range links for walk
+// mixing.
+func linkedNet(t *testing.T, n int, dist keydist.Distribution, seed int64) (*graph.Network, *ring.Ring) {
+	g, r := buildPopulation(t, n, 64, 64, dist, seed)
+	rnd := rand.New(rand.NewSource(seed + 1))
+	for i := 0; i < n; i++ {
+		for l := 0; l < 8; l++ {
+			_ = g.AddLink(graph.NodeID(i), graph.NodeID(rnd.Intn(n)))
+		}
+	}
+	return g, r
+}
+
+// discover runs core.Discover for peer u with 24 samples per median.
+func discover(t *testing.T, g *graph.Network, r *ring.Ring, u graph.NodeID, seed int64) *partition.Partitions {
+	t.Helper()
+	p, _, err := core.Discover(bg, sim.Peer{Network: g, Ring: r, ID: u}, 24, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestDiscoverMatchesExactOnUniform(t *testing.T) {
+	g, r := linkedNet(t, 512, keydist.Uniform{}, 4)
+	u := graph.NodeID(3)
+	exact := partition.BuildExact(g, r, u)
+	sampled := discover(t, g, r, u, 5)
+	if d := sampled.Count() - exact.Count(); d < -3 || d > 3 {
+		t.Errorf("sampled levels %d vs exact %d", sampled.Count(), exact.Count())
+	}
+	// First border (global median from u) should be in the same ballpark:
+	// within a quarter circle of the exact one.
+	de := float64(exact.NodeKey.Distance(exact.Borders[0])) / math.Exp2(64)
+	ds := float64(sampled.NodeKey.Distance(sampled.Borders[0])) / math.Exp2(64)
+	if math.Abs(de-ds) > 0.25 {
+		t.Errorf("first border at clockwise fraction %.3f (sampled) vs %.3f (exact)", ds, de)
+	}
+}
+
+func TestDiscoverPartitionPopulations(t *testing.T) {
+	// The core quality claim: even on a spiky distribution, sampled
+	// partitions hold roughly geometrically decreasing populations.
+	g, r := linkedNet(t, 1000, keydist.GnutellaLike(), 6)
+	p := discover(t, g, r, graph.NodeID(11), 7)
+	if p.Count() < 6 {
+		t.Fatalf("only %d levels on n=1000", p.Count())
+	}
+	// The far half should hold between 25% and 75% of the population —
+	// crude, but a uniform-resolution approach fails this on spiky keys.
+	if far := r.CountAliveInRange(p.Range(0)); far < 250 || far > 750 {
+		t.Errorf("far half holds %d of 1000 peers", far)
+	}
+}
+
+func TestDiscoverSingletonAndPair(t *testing.T) {
+	g := graph.New()
+	r := ring.New(g)
+	a := g.Add(100, 4, 4)
+	r.Insert(a.ID)
+	if p := discover(t, g, r, a.ID, 1); p.Count() != 0 {
+		t.Errorf("singleton: levels = %d", p.Count())
+	}
+	b := g.Add(1<<60, 4, 4)
+	r.Insert(b.ID)
+	p := discover(t, g, r, a.ID, 1)
+	if p.Count() != 1 {
+		t.Fatalf("pair: levels = %d, want 1", p.Count())
+	}
+	if !p.Range(0).Contains(b.Key) {
+		t.Error("pair: partition must contain the peer")
+	}
+}
+
+// splitRand gives every draw a stream of its own, as the live node does.
+type splitRand struct{ *rand.Rand }
+
+func (r splitRand) Split() *rand.Rand { return rand.New(rand.NewSource(r.Int63())) }
+
+// TestWireCancelledKeepsLinks: a rebuild whose discovery is cancelled
+// releases nothing — the graph counterpart of the live node's
+// TestRewireCancelledKeepsLinks.
+func TestWireCancelledKeepsLinks(t *testing.T) {
+	g, r := buildPopulation(t, 100, 16, 16, keydist.Uniform{}, 19)
+	wireAll(g, r, core.DefaultConfig(), 20)
+	id := g.AliveIDs()[0]
+	before := slices.Clone(g.Node(id).Out)
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	out, _, err := core.Wire(ctx, sim.Peer{Network: g, Ring: r, ID: id}, core.DefaultConfig(), splitRand{rand.New(rand.NewSource(21))})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("cancelled wire returned %v, %v", out, err)
+	}
+	if !slices.Equal(g.Node(id).Out, before) {
+		t.Errorf("cancelled wire left links %v, want %v", g.Node(id).Out, before)
+	}
+}
+
+// goPeer runs a slot's draws and load probes on goroutines, as the live
+// node does.
+type goPeer struct{ sim.Peer }
+
+func (p goPeer) Parallel(k int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestWireParallelDrawsDeterministic: with split streams, concurrent draws
+// wire exactly the links sequential ones do, because each draw's stream is
+// split off the node's before the draws start.
+func TestWireParallelDrawsDeterministic(t *testing.T) {
+	links := func(parallel bool) [][]graph.NodeID {
+		g, r := buildPopulation(t, 200, 12, 12, keydist.GnutellaLike(), 22)
+		rnd := splitRand{rand.New(rand.NewSource(23))}
+		for _, id := range g.AliveIDs() {
+			var s core.Substrate[graph.NodeID] = sim.Peer{Network: g, Ring: r, ID: id}
+			if parallel {
+				s = goPeer{sim.Peer{Network: g, Ring: r, ID: id}}
+			}
+			if _, _, err := core.Wire(bg, s, core.DefaultConfig(), rnd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out [][]graph.NodeID
+		g.ForEachAlive(func(n *graph.Node) { out = append(out, slices.Clone(n.Out)) })
+		return out
+	}
+	seq, par := links(false), links(true)
+	for i := range seq {
+		if !slices.Equal(seq[i], par[i]) {
+			t.Fatalf("node %d: parallel draws linked %v, sequential %v", i, par[i], seq[i])
+		}
 	}
 }

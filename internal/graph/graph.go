@@ -13,6 +13,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -37,6 +38,9 @@ var (
 	ErrDuplicate = errors.New("graph: duplicate link")
 	// ErrDead reports an operation on a dead peer.
 	ErrDead = errors.New("graph: peer is dead")
+	// ErrOutOfRange reports a walk asked to stand on a peer outside its
+	// range.
+	ErrOutOfRange = errors.New("graph: peer outside the walk's range")
 )
 
 // Node is one peer.
@@ -183,6 +187,40 @@ func (g *Network) Kill(id NodeID) {
 		tn := g.Node(t)
 		tn.In = removeFrom(tn.In, id)
 	}
+}
+
+// Neighbors lists the alive neighbours of id (ring successor and
+// predecessor, long-range out-links and in-links) whose keys lie in rg,
+// for the restricted walk (sampling.Graph). The list is a multiset: an
+// edge reachable two ways appears twice, and because ring pointers and
+// in/out lists match each other, the multiplicity of (v,u) equals that of
+// (u,v). A dead id, or one outside rg, has no place in the walk.
+func (g *Network) Neighbors(_ context.Context, id NodeID, rg keyspace.Range) ([]NodeID, error) {
+	n := g.Node(id)
+	if !n.Alive {
+		return nil, ErrDead
+	}
+	if !rg.Contains(n.Key) {
+		return nil, ErrOutOfRange
+	}
+	out := make([]NodeID, 0, 2+len(n.Out)+len(n.In))
+	consider := func(t NodeID) {
+		if t == NoNode || t == id {
+			return
+		}
+		if tn := g.Node(t); tn.Alive && rg.Contains(tn.Key) {
+			out = append(out, t)
+		}
+	}
+	consider(n.Succ)
+	consider(n.Pred)
+	for _, t := range n.Out {
+		consider(t)
+	}
+	for _, t := range n.In {
+		consider(t)
+	}
+	return out, nil
 }
 
 // ForEachAlive calls fn for every alive peer in id order.

@@ -17,9 +17,11 @@
 package mercury
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/ring"
@@ -42,27 +44,11 @@ type Config struct {
 	LinkRetries int
 }
 
-// DefaultConfig mirrors Mercury's published parameters scaled to the
+// DefaultConfig follows Mercury's published parameters scaled to the
 // experiment sizes: k ≈ log n samples would be too few to fill the
 // histogram, so Mercury uses on the order of 50–100 samples per node.
 func DefaultConfig() Config {
 	return Config{Buckets: 50, Samples: 60, WalkSteps: 10, LinkRetries: 1}
-}
-
-// WireStats reports one wiring pass.
-type WireStats struct {
-	LinksWanted int
-	LinksMade   int
-	Refusals    int
-	SampleCost  int
-}
-
-// Add accumulates another pass's stats.
-func (s *WireStats) Add(o WireStats) {
-	s.LinksWanted += o.LinksWanted
-	s.LinksMade += o.LinksMade
-	s.Refusals += o.Refusals
-	s.SampleCost += o.SampleCost
 }
 
 // Histogram is Mercury's uniform-resolution estimate of the key density.
@@ -140,23 +126,23 @@ func (h *Histogram) InvertFrom(from keyspace.Key, f float64) keyspace.Key {
 // Wire (re)builds node u's long-range links the Mercury way. nAlive is the
 // network-size estimate; Mercury has its own estimator (also walk-based) —
 // the simulator supplies the true count because estimator error is not what
-// the comparison measures.
-func Wire(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID,
-	cfg Config, nAlive int, rnd *rand.Rand) WireStats {
+// the comparison measures. The sampling walk draws from walk.
+func Wire(net *graph.Network, rg *ring.Ring, walk *rand.Rand, u graph.NodeID,
+	cfg Config, nAlive int, rnd *rand.Rand) core.WireStats {
 
 	node := net.Node(u)
-	stats := WireStats{LinksWanted: node.MaxOut}
+	stats := core.WireStats{LinksWanted: node.MaxOut}
 	net.DropLinks(u)
 	if nAlive < 2 {
 		return stats
 	}
 
-	// Learn the key distribution at uniform resolution.
-	samples, cost, err := w.SampleChain(u, keyspace.FullRange(), cfg.Samples, cfg.WalkSteps)
+	// Learn the key distribution at uniform resolution. The graph fails
+	// no call of this walk: u is alive, and ctx never ends.
+	ctx, full := context.Background(), keyspace.FullRange()
+	nbrs, _ := net.Neighbors(ctx, u, full)
+	samples, cost, _ := sampling.SampleChain(ctx, net, walk, u, nbrs, full, cfg.Samples, cfg.WalkSteps)
 	stats.SampleCost = cost
-	if err != nil {
-		return stats
-	}
 	keys := make([]keyspace.Key, len(samples))
 	for i, id := range samples {
 		keys[i] = net.Node(id).Key
@@ -164,7 +150,7 @@ func Wire(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID,
 	hist := NewHistogram(cfg.Buckets, keys)
 
 	for slot := 0; slot < node.MaxOut; slot++ {
-		if acquireLink(net, rg, u, hist, cfg, nAlive, rnd, &stats) {
+		if acquireLink(net, rg, u, hist, cfg, nAlive, rnd) {
 			stats.LinksMade++
 		}
 	}
@@ -172,9 +158,9 @@ func Wire(net *graph.Network, rg *ring.Ring, w *sampling.Walker, u graph.NodeID,
 }
 
 // acquireLink draws harmonic rank distances until a link sticks or retries
-// run out.
+// run out; a refused or duplicate candidate is redrawn.
 func acquireLink(net *graph.Network, rg *ring.Ring, u graph.NodeID, hist *Histogram,
-	cfg Config, nAlive int, rnd *rand.Rand, stats *WireStats) bool {
+	cfg Config, nAlive int, rnd *rand.Rand) bool {
 
 	node := net.Node(u)
 	for attempt := 0; attempt <= cfg.LinkRetries; attempt++ {
@@ -184,16 +170,8 @@ func acquireLink(net *graph.Network, rg *ring.Ring, u graph.NodeID, hist *Histog
 		f := d / float64(nAlive)
 		target := hist.InvertFrom(node.Key, f)
 		cand := rg.OwnerOf(target)
-		if cand == u {
-			continue
-		}
-		switch err := net.AddLink(u, cand); err {
-		case nil:
+		if cand != u && net.AddLink(u, cand) == nil {
 			return true
-		case graph.ErrRefused:
-			stats.Refusals++
-		default:
-			// duplicate: redraw
 		}
 	}
 	return false

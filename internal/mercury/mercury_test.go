@@ -5,11 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keydist"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/ring"
-	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
 func TestHistogramUniformKeys(t *testing.T) {
@@ -126,10 +126,10 @@ func buildPopulation(t *testing.T, n, caps int, dist keydist.Distribution, seed 
 
 func TestWireRespectsCaps(t *testing.T) {
 	g, r := buildPopulation(t, 300, 10, keydist.GnutellaLike(), 5)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(6)))
+	walk := rand.New(rand.NewSource(6))
 	rnd := rand.New(rand.NewSource(7))
 	for _, id := range g.AliveIDs() {
-		Wire(g, r, w, id, DefaultConfig(), g.AliveCount(), rnd)
+		Wire(g, r, walk, id, DefaultConfig(), g.AliveCount(), rnd)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -143,11 +143,11 @@ func TestWireRespectsCaps(t *testing.T) {
 
 func TestWireMakesMostLinks(t *testing.T) {
 	g, r := buildPopulation(t, 400, 16, keydist.Uniform{}, 8)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(9)))
+	walk := rand.New(rand.NewSource(9))
 	rnd := rand.New(rand.NewSource(10))
-	var stats WireStats
+	var stats core.WireStats
 	for _, id := range g.AliveIDs() {
-		st := Wire(g, r, w, id, DefaultConfig(), g.AliveCount(), rnd)
+		st := Wire(g, r, walk, id, DefaultConfig(), g.AliveCount(), rnd)
 		stats.Add(st)
 	}
 	if float64(stats.LinksMade) < 0.5*float64(stats.LinksWanted) {
@@ -160,8 +160,8 @@ func TestWireMakesMostLinks(t *testing.T) {
 
 func TestWireTinyNetwork(t *testing.T) {
 	g, r := buildPopulation(t, 2, 4, keydist.Uniform{}, 11)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(12)))
-	stats := Wire(g, r, w, g.AliveIDs()[0], DefaultConfig(), 2, rand.New(rand.NewSource(13)))
+	walk := rand.New(rand.NewSource(12))
+	stats := Wire(g, r, walk, g.AliveIDs()[0], DefaultConfig(), 2, rand.New(rand.NewSource(13)))
 	// n=2: the only candidate is the other peer; link should usually form.
 	if stats.LinksWanted != 4 {
 		t.Errorf("wanted = %d", stats.LinksWanted)
@@ -173,8 +173,8 @@ func TestWireTinyNetwork(t *testing.T) {
 
 func TestWireSingleton(t *testing.T) {
 	g, r := buildPopulation(t, 1, 4, keydist.Uniform{}, 14)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(15)))
-	stats := Wire(g, r, w, g.AliveIDs()[0], DefaultConfig(), 1, rand.New(rand.NewSource(16)))
+	walk := rand.New(rand.NewSource(15))
+	stats := Wire(g, r, walk, g.AliveIDs()[0], DefaultConfig(), 1, rand.New(rand.NewSource(16)))
 	if stats.LinksMade != 0 {
 		t.Error("singleton cannot link")
 	}

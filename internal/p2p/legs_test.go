@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/faultnet"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/transport"
@@ -262,7 +263,7 @@ func TestFanoutLegsCancelled(t *testing.T) {
 }
 
 // TestPickCandidateSeedDeterministic: with the node's random stream reset
-// to one seed, pickCandidate picks the same candidate however its two
+// to one seed, core.Pick picks the same candidate however its two
 // parallel draws interleave — here shuffled by a differently seeded
 // jitter on every call.
 func TestPickCandidateSeedDeterministic(t *testing.T) {
@@ -277,9 +278,10 @@ func TestPickCandidateSeedDeterministic(t *testing.T) {
 	base := n.tr
 	reseed := func() { n.rnd = &lockedRand{r: rand.New(rand.NewSource(42))} }
 	reseed()
-	borders := n.discoverPartitions(ctx)
-	if len(borders) < 2 {
-		t.Fatalf("%d partitions: the test needs at least two", len(borders))
+	w := wiring{n}
+	parts, _, err := core.Discover(ctx, w, core.DefaultConfig().Samples, n.rnd)
+	if err != nil || parts.Count() < 2 {
+		t.Fatalf("%d partitions (%v): the test needs at least two", parts.Count(), err)
 	}
 	var first transport.PeerRef
 	for trial := 0; trial < 8; trial++ {
@@ -287,7 +289,7 @@ func TestPickCandidateSeedDeterministic(t *testing.T) {
 		fnet.SetDefault(faultnet.Faults{Jitter: 300 * time.Microsecond})
 		n.tr = fnet.Wrap(base) // nothing else runs on the node: no maintenance
 		reseed()
-		got := n.pickCandidate(ctx, borders, nil)
+		got, _, _ := core.Pick(ctx, w, parts, core.WalkDraw(w), nil, true, n.rnd)
 		if trial == 0 {
 			first = got
 			continue

@@ -27,11 +27,10 @@ import (
 	"github.com/oscar-overlay/oscar/internal/wal"
 )
 
-// Config parameterises one node. The wiring constants are not settable:
-// median estimation and partition recursion use
-// partition.DefaultSampleParams, in-partition draws walk
-// core.DefaultConfig().PickSteps steps, and link candidates always take
-// the power-of-two choice.
+// Config parameterises one node. The wiring is not settable: Rewire runs
+// the construction the simulator runs (core.Wire) at core.DefaultConfig,
+// with the walk lengths of core.SampleSteps and core.PickSteps, and link
+// candidates always take the power-of-two choice.
 type Config struct {
 	// Key is the node's position on the identifier circle.
 	Key keyspace.Key
@@ -140,9 +139,9 @@ func (l *lockedRand) Intn(n int) int {
 	return l.r.Intn(n)
 }
 
-// split draws a seed and returns a new stream of its own for one
+// Split draws a seed and returns a new stream of its own for one
 // goroutine, so concurrent draws do not interleave on the shared one.
-func (l *lockedRand) split() *rand.Rand {
+func (l *lockedRand) Split() *rand.Rand {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return rand.New(rand.NewSource(l.r.Int63()))

@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
-	"github.com/oscar-overlay/oscar/internal/partition"
-	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
@@ -1167,229 +1164,92 @@ func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, 
 	return res, nil
 }
 
-// Rewire rebuilds the node's long-range links: estimate partitions by
-// remote restricted walks, release the current links, then acquire up to
-// MaxOut links with the admission + power-of-two rules. A rebuild that
-// cannot start — it finds no partition borders, or ctx is done once the
-// walks end — keeps the current links, and every target keeps its
-// in-link. It returns ctx.Err().
+// Rewire rebuilds the node's long-range links with the Oscar construction
+// (core.Wire): estimate partitions by remote restricted walks, release the
+// current links, then acquire up to MaxOut links with the admission and
+// power-of-two rules. A rebuild that cannot start — it finds no partition
+// borders, or ctx is done once the walks end — keeps the current links,
+// and every target keeps its in-link. The node routes on its ring alone
+// between the release and the end of the acquisition. It returns
+// ctx.Err().
 func (n *Node) Rewire(ctx context.Context) error {
-	borders := n.discoverPartitions(ctx)
-	if err := ctx.Err(); err != nil || len(borders) == 0 {
-		return err
+	out, _, err := core.Wire(ctx, wiring{n}, core.DefaultConfig(), n.rnd)
+	if out != nil {
+		n.mu.Lock()
+		n.out = out
+		n.mu.Unlock()
 	}
+	return err
+}
+
+// Substrate returns the node as the Oscar construction's substrate, for
+// driving its walks and draws directly.
+func (n *Node) Substrate() core.Substrate[transport.PeerRef] { return wiring{n} }
+
+// wiring is the node as the construction's substrate (core.Substrate):
+// every question about another peer is one RPC, a link request retries
+// once on overload, and the node's own neighbours are read locally.
+type wiring struct{ n *Node }
+
+func (w wiring) Self() transport.PeerRef              { return w.n.self }
+func (w wiring) Key(p transport.PeerRef) keyspace.Key { return p.Key }
+func (w wiring) Successor() transport.PeerRef         { return w.n.Succ() }
+func (w wiring) MaxOut() int                          { return w.n.cfg.MaxOut }
+func (w wiring) Parallel(k int, fn func(i int))       { w.n.parallel(k, fn) }
+
+func (w wiring) LocalNeighbors(rg keyspace.Range) []transport.PeerRef {
+	w.n.mu.Lock()
+	defer w.n.mu.Unlock()
+	return w.n.neighborsLocked(rg).Peers
+}
+
+func (w wiring) Neighbors(ctx context.Context, p transport.PeerRef, rg keyspace.Range) ([]transport.PeerRef, error) {
+	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpNeighbors, Range: rg}))
+	if err != nil {
+		return nil, err
+	}
+	return resp.Peers, nil
+}
+
+func (w wiring) Owner(ctx context.Context, k keyspace.Key) (transport.PeerRef, int, error) {
+	return w.n.Lookup(ctx, k)
+}
+
+func (w wiring) Load(ctx context.Context, p transport.PeerRef) (float64, error) {
+	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpInfo}))
+	if err != nil {
+		return 1, err
+	}
+	if resp.MaxIn <= 0 {
+		return 1, errors.New("p2p: info: no in-degree budget")
+	}
+	return float64(resp.InDeg) / float64(resp.MaxIn), nil
+}
+
+// Release sends the unlinks in parallel, once each and never retried.
+// They precede the new links, so no target counts this node twice.
+func (w wiring) Release(ctx context.Context) {
+	n := w.n
 	n.mu.Lock()
 	old := n.out
 	n.out = nil
 	n.mu.Unlock()
-	if len(old) > 0 {
-		addrs := make([]transport.Addr, len(old))
-		for i, ref := range old {
-			addrs[i] = ref.Addr
-		}
-		// Releases are fire-and-forget, sent in parallel and never retried.
-		// They precede the links below, so no target counts this node twice.
-		n.fanout(ctx, addrs, &transport.Request{Op: transport.OpUnlink, From: n.self}, (*Node).callOnce)
-	}
-	var out []transport.PeerRef
-	for slot := 0; slot < n.cfg.MaxOut; slot++ {
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		cand := n.pickCandidate(ctx, borders, out)
-		if cand.Addr == "" {
-			continue
-		}
-		resp, _, err := n.callRetry(ctx, cand.Addr, &transport.Request{Op: transport.OpLink, From: n.self})
-		if err != nil || !resp.OK {
-			continue // refused, shedding, or dead: the slot stays open until next rewire
-		}
-		out = append(out, cand)
-	}
-	n.mu.Lock()
-	n.out = out
-	n.mu.Unlock()
-	return ctx.Err()
+	req := &transport.Request{Op: transport.OpUnlink, From: n.self}
+	n.parallel(len(old), func(i int) { _, _ = n.tr.CallCtx(ctx, old[i].Addr, req) })
 }
 
-// discoverPartitions estimates the logarithmic partition borders via remote
-// walks, mirroring partition.BuildSampled.
-func (n *Node) discoverPartitions(ctx context.Context) []keyspace.Key {
-	succ := n.Succ()
-	if succ.Addr == n.self.Addr {
-		return nil
-	}
-	params := partition.DefaultSampleParams()
-	var borders []keyspace.Key
-	prev := n.self.Key
-	for level := 0; level < params.MaxLevels; level++ {
-		if ctx.Err() != nil {
-			break
-		}
-		remaining := keyspace.Range{Start: n.self.Key, End: prev}
-		keys := n.sampleKeys(ctx, remaining, params.Samples, params.Steps)
-		// Drop our own samples; see partition.BuildSampled.
-		filtered := keys[:0]
-		for _, k := range keys {
-			if k != n.self.Key {
-				filtered = append(filtered, k)
-			}
-		}
-		if len(filtered) == 0 {
-			break
-		}
-		m := sampling.MedianFrom(n.self.Key, filtered)
-		if m == n.self.Key {
-			break
-		}
-		if level > 0 && !remaining.Contains(m) {
-			break
-		}
-		borders = append(borders, m)
-		prev = m
-		if m == succ.Key {
-			break
-		}
-	}
-	if len(borders) > 0 && borders[len(borders)-1] != succ.Key {
-		last := keyspace.Range{Start: n.self.Key, End: borders[len(borders)-1]}
-		if last.Contains(succ.Key) {
-			borders = append(borders, succ.Key)
-		}
-	}
-	return borders
+// Link registers the in-link at p. The node routes on the new links only
+// once Rewire installs them all.
+func (w wiring) Link(ctx context.Context, p transport.PeerRef) error {
+	resp, _, err := w.n.callRetry(ctx, p.Addr, &transport.Request{Op: transport.OpLink, From: w.n.self})
+	_, err = answered(resp, err)
+	return err
 }
 
-// sampleKeys draws approximately-uniform peer keys from rg with a chained
-// remote Metropolis–Hastings walk (client-driven: the node fetches each
-// position's neighbour list and steps itself).
-func (n *Node) sampleKeys(ctx context.Context, rg keyspace.Range, count, steps int) []keyspace.Key {
-	n.mu.Lock()
-	cur := n.self
-	curNbrs := n.neighborsLocked(rg).Peers
-	rnd := n.rnd
-	n.mu.Unlock()
-
-	var out []keyspace.Key
-	moves := 0
-	for len(out) < count {
-		if ctx.Err() != nil {
-			break
-		}
-		// One lazy MH step (mirrors sampling.Walker).
-		if moves++; moves > count*steps*4 {
-			break // walk wedged (tiny or partitioned range): return what we have
-		}
-		if rnd.Float64() < 1.0/3 {
-			// lazy: stay
-		} else if len(curNbrs) > 0 {
-			next := curNbrs[rnd.Intn(len(curNbrs))]
-			resp, err := n.tr.CallCtx(ctx, next.Addr, &transport.Request{Op: transport.OpNeighbors, Range: rg})
-			if err == nil && resp.OK && resp.Degree > 0 {
-				dv, du := len(curNbrs), resp.Degree
-				if du <= dv || rnd.Float64() < float64(dv)/float64(du) {
-					cur, curNbrs = next, resp.Peers
-				}
-			}
-		}
-		if moves%steps == 0 {
-			out = append(out, cur.Key)
-		}
+// answered turns a call's refusal (an answer without OK) into an error.
+func answered(resp *transport.Response, err error) (*transport.Response, error) {
+	if err == nil && !resp.OK {
+		err = fmt.Errorf("p2p: %s", resp.Err)
 	}
-	return out
-}
-
-// pickCandidate draws a link candidate: uniform partition, uniform peer
-// inside it (remote walk), with the power-of-two choice across two draws.
-// The two draws — and the two load probes deciding between them — are
-// independent multi-RPC chains, so they run in parallel. Each draw takes
-// its own random stream, split off the node's before either starts, so the
-// schedule of the two never decides what they pick.
-func (n *Node) pickCandidate(ctx context.Context, borders []keyspace.Key, existing []transport.PeerRef) transport.PeerRef {
-	rnds := [2]*rand.Rand{n.rnd.split(), n.rnd.split()}
-	var picks [2]transport.PeerRef
-	n.parallel(2, func(i int) {
-		picks[i] = n.pickOne(ctx, rnds[i], borders, existing)
-	})
-	first, second := picks[0], picks[1]
-	switch {
-	case first.Addr == "":
-		return second
-	case second.Addr == "" || second.Addr == first.Addr:
-		return first
-	default:
-		var loads [2]float64
-		var oks [2]bool
-		n.parallel(2, func(i int) {
-			loads[i], oks[i] = n.relativeLoad(ctx, picks[i])
-		})
-		if oks[1] && (!oks[0] || loads[1] < loads[0]) {
-			return second
-		}
-		return first
-	}
-}
-
-// relativeLoad fetches InDeg/MaxIn of a candidate.
-func (n *Node) relativeLoad(ctx context.Context, ref transport.PeerRef) (float64, bool) {
-	resp, err := n.tr.CallCtx(ctx, ref.Addr, &transport.Request{Op: transport.OpInfo})
-	if err != nil || !resp.OK || resp.MaxIn <= 0 {
-		return 1, false
-	}
-	return float64(resp.InDeg) / float64(resp.MaxIn), true
-}
-
-// pickOne draws one candidate from a uniformly chosen partition.
-func (n *Node) pickOne(ctx context.Context, rnd *rand.Rand, borders []keyspace.Key, existing []transport.PeerRef) transport.PeerRef {
-	i := rnd.Intn(len(borders))
-	var rg keyspace.Range
-	if i == 0 {
-		rg = keyspace.Range{Start: borders[0], End: n.self.Key}
-	} else {
-		rg = keyspace.Range{Start: borders[i], End: borders[i-1]}
-	}
-	// Enter the partition by routing to its lower border, then walk.
-	entry, _, err := n.Lookup(ctx, rg.Start)
-	if err != nil || !rg.Contains(entry.Key) {
-		return transport.PeerRef{}
-	}
-	cand := n.walkOnce(ctx, rnd, entry, rg, core.DefaultConfig().PickSteps)
-	if cand.Addr == n.self.Addr {
-		return transport.PeerRef{}
-	}
-	for _, ex := range existing {
-		if ex.Addr == cand.Addr {
-			return transport.PeerRef{}
-		}
-	}
-	return cand
-}
-
-// walkOnce performs one bounded remote walk from entry within rg, drawing
-// its steps from rnd.
-func (n *Node) walkOnce(ctx context.Context, rnd *rand.Rand, entry transport.PeerRef, rg keyspace.Range, steps int) transport.PeerRef {
-	cur := entry
-	resp, err := n.tr.CallCtx(ctx, cur.Addr, &transport.Request{Op: transport.OpNeighbors, Range: rg})
-	if err != nil || !resp.OK {
-		return transport.PeerRef{}
-	}
-	nbrs := resp.Peers
-	for s := 0; s < steps; s++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if rnd.Float64() < 1.0/3 || len(nbrs) == 0 {
-			continue
-		}
-		next := nbrs[rnd.Intn(len(nbrs))]
-		r2, err := n.tr.CallCtx(ctx, next.Addr, &transport.Request{Op: transport.OpNeighbors, Range: rg})
-		if err != nil || !r2.OK || r2.Degree == 0 {
-			continue
-		}
-		dv, du := len(nbrs), r2.Degree
-		if du <= dv || rnd.Float64() < float64(dv)/float64(du) {
-			cur, nbrs = next, r2.Peers
-		}
-	}
-	return cur
+	return resp, err
 }

@@ -10,34 +10,30 @@
 // when the remaining population is exhausted, so roughly log₂ N levels
 // emerge without any global knowledge.
 //
-// Two builders are provided: BuildSampled estimates each median from
-// range-restricted random-walk samples (the deployable algorithm, "very good
-// results in practice even with very low sample sizes"); BuildExact computes
-// true medians from the global ring (the oracle used by tests and the
-// accuracy ablation).
+// The deployable algorithm estimates each median from range-restricted
+// random-walk samples ("very good results in practice even with very low
+// sample sizes"); it is core.Discover, run by the simulator and the live
+// node alike. BuildExact computes true medians from the global ring: the
+// oracle of the tests and of the accuracy ablation.
 package partition
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/ring"
-	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
 // Partitions is the result of the construction for one node.
 type Partitions struct {
-	// Node is the owning peer.
-	Node graph.NodeID
 	// NodeKey is the peer's identifier (m_0).
 	NodeKey keyspace.Key
 	// Borders holds m_1, m_2, … m_L: each border is closer (clockwise-wise)
 	// to the node than the previous one.
 	Borders []keyspace.Key
-	// Cost is the number of walk messages spent estimating the borders
-	// (zero for the oracle builder).
-	Cost int
 }
 
 // Count returns the number of partitions L.
@@ -85,26 +81,17 @@ func (p *Partitions) CheckInvariants() error {
 // population is every alive peer except u itself.
 func BuildExact(net *graph.Network, rg *ring.Ring, u graph.NodeID) *Partitions {
 	node := net.Node(u)
-	p := &Partitions{Node: u, NodeKey: node.Key}
-	// Alive peers clockwise from u, excluding u.
+	p := &Partitions{NodeKey: node.Key}
+	// Alive peers other than u, in key order from 0, rotated so pop runs
+	// clockwise from just past u's key.
 	var pop []keyspace.Key
-	rg.ScanRange(keyspace.FullRange(), func(id graph.NodeID) bool {
+	for _, id := range rg.AliveOrdered() {
 		if id != u {
 			pop = append(pop, net.Node(id).Key)
 		}
-		return true
-	})
-	// ScanRange starts at key 0; rotate so pop is ordered clockwise from u.
-	rotated := make([]keyspace.Key, 0, len(pop))
-	var before []keyspace.Key
-	for _, k := range pop {
-		if node.Key.Distance(k) > 0 && k >= node.Key {
-			rotated = append(rotated, k)
-		} else {
-			before = append(before, k)
-		}
 	}
-	pop = append(rotated, before...)
+	past := sort.Search(len(pop), func(i int) bool { return pop[i] > node.Key })
+	pop = slices.Concat(pop[past:], pop[:past])
 	for len(pop) > 0 {
 		mid := len(pop) / 2
 		border := pop[mid]
@@ -120,80 +107,6 @@ func BuildExact(net *graph.Network, rg *ring.Ring, u graph.NodeID) *Partitions {
 		}
 		p.Borders = append(p.Borders, border)
 		pop = pop[:mid]
-	}
-	return p
-}
-
-// SampleParams tunes the sampled builder.
-type SampleParams struct {
-	// Samples is the number of walk samples per median estimate.
-	Samples int
-	// Steps is the number of Metropolis–Hastings moves between samples.
-	Steps int
-	// MaxLevels bounds the partition count (a safety net; the natural
-	// stopping rule usually fires first at ~log₂ N levels).
-	MaxLevels int
-}
-
-// DefaultSampleParams matches the paper's "very low sample sizes" regime.
-func DefaultSampleParams() SampleParams {
-	return SampleParams{Samples: 12, Steps: 8, MaxLevels: 48}
-}
-
-// BuildSampled estimates the partitions for node u using only local
-// information and restricted random walks, per the paper's algorithm. The
-// node's ring successor provides the local stopping rule: when the estimated
-// median reaches the successor, the remaining population is exhausted.
-func BuildSampled(net *graph.Network, w *sampling.Walker, u graph.NodeID, params SampleParams) *Partitions {
-	node := net.Node(u)
-	p := &Partitions{Node: u, NodeKey: node.Key}
-	if node.Succ == graph.NoNode || node.Succ == u {
-		return p // alone on the ring: no population to link to
-	}
-	succKey := net.Node(node.Succ).Key
-	prev := node.Key // m_0: remaining range is [uid, prev) == full circle initially
-	for level := 0; level < params.MaxLevels; level++ {
-		remaining := keyspace.Range{Start: node.Key, End: prev}
-		samples, cost, err := w.SampleChain(u, remaining, params.Samples, params.Steps)
-		p.Cost += cost
-		if err != nil {
-			break
-		}
-		// The node estimates the median of the *other* peers in the range;
-		// its own key would anchor the estimate at distance zero, which on
-		// tiny populations drowns the signal.
-		keys := make([]keyspace.Key, 0, len(samples))
-		for _, id := range samples {
-			if id != u {
-				keys = append(keys, net.Node(id).Key)
-			}
-		}
-		if len(keys) == 0 {
-			break // the remaining population appears empty
-		}
-		m := sampling.MedianFrom(node.Key, keys)
-		if m == node.Key {
-			// A peer sharing u's key: covered by the previous border.
-			break
-		}
-		if level > 0 && !remaining.Contains(m) {
-			break // defensive: a stale estimate escaped the range
-		}
-		p.Borders = append(p.Borders, m)
-		prev = m
-		if m == succKey {
-			// The nearest peer is the border: the remaining open range
-			// (uid, m) holds no peers; the construction is complete.
-			break
-		}
-	}
-	// If MaxLevels cut the recursion short, close the tiling with the
-	// successor so every peer stays reachable through some partition.
-	if len(p.Borders) > 0 && p.Borders[len(p.Borders)-1] != succKey {
-		last := keyspace.Range{Start: node.Key, End: p.Borders[len(p.Borders)-1]}
-		if last.Contains(succKey) {
-			p.Borders = append(p.Borders, succKey)
-		}
 	}
 	return p
 }

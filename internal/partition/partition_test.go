@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"github.com/oscar-overlay/oscar/internal/keydist"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/ring"
-	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
 // buildNet creates n peers with keys from dist, ring-stitched, each with a
@@ -110,77 +108,6 @@ func TestBuildExactTinyNetworks(t *testing.T) {
 	}
 }
 
-func TestBuildSampledMatchesExactOnUniform(t *testing.T) {
-	g, r := buildNet(t, 512, keydist.Uniform{}, 4)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(5)))
-	u := graph.NodeID(3)
-	exact := BuildExact(g, r, u)
-	sampled := BuildSampled(g, w, u, SampleParams{Samples: 24, Steps: 12, MaxLevels: 48})
-	if err := sampled.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if d := sampled.Count() - exact.Count(); d < -3 || d > 3 {
-		t.Errorf("sampled levels %d vs exact %d", sampled.Count(), exact.Count())
-	}
-	// First border (global median from u) should be in the same ballpark:
-	// within a quarter circle of the exact one.
-	de := float64(exact.NodeKey.Distance(exact.Borders[0])) / math.Exp2(64)
-	ds := float64(sampled.NodeKey.Distance(sampled.Borders[0])) / math.Exp2(64)
-	if math.Abs(de-ds) > 0.25 {
-		t.Errorf("first border at clockwise fraction %.3f (sampled) vs %.3f (exact)", ds, de)
-	}
-}
-
-func TestBuildSampledPartitionPopulations(t *testing.T) {
-	// The core quality claim: even on a spiky distribution, sampled
-	// partitions hold roughly geometrically decreasing populations.
-	g, r := buildNet(t, 1000, keydist.GnutellaLike(), 6)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(7)))
-	u := graph.NodeID(11)
-	p := BuildSampled(g, w, u, SampleParams{Samples: 24, Steps: 12, MaxLevels: 48})
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Count() < 6 {
-		t.Fatalf("only %d levels on n=1000", p.Count())
-	}
-	// The far half should hold between 25%% and 75%% of the population —
-	// crude, but a uniform-resolution approach fails this on spiky keys.
-	far := r.CountAliveInRange(p.Range(0))
-	if far < 250 || far > 750 {
-		t.Errorf("far half holds %d of 1000 peers", far)
-	}
-}
-
-func TestBuildSampledSingleton(t *testing.T) {
-	g := graph.New()
-	r := ring.New(g)
-	solo := g.Add(42, 4, 4)
-	r.Insert(solo.ID)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(1)))
-	p := BuildSampled(g, w, solo.ID, DefaultSampleParams())
-	if p.Count() != 0 {
-		t.Errorf("singleton: levels = %d", p.Count())
-	}
-}
-
-func TestBuildSampledPair(t *testing.T) {
-	g := graph.New()
-	r := ring.New(g)
-	a := g.Add(100, 4, 4)
-	b := g.Add(1<<60, 4, 4)
-	r.Insert(a.ID)
-	r.Insert(b.ID)
-	w := sampling.NewWalker(g, rand.New(rand.NewSource(1)))
-	p := BuildSampled(g, w, a.ID, DefaultSampleParams())
-	if p.Count() != 1 {
-		t.Fatalf("pair: levels = %d, want 1", p.Count())
-	}
-	if !p.Range(0).Contains(b.Key) {
-		t.Error("pair: partition must contain the peer")
-	}
-}
-
 func TestRangesTileCircle(t *testing.T) {
 	g, r := buildNet(t, 300, keydist.GnutellaLike(), 8)
 	p := BuildExact(g, r, graph.NodeID(0))
@@ -201,15 +128,15 @@ func TestRangesTileCircle(t *testing.T) {
 }
 
 func TestCheckInvariantsCatchesBadBorders(t *testing.T) {
-	p := &Partitions{Node: 0, NodeKey: 100, Borders: []keyspace.Key{100}}
+	p := &Partitions{NodeKey: 100, Borders: []keyspace.Key{100}}
 	if err := p.CheckInvariants(); err == nil {
 		t.Error("border equal to node key must be rejected")
 	}
-	p = &Partitions{Node: 0, NodeKey: 100, Borders: []keyspace.Key{500, 900}}
+	p = &Partitions{NodeKey: 100, Borders: []keyspace.Key{500, 900}}
 	if err := p.CheckInvariants(); err == nil {
 		t.Error("borders moving away from the node must be rejected")
 	}
-	p = &Partitions{Node: 0, NodeKey: 100, Borders: []keyspace.Key{900, 500, 200}}
+	p = &Partitions{NodeKey: 100, Borders: []keyspace.Key{900, 500, 200}}
 	if err := p.CheckInvariants(); err != nil {
 		t.Errorf("valid borders rejected: %v", err)
 	}

@@ -12,70 +12,34 @@
 // would over-sample high-degree peers; the Metropolis–Hastings correction
 // (accept a move from v to u with probability min(1, deg(v)/deg(u)))
 // makes the stationary distribution uniform over the range's peers.
+//
+// The walk is written once over Graph, which the simulator's network and
+// the live node's RPCs both implement: the walker fetches each position's
+// neighbour list and steps itself.
 package sampling
 
 import (
-	"errors"
-	"math/rand"
+	"context"
 	"sort"
 
-	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 )
 
-// ErrEmptyRange reports that a walk or estimate was requested on a range
-// with no alive starting peer.
-var ErrEmptyRange = errors.New("sampling: no alive peer in range")
-
-// Walker performs restricted random walks on one network. It is not safe
-// for concurrent use; create one Walker per goroutine.
-type Walker struct {
-	net *graph.Network
-	rng *rand.Rand
-
-	// scratch buffer reused across neighbour enumerations.
-	buf []graph.NodeID
+// Graph is the walk's view of an overlay.
+type Graph[P any] interface {
+	// Neighbors returns p's neighbours whose keys lie in rg, as a
+	// multiset: an edge reachable two ways (say a peer that is both the
+	// successor and a link target) appears twice. Both ends of an edge
+	// count it equally often, which keeps the Metropolis–Hastings proposal
+	// symmetric — the condition for a uniform stationary distribution.
+	// Each call is one message.
+	Neighbors(ctx context.Context, p P, rg keyspace.Range) ([]P, error)
 }
 
-// NewWalker creates a walker over the network using the given RNG stream.
-func NewWalker(net *graph.Network, rng *rand.Rand) *Walker {
-	return &Walker{net: net, rng: rng}
-}
-
-// eligibleNeighbors appends to dst the alive neighbours of id (ring
-// successor and predecessor, long-range out-links and in-links) whose keys
-// lie in rg. The list is a multiset: an edge reachable two ways (say a peer
-// that is both the successor and a link target) appears twice. Because ring
-// pointers and in/out lists mirror each other, the multiplicity of (v,u)
-// equals that of (u,v), which keeps the Metropolis–Hastings proposal
-// symmetric — the condition for a uniform stationary distribution.
-func (w *Walker) eligibleNeighbors(dst []graph.NodeID, id graph.NodeID, rg keyspace.Range) []graph.NodeID {
-	n := w.net.Node(id)
-	consider := func(t graph.NodeID) {
-		if t == graph.NoNode || t == id {
-			return
-		}
-		tn := w.net.Node(t)
-		if !tn.Alive || !rg.Contains(tn.Key) {
-			return
-		}
-		dst = append(dst, t)
-	}
-	consider(n.Succ)
-	consider(n.Pred)
-	for _, t := range n.Out {
-		consider(t)
-	}
-	for _, t := range n.In {
-		consider(t)
-	}
-	return dst
-}
-
-// degreeIn returns the number of eligible neighbours of id within rg.
-func (w *Walker) degreeIn(id graph.NodeID, rg keyspace.Range) int {
-	w.buf = w.eligibleNeighbors(w.buf[:0], id, rg)
-	return len(w.buf)
+// Rand is the random stream a walk draws from.
+type Rand interface {
+	Float64() float64
+	Intn(n int) int
 }
 
 // lazyProb is the per-step probability of staying put. A lazy chain is
@@ -84,91 +48,65 @@ func (w *Walker) degreeIn(id graph.NodeID, rg keyspace.Range) int {
 // the walker to the parity of the step count and samples never mix.
 const lazyProb = 1.0 / 3
 
-// Step advances the walk one Metropolis–Hastings step from id within rg and
-// returns the next position (possibly id itself: the chain is lazy, and
-// rejected moves or a peer with no eligible neighbour also stay).
-func (w *Walker) Step(id graph.NodeID, rg keyspace.Range) graph.NodeID {
-	if w.rng.Float64() < lazyProb {
-		return id
+// step advances the walk one Metropolis–Hastings step from cur, whose
+// in-range neighbours are nbrs, and returns the next position, its
+// neighbours and the messages sent. The chain is lazy, and a rejected
+// move, an unreachable or isolated proposal, or a position with no
+// neighbour also stay.
+func step[P any](ctx context.Context, g Graph[P], rnd Rand, cur P, nbrs []P, rg keyspace.Range) (P, []P, int) {
+	if rnd.Float64() < lazyProb || len(nbrs) == 0 {
+		return cur, nbrs, 0
 	}
-	w.buf = w.eligibleNeighbors(w.buf[:0], id, rg)
-	dv := len(w.buf)
-	if dv == 0 {
-		return id
+	next := nbrs[rnd.Intn(len(nbrs))]
+	nn, err := g.Neighbors(ctx, next, rg)
+	if err != nil || len(nn) == 0 {
+		return cur, nbrs, 1
 	}
-	next := w.buf[w.rng.Intn(dv)]
-	du := w.degreeIn(next, rg) // note: clobbers w.buf, next already chosen
-	if du == 0 {
-		// Should not happen (we are a neighbour of next), but never walk
-		// into a dead end.
-		return id
+	// MH acceptance for a uniform target: min(1, deg(v)/deg(u)).
+	if dv, du := len(nbrs), len(nn); du <= dv || rnd.Float64() < float64(dv)/float64(du) {
+		return next, nn, 1
 	}
-	// MH acceptance for uniform target: min(1, deg(v)/deg(u)).
-	if du > dv && w.rng.Float64() >= float64(dv)/float64(du) {
-		return id
-	}
-	return next
+	return cur, nbrs, 1
 }
 
-// Walk performs `steps` MH steps from start within rg and returns the final
-// position. start must be alive and inside rg.
-func (w *Walker) Walk(start graph.NodeID, rg keyspace.Range, steps int) (graph.NodeID, error) {
-	n := w.net.Node(start)
-	if !n.Alive || !rg.Contains(n.Key) {
-		return graph.NoNode, ErrEmptyRange
-	}
-	cur := start
-	for i := 0; i < steps; i++ {
-		cur = w.Step(cur, rg)
-	}
-	return cur, nil
-}
-
-// SampleChain draws `count` approximately-uniform peers from rg by running
-// one chained walk from start: a burn-in of `steps` moves, then one sample
-// every `steps` moves. Chaining amortises the burn-in across samples, which
-// is what a deployed walker would do to save messages.
-//
-// The returned Cost is the total number of walk messages spent.
-func (w *Walker) SampleChain(start graph.NodeID, rg keyspace.Range, count, steps int) (samples []graph.NodeID, cost int, err error) {
-	cur, err := w.Walk(start, rg, steps)
+// Walk performs steps lazy MH steps from start within rg and returns the
+// final position and the messages sent: one to learn start's neighbours
+// and one per proposed move. It fails only when start's neighbours cannot
+// be fetched. Cancelling ctx ends the walk where it stands.
+func Walk[P any](ctx context.Context, g Graph[P], rnd Rand, start P, rg keyspace.Range, steps int) (P, int, error) {
+	nbrs, err := g.Neighbors(ctx, start, rg)
 	if err != nil {
-		return nil, 0, err
+		return start, 1, err
 	}
-	cost = steps
-	samples = make([]graph.NodeID, 0, count)
-	for len(samples) < count {
-		samples = append(samples, cur)
-		var werr error
-		cur, werr = w.Walk(cur, rg, steps)
-		if werr != nil {
-			return nil, cost, werr
+	cur, msgs := start, 1
+	for s := 0; s < steps && ctx.Err() == nil; s++ {
+		var m int
+		cur, nbrs, m = step(ctx, g, rnd, cur, nbrs, rg)
+		msgs += m
+	}
+	return cur, msgs, nil
+}
+
+// SampleChain draws count approximately-uniform peers from rg with one
+// chained walk from start, whose in-range neighbours are nbrs: a sample
+// every steps moves, so the first sample's burn-in is amortised over the
+// rest. It returns the samples and the messages sent; cancelling ctx
+// returns the samples so far with ctx.Err().
+func SampleChain[P any](ctx context.Context, g Graph[P], rnd Rand, start P, nbrs []P, rg keyspace.Range, count, steps int) ([]P, int, error) {
+	samples := make([]P, 0, count)
+	cur, msgs := start, 0
+	for moves := 1; len(samples) < count; moves++ {
+		if err := ctx.Err(); err != nil {
+			return samples, msgs, err
 		}
-		cost += steps
+		var m int
+		cur, nbrs, m = step(ctx, g, rnd, cur, nbrs, rg)
+		msgs += m
+		if moves%steps == 0 {
+			samples = append(samples, cur)
+		}
 	}
-	return samples, cost, nil
-}
-
-// UniformInRange returns one approximately-uniform alive peer from rg.
-func (w *Walker) UniformInRange(start graph.NodeID, rg keyspace.Range, steps int) (graph.NodeID, int, error) {
-	id, err := w.Walk(start, rg, steps)
-	return id, steps, err
-}
-
-// EstimateMedian estimates the median identifier of the alive peers in rg
-// (in clockwise order from rg.Start) from `count` chained samples of `steps`
-// moves each. The returned key is one of the sampled peers' keys: the one
-// splitting the sample set in half.
-func (w *Walker) EstimateMedian(start graph.NodeID, rg keyspace.Range, count, steps int) (keyspace.Key, int, error) {
-	samples, cost, err := w.SampleChain(start, rg, count, steps)
-	if err != nil {
-		return 0, cost, err
-	}
-	keys := make([]keyspace.Key, len(samples))
-	for i, id := range samples {
-		keys[i] = w.net.Node(id).Key
-	}
-	return MedianFrom(rg.Start, keys), cost, nil
+	return samples, msgs, nil
 }
 
 // MedianFrom returns the median of keys in clockwise order from origin: the

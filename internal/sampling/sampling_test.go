@@ -1,14 +1,21 @@
-package sampling
+package sampling_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/p2p"
 	"github.com/oscar-overlay/oscar/internal/ring"
+	"github.com/oscar-overlay/oscar/internal/sampling"
+	"github.com/oscar-overlay/oscar/internal/transport"
 )
+
+var bg = context.Background()
 
 // buildLine creates n peers with keys i*step on a stitched ring, plus a few
 // random long-range links so walks can mix.
@@ -34,15 +41,26 @@ func buildLine(t *testing.T, n int, links int, seed int64) (*graph.Network, *rin
 	return g, r
 }
 
+// countedGraph counts the neighbour messages a walk sends.
+type countedGraph struct {
+	*graph.Network
+	calls int
+}
+
+func (c *countedGraph) Neighbors(ctx context.Context, id graph.NodeID, rg keyspace.Range) ([]graph.NodeID, error) {
+	c.calls++
+	return c.Network.Neighbors(ctx, id, rg)
+}
+
 func TestWalkStaysInRange(t *testing.T) {
 	g, _ := buildLine(t, 200, 4, 1)
-	w := NewWalker(g, rand.New(rand.NewSource(2)))
+	rnd := rand.New(rand.NewSource(2))
 	// Range covering keys of peers 50..149.
 	step := keyspace.MaxKey / 200
 	rg := keyspace.Range{Start: 50 * step, End: 150 * step}
 	start := graph.NodeID(70)
 	for trial := 0; trial < 50; trial++ {
-		end, err := w.Walk(start, rg, 30)
+		end, _, err := sampling.Walk(bg, g, rnd, start, rg, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,14 +72,14 @@ func TestWalkStaysInRange(t *testing.T) {
 
 func TestWalkRejectsBadStart(t *testing.T) {
 	g, _ := buildLine(t, 50, 2, 1)
-	w := NewWalker(g, rand.New(rand.NewSource(2)))
+	rnd := rand.New(rand.NewSource(2))
 	step := keyspace.MaxKey / 50
 	rg := keyspace.Range{Start: 10 * step, End: 20 * step}
-	if _, err := w.Walk(graph.NodeID(30), rg, 5); err != ErrEmptyRange {
+	if _, _, err := sampling.Walk(bg, g, rnd, graph.NodeID(30), rg, 5); !errors.Is(err, graph.ErrOutOfRange) {
 		t.Errorf("out-of-range start: err = %v", err)
 	}
 	g.Kill(graph.NodeID(12))
-	if _, err := w.Walk(graph.NodeID(12), rg, 5); err != ErrEmptyRange {
+	if _, _, err := sampling.Walk(bg, g, rnd, graph.NodeID(12), rg, 5); !errors.Is(err, graph.ErrDead) {
 		t.Errorf("dead start: err = %v", err)
 	}
 }
@@ -72,11 +90,10 @@ func TestWalkSkipsDeadPeers(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r.Kill(graph.NodeID(rnd.Intn(100)))
 	}
-	w := NewWalker(g, rnd)
 	alive := g.AliveIDs()
 	start := alive[0]
 	for trial := 0; trial < 100; trial++ {
-		end, err := w.Walk(start, keyspace.FullRange(), 20)
+		end, _, err := sampling.Walk(bg, g, rnd, start, keyspace.FullRange(), 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,10 +103,9 @@ func TestWalkSkipsDeadPeers(t *testing.T) {
 	}
 }
 
-// TestMHUniformity is the statistical heart of the walker: on a ring with
-// heterogeneous degrees, visit frequencies after mixing must be near-uniform
-// rather than proportional to degree.
-func TestMHUniformity(t *testing.T) {
+// hubGraph is 40 evenly spaced peers on a ring with a hub (peer 0) linked
+// to 20 of them: a plain walk would oversample the hub by ~(22/2) ≈ 10.
+func hubGraph(t *testing.T) (sampling.Graph[graph.NodeID], []graph.NodeID, graph.NodeID) {
 	const n = 40
 	g := graph.New()
 	r := ring.New(g)
@@ -98,60 +114,149 @@ func TestMHUniformity(t *testing.T) {
 		node := g.Add(keyspace.Key(i)*step, 64, 64)
 		r.Insert(node.ID)
 	}
-	// Heterogeneous: a hub (peer 0) linked to many peers; others sparse.
 	for i := 1; i <= 20; i++ {
 		if err := g.AddLink(0, graph.NodeID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w := NewWalker(g, rand.New(rand.NewSource(5)))
-	counts := make([]int, n)
-	const trials = 30000
+	return g, g.AliveIDs(), 0
+}
+
+// liveRing boots 24 in-memory nodes at Gnutella-like keys with varied
+// caps, stabilises and rewires them, and returns node 0 as the walk's
+// substrate, every node's ref and the one with the most neighbours.
+func liveRing(t *testing.T) (sampling.Graph[transport.PeerRef], []transport.PeerRef, transport.PeerRef) {
+	const n = 24
+	fabric := transport.NewFabric()
+	rnd := rand.New(rand.NewSource(11))
+	var nodes []*p2p.Node
+	for i := 0; i < n; i++ {
+		caps := 3 + rnd.Intn(10)
+		node, err := p2p.NewNode(fabric.Endpoint(), p2p.Config{
+			Key: keyspace.FromFloat(rnd.Float64()), MaxIn: caps, MaxOut: caps, Seed: int64(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = node.Close() })
+		if i > 0 {
+			if err := node.Join(bg, nodes[0].Self().Addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes = append(nodes, node)
+	}
+	for round := 0; round < 3; round++ {
+		for _, node := range nodes {
+			node.Stabilize(bg)
+		}
+	}
+	for _, node := range nodes {
+		if err := node.Rewire(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := nodes[0].Substrate()
+	var peers []transport.PeerRef
+	var hub transport.PeerRef
+	most := -1
+	for _, node := range nodes {
+		peers = append(peers, node.Self())
+		nbrs, err := g.Neighbors(bg, node.Self(), keyspace.FullRange())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nbrs) > most {
+			hub, most = node.Self(), len(nbrs)
+		}
+	}
+	return g, peers, hub
+}
+
+// visits walks 60 steps over the full circle trials times, starting at
+// each peer in turn, and counts where the walks end.
+func visits[P comparable](t *testing.T, g sampling.Graph[P], peers []P, trials int) map[P]int {
+	rnd := rand.New(rand.NewSource(5))
+	counts := make(map[P]int, len(peers))
 	for trial := 0; trial < trials; trial++ {
-		end, err := w.Walk(graph.NodeID(trial%n), keyspace.FullRange(), 60)
+		end, _, err := sampling.Walk(bg, g, rnd, peers[trial%len(peers)], keyspace.FullRange(), 60)
 		if err != nil {
 			t.Fatal(err)
 		}
 		counts[end]++
 	}
-	want := float64(trials) / n
-	// The hub must not be oversampled by more than ~35%; a plain (non-MH)
-	// walk would oversample it by a factor of ~(22/2) ≈ 10.
-	if float64(counts[0]) > want*1.35 {
-		t.Errorf("hub visited %d times, uniform expectation %.0f: MH correction failing", counts[0], want)
+	return counts
+}
+
+// checkUniform is the bound every substrate's walk must meet: the hub
+// oversampled by at most 35 %, and no peer off by more than -50 %/+60 %.
+func checkUniform[P comparable](t *testing.T, counts map[P]int, peers []P, hub P, trials int) {
+	want := float64(trials) / float64(len(peers))
+	if float64(counts[hub]) > want*1.35 {
+		t.Errorf("hub visited %d times, uniform expectation %.0f: MH correction failing", counts[hub], want)
 	}
-	// Chi-square-ish sanity: no peer wildly off.
-	for i, c := range counts {
-		if float64(c) < want*0.5 || float64(c) > want*1.6 {
-			t.Errorf("peer %d visited %d times vs expectation %.0f", i, c, want)
+	for _, p := range peers {
+		if c := float64(counts[p]); c < want*0.5 || c > want*1.6 {
+			t.Errorf("peer %v visited %.0f times vs expectation %.0f", p, c, want)
 		}
 	}
 }
 
+// TestMHUniformity is the statistical heart of the walk: on an overlay
+// with heterogeneous degrees, visit frequencies after mixing must be
+// near-uniform rather than proportional to degree — over the simulator's
+// graph and over a live ring's RPCs alike.
+func TestMHUniformity(t *testing.T) {
+	t.Run("graph", func(t *testing.T) {
+		g, peers, hub := hubGraph(t)
+		const trials = 30000
+		checkUniform(t, visits(t, g, peers, trials), peers, hub, trials)
+	})
+	t.Run("live", func(t *testing.T) {
+		g, peers, hub := liveRing(t)
+		const trials = 6000
+		checkUniform(t, visits(t, g, peers, trials), peers, hub, trials)
+	})
+}
+
 func TestSampleChainCountAndCost(t *testing.T) {
 	g, _ := buildLine(t, 100, 3, 6)
-	w := NewWalker(g, rand.New(rand.NewSource(7)))
-	samples, cost, err := w.SampleChain(0, keyspace.FullRange(), 10, 5)
+	cg := &countedGraph{Network: g}
+	rnd := rand.New(rand.NewSource(7))
+	nbrs, err := g.Neighbors(bg, 0, keyspace.FullRange())
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, cost, err := sampling.SampleChain(bg, cg, rnd, 0, nbrs, keyspace.FullRange(), 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 10 {
 		t.Errorf("got %d samples", len(samples))
 	}
-	if cost != 55 { // burn-in 5 + 10 gaps of 5
-		t.Errorf("cost = %d, want 55", cost)
+	// One message per proposed move: 10 samples of 5 moves, a third lazy.
+	if cost != cg.calls || cost > 50 || cost < 20 {
+		t.Errorf("cost = %d for %d neighbour calls, want them equal and about 2/3 of 50 moves", cost, cg.calls)
 	}
 }
 
 func TestEstimateMedianOnUniformLine(t *testing.T) {
 	g, _ := buildLine(t, 400, 6, 8)
-	w := NewWalker(g, rand.New(rand.NewSource(9)))
-	m, _, err := w.EstimateMedian(0, keyspace.FullRange(), 40, 12)
+	rnd := rand.New(rand.NewSource(9))
+	nbrs, err := g.Neighbors(bg, 0, keyspace.FullRange())
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples, _, err := sampling.SampleChain(bg, g, rnd, 0, nbrs, keyspace.FullRange(), 40, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]keyspace.Key, len(samples))
+	for i, id := range samples {
+		keys[i] = g.Node(id).Key
+	}
 	// True median from peer 0 over a uniform line is near the antipode.
-	got := m.Float()
+	got := sampling.MedianFrom(g.Node(0).Key, keys).Float()
 	if math.Abs(got-0.5) > 0.2 {
 		t.Errorf("estimated median at fraction %.3f, want ≈0.5", got)
 	}
@@ -160,17 +265,17 @@ func TestEstimateMedianOnUniformLine(t *testing.T) {
 func TestMedianFrom(t *testing.T) {
 	// Keys clockwise from origin 0: 10, 20, 30, 40.
 	keys := []keyspace.Key{30, 10, 40, 20}
-	if m := MedianFrom(0, keys); m != 30 {
+	if m := sampling.MedianFrom(0, keys); m != 30 {
 		t.Errorf("median = %v, want 30 (upper middle)", m)
 	}
-	if m := MedianFrom(0, []keyspace.Key{7}); m != 7 {
+	if m := sampling.MedianFrom(0, []keyspace.Key{7}); m != 7 {
 		t.Errorf("singleton median = %v", m)
 	}
-	if m := MedianFrom(5, nil); m != 5 {
+	if m := sampling.MedianFrom(5, nil); m != 5 {
 		t.Errorf("empty median should fall back to origin, got %v", m)
 	}
 	// Wrapping: origin 100, keys at 150, 200, 50 (50 is farthest clockwise).
-	if m := MedianFrom(100, []keyspace.Key{150, 200, 50}); m != 200 {
+	if m := sampling.MedianFrom(100, []keyspace.Key{150, 200, 50}); m != 200 {
 		t.Errorf("wrapped median = %v, want 200", m)
 	}
 }
@@ -180,8 +285,7 @@ func TestSingleNodeWalk(t *testing.T) {
 	r := ring.New(g)
 	n := g.Add(5, 4, 4)
 	r.Insert(n.ID)
-	w := NewWalker(g, rand.New(rand.NewSource(1)))
-	end, err := w.Walk(n.ID, keyspace.FullRange(), 10)
+	end, _, err := sampling.Walk(bg, g, rand.New(rand.NewSource(1)), n.ID, keyspace.FullRange(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,10 +22,10 @@ import (
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/mercury"
 	"github.com/oscar-overlay/oscar/internal/metrics"
+	"github.com/oscar-overlay/oscar/internal/partition"
 	"github.com/oscar-overlay/oscar/internal/ring"
 	"github.com/oscar-overlay/oscar/internal/rng"
 	"github.com/oscar-overlay/oscar/internal/routing"
-	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/smallworld"
 )
 
@@ -140,17 +141,16 @@ type Result struct {
 
 // Sim holds a running simulation. Methods are not safe for concurrent use.
 type Sim struct {
-	cfg    Config
-	net    *graph.Network
-	ring   *ring.Ring
-	walker *sampling.Walker
+	cfg  Config
+	net  *graph.Network
+	ring *ring.Ring
 
 	keyRand    *rand.Rand
 	capRand    *rand.Rand
 	wireRand   *rand.Rand
+	walkRand   *rand.Rand // Mercury's sampling walks
 	queryRand  *rand.Rand
 	churnRand  *rand.Rand
-	rewireSeq  int
 	lastLevels float64 // mean partition count from the latest full rewire
 }
 
@@ -189,10 +189,10 @@ func New(cfg Config) (*Sim, error) {
 		keyRand:   rng.Derive(cfg.Seed, "keys"),
 		capRand:   rng.Derive(cfg.Seed, "caps"),
 		wireRand:  rng.Derive(cfg.Seed, "wire"),
+		walkRand:  rng.Derive(cfg.Seed, "walk"),
 		queryRand: rng.Derive(cfg.Seed, "query"),
 		churnRand: rng.Derive(cfg.Seed, "churn"),
 	}
-	s.walker = sampling.NewWalker(net, rng.Derive(cfg.Seed, "walk"))
 	return s, nil
 }
 
@@ -216,21 +216,18 @@ func (s *Sim) addPeer() *graph.Node {
 	}
 	n := s.net.Add(key, maxIn, maxOut)
 	s.ring.Insert(n.ID)
-	s.wireOne(n.ID)
+	s.RewireOne(n.ID)
 	return n
 }
 
-// wireOne (re)wires a single peer's long-range links.
-func (s *Sim) wireOne(id graph.NodeID) core.WireStats {
+// RewireOne (re)wires a single peer's long-range links and returns the
+// wiring stats.
+func (s *Sim) RewireOne(id graph.NodeID) core.WireStats {
 	switch s.cfg.System {
 	case SystemOscar:
-		return core.Wire(s.net, s.ring, s.walker, id, s.cfg.Oscar, s.wireRand)
+		return WireOscar(s.net, s.ring, id, s.cfg.Oscar, s.wireRand)
 	case SystemMercury:
-		ms := mercury.Wire(s.net, s.ring, s.walker, id, s.cfg.Mercury, s.net.AliveCount(), s.wireRand)
-		return core.WireStats{
-			LinksWanted: ms.LinksWanted, LinksMade: ms.LinksMade,
-			Refusals: ms.Refusals, SampleCost: ms.SampleCost,
-		}
+		return mercury.Wire(s.net, s.ring, s.walkRand, id, s.cfg.Mercury, s.net.AliveCount(), s.wireRand)
 	case SystemKleinberg:
 		// The reference construction wires globally at RewireAll time;
 		// joining peers ride the ring until then.
@@ -238,6 +235,78 @@ func (s *Sim) wireOne(id graph.NodeID) core.WireStats {
 	default:
 		panic("sim: unknown system")
 	}
+}
+
+// WireOscar rebuilds peer id's long-range links with the Oscar
+// construction, drawing from rnd: core.Wire, or with cfg.Oracle the exact
+// borders of partition.BuildExact and exact uniform draws from the ring,
+// fed to the same slot loop (core.Relink).
+func WireOscar(net *graph.Network, rg *ring.Ring, id graph.NodeID, cfg core.Config, rnd *rand.Rand) core.WireStats {
+	p, ctx := Peer{Network: net, Ring: rg, ID: id}, context.Background()
+	var st core.WireStats
+	if cfg.Oracle {
+		_, st, _ = core.Relink(ctx, p, partition.BuildExact(net, rg, id), p.oracleDraw, cfg.PowerOfTwo, seqRand{rnd})
+	} else {
+		_, st, _ = core.Wire(ctx, p, cfg, seqRand{rnd})
+	}
+	return st
+}
+
+// seqRand is the stream of a peer whose draws run one after the other
+// (Peer.Parallel): each draws from the peer's stream itself, so no split
+// stream is seeded (seeding a math/rand source costs ~12.5 µs).
+type seqRand struct{ *rand.Rand }
+
+func (r seqRand) Split() *rand.Rand { return r.Rand }
+
+// Peer is one simulated peer as the construction's substrate
+// (core.Substrate). The graph answers at once, routing a draw to its
+// partition costs nothing (the paper's search cost does not charge it),
+// and draws run one after the other.
+type Peer struct {
+	*graph.Network
+	Ring *ring.Ring
+	ID   graph.NodeID
+}
+
+func (p Peer) Self() graph.NodeID               { return p.ID }
+func (p Peer) Key(id graph.NodeID) keyspace.Key { return p.Node(id).Key }
+func (p Peer) MaxOut() int                      { return p.Node(p.ID).MaxOut }
+func (p Peer) Release(context.Context)          { p.DropLinks(p.ID) }
+
+func (p Peer) LocalNeighbors(rg keyspace.Range) []graph.NodeID {
+	// No error: the peer wiring is alive and inside every range it walks.
+	nbrs, _ := p.Neighbors(context.Background(), p.ID, rg)
+	return nbrs
+}
+
+func (p Peer) Successor() graph.NodeID {
+	if succ := p.Node(p.ID).Succ; succ != graph.NoNode {
+		return succ
+	}
+	return p.ID
+}
+
+func (p Peer) Owner(_ context.Context, k keyspace.Key) (graph.NodeID, int, error) {
+	return p.Ring.OwnerOf(k), 0, nil
+}
+
+func (p Peer) Load(_ context.Context, id graph.NodeID) (float64, error) {
+	return p.Node(id).InLoad(), nil
+}
+
+func (p Peer) Link(_ context.Context, id graph.NodeID) error { return p.AddLink(p.ID, id) }
+
+func (p Peer) Parallel(k int, fn func(i int)) {
+	for i := range k {
+		fn(i)
+	}
+}
+
+// oracleDraw is the ablation's exact uniform draw inside rg.
+func (p Peer) oracleDraw(_ context.Context, rnd *rand.Rand, rg keyspace.Range) (graph.NodeID, int, bool) {
+	id := p.Ring.RandomAliveInRange(rnd, rg)
+	return id, 0, id != graph.NoNode
 }
 
 // GrowTo adds peers until the alive population reaches n.
@@ -253,25 +322,17 @@ func (s *Sim) AddPeer() graph.NodeID {
 	return s.addPeer().ID
 }
 
-// RewireOne rebuilds a single peer's long-range links and returns the
-// wiring stats (benchmark hook).
-func (s *Sim) RewireOne(id graph.NodeID) core.WireStats {
-	return s.wireOne(id)
-}
-
 // RewireAll rebuilds every alive peer's long-range links in random order —
 // the paper's periodic rewiring. It returns aggregate wiring stats.
 func (s *Sim) RewireAll() core.WireStats {
-	s.rewireSeq++
 	if s.cfg.System == SystemKleinberg {
-		ws := smallworld.WireAll(s.net, s.ring, s.cfg.Oscar.LinkRetries, s.wireRand)
-		return core.WireStats{LinksWanted: ws.LinksWanted, LinksMade: ws.LinksMade, Refusals: ws.Refusals}
+		return smallworld.WireAll(s.net, s.ring, smallworld.Retries, s.wireRand)
 	}
 	ids := s.net.AliveIDs()
 	s.wireRand.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	var total core.WireStats
 	for _, id := range ids {
-		st := s.wireOne(id)
+		st := s.RewireOne(id)
 		total.Add(st)
 	}
 	if len(ids) > 0 {

@@ -12,23 +12,23 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/ring"
 )
 
-// WireStats reports one wiring pass over the whole network.
-type WireStats struct {
-	LinksWanted int
-	LinksMade   int
-	Refusals    int
-}
+// Retries is the simulator's redraw budget per link slot: none, so each
+// slot gets one harmonic draw, as an Oscar slot gets one power-of-two
+// choice.
+const Retries = 0
 
 // WireAll rebuilds every alive peer's long-range links with exact
 // rank-harmonic draws: for each link, rank r is drawn from pdf(r) ∝ 1/r over
 // [1, n-1] and the peer r positions clockwise becomes the candidate. The
-// same in-degree admission rule applies; retries mirror the Oscar defaults.
-func WireAll(net *graph.Network, rg *ring.Ring, retries int, rnd *rand.Rand) WireStats {
-	var stats WireStats
+// same in-degree admission rule applies; a refused or duplicate candidate
+// is redrawn up to retries times.
+func WireAll(net *graph.Network, rg *ring.Ring, retries int, rnd *rand.Rand) core.WireStats {
+	var stats core.WireStats
 	// Snapshot the alive population in clockwise order once; positions stay
 	// valid for the whole pass because wiring changes no keys or liveness.
 	alive := rg.AliveOrdered()
@@ -45,7 +45,7 @@ func WireAll(net *graph.Network, rg *ring.Ring, retries int, rnd *rand.Rand) Wir
 		stats.LinksWanted += node.MaxOut
 		net.DropLinks(u)
 		for slot := 0; slot < node.MaxOut; slot++ {
-			if wireOne(net, alive, pos[u], retries, rnd, &stats) {
+			if wireOne(net, alive, pos[u], retries, rnd) {
 				stats.LinksMade++
 			}
 		}
@@ -53,18 +53,12 @@ func WireAll(net *graph.Network, rg *ring.Ring, retries int, rnd *rand.Rand) Wir
 	return stats
 }
 
-func wireOne(net *graph.Network, alive []graph.NodeID, upos, retries int, rnd *rand.Rand, stats *WireStats) bool {
+func wireOne(net *graph.Network, alive []graph.NodeID, upos, retries int, rnd *rand.Rand) bool {
 	n := len(alive)
 	for attempt := 0; attempt <= retries; attempt++ {
-		r := HarmonicRank(rnd, n-1)
-		cand := alive[(upos+r)%n]
-		switch err := net.AddLink(alive[upos], cand); err {
-		case nil:
+		cand := alive[(upos+HarmonicRank(rnd, n-1))%n]
+		if net.AddLink(alive[upos], cand) == nil {
 			return true
-		case graph.ErrRefused:
-			stats.Refusals++
-		default:
-			// duplicate: redraw
 		}
 	}
 	return false

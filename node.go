@@ -16,10 +16,9 @@ import (
 )
 
 // NodeConfig configures one live peer (StartNode). The wiring algorithm
-// is not tunable here: median estimation, in-partition draws and the
-// power-of-two choice run at the paper's settings (12 samples of 8 walk
-// steps, 10-step draws, two choices), the ones the graph simulator's
-// default Config uses. A lookup sends one probe per hop.
+// is not tunable here: the node runs the graph simulator's construction
+// at its default settings (12 samples of 8 walk steps per median, 10-step
+// draws, two choices). A lookup sends one probe per hop.
 type NodeConfig struct {
 	// Listen is the TCP listen address, e.g. "127.0.0.1:0" (":0" picks a
 	// free port; read the bound address back with Addr).

@@ -5,7 +5,7 @@
 // Oscar is an order-preserving (range-queriable) distributed index that
 // tolerates two kinds of real-world skew at once: arbitrary key
 // distributions (peers position themselves where the data is, so identifier
-// density mirrors data density) and heterogeneous peer capacities (every
+// density follows data density) and heterogeneous peer capacities (every
 // peer chooses its own maximum in/out link budget). Long-range links are
 // drawn from nested median-based partitions discovered by restricted random
 // walks, which realises Kleinberg's harmonic small-world distribution over
