@@ -288,15 +288,22 @@ func TestDiscoverPartitionPopulations(t *testing.T) {
 	}
 }
 
-func TestDiscoverSingletonAndPair(t *testing.T) {
+func TestDiscoverSingleton(t *testing.T) {
+	g := graph.New()
+	r := ring.New(g)
+	solo := g.Add(42, 4, 4)
+	r.Insert(solo.ID)
+	if p := discover(t, g, r, solo.ID, 1); p.Count() != 0 {
+		t.Errorf("singleton: levels = %d", p.Count())
+	}
+}
+
+func TestDiscoverPair(t *testing.T) {
 	g := graph.New()
 	r := ring.New(g)
 	a := g.Add(100, 4, 4)
-	r.Insert(a.ID)
-	if p := discover(t, g, r, a.ID, 1); p.Count() != 0 {
-		t.Errorf("singleton: levels = %d", p.Count())
-	}
 	b := g.Add(1<<60, 4, 4)
+	r.Insert(a.ID)
 	r.Insert(b.ID)
 	p := discover(t, g, r, a.ID, 1)
 	if p.Count() != 1 {
