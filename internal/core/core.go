@@ -14,7 +14,11 @@
 //
 // The construction is written once, against Substrate. The simulator runs
 // it over graph.Network (internal/sim) and the live node over RPCs
-// (internal/p2p).
+// (internal/p2p). They order its steps differently in two places: the
+// simulator reproduces the paper's simulation, dropping a peer's links
+// before discovery and letting a duplicate draw spend its slot, while the
+// live node discovers with its links up and skips such a draw (Wire,
+// Relink).
 package core
 
 import (
@@ -74,8 +78,9 @@ type Rand interface {
 // no message. Neighbors and Load (p's relative in-degree load
 // InDeg/MaxIn) are one message each; Owner routes to the owner of k and
 // reports the messages that took. Release drops the node's long-range
-// links, telling each target without waiting for its answer; Link asks p
-// to accept one, which p refuses at its in-degree cap. Parallel runs
+// links and sends each target an unlink once, in parallel, ignoring the
+// answers; Link asks p to accept one, which p refuses at its in-degree
+// cap. Parallel runs
 // fn(0) … fn(k-1), concurrently where the substrate can, and returns once
 // every one has.
 type Substrate[P comparable] interface {
@@ -119,18 +124,21 @@ func (s *WireStats) Add(o WireStats) {
 	s.PickCost += o.PickCost
 }
 
-// Wire (re)builds the node's long-range links — both the join-time wiring
-// and the periodic rewiring of §3: Discover the partitions, then Relink
-// with walk draws. Discovery walks over the current links, so it runs
-// before they are released; a rebuild that cannot start (no partition
-// border, or ctx done once discovery ends) keeps them and returns no
-// links. Otherwise Wire returns the links it made and ctx.Err().
+// Wire (re)builds the node's long-range links the way the live node does
+// — both the join-time wiring and the periodic rewiring of §3: Discover
+// the partitions, then Relink with walk draws, skipping a draw of a peer
+// already linked in the pass. Discovery walks over the current links, so
+// it runs before they are released; a rebuild that cannot start (no
+// partition border, or ctx done once discovery ends) keeps them and
+// returns no links. Otherwise Wire returns the links it made and
+// ctx.Err(). The simulator composes the same steps in the paper's order
+// instead (sim.WireOscar).
 func Wire[P comparable](ctx context.Context, s Substrate[P], cfg Config, rnd Rand) ([]P, WireStats, error) {
 	parts, msgs, err := Discover(ctx, s, cfg.Samples, rnd)
 	if err != nil {
 		return nil, WireStats{LinksWanted: s.MaxOut(), SampleCost: msgs}, err
 	}
-	out, st, err := Relink(ctx, s, parts, WalkDraw(s), cfg.PowerOfTwo, rnd)
+	out, st, err := Relink(ctx, s, parts, WalkDraw(s), cfg.PowerOfTwo, true, rnd)
 	st.SampleCost = msgs
 	return out, st, err
 }
@@ -191,17 +199,24 @@ func Discover[P comparable](ctx context.Context, s Substrate[P], samples int, rn
 
 // Relink releases the node's links and fills its MaxOut link slots from
 // parts, one Pick and one link request per slot; a refused slot stays open
-// until the next rewire. With no partition it keeps the links. It returns
-// the links made and ctx.Err().
-func Relink[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], powerOfTwo bool, rnd Rand) ([]P, WireStats, error) {
+// until the next rewire. With skipLinked a draw of a peer linked earlier
+// in the pass counts as none, so the other draw of the slot wins (the live
+// node). Without it that draw competes like any other, and if it wins,
+// Link refuses the duplicate and the slot stays open (the paper's
+// construction, which the simulator reproduces). With no partition Relink
+// keeps the links. It returns the links made and ctx.Err().
+func Relink[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], powerOfTwo, skipLinked bool, rnd Rand) ([]P, WireStats, error) {
 	st := WireStats{LinksWanted: s.MaxOut(), Levels: parts.Count()}
 	if parts.Count() == 0 {
 		return nil, st, nil
 	}
 	s.Release(ctx)
-	var out []P
+	var out, linked []P
 	for slot := 0; slot < st.LinksWanted && ctx.Err() == nil; slot++ {
-		cand, msgs, ok := Pick(ctx, s, parts, draw, out, powerOfTwo, rnd)
+		if skipLinked {
+			linked = out
+		}
+		cand, msgs, ok := Pick(ctx, s, parts, draw, linked, powerOfTwo, rnd)
 		st.PickCost += msgs
 		if ok && s.Link(ctx, cand) == nil {
 			out = append(out, cand)

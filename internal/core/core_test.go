@@ -381,3 +381,43 @@ func TestWireParallelDrawsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRelinkSkipLinked: the live node's discipline and the paper's differ
+// only on a draw of a peer linked earlier in the pass. With skipLinked the
+// other draw of the slot wins; without it the duplicate wins the load
+// comparison and its slot stays open.
+func TestRelinkSkipLinked(t *testing.T) {
+	for _, skip := range []bool{false, true} {
+		g := graph.New()
+		r := ring.New(g)
+		a := g.Add(1<<60, 4, 2)
+		b := g.Add(2<<60, 100, 4)
+		c := g.Add(3<<60, 2, 4)
+		for _, n := range []*graph.Node{a, b, c} {
+			r.Insert(n.ID)
+		}
+		if err := g.AddLink(b.ID, c.ID); err != nil { // c's load 0.5, b's ≤ 0.01
+			t.Fatal(err)
+		}
+		draws := 0
+		draw := func(context.Context, *rand.Rand, keyspace.Range) (graph.NodeID, int, bool) {
+			draws++ // each slot draws b, then c
+			if draws%2 == 1 {
+				return b.ID, 0, true
+			}
+			return c.ID, 0, true
+		}
+		p := sim.Peer{Network: g, Ring: r, ID: a.ID}
+		out, _, err := core.Relink(bg, p, partition.BuildExact(g, r, a.ID), draw, true, skip, splitRand{rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []graph.NodeID{b.ID}
+		if skip {
+			want = append(want, c.ID)
+		}
+		if !slices.Equal(out, want) {
+			t.Errorf("skipLinked=%v linked %v, want %v", skip, out, want)
+		}
+	}
+}

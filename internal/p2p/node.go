@@ -28,9 +28,9 @@ import (
 )
 
 // Config parameterises one node. The wiring is not settable: Rewire runs
-// the construction the simulator runs (core.Wire) at core.DefaultConfig,
-// with the walk lengths of core.SampleSteps and core.PickSteps, and link
-// candidates always take the power-of-two choice.
+// the Oscar construction (core.Wire) at core.DefaultConfig, with the walk
+// lengths of core.SampleSteps and core.PickSteps, and link candidates
+// always take the power-of-two choice.
 type Config struct {
 	// Key is the node's position on the identifier circle.
 	Key keyspace.Key

@@ -1182,10 +1182,6 @@ func (n *Node) Rewire(ctx context.Context) error {
 	return err
 }
 
-// Substrate returns the node as the Oscar construction's substrate, for
-// driving its walks and draws directly.
-func (n *Node) Substrate() core.Substrate[transport.PeerRef] { return wiring{n} }
-
 // wiring is the node as the construction's substrate (core.Substrate):
 // every question about another peer is one RPC, a link request retries
 // once on overload, and the node's own neighbours are read locally.

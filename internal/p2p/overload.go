@@ -159,12 +159,6 @@ func (n *Node) fanoutReadRetry(ctx context.Context, addrs []transport.Addr, req 
 	return n.fanout(ctx, addrs, req, (*Node).readRetry)
 }
 
-// callOnce is one plain CallCtx: no retry, no self-dispatch.
-func (n *Node) callOnce(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, int, error) {
-	resp, err := n.tr.CallCtx(ctx, addr, req)
-	return resp, 1, err
-}
-
 // fanout runs call against every addr in parallel (see parallel: the last
 // leg on the caller's goroutine, the others on resident legs) and returns
 // the per-peer results in input order with the legs' summed sends. Every

@@ -238,17 +238,23 @@ func (s *Sim) RewireOne(id graph.NodeID) core.WireStats {
 }
 
 // WireOscar rebuilds peer id's long-range links with the Oscar
-// construction, drawing from rnd: core.Wire, or with cfg.Oracle the exact
-// borders of partition.BuildExact and exact uniform draws from the ring,
-// fed to the same slot loop (core.Relink).
+// construction, drawing from rnd, in the order of the paper's simulation:
+// the peer drops its links before it discovers its borders, and a draw of
+// a peer it already links competes and spends its slot (core.Relink
+// without skipLinked). The live node's core.Wire keeps its links up while
+// it discovers and skips such a draw. With cfg.Oracle the exact borders of
+// partition.BuildExact and exact uniform draws from the ring feed the same
+// slot loop.
 func WireOscar(net *graph.Network, rg *ring.Ring, id graph.NodeID, cfg core.Config, rnd *rand.Rand) core.WireStats {
 	p, ctx := Peer{Network: net, Ring: rg, ID: id}, context.Background()
-	var st core.WireStats
+	net.DropLinks(id)
 	if cfg.Oracle {
-		_, st, _ = core.Relink(ctx, p, partition.BuildExact(net, rg, id), p.oracleDraw, cfg.PowerOfTwo, seqRand{rnd})
-	} else {
-		_, st, _ = core.Wire(ctx, p, cfg, seqRand{rnd})
+		_, st, _ := core.Relink(ctx, p, partition.BuildExact(net, rg, id), p.oracleDraw, cfg.PowerOfTwo, false, seqRand{rnd})
+		return st
 	}
+	parts, msgs, _ := core.Discover(ctx, p, cfg.Samples, seqRand{rnd})
+	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw[graph.NodeID](p), cfg.PowerOfTwo, false, seqRand{rnd})
+	st.SampleCost = msgs
 	return st
 }
 

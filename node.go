@@ -16,9 +16,10 @@ import (
 )
 
 // NodeConfig configures one live peer (StartNode). The wiring algorithm
-// is not tunable here: the node runs the graph simulator's construction
-// at its default settings (12 samples of 8 walk steps per median, 10-step
-// draws, two choices). A lookup sends one probe per hop.
+// is not tunable here: the node runs the Oscar construction of
+// internal/core, the one the graph simulator runs, at its default
+// settings (12 samples of 8 walk steps per median, 10-step draws, two
+// choices). A lookup sends one probe per hop.
 type NodeConfig struct {
 	// Listen is the TCP listen address, e.g. "127.0.0.1:0" (":0" picks a
 	// free port; read the bound address back with Addr).
