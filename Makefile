@@ -97,15 +97,18 @@ examples:
 # adds the fan-out's resident legs (TestFanoutLegs*: a put at r=2 starts
 # no leg and sequential puts at r=3 keep one, Close leaves none, 16
 # concurrent writers share them, a cancelled fan-out still fills every
-# slot and counts every send) and the seeded link pick
+# slot and counts every send), the seeded link pick
 # (TestPickCandidateSeedDeterministic: one seed picks one long-link
-# candidate however the two parallel draws interleave). The
+# candidate however the two parallel draws interleave) and the live walk
+# (TestWalkGolden: every op's owner, cost and error and the messages sent
+# over a ring with crashed, unstabilised peers match the committed
+# record). The
 # storage package contributes the store contract that every backend's
 # answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
 # store spanning several blocks agrees with a map model on every read, page,
 # digest and WAL replay).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|FuzzDecodeRequest|FuzzDecodeResponse
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
 

@@ -51,31 +51,6 @@ func builtNetwork(b *testing.B, system sim.System) *sim.Sim {
 	return s
 }
 
-// lookupLoop times b.N greedy lookups on a prepared network and reports the
-// average search cost.
-func lookupLoop(b *testing.B, s *sim.Sim, faulty bool) {
-	b.Helper()
-	qr := rng.Derive(7, b.Name())
-	totalCost := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		from := s.Ring().RandomAlive(qr)
-		target := s.Net().Node(s.Ring().RandomAlive(qr)).Key
-		var res routing.Result
-		if faulty {
-			res = routing.GreedyBacktrack(s.Net(), s.Ring(), from, target)
-		} else {
-			res = routing.Greedy(s.Net(), s.Ring(), from, target)
-		}
-		if !res.Found {
-			b.Fatal("lookup failed")
-		}
-		totalCost += res.Cost()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(totalCost)/float64(b.N), "cost/query")
-}
-
 // BenchmarkWirePeer times one full Oscar rewiring of a single peer
 // (partition discovery by walks + link acquisition).
 func BenchmarkWirePeer(b *testing.B) {
@@ -121,17 +96,24 @@ func BenchmarkMedianEstimation(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyRouting times one fault-free lookup.
+// BenchmarkGreedyRouting times one fault-free lookup and reports the
+// average search cost.
 func BenchmarkGreedyRouting(b *testing.B) {
 	s := builtNetwork(b, sim.SystemOscar)
-	lookupLoop(b, s, false)
-}
-
-// BenchmarkBacktrackRouting times one lookup with the churn-capable router
-// on a healthy network (its overhead over plain greedy).
-func BenchmarkBacktrackRouting(b *testing.B) {
-	s := builtNetwork(b, sim.SystemOscar)
-	lookupLoop(b, s, true)
+	qr := rng.Derive(7, b.Name())
+	totalCost := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := s.Ring().RandomAlive(qr)
+		target := s.Net().Node(s.Ring().RandomAlive(qr)).Key
+		res := sim.Route(s.Net(), from, target, routing.Clockwise)
+		if !res.Found {
+			b.Fatal("lookup failed")
+		}
+		totalCost += res.Cost()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(totalCost)/float64(b.N), "cost/query")
 }
 
 // BenchmarkRingOwnerLookup times the ring ownership primitive.

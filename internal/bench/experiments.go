@@ -50,7 +50,7 @@ func (h *Harness) Fig1b() error {
 		if err != nil {
 			return err
 		}
-		m := s.Measure(false)
+		m := s.Measure()
 		loads := m.RelativeLoads
 		tab.AddRow(caps.Name(), m.DegreeVolume,
 			metrics.Percentile(loads, 0.10), metrics.Percentile(loads, 0.25),
@@ -97,14 +97,14 @@ func (h *Harness) churnFigure(name string, caps degreedist.Distribution) error {
 		if err != nil {
 			return err
 		}
-		healthy := s.Measure(false)
+		healthy := s.Measure()
 		s.Churn(0.10)
-		at10 := s.Measure(true)
+		at10 := s.Measure()
 		// Top up to 33% of the original population.
 		remaining := float64(s.Net().AliveCount())
 		extra := (0.33 - 0.10) * float64(size) / remaining
 		s.Churn(extra)
-		at33 := s.Measure(true)
+		at33 := s.Measure()
 		tab.AddRow(size, healthy.AvgSearchCost, at10.AvgSearchCost, at33.AvgSearchCost,
 			at33.AvgProbes, at33.AvgBacktracks)
 	}
@@ -136,7 +136,7 @@ func (h *Harness) Volume() error {
 		if err != nil {
 			return err
 		}
-		m := s.Measure(false)
+		m := s.Measure()
 		tab.AddRow(system.String(), m.DegreeVolume, m.AvgSearchCost, m.AvgLinksMade)
 	}
 	return h.emit("volume", tab)
@@ -180,7 +180,7 @@ func (h *Harness) AblationP2C() error {
 		if err != nil {
 			return err
 		}
-		m := s.Measure(false)
+		m := s.Measure()
 		sum := metrics.Summarize(m.RelativeLoads)
 		tab.AddRow(p2c, m.DegreeVolume,
 			metrics.Percentile(m.RelativeLoads, 0.10),
@@ -203,7 +203,7 @@ func (h *Harness) AblationSamples() error {
 			return err
 		}
 		ws := s.RewireAll() // rewire once more to measure steady-state sampling cost
-		m := s.Measure(false)
+		m := s.Measure()
 		tab.AddRow(samples, m.AvgSearchCost, m.Search.P90, m.DegreeVolume,
 			float64(ws.SampleCost)/float64(h.Scale.Target))
 	}
@@ -223,7 +223,7 @@ func (h *Harness) AblationOracle() error {
 		if err != nil {
 			return err
 		}
-		m := s.Measure(false)
+		m := s.Measure()
 		name := "sampled"
 		if oracle {
 			name = "oracle"

@@ -20,7 +20,8 @@ func (h *Harness) AblationRouting() error {
 		return err
 	}
 	tab := metrics.NewTable("router", "churn", "avg_cost", "p90", "probes/query", "backtracks/query", "failed")
-	measure := func(name string, churned bool, route func() routing.Result) {
+	qr := rng.Derive(h.Seed, "ablation-routing")
+	measure := func(name string, churned bool, disc routing.Discipline) {
 		queries := h.Scale.Target
 		if queries > 4000 {
 			queries = 4000
@@ -28,7 +29,9 @@ func (h *Harness) AblationRouting() error {
 		var costs []float64
 		var probes, backtracks, failed int
 		for i := 0; i < queries; i++ {
-			res := route()
+			from := s.Ring().RandomAlive(qr)
+			target := s.Net().Node(s.Ring().RandomAlive(qr)).Key
+			res := sim.Route(s.Net(), from, target, disc)
 			if !res.Found {
 				failed++
 				continue
@@ -46,21 +49,9 @@ func (h *Harness) AblationRouting() error {
 			float64(probes)/float64(queries), float64(backtracks)/float64(queries), failed)
 	}
 
-	qr := rng.Derive(h.Seed, "ablation-routing")
 	run := func(churned bool) {
-		measure("clockwise", churned, func() routing.Result {
-			from := s.Ring().RandomAlive(qr)
-			target := s.Net().Node(s.Ring().RandomAlive(qr)).Key
-			if churned {
-				return routing.GreedyBacktrack(s.Net(), s.Ring(), from, target)
-			}
-			return routing.Greedy(s.Net(), s.Ring(), from, target)
-		})
-		measure("bidirectional", churned, func() routing.Result {
-			from := s.Ring().RandomAlive(qr)
-			target := s.Net().Node(s.Ring().RandomAlive(qr)).Key
-			return routing.GreedyBidirectional(s.Net(), s.Ring(), from, target)
-		})
+		measure("clockwise", churned, routing.Clockwise)
+		measure("bidirectional", churned, routing.Circular)
 	}
 	run(false)
 	s.Churn(0.33)
@@ -83,7 +74,7 @@ func (h *Harness) AccessSkew() error {
 	}
 	tab := metrics.NewTable("target_popularity", "avg_cost", "transit_p50", "transit_p90", "transit_p99", "transit_max")
 	for _, skew := range []float64{0, 0.8, 1.2} {
-		m := s.MeasureLoad(false, skew)
+		m := s.MeasureLoad(skew)
 		name := "uniform"
 		if skew > 0 {
 			name = fmt.Sprintf("zipf(%.1f)", skew)

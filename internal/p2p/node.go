@@ -22,6 +22,7 @@ import (
 	"github.com/oscar-overlay/oscar/internal/antientropy"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/routecache"
+	"github.com/oscar-overlay/oscar/internal/routing"
 	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
 	"github.com/oscar-overlay/oscar/internal/wal"
@@ -982,9 +983,10 @@ func (n *Node) neighborsLocked(rg keyspace.Range) *transport.Response {
 // findOwnerLocked answers one iterative routing step: if this node owns the
 // key, Found is true (and Peers carries the owner's replica chain, so the
 // querier can fall back through it if the owner crashes before the data
-// RPC); otherwise Peer is the best non-overshooting next hop not in the
-// query's exclude set. With every useful neighbour excluded it reports no
-// route (OK=false) and the querier backtracks.
+// RPC); otherwise Peer is the next hop routing.Rank picks, clockwise, from
+// the successor list and the out-links, skipping the query's exclude set.
+// With every useful neighbour excluded it reports no route (OK=false) and
+// the querier backtracks.
 //
 // A Found answer also carries the owned arc, so the querier can cache one
 // route for every key of it — but only from a node with a real, distinct
@@ -1000,50 +1002,14 @@ func (n *Node) findOwnerLocked(key keyspace.Key, exclude []transport.Addr) *tran
 		}
 		return resp
 	}
-	excluded := func(a transport.Addr) bool {
-		for _, x := range exclude {
-			if x == a {
-				return true
-			}
-		}
-		return false
-	}
-	// The successor owns the key when it lies in (self, succ].
-	if key.BetweenIncl(n.self.Key, succ.Key) {
-		if excluded(succ.Addr) {
-			return &transport.Response{OK: false, Err: "no route"}
-		}
-		return &transport.Response{OK: true, Found: false, Peer: succ}
-	}
-	toTarget := n.self.Key.Distance(key)
-	var best transport.PeerRef
-	bestProgress := uint64(0)
-	if !excluded(succ.Addr) {
-		best = succ
-		if d := n.self.Key.Distance(succ.Key); d <= toTarget {
-			bestProgress = d
-		}
-	}
-	// Successor-list tails and long-range links compete on clockwise
-	// progress alike.
-	cands := n.out
-	if len(n.succs) > 1 {
-		cands = append(append([]transport.PeerRef(nil), n.succs[1:]...), n.out...)
-	}
-	for _, ref := range cands {
-		if excluded(ref.Addr) {
-			continue
-		}
-		d := n.self.Key.Distance(ref.Key)
-		if d == 0 || d > toTarget {
-			continue
-		}
-		if d > bestProgress || best.Addr == "" {
-			best, bestProgress = ref, d
-		}
-	}
-	if best.Addr == "" {
+	v := routing.View[transport.PeerRef]{Self: n.self, Pred: n.pred, Succs: n.succs, Out: n.out}
+	next, ans := routing.Rank(v, peerKey, key, func(p transport.PeerRef) bool {
+		return slices.Contains(exclude, p.Addr)
+	}, routing.Clockwise)
+	if ans != routing.Hop {
 		return &transport.Response{OK: false, Err: "no route"}
 	}
-	return &transport.Response{OK: true, Found: false, Peer: best}
+	return &transport.Response{OK: true, Found: false, Peer: next}
 }
+
+func peerKey(p transport.PeerRef) keyspace.Key { return p.Key }

@@ -9,17 +9,13 @@ import (
 
 	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/routing"
 	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
 // maxRouteHops bounds an iterative lookup; only a broken ring exhausts it.
 const maxRouteHops = 4096
-
-// backtrackFan is how many backtrack candidates a lookup probes for
-// liveness in parallel after a hop fails: consecutive dead peers cost one
-// overlapped timeout instead of one timeout each.
-const backtrackFan = 4
 
 // ErrNoRoute reports that routing exhausted every candidate path to the
 // key's owner (all useful neighbours dead or excluded, or the hop budget
@@ -644,15 +640,15 @@ func carried(op *transport.Request, key keyspace.Key, exclude []transport.Addr) 
 	return &req
 }
 
-// walk iteratively routes to the owner of key starting at a given peer,
-// and — given an op — has the owner run it on the hop that reaches it, so
-// a data op costs its routing hops and nothing more. The query carries
-// the knowledge it gathers: peers discovered dead (or routeless for this
-// key) go into an exclude set that visited peers honour, and the walk
-// backtracks when its current peer is exhausted — the live analogue of
-// the simulator's backtracking router. Backtrack candidates are
-// liveness-probed in parallel, so a run of dead peers costs one overlapped
-// timeout instead of a serial timeout each.
+// walk routes to the owner of key starting at a given peer, and — given
+// an op — has the owner run it on the hop that reaches it, so a data op
+// costs its routing hops and nothing more. It runs the router the
+// simulator runs (routing.Walk) over find_owner steps: peers discovered
+// dead, or routeless for this key, go into an exclude set that visited
+// peers honour, and the walk backtracks when its current peer is
+// exhausted. Backtrack candidates are liveness-probed in parallel, so a
+// run of dead peers costs one overlapped timeout instead of a serial
+// timeout each.
 //
 // The op rides only where it can run: on the step this node computes
 // itself (dispatched in-process, see callRetry) and on a hop whose target
@@ -670,116 +666,104 @@ func carried(op *transport.Request, key keyspace.Key, exclude []transport.Addr) 
 // cancellation surfaces as ctx.Err() rather than being mistaken for a dead
 // peer, so a cancelled multi-hop walk stops issuing RPCs immediately.
 func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key, op *transport.Request) (route, int, error) {
-	cur := start
-	// curKey is cur's position when the walk knows it (a backtrack lands
-	// on a bare address); named says the previous responder gave cur as
-	// the key's owner.
-	curKey, curKeyed, named := n.self.Key, start == n.self.Addr, false
-	cost := 0
-	var bad []transport.Addr   // dead or routeless peers
-	var stack []transport.Addr // peers to backtrack to
-	for hop := 0; hop < maxRouteHops; hop++ {
-		if err := ctx.Err(); err != nil {
-			return route{}, cost, err
-		}
-		var probe *transport.Request
-		call, carriesWrite := n.readRetry, false
-		if op != nil && (cur == n.self.Addr || named) {
-			probe = carried(op, key, bad)
-			if op.Op == transport.OpPut || op.Op == transport.OpDelete {
-				call, carriesWrite = n.callRetry, true
-			}
-		} else {
-			probe = &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
-		}
-		// A message is charged where it is sent, retries included; a step
-		// this node takes on itself — the walk's first, or a later one when
-		// churn routes the walk back through its entry node — is dispatched
-		// in-process (callRetry) and costs nothing.
-		resp, sends, err := call(ctx, cur, probe)
-		cost += sends
-		if err != nil || !resp.OK {
-			if cerr := ctx.Err(); cerr != nil {
-				return route{}, cost, cerr
-			}
-			if errors.Is(err, transport.ErrOverloaded) {
-				// The hop shed both the call and its retry. The peer is
-				// alive — excluding it would route every later query around
-				// a functioning node — so surface the backpressure and let
-				// the caller decide to retry the whole operation.
-				return route{}, cost, fmt.Errorf("p2p: lookup via %s: %w", cur, err)
-			}
-			if err != nil && carriesWrite {
-				// The write may have run with its ack lost: re-sending it
-				// anywhere could apply it twice.
-				return route{}, cost, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Op, err)
-			}
-			bad = append(bad, cur) // a dead probe or an exhausted peer
-			named, curKeyed = false, false
-			next, probeCost := n.backtrack(ctx, &stack, &bad)
-			cost += probeCost
-			if cerr := ctx.Err(); cerr != nil {
-				return route{}, cost, cerr
-			}
-			if next == "" {
-				return route{}, cost, fmt.Errorf("%w to %v", ErrNoRoute, key)
-			}
-			cur = next
-			continue
-		}
-		if resp.Found {
-			return route{owner: resp.Peer, chain: resp.Peers, arc: resp.Arc, result: resp.Result}, cost, nil
-		}
-		stack = append(stack, cur)
-		named = curKeyed && key.BetweenIncl(curKey, resp.Peer.Key)
-		cur, curKey, curKeyed = resp.Peer.Addr, resp.Peer.Key, true
+	w := &walker{n: n, ctx: ctx, op: op, curKey: n.self.Key, curKeyed: start == n.self.Addr}
+	res, err := routing.Walk[transport.Addr](w, start, key, maxRouteHops)
+	switch {
+	case res.Found:
+		return w.rt, w.cost, nil
+	case errors.Is(err, routing.ErrBudget):
+		return route{}, w.cost, fmt.Errorf("%w to %v: hop budget exhausted", ErrNoRoute, key)
+	case err != nil:
+		return route{}, w.cost, err
+	case ctx.Err() != nil:
+		return route{}, w.cost, ctx.Err()
 	}
-	return route{}, cost, fmt.Errorf("%w to %v: hop budget exhausted", ErrNoRoute, key)
+	return route{}, w.cost, fmt.Errorf("%w to %v", ErrNoRoute, key)
 }
 
-// backtrack returns the deepest live peer on the stack, probing up to
-// backtrackFan candidates per round with a parallel ping fanout. Peers
-// found dead move to the query's exclude set; live-but-shallower peers go
-// back on the stack for later rounds. It returns "" when the stack is
-// exhausted, plus the number of probe messages spent.
-func (n *Node) backtrack(ctx context.Context, stack *[]transport.Addr, bad *[]transport.Addr) (transport.Addr, int) {
-	cost := 0
-	for len(*stack) > 0 {
-		if ctx.Err() != nil {
-			return "", cost
-		}
-		k := backtrackFan
-		if k > len(*stack) {
-			k = len(*stack)
-		}
-		cands := append([]transport.Addr(nil), (*stack)[len(*stack)-k:]...)
-		*stack = (*stack)[:len(*stack)-k]
-		results, sends := n.fanoutReadRetry(ctx, cands, &transport.Request{Op: transport.OpPing})
-		cost += sends
-		if ctx.Err() != nil {
-			return "", cost // cancelled probes prove nothing about the peers
-		}
-		chosen := -1
-		for i := k - 1; i >= 0; i-- { // deepest (most recently pushed) first
-			if aliveResult(results[i]) {
-				chosen = i
-				break
-			}
-		}
-		for i := 0; i < k; i++ {
-			switch {
-			case i == chosen:
-			case aliveResult(results[i]):
-				*stack = append(*stack, cands[i]) // alive: keep as a fallback
-			default:
-				*bad = append(*bad, cands[i])
-			}
-		}
-		if chosen >= 0 {
-			return cands[chosen], cost
-		}
+// walker is the node as the router's substrate (routing.Substrate): Ask is
+// one find_owner step, Alive one parallel ping fan-out. It counts the
+// messages the walk sends and keeps the route the owner's Found answer
+// carried.
+type walker struct {
+	n    *Node
+	ctx  context.Context
+	op   *transport.Request
+	cost int
+	rt   route
+	// curKey is the asked peer's position when the walk knows it (a
+	// backtrack lands on a bare address); named says the previous
+	// responder gave the asked peer as the key's owner.
+	curKey          keyspace.Key
+	curKeyed, named bool
+}
+
+func (w *walker) Ask(cur transport.Addr, key keyspace.Key, bad []transport.Addr) (transport.Addr, routing.Answer, error) {
+	if err := w.ctx.Err(); err != nil {
+		return "", 0, err
 	}
-	return "", cost
+	n, op := w.n, w.op
+	var probe *transport.Request
+	call, carriesWrite := n.readRetry, false
+	if op != nil && (cur == n.self.Addr || w.named) {
+		probe = carried(op, key, bad)
+		if op.Op == transport.OpPut || op.Op == transport.OpDelete {
+			call, carriesWrite = n.callRetry, true
+		}
+	} else {
+		probe = &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
+	}
+	// A message is charged where it is sent, retries included; a step
+	// this node takes on itself — the walk's first, or a later one when
+	// churn routes the walk back through its entry node — is dispatched
+	// in-process (callRetry) and costs nothing.
+	resp, sends, err := call(w.ctx, cur, probe)
+	w.cost += sends
+	if err != nil || !resp.OK {
+		if cerr := w.ctx.Err(); cerr != nil {
+			return "", 0, cerr
+		}
+		if errors.Is(err, transport.ErrOverloaded) {
+			// The hop shed both the call and its retry. The peer is
+			// alive — excluding it would route every later query around
+			// a functioning node — so surface the backpressure and let
+			// the caller decide to retry the whole operation.
+			return "", 0, fmt.Errorf("p2p: lookup via %s: %w", cur, err)
+		}
+		if err != nil && carriesWrite {
+			// The write may have run with its ack lost: re-sending it
+			// anywhere could apply it twice.
+			return "", 0, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Op, err)
+		}
+		w.named, w.curKeyed = false, false
+		if err != nil {
+			return "", routing.Silent, nil
+		}
+		return "", routing.NoRoute, nil
+	}
+	if resp.Found {
+		w.rt = route{owner: resp.Peer, chain: resp.Peers, arc: resp.Arc, result: resp.Result}
+		return cur, routing.Owned, nil
+	}
+	w.named = w.curKeyed && key.BetweenIncl(w.curKey, resp.Peer.Key)
+	w.curKey, w.curKeyed = resp.Peer.Key, true
+	return resp.Peer.Addr, routing.Hop, nil
+}
+
+func (w *walker) Alive(addrs []transport.Addr) ([]bool, error) {
+	if err := w.ctx.Err(); err != nil {
+		return nil, err
+	}
+	results, sends := w.n.fanoutReadRetry(w.ctx, addrs, &transport.Request{Op: transport.OpPing})
+	w.cost += sends
+	if err := w.ctx.Err(); err != nil {
+		return nil, err // cancelled probes prove nothing about the peers
+	}
+	alive := make([]bool, len(results))
+	for i, r := range results {
+		alive[i] = aliveResult(r)
+	}
+	return alive, nil
 }
 
 // resolveRead resolves key → owner + replica chain for a read and runs

@@ -1,230 +1,252 @@
-// Package routing implements greedy key lookup over the overlay, in two
-// flavours:
+// Package routing is the overlay's key lookup, written once: Rank picks a
+// peer's next hop toward a key from the peer's own view, and Walk drives a
+// lookup from peer to peer. The simulator (internal/sim) runs it over the
+// graph, the live node (internal/p2p) over find_owner and ping messages.
 //
-//   - Greedy: the fault-free clockwise greedy of Chord/Symphony-style rings —
-//     forward to the neighbour closest to the target without overshooting.
-//     With Oscar's harmonic links the expected cost is O(log N) and the
-//     worst case O(log² N), as the paper states.
-//
-//   - GreedyBacktrack: the paper's §3 modification for faulty networks. A
-//     peer does not know remotely whether a neighbour is alive; trying a
-//     dead one costs a probe message ("wasted traffic"), and when every
-//     useful neighbour of the current peer is dead or already visited, the
-//     query backtracks to the previous peer and continues from its next-best
-//     option.
+// A peer does not know remotely whether a neighbour is alive: asking a dead
+// one costs a probe message ("wasted traffic"), and a peer whose useful
+// neighbours are all dead or excluded sends the query back to the peer
+// before it, which continues from its next-best option. That is the
+// paper's §3 modification of greedy routing for faulty networks; on a
+// healthy network the walk is plain greedy forwarding, with O(log N)
+// expected hops over Oscar's harmonic links and O(log² N) worst case.
 //
 // Search cost is counted in messages: forward moves plus dead probes plus
 // backtrack moves, which is the metric behind Figures 1(c) and 2.
 package routing
 
 import (
-	"fmt"
+	"errors"
 
-	"github.com/oscar-overlay/oscar/internal/graph"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
-	"github.com/oscar-overlay/oscar/internal/ring"
 )
 
+// Discipline selects how Rank orders a peer's candidate next hops.
+type Discipline int
+
+const (
+	// Clockwise forwards over the successor list and the out-links to the
+	// candidate with the largest clockwise progress that does not
+	// overshoot the key, as in Chord and Symphony.
+	Clockwise Discipline = iota
+	// Circular also forwards over the predecessor and the in-links (a link
+	// is a route in both directions once it exists), to the candidate
+	// circularly closest to the key. Every hop must strictly shorten that
+	// distance, except a hop to the successor.
+	Circular
+)
+
+// View is one peer's routing state: itself, its predecessor, its
+// successor list (immediate successor first; empty when the peer is
+// alone) and its long-range out- and in-links.
+type View[P comparable] struct {
+	Self, Pred P
+	Succs      []P
+	Out, In    []P
+}
+
+// Answer is what an asked peer tells a walk.
+type Answer int
+
+const (
+	// Owned: the asked peer owns the key.
+	Owned Answer = iota
+	// Hop: the asked peer names its next hop.
+	Hop
+	// NoRoute: every next hop the asked peer would take is excluded.
+	NoRoute
+	// Silent: the asked peer did not answer. Rank never returns it.
+	Silent
+)
+
+// Rank answers a walk toward k at v.Self, skipping the peers excluded
+// reports; keyOf gives a peer's key. The peer owns k when k lies in
+// (pred, self] or the peer is alone. Its successor owns k when k lies in
+// (self, succ], and then the answer is that successor, or NoRoute when it
+// is excluded. Otherwise the answer is the best candidate under disc, or
+// NoRoute when there is none.
+func Rank[P comparable](v View[P], keyOf func(P) keyspace.Key, k keyspace.Key, excluded func(P) bool, disc Discipline) (P, Answer) {
+	var none P
+	if len(v.Succs) == 0 || v.Succs[0] == v.Self {
+		return v.Self, Owned
+	}
+	self, succ := keyOf(v.Self), v.Succs[0]
+	if k.BetweenIncl(keyOf(v.Pred), self) {
+		return v.Self, Owned
+	}
+	if k.BetweenIncl(self, keyOf(succ)) {
+		if excluded(succ) {
+			return none, NoRoute
+		}
+		return succ, Hop
+	}
+	// left is the distance to k a hop to p leaves, and ok whether the
+	// discipline lets p be a hop.
+	var left func(p P) (uint64, bool)
+	if disc == Circular {
+		dist := self.CircularDistance(k)
+		left = func(p P) (uint64, bool) {
+			d := keyOf(p).CircularDistance(k)
+			return d, d < dist
+		}
+	} else {
+		toKey := self.Distance(k)
+		left = func(p P) (uint64, bool) {
+			d := self.Distance(keyOf(p))
+			return toKey - d, d > 0 && d <= toKey
+		}
+	}
+	best, bestLeft, found := none, uint64(0), false
+	try := func(p P, anyway bool) {
+		if excluded(p) {
+			return
+		}
+		if l, ok := left(p); (ok || anyway) && (!found || l < bestLeft) {
+			best, bestLeft, found = p, l, true
+		}
+	}
+	try(succ, true)
+	for _, p := range v.Succs[1:] {
+		try(p, false)
+	}
+	for _, p := range v.Out {
+		try(p, false)
+	}
+	if disc == Circular {
+		for _, p := range v.In {
+			try(p, false)
+		}
+		try(v.Pred, false)
+	}
+	if !found {
+		return none, NoRoute
+	}
+	return best, Hop
+}
+
+// Substrate is the network a walk runs over.
+type Substrate[P comparable] interface {
+	// Ask asks p for its next hop toward k, telling it the peers the walk
+	// excludes. An error ends the walk.
+	Ask(p P, k keyspace.Key, exclude []P) (P, Answer, error)
+	// Alive probes ps at once and reports which answered. An error ends
+	// the walk.
+	Alive(ps []P) ([]bool, error)
+}
+
 // Result reports one lookup.
-type Result struct {
-	// Found is false only when the hop budget ran out.
+type Result[P comparable] struct {
+	// Found is false when the walk ran out of route or of budget.
 	Found bool
-	// Owner is the peer responsible for the target key.
-	Owner graph.NodeID
-	// Hops counts successful forward moves.
+	// Owner is the peer the walk ended at, the key's owner when Found.
+	Owner P
+	// Hops counts forward moves to peers that answered.
 	Hops int
-	// Probes counts messages sent to dead neighbours (churn only).
+	// Probes counts peers that did not answer.
 	Probes int
-	// Backtracks counts moves back to a previous peer (churn only).
+	// Backtracks counts moves back from a peer that had no route.
 	Backtracks int
-	// Path lists the peers visited, starting with the source.
-	Path []graph.NodeID
+	// Path lists the peers the query moved through, starting with the
+	// source.
+	Path []P
 }
 
 // Cost returns the total message count: hops + probes + backtracks.
-func (r Result) Cost() int { return r.Hops + r.Probes + r.Backtracks }
+func (r Result[P]) Cost() int { return r.Hops + r.Probes + r.Backtracks }
 
-// maxHopsFor bounds a lookup: generous enough that only a broken topology
-// hits it (the ring alone resolves any lookup in aliveCount hops).
-func maxHopsFor(aliveCount int) int { return 4*aliveCount + 16 }
+// ErrBudget reports a walk that asked its whole budget of peers without
+// reaching the owner: only a broken topology runs out.
+var ErrBudget = errors.New("routing: hop budget exhausted")
 
-// Greedy routes from the source peer towards the owner of target using
-// clockwise non-overshooting greedy forwarding over ring successors and
-// long-range links. All links are assumed alive (fault-free networks).
-func Greedy(net *graph.Network, rg *ring.Ring, from graph.NodeID, target keyspace.Key) Result {
-	res := Result{Owner: rg.OwnerOf(target), Path: []graph.NodeID{from}}
-	cur := from
-	budget := maxHopsFor(net.AliveCount())
-	for cur != res.Owner {
-		if res.Hops >= budget {
-			return res // Found stays false: topology is broken
+// backtrackFan is how many stack entries a backtrack probes at once:
+// consecutive dead peers cost one overlapped timeout instead of one each.
+const backtrackFan = 4
+
+// Walk routes from start toward the owner of k, asking at most budget
+// peers. A peer that names a hop goes on the stack and the walk asks the
+// hop. A peer that does not answer, or answers NoRoute, joins the excluded
+// peers every later ask carries, and the walk resumes at the deepest stack
+// entry that answers a liveness probe. Resuming at the peer that named a
+// dead hop is not a move: the query never left it. The walk returns the
+// substrate's error as is, and ErrBudget when the budget runs out.
+func Walk[P comparable](s Substrate[P], start P, k keyspace.Key, budget int) (Result[P], error) {
+	w := walk[P]{s: s, res: Result[P]{Owner: start, Path: []P{start}}}
+	cur, hopped := start, false // hopped: a hop named cur, which has not answered yet
+	for range budget {
+		w.res.Owner = cur
+		next, ans, err := s.Ask(cur, k, w.exclude)
+		if err != nil {
+			return w.res, err
 		}
-		next := bestGreedyHop(net, cur, target)
-		cur = next
-		res.Hops++
-		res.Path = append(res.Path, cur)
-	}
-	res.Found = true
-	return res
-}
-
-// bestGreedyHop picks the neighbour with the largest clockwise progress that
-// does not overshoot the target. The successor is always a candidate, and
-// when nothing else qualifies it is the fallback: in that case no alive peer
-// lies between cur and target, so the successor is the owner.
-func bestGreedyHop(net *graph.Network, cur graph.NodeID, target keyspace.Key) graph.NodeID {
-	n := net.Node(cur)
-	toTarget := n.Key.Distance(target)
-	best := n.Succ
-	bestProgress := uint64(0)
-	if d := n.Key.Distance(net.Node(n.Succ).Key); d <= toTarget {
-		bestProgress = d
-	}
-	for _, t := range n.Out {
-		tn := net.Node(t)
-		if !tn.Alive {
+		if ans == Silent {
+			w.res.Probes++
+		} else if hopped {
+			w.res.Hops++
+			w.res.Path = append(w.res.Path, cur)
+		}
+		switch ans {
+		case Owned:
+			w.res.Found = true
+			return w.res, nil
+		case Hop:
+			w.stack = append(w.stack, cur)
+			cur, hopped = next, true
 			continue
 		}
-		d := n.Key.Distance(tn.Key)
-		if d == 0 || d > toTarget {
-			continue // no progress, or overshoots the target
+		w.exclude = append(w.exclude, cur)
+		back, ok, err := w.backtrack()
+		if err != nil || !ok {
+			return w.res, err
 		}
-		if d > bestProgress {
-			best, bestProgress = t, d
+		if ans == NoRoute {
+			w.res.Backtracks++
+			w.res.Path = append(w.res.Path, back)
 		}
+		cur, hopped = back, false
 	}
-	return best
+	return w.res, ErrBudget
 }
 
-// GreedyBacktrack routes under churn. Liveness of long-range neighbours is
-// unknown until probed; the query carries the knowledge it gathers (visited
-// peers, discovered-dead peers) and depth-first-searches the overlay in
-// greedy preference order. Ring pointers always lead to alive peers (the
-// self-stabilised ring), so the search always terminates at the owner given
-// enough budget.
-func GreedyBacktrack(net *graph.Network, rg *ring.Ring, from graph.NodeID, target keyspace.Key) Result {
-	res := Result{Owner: rg.OwnerOf(target), Path: []graph.NodeID{from}}
-	budget := maxHopsFor(net.AliveCount())
-
-	visited := map[graph.NodeID]bool{from: true}
-	knownDead := map[graph.NodeID]bool{}
-	var stack []graph.NodeID // peers we can backtrack to
-	cur := from
-
-	for cur != res.Owner {
-		if res.Cost() >= budget {
-			return res
-		}
-		next, probes := nextAliveCandidate(net, cur, target, visited, knownDead)
-		res.Probes += probes
-		if next == graph.NoNode {
-			// Dead end: every useful neighbour is dead or visited.
-			if len(stack) == 0 {
-				// The source itself is exhausted; the lookup fails only if
-				// the budget runs out first — keep trying via the ring by
-				// walking to the successor even if visited.
-				succ := net.Node(cur).Succ
-				if visited[succ] {
-					return res // fully wedged (cannot happen on a stitched ring)
-				}
-				visited[succ] = true
-				cur = succ
-				res.Hops++
-				res.Path = append(res.Path, cur)
-				continue
-			}
-			cur = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			res.Backtracks++
-			res.Path = append(res.Path, cur)
-			continue
-		}
-		visited[next] = true
-		stack = append(stack, cur)
-		cur = next
-		res.Hops++
-		res.Path = append(res.Path, cur)
-	}
-	res.Found = true
-	return res
+// walk is one lookup's state: the peers it excludes and the peers it can
+// backtrack to, deepest last.
+type walk[P comparable] struct {
+	s              Substrate[P]
+	res            Result[P]
+	exclude, stack []P
 }
 
-// nextAliveCandidate returns the best unvisited alive neighbour of cur in
-// greedy preference order (largest non-overshooting clockwise progress
-// first), probing stale links along the way. It returns the number of dead
-// probes spent; NoNode means cur is exhausted.
-func nextAliveCandidate(net *graph.Network, cur graph.NodeID, target keyspace.Key,
-	visited, knownDead map[graph.NodeID]bool) (graph.NodeID, int) {
-
-	n := net.Node(cur)
-	toTarget := n.Key.Distance(target)
-
-	type cand struct {
-		id       graph.NodeID
-		progress uint64
-	}
-	var cands []cand
-	addCand := func(t graph.NodeID) {
-		if t == graph.NoNode || t == cur || visited[t] || knownDead[t] {
-			return
+// backtrack pops the deepest live stack entry, probing up to backtrackFan
+// entries per round. Dead entries join the excluded peers and count as
+// probes; live shallower ones go back on the stack. ok is false when the
+// stack runs out.
+func (w *walk[P]) backtrack() (back P, ok bool, err error) {
+	for len(w.stack) > 0 {
+		k := min(backtrackFan, len(w.stack))
+		cands := append([]P(nil), w.stack[len(w.stack)-k:]...)
+		w.stack = w.stack[:len(w.stack)-k]
+		alive, err := w.s.Alive(cands)
+		if err != nil {
+			return back, false, err
 		}
-		d := n.Key.Distance(net.Node(t).Key)
-		if d == 0 || d > toTarget {
-			return
-		}
-		for _, c := range cands {
-			if c.id == t {
-				return
+		chosen := -1 // the deepest live entry
+		for i := range k {
+			if alive[i] {
+				chosen = i
 			}
 		}
-		cands = append(cands, cand{t, d})
-	}
-	for _, t := range n.Out {
-		addCand(t)
-	}
-	addCand(n.Succ) // the ring is part of the candidate set
-	// The successor is special: if the target lies between cur and succ,
-	// succ is the owner; allow it even though it "overshoots".
-	succ := n.Succ
-	if !visited[succ] && target.BetweenIncl(n.Key, net.Node(succ).Key) {
-		found := false
-		for _, c := range cands {
-			if c.id == succ {
-				found = true
-				break
+		for i, p := range cands {
+			switch {
+			case i == chosen:
+			case alive[i]:
+				w.stack = append(w.stack, p)
+			default:
+				w.exclude = append(w.exclude, p)
+				w.res.Probes++
 			}
 		}
-		if !found {
-			cands = append(cands, cand{succ, 0})
+		if chosen >= 0 {
+			return cands[chosen], true, nil
 		}
 	}
-
-	// Try candidates in descending progress order (insertion sort: the list
-	// is at most a node's degree).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].progress > cands[j-1].progress; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	probes := 0
-	for _, c := range cands {
-		if net.Node(c.id).Alive {
-			return c.id, probes
-		}
-		probes++
-		knownDead[c.id] = true
-	}
-	return graph.NoNode, probes
-}
-
-// Validate checks that a Result path is a connected walk over the network —
-// a self-check used by tests and the simulator's paranoid mode.
-func Validate(net *graph.Network, res Result) error {
-	if len(res.Path) == 0 {
-		return fmt.Errorf("routing: empty path")
-	}
-	if res.Found && res.Path[len(res.Path)-1] != res.Owner {
-		return fmt.Errorf("routing: found lookup does not end at owner")
-	}
-	return nil
+	return back, false, nil
 }

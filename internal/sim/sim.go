@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/oscar-overlay/oscar/internal/churn"
@@ -113,8 +114,8 @@ type Measurement struct {
 	AvgSearchCost float64
 	// Search summarises the per-lookup costs.
 	Search metrics.Summary
-	// Failed counts lookups that exhausted their hop budget (0 in healthy
-	// networks).
+	// Failed counts lookups that found no route or exhausted their hop
+	// budget (0 on a stitched ring).
 	Failed int
 	// AvgHops, AvgProbes, AvgBacktracks decompose the cost under churn.
 	AvgHops, AvgProbes, AvgBacktracks float64
@@ -353,9 +354,47 @@ func (s *Sim) Churn(fraction float64) []graph.NodeID {
 	return churn.KillFraction(s.net, s.ring, fraction, s.churnRand)
 }
 
-// Measure runs lookups and collects the checkpoint metrics. faulty selects
-// the backtracking router (churned networks); otherwise plain greedy.
-func (s *Sim) Measure(faulty bool) Measurement {
+// Route routes a lookup for k from peer from over net with the one router
+// (routing.Walk), ranking next hops by disc. A peer answers with
+// routing.Rank over its own view, and liveness comes from the graph, so a
+// stale link to a crashed peer costs a probe and a dead end a backtrack.
+// Only a broken topology exhausts the budget of 4N+16 asks: the ring alone
+// resolves any lookup in N hops.
+func Route(net *graph.Network, from graph.NodeID, k keyspace.Key, disc routing.Discipline) routing.Result[graph.NodeID] {
+	res, _ := routing.Walk[graph.NodeID](router{net, disc}, from, k, 4*net.AliveCount()+16)
+	return res
+}
+
+// router is the graph as the router's substrate (routing.Substrate).
+type router struct {
+	net  *graph.Network
+	disc routing.Discipline
+}
+
+func (r router) Ask(p graph.NodeID, k keyspace.Key, exclude []graph.NodeID) (graph.NodeID, routing.Answer, error) {
+	n := r.net.Node(p)
+	if !n.Alive {
+		return graph.NoNode, routing.Silent, nil
+	}
+	v := routing.View[graph.NodeID]{Self: p, Pred: n.Pred, Succs: []graph.NodeID{n.Succ}, Out: n.Out, In: n.In}
+	next, ans := routing.Rank(v, r.key, k, func(q graph.NodeID) bool { return slices.Contains(exclude, q) }, r.disc)
+	return next, ans, nil
+}
+
+func (r router) Alive(ids []graph.NodeID) ([]bool, error) {
+	alive := make([]bool, len(ids))
+	for i, id := range ids {
+		alive[i] = r.net.Node(id).Alive
+	}
+	return alive, nil
+}
+
+func (r router) key(id graph.NodeID) keyspace.Key { return r.net.Node(id).Key }
+
+// Measure routes one clockwise lookup per query between random alive peers
+// and collects the checkpoint metrics. On a churned network the lookups
+// probe stale links and backtrack out of dead ends.
+func (s *Sim) Measure() Measurement {
 	queries := s.cfg.QueriesPerMeasure
 	if queries <= 0 {
 		queries = s.net.AliveCount()
@@ -367,12 +406,7 @@ func (s *Sim) Measure(faulty bool) Measurement {
 	for i := 0; i < queries; i++ {
 		from := s.ring.RandomAlive(s.queryRand)
 		target := s.net.Node(s.ring.RandomAlive(s.queryRand)).Key
-		var res routing.Result
-		if faulty {
-			res = routing.GreedyBacktrack(s.net, s.ring, from, target)
-		} else {
-			res = routing.Greedy(s.net, s.ring, from, target)
-		}
+		res := Route(s.net, from, target, routing.Clockwise)
 		if !res.Found {
 			m.Failed++
 			continue
@@ -423,7 +457,7 @@ func (s *Sim) Measure(faulty bool) Measurement {
 // modelling a hot range of popular items; skew 0 means uniform. The
 // returned Measurement additionally carries the Transit summary (per-peer
 // forwarded lookups per query).
-func (s *Sim) MeasureLoad(faulty bool, skew float64) Measurement {
+func (s *Sim) MeasureLoad(skew float64) Measurement {
 	queries := s.cfg.QueriesPerMeasure
 	if queries <= 0 {
 		queries = s.net.AliveCount()
@@ -446,12 +480,7 @@ func (s *Sim) MeasureLoad(faulty bool, skew float64) Measurement {
 			}
 			target = s.net.Node(alive[r]).Key
 		}
-		var res routing.Result
-		if faulty {
-			res = routing.GreedyBacktrack(s.net, s.ring, from, target)
-		} else {
-			res = routing.Greedy(s.net, s.ring, from, target)
-		}
+		res := Route(s.net, from, target, routing.Clockwise)
 		if !res.Found {
 			m.Failed++
 			continue
@@ -500,7 +529,7 @@ func (s *Sim) Run() (*Result, error) {
 		if err := s.CheckInvariants(); err != nil {
 			return res, fmt.Errorf("sim: invariant violation at size %d: %w", cp, err)
 		}
-		res.Checkpoints = append(res.Checkpoints, s.Measure(false))
+		res.Checkpoints = append(res.Checkpoints, s.Measure())
 	}
 	return res, nil
 }

@@ -187,7 +187,7 @@ func TestChurnMeasurement(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	healthy := s.Measure(false)
+	healthy := s.Measure()
 	victims := s.Churn(0.33)
 	if len(victims) != 165 {
 		t.Fatalf("killed %d, want 165", len(victims))
@@ -195,7 +195,7 @@ func TestChurnMeasurement(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	faulty := s.Measure(true)
+	faulty := s.Measure()
 	if faulty.Failed != 0 {
 		t.Errorf("%d failed lookups under churn", faulty.Failed)
 	}

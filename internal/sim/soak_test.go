@@ -45,7 +45,7 @@ func TestLifecycleSoak(t *testing.T) {
 		s.GrowTo(size)
 		check("grow", size)
 
-		m := s.Measure(false)
+		m := s.Measure()
 		if m.Failed != 0 {
 			t.Fatalf("cycle %d: %d failed lookups before churn", cycle, m.Failed)
 		}
@@ -53,7 +53,7 @@ func TestLifecycleSoak(t *testing.T) {
 		s.Churn(0.15)
 		check("churn", s.Net().AliveCount())
 
-		m = s.Measure(true)
+		m = s.Measure()
 		if m.Failed != 0 {
 			t.Fatalf("cycle %d: %d failed lookups under churn", cycle, m.Failed)
 		}
@@ -80,7 +80,7 @@ func TestLifecycleSoak(t *testing.T) {
 			t.Fatalf("cycle %d: %d stale links survived rewiring", cycle, stale)
 		}
 
-		m = s.Measure(false)
+		m = s.Measure()
 		if m.Failed != 0 {
 			t.Fatalf("cycle %d: %d failed lookups after heal", cycle, m.Failed)
 		}
@@ -108,7 +108,7 @@ func TestGrowOnChurnedNetwork(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	m := s.Measure(true)
+	m := s.Measure()
 	if m.Failed != 0 {
 		t.Fatalf("%d failures growing on a churned network", m.Failed)
 	}

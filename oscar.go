@@ -62,7 +62,7 @@ type Range = keyspace.Range
 type NodeID = graph.NodeID
 
 // Route is the outcome of one lookup, including the message-cost breakdown.
-type Route = routing.Result
+type Route = routing.Result[NodeID]
 
 // Measurement is a full metrics snapshot (search cost, degree volume,
 // relative loads) as used by the paper's experiments.
@@ -256,7 +256,7 @@ func (o *Overlay) Crash(fraction float64) int {
 func (o *Overlay) Lookup(key Key) Route {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lookupFromLocked(o.sim.Ring().RandomAlive(o.rnd), key)
+	return sim.Route(o.sim.Net(), o.sim.Ring().RandomAlive(o.rnd), key, routing.Clockwise)
 }
 
 // LookupFrom routes to the owner of key from a specific peer. On a network
@@ -265,14 +265,7 @@ func (o *Overlay) Lookup(key Key) Route {
 func (o *Overlay) LookupFrom(from NodeID, key Key) Route {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lookupFromLocked(from, key)
-}
-
-func (o *Overlay) lookupFromLocked(from NodeID, key Key) Route {
-	if o.sim.Net().Len() > o.sim.Net().AliveCount() {
-		return routing.GreedyBacktrack(o.sim.Net(), o.sim.Ring(), from, key)
-	}
-	return routing.Greedy(o.sim.Net(), o.sim.Ring(), from, key)
+	return sim.Route(o.sim.Net(), from, key, routing.Clockwise)
 }
 
 // Measure runs the paper's measurement pass: lookups between random peers
@@ -280,7 +273,7 @@ func (o *Overlay) lookupFromLocked(from NodeID, key Key) Route {
 func (o *Overlay) Measure() Measurement {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.sim.Measure(o.sim.Net().Len() > o.sim.Net().AliveCount())
+	return o.sim.Measure()
 }
 
 // CheckInvariants verifies graph and ring consistency (used by tests).
