@@ -170,7 +170,7 @@ const backtrackFan = 4
 // dead hop is not a move: the query never left it. The walk returns the
 // substrate's error as is, and ErrBudget when the budget runs out.
 func Walk[P comparable](s Substrate[P], start P, k keyspace.Key, budget int) (Result[P], error) {
-	w := walk[P]{s: s, res: Result[P]{Owner: start, Path: []P{start}}}
+	w := walk[P]{s: s, res: Result[P]{Path: []P{start}}}
 	cur, hopped := start, false // hopped: a hop named cur, which has not answered yet
 	for range budget {
 		w.res.Owner = cur
