@@ -16,8 +16,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The full output is also kept in race.txt (CI uploads it when the job
+# fails); pipefail keeps the test's exit status through the tee.
+race: SHELL := /bin/bash
 race:
-	$(GO) test -race $(RACE_PKGS)
+	set -o pipefail; $(GO) test -race $(RACE_PKGS) 2>&1 | tee race.txt
 
 # Fuzz smoke: 15 s of new inputs for each fuzzer that guards a byte format,
 # one invocation per target (-fuzz takes one). The decode fuzzers re-encode

@@ -281,8 +281,6 @@ type options struct {
 	antiEntropy      time.Duration
 	dataDir          string
 	transportWrapper func(transport.Transport) transport.Transport
-	routeCacheSize   int
-	routeCacheTTL    time.Duration
 }
 
 // Option customises StartCluster. The zero configuration boots nodes on
@@ -357,20 +355,6 @@ func WithTransportWrapper(wrap func(transport.Transport) transport.Transport) Op
 // changes still trigger the same incremental repair from stabilisation.
 func WithAntiEntropy(interval time.Duration) Option {
 	return func(o *options) { o.antiEntropy = interval }
-}
-
-// WithRouteCache configures the per-node route cache: an LRU of
-// owner+chain resolutions that lets data operations skip the routing
-// walk on a hit. size counts arcs — an entry covers the owner's whole
-// arc, so one walk serves every key the owner holds. Entries are
-// TTL-aged, flushed on every membership change the node observes, and —
-// decisively — every hit is re-validated against the ring (the write ops'
-// ownership gate, one direct find_owner for reads) before being trusted,
-// so a stale entry costs one wasted RPC, never a wrong answer. size 0
-// keeps the default (128); size < 0 disables the cache. ttl 0 keeps the
-// default (2s); ttl < 0 disables aging.
-func WithRouteCache(size int, ttl time.Duration) Option {
-	return func(o *options) { o.routeCacheSize, o.routeCacheTTL = size, ttl }
 }
 
 func buildOptions(opts []Option) options {

@@ -62,8 +62,6 @@ func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, erro
 			WriteConcern:    o.writeConcern,
 			AutoMaintenance: o.autoMaintenance,
 			AntiEntropy:     o.antiEntropy,
-			RouteCacheSize:  o.routeCacheSize,
-			RouteCacheTTL:   o.routeCacheTTL,
 			Seed:            o.seed + int64(i),
 			WrapTransport:   o.transportWrapper,
 		}

@@ -35,8 +35,9 @@
 // owner+chain acknowledgements and fail (with the achieved/required
 // counts) when fewer arrive — the write still holds wherever it was
 // acked; -anti-entropy sets how often it digest-syncs that chain in
-// the background (repairing divergence without re-shipping arcs) and
-// -tombstone-ttl bounds how long deletes are remembered for that repair.
+// the background (repairing divergence without re-shipping arcs). Deletes
+// are remembered for that repair for ten intervals, and at least ten
+// minutes.
 //
 //	# durable writes: 3 copies, majority acks required
 //	oscar-node -listen 127.0.0.1:7001 -key 0.10 -replicas 3 -write-concern 2
@@ -53,9 +54,11 @@
 //
 // With -tls-cert/-tls-key every connection — the listener and all dials —
 // runs over TLS. All ring members must use TLS, and a fleet can share one
-// self-signed certificate (it doubles as the trust root). -max-inflight
-// caps in-flight calls per connection and concurrently running handlers,
-// shedding the excess deterministically instead of queueing without bound.
+// self-signed certificate (it doubles as the trust root). The transport
+// itself is fixed: 2 pooled connections per peer, a 5 s per-call timeout,
+// idle connections reaped after 60 s, and at most 256 calls in flight per
+// connection and handlers running at once, the excess shed
+// deterministically instead of queued without bound.
 //
 // With -daemon the node skips the stdin command loop and runs until a
 // signal arrives — the mode for containers and process supervisors, where
@@ -117,16 +120,9 @@ func main() {
 		maxOut      = flag.Int("max-out", 16, "out-link budget (ρmax_out)")
 		replicas    = flag.Int("replicas", 1, "replication factor r: copies on the owner's r-1 ring successors")
 		writeCon    = flag.Int("write-concern", 1, "owner+chain acks a put/delete must collect (1 = owner only; clamped to -replicas)")
-		antiEntropy = flag.Duration("anti-entropy", time.Minute, "digest-sync the replica chain this often (0 = manual `sync` only; needs -replicas > 1 and a running maintenance loop)")
-		tombTTL     = flag.Duration("tombstone-ttl", 10*time.Minute, "remember deletes this long for anti-entropy repair")
-		routeCache  = flag.Int("route-cache", 0, "route-cache size in arcs, one per owner (0 = default 128, negative = disabled); hits are always re-validated against the ring")
-		routeTTL    = flag.Duration("route-cache-ttl", 0, "route-cache entry TTL (0 = default 2s, negative = no aging)")
+		antiEntropy = flag.Duration("anti-entropy", time.Minute, "digest-sync the replica chain this often (0 = manual `sync` only; needs -replicas > 1 and a running maintenance loop); deletes are remembered for 10 intervals, at least 10m")
 		interval    = flag.Duration("stabilize", 2*time.Second, "stabilisation interval (0 = manual)")
 		rewireEvery = flag.Int("rewire-every", 5, "rebuild long links every N stabilisations (0 = manual)")
-		poolSize    = flag.Int("pool", 2, "persistent connections per peer")
-		callTimeout = flag.Duration("call-timeout", 5*time.Second, "per-RPC timeout")
-		idleTimeout = flag.Duration("idle-timeout", 60*time.Second, "reap pooled connections idle this long")
-		maxInflight = flag.Int("max-inflight", 0, "backpressure cap: calls in flight per connection and concurrent handlers (0 = default 256); excess inbound requests are shed")
 		tlsCert     = flag.String("tls-cert", "", "PEM certificate; with -tls-key, all connections are TLS (every ring member must use TLS, and the certificate doubles as the trust root)")
 		tlsKey      = flag.String("tls-key", "", "PEM private key for -tls-cert")
 		dataDir     = flag.String("data-dir", "", "data directory for the WAL + snapshots (empty = memory only)")
@@ -181,25 +177,18 @@ func main() {
 	}
 
 	node, err := oscar.StartNode(oscar.NodeConfig{
-		Listen:         *listen,
-		Key:            key,
-		MaxIn:          *maxIn,
-		MaxOut:         *maxOut,
-		Replicas:       *replicas,
-		WriteConcern:   *writeCon,
-		AntiEntropy:    *antiEntropy,
-		TombstoneTTL:   *tombTTL,
-		RouteCacheSize: *routeCache,
-		RouteCacheTTL:  *routeTTL,
-		Seed:           time.Now().UnixNano(),
-		PoolSize:       *poolSize,
-		CallTimeout:    *callTimeout,
-		IdleTimeout:    *idleTimeout,
-		MaxInflight:    *maxInflight,
-		TLS:            tlsConf,
-		DataDir:        *dataDir,
-		Fsync:          *fsync,
-		WrapTransport:  wrap,
+		Listen:        *listen,
+		Key:           key,
+		MaxIn:         *maxIn,
+		MaxOut:        *maxOut,
+		Replicas:      *replicas,
+		WriteConcern:  *writeCon,
+		AntiEntropy:   *antiEntropy,
+		Seed:          time.Now().UnixNano(),
+		TLS:           tlsConf,
+		DataDir:       *dataDir,
+		Fsync:         *fsync,
+		WrapTransport: wrap,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -28,28 +28,23 @@ import (
 	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
-// Config tunes the Mercury wiring algorithm.
-type Config struct {
-	// Buckets is the histogram resolution over the identifier space.
-	Buckets int
-	// Samples is the number of uniform peer samples used to fill the
+// Mercury's parameters, scaled to the experiment sizes: k ≈ log n samples
+// would be too few to fill the histogram, so Mercury uses on the order of
+// 50–100 samples per node.
+const (
+	// histBuckets is the histogram resolution over the identifier space.
+	histBuckets = 50
+	// histSamples is the number of uniform peer samples used to fill the
 	// histogram.
-	Samples int
-	// WalkSteps is the walk length per sample.
-	WalkSteps int
-	// LinkRetries is how many fresh harmonic draws a node spends on a link
-	// slot after a refusal. The default of 1 gives Mercury the same
+	histSamples = 60
+	// walkSteps is the walk length per sample.
+	walkSteps = 10
+	// linkRetries is how many fresh harmonic draws a node spends on a link
+	// slot after a refusal. One gives Mercury the same
 	// two-candidates-per-slot budget Oscar's power-of-two rule uses, and
 	// lands at the paper's ≈61% exploited degree volume.
-	LinkRetries int
-}
-
-// DefaultConfig follows Mercury's published parameters scaled to the
-// experiment sizes: k ≈ log n samples would be too few to fill the
-// histogram, so Mercury uses on the order of 50–100 samples per node.
-func DefaultConfig() Config {
-	return Config{Buckets: 50, Samples: 60, WalkSteps: 10, LinkRetries: 1}
-}
+	linkRetries = 1
+)
 
 // Histogram is Mercury's uniform-resolution estimate of the key density.
 type Histogram struct {
@@ -128,7 +123,7 @@ func (h *Histogram) InvertFrom(from keyspace.Key, f float64) keyspace.Key {
 // the simulator supplies the true count because estimator error is not what
 // the comparison measures. The sampling walk draws from walk.
 func Wire(net *graph.Network, rg *ring.Ring, walk *rand.Rand, u graph.NodeID,
-	cfg Config, nAlive int, rnd *rand.Rand) core.WireStats {
+	nAlive int, rnd *rand.Rand) core.WireStats {
 
 	node := net.Node(u)
 	stats := core.WireStats{LinksWanted: node.MaxOut}
@@ -141,16 +136,16 @@ func Wire(net *graph.Network, rg *ring.Ring, walk *rand.Rand, u graph.NodeID,
 	// no call of this walk: u is alive, and ctx never ends.
 	ctx, full := context.Background(), keyspace.FullRange()
 	nbrs, _ := net.Neighbors(ctx, u, full)
-	samples, cost, _ := sampling.SampleChain(ctx, net, walk, u, nbrs, full, cfg.Samples, cfg.WalkSteps)
+	samples, cost, _ := sampling.SampleChain(ctx, net, walk, u, nbrs, full, histSamples, walkSteps)
 	stats.SampleCost = cost
 	keys := make([]keyspace.Key, len(samples))
 	for i, id := range samples {
 		keys[i] = net.Node(id).Key
 	}
-	hist := NewHistogram(cfg.Buckets, keys)
+	hist := NewHistogram(histBuckets, keys)
 
 	for slot := 0; slot < node.MaxOut; slot++ {
-		if acquireLink(net, rg, u, hist, cfg, nAlive, rnd) {
+		if acquireLink(net, rg, u, hist, nAlive, rnd) {
 			stats.LinksMade++
 		}
 	}
@@ -160,10 +155,10 @@ func Wire(net *graph.Network, rg *ring.Ring, walk *rand.Rand, u graph.NodeID,
 // acquireLink draws harmonic rank distances until a link sticks or retries
 // run out; a refused or duplicate candidate is redrawn.
 func acquireLink(net *graph.Network, rg *ring.Ring, u graph.NodeID, hist *Histogram,
-	cfg Config, nAlive int, rnd *rand.Rand) bool {
+	nAlive int, rnd *rand.Rand) bool {
 
 	node := net.Node(u)
-	for attempt := 0; attempt <= cfg.LinkRetries; attempt++ {
+	for attempt := 0; attempt <= linkRetries; attempt++ {
 		// Harmonic draw over rank distance [1, n-1]: pdf(d) ∝ 1/d, via
 		// d = exp(U · ln(n-1)) (Symphony's construction).
 		d := math.Exp(rnd.Float64() * math.Log(float64(nAlive-1)))

@@ -129,7 +129,7 @@ func TestWireRespectsCaps(t *testing.T) {
 	walk := rand.New(rand.NewSource(6))
 	rnd := rand.New(rand.NewSource(7))
 	for _, id := range g.AliveIDs() {
-		Wire(g, r, walk, id, DefaultConfig(), g.AliveCount(), rnd)
+		Wire(g, r, walk, id, g.AliveCount(), rnd)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestWireMakesMostLinks(t *testing.T) {
 	rnd := rand.New(rand.NewSource(10))
 	var stats core.WireStats
 	for _, id := range g.AliveIDs() {
-		st := Wire(g, r, walk, id, DefaultConfig(), g.AliveCount(), rnd)
+		st := Wire(g, r, walk, id, g.AliveCount(), rnd)
 		stats.Add(st)
 	}
 	if float64(stats.LinksMade) < 0.5*float64(stats.LinksWanted) {
@@ -161,7 +161,7 @@ func TestWireMakesMostLinks(t *testing.T) {
 func TestWireTinyNetwork(t *testing.T) {
 	g, r := buildPopulation(t, 2, 4, keydist.Uniform{}, 11)
 	walk := rand.New(rand.NewSource(12))
-	stats := Wire(g, r, walk, g.AliveIDs()[0], DefaultConfig(), 2, rand.New(rand.NewSource(13)))
+	stats := Wire(g, r, walk, g.AliveIDs()[0], 2, rand.New(rand.NewSource(13)))
 	// n=2: the only candidate is the other peer; link should usually form.
 	if stats.LinksWanted != 4 {
 		t.Errorf("wanted = %d", stats.LinksWanted)
@@ -174,7 +174,7 @@ func TestWireTinyNetwork(t *testing.T) {
 func TestWireSingleton(t *testing.T) {
 	g, r := buildPopulation(t, 1, 4, keydist.Uniform{}, 14)
 	walk := rand.New(rand.NewSource(15))
-	stats := Wire(g, r, walk, g.AliveIDs()[0], DefaultConfig(), 1, rand.New(rand.NewSource(16)))
+	stats := Wire(g, r, walk, g.AliveIDs()[0], 1, rand.New(rand.NewSource(16)))
 	if stats.LinksMade != 0 {
 		t.Error("singleton cannot link")
 	}

@@ -420,10 +420,10 @@ func (n *Node) gcReplicas(ctx context.Context) int {
 	return len(n.replStore.ExtractRange(outside)) + len(n.replStore.ExtractTombstones(outside))
 }
 
-// gcTombstones collects tombstones older than the configured TTL from both
+// gcTombstones collects tombstones older than the tombstone TTL from both
 // stores.
 func (n *Node) gcTombstones() int {
-	cutoff := time.Now().Add(-n.cfg.TombstoneTTL).UnixNano()
+	cutoff := time.Now().Add(-n.cfg.tombstoneTTL()).UnixNano()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.store.GCTombstones(cutoff) + n.replStore.GCTombstones(cutoff)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/storage"
@@ -447,5 +448,39 @@ func BenchmarkAntiEntropySync(b *testing.B) {
 		if stats := owner.AntiEntropy(bg); stats.KeysPushed != diverged {
 			b.Fatalf("pushed %d, want %d", stats.KeysPushed, diverged)
 		}
+	}
+}
+
+// TestTombstoneGC runs the node's collector over primary and replica
+// tombstones stamped in the past: a delete is remembered for ten minutes,
+// or for ten anti-entropy intervals when that is longer.
+func TestTombstoneGC(t *testing.T) {
+	for _, tc := range []struct {
+		antiEntropy   time.Duration
+		collect, keep time.Duration // tombstone ages
+	}{
+		{0, 11 * time.Minute, 9 * time.Minute},
+		{2 * time.Minute, 21 * time.Minute, 15 * time.Minute},
+	} {
+		t.Run(fmt.Sprint("anti-entropy=", tc.antiEntropy), func(t *testing.T) {
+			n := mustNode(t, transport.NewFabric().Endpoint(), Config{Key: 1, Seed: 1, Replicas: 2, AntiEntropy: tc.antiEntropy})
+			t.Cleanup(func() { _ = n.Close() })
+			now := time.Now()
+			for _, s := range []*storage.Store{&n.store, &n.replStore} {
+				s.DeleteAt(10, now.Add(-tc.collect).UnixNano())
+				s.DeleteAt(20, now.Add(-tc.keep).UnixNano())
+			}
+			if got := n.gcTombstones(); got != 2 {
+				t.Errorf("collected %d tombstones, want 2", got)
+			}
+			for name, s := range map[string]*storage.Store{"primary": &n.store, "replica": &n.replStore} {
+				if _, ok := s.Tombstone(10); ok {
+					t.Errorf("%s: the %s-old tombstone survived", name, tc.collect)
+				}
+				if _, ok := s.Tombstone(20); !ok {
+					t.Errorf("%s: the %s-old tombstone was collected", name, tc.keep)
+				}
+			}
+		})
 	}
 }

@@ -105,11 +105,12 @@ func (c *countingTransport) reset() {
 // The fabric comes back too, for tests that add a peer later.
 func carryRing(t *testing.T, size int, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
 	t.Helper()
-	return countedRing(t, size, Config{RouteCacheSize: -1}, rewire, wrap)
+	return countedRing(t, size, Config{}, false, rewire, wrap)
 }
 
-// countedRing is carryRing with the routing and cache settings of base.
-func countedRing(t *testing.T, size int, base Config, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
+// countedRing is carryRing with the settings of base, and with the route
+// cache on when cached.
+func countedRing(t *testing.T, size int, base Config, cached, rewire bool, wrap func(transport.Transport) transport.Transport) ([]*Node, []*countingTransport, *transport.Fabric) {
 	t.Helper()
 	fabric := transport.NewFabric()
 	var nodes []*Node
@@ -123,6 +124,9 @@ func countedRing(t *testing.T, size int, base Config, rewire bool, wrap func(tra
 		cfg := base
 		cfg.Key, cfg.MaxIn, cfg.MaxOut, cfg.Seed = keyspace.FromFloat(float64(i)/float64(size)), 8, 8, int64(i)
 		n := mustNode(t, tr, cfg)
+		if !cached {
+			uncached(n)
+		}
 		if i > 0 {
 			if err := n.Join(bg, nodes[0].Self().Addr); err != nil {
 				t.Fatal(err)
@@ -326,7 +330,7 @@ func (s shedReplicate) CallCtx(ctx context.Context, addr transport.Addr, req *tr
 // the writer put on the fabric.
 func TestCarriedPutShedPushCost(t *testing.T) {
 	var armed atomic.Bool
-	nodes, trs, _ := countedRing(t, 4, Config{RouteCacheSize: -1, Replicas: 2}, false, func(inner transport.Transport) transport.Transport {
+	nodes, trs, _ := countedRing(t, 4, Config{Replicas: 2}, false, false, func(inner transport.Transport) transport.Transport {
 		return shedReplicate{Transport: inner, armed: &armed}
 	})
 	entry, tr := nodes[0], trs[0]
@@ -398,10 +402,10 @@ func TestTCPStoresExactValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := mustNode(t, ep, Config{
+		n := uncached(mustNode(t, ep, Config{
 			Key: keyspace.FromFloat(float64(i) / size), MaxIn: 8, MaxOut: 8, Seed: int64(i),
-			Replicas: 2, RouteCacheSize: -1,
-		})
+			Replicas: 2,
+		}))
 		t.Cleanup(func() { _ = n.Close() })
 		if i > 0 {
 			if err := n.Join(bg, nodes[0].Self().Addr); err != nil {
@@ -495,7 +499,7 @@ func TestCarriedOpStaleSafety(t *testing.T) {
 			entry := nodes[0]
 			k, old := remoteKey(t, nodes, entry)
 			jtr := newCountingTransport(fabric.Endpoint())
-			joiner := mustNode(t, jtr, Config{Key: k, MaxIn: 8, MaxOut: 8, Seed: 99, RouteCacheSize: -1})
+			joiner := uncached(mustNode(t, jtr, Config{Key: k, MaxIn: 8, MaxOut: 8, Seed: 99}))
 			t.Cleanup(func() { _ = joiner.Close() })
 			for _, tr := range trs {
 				tr.reset()

@@ -25,6 +25,13 @@ func mustNode(tb testing.TB, tr transport.Transport, cfg Config) *Node {
 	return n
 }
 
+// uncached switches n's route cache off before n sends anything: a nil
+// cache never hits, so every op pays its walk.
+func uncached(n *Node) *Node {
+	n.routes = nil
+	return n
+}
+
 // scanned is what scanAll collected: the items in clockwise key order, the
 // total message cost and how many peers' shards were visited.
 type scanned struct {

@@ -31,7 +31,9 @@ import (
 // Config parameterises one node. The wiring is not settable: Rewire runs
 // the Oscar construction (core.Wire) at core.DefaultConfig, with the walk
 // lengths of core.SampleSteps and core.PickSteps, and link candidates
-// always take the power-of-two choice.
+// always take the power-of-two choice. Nor is the route cache
+// (routeCacheArcs arcs aged by routeCacheTTL), and the tombstone TTL is
+// derived from AntiEntropy (tombstoneTTL).
 type Config struct {
 	// Key is the node's position on the identifier circle.
 	Key keyspace.Key
@@ -55,13 +57,9 @@ type Config struct {
 	// replica chain every interval, repairing divergence that no membership
 	// change surfaced (a replica that missed a write push, a delete that
 	// raced a crash). Zero leaves periodic sync off; membership-change
-	// repair in Stabilize still runs.
+	// repair in Stabilize still runs. Deletes are remembered for ten
+	// intervals, and at least ten minutes.
 	AntiEntropy time.Duration
-	// TombstoneTTL bounds how long a delete is remembered for anti-entropy
-	// purposes. It must exceed the anti-entropy interval by a comfortable
-	// margin: a tombstone only needs to survive until every replica has
-	// applied it. Default 10 minutes.
-	TombstoneTTL time.Duration
 	// Seed drives the node's local randomness.
 	Seed int64
 	// DataDir, when non-empty, makes the node durable: every storage
@@ -74,17 +72,6 @@ type Config struct {
 	// Never; Interval fsyncs every wal.DefaultFsyncInterval). Only
 	// meaningful with DataDir set.
 	Fsync wal.Policy
-	// RouteCacheSize bounds the per-node LRU of owner+chain resolutions,
-	// counted in arcs: an entry covers the owner's whole arc (pred, owner],
-	// so a hit on any key of it lets data ops skip the routing walk. Every
-	// hit is re-validated against the ring (ownership gates for writes, a
-	// direct find_owner for reads) before being trusted, so a stale entry
-	// costs one wasted RPC, never a wrong answer. 0 means the default
-	// (128 arcs); negative disables the cache.
-	RouteCacheSize int
-	// RouteCacheTTL ages route-cache entries (default 2s); <0 disables
-	// aging.
-	RouteCacheTTL time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -103,16 +90,29 @@ func (c *Config) fillDefaults() {
 	if c.WriteConcern > c.Replicas {
 		c.WriteConcern = c.Replicas
 	}
-	if c.TombstoneTTL == 0 {
-		c.TombstoneTTL = 10 * time.Minute
-	}
-	if c.RouteCacheSize == 0 {
-		c.RouteCacheSize = 128
-	}
-	if c.RouteCacheTTL == 0 {
-		c.RouteCacheTTL = 2 * time.Second
-	}
 }
+
+// tombstoneTTL is how long a delete is remembered for anti-entropy: ten
+// minutes, or ten sync intervals when that is longer. A tombstone must
+// outlive every pass that could still meet a stale copy of its key, or
+// that copy would resurrect the key.
+func (c *Config) tombstoneTTL() time.Duration {
+	return max(minTombstoneTTL, 10*c.AntiEntropy)
+}
+
+const (
+	// minTombstoneTTL is the floor of tombstoneTTL.
+	minTombstoneTTL = 10 * time.Minute
+	// routeCacheArcs bounds the per-node LRU of owner+chain resolutions,
+	// counted in arcs: an entry covers the owner's whole arc (pred, owner],
+	// so a hit on any key of it lets data ops skip the routing walk. Every
+	// hit is re-validated against the ring (ownership gates for writes, a
+	// direct find_owner for reads) before being trusted, so a stale entry
+	// costs one wasted RPC, never a wrong answer.
+	routeCacheArcs = 128
+	// routeCacheTTL ages route-cache entries.
+	routeCacheTTL = 2 * time.Second
+)
 
 // minSuccList is the floor on the successor-list length: even without
 // replication the ring keeps a few spare successors so repair after a
@@ -290,7 +290,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		in:   make(map[transport.Addr]keyspace.Key),
 		rnd:  &lockedRand{r: rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Key)))},
 	}
-	n.routes = routecache.New[routeEntry](cfg.RouteCacheSize, cfg.RouteCacheTTL)
+	n.routes = routecache.New[routeEntry](routeCacheArcs, routeCacheTTL)
 	n.pred = n.self
 	if cfg.DataDir != "" {
 		// Recovery runs before anything serves: the stores NewNode
@@ -656,7 +656,7 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 	case transport.OpInfo:
 		return &transport.Response{
 			OK: true, Peer: n.self,
-			MaxIn: n.cfg.MaxIn, MaxOut: n.cfg.MaxOut, InDeg: len(n.in),
+			MaxIn: n.cfg.MaxIn, InDeg: len(n.in),
 		}
 
 	case transport.OpSuccList:
@@ -977,7 +977,7 @@ func (n *Node) neighborsLocked(rg keyspace.Range) *transport.Response {
 	slices.SortFunc(peers[links:], func(a, b transport.PeerRef) int {
 		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Addr, b.Addr))
 	})
-	return &transport.Response{OK: true, Peers: peers, Degree: len(peers), Peer: n.self}
+	return &transport.Response{OK: true, Peers: peers, Peer: n.self}
 }
 
 // findOwnerLocked answers one iterative routing step: if this node owns the
@@ -994,22 +994,21 @@ func (n *Node) neighborsLocked(rg keyspace.Range) *transport.Response {
 // slot or a lone node claims the whole circle here, and that claim, cached,
 // would send every read to a node whose chain then answers "absent".
 func (n *Node) findOwnerLocked(key keyspace.Key, exclude []transport.Addr) *transport.Response {
-	succ := n.succLocked()
-	if key.BetweenIncl(n.pred.Key, n.self.Key) || succ.Addr == n.self.Addr {
-		resp := &transport.Response{OK: true, Found: true, Peer: n.self, Peers: n.replicaTargetsLocked()}
-		if arc, ok := n.arcLocked(); ok && succ.Addr != n.self.Addr {
-			resp.Arc = arc
-		}
-		return resp
-	}
 	v := routing.View[transport.PeerRef]{Self: n.self, Pred: n.pred, Succs: n.succs, Out: n.out}
 	next, ans := routing.Rank(v, peerKey, key, func(p transport.PeerRef) bool {
 		return slices.Contains(exclude, p.Addr)
 	}, routing.Clockwise)
-	if ans != routing.Hop {
-		return &transport.Response{OK: false, Err: "no route"}
+	switch ans {
+	case routing.Owned:
+		resp := &transport.Response{OK: true, Found: true, Peer: n.self, Peers: n.replicaTargetsLocked()}
+		if arc, ok := n.arcLocked(); ok && n.succLocked().Addr != n.self.Addr {
+			resp.Arc = arc
+		}
+		return resp
+	case routing.Hop:
+		return &transport.Response{OK: true, Peer: next}
 	}
-	return &transport.Response{OK: true, Found: false, Peer: next}
+	return &transport.Response{OK: false, Err: "no route"}
 }
 
 func peerKey(p transport.PeerRef) keyspace.Key { return p.Key }

@@ -63,25 +63,20 @@ type Config struct {
 	Seed int64
 	// TargetSize is the final peer count (the paper grows to 10000).
 	TargetSize int
-	// SeedSize is the bootstrap population wired as a plain ring before
-	// growth begins.
-	SeedSize int
 	// Checkpoints are network sizes at which all peers are rewired and the
 	// network is measured. Empty means {TargetSize}.
 	Checkpoints []int
 	// Keys is the peer-identifier distribution (the paper uses the
 	// Gnutella filename distribution).
 	Keys keydist.Distribution
-	// Degrees yields per-peer ρmax caps. With SeparateInOut false the same
-	// draw is used for ρmax_in and ρmax_out (the paper's setup keeps their
-	// means equal at 27).
-	Degrees       degreedist.Distribution
-	SeparateInOut bool
+	// Degrees yields per-peer ρmax caps. One draw is used for both ρmax_in
+	// and ρmax_out (the paper's setup keeps their means equal at 27).
+	Degrees degreedist.Distribution
 	// System selects the construction algorithm.
 	System System
-	// Oscar and Mercury tune the respective algorithms.
-	Oscar   core.Config
-	Mercury mercury.Config
+	// Oscar tunes the Oscar construction (the ablations vary it). Mercury
+	// runs at its published parameters (package mercury).
+	Oscar core.Config
 	// QueriesPerMeasure is the query count per measurement; 0 uses the
 	// current network size (the paper's "N random queries").
 	QueriesPerMeasure int
@@ -93,13 +88,11 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:        1,
 		TargetSize:  10000,
-		SeedSize:    8,
 		Checkpoints: []int{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000},
 		Keys:        keydist.GnutellaLike(),
 		Degrees:     degreedist.Constant(27),
 		System:      SystemOscar,
 		Oscar:       core.DefaultConfig(),
-		Mercury:     mercury.DefaultConfig(),
 	}
 }
 
@@ -160,12 +153,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.TargetSize < 2 {
 		return nil, fmt.Errorf("sim: TargetSize %d too small", cfg.TargetSize)
 	}
-	if cfg.SeedSize < 2 {
-		cfg.SeedSize = 2
-	}
-	if cfg.SeedSize > cfg.TargetSize {
-		cfg.SeedSize = cfg.TargetSize
-	}
 	if cfg.Keys == nil {
 		return nil, fmt.Errorf("sim: Keys distribution is required")
 	}
@@ -210,12 +197,8 @@ func (s *Sim) Config() Config { return s.cfg }
 // ring, and wires its long-range links with the configured algorithm.
 func (s *Sim) addPeer() *graph.Node {
 	key := s.cfg.Keys.Sample(s.keyRand)
-	maxIn := s.cfg.Degrees.Sample(s.capRand)
-	maxOut := maxIn
-	if s.cfg.SeparateInOut {
-		maxOut = s.cfg.Degrees.Sample(s.capRand)
-	}
-	n := s.net.Add(key, maxIn, maxOut)
+	caps := s.cfg.Degrees.Sample(s.capRand)
+	n := s.net.Add(key, caps, caps)
 	s.ring.Insert(n.ID)
 	s.RewireOne(n.ID)
 	return n
@@ -228,7 +211,7 @@ func (s *Sim) RewireOne(id graph.NodeID) core.WireStats {
 	case SystemOscar:
 		return WireOscar(s.net, s.ring, id, s.cfg.Oscar, s.wireRand)
 	case SystemMercury:
-		return mercury.Wire(s.net, s.ring, s.walkRand, id, s.cfg.Mercury, s.net.AliveCount(), s.wireRand)
+		return mercury.Wire(s.net, s.ring, s.walkRand, id, s.net.AliveCount(), s.wireRand)
 	case SystemKleinberg:
 		// The reference construction wires globally at RewireAll time;
 		// joining peers ride the ring until then.

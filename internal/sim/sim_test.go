@@ -242,33 +242,6 @@ func TestHeterogeneousDegrees(t *testing.T) {
 	}
 }
 
-func TestSeparateInOutCaps(t *testing.T) {
-	cfg := smallConfig()
-	cfg.TargetSize = 300
-	cfg.Checkpoints = []int{300}
-	cfg.Degrees = degreedist.PaperStepped()
-	cfg.SeparateInOut = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// With separate draws, some peer should have MaxIn != MaxOut.
-	diff := false
-	for _, id := range s.Net().AliveIDs() {
-		n := s.Net().Node(id)
-		if n.MaxIn != n.MaxOut {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Error("SeparateInOut produced identical caps everywhere")
-	}
-}
-
 func TestRelativeLoadsSorted(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TargetSize = 300

@@ -54,7 +54,7 @@ func deep(n int) byte {
 // no goroutine per request.
 func TestWorkersStayResident(t *testing.T) {
 	server := listen(t, func(req *Request) *Response {
-		return &Response{OK: true, Degree: int(deep(8)), Peer: PeerRef{Key: req.Key}}
+		return &Response{OK: true, Acks: int(deep(8)), Peer: PeerRef{Key: req.Key}}
 	})
 	client := listen(t, nil)
 	call := func(i int) {
@@ -89,7 +89,7 @@ func TestWorkerSlowHandlerDoesNotBlockConnection(t *testing.T) {
 		}
 		return &Response{OK: true, Peer: PeerRef{Key: req.Key}}
 	})
-	client := listen(t, nil, WithPoolSize(1))
+	client := listen(t, nil, withPoolSize(1))
 
 	slow := make(chan error, 1)
 	go func() {
@@ -154,7 +154,7 @@ func TestWorkersRetire(t *testing.T) {
 	const size = 256
 	t.Run("reaper", func(t *testing.T) {
 		b := newBurst(size)
-		server := listen(t, b.gate, WithIdleTimeout(200*time.Millisecond)) // reaper tick: 100ms
+		server := listen(t, b.gate, withIdleTimeout(200*time.Millisecond)) // reaper tick: 100ms
 		client := listen(t, nil)
 		b.fire(t, client, server)
 		if started := server.workersStarted.Load(); started != size {

@@ -73,7 +73,7 @@ const (
 	stagErr
 	stagPeer
 	stagPeers
-	stagDegree
+	_ // was Degree: reserved
 	stagValue
 	stagFound
 	stagDeleted
@@ -86,7 +86,7 @@ const (
 	stagStates
 	stagSizeEst
 	stagMaxIn
-	stagMaxOut
+	_ // was MaxOut: reserved
 	stagInDeg
 	stagResult
 	stagArc
@@ -338,7 +338,6 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.stringField(stagErr, resp.Err)
 	w.peerRefField(stagPeer, resp.Peer)
 	w.peersField(stagPeers, resp.Peers)
-	w.intField(stagDegree, resp.Degree)
 	w.bytesField(stagValue, resp.Value)
 	w.boolField(stagFound, resp.Found)
 	w.boolField(stagDeleted, resp.Deleted)
@@ -351,7 +350,6 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.statesField(stagStates, resp.States)
 	w.float64Field(stagSizeEst, resp.SizeEst)
 	w.intField(stagMaxIn, resp.MaxIn)
-	w.intField(stagMaxOut, resp.MaxOut)
 	w.intField(stagInDeg, resp.InDeg)
 	w.rangeField(stagArc, resp.Arc)
 }
@@ -773,8 +771,6 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 			resp.Peer = fr.peerRef()
 		case stagPeers:
 			resp.Peers = fr.peers()
-		case stagDegree:
-			resp.Degree = fr.zigzag()
 		case stagValue:
 			resp.Value = fr.b
 			fr.b = nil
@@ -800,8 +796,6 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 			resp.SizeEst = math.Float64frombits(fr.fixed64())
 		case stagMaxIn:
 			resp.MaxIn = fr.zigzag()
-		case stagMaxOut:
-			resp.MaxOut = fr.zigzag()
 		case stagInDeg:
 			resp.InDeg = fr.zigzag()
 		case stagArc:

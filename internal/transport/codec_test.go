@@ -52,7 +52,6 @@ func fullResponse() *Response {
 		Err:     "some failure",
 		Peer:    PeerRef{Addr: "10.0.0.8:1234", Key: 7},
 		Peers:   []PeerRef{{Addr: "a:1", Key: 1}, {Addr: "b:2", Key: keyspace.MaxKey}},
-		Degree:  -4,
 		Value:   []byte{0, 1, 2, 254, 255},
 		Found:   true,
 		Deleted: true,
@@ -65,7 +64,6 @@ func fullResponse() *Response {
 		States:  []antientropy.State{{Key: 13, Hash: 2, Deleted: false}},
 		SizeEst: 9.75,
 		MaxIn:   27,
-		MaxOut:  16,
 		InDeg:   5,
 		Result: &Response{
 			OK: true, Found: true, Value: []byte("carried"), Acks: 1,

@@ -51,7 +51,7 @@ func TestMuxConcurrentCallsShareConnection(t *testing.T) {
 	defer server.Close()
 	server.Serve(echoHandler)
 
-	client, err := ListenTCP("127.0.0.1:0", WithPoolSize(1))
+	client, err := ListenTCP("127.0.0.1:0", withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMuxPoolSpreadsLoad(t *testing.T) {
 		return &Response{OK: true}
 	})
 
-	client, err := ListenTCP("127.0.0.1:0", WithPoolSize(2))
+	client, err := ListenTCP("127.0.0.1:0", withPoolSize(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMuxCallTimeoutDoesNotPoisonPool(t *testing.T) {
 		return &Response{OK: true, Peer: PeerRef{Key: req.Key}}
 	})
 
-	client, err := ListenTCP("127.0.0.1:0", WithPoolSize(1))
+	client, err := ListenTCP("127.0.0.1:0", withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestMuxIdleReap(t *testing.T) {
 	defer server.Close()
 	server.Serve(echoHandler)
 
-	client, err := ListenTCP("127.0.0.1:0", WithIdleTimeout(80*time.Millisecond))
+	client, err := ListenTCP("127.0.0.1:0", withIdleTimeout(80*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

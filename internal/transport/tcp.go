@@ -13,7 +13,8 @@ import (
 	"time"
 )
 
-// Transport tuning defaults; override per endpoint with TCPOptions.
+// Transport settings. Every endpoint runs at these; tests shrink them
+// through the unexported tcpOptions.
 const (
 	// defaultCallTimeout bounds one RPC round trip when the caller's
 	// context carries no deadline; a peer that cannot answer within it is
@@ -56,50 +57,6 @@ type tcpOptions struct {
 	idleTimeout time.Duration
 	maxInflight int
 	tlsConf     *tls.Config
-}
-
-// WithPoolSize sets the persistent-connection cap per peer (default 2).
-func WithPoolSize(n int) TCPOption {
-	return func(o *tcpOptions) {
-		if n > 0 {
-			o.poolSize = n
-		}
-	}
-}
-
-// WithCallTimeout sets the default per-call timeout applied when the
-// caller's context has no deadline (default 5s).
-func WithCallTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOptions) {
-		if d > 0 {
-			o.callTimeout = d
-		}
-	}
-}
-
-// WithIdleTimeout sets how long a pooled connection may idle before being
-// reaped (default 60s).
-func WithIdleTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOptions) {
-		if d > 0 {
-			o.idleTimeout = d
-		}
-	}
-}
-
-// WithMaxInflight sets the backpressure cap (default 256): at most n calls
-// awaiting responses per client connection, and at most n requests being
-// handled concurrently by this endpoint's server side. A client past its
-// cap blocks until a slot frees or its context expires (then fails with
-// ErrOverloaded); a server past its cap answers the excess with an
-// overload error immediately — deterministic shedding with a bounded
-// goroutine count — instead of queueing unboundedly.
-func WithMaxInflight(n int) TCPOption {
-	return func(o *tcpOptions) {
-		if n > 0 {
-			o.maxInflight = n
-		}
-	}
 }
 
 // WithTLS wraps every connection — inbound and outbound — in TLS using

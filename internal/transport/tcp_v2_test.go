@@ -35,6 +35,12 @@ func listen(t testing.TB, h Handler, opts ...TCPOption) *TCPEndpoint {
 	return e
 }
 
+// Endpoint settings tests shrink. Production endpoints run at the
+// default* constants; only WithTLS is exported.
+func withPoolSize(n int) TCPOption              { return func(o *tcpOptions) { o.poolSize = n } }
+func withIdleTimeout(d time.Duration) TCPOption { return func(o *tcpOptions) { o.idleTimeout = d } }
+func withMaxInflight(n int) TCPOption           { return func(o *tcpOptions) { o.maxInflight = n } }
+
 // open dials server, writes the opening bytes and reads one byte back: the
 // server's answer to a hello, or an error if it hung up instead.
 func open(t *testing.T, server *TCPEndpoint, opening []byte) (net.Conn, byte, error) {
@@ -211,10 +217,10 @@ func TestOverloadShedding(t *testing.T) {
 		<-release
 		return &Response{OK: true, Peer: PeerRef{Key: req.Key}}
 	})
-	server := listen(t, slow, WithMaxInflight(cap))
+	server := listen(t, slow, withMaxInflight(cap))
 	// The client's own in-flight cap must be wider than the server's, or
 	// the flood would be throttled before it ever reaches the peer.
-	client := listen(t, nil, WithMaxInflight(4*cap))
+	client := listen(t, nil, withMaxInflight(4*cap))
 
 	before := runtime.NumGoroutine()
 
@@ -281,7 +287,7 @@ func TestClientInflightCapOverload(t *testing.T) {
 		return &Response{OK: true}
 	})
 	server := listen(t, slow)
-	client := listen(t, nil, WithMaxInflight(2), WithPoolSize(1))
+	client := listen(t, nil, withMaxInflight(2), withPoolSize(1))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

@@ -176,11 +176,10 @@ type Response struct {
 	OK  bool
 	Err string
 
-	Peer   PeerRef
-	Peers  []PeerRef
-	Degree int
-	Value  []byte
-	Found  bool
+	Peer  PeerRef
+	Peers []PeerRef
+	Value []byte
+	Found bool
 	// Deleted reports, on a negative get, that the responder holds a
 	// tombstone for the key: the miss is an authoritative delete, not a
 	// hole a fallback read should try to fill from the replica chain.
@@ -212,7 +211,6 @@ type Response struct {
 	// SizeEst returns the responder's ring-size estimate on succ_list.
 	SizeEst float64
 	MaxIn   int
-	MaxOut  int
 	InDeg   int
 	// Result, on a find_owner that answered Found, is the response of the
 	// op the request carried (Request.Carry), executed at the responder.

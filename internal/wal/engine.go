@@ -18,7 +18,7 @@ const (
 	// is durable. Group-commit coalescing keeps concurrent appenders
 	// from each paying a separate fsync.
 	PolicyAlways Policy = iota
-	// PolicyInterval fsyncs on a background timer (FsyncInterval):
+	// PolicyInterval fsyncs on a background timer (DefaultFsyncInterval):
 	// a crash loses at most one interval of acked writes.
 	PolicyInterval
 	// PolicyNever flushes to the OS but never fsyncs: a process crash
@@ -52,8 +52,7 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
-// DefaultFsyncInterval is the flush cadence for PolicyInterval when
-// none is configured.
+// DefaultFsyncInterval is the flush cadence of PolicyInterval.
 const DefaultFsyncInterval = 100 * time.Millisecond
 
 // nowNanos is the engine's clock (a hook point for tests).
@@ -72,8 +71,6 @@ type Options struct {
 	Dir string
 	// Policy is the fsync policy (default PolicyInterval).
 	Policy Policy
-	// FsyncInterval overrides DefaultFsyncInterval for PolicyInterval.
-	FsyncInterval time.Duration
 }
 
 // Stats is a point-in-time view of the engine's on-disk state.
@@ -94,9 +91,8 @@ type Stats struct {
 // concurrent use; Append is ordered by whatever lock serialises the
 // caller's store mutations (the sink contract in package storage).
 type Engine struct {
-	dir      string
-	policy   Policy
-	interval time.Duration
+	dir    string
+	policy Policy
 
 	// mu guards the buffered writer, file handle, counters, and err.
 	mu       sync.Mutex
@@ -131,13 +127,9 @@ func Open(opts Options) (*Engine, *Recovered, error) {
 		return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
 	}
 	e := &Engine{
-		dir:      opts.Dir,
-		policy:   opts.Policy,
-		interval: opts.FsyncInterval,
-		closed:   make(chan struct{}),
-	}
-	if e.interval <= 0 {
-		e.interval = DefaultFsyncInterval
+		dir:    opts.Dir,
+		policy: opts.Policy,
+		closed: make(chan struct{}),
 	}
 	rec, err := e.recover()
 	if err != nil {
@@ -222,7 +214,7 @@ func (e *Engine) Sync() error {
 // flusher is the background loop for the interval and never policies.
 func (e *Engine) flusher() {
 	defer close(e.done)
-	t := time.NewTicker(e.interval)
+	t := time.NewTicker(DefaultFsyncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -19,7 +19,11 @@ import (
 // is not tunable here: the node runs the Oscar construction of
 // internal/core, the one the graph simulator runs, at its default
 // settings (12 samples of 8 walk steps per median, 10-step draws, two
-// choices). A lookup sends one probe per hop.
+// choices). A lookup sends one probe per hop. Nor are the transport and
+// the route cache: every node keeps 2 pooled connections per peer, gives
+// a call without a deadline 5 s, reaps connections idle for 60 s, sheds
+// work past 256 in-flight calls or running handlers, and caches the
+// owners of 128 arcs for 2 s each.
 type NodeConfig struct {
 	// Listen is the TCP listen address, e.g. "127.0.0.1:0" (":0" picks a
 	// free port; read the bound address back with Addr).
@@ -60,36 +64,10 @@ type NodeConfig struct {
 	// It requires a running maintenance loop (AutoMaintenance or
 	// StartMaintenance). Zero leaves periodic sync off; membership changes
 	// still trigger the same incremental repair from stabilisation.
+	// Deletes are remembered for ten intervals, and at least ten minutes,
+	// so a tombstone outlives every sync that could still meet a stale
+	// copy of its key.
 	AntiEntropy time.Duration
-	// TombstoneTTL bounds how long deletes are remembered for anti-entropy
-	// (default 10 minutes). Keep it comfortably above the AntiEntropy
-	// interval: a tombstone must survive until every replica has applied
-	// it, or a stale copy could resurrect the key.
-	TombstoneTTL time.Duration
-	// RouteCacheSize bounds the node's route cache in arcs: each entry
-	// maps an owner's whole arc to the owner and its chain (0 = default
-	// 128 arcs, negative = disabled). Cached routes are always validated
-	// against the ring before use — the cache can only save hops, never
-	// serve a stale owner.
-	RouteCacheSize int
-	// RouteCacheTTL ages route-cache entries (0 = default 2s, negative =
-	// no aging).
-	RouteCacheTTL time.Duration
-	// PoolSize is the number of persistent connections per peer (0 =
-	// transport default).
-	PoolSize int
-	// CallTimeout bounds each RPC when the caller's context carries no
-	// deadline (0 = transport default).
-	CallTimeout time.Duration
-	// IdleTimeout reaps pooled connections idle this long (0 = transport
-	// default).
-	IdleTimeout time.Duration
-	// MaxInflight is the backpressure cap (0 = transport default): at most
-	// this many calls in flight per pooled connection, and at most this
-	// many handlers running concurrently on the listener. Excess inbound
-	// requests are shed with a typed transport overload error instead of
-	// queueing without bound.
-	MaxInflight int
 	// TLS, when set, wraps every connection — the listener and all
 	// outbound dials — in TLS with this configuration. All members of a
 	// ring must agree (a TLS node cannot talk to a plaintext one). For a
@@ -138,23 +116,7 @@ var _ Client = (*Node)(nil)
 // StartNode boots a live peer on a TCP listener and starts serving the
 // overlay protocol. Close releases the listener.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	var topts []transport.TCPOption
-	if cfg.PoolSize > 0 {
-		topts = append(topts, transport.WithPoolSize(cfg.PoolSize))
-	}
-	if cfg.CallTimeout > 0 {
-		topts = append(topts, transport.WithCallTimeout(cfg.CallTimeout))
-	}
-	if cfg.IdleTimeout > 0 {
-		topts = append(topts, transport.WithIdleTimeout(cfg.IdleTimeout))
-	}
-	if cfg.MaxInflight > 0 {
-		topts = append(topts, transport.WithMaxInflight(cfg.MaxInflight))
-	}
-	if cfg.TLS != nil {
-		topts = append(topts, transport.WithTLS(cfg.TLS))
-	}
-	ep, err := transport.ListenTCP(cfg.Listen, topts...)
+	ep, err := transport.ListenTCP(cfg.Listen, transport.WithTLS(cfg.TLS))
 	if err != nil {
 		return nil, fmt.Errorf("oscar: start node: %w", err)
 	}
@@ -179,18 +141,15 @@ func startNodeOn(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 		tr = cfg.WrapTransport(tr)
 	}
 	inner, err := p2p.NewNode(tr, p2p.Config{
-		Key:            cfg.Key,
-		MaxIn:          cfg.MaxIn,
-		MaxOut:         cfg.MaxOut,
-		Replicas:       cfg.Replicas,
-		WriteConcern:   cfg.WriteConcern,
-		AntiEntropy:    cfg.AntiEntropy,
-		TombstoneTTL:   cfg.TombstoneTTL,
-		RouteCacheSize: cfg.RouteCacheSize,
-		RouteCacheTTL:  cfg.RouteCacheTTL,
-		Seed:           cfg.Seed,
-		DataDir:        cfg.DataDir,
-		Fsync:          policy,
+		Key:          cfg.Key,
+		MaxIn:        cfg.MaxIn,
+		MaxOut:       cfg.MaxOut,
+		Replicas:     cfg.Replicas,
+		WriteConcern: cfg.WriteConcern,
+		AntiEntropy:  cfg.AntiEntropy,
+		Seed:         cfg.Seed,
+		DataDir:      cfg.DataDir,
+		Fsync:        policy,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("oscar: start node: %w", err)
