@@ -4,7 +4,7 @@ GO ?= go
 
 # Packages with concurrency-sensitive code; the race job scopes to these
 # to keep CI fast (the full suite still runs race-free in `test`).
-RACE_PKGS = ./internal/transport/... ./internal/p2p/... ./internal/core/...
+RACE_PKGS = ./internal/transport/... ./internal/p2p/... ./internal/core/... ./internal/sampling/...
 
 .PHONY: all build test race fuzz-smoke benchmark-check bench paper fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
 

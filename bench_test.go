@@ -83,8 +83,9 @@ func BenchmarkMedianEstimation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := ids[i%len(ids)]
-		nbrs, _ := net.Neighbors(ctx, id, full)
-		samples, _, err := sampling.SampleChain(ctx, net, rnd, id, nbrs, full, core.DefaultConfig().Samples, core.SampleSteps)
+		own, _ := net.Neighbors(ctx, id)
+		v := sampling.NewView[graph.NodeID](net, id, own)
+		samples, _, err := sampling.SampleChain(ctx, v, rnd, id, full, core.DefaultConfig().Samples, core.SampleSteps)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,20 +74,19 @@ type Rand interface {
 
 // Substrate is one node as the construction sees it: Self is the node,
 // Successor its ring successor (Self when alone), MaxOut its out-link
-// budget ρmax_out, and LocalNeighbors its own neighbours in rg, read with
-// no message. Neighbors and Load (p's relative in-degree load
-// InDeg/MaxIn) are one message each; Owner routes to the owner of k and
-// reports the messages that took. Release drops the node's long-range
-// links and sends each target an unlink once, in parallel, ignoring the
-// answers; Link asks p to accept one, which p refuses at its in-degree
-// cap. Parallel runs
-// fn(0) … fn(k-1), concurrently where the substrate can, and returns once
-// every one has.
+// budget ρmax_out, and LocalNeighbors its own neighbours, read with no
+// message. Neighbors (p's neighbours, which the pass's View asks once per
+// peer) and Load (p's relative in-degree load InDeg/MaxIn) are one message
+// each; Owner routes to the owner of k and reports the messages that
+// took. Release drops the node's long-range links and sends each target an
+// unlink once, in parallel, ignoring the answers; Link asks p to accept
+// one, which p refuses at its in-degree cap. Parallel runs fn(0) …
+// fn(k-1), concurrently where the substrate can, and returns once every
+// one has.
 type Substrate[P comparable] interface {
 	sampling.Graph[P]
 	Self() P
-	Key(p P) keyspace.Key
-	LocalNeighbors(rg keyspace.Range) []P
+	LocalNeighbors() []sampling.Neighbor[P]
 	Successor() P
 	MaxOut() int
 	Owner(ctx context.Context, k keyspace.Key) (P, int, error)
@@ -95,6 +94,13 @@ type Substrate[P comparable] interface {
 	Release(ctx context.Context)
 	Link(ctx context.Context, p P) error
 	Parallel(k int, fn func(i int))
+}
+
+// NewView opens one pass's neighbour view over s (sampling.View): every
+// walk of the pass asks a peer for its neighbours at most once, and the
+// node's own come from LocalNeighbors.
+func NewView[P comparable](s Substrate[P]) *sampling.View[P] {
+	return sampling.NewView[P](s, s.Self(), s.LocalNeighbors())
 }
 
 // Draw draws one peer inside rg from rnd and returns it with the messages
@@ -109,9 +115,11 @@ type WireStats struct {
 	LinksMade int
 	// Levels is the partition count the node discovered (≈ log₂ N).
 	Levels int
-	// SampleCost counts the messages spent on median estimation.
+	// SampleCost counts the messages median estimation sent: one per
+	// neighbour list the pass's view fetched for it.
 	SampleCost int
-	// PickCost counts the messages spent drawing candidates.
+	// PickCost counts the messages drawing candidates sent: routing, and
+	// the neighbour lists the discovery walks had not fetched.
 	PickCost int
 }
 
@@ -127,30 +135,31 @@ func (s *WireStats) Add(o WireStats) {
 // Wire (re)builds the node's long-range links the way the live node does
 // — both the join-time wiring and the periodic rewiring of §3: Discover
 // the partitions, then Relink with walk draws, skipping a draw of a peer
-// already linked in the pass. Discovery walks over the current links, so
-// it runs before they are released; a rebuild that cannot start (no
-// partition border, or ctx done once discovery ends) keeps them and
-// returns no links. Otherwise Wire returns the links it made and
-// ctx.Err(). The simulator composes the same steps in the paper's order
-// instead (sim.WireOscar).
+// already linked in the pass. Every walk of the pass runs over one View.
+// Discovery walks over the current links, so it runs before they are
+// released; a rebuild that cannot start (no partition border, or ctx done
+// once discovery ends) keeps them and returns no links. Otherwise Wire
+// returns the links it made and ctx.Err(). The simulator composes the same
+// steps in the paper's order instead (sim.WireOscar).
 func Wire[P comparable](ctx context.Context, s Substrate[P], cfg Config, rnd Rand) ([]P, WireStats, error) {
-	parts, msgs, err := Discover(ctx, s, cfg.Samples, rnd)
+	v := NewView(s)
+	parts, msgs, err := Discover(ctx, s, v, cfg.Samples, rnd)
 	if err != nil {
 		return nil, WireStats{LinksWanted: s.MaxOut(), SampleCost: msgs}, err
 	}
-	out, st, err := Relink(ctx, s, parts, WalkDraw(s), cfg.PowerOfTwo, true, rnd)
+	out, st, err := Relink(ctx, s, parts, WalkDraw(s, v), cfg.PowerOfTwo, true, rnd)
 	st.SampleCost = msgs
 	return out, st, err
 }
 
 // Discover estimates the node's partition borders with restricted walks
-// (§2). Border m_i is the median of the remaining population
+// (§2) over v. Border m_i is the median of the remaining population
 // [uid, m_(i-1)), estimated from samples of one chained walk from the node.
 // The recursion stops when the estimate reaches the node's successor —
 // the open range (uid, m) then holds no peers — so ~log₂ N levels emerge
 // without global knowledge. It returns the partitions, the messages the
 // walks sent and ctx.Err().
-func Discover[P comparable](ctx context.Context, s Substrate[P], samples int, rnd sampling.Rand) (*partition.Partitions, int, error) {
+func Discover[P comparable](ctx context.Context, s Substrate[P], v *sampling.View[P], samples int, rnd sampling.Rand) (*partition.Partitions, int, error) {
 	self := s.Self()
 	p := &partition.Partitions{NodeKey: s.Key(self)}
 	succ := s.Successor()
@@ -161,7 +170,7 @@ func Discover[P comparable](ctx context.Context, s Substrate[P], samples int, rn
 	msgs := 0
 	for prev := p.NodeKey; len(p.Borders) < MaxLevels; {
 		remaining := keyspace.Range{Start: p.NodeKey, End: prev}
-		peers, m, err := sampling.SampleChain(ctx, s, rnd, self, s.LocalNeighbors(remaining), remaining, samples, SampleSteps)
+		peers, m, err := sampling.SampleChain(ctx, v, rnd, self, remaining, samples, SampleSteps)
 		msgs += m
 		if err != nil {
 			return p, msgs, err
@@ -269,14 +278,17 @@ func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Pa
 }
 
 // WalkDraw is the deployable draw: route to the partition's lower border
-// and walk PickSteps steps from the peer owning it.
-func WalkDraw[P comparable](s Substrate[P]) Draw[P] {
+// and walk PickSteps steps over v from the peer owning it. Its draws share
+// v, so the two parallel draws of a Pick that step onto one peer fetch its
+// list once, and the count of messages stays the same whatever their
+// schedule.
+func WalkDraw[P comparable](s Substrate[P], v *sampling.View[P]) Draw[P] {
 	return func(ctx context.Context, rnd *rand.Rand, rg keyspace.Range) (P, int, bool) {
 		entry, msgs, err := s.Owner(ctx, rg.Start)
 		if err != nil || !rg.Contains(s.Key(entry)) {
 			return entry, msgs, false
 		}
-		cand, m, err := sampling.Walk(ctx, s, rnd, entry, rg, PickSteps)
+		cand, m, err := sampling.Walk(ctx, v, rnd, entry, rg, PickSteps)
 		return cand, msgs + m, err == nil
 	}
 }

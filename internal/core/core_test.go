@@ -246,7 +246,8 @@ func linkedNet(t *testing.T, n int, dist keydist.Distribution, seed int64) (*gra
 // discover runs core.Discover for peer u with 24 samples per median.
 func discover(t *testing.T, g *graph.Network, r *ring.Ring, u graph.NodeID, seed int64) *partition.Partitions {
 	t.Helper()
-	p, _, err := core.Discover(bg, sim.Peer{Network: g, Ring: r, ID: u}, 24, rand.New(rand.NewSource(seed)))
+	s := sim.Peer{Network: g, Ring: r, ID: u}
+	p, _, err := core.Discover(bg, s, core.NewView[graph.NodeID](s), 24, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
 // NodeID identifies a peer inside one Network. IDs are dense indices and
@@ -38,9 +39,6 @@ var (
 	ErrDuplicate = errors.New("graph: duplicate link")
 	// ErrDead reports an operation on a dead peer.
 	ErrDead = errors.New("graph: peer is dead")
-	// ErrOutOfRange reports a walk asked to stand on a peer outside its
-	// range.
-	ErrOutOfRange = errors.New("graph: peer outside the walk's range")
 )
 
 // Node is one peer.
@@ -122,6 +120,9 @@ func (g *Network) Node(id NodeID) *Node {
 	return g.nodes[id]
 }
 
+// Key returns the key of the peer with the given id.
+func (g *Network) Key(id NodeID) keyspace.Key { return g.Node(id).Key }
+
 // Len returns the total number of peers ever added (alive and dead).
 func (g *Network) Len() int { return len(g.nodes) }
 
@@ -190,26 +191,23 @@ func (g *Network) Kill(id NodeID) {
 }
 
 // Neighbors lists the alive neighbours of id (ring successor and
-// predecessor, long-range out-links and in-links) whose keys lie in rg,
-// for the restricted walk (sampling.Graph). The list is a multiset: an
-// edge reachable two ways appears twice, and because ring pointers and
-// in/out lists match each other, the multiplicity of (v,u) equals that of
-// (u,v). A dead id, or one outside rg, has no place in the walk.
-func (g *Network) Neighbors(_ context.Context, id NodeID, rg keyspace.Range) ([]NodeID, error) {
+// predecessor, long-range out-links and in-links) with their keys, for
+// the restricted walk (sampling.Graph). The list is a multiset: an edge
+// reachable two ways appears twice, and because ring pointers and in/out
+// lists match each other, the multiplicity of (v,u) equals that of (u,v).
+// A dead id has no place in the walk.
+func (g *Network) Neighbors(_ context.Context, id NodeID) ([]sampling.Neighbor[NodeID], error) {
 	n := g.Node(id)
 	if !n.Alive {
 		return nil, ErrDead
 	}
-	if !rg.Contains(n.Key) {
-		return nil, ErrOutOfRange
-	}
-	out := make([]NodeID, 0, 2+len(n.Out)+len(n.In))
+	out := make([]sampling.Neighbor[NodeID], 0, 2+len(n.Out)+len(n.In))
 	consider := func(t NodeID) {
 		if t == NoNode || t == id {
 			return
 		}
-		if tn := g.Node(t); tn.Alive && rg.Contains(tn.Key) {
-			out = append(out, t)
+		if tn := g.Node(t); tn.Alive {
+			out = append(out, sampling.Neighbor[NodeID]{Peer: t, Key: tn.Key})
 		}
 	}
 	consider(n.Succ)

@@ -132,11 +132,12 @@ func Wire(net *graph.Network, rg *ring.Ring, walk *rand.Rand, u graph.NodeID,
 		return stats
 	}
 
-	// Learn the key distribution at uniform resolution. The graph fails
-	// no call of this walk: u is alive, and ctx never ends.
-	ctx, full := context.Background(), keyspace.FullRange()
-	nbrs, _ := net.Neighbors(ctx, u, full)
-	samples, cost, _ := sampling.SampleChain(ctx, net, walk, u, nbrs, full, histSamples, walkSteps)
+	// Learn the key distribution at uniform resolution, over one view. The
+	// graph fails no call of this walk: u is alive, and ctx never ends.
+	ctx := context.Background()
+	own, _ := net.Neighbors(ctx, u)
+	v := sampling.NewView[graph.NodeID](net, u, own)
+	samples, cost, _ := sampling.SampleChain(ctx, v, walk, u, keyspace.FullRange(), histSamples, walkSteps)
 	stats.SampleCost = cost
 	keys := make([]keyspace.Key, len(samples))
 	for i, id := range samples {

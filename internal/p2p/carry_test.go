@@ -15,8 +15,8 @@ import (
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
-// countingTransport counts what one node puts on the fabric and what it
-// runs for others, and gives a test two seams: beforeSend runs ahead of an
+// countingTransport counts what one node puts on the fabric, what it
+// addresses to itself and what it runs for others, and gives a test two seams: beforeSend runs ahead of an
 // outbound call (the place to move the ring under a walk's feet), and
 // onServe may replace an inbound request before the handler sees it.
 type countingTransport struct {
@@ -24,8 +24,9 @@ type countingTransport struct {
 
 	mu sync.Mutex
 	// sent counts outbound calls by op; sentCarry the find_owner calls
-	// among them that carried an op, by that op.
-	sent, sentCarry map[transport.Op]int
+	// among them that carried an op, by that op; sentSelf the calls
+	// addressed to the node itself, by op.
+	sent, sentCarry, sentSelf map[transport.Op]int
 	// ran counts the carried ops this node executed for a find_owner.
 	ran        map[transport.Op]int
 	beforeSend func(addr transport.Addr, req *transport.Request)
@@ -37,6 +38,7 @@ func newCountingTransport(inner transport.Transport) *countingTransport {
 		Transport: inner,
 		sent:      make(map[transport.Op]int),
 		sentCarry: make(map[transport.Op]int),
+		sentSelf:  make(map[transport.Op]int),
 		ran:       make(map[transport.Op]int),
 	}
 }
@@ -46,6 +48,9 @@ func (c *countingTransport) CallCtx(ctx context.Context, addr transport.Addr, re
 	c.sent[req.Op]++
 	if req.Carry != "" {
 		c.sentCarry[req.Carry]++
+	}
+	if addr == c.Addr() {
+		c.sentSelf[req.Op]++
 	}
 	hook := c.beforeSend
 	c.mu.Unlock()
@@ -84,7 +89,8 @@ func (c *countingTransport) calls() int {
 	return total
 }
 
-// get reads one of the transport's counters (c.sent, c.sentCarry, c.ran).
+// get reads one of the transport's counters (c.sent, c.sentCarry,
+// c.sentSelf, c.ran).
 func (c *countingTransport) get(counter map[transport.Op]int, op transport.Op) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -96,6 +102,7 @@ func (c *countingTransport) reset() {
 	defer c.mu.Unlock()
 	clear(c.sent)
 	clear(c.sentCarry)
+	clear(c.sentSelf)
 	clear(c.ran)
 }
 

@@ -263,9 +263,9 @@ func TestFanoutLegsCancelled(t *testing.T) {
 }
 
 // TestPickCandidateSeedDeterministic: with the node's random stream reset
-// to one seed, core.Pick picks the same candidate however its two
-// parallel draws interleave — here shuffled by a differently seeded
-// jitter on every call.
+// to one seed, core.Pick picks the same candidate and sends the same
+// messages however its two parallel draws interleave over their shared
+// view — here shuffled by a differently seeded jitter on every call.
 func TestPickCandidateSeedDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 60*time.Second)
 	defer cancel()
@@ -279,23 +279,24 @@ func TestPickCandidateSeedDeterministic(t *testing.T) {
 	reseed := func() { n.rnd = &lockedRand{r: rand.New(rand.NewSource(42))} }
 	reseed()
 	w := wiring{n}
-	parts, _, err := core.Discover(ctx, w, core.DefaultConfig().Samples, n.rnd)
+	parts, _, err := core.Discover(ctx, w, core.NewView(w), core.DefaultConfig().Samples, n.rnd)
 	if err != nil || parts.Count() < 2 {
 		t.Fatalf("%d partitions (%v): the test needs at least two", parts.Count(), err)
 	}
 	var first transport.PeerRef
+	var firstMsgs int
 	for trial := 0; trial < 8; trial++ {
 		fnet := faultnet.New(int64(100 + trial))
 		fnet.SetDefault(faultnet.Faults{Jitter: 300 * time.Microsecond})
 		n.tr = fnet.Wrap(base) // nothing else runs on the node: no maintenance
 		reseed()
-		got, _, _ := core.Pick(ctx, w, parts, core.WalkDraw(w), nil, true, n.rnd)
+		got, msgs, _ := core.Pick(ctx, w, parts, core.WalkDraw(w, core.NewView(w)), nil, true, n.rnd)
 		if trial == 0 {
-			first = got
+			first, firstMsgs = got, msgs
 			continue
 		}
-		if got != first {
-			t.Fatalf("trial %d picked %v, trial 0 picked %v: one seed, two candidates", trial, got, first)
+		if got != first || msgs != firstMsgs {
+			t.Fatalf("trial %d picked %v with %d messages, trial 0 %v with %d: one seed, two outcomes", trial, got, msgs, first, firstMsgs)
 		}
 	}
 	n.tr = base

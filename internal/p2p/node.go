@@ -703,7 +703,7 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		return &transport.Response{OK: true, Peer: n.succLocked()}
 
 	case transport.OpNeighbors:
-		return n.neighborsLocked(req.Range)
+		return n.neighborsLocked()
 
 	case transport.OpLink:
 		if _, dup := n.in[req.From.Addr]; dup {
@@ -947,15 +947,13 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 }
 
 // neighborsLocked lists this node's neighbours (ring pointers, out-links,
-// in-links) whose keys lie in rg, as a multiset like the simulator's walker
-// (symmetric multiplicities keep the MH walk uniform).
-func (n *Node) neighborsLocked(rg keyspace.Range) *transport.Response {
+// in-links) as a multiset like the simulator's walker (symmetric
+// multiplicities keep the MH walk uniform). The walker filters them by its
+// range (sampling.View).
+func (n *Node) neighborsLocked() *transport.Response {
 	var peers []transport.PeerRef
 	consider := func(ref transport.PeerRef) {
-		if ref.Addr == n.self.Addr || ref.Addr == "" {
-			return
-		}
-		if rg.Contains(ref.Key) {
+		if ref.Addr != n.self.Addr && ref.Addr != "" {
 			peers = append(peers, ref)
 		}
 	}

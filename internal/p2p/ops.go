@@ -10,6 +10,7 @@ import (
 	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/routing"
+	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
@@ -1168,7 +1169,8 @@ func (n *Node) Rewire(ctx context.Context) error {
 
 // wiring is the node as the construction's substrate (core.Substrate):
 // every question about another peer is one RPC, a link request retries
-// once on overload, and the node's own neighbours are read locally.
+// once on overload, and the node's own neighbours are read locally, so a
+// walk that steps onto its own node sends nothing.
 type wiring struct{ n *Node }
 
 func (w wiring) Self() transport.PeerRef              { return w.n.self }
@@ -1177,18 +1179,27 @@ func (w wiring) Successor() transport.PeerRef         { return w.n.Succ() }
 func (w wiring) MaxOut() int                          { return w.n.cfg.MaxOut }
 func (w wiring) Parallel(k int, fn func(i int))       { w.n.parallel(k, fn) }
 
-func (w wiring) LocalNeighbors(rg keyspace.Range) []transport.PeerRef {
+func (w wiring) LocalNeighbors() []sampling.Neighbor[transport.PeerRef] {
 	w.n.mu.Lock()
 	defer w.n.mu.Unlock()
-	return w.n.neighborsLocked(rg).Peers
+	return keyed(w.n.neighborsLocked().Peers)
 }
 
-func (w wiring) Neighbors(ctx context.Context, p transport.PeerRef, rg keyspace.Range) ([]transport.PeerRef, error) {
-	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpNeighbors, Range: rg}))
+func (w wiring) Neighbors(ctx context.Context, p transport.PeerRef) ([]sampling.Neighbor[transport.PeerRef], error) {
+	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpNeighbors}))
 	if err != nil {
 		return nil, err
 	}
-	return resp.Peers, nil
+	return keyed(resp.Peers), nil
+}
+
+// keyed lists peers as a walk's neighbours.
+func keyed(peers []transport.PeerRef) []sampling.Neighbor[transport.PeerRef] {
+	out := make([]sampling.Neighbor[transport.PeerRef], len(peers))
+	for i, p := range peers {
+		out[i] = sampling.Neighbor[transport.PeerRef]{Peer: p, Key: p.Key}
+	}
+	return out
 }
 
 func (w wiring) Owner(ctx context.Context, k keyspace.Key) (transport.PeerRef, int, error) {

@@ -4,16 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/oscar-overlay/oscar/internal/core"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
 // TestMHUniformityLive is sampling's TestMHUniformity over the live node's
-// RPCs (wiring): on a rewired in-memory ring of 24 nodes with varied caps,
-// the shared walk's visit frequencies must meet the same bound as over the
-// simulator's graph — the best-connected peer oversampled by at most 35 %,
-// and no peer off by more than -50 %/+60 %.
+// RPCs (wiring), each walk over a view of its own: on a rewired in-memory
+// ring of 24 nodes with varied caps, the shared walk's visit frequencies
+// must meet the same bound as over the simulator's graph — the
+// best-connected peer oversampled by at most 35 %, and no peer off by more
+// than -50 %/+60 %.
 func TestMHUniformityLive(t *testing.T) {
 	const n, trials = 24, 6000
 	fabric := transport.NewFabric()
@@ -49,7 +51,7 @@ func TestMHUniformityLive(t *testing.T) {
 	var hub transport.PeerRef
 	most := -1
 	for _, node := range nodes {
-		nbrs, err := w.Neighbors(bg, node.Self(), keyspace.FullRange())
+		nbrs, err := w.Neighbors(bg, node.Self())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func TestMHUniformityLive(t *testing.T) {
 	walkRand := rand.New(rand.NewSource(5))
 	counts := make(map[transport.PeerRef]int, n)
 	for trial := 0; trial < trials; trial++ {
-		end, _, err := sampling.Walk(bg, w, walkRand, nodes[trial%n].Self(), keyspace.FullRange(), 60)
+		end, _, err := sampling.Walk(bg, core.NewView(w), walkRand, nodes[trial%n].Self(), keyspace.FullRange(), 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,15 +39,30 @@ func buildLine(t *testing.T, n int, links int, seed int64) (*graph.Network, *rin
 	return g, r
 }
 
-// countedGraph counts the neighbour messages a walk sends.
+// countedGraph counts the neighbour messages a walk sends, by peer.
 type countedGraph struct {
 	*graph.Network
 	calls int
+	asked map[graph.NodeID]int
 }
 
-func (c *countedGraph) Neighbors(ctx context.Context, id graph.NodeID, rg keyspace.Range) ([]graph.NodeID, error) {
+func (c *countedGraph) Neighbors(ctx context.Context, id graph.NodeID) ([]sampling.Neighbor[graph.NodeID], error) {
 	c.calls++
-	return c.Network.Neighbors(ctx, id, rg)
+	if c.asked == nil {
+		c.asked = make(map[graph.NodeID]int)
+	}
+	c.asked[id]++
+	return c.Network.Neighbors(ctx, id)
+}
+
+// viewOf opens a view over g for the node self.
+func viewOf(t *testing.T, g sampling.Graph[graph.NodeID], self graph.NodeID) *sampling.View[graph.NodeID] {
+	t.Helper()
+	own, err := g.Neighbors(bg, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sampling.NewView(g, self, own)
 }
 
 func TestWalkStaysInRange(t *testing.T) {
@@ -58,7 +73,7 @@ func TestWalkStaysInRange(t *testing.T) {
 	rg := keyspace.Range{Start: 50 * step, End: 150 * step}
 	start := graph.NodeID(70)
 	for trial := 0; trial < 50; trial++ {
-		end, _, err := sampling.Walk(bg, g, rnd, start, rg, 30)
+		end, _, err := sampling.Walk(bg, viewOf(t, g, start), rnd, start, rg, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,17 +83,20 @@ func TestWalkStaysInRange(t *testing.T) {
 	}
 }
 
+// TestWalkRejectsBadStart: the view refuses a start outside the walk's
+// range without a message, and a dead start fails its fetch.
 func TestWalkRejectsBadStart(t *testing.T) {
 	g, _ := buildLine(t, 50, 2, 1)
 	rnd := rand.New(rand.NewSource(2))
 	step := keyspace.MaxKey / 50
 	rg := keyspace.Range{Start: 10 * step, End: 20 * step}
-	if _, _, err := sampling.Walk(bg, g, rnd, graph.NodeID(30), rg, 5); !errors.Is(err, graph.ErrOutOfRange) {
-		t.Errorf("out-of-range start: err = %v", err)
+	v := viewOf(t, g, 0)
+	if _, msgs, err := sampling.Walk(bg, v, rnd, graph.NodeID(30), rg, 5); !errors.Is(err, sampling.ErrOutOfRange) || msgs != 0 {
+		t.Errorf("out-of-range start: %d messages, err = %v", msgs, err)
 	}
 	g.Kill(graph.NodeID(12))
-	if _, _, err := sampling.Walk(bg, g, rnd, graph.NodeID(12), rg, 5); !errors.Is(err, graph.ErrDead) {
-		t.Errorf("dead start: err = %v", err)
+	if _, msgs, err := sampling.Walk(bg, v, rnd, graph.NodeID(12), rg, 5); !errors.Is(err, graph.ErrDead) || msgs != 1 {
+		t.Errorf("dead start: %d messages, err = %v", msgs, err)
 	}
 }
 
@@ -91,7 +109,7 @@ func TestWalkSkipsDeadPeers(t *testing.T) {
 	alive := g.AliveIDs()
 	start := alive[0]
 	for trial := 0; trial < 100; trial++ {
-		end, _, err := sampling.Walk(bg, g, rnd, start, keyspace.FullRange(), 20)
+		end, _, err := sampling.Walk(bg, viewOf(t, g, start), rnd, start, keyspace.FullRange(), 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +142,8 @@ func TestMHUniformity(t *testing.T) {
 	counts := make([]int, n)
 	const trials = 30000
 	for trial := 0; trial < trials; trial++ {
-		end, _, err := sampling.Walk(bg, g, rnd, graph.NodeID(trial%n), keyspace.FullRange(), 60)
+		start := graph.NodeID(trial % n)
+		end, _, err := sampling.Walk(bg, viewOf(t, g, start), rnd, start, keyspace.FullRange(), 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,31 +167,33 @@ func TestSampleChainCountAndCost(t *testing.T) {
 	g, _ := buildLine(t, 100, 3, 6)
 	cg := &countedGraph{Network: g}
 	rnd := rand.New(rand.NewSource(7))
-	nbrs, err := g.Neighbors(bg, 0, keyspace.FullRange())
+	own, err := g.Neighbors(bg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, cost, err := sampling.SampleChain(bg, cg, rnd, 0, nbrs, keyspace.FullRange(), 10, 5)
+	samples, cost, err := sampling.SampleChain(bg, sampling.NewView[graph.NodeID](cg, 0, own), rnd, 0, keyspace.FullRange(), 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 10 {
 		t.Errorf("got %d samples", len(samples))
 	}
-	// One message per proposed move: 10 samples of 5 moves, a third lazy.
-	if cost != cg.calls || cost > 50 || cost < 20 {
-		t.Errorf("cost = %d for %d neighbour calls, want them equal and about 2/3 of 50 moves", cost, cg.calls)
+	// One message per peer the chain proposes, the start's own list none:
+	// at most the 50 moves, and never the same peer twice.
+	if cost != cg.calls || cost == 0 || cost > 50 {
+		t.Errorf("cost = %d for %d neighbour calls, want them equal and within 1..50", cost, cg.calls)
+	}
+	for id, c := range cg.asked {
+		if c != 1 || id == 0 {
+			t.Errorf("peer %d asked %d times", id, c)
+		}
 	}
 }
 
 func TestEstimateMedianOnUniformLine(t *testing.T) {
 	g, _ := buildLine(t, 400, 6, 8)
 	rnd := rand.New(rand.NewSource(9))
-	nbrs, err := g.Neighbors(bg, 0, keyspace.FullRange())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, _, err := sampling.SampleChain(bg, g, rnd, 0, nbrs, keyspace.FullRange(), 40, 12)
+	samples, _, err := sampling.SampleChain(bg, viewOf(t, g, 0), rnd, 0, keyspace.FullRange(), 40, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +231,7 @@ func TestSingleNodeWalk(t *testing.T) {
 	r := ring.New(g)
 	n := g.Add(5, 4, 4)
 	r.Insert(n.ID)
-	end, _, err := sampling.Walk(bg, g, rand.New(rand.NewSource(1)), n.ID, keyspace.FullRange(), 10)
+	end, _, err := sampling.Walk(bg, viewOf(t, g, n.ID), rand.New(rand.NewSource(1)), n.ID, keyspace.FullRange(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

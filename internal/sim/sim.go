@@ -27,6 +27,7 @@ import (
 	"github.com/oscar-overlay/oscar/internal/ring"
 	"github.com/oscar-overlay/oscar/internal/rng"
 	"github.com/oscar-overlay/oscar/internal/routing"
+	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/smallworld"
 )
 
@@ -228,7 +229,8 @@ func (s *Sim) RewireOne(id graph.NodeID) core.WireStats {
 // without skipLinked). The live node's core.Wire keeps its links up while
 // it discovers and skips such a draw. With cfg.Oracle the exact borders of
 // partition.BuildExact and exact uniform draws from the ring feed the same
-// slot loop.
+// slot loop; without it, every walk of the pass runs over one view
+// (core.NewView).
 func WireOscar(net *graph.Network, rg *ring.Ring, id graph.NodeID, cfg core.Config, rnd *rand.Rand) core.WireStats {
 	p, ctx := Peer{Network: net, Ring: rg, ID: id}, context.Background()
 	net.DropLinks(id)
@@ -236,8 +238,9 @@ func WireOscar(net *graph.Network, rg *ring.Ring, id graph.NodeID, cfg core.Conf
 		_, st, _ := core.Relink(ctx, p, partition.BuildExact(net, rg, id), p.oracleDraw, cfg.PowerOfTwo, false, seqRand{rnd})
 		return st
 	}
-	parts, msgs, _ := core.Discover(ctx, p, cfg.Samples, seqRand{rnd})
-	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw[graph.NodeID](p), cfg.PowerOfTwo, false, seqRand{rnd})
+	v := core.NewView[graph.NodeID](p)
+	parts, msgs, _ := core.Discover(ctx, p, v, cfg.Samples, seqRand{rnd})
+	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw[graph.NodeID](p, v), cfg.PowerOfTwo, false, seqRand{rnd})
 	st.SampleCost = msgs
 	return st
 }
@@ -259,14 +262,13 @@ type Peer struct {
 	ID   graph.NodeID
 }
 
-func (p Peer) Self() graph.NodeID               { return p.ID }
-func (p Peer) Key(id graph.NodeID) keyspace.Key { return p.Node(id).Key }
-func (p Peer) MaxOut() int                      { return p.Node(p.ID).MaxOut }
-func (p Peer) Release(context.Context)          { p.DropLinks(p.ID) }
+func (p Peer) Self() graph.NodeID      { return p.ID }
+func (p Peer) MaxOut() int             { return p.Node(p.ID).MaxOut }
+func (p Peer) Release(context.Context) { p.DropLinks(p.ID) }
 
-func (p Peer) LocalNeighbors(rg keyspace.Range) []graph.NodeID {
-	// No error: the peer wiring is alive and inside every range it walks.
-	nbrs, _ := p.Neighbors(context.Background(), p.ID, rg)
+func (p Peer) LocalNeighbors() []sampling.Neighbor[graph.NodeID] {
+	// No error: the peer wiring is alive.
+	nbrs, _ := p.Neighbors(context.Background(), p.ID)
 	return nbrs
 }
 

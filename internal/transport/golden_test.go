@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"flag"
 	"math"
 	"os"
 	"strings"
@@ -13,6 +14,11 @@ import (
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/storage"
 )
+
+// update rewrites goldenFile from the encoder instead of comparing
+// against it, keeping its comment lines: go test -run TestWireGolden
+// -update.
+var update = flag.Bool("update", false, "rewrite the golden record instead of comparing")
 
 // goldenFile holds the wire bytes of every goldenFrames entry, one
 // "name hex" line each, as the encoder wrote them before any of its
@@ -94,7 +100,8 @@ func encodeMsg(msg interface{}) []byte {
 
 // TestWireGolden pins the encoder's bytes: every frame in goldenFrames must
 // encode to exactly the hex recorded in goldenFile, and the recorded bytes
-// must decode and re-encode to themselves.
+// must decode and re-encode to themselves. With -update it rewrites
+// goldenFile instead.
 func TestWireGolden(t *testing.T) {
 	f, err := os.Open(goldenFile)
 	if err != nil {
@@ -102,11 +109,16 @@ func TestWireGolden(t *testing.T) {
 	}
 	defer f.Close()
 	want := map[string][]byte{}
+	var comments strings.Builder
 	sc := bufio.NewScanner(f)
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		name, h, ok := strings.Cut(sc.Text(), " ")
-		if !ok || strings.HasPrefix(name, "#") {
+		if strings.HasPrefix(name, "#") {
+			comments.WriteString(sc.Text() + "\n")
+			continue
+		}
+		if !ok {
 			continue
 		}
 		b, err := hex.DecodeString(h)
@@ -119,6 +131,16 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := goldenFrames()
+	if *update {
+		out := []byte(comments.String())
+		for _, fr := range frames {
+			out = append(out, fr.name+" "+hex.EncodeToString(encodeMsg(fr.msg))+"\n"...)
+		}
+		if err := os.WriteFile(goldenFile, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	if len(want) != len(frames) {
 		t.Fatalf("%s holds %d frames, the table %d", goldenFile, len(want), len(frames))
 	}

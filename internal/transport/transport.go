@@ -84,7 +84,7 @@ const (
 	OpPing      Op = "ping"       // liveness probe
 	OpInfo      Op = "info"       // peer's key, caps, degrees
 	OpNotify    Op = "notify"     // Chord notify: candidate predecessor
-	OpNeighbors Op = "neighbors"  // neighbour refs within a range + degree
+	OpNeighbors Op = "neighbors"  // all neighbour refs; the walker filters by range
 	OpLink      Op = "link"       // request a long-range in-link
 	OpUnlink    Op = "unlink"     // release a long-range in-link
 	OpFindOwner Op = "find_owner" // iterative routing step: best next hop
