@@ -4,7 +4,7 @@ GO ?= go
 
 # Packages with concurrency-sensitive code; the race job scopes to these
 # to keep CI fast (the full suite still runs race-free in `test`).
-RACE_PKGS = ./internal/transport/... ./internal/p2p/... ./internal/core/... ./internal/sampling/...
+RACE_PKGS = ./internal/transport/... ./internal/p2p/... ./internal/core/... ./internal/sampling/... ./internal/resident/...
 
 .PHONY: all build test race fuzz-smoke benchmark-check bench paper fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
 
@@ -80,9 +80,9 @@ examples:
 # refused without disturbing the server), TLS round trips, overload
 # shedding (saturate past the in-flight cap: typed
 # ErrOverloaded, bounded goroutines, recovery), and the call path's own —
-# resident handler workers (TestWorker*: sequential traffic starts at most
-# two, a blocked handler delays nobody, parked ones retire on the reaper
-# tick and on Close) and the caller-side flush (TestFlush*, TestCancelled*,
+# handler workers on the resident pool (TestWorker*: sequential traffic
+# starts at most two, a blocked handler delays nobody, parked ones retire
+# on the reaper tick and on Close) and the caller-side flush (TestFlush*, TestCancelled*,
 # TestWriteFailure*, TestLargeFrame*, TestWriterBounds*: one write per
 # lone call, shared writes under concurrency, nothing sent for a context
 # already done, one break and sent=true on a write error, big frames not
@@ -97,16 +97,19 @@ examples:
 # and that a connection's address table stays bounded) — and the wire
 # bytes themselves (TestWireGolden: every counted-slice field, a scan page
 # and a carried op's nested page encode to the committed hex). The p2p package
-# adds the fan-out's resident legs (TestFanoutLegs*: a put at r=2 starts
-# no leg and sequential puts at r=3 keep one, Close leaves none, 16
-# concurrent writers share them, a cancelled fan-out still fills every
+# adds the fan-out's legs, the resident pool's other user (TestFanoutLegs*:
+# a put at r=2 starts no leg and sequential puts at r=3 keep one, Close
+# leaves none, 16 concurrent writers share them, a cancelled fan-out still fills every
 # slot and counts every send), the seeded link pick
 # (TestPickCandidateSeedDeterministic: one seed picks one long-link
 # candidate however the two parallel draws interleave) and the live walk
 # (TestWalkGolden: every op's owner, cost and error and the messages sent
 # over a ring with crashed, unstabilised peers match the committed
-# record). The
-# storage package contributes the store contract that every backend's
+# record). The resident package pins the pool both run on (TestPool*:
+# a job goes to the goroutine that parked last, at most the cap stay
+# parked, Done finds its goroutine parked, RetireParked ends the parked
+# ones, Close waits for the busy ones and later jobs run on the caller).
+# The storage package contributes the store contract that every backend's
 # answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
 # store spanning several blocks agrees with a map model on every read, page,
 # digest and WAL replay).
@@ -114,6 +117,7 @@ CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHe
 CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|FuzzDecodeRequest|FuzzDecodeResponse
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
+CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose
 
 # conform PKG PATTERN: fail when an alternative of PATTERN matches no test
 # in PKG (a renamed test would otherwise drop out of the gate silently),
@@ -131,6 +135,7 @@ conformance:
 	$(call conform,./internal/p2p/,$(CONF_P2P))
 	$(call conform,./internal/transport/,$(CONF_TRANSPORT))
 	$(call conform,./internal/storage/,$(CONF_STORAGE))
+	$(call conform,./internal/resident/,$(CONF_RESIDENT))
 
 # Bench smoke: compile and run every benchmark once (shape check, not a
 # measurement). End-to-end and per-layer numbers come from the benchmark

@@ -467,8 +467,8 @@ func TestTombstoneGC(t *testing.T) {
 			t.Cleanup(func() { _ = n.Close() })
 			now := time.Now()
 			for _, s := range []*storage.Store{&n.store, &n.replStore} {
-				s.DeleteAt(10, now.Add(-tc.collect).UnixNano())
-				s.DeleteAt(20, now.Add(-tc.keep).UnixNano())
+				s.SetTombstone(10, now.Add(-tc.collect).UnixNano())
+				s.SetTombstone(20, now.Add(-tc.keep).UnixNano())
 			}
 			if got := n.gcTombstones(); got != 2 {
 				t.Errorf("collected %d tombstones, want 2", got)

@@ -50,11 +50,12 @@ func tcpRing(t *testing.T, size, r int) []*Node {
 }
 
 // goroutinesBesideWorkers is runtime.NumGoroutine less the TCP endpoints'
-// resident handler workers. A worker parks only after its answer is sent,
-// so now and then a request that answer provoked finds none parked and
-// starts one more — TestWorkersStayResident allows one per server, and a
-// put reaches two or three servers.
-func goroutinesBesideWorkers() int {
+// resident handler workers: the resident pools' goroutines less the
+// nodes' live legs, which run on pools of the same kind. A worker parks
+// only after its answer is sent, so now and then a request that answer
+// provoked finds none parked and starts one more — TestWorkersStayResident
+// allows one per server, and a put reaches two or three servers.
+func goroutinesBesideWorkers(nodes []*Node) int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -64,7 +65,11 @@ func goroutinesBesideWorkers() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	return runtime.NumGoroutine() - strings.Count(string(buf), "transport.(*TCPEndpoint).work(")
+	workers := strings.Count(string(buf), "resident.(*Pool[...]).loop(")
+	for _, n := range nodes {
+		workers -= int(n.legs.Stats().Live)
+	}
+	return runtime.NumGoroutine() - workers
 }
 
 // TestFanoutLegsResident, the twin of TestWorkersStayResident: a put runs
@@ -86,18 +91,18 @@ func TestFanoutLegsResident(t *testing.T) {
 				}
 			}
 			put(0)
-			before := goroutinesBesideWorkers()
-			handed, started := writer.legs.handed.Load(), writer.legs.started.Load()
+			before := goroutinesBesideWorkers(nodes)
+			legs := writer.legs.Stats()
 			for i := 1; i <= 1000; i++ {
 				put(i)
 			}
-			if got := writer.legs.handed.Load() - handed; got != int64(1000*(tc.r-2)) {
+			if got := writer.legs.Stats().Handed - legs.Handed; got != int64(1000*(tc.r-2)) {
 				t.Errorf("1000 puts at r=%d handed %d pushes to legs, want %d: all but the last run on the caller", tc.r, got, 1000*(tc.r-2))
 			}
-			if got := writer.legs.started.Load() - started; got > int64(tc.maxLegs) {
+			if got := writer.legs.Stats().Started - legs.Started; got > int64(tc.maxLegs) {
 				t.Errorf("1000 sequential puts at r=%d started %d leg goroutines, want at most %d", tc.r, got, tc.maxLegs)
 			}
-			if grew := goroutinesBesideWorkers() - before; grew > 1 {
+			if grew := goroutinesBesideWorkers(nodes) - before; grew > 1 {
 				t.Errorf("goroutines grew by %d over 1000 sequential puts", grew)
 			}
 		})
@@ -121,7 +126,7 @@ func TestFanoutLegsRetiredOnClose(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if writer.legs.started.Load() == 0 {
+	if writer.legs.Stats().Started == 0 {
 		t.Fatal("no leg was started: the test proves nothing")
 	}
 	// Two peers that hold their calls: one leg is busy on a resident
@@ -150,7 +155,7 @@ func TestFanoutLegsRetiredOnClose(t *testing.T) {
 	<-entered
 	<-entered
 	_ = writer.Close()
-	if left := writer.legs.live.Load(); left != 0 {
+	if left := writer.legs.Stats().Live; left != 0 {
 		t.Errorf("%d leg goroutines outlived Close", left)
 	}
 	<-done
@@ -161,7 +166,7 @@ func TestFanoutLegsRetiredOnClose(t *testing.T) {
 			t.Errorf("leg %d after Close = %+v, want a failed call to %s", i, r, addrs[i])
 		}
 	}
-	if live := writer.legs.live.Load(); sends != len(addrs) || live != 0 {
+	if live := writer.legs.Stats().Live; sends != len(addrs) || live != 0 {
 		t.Errorf("a fan-out after Close sent %d and left %d legs, want %d and 0", sends, live, len(addrs))
 	}
 }

@@ -21,6 +21,7 @@ import (
 
 	"github.com/oscar-overlay/oscar/internal/antientropy"
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/resident"
 	"github.com/oscar-overlay/oscar/internal/routecache"
 	"github.com/oscar-overlay/oscar/internal/routing"
 	"github.com/oscar-overlay/oscar/internal/storage"
@@ -247,7 +248,7 @@ type Node struct {
 	rnd *lockedRand
 
 	// legs run the fan-outs' handed-off legs (see parallel).
-	legs legs
+	legs *resident.Pool[legJob]
 }
 
 // routeEntry is one cached owner resolution: the peer that owned arc
@@ -289,6 +290,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		self: transport.PeerRef{Addr: tr.Addr(), Key: cfg.Key},
 		in:   make(map[transport.Addr]keyspace.Key),
 		rnd:  &lockedRand{r: rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Key)))},
+		legs: resident.New[legJob](maxParkedLegs),
 	}
 	n.routes = routecache.New[routeEntry](routeCacheArcs, routeCacheTTL)
 	n.pred = n.self
@@ -617,7 +619,7 @@ func (n *Node) Close() error {
 	n.down = true
 	n.mu.Unlock()
 	err := n.tr.Close()
-	n.legs.close()
+	n.legs.Close()
 	if n.eng != nil {
 		if cerr := n.eng.Close(); err == nil {
 			err = cerr
@@ -900,9 +902,9 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		// standing in for a dead predecessor still covers that arc (the
 		// dead peer's keys are clockwise before its own), while a healthy
 		// node never leaks its replica copies of live predecessors across
-		// the circle, which would skip every shard in between. More +
-		// Cursor tell the requester to call again here before hopping to
-		// Peer (the successor).
+		// the circle, which would skip every shard in between. More tells
+		// the requester to call again here, from one past the page's last
+		// key, before hopping to Peer (the successor).
 		rg := req.Range
 		selfEnd := n.self.Key + 1
 		if rg.Start == selfEnd {
@@ -918,11 +920,7 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 			maxItems = req.Limit
 		}
 		items, more := storage.ScanPageMerged(&n.store, &n.replStore, rg, maxItems, maxReplicateBytes)
-		resp := &transport.Response{OK: true, Items: items, More: more, Peer: n.succLocked()}
-		if more && len(items) > 0 {
-			resp.Cursor = items[len(items)-1].Key + 1
-		}
-		return resp
+		return &transport.Response{OK: true, Items: items, More: more, Peer: n.succLocked()}
 
 	case transport.OpMigrate:
 		// The joining predecessor takes over its arc — items and the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/oscar-overlay/oscar/internal/core"
@@ -225,7 +224,6 @@ func (n *Node) Stabilize(ctx context.Context) {
 	// questions: the successor's predecessor and its successor list.
 	pred := n.Pred()
 	var (
-		wg       sync.WaitGroup
 		succResp *transport.Response
 		succErr  error
 		predDead bool
@@ -265,27 +263,25 @@ func (n *Node) Stabilize(ctx context.Context) {
 	est := n.sizeEst
 	n.mu.Unlock()
 
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		succResp, _, succErr = n.readRetry(ctx, succ.Addr, &transport.Request{Op: transport.OpSuccList, SizeEst: est, From: n.self})
-	}()
+	probes := 1 // the successor's; the predecessor's unless it is this node
 	if pred.Addr != n.self.Addr {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// An overloaded predecessor is alive — it shed the probe, it
-			// didn't miss it. Clearing the slot would hand it to a worse
-			// candidate at the next notify for no reason. The probe rides
-			// out transient drops too (readRetry): a cleared slot makes
-			// this node claim the whole counterclockwise circle until the
-			// next notify, so a false positive here corrupts routing.
-			if _, _, err := n.readRetry(ctx, pred.Addr, &transport.Request{Op: transport.OpPing}); err != nil && !errors.Is(err, transport.ErrOverloaded) {
-				predDead = true
-			}
-		}()
+		probes = 2
 	}
-	wg.Wait()
+	n.parallel(probes, func(i int) {
+		if i == 0 {
+			succResp, _, succErr = n.readRetry(ctx, succ.Addr, &transport.Request{Op: transport.OpSuccList, SizeEst: est, From: n.self})
+			return
+		}
+		// An overloaded predecessor is alive — it shed the probe, it
+		// didn't miss it. Clearing the slot would hand it to a worse
+		// candidate at the next notify for no reason. The probe rides
+		// out transient drops too (readRetry): a cleared slot makes
+		// this node claim the whole counterclockwise circle until the
+		// next notify, so a false positive here corrupts routing.
+		if _, _, err := n.readRetry(ctx, pred.Addr, &transport.Request{Op: transport.OpPing}); err != nil && !errors.Is(err, transport.ErrOverloaded) {
+			predDead = true
+		}
+	})
 	if ctx.Err() != nil {
 		return // cancelled: don't interpret aborted probes as dead peers
 	}
@@ -487,6 +483,33 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 	}
 }
 
+// promoteLocked moves the replica state in arc, which the node now owns,
+// into the primary store and returns the items it promoted.
+func (n *Node) promoteLocked(arc keyspace.Range) int {
+	promoted := 0
+	// Promote inherited items — absent keys only: a primary copy, when
+	// present, is at least as fresh as any replica of it, and a primary
+	// tombstone means the key is deleted, not missing.
+	for _, it := range n.replStore.ExtractRange(arc) {
+		_, live := n.store.Get(it.Key)
+		_, dead := n.store.Tombstone(it.Key)
+		if !live && !dead {
+			n.store.Put(it.Key, it.Value)
+			promoted++
+		}
+	}
+	// Promote inherited delete knowledge: the previous owner's deletes
+	// must keep holding once this node answers for the arc. A live
+	// primary copy wins (it can only postdate the replica's tombstone
+	// via a fresh write).
+	for _, tb := range n.replStore.ExtractTombstones(arc) {
+		if _, live := n.store.Get(tb.Key); !live {
+			n.store.SetTombstone(tb.Key, tb.At)
+		}
+	}
+	return promoted
+}
+
 // syncReplicas is the replication upkeep run at the end of every
 // stabilisation round. Three duties: promote replica state whose keys fell
 // into the node's own arc (it inherited them when its predecessor range
@@ -506,26 +529,7 @@ func (n *Node) syncReplicas(ctx context.Context) {
 	arc, haveArc := n.arcLocked()
 	promoted := 0
 	if haveArc {
-		// Promote inherited items — absent keys only: a primary copy, when
-		// present, is at least as fresh as any replica of it, and a primary
-		// tombstone means the key is deleted, not missing.
-		for _, it := range n.replStore.ExtractRange(arc) {
-			_, live := n.store.Get(it.Key)
-			_, dead := n.store.Tombstone(it.Key)
-			if !live && !dead {
-				n.store.Put(it.Key, it.Value)
-				promoted++
-			}
-		}
-		// Promote inherited delete knowledge: the previous owner's deletes
-		// must keep holding once this node answers for the arc. A live
-		// primary copy wins (it can only postdate the replica's tombstone
-		// via a fresh write).
-		for _, tb := range n.replStore.ExtractTombstones(arc) {
-			if _, live := n.store.Get(tb.Key); !live {
-				n.store.SetTombstone(tb.Key, tb.At)
-			}
-		}
+		promoted = n.promoteLocked(arc)
 	}
 	targets := n.replicaTargetsLocked()
 	changed := promoted > 0 || len(targets) != len(n.lastChain)
@@ -988,14 +992,20 @@ func (n *Node) Put(ctx context.Context, key keyspace.Key, value []byte) (OpResul
 // context surfaces as the context's error, never as a fabricated
 // write-concern failure.
 func (n *Node) PutW(ctx context.Context, key keyspace.Key, value []byte, w int) (OpResult, error) {
-	res, resp, err := n.dataOp(ctx, key, &transport.Request{Op: transport.OpPut, Key: key, Value: value, From: n.self})
+	return n.write(ctx, &transport.Request{Op: transport.OpPut, Key: key, Value: value, From: n.self},
+		&transport.Request{Op: transport.OpReplicate, Items: []storage.Item{{Key: key, Value: value}}, From: n.self}, w)
+}
+
+// write runs req, a put or a delete, at the owner of req.Key, pushes
+// repl to the owner's replica chain and checks the acks of both against
+// the write concern w: PutW's and DeleteW's contract.
+func (n *Node) write(ctx context.Context, req, repl *transport.Request, w int) (OpResult, error) {
+	res, resp, err := n.dataOp(ctx, req.Key, req)
 	if err != nil {
 		return res, err
 	}
 	res.Acks = resp.Acks
-	msgs, acks := n.pushReplicas(ctx, resp.Peers, &transport.Request{
-		Op: transport.OpReplicate, Items: []storage.Item{{Key: key, Value: value}}, From: n.self,
-	})
+	msgs, acks := n.pushReplicas(ctx, resp.Peers, repl)
 	res.Cost += msgs
 	res.Acks += acks
 	if cerr := ctx.Err(); cerr != nil {
@@ -1127,26 +1137,8 @@ func (n *Node) Delete(ctx context.Context, key keyspace.Key) (OpResult, error) {
 // ErrWriteConcern while the delete holds wherever it was acked (and its
 // tombstone propagates to the rest via anti-entropy).
 func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, error) {
-	res, resp, err := n.dataOp(ctx, key, &transport.Request{Op: transport.OpDelete, Key: key, From: n.self})
-	if err != nil {
-		return res, err
-	}
-	res.Acks = resp.Acks
-	msgs, acks := n.pushReplicas(ctx, resp.Peers, &transport.Request{
-		Op: transport.OpReplicateDel, Key: key, From: n.self,
-	})
-	res.Cost += msgs
-	res.Acks += acks
-	if cerr := ctx.Err(); cerr != nil {
-		return res, cerr
-	}
-	if w <= 0 {
-		w = n.cfg.WriteConcern
-	}
-	if res.Acks < w {
-		return res, &WriteConcernError{Acks: res.Acks, Want: w}
-	}
-	return res, nil
+	return n.write(ctx, &transport.Request{Op: transport.OpDelete, Key: key, From: n.self},
+		&transport.Request{Op: transport.OpReplicateDel, Key: key, From: n.self}, w)
 }
 
 // Rewire rebuilds the node's long-range links with the Oscar construction

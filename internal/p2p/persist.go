@@ -124,7 +124,7 @@ func (n *Node) CloseClean() error {
 	}
 	n.mu.Unlock()
 	terr := n.tr.Close()
-	n.legs.close()
+	n.legs.Close()
 	cerr := n.eng.Close()
 	if serr != nil {
 		return serr
@@ -197,18 +197,7 @@ func filterMigrateItems(items []storage.Item, states []antientropy.State) []stor
 // holds exactly the owned arc — the invariant the digest tree summary
 // depends on.
 func (n *Node) relocateRecoveredLocked(arc keyspace.Range) {
-	for _, it := range n.replStore.ExtractRange(arc) {
-		_, live := n.store.Get(it.Key)
-		_, dead := n.store.Tombstone(it.Key)
-		if !live && !dead {
-			n.store.Put(it.Key, it.Value)
-		}
-	}
-	for _, tb := range n.replStore.ExtractTombstones(arc) {
-		if _, live := n.store.Get(tb.Key); !live {
-			n.store.SetTombstone(tb.Key, tb.At)
-		}
-	}
+	n.promoteLocked(arc)
 	outside := keyspace.Range{Start: arc.End, End: arc.Start}
 	strayItems := n.store.ExtractRange(outside)
 	strayTombs := n.store.ExtractTombstones(outside)

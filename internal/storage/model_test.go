@@ -153,14 +153,9 @@ func (r *modelRun) exec(op int, in *opReader) {
 		if got, want := s.Put(k, v), m.put(k, v); got != want {
 			r.t.Fatalf("step %d: Put(%v) replaced=%v, model %v", r.step, k, got, want)
 		}
-	case 1, 2: // DeleteAt, SetTombstone
+	case 1, 2: // SetTombstone: two slots keep FuzzStoreOps's seeds meaning what they did
 		k, at := modelKey(in.key()), int64(in.byte())
-		var got bool
-		if op == 1 {
-			got = s.DeleteAt(k, at)
-		} else {
-			got = s.SetTombstone(k, at)
-		}
+		got := s.SetTombstone(k, at)
 		if want := m.tombstone(k, at); got != want {
 			r.t.Fatalf("step %d: delete(%v) existed=%v, model %v", r.step, k, got, want)
 		}

@@ -19,7 +19,7 @@ const (
 	// MutPut stores Value under Key, clearing any tombstone.
 	MutPut MutOp = iota + 1
 	// MutTombstone removes the live item and records Key deleted at At
-	// (newest timestamp wins) — Delete, DeleteAt, SetTombstone and
+	// (newest timestamp wins) — Delete, SetTombstone and
 	// InsertTombstones all reduce to it.
 	MutTombstone
 	// MutDrop removes every trace of Key: live item and tombstone alike.

@@ -251,15 +251,7 @@ func (s *Store) Get(k keyspace.Key) ([]byte, bool) {
 // caller may be clearing a copy it cannot see), timestamped now, so sync
 // protocols propagate it instead of resurrecting the key from stale copies.
 func (s *Store) Delete(k keyspace.Key) bool {
-	return s.DeleteAt(k, time.Now().UnixNano())
-}
-
-// DeleteAt is Delete with an explicit tombstone timestamp (unix nanos).
-func (s *Store) DeleteAt(k keyspace.Key, at int64) bool {
-	s.emit(Mutation{Op: MutTombstone, Key: k, At: at})
-	existed := s.removeItem(k)
-	s.setTomb(k, at)
-	return existed
+	return s.SetTombstone(k, time.Now().UnixNano())
 }
 
 // removeItem removes the live item for k without recording a tombstone.

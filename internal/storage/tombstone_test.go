@@ -82,7 +82,7 @@ func TestDropRemovesEveryTrace(t *testing.T) {
 	if _, ok := s.Tombstone(k); ok {
 		t.Error("drop recorded a tombstone")
 	}
-	s.DeleteAt(k, 5)
+	s.SetTombstone(k, 5)
 	s.Drop(k)
 	if s.TombstoneCount() != 0 {
 		t.Error("drop left the tombstone")
@@ -93,8 +93,8 @@ func TestGCTombstones(t *testing.T) {
 	var s Store
 	s.EnableDigest(4)
 	k1, k2 := keyspace.FromFloat(0.1), keyspace.FromFloat(0.6)
-	s.DeleteAt(k1, 100)
-	s.DeleteAt(k2, 300)
+	s.SetTombstone(k1, 100)
+	s.SetTombstone(k2, 300)
 	if got := s.GCTombstones(200); got != 1 {
 		t.Fatalf("gc collected %d, want 1", got)
 	}
@@ -121,9 +121,9 @@ func (s *Store) digestWithTomb(depth int, k keyspace.Key) []uint64 {
 func TestExtractTombstones(t *testing.T) {
 	var s Store
 	lo, mid, hi := keyspace.FromFloat(0.1), keyspace.FromFloat(0.5), keyspace.FromFloat(0.9)
-	s.DeleteAt(lo, 1)
-	s.DeleteAt(mid, 2)
-	s.DeleteAt(hi, 3)
+	s.SetTombstone(lo, 1)
+	s.SetTombstone(mid, 2)
+	s.SetTombstone(hi, 3)
 	out := s.ExtractTombstones(keyspace.Range{Start: keyspace.FromFloat(0.4), End: keyspace.FromFloat(0.6)})
 	if len(out) != 1 || out[0].Key != mid || out[0].At != 2 {
 		t.Fatalf("extracted %v", out)
@@ -158,7 +158,7 @@ func TestMaintainedDigestMatchesOnDemand(t *testing.T) {
 		case 0, 1:
 			s.Put(k, []byte(fmt.Sprintf("v%d", step)))
 		case 2:
-			s.DeleteAt(k, int64(step))
+			s.SetTombstone(k, int64(step))
 		case 3:
 			s.Drop(k)
 		case 4:
@@ -181,7 +181,7 @@ func TestSyncStatesMergesItemsAndTombstones(t *testing.T) {
 	var s Store
 	k1, k2, k3 := keyspace.FromFloat(0.2), keyspace.FromFloat(0.4), keyspace.FromFloat(0.6)
 	s.Put(k1, []byte("a"))
-	s.DeleteAt(k2, 9)
+	s.SetTombstone(k2, 9)
 	s.Put(k3, []byte("c"))
 	states := s.SyncStates(keyspace.FullRange())
 	if len(states) != 3 {

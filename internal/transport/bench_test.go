@@ -143,9 +143,9 @@ func benchPages(scattered bool) [][]storage.Item {
 	return pages
 }
 
-// pageResponse is the answer to one scan call: a full page and its cursor.
+// pageResponse is the answer to one scan call: a full page.
 func pageResponse(items []storage.Item) *Response {
-	return &Response{OK: true, Items: items, More: true, Cursor: items[len(items)-1].Key + 1,
+	return &Response{OK: true, Items: items, More: true,
 		Peer: PeerRef{Addr: "127.0.0.1:7001", Key: keyspace.FromFloat(0.5)}}
 }
 

@@ -20,11 +20,7 @@ import (
 // server side, the caller-side flush on both.
 
 // parkedWorkers reports how many of an endpoint's workers are parked.
-func parkedWorkers(e *TCPEndpoint) int {
-	e.workerMu.Lock()
-	defer e.workerMu.Unlock()
-	return len(e.parked)
-}
+func parkedWorkers(e *TCPEndpoint) int { return e.workers.Stats().Parked }
 
 // waitFor polls cond for up to two seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -69,7 +65,7 @@ func TestWorkersStayResident(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		call(i)
 	}
-	if started := server.workersStarted.Load(); started > 2 {
+	if started := server.workers.Stats().Started; started > 2 {
 		t.Errorf("1001 sequential calls started %d workers, want at most 2", started)
 	}
 	if grew := runtime.NumGoroutine() - before; grew > 1 {
@@ -157,7 +153,7 @@ func TestWorkersRetire(t *testing.T) {
 		server := listen(t, b.gate, withIdleTimeout(200*time.Millisecond)) // reaper tick: 100ms
 		client := listen(t, nil)
 		b.fire(t, client, server)
-		if started := server.workersStarted.Load(); started != size {
+		if started := server.workers.Stats().Started; started != size {
 			t.Fatalf("a burst of %d concurrent requests started %d workers", size, started)
 		}
 		waitFor(t, "the parked workers to retire", func() bool { return parkedWorkers(server) == 0 })

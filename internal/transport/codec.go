@@ -80,7 +80,7 @@ const (
 	stagAcks
 	stagItems
 	stagMore
-	stagCursor
+	_ // was Cursor: reserved
 	stagTombs
 	stagDigest
 	stagStates
@@ -344,7 +344,6 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.intField(stagAcks, resp.Acks)
 	w.itemsField(stagItems, resp.Items)
 	w.boolField(stagMore, resp.More)
-	w.keyField(stagCursor, resp.Cursor)
 	w.tombsField(stagTombs, resp.Tombs)
 	fixed64sField(w, stagDigest, resp.Digest)
 	w.statesField(stagStates, resp.States)
@@ -784,8 +783,6 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 			resp.Items = fr.items()
 		case stagMore:
 			resp.More = true
-		case stagCursor:
-			resp.Cursor = keyspace.Key(fr.fixed64())
 		case stagTombs:
 			resp.Tombs = fr.tombs()
 		case stagDigest:

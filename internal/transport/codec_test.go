@@ -58,7 +58,6 @@ func fullResponse() *Response {
 		Acks:    3,
 		Items:   []storage.Item{{Key: 11, Value: []byte("v")}},
 		More:    true,
-		Cursor:  keyspace.FromFloat(0.31),
 		Tombs:   []storage.Tombstone{{Key: 12, At: math.MaxInt64}},
 		Digest:  []uint64{0, 1, math.MaxUint64},
 		States:  []antientropy.State{{Key: 13, Hash: 2, Deleted: false}},
@@ -69,7 +68,7 @@ func fullResponse() *Response {
 			OK: true, Found: true, Value: []byte("carried"), Acks: 1,
 			Peers: []PeerRef{{Addr: "c:3", Key: 9}},
 			Items: []storage.Item{{Key: 14, Value: []byte("page")}},
-			More:  true, Cursor: 15,
+			More:  true,
 		},
 		Arc: keyspace.Range{Start: keyspace.FromFloat(0.95), End: 8},
 	}

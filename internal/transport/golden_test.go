@@ -79,13 +79,11 @@ func goldenFrames() []goldenFrame {
 		{"resp-peers", &Response{OK: true, Peers: []PeerRef{{Addr: "a:1", Key: 1}, {Addr: "", Key: 2}, {Addr: "b:2", Key: keyspace.MaxKey}}}},
 		{"resp-digest", &Response{OK: true, Digest: []uint64{0, 1, math.MaxUint64}}},
 		{"resp-full", fullResponse()},
-		{"resp-scan-page", &Response{OK: true, Peer: peer, Items: goldenPage(130, 100), More: true,
-			Cursor: keyspace.FromFloat(0.5)}},
+		{"resp-scan-page", &Response{OK: true, Peer: peer, Items: goldenPage(130, 100), More: true}},
 		{"resp-carried-page", &Response{OK: true, Found: true, Peer: peer,
-			Peers: []PeerRef{{Addr: "10.0.0.8:7000", Key: keyspace.FromFloat(0.5)}},
-			Arc:   keyspace.Range{Start: keyspace.FromFloat(0.125), End: keyspace.FromFloat(0.25) + 1},
-			Result: &Response{OK: true, Peer: peer, Items: goldenPage(170, 100), More: true,
-				Cursor: keyspace.FromFloat(0.2)},
+			Peers:  []PeerRef{{Addr: "10.0.0.8:7000", Key: keyspace.FromFloat(0.5)}},
+			Arc:    keyspace.Range{Start: keyspace.FromFloat(0.125), End: keyspace.FromFloat(0.25) + 1},
+			Result: &Response{OK: true, Peer: peer, Items: goldenPage(170, 100), More: true},
 		}},
 	}
 }

@@ -9,8 +9,9 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/oscar-overlay/oscar/internal/resident"
 )
 
 // Transport settings. Every endpoint runs at these; tests shrink them
@@ -73,14 +74,14 @@ func WithTLS(cfg *tls.Config) TCPOption {
 // connections carrying length-prefixed frames tagged with request ids, so
 // many in-flight Calls multiplex over one connection in each direction.
 // Each connection opens with a hello that confirms the binary codec. The
-// server side reads frames in a loop and hands each request to a resident
-// worker goroutine, at most one per slot of the endpoint's in-flight cap;
-// excess load is shed with a typed overload error. Neither side has a
-// writer goroutine: the goroutine that has a frame to send appends it to
-// the connection's pending buffer and, unless a flush is already under
-// way, writes the buffer itself (see connWriter). Broken connections are
-// evicted and redialed on the next call. With WithTLS, every connection is
-// encrypted.
+// server side reads frames in a loop and hands each request to a handler
+// worker on the endpoint's resident pool, at most one per slot of the
+// endpoint's in-flight cap; excess load is shed with a typed overload
+// error. Neither side has a writer goroutine: the goroutine that has a
+// frame to send appends it to the connection's pending buffer and,
+// unless a flush is already under way, writes the buffer itself (see
+// connWriter). Broken connections are evicted and redialed on the next
+// call. With WithTLS, every connection is encrypted.
 type TCPEndpoint struct {
 	ln   net.Listener
 	pool *pool
@@ -95,18 +96,11 @@ type TCPEndpoint struct {
 	closed  bool
 	conns   map[net.Conn]struct{} // live server-side connections
 
-	// Resident handler workers. A worker that has answered its request
-	// parks itself here, and the next admitted request wakes the one that
-	// parked last: the goroutines in use are as few as the requests in
-	// flight, and they keep the stacks the handler grew. Only a request
-	// that finds nobody parked starts a new worker, so a slow handler
-	// delays no one. Every worker holds a slot or is parked, which keeps
-	// them under cap(slots); the reaper retires the parked ones on each of
-	// its ticks, Close retires them all.
-	workerMu       sync.Mutex
-	parked         []chan serverJob
-	retired        bool         // Close has run: a worker that finishes exits
-	workersStarted atomic.Int64 // for tests
+	// workers are the resident handler goroutines. A worker parks before
+	// it frees its slot, and every worker holds a slot or is parked, which
+	// keeps them under cap(slots); the reaper retires the parked ones on
+	// each of its ticks, Close retires them all.
+	workers *resident.Pool[serverJob]
 
 	wg         sync.WaitGroup
 	stopReaper chan struct{}
@@ -136,6 +130,7 @@ func ListenTCP(bind string, options ...TCPOption) (*TCPEndpoint, error) {
 		pool:       newPool(opts.poolSize, opts.callTimeout, opts.callTimeout, opts.maxInflight, opts.tlsConf),
 		opts:       opts,
 		slots:      make(chan struct{}, opts.maxInflight),
+		workers:    resident.New[serverJob](opts.maxInflight),
 		conns:      make(map[net.Conn]struct{}),
 		stopReaper: make(chan struct{}),
 	}
@@ -167,7 +162,7 @@ func (e *TCPEndpoint) reapLoop() {
 			return
 		case <-ticker.C:
 			e.pool.reap()
-			e.retireParked(false)
+			e.workers.RetireParked()
 		}
 	}
 }
@@ -260,7 +255,8 @@ func (sc *serverConn) respond(id uint64, resp *Response) {
 	}
 }
 
-// serverJob is one admitted request on its way to a worker.
+// serverJob is one admitted request on its way to a worker; it holds a
+// slot, which Done frees.
 type serverJob struct {
 	sc  *serverConn
 	id  uint64
@@ -268,7 +264,7 @@ type serverJob struct {
 	h   Handler
 }
 
-func (j serverJob) run() {
+func (j serverJob) Run() {
 	if j.h == nil {
 		j.sc.respond(j.id, &Response{OK: false, Err: "no handler"})
 		return
@@ -276,58 +272,7 @@ func (j serverJob) run() {
 	j.sc.respond(j.id, j.h(j.req))
 }
 
-// dispatch hands an admitted request (the caller holds its slot) to the
-// worker that parked last, or to a new one when none is parked.
-func (e *TCPEndpoint) dispatch(j serverJob) {
-	e.workerMu.Lock()
-	if n := len(e.parked); n > 0 {
-		w := e.parked[n-1]
-		e.parked = e.parked[:n-1]
-		e.workerMu.Unlock()
-		w <- j // one-slot buffer, and a parked worker's is empty
-		return
-	}
-	e.workerMu.Unlock()
-	e.workersStarted.Add(1)
-	e.wg.Add(1)
-	go e.work(make(chan serverJob, 1), j)
-}
-
-// work is one resident worker: run a request, park, wait for the next.
-// It parks before it frees its slot, so whoever takes that slot finds it.
-func (e *TCPEndpoint) work(jobs chan serverJob, j serverJob) {
-	defer e.wg.Done()
-	for {
-		j.run()
-		e.workerMu.Lock()
-		retired := e.retired
-		if !retired {
-			e.parked = append(e.parked, jobs)
-		}
-		e.workerMu.Unlock()
-		<-e.slots
-		if retired {
-			return
-		}
-		var ok bool
-		if j, ok = <-jobs; !ok {
-			return
-		}
-	}
-}
-
-// retireParked ends every parked worker; final also ends the busy ones as
-// they finish.
-func (e *TCPEndpoint) retireParked(final bool) {
-	e.workerMu.Lock()
-	parked := e.parked
-	e.parked = nil
-	e.retired = e.retired || final
-	e.workerMu.Unlock()
-	for _, w := range parked {
-		close(w)
-	}
-}
+func (j serverJob) Done() { <-j.sc.e.slots }
 
 // serveConn is the server half of one multiplexed connection: accept the
 // hello, then read frames in a loop, handing each to a resident worker
@@ -371,7 +316,7 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 		}
 		select {
 		case e.slots <- struct{}{}:
-			e.dispatch(serverJob{sc: sc, id: id, req: req, h: h})
+			e.workers.Go(serverJob{sc: sc, id: id, req: req, h: h})
 		default:
 			// Every handler slot is busy: shed this request now. The
 			// response is encoded on the read goroutine — cheap, bounded —
@@ -452,7 +397,7 @@ func (e *TCPEndpoint) Close() error {
 	for _, c := range conns {
 		_ = c.Close() // unblocks server read loops
 	}
-	e.retireParked(true)
 	e.wg.Wait()
+	e.workers.Close()
 	return err
 }

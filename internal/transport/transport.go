@@ -94,9 +94,9 @@ const (
 	// OpScan is one page of a streaming arc scan: the responder returns up
 	// to a frame-bounded page of live items in the requested range from its
 	// merged view (own shard plus replica copies, tombstones honoured),
-	// clockwise from Range.Start — the cursor. More with a resume Cursor
-	// asks the requester to call the same peer again before hopping to the
-	// successor (Peer). Non-destructive, unlike migrate.
+	// clockwise from Range.Start — the cursor. More asks the requester to
+	// call the same peer again, from one past the page's last key, before
+	// hopping to the successor (Peer). Non-destructive, unlike migrate.
 	OpScan    Op = "scan"    // one cursor-paged scan step over the local merged view
 	OpMigrate Op = "migrate" // hand over items in a range (join)
 
@@ -193,12 +193,8 @@ type Response struct {
 	// More reports that a migrate or scan response was truncated to bound
 	// the frame size and the requester must call again for the rest of the
 	// range (migrate extracts, so repeated calls progress; scan resumes
-	// from Cursor).
+	// one past the page's last key).
 	More bool
-	// Cursor is the resume key of a truncated scan page (set when More):
-	// the next scan request against the same range continues from here —
-	// one past the last returned item.
-	Cursor keyspace.Key
 	// Tombs carries the tombstones of a migrated arc (migrate): the delete
 	// knowledge travels with the items it covers.
 	Tombs []storage.Tombstone
