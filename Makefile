@@ -49,7 +49,9 @@ examples:
 
 # Conformance: the identical scenario table against the Client on two
 # harnesses (a StartCluster ring on the in-memory fabric and StartNode
-# peers on loopback TCP), the crash-durability contract (write with r=3,
+# peers on loopback TCP; among its rows, a 1,500-item scan with no page
+# size takes at most one page per owner it crosses, plus one), the
+# crash-durability contract (write with r=3,
 # kill the owner, lose nothing), the divergence-heal contract (corrupt a
 # replica, anti-entropy repairs exactly the divergence, the owner's Info
 # reports that work, deletes stay deleted), the write-concern
@@ -85,7 +87,8 @@ examples:
 # on the reaper tick and on Close) and the caller-side flush (TestFlush*, TestCancelled*,
 # TestWriteFailure*, TestLargeFrame*, TestWriterBounds*: one write per
 # lone call, shared writes under concurrency, nothing sent for a context
-# already done, one break and sent=true on a write error, big frames not
+# already done, a call cancelled before its dial matching context.Canceled
+# as well as ErrUnreachable, one break and sent=true on a write error, big frames not
 # pinned, pending frames capped against a peer that stops reading) — and
 # value ownership (TestDecodedValue*, TestLargeFrameReadNotPinned and the
 # FuzzDecode* seed corpora: nothing decoded aliases a reused read buffer,
@@ -105,7 +108,10 @@ examples:
 # candidate however the two parallel draws interleave) and the live walk
 # (TestWalkGolden: every op's owner, cost and error and the messages sent
 # over a ring with crashed, unstabilised peers match the committed
-# record). The resident package pins the pool both run on (TestPool*:
+# record), and the scan page's bounds (TestScanPageBounds: an owner
+# answers with all it holds of a range up to the request's limit, 8192
+# items or 4 MiB of values, with an exact More, on the carried page and on
+# OpScan alike). The resident package pins the pool both run on (TestPool*:
 # a job goes to the goroutine that parked last, at most the cap stay
 # parked, Done finds its goroutine parked, RetireParked ends the parked
 # ones, Close waits for the busy ones and later jobs run on the caller).
@@ -114,7 +120,7 @@ examples:
 # store spanning several blocks agrees with a map model on every read, page,
 # digest and WAL replay).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden|TestScanPageBounds
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|FuzzDecodeRequest|FuzzDecodeResponse
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose

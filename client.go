@@ -33,8 +33,8 @@ type Client interface {
 	// is ErrNotFound (the response still carries the routing cost).
 	Delete(ctx context.Context, key Key) (DeleteResponse, error)
 	// Scan streams the items with keys in the clockwise arc [start, end)
-	// in clockwise key order, pulling frame-bounded pages (at most 512
-	// items / 4 MiB per page) from one shard owner at a time — the scan
+	// in clockwise key order, pulling bounded pages (at most 8192 items /
+	// 4 MiB of values per page) from one shard owner at a time — the scan
 	// never materialises more than one page per hop in memory. start > end
 	// wraps around the top of the identifier circle; start == end is
 	// rejected with ErrBadRange (on the Scanner, since Scan itself cannot

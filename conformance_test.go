@@ -372,6 +372,42 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 				}
 			})
 		}
+
+		// Far more items than a replicate push carries, in a band between
+		// two of the model's keys, scanned with no page size: each owner
+		// answers with one page, so the pages are at most the owners the
+		// band crosses, plus one.
+		t.Run("many-items", func(t *testing.T) {
+			const many = 1500
+			lo, hi := KeyFromFloat(0.605), KeyFromFloat(0.62)
+			want := make([]Item, many)
+			owners := map[Key]bool{}
+			for j := range want {
+				want[j] = Item{Key: KeyFromFloat(0.61 + 0.005*float64(j)/many), Value: []byte(fmt.Sprint(j))}
+				put, err := cl.Put(ctx, want[j].Key, want[j].Value)
+				if err != nil {
+					t.Fatalf("put %d: %v", j, err)
+				}
+				owners[put.Owner.Key] = true
+			}
+			got, st, err := scanAll(ctx, cl, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != many {
+				t.Fatalf("scan = %d items, model = %d", len(got), many)
+			}
+			for i := range got {
+				if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+					t.Fatalf("scan item %d = (%v, %q), model has (%v, %q)",
+						i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+				}
+			}
+			if st.Pages > len(owners)+1 {
+				t.Fatalf("%d items on %d owner(s) took %d pages, want at most %d",
+					many, len(owners), st.Pages, len(owners)+1)
+			}
+		})
 	})
 
 	t.Run("scan-iterator", func(t *testing.T) {

@@ -214,7 +214,13 @@ func (m *Mixture) CDF(x float64) float64 {
 // needles are narrower than any practical uniform-resolution histogram
 // bucket, which is the documented failure mode of Mercury's sampling and the
 // regime Oscar's median estimation is designed for.
-func GnutellaLike() Distribution {
+//
+// Every call returns the same value, built once: callers draw every key
+// through it, and a Mixture is read-only after construction, so it is safe
+// for concurrent use.
+func GnutellaLike() Distribution { return gnutellaLike }
+
+var gnutellaLike = func() *Mixture {
 	m, err := NewMixture("gnutella", []Component{
 		{Weight: 0.10, Uniform: &UniformSpec{A: 0, B: 1}},
 		{Weight: 0.22, Gauss: &GaussSpec{Mu: 0.12, Sigma: 0.015}},
@@ -228,7 +234,7 @@ func GnutellaLike() Distribution {
 		panic("keydist: GnutellaLike construction: " + err.Error()) // static spec, cannot fail
 	}
 	return m
-}
+}()
 
 // Zipf places mass on Sites discrete cluster centres with popularity
 // ∝ 1/rank^S, spreading each cluster over a small jitter window. It models

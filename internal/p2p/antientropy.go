@@ -11,7 +11,7 @@ import (
 )
 
 // Chunking bounds for one replicate push frame — the storage layer's
-// shared page bounds, which scan pages and migrate responses use too. The
+// page bounds, which migrate responses and repair batches use too. The
 // transport caps frames at 16 MiB; staying an order of magnitude under it
 // leaves room for JSON framing and keeps a slow receiver from stalling one
 // giant frame.

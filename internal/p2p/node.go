@@ -894,10 +894,12 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 
 	case transport.OpScan:
 		// One page of a streaming arc scan, clockwise from the cursor
-		// (Range.Start), non-destructive and frame-bounded like replicate
-		// pushes. The page merges the primary shard with the replica store
-		// (tombstones honoured, primary wins), clipped to the arc this node
-		// can serve authoritatively: keys clockwise up to its own position.
+		// (Range.Start), non-destructive and bounded by the request's
+		// Limit, maxScanItems and PageMaxBytes of values, so a reader asks
+		// each owner once for all it holds of a range of usual size. The
+		// page merges the primary shard with the replica store (tombstones
+		// honoured, primary wins), clipped to the arc this node can serve
+		// authoritatively: keys clockwise up to its own position.
 		// The clip is what makes the merged view safe — a chain member
 		// standing in for a dead predecessor still covers that arc (the
 		// dead peer's keys are clockwise before its own), while a healthy
@@ -915,11 +917,11 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		if rg.Start.Distance(selfEnd) < rg.Start.Distance(rg.End) {
 			rg.End = selfEnd
 		}
-		maxItems := maxReplicateItems
+		maxItems := maxScanItems
 		if req.Limit > 0 && req.Limit < maxItems {
 			maxItems = req.Limit
 		}
-		items, more := storage.ScanPageMerged(&n.store, &n.replStore, rg, maxItems, maxReplicateBytes)
+		items, more := storage.ScanPageMerged(&n.store, &n.replStore, rg, maxItems, storage.PageMaxBytes)
 		return &transport.Response{OK: true, Items: items, More: more, Peer: n.succLocked()}
 
 	case transport.OpMigrate:

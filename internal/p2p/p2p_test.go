@@ -600,6 +600,71 @@ func TestLookupCancelledMidWalk(t *testing.T) {
 	}
 }
 
+// TestScanPageBounds pins a scan page's bounds: an owner answers with all
+// it holds of the range up to the request's limit, maxScanItems items or
+// PageMaxBytes of values, whichever comes first, and More is exact, so
+// the page after a full one is never empty. The first page rides on the
+// walk (a carried find_owner), later ones come by OpScan, so both paths
+// are checked.
+func TestScanPageBounds(t *testing.T) {
+	cases := []struct {
+		name             string
+		items, valueSize int
+		want             int   // NextPage's item cap, on every call
+		pages            []int // the item counts of the pages, in order
+	}{
+		{"one page", 3000, 100, 0, []int{3000}},
+		{"item cap", maxScanItems + 1, 8, 0, []int{maxScanItems, 1}},
+		{"item cap exact", maxScanItems, 8, 0, []int{maxScanItems}},
+		{"byte cap 4 KiB values", 1025, 4 << 10, 0, []int{1024, 1}},
+		{"byte cap 64 KiB values", 65, 64 << 10, 0, []int{64, 1}},
+		{"limit", maxScanItems + 1, 8, 5000, []int{5000, maxScanItems + 1 - 5000}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Nodes at 0, 1/4, 1/2 and 3/4: the node at 1/2 owns the
+			// whole range [0.3, 0.45), and node 0 scans it.
+			nodes, trs, _ := carryRing(t, 4, false, nil)
+			owner := nodes[2]
+			value := make([]byte, tc.valueSize)
+			keys := make([]keyspace.Key, tc.items)
+			owner.mu.Lock()
+			for i := range keys {
+				keys[i] = keyspace.FromFloat(0.3 + 0.1*float64(i)/float64(tc.items))
+				owner.store.Put(keys[i], value)
+			}
+			owner.mu.Unlock()
+
+			s := nodes[0].NewScanSession(keyspace.FromFloat(0.3), keyspace.FromFloat(0.45))
+			cursor, got := keys[0], 0
+			for p, want := range tc.pages {
+				chunk, err := s.NextPage(bg, cursor, tc.want)
+				if err != nil {
+					t.Fatalf("page %d: %v", p, err)
+				}
+				last := p == len(tc.pages)-1
+				if len(chunk.Items) != want || chunk.Done != last {
+					t.Fatalf("page %d = %d items, done %v; want %d items, done %v",
+						p, len(chunk.Items), chunk.Done, want, last)
+				}
+				for i, it := range chunk.Items {
+					if it.Key != keys[got+i] {
+						t.Fatalf("page %d item %d = %v, want %v", p, i, it.Key, keys[got+i])
+					}
+				}
+				got += want
+				cursor = chunk.Items[want-1].Key + 1
+			}
+			if n := trs[2].get(trs[2].ran, transport.OpScan); n != 1 {
+				t.Errorf("the owner ran %d carried scan pages, want 1", n)
+			}
+			if n, want := trs[0].get(trs[0].sent, transport.OpScan), len(tc.pages)-1; n != want {
+				t.Errorf("the scan sent %d OpScan calls, want %d", n, want)
+			}
+		})
+	}
+}
+
 func TestScanCancelled(t *testing.T) {
 	c := newTestCluster(t, 16)
 	ctx, cancel := context.WithCancel(bg)

@@ -19,10 +19,19 @@ const (
 	scanRetryStep  = 20 * time.Millisecond
 )
 
+// maxScanItems caps the items of one scan page. A page is copied from the
+// store under the node's lock, about 20 ns an item (storage's
+// BenchmarkScanPage: ~170 µs for a full page, less than one 512-item
+// InsertBulk, on a 2-vCPU Xeon), so the cap bounds that hold while a
+// reader still takes all an owner holds of a range of usual size in one
+// round trip. Replicate pushes and migrate chunks keep PageMaxItems, which
+// would cost a scan one round trip per 512 items.
+const maxScanItems = 16 * storage.PageMaxItems
+
 // ScanChunk is one page of a streaming arc scan: the items, whether the
 // whole arc is now exhausted, and the message/peer accounting the page
-// cost. Items never exceed the replicate frame bounds (512 items / 4 MiB),
-// so a scan holds at most one bounded page in memory per hop.
+// cost. Items never exceed maxScanItems or PageMaxBytes of values, so a
+// scan holds at most one bounded page in memory per hop.
 type ScanChunk struct {
 	// Items are this page's records, clockwise from the requested cursor.
 	Items []storage.Item
@@ -39,7 +48,7 @@ type ScanChunk struct {
 
 // ScanSession drives one paged scan over the clockwise arc [start, end):
 // it routes to the owner of the cursor — the walk brings that shard's
-// first page back with it — pulls further frame-bounded pages with
+// first page back with it — pulls further bounded pages with
 // OpScan, follows successor pointers shard by shard, and — when the
 // serving peer dies between pages — resumes through the owner's replica
 // chain (piggybacked on routing), whose replica stores cover the dead
@@ -64,7 +73,7 @@ func (n *Node) NewScanSession(start, end keyspace.Key) *ScanSession {
 
 // NextPage fetches the next page of the scan, clockwise from cursor (which
 // must lie within the session's arc). want caps the page's item count on
-// top of the frame bounds; <= 0 means the frame bounds alone. A returned
+// top of the page bounds; <= 0 means the page bounds alone. A returned
 // chunk with Done=false always makes progress: either it carries items
 // (resume from the last key plus one) or the session advanced to a
 // further shard internally.

@@ -115,10 +115,14 @@ func TestMigrateChunked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n2 := mustNode(t, fabric.Endpoint(), Config{Key: keyspace.FromFloat(0.6), Seed: 2})
+	tr := newCountingTransport(fabric.Endpoint())
+	n2 := mustNode(t, tr, Config{Key: keyspace.FromFloat(0.6), Seed: 2})
 	t.Cleanup(func() { _ = n2.Close() })
 	if err := n2.Join(bg, n1.Self().Addr); err != nil {
 		t.Fatal(err)
+	}
+	if n := tr.get(tr.sent, transport.OpMigrate); n < 3 {
+		t.Errorf("the arc migrated in %d chunks, want at least 3 of at most %d items", n, maxReplicateItems)
 	}
 
 	if got := n2.StoredItems(); got != items-1 {

@@ -18,7 +18,7 @@ import (
 // circle, so arcs wrap, a store can hold four blocks, and random draws
 // collide.
 const (
-	modelKeys  = 4 * PageMaxItems
+	modelKeys  = 4 * blockMaxItems
 	modelDepth = 6
 )
 
@@ -357,7 +357,7 @@ func (r *modelRun) checkBlocks() {
 	}
 	n := 0
 	for b, blk := range s.blocks {
-		if len(blk) == 0 || len(blk) > PageMaxItems {
+		if len(blk) == 0 || len(blk) > blockMaxItems {
 			r.t.Fatalf("step %d: block %d holds %d items", r.step, b, len(blk))
 		}
 		if !slices.IsSortedFunc(blk, func(a, b Item) int { return cmp.Compare(a.Key, b.Key) }) || s.lasts[b] != blk[len(blk)-1].Key {

@@ -3,7 +3,7 @@
 // range-partitioned: peer p holds every item whose key falls in the arc
 // (pred(p), p], and range queries scan consecutive peers' stores.
 //
-// Items are kept in key-ordered blocks of at most PageMaxItems sorted
+// Items are kept in key-ordered blocks of at most blockMaxItems sorted
 // items, each found by a binary search over a contiguous index of the
 // blocks' last keys. A shard under insert load grows to tens of thousands
 // of items, and in one sorted slice every new key shifts every larger item,
@@ -36,16 +36,20 @@ import (
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 )
 
-// Page bounds shared by every frame-bounded bulk transfer of the data
-// layer: replicate pushes, migrate responses and scan pages alike stop at
-// PageMaxItems items or once the accumulated value bytes would pass
-// PageMaxBytes — an order of magnitude under the transport's 16 MiB frame
-// cap, so no single response can approach it. PageMaxItems also bounds a
-// store block.
+// Page bounds of the data layer's frame-bounded bulk transfers. Replicate
+// pushes, migrate responses and repair batches stop at PageMaxItems items
+// (a scan page, which a reader waits on, has a larger item cap of its
+// own). Every transfer, scan pages included, stops once the accumulated
+// value bytes would pass PageMaxBytes — an order of magnitude under the
+// transport's 16 MiB frame cap, so no single response can approach it.
 const (
 	PageMaxItems = 512
 	PageMaxBytes = 4 << 20
 )
+
+// blockMaxItems bounds a store block. It is a layout choice of its own,
+// so no wire bound can move it.
+const blockMaxItems = 512
 
 // Item is one stored record.
 type Item struct {
@@ -67,7 +71,7 @@ type Tombstone struct {
 // store ready to use.
 type Store struct {
 	// blocks holds the items in key order: every block is non-empty,
-	// sorted, at most PageMaxItems long, and below the next block.
+	// sorted, at most blockMaxItems long, and below the next block.
 	blocks [][]Item
 	lasts  []keyspace.Key // lasts[b] is the last key of blocks[b]
 	n      int            // items across all blocks
@@ -168,7 +172,7 @@ func (s *Store) Put(k keyspace.Key, v []byte) (replaced bool) {
 // arc) packs its blocks full. Anywhere else a full block splits in two.
 func (s *Store) insert(b, i int, it Item) {
 	if b == len(s.blocks) {
-		if b == 0 || len(s.blocks[b-1]) == PageMaxItems {
+		if b == 0 || len(s.blocks[b-1]) == blockMaxItems {
 			s.blocks = append(s.blocks, nil)
 			s.lasts = append(s.lasts, it.Key)
 		} else {
@@ -176,7 +180,7 @@ func (s *Store) insert(b, i int, it Item) {
 		}
 		i = len(s.blocks[b])
 	}
-	if len(s.blocks[b]) == PageMaxItems {
+	if len(s.blocks[b]) == blockMaxItems {
 		b, i = s.split(b, i)
 	}
 	blk := s.blocks[b]
@@ -196,7 +200,7 @@ func (s *Store) insert(b, i int, it Item) {
 // split copies the halves of the full block b into two right-sized
 // blocks and returns the pending insert's position among them.
 func (s *Store) split(b, i int) (int, int) {
-	const half = PageMaxItems / 2
+	const half = blockMaxItems / 2
 	full := s.blocks[b]
 	s.blocks[b] = newBlock(full[:half], 0)
 	s.blocks = slices.Insert(s.blocks, b+1, newBlock(full[half:], 0))
@@ -218,7 +222,7 @@ func newBlock(items []Item, extra int) []Item {
 // sorted slice carried 7–24 % at 5 k–30 k items. A sixteenth would save
 // half that slack, but filling a store would then make 1.6× the garbage
 // and take twice as long.
-func grow(n int) int { return min(PageMaxItems-n, n/8+16) }
+func grow(n int) int { return min(blockMaxItems-n, n/8+16) }
 
 // removeAt deletes item i of block b, dropping the block if it empties.
 func (s *Store) removeAt(b, i int) {
@@ -603,7 +607,7 @@ func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 				continue
 			}
 			if blk == nil { // full blocks, then one sized to what is left
-				blk = make([]Item, 0, min(PageMaxItems, kept-s.n))
+				blk = make([]Item, 0, min(blockMaxItems, kept-s.n))
 			}
 			blk = append(blk, it)
 			s.n++

@@ -426,6 +426,49 @@ func BenchmarkStore(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPage times what one hold of a node's lock copies or writes
+// on a store of 20 k items of 100 B with a digest: a ScanPageMerged page
+// at the replicate push's item cap (512) and at the scan page's (8192),
+// from a stored key, and one InsertBulk of 512 new keys, as a repair batch
+// lands (the removal that keeps the size is not timed).
+func BenchmarkScanPage(b *testing.B) {
+	rnd := rand.New(rand.NewSource(5))
+	var s, empty Store
+	s.EnableDigest(antientropy.DefaultDepth)
+	val := make([]byte, 100)
+	keys := make([]keyspace.Key, 20000)
+	for i := range keys {
+		keys[i] = keyspace.Key(rnd.Uint64())
+		s.Put(keys[i], val)
+	}
+	for _, items := range []int{PageMaxItems, 16 * PageMaxItems} {
+		b.Run(fmt.Sprintf("scan/items=%d", items), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				k := keys[i%len(keys)]
+				ScanPageMerged(&s, &empty, keyspace.Range{Start: k, End: k - 1}, items, PageMaxBytes)
+			}
+		})
+	}
+	b.Run(fmt.Sprintf("insert-bulk/items=%d", PageMaxItems), func(b *testing.B) {
+		batch := make([]Item, PageMaxItems)
+		b.ResetTimer()
+		for range b.N { // b.N, not b.Loop: each iteration stops the timer
+			b.StopTimer()
+			for i := range batch {
+				batch[i] = Item{Key: keyspace.Key(rnd.Uint64()), Value: val}
+			}
+			b.StartTimer()
+			s.InsertBulk(batch)
+			b.StopTimer()
+			for _, it := range batch {
+				s.Drop(it.Key)
+			}
+			b.StartTimer()
+		}
+	})
+}
+
 // BenchmarkStoreReplace overwrites a 256 B value in a 10 k-item store,
 // with a digest tree (an owner's store) and without one (a replica's): the
 // difference is the two value hashes a replace costs when a tree is kept.

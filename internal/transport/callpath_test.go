@@ -283,6 +283,39 @@ func TestCancelledCallSendsNothing(t *testing.T) {
 	}
 }
 
+// TestCancelledDialIsContextError: a call whose context is already
+// cancelled, to a live peer with no pooled connection yet, fails at once
+// in its dial, sends nothing, and matches both context.Canceled and
+// ErrUnreachable — a caller can tell its own cancellation from a dead
+// peer. The next call with a live context dials and succeeds.
+func TestCancelledDialIsContextError(t *testing.T) {
+	var handled atomic.Int32
+	server := listen(t, func(req *Request) *Response {
+		handled.Add(1)
+		return &Response{OK: true}
+	})
+	client := listen(t, echoHandler)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := client.CallCtx(ctx, server.Addr(), &Request{Op: OpPing})
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call with a cancelled context = %v, want context.Canceled and ErrUnreachable", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("cancelled call took %v", d)
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("cancelled call reached the handler %d times", n)
+	}
+	if _, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPing}); err != nil {
+		t.Fatalf("call after a cancelled one = %v", err)
+	}
+	if n := handled.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1", n)
+	}
+}
+
 // TestWriteFailureBreaksConnectionOnce: the first failed Write fails every
 // call in flight as possibly-sent (never retried) and closes the
 // connection once.

@@ -26,7 +26,8 @@ const frameHeaderSize = 12
 // pending-write buffers: the occasional giant frame (a bulk migrate) is
 // written from the buffer it was encoded into, or read into one of its
 // own, and returned to the allocator instead of pinning megabytes forever.
-// A 512-item scan page (~51 KB) stays under the cap.
+// A scan page over the cap (a few hundred items of 100 B upward) is
+// written from its own buffer too, not copied into the pending one.
 const maxPooledBuf = 64 << 10
 
 // wireFrame is a reusable buffer for one frame. Encoding writes the header

@@ -334,7 +334,10 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 // delivery, so non-idempotent ops (migrate) never execute twice. A peer
 // that shed the request — or a saturated local in-flight cap — surfaces
 // as ErrOverloaded, distinct from ErrUnreachable: the peer is alive,
-// just behind.
+// just behind. A call whose context ends before or during its dial or
+// exchange matches both ErrUnreachable and the context's error; a dial
+// that fails on its own (the pool's dial timeout included) is
+// ErrUnreachable only.
 func (e *TCPEndpoint) CallCtx(ctx context.Context, addr Addr, req *Request) (*Response, error) {
 	e.mu.RLock()
 	closed := e.closed
@@ -352,6 +355,10 @@ func (e *TCPEndpoint) CallCtx(ctx context.Context, addr Addr, req *Request) (*Re
 	for attempt := 0; attempt < attempts; attempt++ {
 		mc, err := e.pool.get(ctx, addr)
 		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				// The caller's own cancellation or deadline ended the dial.
+				return nil, fmt.Errorf("%w: %w", ErrUnreachable, cerr)
+			}
 			return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 		}
 		resp, err := mc.call(ctx, req, timeout)

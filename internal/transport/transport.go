@@ -92,7 +92,7 @@ const (
 	OpGet       Op = "get"        // fetch an item (owner or replica)
 	OpDelete    Op = "delete"     // remove an item (owner only)
 	// OpScan is one page of a streaming arc scan: the responder returns up
-	// to a frame-bounded page of live items in the requested range from its
+	// to a bounded page of live items in the requested range from its
 	// merged view (own shard plus replica copies, tombstones honoured),
 	// clockwise from Range.Start — the cursor. More asks the requester to
 	// call the same peer again, from one past the page's last key, before

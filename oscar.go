@@ -87,7 +87,9 @@ type DegreeDistribution = degreedist.Distribution
 func UniformKeys() KeyDistribution { return keydist.Uniform{} }
 
 // GnutellaKeys returns the bundled heavy-tailed, spiky key distribution
-// standing in for the paper's Gnutella filename trace.
+// standing in for the paper's Gnutella filename trace. Every call returns
+// the same package-level value; it is read-only, so it is safe for
+// concurrent use.
 func GnutellaKeys() KeyDistribution { return keydist.GnutellaLike() }
 
 // ZipfKeys returns a Zipf-popularity cluster distribution with the given

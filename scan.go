@@ -15,10 +15,9 @@ type scanConfig struct {
 }
 
 // WithPageSize caps how many items each scan page requests. The server
-// additionally bounds every page by its replicate frame limits (512 items
-// / 4 MiB), so this only ever shrinks pages — useful to smooth latency or
-// to exercise paging in tests. <= 0 (the default) means the frame bounds
-// alone.
+// additionally bounds every page (8192 items / 4 MiB of values), so this
+// only ever shrinks pages — useful to smooth latency or to exercise
+// paging in tests. <= 0 (the default) means the server's bounds alone.
 func WithPageSize(n int) ScanOption {
 	return func(c *scanConfig) { c.pageSize = n }
 }
@@ -50,8 +49,8 @@ type scanChunk struct {
 }
 
 // scanPager fetches one page of a scan, clockwise from cursor, with at
-// most want items (<= 0: the frame bounds alone). The pager keeps its own
-// shard position between calls; the cursor carries the resume key.
+// most want items (<= 0: the server's page bounds alone). The pager keeps
+// its own shard position between calls; the cursor carries the resume key.
 type scanPager func(ctx context.Context, cursor Key, want int) (scanChunk, error)
 
 // Scanner streams the items of a range query page by page. It holds at
