@@ -24,10 +24,14 @@ race:
 
 # Fuzz smoke: 15 s of new inputs for each fuzzer that guards a byte format,
 # one invocation per target (-fuzz takes one). The decode fuzzers re-encode
-# what they decode and compare, so they exercise the encoder too.
+# what they decode and compare, so they exercise the encoder too;
+# FuzzFrameStream reads a stream of frames through a connection-sized
+# reader, so it covers both the in-place (copying) and the own-buffer
+# (kept) decode paths of readMuxFrame and checks that they agree.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRequest$$' -fuzztime=15s ./internal/transport/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeResponse$$' -fuzztime=15s ./internal/transport/
+	$(GO) test -run=NONE -fuzz='^FuzzFrameStream$$' -fuzztime=15s ./internal/transport/
 	$(GO) test -run=NONE -fuzz='^FuzzStoreOps$$' -fuzztime=15s ./internal/storage/
 
 # The benchmark harness is a nested module (benchmark/go.mod), invisible
@@ -90,11 +94,14 @@ examples:
 # already done, a call cancelled before its dial matching context.Canceled
 # as well as ErrUnreachable, one break and sent=true on a write error, big frames not
 # pinned, pending frames capped against a peer that stops reading) — and
-# value ownership (TestDecodedValue*, TestLargeFrameReadNotPinned and the
-# FuzzDecode* seed corpora: nothing decoded aliases a reused read buffer,
-# a value arrives in an allocation of its own size, no read buffer over
-# the pool cap outlives its frame; TestTCPStoresExactValues carries the
-# last two to a TCP owner's and replica's stores; TestDecodedValue* also
+# value ownership (TestDecodedValue*, TestLargeFrameReadNotPinned,
+# TestFrameValuesOutliveReader and the FuzzDecode* and FuzzFrameStream
+# seed corpora: nothing decoded aliases a reused read buffer, a frame over
+# the 4 KiB read buffer keeps its values in a buffer of its own and costs
+# its frame and its slices but no copy, a small frame's value arrives in
+# an allocation of its own size, no read buffer over the pool cap
+# outlives its frame; TestTCPStoresExactValues carries the last two to
+# a TCP owner's and replica's stores; TestDecodedValue* also
 # pins that no decoded op or address string aliases a read buffer, and
 # TestDecodeIntern* that ops and known addresses decode without allocating
 # and that a connection's address table stays bounded) — and the wire
@@ -121,7 +128,7 @@ examples:
 # digest and WAL replay).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
 CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden|TestScanPageBounds
-CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|FuzzDecodeRequest|FuzzDecodeResponse
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose
 

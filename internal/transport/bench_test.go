@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -177,21 +179,42 @@ func BenchmarkPageEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkPageDecode decodes one 512 × 100 B scan page per op, the
-// client's half of a scan call.
+// BenchmarkPageDecode is the client's half of a scan call. decode decodes
+// one 512 × 100 B page per op from memory with the copying decoder; read
+// reads the scan-insert workload's 4096 × 100 B page through readMuxFrame
+// over a connection-sized 4 KiB reader, so it counts the frame buffer too.
 func BenchmarkPageDecode(b *testing.B) {
-	pages := benchPages(false)[:16]
-	frames := make([][]byte, len(pages))
-	for i, items := range pages {
-		frames[i] = appendResponse(nil, pageResponse(items))
-	}
-	b.SetBytes(512 * 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var resp Response
-		if err := decodeResponse(frames[i%len(frames)], &resp, nil); err != nil {
-			b.Fatal(err)
+	b.Run("decode/items=512", func(b *testing.B) {
+		pages := benchPages(false)[:16]
+		frames := make([][]byte, len(pages))
+		for i, items := range pages {
+			frames[i] = appendResponse(nil, pageResponse(items))
 		}
-	}
+		b.SetBytes(512 * 100)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var resp Response
+			if err := decodeResponse(frames[i%len(frames)], &resp, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read/items=4096", func(b *testing.B) {
+		frame := encodeFrame(b, 1, scanPage(4096))
+		src := bytes.NewReader(nil)
+		br := bufio.NewReaderSize(src, readBufSize)
+		var addrs addrTable
+		b.SetBytes(4096 * 100)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src.Reset(frame)
+			br.Reset(src)
+			var resp Response
+			if _, err := readMuxFrame(br, &resp, &addrs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -388,9 +388,9 @@ func TestLargeFrameNotPinned(t *testing.T) {
 }
 
 // TestLargeFrameReadNotPinned is TestLargeFrameNotPinned's read-side twin:
-// once a 1 MiB frame has been read on each side of a connection, neither
-// the connection nor the frame pool keeps a buffer over maxPooledBuf. The
-// heap is read after one collection, which a pooled buffer survives.
+// once a 1 MiB frame has been read on each side of a connection and its
+// message dropped, neither the connection nor a pool keeps its buffer.
+// The heap is read after one collection, which a pooled buffer survives.
 func TestLargeFrameReadNotPinned(t *testing.T) {
 	server := listen(t, echoV2Handler)
 	mc, _ := dialMux(t, server)
@@ -424,7 +424,7 @@ func TestLargeFrameReadNotPinned(t *testing.T) {
 // connection's first frame, and the response the caller keeps, stay as
 // they were while later frames reuse the read buffers on both sides —
 // small frames decoded in place in the connection's read buffer, one
-// larger than it read through the frame pool. That holds for the values
+// larger than it read into a buffer of its own. That holds for the values
 // and for the strings: the op, From's address and the chain's addresses,
 // which later frames overwrite with other ops and addresses of the same
 // length at the same offsets.

@@ -449,12 +449,15 @@ func (r *binReader) fixed64() uint64 {
 	return v
 }
 
+// take returns the next n bytes, their capacity clipped to their length:
+// a value kept in the frame it was read into must not be able to append
+// over its neighbour.
 func (r *binReader) take(n int) []byte {
 	if n < 0 || n > len(r.b) {
 		r.fail()
 		return nil
 	}
-	v := r.b[:n]
+	v := r.b[:n:n]
 	r.b = r.b[n:]
 	return v
 }
@@ -619,14 +622,25 @@ func (r *binReader) ints() []int {
 	return vs
 }
 
-// decodeRequest decodes a binary request payload into req. Nothing decoded
-// aliases b: Op and Carry come from the table of protocol ops (opNames),
-// addresses from addrs (the connection's table; nil converts each one), an
-// unknown op or a new address is converted to a string of its own, slices
-// are built fresh, and the values (Value and each Items[].Value) are
-// copied into one allocation of exactly their summed length, so b may be
-// reused as soon as decodeRequest returns.
+// decodeRequest decodes a binary request payload into req and copies what
+// it keeps, so b may be reused as soon as it returns: the in-place path,
+// for a frame decoded in a connection's read buffer. Op and Carry come from
+// the table of protocol ops (opNames), addresses from addrs (the
+// connection's table; nil converts each one), an unknown op or a new
+// address is converted to a string of its own, slices are built fresh, and
+// ownValues copies the values out of b.
 func decodeRequest(b []byte, req *Request, addrs *addrTable) error {
+	if err := parseRequest(b, req, addrs); err != nil {
+		return err
+	}
+	ownValues(&req.Value, req.Items, nil)
+	return nil
+}
+
+// parseRequest decodes a binary request payload into req as decodeRequest
+// does, except that the values (Value and each Items[].Value) are slices
+// of b: for a frame read into a buffer of its own that nothing reuses.
+func parseRequest(b []byte, req *Request, addrs *addrTable) error {
 	if len(b) == 0 || b[0] != binKindRequest {
 		return fmt.Errorf("%w: not a request", errBadPayload)
 	}
@@ -682,43 +696,64 @@ func decodeRequest(b []byte, req *Request, addrs *addrTable) error {
 	if r.err {
 		return errBadPayload
 	}
-	o := ownBuf{b: make([]byte, valuesLen(req.Value, req.Items))}
-	req.Value = o.copy(req.Value)
-	o.items(req.Items)
 	return nil
 }
 
 // decodeResponse decodes a binary response payload into resp, a nested
-// Result included; like decodeRequest, it leaves nothing aliasing b: the
-// addresses (Peer, Peers) come from addrs or are converted, and the values
-// of both levels share one exact-size allocation.
+// Result included; like decodeRequest, it leaves nothing aliasing b (the
+// in-place path): the addresses (Peer, Peers) come from addrs or are
+// converted, and the values of both levels share one exact-size allocation.
 func decodeResponse(b []byte, resp *Response, addrs *addrTable) error {
+	if err := parseResponse(b, resp, addrs); err != nil {
+		return err
+	}
+	ownValues(&resp.Value, resp.Items, resp.Result)
+	return nil
+}
+
+// parseResponse is parseRequest for a response: the values of both levels
+// are slices of b.
+func parseResponse(b []byte, resp *Response, addrs *addrTable) error {
 	if len(b) == 0 || b[0] != binKindResponse {
 		return fmt.Errorf("%w: not a response", errBadPayload)
 	}
 	r := binReader{b: b[1:], intern: addrs}
-	if err := r.responseFields(resp, true); err != nil {
+	result, nested, err := r.responseFields(resp)
+	if err != nil || !nested {
 		return err
 	}
-	size := valuesLen(resp.Value, resp.Items)
-	if resp.Result != nil {
-		size += valuesLen(resp.Result.Value, resp.Result.Items)
-	}
-	o := ownBuf{b: make([]byte, size)}
-	resp.Value = o.copy(resp.Value)
-	o.items(resp.Items)
-	if resp.Result != nil {
-		resp.Result.Value = o.copy(resp.Result.Value)
-		o.items(resp.Result.Items)
-	}
-	return nil
+	// The carried op's response nests one level deep: a Result inside it
+	// is skipped like an unknown tag, which bounds the decoding at one
+	// level whatever the frame holds. Decoding it here, not by recursion,
+	// keeps the readers on the stack: a recursive call's receiver escapes.
+	resp.Result = new(Response)
+	_, _, err = result.responseFields(resp.Result)
+	return err
 }
 
-// valuesLen is the byte count of v and of every value in items.
-func valuesLen(v []byte, items []storage.Item) int {
+// ownValues copies v and the values of items, and those of a nested
+// Result, out of the frame they were decoded from into one allocation of
+// exactly their summed length: the step that lets a copying decoder's
+// input be reused.
+func ownValues(v *[]byte, items []storage.Item, result *Response) {
+	o := ownBuf{b: make([]byte, valuesLen(*v, items, result))}
+	*v = o.copy(*v)
+	o.items(items)
+	if result != nil {
+		result.Value = o.copy(result.Value)
+		o.items(result.Items)
+	}
+}
+
+// valuesLen is the byte count of v, of every value in items and of the
+// values of result, if any.
+func valuesLen(v []byte, items []storage.Item, result *Response) int {
 	n := len(v)
 	for i := range items {
 		n += len(items[i].Value)
+	}
+	if result != nil {
+		n += valuesLen(result.Value, result.Items, nil)
 	}
 	return n
 }
@@ -751,10 +786,10 @@ func (o *ownBuf) items(items []storage.Item) {
 	}
 }
 
-// responseFields decodes a response field sequence into resp. nest allows
-// one Result field; inside a Result the tag is skipped like an unknown
-// one, which bounds the recursion at one level whatever the frame holds.
-func (r *binReader) responseFields(resp *Response, nest bool) error {
+// responseFields decodes a response field sequence into resp, all but its
+// Result: nested reports whether the sequence holds a Result field, and
+// result reads the last one's bytes.
+func (r *binReader) responseFields(resp *Response) (result binReader, nested bool, err error) {
 	for !r.empty() && !r.err {
 		tag, fr := r.field()
 		if r.err {
@@ -798,23 +833,15 @@ func (r *binReader) responseFields(resp *Response, nest bool) error {
 		case stagArc:
 			resp.Arc = keyspace.Range{Start: keyspace.Key(fr.fixed64()), End: keyspace.Key(fr.fixed64())}
 		case stagResult:
-			if nest {
-				// The recursive call makes its receiver escape: a copy
-				// made here moves to the heap, fr (every field's) stays.
-				nested := fr
-				resp.Result = new(Response)
-				if err := nested.responseFields(resp.Result, false); err != nil {
-					return err
-				}
-			}
+			result, nested = fr, true
 		default:
 		}
 		if fr.err {
-			return errBadPayload
+			return binReader{}, false, errBadPayload
 		}
 	}
 	if r.err {
-		return errBadPayload
+		return binReader{}, false, errBadPayload
 	}
-	return nil
+	return result, nested, nil
 }

@@ -20,21 +20,21 @@ const maxFrame = 16 << 20
 // frameHeaderSize is [4-byte payload length][8-byte request id].
 const frameHeaderSize = 12
 
-// maxPooledBuf caps the buffers the transport keeps for reuse — the frame
-// pool's buffers, which encode outgoing frames and receive incoming ones
-// too large for a connection's read buffer, and each connection's
+// maxPooledBuf caps the buffers the write side keeps for reuse — the frame
+// pool's buffers, which encode outgoing frames, and each connection's
 // pending-write buffers: the occasional giant frame (a bulk migrate) is
-// written from the buffer it was encoded into, or read into one of its
-// own, and returned to the allocator instead of pinning megabytes forever.
-// A scan page over the cap (a few hundred items of 100 B upward) is
-// written from its own buffer too, not copied into the pending one.
+// written from the buffer it was encoded into and returned to the
+// allocator instead of pinning megabytes forever. A scan page over the cap
+// (a few hundred items of 100 B upward) is written from its own buffer
+// too, not copied into the pending one. The read side keeps no buffer but
+// each connection's bufio.Reader (see readMuxFrame).
 const maxPooledBuf = 64 << 10
 
-// wireFrame is a reusable buffer for one frame. Encoding writes the header
-// placeholder and the payload into one contiguous buffer — no intermediate
-// marshal allocation, no header+payload copy — and the buffer is recycled
-// through framePool once the frame has left for the wire. readMuxFrame
-// borrows one for an incoming frame too large to decode in place.
+// wireFrame is a reusable buffer for one outgoing frame. Encoding writes
+// the header placeholder and the payload into one contiguous buffer — no
+// intermediate marshal allocation, no header+payload copy — and the buffer
+// is recycled through framePool, which serves the write side only, once
+// the frame has left for the wire.
 type wireFrame struct {
 	out []byte
 }
@@ -229,10 +229,13 @@ func (w *connWriter) close() {
 
 // readMuxFrame receives one frame and decodes its payload into v, returning
 // the frame's request id. A length over maxFrame or an undecodable payload
-// is a protocol violation: the caller must close the connection. Decoding
-// copies what it keeps, so no buffer outlives the frame: one that fits r's
-// buffer is decoded in place there, a larger one from a pooled buffer that
-// goes back to the pool (or, over maxPooledBuf, to the allocator) at once.
+// is a protocol violation: the caller must close the connection. A frame
+// that fits r's buffer is decoded in place there and its values are copied
+// out (decodeRequest, decodeResponse), since the next frame reuses that
+// buffer. A larger one is read into a buffer of exactly its size that
+// nothing reuses, and its decoded values stay in it (see decodeFrame): a
+// kept value pins at most the frame it arrived in, never a buffer the
+// transport reuses.
 // addrs is the calling read loop's address table (see addrTable).
 func readMuxFrame(r *bufio.Reader, v interface{}, addrs *addrTable) (uint64, error) {
 	hdr, err := r.Peek(frameHeaderSize)
@@ -249,31 +252,39 @@ func readMuxFrame(r *bufio.Reader, v interface{}, addrs *addrTable) (uint64, err
 		if err != nil {
 			return 0, err
 		}
-		err = decodeFrame(frame[frameHeaderSize:], v, addrs)
+		err = decodeFrame(frame[frameHeaderSize:], v, addrs, false)
 		_, _ = r.Discard(size)
 		return id, err
 	}
 	_, _ = r.Discard(frameHeaderSize)
-	f := acquireFrame()
-	defer releaseFrame(f)
-	if cap(f.out) < int(n) {
-		f.out = make([]byte, n)
-	}
-	payload := f.out[:n]
+	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, err
 	}
-	return id, decodeFrame(payload, v, addrs)
+	return id, decodeFrame(payload, v, addrs, true)
 }
 
-// decodeFrame decodes one frame's payload into v.
-func decodeFrame(payload []byte, v interface{}, addrs *addrTable) error {
+// decodeFrame decodes one frame's payload into v. kept says the payload
+// is a buffer of the frame's own that nothing reuses: its values then stay
+// in it, unless they are under half of its bytes (a repair answer that is
+// mostly per-key states and tombstones), so that a kept value never pins
+// more than twice the bytes of its frame's values. Otherwise the values
+// are copied out.
+func decodeFrame(payload []byte, v interface{}, addrs *addrTable, kept bool) error {
 	var err error
 	switch m := v.(type) {
 	case *Request:
-		err = decodeRequest(payload, m, addrs)
+		if !kept {
+			err = decodeRequest(payload, m, addrs)
+		} else if err = parseRequest(payload, m, addrs); err == nil && 2*valuesLen(m.Value, m.Items, nil) < len(payload) {
+			ownValues(&m.Value, m.Items, nil)
+		}
 	case *Response:
-		err = decodeResponse(payload, m, addrs)
+		if !kept {
+			err = decodeResponse(payload, m, addrs)
+		} else if err = parseResponse(payload, m, addrs); err == nil && 2*valuesLen(m.Value, m.Items, m.Result) < len(payload) {
+			ownValues(&m.Value, m.Items, m.Result)
+		}
 	default:
 		err = fmt.Errorf("transport: cannot decode %T", v)
 	}

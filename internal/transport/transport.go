@@ -33,10 +33,13 @@
 // Encoding is one pass straight into the pooled frame buffer: each field's
 // length is worked out from the counts and lengths it holds before its
 // bytes are written, so no value is staged and copied a second time.
-// Decoding copies every value it keeps into one allocation of exactly the
-// values' size, so a stored value costs its own bytes, not its frame's,
-// and read buffers are reused: a frame that fits the connection's read
-// buffer is decoded in place, a larger one from the frame pool. Strings
+// Decoding never leaves a value in a buffer the transport reuses. A frame
+// that fits the connection's read buffer is decoded in place there and the
+// values it keeps are copied into one allocation of exactly their size; a
+// larger frame is read into a buffer of its own, exactly its size, and its
+// values stay in it, so a kept value pins at most the frame it arrived in
+// (its keys and field headers, about 10 B an item, beside the values);
+// values under half of such a frame are copied out all the same. Strings
 // are interned rather than converted per frame: an op from a fixed table
 // of the protocol's ops, a peer address (From, Peer, Peers, Exclude) from
 // a bounded table owned by the connection's read loop. Every interned
