@@ -92,8 +92,13 @@ examples:
 # TestWriteFailure*, TestLargeFrame*, TestWriterBounds*: one write per
 # lone call, shared writes under concurrency, nothing sent for a context
 # already done, a call cancelled before its dial matching context.Canceled
-# as well as ErrUnreachable, one break and sent=true on a write error, big frames not
-# pinned, pending frames capped against a peer that stops reading) — and
+# as well as ErrUnreachable, a call queued behind another caller's dial
+# returning at its own deadline, one break and sent=true on a write error,
+# big frames not pinned, pending frames capped against a peer that stops
+# reading, and the write pool: a frame over 64 KiB goes back to its pool
+# only after its own write, so concurrent large frames on TCP and TLS keep
+# their contents, a scan page costs no write-side allocation, and the pool
+# never keeps a frame over 1 MiB or an idle buffer past two collections) — and
 # value ownership (TestDecodedValue*, TestLargeFrameReadNotPinned,
 # TestFrameValuesOutliveReader and the FuzzDecode* and FuzzFrameStream
 # seed corpora: nothing decoded aliases a reused read buffer, a frame over

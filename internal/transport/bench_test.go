@@ -6,8 +6,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/storage"
@@ -151,9 +153,10 @@ func pageResponse(items []storage.Item) *Response {
 		Peer: PeerRef{Addr: "127.0.0.1:7001", Key: keyspace.FromFloat(0.5)}}
 }
 
-// BenchmarkPageEncode encodes one 512 × 100 B scan page per op into a
-// pooled frame, the server's half of a scan call, cycling through pages so
-// each op reads values it has not touched for a while.
+// BenchmarkPageEncode is the owner's half of a scan call. scattered and
+// contiguous encode one 512 × 100 B page per op into a pooled frame,
+// cycling through pages so each op reads values it has not touched for a
+// while; write sends the scan-insert workload's page through a writer.
 func BenchmarkPageEncode(b *testing.B) {
 	for _, layout := range []struct {
 		name      string
@@ -176,6 +179,38 @@ func BenchmarkPageEncode(b *testing.B) {
 				}
 			}
 		})
+	}
+	// The owner's whole half of a scan-insert scan call: its 4096 × 100 B
+	// page (≈ 450 KB, over maxPooledBuf) encoded and written through a
+	// connection's writer, which releases the frame after its write.
+	b.Run("write/items=4096", func(b *testing.B) {
+		w := newConnWriter(discardConn{}, time.Minute, defaultMaxInflight, func(err error) { b.Error(err) })
+		page := scanPage(4096)
+		b.SetBytes(4096 * 100)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sendFrame(b, w, page)
+		}
+	})
+}
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// sendFrame encodes v into a pooled frame and sends it through w.
+func sendFrame(tb testing.TB, w *connWriter, v interface{}) {
+	f := acquireFrame()
+	err := f.encode(1, v)
+	if err == nil {
+		err = w.send(context.Background(), f, false)
+	}
+	if err != nil {
+		releaseFrame(f)
+		tb.Fatal(err)
 	}
 }
 

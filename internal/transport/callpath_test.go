@@ -391,6 +391,8 @@ func TestLargeFrameNotPinned(t *testing.T) {
 // once a 1 MiB frame has been read on each side of a connection and its
 // message dropped, neither the connection nor a pool keeps its buffer.
 // The heap is read after one collection, which a pooled buffer survives.
+// A 1 MiB value makes a frame just over maxLargeBuf, the write pool's cap,
+// so the write side pools none of these frames either.
 func TestLargeFrameReadNotPinned(t *testing.T) {
 	server := listen(t, echoV2Handler)
 	mc, _ := dialMux(t, server)
@@ -417,6 +419,206 @@ func TestLargeFrameReadNotPinned(t *testing.T) {
 	}
 	if grown := liveHeap(1) - before; grown > 1<<19 {
 		t.Errorf("the live heap grew by %d bytes after 1 MiB frames were read and dropped", grown)
+	}
+}
+
+// drainedConn returns the client end of a loopback TCP connection whose
+// server end reads and drops everything, without allocating.
+func drainedConn(t *testing.T) net.Conn {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		_ = conn.Close()
+		_ = peer.Close()
+		<-drained
+	})
+	return conn
+}
+
+// heapAfterGC returns the live heap after the given number of collections.
+func heapAfterGC(collections int) int64 {
+	var ms runtime.MemStats
+	for i := 0; i < collections; i++ {
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestLargeFramePoolNoAllocs: once warm, answering the scan-insert
+// workload's 4096 × 100 B page (≈ 450 KB, over maxPooledBuf) over a live
+// connection allocates almost nothing on the write side: the frame moves
+// to a write-pool buffer, and the writer hands that back after its Write.
+func TestLargeFramePoolNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its buffers under the race detector")
+	}
+	w := newConnWriter(drainedConn(t), time.Second, defaultMaxInflight, func(err error) { t.Error(err) })
+	defer w.close()
+	page := scanPage(4096)
+	for i := 0; i < 8; i++ {
+		sendFrame(t, w, page)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const calls = 50
+	for i := 0; i < calls; i++ {
+		sendFrame(t, w, page)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 64<<10 {
+		t.Errorf("a %d-byte page frame allocates %d bytes per call on the write side, want under %d", len(encodeFrame(t, 1, page)), perCall, 64<<10)
+	}
+}
+
+// TestLargeFramePoolConcurrent: callers sending large frames of distinct
+// contents at once over one connection, on TCP and on TLS, each get their
+// own value back. Both the requests and the echoed answers are encoded
+// into write-pool buffers, so a buffer handed back before its Write has
+// returned would carry another caller's bytes.
+func TestLargeFramePoolConcurrent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []TCPOption
+	}{{"tcp", nil}, {"tls", []TCPOption{WithTLS(selfSignedTLS(t))}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			server := listen(t, echoV2Handler, tc.opts...)
+			client := listen(t, nil, append([]TCPOption{withPoolSize(1)}, tc.opts...)...)
+			sizes := []int{70 << 10, 130 << 10, 300 << 10, 600 << 10, 1000 << 10}
+			const callers, calls = 8, 12
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						value := bytes.Repeat([]byte{byte(c), byte(i), byte(c * i)}, sizes[(c+i)%len(sizes)]/3)
+						resp, err := client.CallCtx(context.Background(), server.Addr(), &Request{Op: OpPut, Key: keyspace.Key(c), Value: value})
+						if err != nil {
+							t.Errorf("caller %d call %d: %v", c, i, err)
+							return
+						}
+						if !bytes.Equal(resp.Value, value) {
+							t.Errorf("caller %d call %d: %d bytes back differ from the %d sent", c, i, len(resp.Value), len(value))
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestLargeFramePoolReleased: a frame over maxLargeBuf never enters the
+// write pool, so one collection takes its buffer back; the pool's own
+// buffers, once idle, are gone after two collections.
+func TestLargeFramePoolReleased(t *testing.T) {
+	server := listen(t, echoV2Handler)
+	mc, _ := dialMux(t, server)
+	call := func(size int) {
+		t.Helper()
+		resp, err := mc.call(context.Background(), &Request{Op: OpPut, Value: make([]byte, size)}, 5*time.Second)
+		if err != nil || len(resp.Value) != size {
+			t.Fatalf("%d-byte call: %d bytes back, %v", size, len(resp.Value), err)
+		}
+	}
+	call(0)
+	over := &Request{Op: OpPut, Value: make([]byte, maxLargeBuf+1<<18)}
+	f := acquireFrame()
+	if err := f.encode(1, over); err != nil {
+		t.Fatal(err)
+	}
+	if f.large != nil || cap(f.own) > maxPooledBuf {
+		t.Errorf("a %d-byte frame holds a write-pool buffer %v or an own buffer of %d bytes", len(f.bytes()), f.large != nil, cap(f.own))
+	}
+	releaseFrame(f)
+
+	before := heapAfterGC(2)
+	for i := 0; i < 3; i++ {
+		call(len(over.Value))
+		call(0)
+	}
+	if grown := heapAfterGC(1) - before; grown > 256<<10 {
+		t.Errorf("the live heap grew by %d bytes after frames over the pool's cap", grown)
+	}
+	for _, size := range []int{100 << 10, 200 << 10, 500 << 10, 1000 << 10} {
+		call(size)
+	}
+	call(0)
+	if grown := heapAfterGC(2) - before; grown > 256<<10 {
+		t.Errorf("the live heap grew by %d bytes after pooled frames sat idle through two collections", grown)
+	}
+}
+
+// TestCancelledQueuedDial: a caller that finds every connection slot to a
+// peer taken by another caller's dial waits for it no longer than its own
+// context allows, and fails with both ErrUnreachable and its context's
+// error — here the other dial hangs on a peer that accepts TCP but never
+// answers the hello, for up to the pool's 5 s dial timeout.
+func TestCancelledQueuedDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	client := listen(t, nil, withPoolSize(1))
+	addr := Addr(ln.Addr().String())
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := client.CallCtx(context.Background(), addr, &Request{Op: OpPing})
+		first <- err
+	}()
+	var silent net.Conn
+	select {
+	case silent = <-accepted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the first caller's dial never reached the peer")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = client.CallCtx(ctx, addr, &Request{Op: OpPing})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("a call with a 200 ms deadline waited %v for another caller's dial", d)
+	}
+	if !errors.Is(err, ErrUnreachable) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("queued call = %v, want ErrUnreachable and context.DeadlineExceeded", err)
+	}
+
+	_ = ln.Close()
+	_ = silent.Close() // ends the first caller's dial
+	if err := <-first; !errors.Is(err, ErrUnreachable) {
+		t.Errorf("first call = %v, want ErrUnreachable", err)
 	}
 }
 

@@ -99,9 +99,24 @@ var errBadPayload = errors.New("transport: bad binary payload")
 // binWriter appends the binary encoding to a byte slice (the pooled frame
 // buffer's tail, in practice), in one pass with no staging buffer. All
 // methods are infallible; size limits are enforced by the frame layer
-// after encoding.
+// after encoding. frame, when set, is the wireFrame b belongs to: grow
+// moves a frame that outgrows maxPooledBuf to a write-pool buffer.
 type binWriter struct {
-	b []byte
+	b     []byte
+	frame *wireFrame
+}
+
+// grow makes room for n more bytes. Every field that can be long (a
+// value, a string, a slice's body) reserves its room here, so this is
+// where a frame outgrows its own buffer.
+func (w *binWriter) grow(n int) {
+	if need := len(w.b) + n; need > cap(w.b) {
+		if w.frame != nil && need > maxPooledBuf {
+			w.b = w.frame.moveLarge(w.b, need)
+		} else {
+			w.b = slices.Grow(w.b, n)
+		}
+	}
 }
 
 func (w *binWriter) uvarint(v uint64) {
@@ -155,6 +170,7 @@ func (w *binWriter) bytesField(tag int, v []byte) {
 		return
 	}
 	w.field(tag, len(v))
+	w.grow(len(v))
 	w.b = append(w.b, v...)
 }
 
@@ -163,6 +179,7 @@ func (w *binWriter) stringField(tag int, v string) {
 		return
 	}
 	w.field(tag, len(v))
+	w.grow(len(v))
 	w.b = append(w.b, v...)
 }
 
@@ -190,6 +207,7 @@ func fixed64sField[T ~uint64](w *binWriter, tag int, vs []T) {
 		return
 	}
 	w.field(tag, 8*len(vs))
+	w.grow(8 * len(vs))
 	for _, v := range vs {
 		w.fixed64(uint64(v))
 	}
@@ -211,7 +229,7 @@ func (w *binWriter) sliceHeader(tag, count, body int) {
 	}
 	w.field(tag, uvarintLen(uint64(count))+body)
 	w.uvarint(uint64(count))
-	w.b = slices.Grow(w.b, body)
+	w.grow(body)
 }
 
 func (w *binWriter) itemsField(tag int, items []storage.Item) {
@@ -288,9 +306,9 @@ func (w *binWriter) intsField(tag int, vs []int) {
 	}
 }
 
-// appendRequest appends the binary encoding of req to b.
-func appendRequest(b []byte, req *Request) []byte {
-	w := binWriter{b: append(b, binKindRequest)}
+// request writes the binary encoding of req.
+func (w *binWriter) request(req *Request) {
+	w.b = append(w.b, binKindRequest)
 	w.stringField(rtagOp, string(req.Op))
 	w.peerRefField(rtagFrom, req.From)
 	w.keyField(rtagKey, req.Key)
@@ -299,7 +317,7 @@ func appendRequest(b []byte, req *Request) []byte {
 	w.intField(rtagLimit, req.Limit)
 	w.itemsField(rtagItems, req.Items)
 	w.tombsField(rtagTombs, req.Tombs)
-	fixed64sField(&w, rtagDrop, req.Drop)
+	fixed64sField(w, rtagDrop, req.Drop)
 	w.intField(rtagDepth, req.Depth)
 	w.intsField(rtagBuckets, req.Buckets)
 	w.boolField(rtagValues, req.Values)
@@ -307,12 +325,11 @@ func appendRequest(b []byte, req *Request) []byte {
 	w.float64Field(rtagSizeEst, req.SizeEst)
 	w.addrsField(rtagExclude, req.Exclude)
 	w.stringField(rtagCarry, string(req.Carry))
-	return w.b
 }
 
-// appendResponse appends the binary encoding of resp to b.
-func appendResponse(b []byte, resp *Response) []byte {
-	w := binWriter{b: append(b, binKindResponse)}
+// response writes the binary encoding of resp.
+func (w *binWriter) response(resp *Response) {
+	w.b = append(w.b, binKindResponse)
 	w.responseFields(resp)
 	if resp.Result != nil {
 		// The carried op's response nests one level deep, as a plain field
@@ -329,7 +346,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 		copy(w.b[start+len(h):], w.b[start:start+n])
 		copy(w.b[start:], h)
 	}
-	return w.b
 }
 
 // responseFields appends every field of resp except Result.

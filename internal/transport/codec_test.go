@@ -15,6 +15,21 @@ import (
 	"github.com/oscar-overlay/oscar/internal/storage"
 )
 
+// appendRequest appends the binary encoding of req to b, outside any frame.
+func appendRequest(b []byte, req *Request) []byte {
+	w := binWriter{b: b}
+	w.request(req)
+	return w.b
+}
+
+// appendResponse appends the binary encoding of resp to b, outside any
+// frame.
+func appendResponse(b []byte, resp *Response) []byte {
+	w := binWriter{b: b}
+	w.response(resp)
+	return w.b
+}
+
 // fullRequest exercises every field of the wire Request, including the
 // bulk payloads (Items, Tombs, States) of the replication and anti-entropy
 // protocols.

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,34 +22,92 @@ const maxFrame = 16 << 20
 // frameHeaderSize is [4-byte payload length][8-byte request id].
 const frameHeaderSize = 12
 
-// maxPooledBuf caps the buffers the write side keeps for reuse — the frame
-// pool's buffers, which encode outgoing frames, and each connection's
-// pending-write buffers: the occasional giant frame (a bulk migrate) is
-// written from the buffer it was encoded into and returned to the
-// allocator instead of pinning megabytes forever. A scan page over the cap
-// (a few hundred items of 100 B upward) is written from its own buffer
-// too, not copied into the pending one. The read side keeps no buffer but
-// each connection's bufio.Reader (see readMuxFrame).
+// maxPooledBuf caps the buffers a frame or a connection keeps for itself:
+// a wireFrame's own buffer, which encodes every frame up to this size, and
+// each connection's pending-write buffers, which such frames are copied
+// into. A frame that outgrows it while it is encoded moves to the write
+// pool (largePools) and is written from there, never copied into (or
+// pinning) a pending buffer. The read side keeps no buffer but each
+// connection's bufio.Reader (see readMuxFrame).
 const maxPooledBuf = 64 << 10
+
+// The write pool's buffers are powers of two from 128 KiB to maxLargeBuf,
+// which holds a scan page of 8192 × 100 B values (≈ 0.9 MB). A frame over
+// maxLargeBuf (a bulk migrate of big values, a put of a 1 MiB value) is
+// encoded into a buffer of its own, which the allocator takes back after
+// its write.
+const (
+	minLargeShift = 17
+	maxLargeShift = 20
+	maxLargeBuf   = 1 << maxLargeShift
+)
+
+// largePools holds the write pool, one sync.Pool per buffer size, so a
+// buffer that sits idle through two collections goes back to the
+// allocator: a burst of scan pages pins nothing once it is over.
+var largePools [maxLargeShift - minLargeShift + 1]sync.Pool
+
+// getLarge returns a write-pool buffer of at least n ≤ maxLargeBuf bytes.
+func getLarge(n int) *[]byte {
+	shift := max(bits.Len(uint(n-1)), minLargeShift)
+	if b, ok := largePools[shift-minLargeShift].Get().(*[]byte); ok {
+		return b
+	}
+	b := make([]byte, 0, 1<<shift)
+	return &b
+}
+
+// putLarge returns a buffer from getLarge to its pool; nil is a no-op.
+func putLarge(b *[]byte) {
+	if b != nil {
+		largePools[bits.Len(uint(cap(*b)))-1-minLargeShift].Put(b)
+	}
+}
 
 // wireFrame is a reusable buffer for one outgoing frame. Encoding writes
 // the header placeholder and the payload into one contiguous buffer — no
-// intermediate marshal allocation, no header+payload copy — and the buffer
-// is recycled through framePool, which serves the write side only, once
-// the frame has left for the wire.
+// intermediate marshal allocation, no header+payload copy. The frame
+// encodes into its own buffer, at most maxPooledBuf, and moves to a
+// write-pool buffer when it outgrows that (binWriter.grow); framePool,
+// which serves the write side only, recycles the frame with its own
+// buffer once it has left for the wire, and releaseFrame hands a
+// write-pool buffer back to its pool, so a frame in framePool never holds
+// one.
 type wireFrame struct {
-	out []byte
+	out   []byte  // the encoded frame
+	own   []byte  // the frame's own buffer, at most maxPooledBuf
+	large *[]byte // the write-pool buffer out was moved to, if any
 }
 
 var framePool = sync.Pool{New: func() interface{} { return &wireFrame{} }}
 
 func acquireFrame() *wireFrame { return framePool.Get().(*wireFrame) }
 
+// releaseFrame recycles f once nothing reads its bytes any more.
 func releaseFrame(f *wireFrame) {
-	if cap(f.out) > maxPooledBuf {
-		return
-	}
+	putLarge(f.large)
+	f.out, f.large = nil, nil
 	framePool.Put(f)
+}
+
+// moveLarge copies the frame encoded so far, b, to a buffer with room for
+// need > maxPooledBuf bytes: a write-pool buffer when need fits
+// maxLargeBuf, else one from the allocator. The frame keeps the buffer it
+// leaves when that is its own; a write-pool one goes back to its pool.
+func (f *wireFrame) moveLarge(b []byte, need int) []byte {
+	if cap(b) <= maxPooledBuf {
+		f.own = b[:0]
+	}
+	left := f.large
+	f.large = nil
+	if need <= maxLargeBuf {
+		f.large = getLarge(need)
+		b = append((*f.large)[:0], b...)
+	} else {
+		b = slices.Grow(b, need-len(b))
+	}
+	putLarge(left)
+	return b
 }
 
 // encode fills the frame with header (payload length + request id) and the
@@ -56,14 +116,18 @@ func releaseFrame(f *wireFrame) {
 // connection's frame stream. The frame is reusable after an error.
 func (f *wireFrame) encode(id uint64, v interface{}) error {
 	var hdr [frameHeaderSize]byte
-	out := append(f.out[:0], hdr[:]...)
+	w := binWriter{b: append(f.own[:0], hdr[:]...), frame: f}
 	switch m := v.(type) {
 	case *Request:
-		out = appendRequest(out, m)
+		w.request(m)
 	case *Response:
-		out = appendResponse(out, m)
+		w.response(m)
 	default:
 		return fmt.Errorf("transport: cannot encode %T", v)
+	}
+	out := w.b
+	if cap(out) <= maxPooledBuf {
+		f.own = out[:0]
 	}
 	f.out = out
 	payload := len(out) - frameHeaderSize
@@ -87,7 +151,10 @@ func (f *wireFrame) bytes() []byte { return f.out }
 // flight on the connection the flusher yields the processor once before it
 // takes the buffer — that is what lets their frames join its write. A
 // frame over maxPooledBuf is written from its own buffer instead of being
-// copied into (and pinned by) the pending one. The flusher is a caller: it
+// copied into (and pinned by) the pending one, and the flusher releases it
+// after that Write has returned, so its write-pool buffer goes back for the
+// next large frame; a queued frame the writer drops (past a write error, on
+// close) is released too. The flusher is a caller: it
 // returns when its Write returns, which the write deadline bounds by
 // timeout. Pending frames are capped at limit, the in-flight cap of the
 // side that owns the writer: a sender past it waits for the flusher (or
@@ -101,11 +168,11 @@ type connWriter struct {
 	onErr   func(error)
 
 	mu       sync.Mutex
-	pending  []byte   // frames up to maxPooledBuf, back to back
-	spare    []byte   // the buffer of the previous write, for reuse
-	large    [][]byte // frames over maxPooledBuf, each in its own buffer
-	queued   int      // frames in pending and large
-	flushing bool     // a flusher is at work and will take what is queued
+	pending  []byte       // frames up to maxPooledBuf, back to back
+	spare    []byte       // the buffer of the previous write, for reuse
+	large    []*wireFrame // frames over maxPooledBuf, each in its own buffer
+	queued   int          // frames in pending and large
+	flushing bool         // a flusher is at work and will take what is queued
 	closed   bool
 	// space is non-nil while a sender waits for room; taking the buffer (or
 	// closing) closes it.
@@ -149,7 +216,8 @@ func (w *connWriter) send(ctx context.Context, frame *wireFrame, busy bool) erro
 		return errWriterClosed
 	}
 	if b := frame.bytes(); len(b) > maxPooledBuf {
-		w.large = append(w.large, b)
+		w.large = append(w.large, frame) // released by the flusher after its write
+		frame = nil
 	} else {
 		w.pending = append(w.pending, b...)
 	}
@@ -157,7 +225,9 @@ func (w *connWriter) send(ctx context.Context, frame *wireFrame, busy bool) erro
 	flush := !w.flushing
 	w.flushing = true
 	w.mu.Unlock()
-	releaseFrame(frame) // which keeps no buffer over maxPooledBuf: a large frame's stays ours
+	if frame != nil {
+		releaseFrame(frame)
+	}
 	if flush {
 		w.flush(busy)
 	}
@@ -168,10 +238,14 @@ func (w *connWriter) send(ctx context.Context, frame *wireFrame, busy bool) erro
 // flushing.
 func (w *connWriter) flush(busy bool) {
 	var written []byte
+	var wroteLarge []*wireFrame
 	for {
 		w.mu.Lock()
 		if written != nil && cap(written) <= maxPooledBuf {
 			w.spare = written[:0]
+		}
+		if wroteLarge != nil && w.large == nil {
+			w.large = wroteLarge[:0]
 		}
 		if w.queued == 0 || w.closed {
 			w.flushing = false
@@ -201,30 +275,38 @@ func (w *connWriter) flush(busy bool) {
 		if len(buf) > 0 {
 			_, err = w.conn.Write(buf)
 		}
-		for i := 0; err == nil && i < len(large); i++ {
-			_, err = w.conn.Write(large[i])
+		for _, f := range large {
+			if err == nil {
+				_, err = w.conn.Write(f.bytes())
+			}
+			releaseFrame(f)
 		}
+		clear(large)
 		if err != nil {
 			w.close()
 			w.onErr(err)
 			return
 		}
 		// Frames that arrived during the write are other callers at work.
-		written, busy = buf, true
+		written, wroteLarge, busy = buf, large, true
 	}
 }
 
 // close stops the writer: queued frames are dropped (the connection is
-// dying anyway) and waiting senders fail. Idempotent.
+// dying anyway) and released, and waiting senders fail. Idempotent.
 func (w *connWriter) close() {
 	w.mu.Lock()
 	w.closed = true
+	large := w.large
 	w.pending, w.spare, w.large, w.queued = nil, nil, nil, 0
 	if w.space != nil {
 		close(w.space)
 		w.space = nil
 	}
 	w.mu.Unlock()
+	for _, f := range large {
+		releaseFrame(f)
+	}
 }
 
 // readMuxFrame receives one frame and decodes its payload into v, returning

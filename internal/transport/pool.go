@@ -27,20 +27,15 @@ type pool struct {
 // peerConns is one peer's connection set; per-peer state keeps a slow dial
 // to one peer from stalling calls to every other peer. dialing counts
 // in-flight dials so the pool opens at most perPeer connections without
-// ever holding the lock across a dial; dialed signals each dial's
-// completion so callers that found every slot mid-dial wait for a result
-// instead of dialing redundantly.
+// ever holding the lock across a dial; callers that found every slot
+// mid-dial wait on dialed for a result instead of dialing redundantly.
 type peerConns struct {
 	mu      sync.Mutex
-	dialed  *sync.Cond // signalled under mu whenever a dial completes
 	conns   []*muxConn
 	dialing int
-}
-
-func newPeerConns() *peerConns {
-	pc := &peerConns{}
-	pc.dialed = sync.NewCond(&pc.mu)
-	return pc
+	// dialed is non-nil while a caller waits for a dial to land; the next
+	// dial to complete closes it.
+	dialed chan struct{}
 }
 
 // pruneLocked drops broken connections; callers hold pc.mu.
@@ -133,7 +128,8 @@ func (p *pool) dial(ctx context.Context, addr Addr) (net.Conn, error) {
 // connection is reused immediately, and a new one is dialed only while all
 // existing ones are busy and the cap has room. Dials happen outside the
 // peer lock and are bounded by the caller's context, so concurrent calls
-// to a dead peer time out in parallel, not serially.
+// to a dead peer time out in parallel, not serially; a caller waiting for
+// another's dial gives up when its own context ends, with ctx.Err().
 func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -142,7 +138,7 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 	}
 	pc, ok := p.peers[addr]
 	if !ok {
-		pc = newPeerConns()
+		pc = &peerConns{}
 		p.peers[addr] = pc
 	}
 	p.mu.Unlock()
@@ -160,9 +156,19 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 			break
 		}
 		// Every cap slot is an in-flight dial: wait for one to land
-		// rather than dialing redundantly. The wait is bounded — a dial
-		// always completes (success or its own timeout) and signals.
-		pc.dialed.Wait()
+		// rather than dialing redundantly, but no longer than ctx allows —
+		// the other caller's dial may run to the pool's dial timeout.
+		if pc.dialed == nil {
+			pc.dialed = make(chan struct{})
+		}
+		dialed := pc.dialed
+		pc.mu.Unlock()
+		select {
+		case <-dialed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		pc.mu.Lock()
 	}
 	pc.mu.Unlock()
 
@@ -178,7 +184,10 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 
 	pc.mu.Lock()
 	pc.dialing--
-	pc.dialed.Broadcast()
+	if pc.dialed != nil {
+		close(pc.dialed)
+		pc.dialed = nil
+	}
 	if err != nil {
 		pc.pruneLocked()
 		fallback, _ := pc.leastLoadedLocked()

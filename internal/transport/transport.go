@@ -9,7 +9,9 @@
 // connection: every frame is [4-byte length][8-byte request id][payload],
 // a per-connection demux loop routes responses to their waiting callers by
 // id, and a broken connection fails its in-flight calls, is evicted from
-// the pool, and is replaced by a fresh dial on the next call. The payload
+// the pool, and is replaced by a fresh dial on the next call; a call that
+// finds every connection slot to its peer mid-dial waits for a dial to
+// land no longer than its own context allows. The payload
 // is a compact binary tag/length/value format, confirmed once per
 // connection by a 5-byte hello that carries its version; a connection that
 // opens without it is refused. Connections can be TLS-wrapped end to end
@@ -32,7 +34,14 @@
 // connection behind it, and idle workers retire with the idle reaper.
 // Encoding is one pass straight into the pooled frame buffer: each field's
 // length is worked out from the counts and lengths it holds before its
-// bytes are written, so no value is staged and copied a second time.
+// bytes are written, so no value is staged and copied a second time. A
+// frame up to 64 KiB is copied into the connection's pending buffer; a
+// larger one (a scan page, a replicate or migrate chunk) moves while it is
+// encoded to a buffer from a write pool of powers of two up to 1 MiB, is
+// written from there, and goes back after its Write, so a steady stream of
+// them allocates nothing on the write side. Pool buffers idle through two
+// collections go back to the allocator, and a frame over 1 MiB is never
+// pooled.
 // Decoding never leaves a value in a buffer the transport reuses. A frame
 // that fits the connection's read buffer is decoded in place there and the
 // values it keeps are copied into one allocation of exactly their size; a
