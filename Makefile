@@ -123,18 +123,26 @@ examples:
 # record), and the scan page's bounds (TestScanPageBounds: an owner
 # answers with all it holds of a range up to the request's limit, 8192
 # items or 4 MiB of values, with an exact More, on the carried page and on
-# OpScan alike). The resident package pins the pool both run on (TestPool*:
+# OpScan alike), and the gather a scan page runs under the owner's lock
+# (TestScanGatherUnderInserts: two scanners' 4096-item scans on a 3-node
+# TCP ring while two writers insert, every page in order with every
+# preloaded key and exact values, raced against the encode outside the
+# lock). The resident package pins the pool both run on (TestPool*:
 # a job goes to the goroutine that parked last, at most the cap stay
 # parked, Done finds its goroutine parked, RetireParked ends the parked
 # ones, Close waits for the busy ones and later jobs run on the caller).
 # The storage package contributes the store contract that every backend's
 # answers rest on (TestStoreMatchesModel and FuzzStoreOps's seed corpus: a
 # store spanning several blocks agrees with a map model on every read, page,
-# digest and WAL replay).
+# digest and WAL replay, also after its pages gathered the blocks they read)
+# and the gather itself (TestGather*: a page's values end back to back in
+# key order with nil, empty and cap == len kept, nothing is copied below
+# the trigger, the slabs replace the arrays they copy, and a store no page
+# reads keeps the caller's arrays).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden|TestScanPageBounds
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden|TestScanPageBounds|TestScanGatherUnderInserts
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
-CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps
+CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose
 
 # conform PKG PATTERN: fail when an alternative of PATTERN matches no test

@@ -20,12 +20,15 @@ const (
 )
 
 // maxScanItems caps the items of one scan page. A page is copied from the
-// store under the node's lock, about 20 ns an item (storage's
-// BenchmarkScanPage: ~170 µs for a full page, less than one 512-item
+// store under the node's lock, about 15–20 ns an item (storage's
+// BenchmarkScanPage: 120–155 µs for a full page, less than one 512-item
 // InsertBulk, on a 2-vCPU Xeon), so the cap bounds that hold while a
 // reader still takes all an owner holds of a range of usual size in one
-// round trip. Replicate pushes and migrate chunks keep PageMaxItems, which
-// would cost a scan one round trip per 512 items.
+// round trip. The hold also gathers each block the page reads that took
+// enough writes since it was last gathered (storage's gather): one copy
+// of that block's values, at most once per quarter of its items put.
+// Replicate pushes and migrate chunks keep PageMaxItems, which would cost
+// a scan one round trip per 512 items.
 const maxScanItems = 16 * storage.PageMaxItems
 
 // ScanChunk is one page of a streaming arc scan: the items, whether the

@@ -265,8 +265,25 @@ func (r *modelRun) check() {
 				t.Fatalf("step %d: ScanPageMerged(%v, %d, %d) = %d items more=%v, model %d more=%v",
 					r.step, rg, caps[0], caps[1], len(gp), gmore, len(wp), wmore)
 			}
+			// The pages above may have gathered the blocks they read: the
+			// same page again must not see it.
+			wp, wmore = page(want, caps[0], caps[1])
+			gp, gmore = s.ScanPage(rg, caps[0], caps[1])
+			if !itemsEqual(gp, wp) || gmore != wmore {
+				t.Fatalf("step %d: ScanPage(%v, %d, %d) again = %d items more=%v, model %d more=%v",
+					r.step, rg, caps[0], caps[1], len(gp), gmore, len(wp), wmore)
+			}
 		}
 	}
+	for i := 0; i < modelKeys; i++ {
+		k := modelKey(i)
+		v, ok := s.Get(k)
+		mv, mok := m.items[k]
+		if ok != mok || !bytes.Equal(v, mv) || (v == nil) != (mv == nil) {
+			t.Fatalf("step %d: Get(%v) after the pages = %q %v, model %q %v", r.step, k, v, ok, mv, mok)
+		}
+	}
+	r.checkSlabCaps()
 
 	leaves := s.DigestLeaves()
 	s.EnableDigest(modelDepth)
@@ -352,8 +369,8 @@ func arcOf(byKey []Item, rg keyspace.Range) []Item {
 // checkBlocks checks the block layout's invariants.
 func (r *modelRun) checkBlocks() {
 	s := &r.s
-	if len(s.lasts) != len(s.blocks) {
-		r.t.Fatalf("step %d: %d blocks, %d last keys", r.step, len(s.blocks), len(s.lasts))
+	if len(s.lasts) != len(s.blocks) || len(s.puts) != len(s.blocks) {
+		r.t.Fatalf("step %d: %d blocks, %d last keys, %d put counts", r.step, len(s.blocks), len(s.lasts), len(s.puts))
 	}
 	n := 0
 	for b, blk := range s.blocks {
@@ -370,6 +387,26 @@ func (r *modelRun) checkBlocks() {
 	}
 	if n != s.n {
 		r.t.Fatalf("step %d: blocks hold %d items, count says %d", r.step, n, s.n)
+	}
+}
+
+// checkSlabCaps checks that every value of a block with no puts since
+// its last gather lies in that block's slab with cap == len, so an append
+// to one cannot reach the next. The model's values mostly have spare
+// capacity, so a block that is counted as gathered but is not shows.
+func (r *modelRun) checkSlabCaps() {
+	for b, blk := range r.s.blocks {
+		if r.s.puts[b] < 0 {
+			r.t.Fatalf("step %d: block %d counts %d puts", r.step, b, r.s.puts[b])
+		}
+		if r.s.puts[b] > 0 {
+			continue
+		}
+		for j, it := range blk {
+			if cap(it.Value) != len(it.Value) {
+				r.t.Fatalf("step %d: gathered block %d item %d has len %d, cap %d", r.step, b, j, len(it.Value), cap(it.Value))
+			}
+		}
 	}
 }
 

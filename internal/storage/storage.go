@@ -12,6 +12,17 @@
 // splits in two, and a read is still two binary searches over contiguous
 // memory.
 //
+// A stored value is the caller's slice, so values put one at a time lie
+// wherever and in whatever order they arrived, and copies on several
+// stores may share one array. The first bounded scan page that reads a
+// block after enough of it was written gathers it: its values are copied
+// back to back, in key order, into one slab of exactly their summed size,
+// so the page's encode reads memory in order. Only scanned blocks are
+// gathered; a store that is never paged keeps every caller's array. A
+// gathered value keeps cap == len, so appending to it never writes into a
+// neighbour, and a value held past its block's next gather or removal
+// pins at most that block's slab.
+//
 // Two replication concerns live here alongside the items:
 //
 //   - Tombstones. Delete does not just remove the item — it records the key
@@ -51,6 +62,13 @@ const (
 // so no wire bound can move it.
 const blockMaxItems = 512
 
+// gatherShare sets when a page gathers a block: once more than
+// 1/gatherShare of its items were put since its last gather. A block that
+// pages keep reading is then copied once per len/gatherShare puts, about
+// gatherShare copies of each value put, and at most 1/gatherShare of its
+// values lie out of order when a page reads it.
+const gatherShare = 4
+
 // Item is one stored record.
 type Item struct {
 	Key   keyspace.Key
@@ -74,6 +92,7 @@ type Store struct {
 	// sorted, at most blockMaxItems long, and below the next block.
 	blocks [][]Item
 	lasts  []keyspace.Key // lasts[b] is the last key of blocks[b]
+	puts   []int          // puts[b] counts values put into blocks[b] since its last gather
 	n      int            // items across all blocks
 	tombs  []Tombstone    // sorted by Key ascending; disjoint from items
 	// tree, when enabled, is the incrementally-maintained digest of items
@@ -158,6 +177,7 @@ func (s *Store) Put(k keyspace.Key, v []byte) (replaced bool) {
 		it := &s.blocks[b][i]
 		s.applyItem(k, it.Value)
 		it.Value = v
+		s.puts[b]++
 		s.applyItem(k, v)
 		return true
 	}
@@ -175,6 +195,7 @@ func (s *Store) insert(b, i int, it Item) {
 		if b == 0 || len(s.blocks[b-1]) == blockMaxItems {
 			s.blocks = append(s.blocks, nil)
 			s.lasts = append(s.lasts, it.Key)
+			s.puts = append(s.puts, 0)
 		} else {
 			b--
 		}
@@ -191,6 +212,7 @@ func (s *Store) insert(b, i int, it Item) {
 	copy(blk[i+1:], blk[i:])
 	blk[i] = it
 	s.blocks[b] = blk
+	s.puts[b]++
 	if i == len(blk)-1 {
 		s.lasts[b] = it.Key
 	}
@@ -198,13 +220,16 @@ func (s *Store) insert(b, i int, it Item) {
 }
 
 // split copies the halves of the full block b into two right-sized
-// blocks and returns the pending insert's position among them.
+// blocks and returns the pending insert's position among them. Each half
+// keeps the parent's put count, up to its own length.
 func (s *Store) split(b, i int) (int, int) {
 	const half = blockMaxItems / 2
 	full := s.blocks[b]
 	s.blocks[b] = newBlock(full[:half], 0)
 	s.blocks = slices.Insert(s.blocks, b+1, newBlock(full[half:], 0))
 	s.lasts = slices.Insert(s.lasts, b, full[half-1].Key)
+	s.puts[b] = min(s.puts[b], half)
+	s.puts = slices.Insert(s.puts, b+1, s.puts[b])
 	if i < half {
 		return b, i
 	}
@@ -234,6 +259,7 @@ func (s *Store) removeAt(b, i int) {
 	if len(blk) == 0 {
 		s.blocks = slices.Delete(s.blocks, b, b+1)
 		s.lasts = slices.Delete(s.lasts, b, b+1)
+		s.puts = slices.Delete(s.puts, b, b+1)
 		return
 	}
 	s.blocks[b] = blk
@@ -363,7 +389,8 @@ func (s *Store) GCTombstones(cutoff int64) int {
 // when the range holds any (a single oversized value still pages), and a
 // cap <= 0 is no cap. more reports that at least one further item remains
 // in the range past the returned page; resume from the last returned key
-// plus one.
+// plus one. Non-destructive holds for contents, not layout: the page may
+// gather the blocks it reads (see gather).
 func (s *Store) ScanPage(rg keyspace.Range, maxItems, maxBytes int) (out []Item, more bool) {
 	return ScanPageMerged(s, nil, rg, maxItems, maxBytes)
 }
@@ -386,10 +413,11 @@ func (sp span) head(blocks [][]Item) ([]Item, span) {
 
 // cursor walks a store's items over one range in clockwise order, one
 // block at a time, so a bounded page reads only the blocks it returns.
-// Its views alias the store's blocks: read-only, valid until the next
-// mutation.
+// Its views alias the store's blocks, valid until the next mutation. They
+// never change an item's key or contents; only nextGathered, the page
+// path's step, may move a block's values into a new slab.
 type cursor struct {
-	blocks     [][]Item
+	s          *Store
 	cur, after span   // the range's positions; after is empty unless rg wraps
 	view       []Item // the unread rest of the current view (peek/advance)
 }
@@ -399,7 +427,7 @@ func (s *Store) cursor(rg keyspace.Range) cursor {
 	if s == nil || s.n == 0 {
 		return cursor{}
 	}
-	c := cursor{blocks: s.blocks}
+	c := cursor{s: s}
 	b, i := s.locate(rg.Start)
 	switch {
 	case rg.IsFull():
@@ -424,8 +452,47 @@ func (c *cursor) nextView() []Item {
 		return nil
 	}
 	var v []Item
-	v, c.cur = c.cur.head(c.blocks)
+	v, c.cur = c.cur.head(c.s.blocks)
 	return v
+}
+
+// nextGathered is nextView for a page: the next view's block is gathered
+// first when it is due.
+func (c *cursor) nextGathered() []Item {
+	if c.cur.empty() {
+		c.cur, c.after = c.after, span{}
+	}
+	if c.cur.empty() {
+		return nil
+	}
+	c.s.gather(c.cur.b)
+	return c.nextView()
+}
+
+// gather lays the values of block b out back to back, in key order, in
+// one new slab of exactly their summed size, once more than
+// 1/gatherShare of its items were put since its last gather. Each value
+// keeps its bytes, its nil-ness and cap == len, so no reader can tell;
+// the old arrays are never written, so a page copied from them earlier
+// may still be read outside the store's lock.
+func (s *Store) gather(b int) {
+	blk := s.blocks[b]
+	if s.puts[b]*gatherShare <= len(blk) {
+		return
+	}
+	s.puts[b] = 0
+	size := 0
+	for _, it := range blk {
+		size += len(it.Value)
+	}
+	slab := make([]byte, size)
+	for j, it := range blk {
+		if it.Value == nil {
+			continue
+		}
+		n := copy(slab, it.Value)
+		blk[j].Value, slab = slab[:n:n], slab[n:]
+	}
 }
 
 func (c *cursor) peek() (Item, bool) {
@@ -446,7 +513,7 @@ func (c *cursor) countUpTo(limit int) int {
 	for _, sp := range [2]span{c.cur, c.after} {
 		for n < limit && !sp.empty() {
 			var v []Item
-			v, sp = sp.head(c.blocks)
+			v, sp = sp.head(c.s.blocks)
 			n += len(v)
 		}
 	}
@@ -481,6 +548,11 @@ func makePage(maxItems int, p, f *cursor) []Item {
 // bytes, at least one item when any qualifies, cap <= 0 is no cap), and
 // more is exact: it is true only when a further emittable item exists, so
 // a resumer never spins on an empty page.
+//
+// It changes neither store's contents. Once the fallback has nothing left
+// in the range, each primary block the page reads is gathered first when
+// due, so it must run under whatever serialises the primary's writers;
+// the fallback's layout is never touched.
 func ScanPageMerged(primary, fallback *Store, rg keyspace.Range, maxItems, maxBytes int) (out []Item, more bool) {
 	if primary == nil {
 		primary = &Store{}
@@ -509,12 +581,14 @@ func ScanPageMerged(primary, fallback *Store, rg keyspace.Range, maxItems, maxBy
 
 // appendRuns fills the page from c alone once the fallback has nothing
 // left in the range, under ScanPageMerged's bounds: every item is then
-// emittable, so whole runs of a block are copied at once.
+// emittable, so whole runs of a block are copied at once. Each block it
+// opens is gathered first when due, so the page's values lie in key
+// order for its encode.
 func appendRuns(out []Item, bytes int, c *cursor, maxItems, maxBytes int) ([]Item, bool) {
 	for {
 		v := c.view
 		if len(v) == 0 {
-			if v = c.nextView(); v == nil {
+			if v = c.nextGathered(); v == nil {
 				return out, false
 			}
 		}
@@ -583,7 +657,8 @@ func (s *Store) Items() []Item {
 // migration primitive used when a joining peer takes over part of its
 // successor's arc. Tombstones in rg are not touched; migrate them
 // separately with ExtractTombstones. The items left behind are repacked
-// into full blocks.
+// into full blocks, each counted as wholly put: their values come from
+// several old blocks.
 func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 	var out []Item
 	for _, blk := range s.blocks {
@@ -599,7 +674,7 @@ func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 		return nil
 	}
 	old, kept := s.blocks, s.n-len(out)
-	s.blocks, s.lasts, s.n = nil, nil, 0
+	s.blocks, s.lasts, s.puts, s.n = nil, nil, nil, 0
 	var blk []Item
 	for _, ob := range old {
 		for _, it := range ob {
@@ -614,6 +689,7 @@ func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 			if len(blk) == cap(blk) {
 				s.blocks = append(s.blocks, blk)
 				s.lasts = append(s.lasts, it.Key)
+				s.puts = append(s.puts, len(blk))
 				blk = nil
 			}
 		}

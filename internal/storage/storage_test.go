@@ -427,31 +427,47 @@ func BenchmarkStore(b *testing.B) {
 }
 
 // BenchmarkScanPage times what one hold of a node's lock copies or writes
-// on a store of 20 k items of 100 B with a digest: a ScanPageMerged page
-// at the replicate push's item cap (512) and at the scan page's (8192),
-// from a stored key, and one InsertBulk of 512 new keys, as a repair batch
-// lands (the removal that keeps the size is not timed).
+// on a store of 20 k items of 100 B with a digest, each value allocated on
+// its own among ballast and stored in shuffled key order, as values put
+// one at a time arrive: a ScanPageMerged page at the replicate push's item
+// cap (512) and at the scan page's (8192), from a stored key, and one
+// InsertBulk of 512 new keys, as a repair batch lands (the removal that
+// keeps the size is not timed). A page gathers the blocks it reads the
+// first time, so the scan rows time gathered blocks after their first
+// iteration.
+//
+// read-values is a 4096-item page, the scan-insert workload's, plus one
+// copy of every value byte, which is what the page's encode reads.
+// scattered reads a store whose blocks never gather (the layout values
+// have as they are put), gathered one whose blocks were all gathered.
 func BenchmarkScanPage(b *testing.B) {
 	rnd := rand.New(rand.NewSource(5))
-	var s, empty Store
-	s.EnableDigest(antientropy.DefaultDepth)
-	val := make([]byte, 100)
+	var empty Store
 	keys := make([]keyspace.Key, 20000)
 	for i := range keys {
 		keys[i] = keyspace.Key(rnd.Uint64())
-		s.Put(keys[i], val)
 	}
+	fill := func() *Store {
+		s := &Store{}
+		s.EnableDigest(antientropy.DefaultDepth)
+		for i, v := range scatteredValues(len(keys), 100, rnd) {
+			s.Put(keys[i], v)
+		}
+		return s
+	}
+	s := fill()
 	for _, items := range []int{PageMaxItems, 16 * PageMaxItems} {
 		b.Run(fmt.Sprintf("scan/items=%d", items), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				k := keys[i%len(keys)]
-				ScanPageMerged(&s, &empty, keyspace.Range{Start: k, End: k - 1}, items, PageMaxBytes)
+				ScanPageMerged(s, &empty, keyspace.Range{Start: k, End: k - 1}, items, PageMaxBytes)
 			}
 		})
 	}
 	b.Run(fmt.Sprintf("insert-bulk/items=%d", PageMaxItems), func(b *testing.B) {
 		batch := make([]Item, PageMaxItems)
+		val := make([]byte, 100)
 		b.ResetTimer()
 		for range b.N { // b.N, not b.Loop: each iteration stops the timer
 			b.StopTimer()
@@ -467,6 +483,27 @@ func BenchmarkScanPage(b *testing.B) {
 			b.StartTimer()
 		}
 	})
+	for _, layout := range []string{"scattered", "gathered"} {
+		b.Run(fmt.Sprintf("read-values/%s/items=4096", layout), func(b *testing.B) {
+			s := fill()
+			if layout == "scattered" {
+				clear(s.puts) // nothing counts as put: no block gathers
+			} else {
+				s.ScanPage(keyspace.FullRange(), 0, 0)
+			}
+			buf := make([]byte, PageMaxBytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; b.Loop(); i++ {
+				k := keys[i%len(keys)]
+				page, _ := ScanPageMerged(s, &empty, keyspace.Range{Start: k, End: k - 1}, 4096, PageMaxBytes)
+				off := 0
+				for _, it := range page {
+					off += copy(buf[off:], it.Value)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkStoreReplace overwrites a 256 B value in a 10 k-item store,
