@@ -77,19 +77,18 @@ type Rand interface {
 // budget ρmax_out, and LocalNeighbors its own neighbours, read with no
 // message. Neighbors (p's neighbours, which the pass's View asks once per
 // peer) and Load (p's relative in-degree load InDeg/MaxIn) are one message
-// each; Owner routes to the owner of k and reports the messages that
-// took. Release drops the node's long-range links and sends each target an
+// each. Release drops the node's long-range links and sends each target an
 // unlink once, in parallel, ignoring the answers; Link asks p to accept
 // one, which p refuses at its in-degree cap. Parallel runs fn(0) …
 // fn(k-1), concurrently where the substrate can, and returns once every
-// one has.
+// one has. The construction never routes: every walk starts at the node
+// or at a border peer Discover returned.
 type Substrate[P comparable] interface {
 	sampling.Graph[P]
 	Self() P
 	LocalNeighbors() []sampling.Neighbor[P]
 	Successor() P
 	MaxOut() int
-	Owner(ctx context.Context, k keyspace.Key) (P, int, error)
 	Load(ctx context.Context, p P) (float64, error)
 	Release(ctx context.Context)
 	Link(ctx context.Context, p P) error
@@ -103,9 +102,10 @@ func NewView[P comparable](s Substrate[P]) *sampling.View[P] {
 	return sampling.NewView[P](s, s.Self(), s.LocalNeighbors())
 }
 
-// Draw draws one peer inside rg from rnd and returns it with the messages
-// it sent; ok is false when the partition yielded nobody.
-type Draw[P comparable] func(ctx context.Context, rnd *rand.Rand, rg keyspace.Range) (p P, msgs int, ok bool)
+// Draw draws one peer inside partition i of the pass from rnd and returns
+// it with the messages it sent; ok is false when the partition yielded
+// nobody.
+type Draw[P comparable] func(ctx context.Context, rnd *rand.Rand, i int) (p P, msgs int, ok bool)
 
 // WireStats reports one wiring pass.
 type WireStats struct {
@@ -118,8 +118,8 @@ type WireStats struct {
 	// SampleCost counts the messages median estimation sent: one per
 	// neighbour list the pass's view fetched for it.
 	SampleCost int
-	// PickCost counts the messages drawing candidates sent: routing, and
-	// the neighbour lists the discovery walks had not fetched.
+	// PickCost counts the messages drawing candidates sent: the neighbour
+	// lists the discovery walks had not fetched.
 	PickCost int
 }
 
@@ -143,11 +143,11 @@ func (s *WireStats) Add(o WireStats) {
 // steps in the paper's order instead (sim.WireOscar).
 func Wire[P comparable](ctx context.Context, s Substrate[P], cfg Config, rnd Rand) ([]P, WireStats, error) {
 	v := NewView(s)
-	parts, msgs, err := Discover(ctx, s, v, cfg.Samples, rnd)
+	parts, starts, msgs, err := Discover(ctx, s, v, cfg.Samples, rnd)
 	if err != nil {
 		return nil, WireStats{LinksWanted: s.MaxOut(), SampleCost: msgs}, err
 	}
-	out, st, err := Relink(ctx, s, parts, WalkDraw(s, v), cfg.PowerOfTwo, true, rnd)
+	out, st, err := Relink(ctx, s, parts, WalkDraw(v, parts, starts), cfg.PowerOfTwo, true, rnd)
 	st.SampleCost = msgs
 	return out, st, err
 }
@@ -157,23 +157,26 @@ func Wire[P comparable](ctx context.Context, s Substrate[P], cfg Config, rnd Ran
 // [uid, m_(i-1)), estimated from samples of one chained walk from the node.
 // The recursion stops when the estimate reaches the node's successor —
 // the open range (uid, m) then holds no peers — so ~log₂ N levels emerge
-// without global knowledge. It returns the partitions, the messages the
+// without global knowledge. It returns the partitions, the border peers
+// (starts[i] is the peer whose key is Borders[i]: a sample the walks stood
+// on, so v holds its list, or the closing successor), the messages the
 // walks sent and ctx.Err().
-func Discover[P comparable](ctx context.Context, s Substrate[P], v *sampling.View[P], samples int, rnd sampling.Rand) (*partition.Partitions, int, error) {
+func Discover[P comparable](ctx context.Context, s Substrate[P], v *sampling.View[P], samples int, rnd sampling.Rand) (*partition.Partitions, []P, int, error) {
 	self := s.Self()
 	p := &partition.Partitions{NodeKey: s.Key(self)}
 	succ := s.Successor()
 	if succ == self {
-		return p, 0, ctx.Err() // alone on the ring: no population to link to
+		return p, nil, 0, ctx.Err() // alone on the ring: no population to link to
 	}
 	succKey := s.Key(succ)
+	var starts []P
 	msgs := 0
 	for prev := p.NodeKey; len(p.Borders) < MaxLevels; {
 		remaining := keyspace.Range{Start: p.NodeKey, End: prev}
 		peers, m, err := sampling.SampleChain(ctx, v, rnd, self, remaining, samples, SampleSteps)
 		msgs += m
 		if err != nil {
-			return p, msgs, err
+			return p, starts, msgs, err
 		}
 		// The median is of the *other* peers in the range: the node's own
 		// key would anchor the estimate at distance zero, which on tiny
@@ -192,6 +195,7 @@ func Discover[P comparable](ctx context.Context, s Substrate[P], v *sampling.Vie
 			break // defensive: a stale estimate escaped the range
 		}
 		p.Borders = append(p.Borders, border)
+		starts = append(starts, peers[slices.IndexFunc(peers, func(q P) bool { return s.Key(q) == border })])
 		prev = border
 		if border == succKey {
 			break
@@ -202,8 +206,9 @@ func Discover[P comparable](ctx context.Context, s Substrate[P], v *sampling.Vie
 	if n := len(p.Borders); n > 0 && p.Borders[n-1] != succKey &&
 		(keyspace.Range{Start: p.NodeKey, End: p.Borders[n-1]}).Contains(succKey) {
 		p.Borders = append(p.Borders, succKey)
+		starts = append(starts, succ)
 	}
-	return p, msgs, ctx.Err()
+	return p, starts, msgs, ctx.Err()
 }
 
 // Relink releases the node's links and fills its MaxOut link slots from
@@ -255,7 +260,7 @@ func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Pa
 	var oks [2]bool
 	var sent [2]int
 	s.Parallel(k, func(i int) {
-		p, msgs, ok := draw(ctx, rnds[i], parts.Range(rnds[i].Intn(parts.Count())))
+		p, msgs, ok := draw(ctx, rnds[i], rnds[i].Intn(parts.Count()))
 		picks[i], sent[i] = p, msgs
 		oks[i] = ok && p != s.Self() && !slices.Contains(existing, p)
 	})
@@ -277,18 +282,15 @@ func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Pa
 	return picks[0], msgs, true
 }
 
-// WalkDraw is the deployable draw: route to the partition's lower border
-// and walk PickSteps steps over v from the peer owning it. Its draws share
-// v, so the two parallel draws of a Pick that step onto one peer fetch its
-// list once, and the count of messages stays the same whatever their
-// schedule.
-func WalkDraw[P comparable](s Substrate[P], v *sampling.View[P]) Draw[P] {
-	return func(ctx context.Context, rnd *rand.Rand, rg keyspace.Range) (P, int, bool) {
-		entry, msgs, err := s.Owner(ctx, rg.Start)
-		if err != nil || !rg.Contains(s.Key(entry)) {
-			return entry, msgs, false
-		}
-		cand, m, err := sampling.Walk(ctx, v, rnd, entry, rg, PickSteps)
-		return cand, msgs + m, err == nil
+// WalkDraw is the deployable draw: walk PickSteps steps over v inside
+// partition i of parts from starts[i], its border peer (Discover). v
+// holds that peer's list unless it is the closing successor, and a start
+// that cannot be fetched yields none. The draws share v, so the two
+// parallel draws of a Pick that step onto one peer fetch its list once,
+// and the count of messages stays the same whatever their schedule.
+func WalkDraw[P comparable](v *sampling.View[P], parts *partition.Partitions, starts []P) Draw[P] {
+	return func(ctx context.Context, rnd *rand.Rand, i int) (P, int, bool) {
+		cand, msgs, err := sampling.Walk(ctx, v, rnd, starts[i], parts.Range(i), PickSteps)
+		return cand, msgs, err == nil
 	}
 }

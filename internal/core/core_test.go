@@ -247,7 +247,7 @@ func linkedNet(t *testing.T, n int, dist keydist.Distribution, seed int64) (*gra
 func discover(t *testing.T, g *graph.Network, r *ring.Ring, u graph.NodeID, seed int64) *partition.Partitions {
 	t.Helper()
 	s := sim.Peer{Network: g, Ring: r, ID: u}
-	p, _, err := core.Discover(bg, s, core.NewView[graph.NodeID](s), 24, rand.New(rand.NewSource(seed)))
+	p, _, _, err := core.Discover(bg, s, core.NewView[graph.NodeID](s), 24, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +286,34 @@ func TestDiscoverPartitionPopulations(t *testing.T) {
 	// crude, but a uniform-resolution approach fails this on spiky keys.
 	if far := r.CountAliveInRange(p.Range(0)); far < 250 || far > 750 {
 		t.Errorf("far half holds %d of 1000 peers", far)
+	}
+}
+
+// TestDiscoverBorderPeers: every border Discover returns comes with the
+// peer whose key it is, and the pass's view already holds that peer's
+// list, so a draw starts there with no message. Only the closing border,
+// the successor, may not have been walked on.
+func TestDiscoverBorderPeers(t *testing.T) {
+	for _, dist := range []keydist.Distribution{keydist.Uniform{}, keydist.GnutellaLike()} {
+		for seed := int64(1); seed <= 4; seed++ {
+			g, r := linkedNet(t, 512, dist, seed)
+			s := sim.Peer{Network: g, Ring: r, ID: graph.NodeID(seed * 37)}
+			v := core.NewView[graph.NodeID](s)
+			parts, starts, _, err := core.Discover(bg, s, v, 24, rand.New(rand.NewSource(seed)))
+			if err != nil || parts.Count() < 4 || len(starts) != parts.Count() {
+				t.Fatalf("%s seed %d: %d borders, %d peers (%v)", dist.Name(), seed, parts.Count(), len(starts), err)
+			}
+			for i, b := range parts.Borders {
+				if k := g.Node(starts[i]).Key; k != b {
+					t.Errorf("%s seed %d: border %d is %v, its peer's key %v", dist.Name(), seed, i, b, k)
+				}
+				_, sent, err := v.Neighbors(bg, starts[i], parts.Range(i), nil)
+				closing := i == parts.Count()-1 && starts[i] == s.Successor()
+				if err != nil || sent != 0 && !closing {
+					t.Errorf("%s seed %d: border %d's peer cost %d messages (%v)", dist.Name(), seed, i, sent, err)
+				}
+			}
+		}
 	}
 }
 
@@ -401,7 +429,7 @@ func TestRelinkSkipLinked(t *testing.T) {
 			t.Fatal(err)
 		}
 		draws := 0
-		draw := func(context.Context, *rand.Rand, keyspace.Range) (graph.NodeID, int, bool) {
+		draw := func(context.Context, *rand.Rand, int) (graph.NodeID, int, bool) {
 			draws++ // each slot draws b, then c
 			if draws%2 == 1 {
 				return b.ID, 0, true

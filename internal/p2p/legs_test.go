@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -268,9 +269,10 @@ func TestFanoutLegsCancelled(t *testing.T) {
 }
 
 // TestPickCandidateSeedDeterministic: with the node's random stream reset
-// to one seed, core.Pick picks the same candidate and sends the same
-// messages however its two parallel draws interleave over their shared
-// view — here shuffled by a differently seeded jitter on every call.
+// to one seed, core.Discover finds the same borders and core.Pick then
+// picks the same candidate and sends the same messages however its two
+// parallel draws interleave over the view and border peers of that
+// discovery — here shuffled by a differently seeded jitter on every call.
 func TestPickCandidateSeedDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 60*time.Second)
 	defer cancel()
@@ -281,26 +283,26 @@ func TestPickCandidateSeedDeterministic(t *testing.T) {
 	defer c.Close()
 	n := c.Nodes[0]
 	base := n.tr
-	reseed := func() { n.rnd = &lockedRand{r: rand.New(rand.NewSource(42))} }
-	reseed()
 	w := wiring{n}
-	parts, _, err := core.Discover(ctx, w, core.NewView(w), core.DefaultConfig().Samples, n.rnd)
-	if err != nil || parts.Count() < 2 {
-		t.Fatalf("%d partitions (%v): the test needs at least two", parts.Count(), err)
-	}
 	var first transport.PeerRef
+	var firstBorders []keyspace.Key
 	var firstMsgs int
 	for trial := 0; trial < 8; trial++ {
 		fnet := faultnet.New(int64(100 + trial))
 		fnet.SetDefault(faultnet.Faults{Jitter: 300 * time.Microsecond})
 		n.tr = fnet.Wrap(base) // nothing else runs on the node: no maintenance
-		reseed()
-		got, msgs, _ := core.Pick(ctx, w, parts, core.WalkDraw(w, core.NewView(w)), nil, true, n.rnd)
+		n.rnd = &lockedRand{r: rand.New(rand.NewSource(42))}
+		v := core.NewView(w)
+		parts, starts, _, err := core.Discover(ctx, w, v, core.DefaultConfig().Samples, n.rnd)
+		if err != nil || parts.Count() < 2 {
+			t.Fatalf("%d partitions (%v): the test needs at least two", parts.Count(), err)
+		}
+		got, msgs, _ := core.Pick(ctx, w, parts, core.WalkDraw(v, parts, starts), nil, true, n.rnd)
 		if trial == 0 {
-			first, firstMsgs = got, msgs
+			first, firstBorders, firstMsgs = got, parts.Borders, msgs
 			continue
 		}
-		if got != first || msgs != firstMsgs {
+		if got != first || msgs != firstMsgs || !slices.Equal(parts.Borders, firstBorders) {
 			t.Fatalf("trial %d picked %v with %d messages, trial 0 %v with %d: one seed, two outcomes", trial, got, msgs, first, firstMsgs)
 		}
 	}

@@ -1194,10 +1194,6 @@ func keyed(peers []transport.PeerRef) []sampling.Neighbor[transport.PeerRef] {
 	return out
 }
 
-func (w wiring) Owner(ctx context.Context, k keyspace.Key) (transport.PeerRef, int, error) {
-	return w.n.Lookup(ctx, k)
-}
-
 func (w wiring) Load(ctx context.Context, p transport.PeerRef) (float64, error) {
 	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpInfo}))
 	if err != nil {

@@ -235,12 +235,13 @@ func WireOscar(net *graph.Network, rg *ring.Ring, id graph.NodeID, cfg core.Conf
 	p, ctx := Peer{Network: net, Ring: rg, ID: id}, context.Background()
 	net.DropLinks(id)
 	if cfg.Oracle {
-		_, st, _ := core.Relink(ctx, p, partition.BuildExact(net, rg, id), p.oracleDraw, cfg.PowerOfTwo, false, seqRand{rnd})
+		parts := partition.BuildExact(net, rg, id)
+		_, st, _ := core.Relink(ctx, p, parts, p.oracleDraw(parts), cfg.PowerOfTwo, false, seqRand{rnd})
 		return st
 	}
 	v := core.NewView[graph.NodeID](p)
-	parts, msgs, _ := core.Discover(ctx, p, v, cfg.Samples, seqRand{rnd})
-	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw[graph.NodeID](p, v), cfg.PowerOfTwo, false, seqRand{rnd})
+	parts, starts, msgs, _ := core.Discover(ctx, p, v, cfg.Samples, seqRand{rnd})
+	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw(v, parts, starts), cfg.PowerOfTwo, false, seqRand{rnd})
 	st.SampleCost = msgs
 	return st
 }
@@ -253,9 +254,8 @@ type seqRand struct{ *rand.Rand }
 func (r seqRand) Split() *rand.Rand { return r.Rand }
 
 // Peer is one simulated peer as the construction's substrate
-// (core.Substrate). The graph answers at once, routing a draw to its
-// partition costs nothing (the paper's search cost does not charge it),
-// and draws run one after the other.
+// (core.Substrate). The graph answers at once, and draws run one after
+// the other.
 type Peer struct {
 	*graph.Network
 	Ring *ring.Ring
@@ -279,10 +279,6 @@ func (p Peer) Successor() graph.NodeID {
 	return p.ID
 }
 
-func (p Peer) Owner(_ context.Context, k keyspace.Key) (graph.NodeID, int, error) {
-	return p.Ring.OwnerOf(k), 0, nil
-}
-
 func (p Peer) Load(_ context.Context, id graph.NodeID) (float64, error) {
 	return p.Node(id).InLoad(), nil
 }
@@ -295,10 +291,13 @@ func (p Peer) Parallel(k int, fn func(i int)) {
 	}
 }
 
-// oracleDraw is the ablation's exact uniform draw inside rg.
-func (p Peer) oracleDraw(_ context.Context, rnd *rand.Rand, rg keyspace.Range) (graph.NodeID, int, bool) {
-	id := p.Ring.RandomAliveInRange(rnd, rg)
-	return id, 0, id != graph.NoNode
+// oracleDraw is the ablation's exact uniform draw inside a partition of
+// parts.
+func (p Peer) oracleDraw(parts *partition.Partitions) core.Draw[graph.NodeID] {
+	return func(_ context.Context, rnd *rand.Rand, i int) (graph.NodeID, int, bool) {
+		id := p.Ring.RandomAliveInRange(rnd, parts.Range(i))
+		return id, 0, id != graph.NoNode
+	}
 }
 
 // GrowTo adds peers until the alive population reaches n.
