@@ -70,7 +70,10 @@ examples:
 # contract (the route cache stays correct across an arc-moving join and
 # an owner crash on both harnesses; TestRouteCache* adds one message
 # per cached read, freshness after remote writes, and crash-window reads
-# served by the chain) — race detector on. The
+# served by the chain), and the boot's single wiring pass
+# (TestStartClusterWiresOnce: a 64-node StartCluster boot sends no unlink,
+# since each node wires once at its join, and its mean lookup cost stays
+# under its bound on five seeds) — race detector on. The
 # faulted variant (TestFaultedRing) re-runs the scenario table on both
 # live fabrics under a seeded 5%-drop/20ms-jitter fault plan plus a
 # partition-heal case, the overload suite pins the p2p contract that
@@ -117,7 +120,11 @@ examples:
 # leaves none, 16 concurrent writers share them, a cancelled fan-out still fills every
 # slot and counts every send), the seeded link pick
 # (TestPickCandidateSeedDeterministic: one seed picks one long-link
-# candidate however the two parallel draws interleave) and the live walk
+# candidate however the two parallel draws interleave), the rewire's own
+# stream (TestRewireOwnStream: draws from every node's stream while the
+# passes run move no link) and the split that seeds it (TestSplit*:
+# same-seed streams split alike, at most two allocations and under 100
+# bytes a split) and the live walk
 # (TestWalkGolden: every op's owner, cost and error and the messages sent
 # over a ring with crashed, unstabilised peers match the committed
 # record), and the scan page's bounds (TestScanPageBounds: an owner
@@ -139,8 +146,8 @@ examples:
 # key order with nil, empty and cap == len kept, nothing is copied below
 # the trigger, the slabs replace the arrays they copy, and a store no page
 # reads keeps the caller's arrays).
-CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireGolden|TestWalkGolden|TestScanPageBounds|TestScanGatherUnderInserts
+CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestScanPageBounds|TestScanGatherUnderInserts
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose

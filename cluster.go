@@ -27,7 +27,11 @@ type Cluster struct {
 
 // StartCluster boots size live nodes on a shared in-memory fabric: the
 // first node creates the overlay, the rest join through it, then the
-// cluster stabilises and wires long-range links. Options (WithSeed,
+// cluster stabilises. Each joiner wires its long-range links once, at the
+// end of its join, over the ring as it stood then; the boot runs no
+// second pass. So the first node, which joins nobody, starts with no long
+// links, and early joiners with few, until a rewire (RewireAll, or
+// WithAutoMaintenance's periodic one) rebuilds them. Options (WithSeed,
 // WithKeys, WithDegrees, WithStabilizeRounds, WithReplicas,
 // WithAutoMaintenance, WithAntiEntropy, ...) configure every node; the
 // context bounds the whole boot sequence.
@@ -85,7 +89,6 @@ func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, erro
 	for round := 0; round < stabilizeRounds; round++ {
 		c.StabilizeAll(ctx)
 	}
-	c.RewireAll(ctx)
 	if err := ctx.Err(); err != nil {
 		c.Close()
 		return nil, err
@@ -136,6 +139,9 @@ func (c *Cluster) StabilizeAll(ctx context.Context) {
 }
 
 // RewireAll rebuilds every open node's long-range links, in parallel.
+// StartCluster does not call it: on a 64-node boot a second pass after the
+// joins' own took more than half the boot's time and saved about 0.1 hop
+// of mean lookup cost.
 func (c *Cluster) RewireAll(ctx context.Context) {
 	c.forAllOpen(func(n *Node) { _ = n.Rewire(ctx) })
 }

@@ -63,10 +63,12 @@ func DefaultConfig() Config {
 	return Config{Samples: 12, PowerOfTwo: true}
 }
 
-// Rand is the node's random stream. The walks of partition discovery draw
+// Rand is the pass's random stream. The walks of partition discovery draw
 // from it, and each candidate draw from the stream Split returns: a stream
 // of its own where draws run concurrently, so their schedule never decides
-// what they pick.
+// what they pick. Pick splits twice per slot, so a split must be cheap:
+// the live node seeds a one-word SplitMix64 generator, and the simulator,
+// whose draws run one after the other, hands out its own stream.
 type Rand interface {
 	sampling.Rand
 	Split() *rand.Rand

@@ -1149,8 +1149,17 @@ func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, 
 // and every target keeps its in-link. The node routes on its ring alone
 // between the release and the end of the acquisition. It returns
 // ctx.Err().
+//
+// The pass draws from a stream split off the node's at its start, so the
+// far-gossip pick and the overload backoff, which draw from the node's
+// stream meanwhile, do not move its links.
 func (n *Node) Rewire(ctx context.Context) error {
-	out, _, err := core.Wire(ctx, wiring{n}, core.DefaultConfig(), n.rnd)
+	return n.rewire(ctx, &lockedRand{r: n.rnd.Split()})
+}
+
+// rewire is Rewire drawing from rnd.
+func (n *Node) rewire(ctx context.Context, rnd *lockedRand) error {
+	out, _, err := core.Wire(ctx, wiring{n}, core.DefaultConfig(), rnd)
 	if out != nil {
 		n.mu.Lock()
 		n.out = out

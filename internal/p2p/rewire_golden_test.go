@@ -36,18 +36,8 @@ func rewireRecord(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	index := make(map[transport.Addr]int, size)
-	for i, n := range nodes {
-		index[n.Self().Addr] = i
-	}
 	var b strings.Builder
-	for i, n := range nodes {
-		fmt.Fprintf(&b, "node %02d:", i)
-		for _, ref := range n.OutLinks() {
-			fmt.Fprintf(&b, " %02d", index[ref.Addr])
-		}
-		b.WriteByte('\n')
-	}
+	b.WriteString(linkLines(nodes))
 	sent := make(map[transport.Op]int)
 	for i, tr := range trs {
 		tr.mu.Lock()
@@ -70,6 +60,73 @@ func rewireRecord(t *testing.T) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
+}
+
+// linkLines lists every node's out-links by node index, in link order, one
+// line per node.
+func linkLines(nodes []*Node) string {
+	index := make(map[transport.Addr]int, len(nodes))
+	for i, n := range nodes {
+		index[n.Self().Addr] = i
+	}
+	var b strings.Builder
+	for i, n := range nodes {
+		fmt.Fprintf(&b, "node %02d:", i)
+		for _, ref := range n.OutLinks() {
+			fmt.Fprintf(&b, " %02d", index[ref.Addr])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestRewireOwnStream pins that a rewire draws only from the stream it
+// splits off the node's at its start: two same-seed 32-node rings rewire
+// every node in ring order, and on one of them a goroutine draws from
+// every node's stream while the passes run (after each pass has taken its
+// own), as the far-gossip pick and the overload backoff may. Both rings
+// wire the same links.
+func TestRewireOwnStream(t *testing.T) {
+	quiet, _, _ := carryRing(t, 32, false, nil)
+	for _, n := range quiet {
+		if err := n.Rewire(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy, _, _ := carryRing(t, 32, false, nil)
+	streams := make([]*lockedRand, len(busy))
+	for i, n := range busy {
+		streams[i] = &lockedRand{r: n.rnd.Split()}
+	}
+	stop := make(chan struct{})
+	drawn := make(chan int, 1)
+	go func() {
+		draws := 0
+		for {
+			select {
+			case <-stop:
+				drawn <- draws
+				return
+			default:
+			}
+			for _, n := range busy {
+				n.rnd.Intn(8)
+				draws++
+			}
+		}
+	}()
+	for i, n := range busy {
+		if err := n.rewire(bg, streams[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if draws := <-drawn; draws == 0 {
+		t.Fatal("no draw from the nodes' streams while the passes ran")
+	}
+	if got, want := linkLines(busy), linkLines(quiet); got != want {
+		t.Errorf("draws from the nodes' streams moved the links:\ngot:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestRewireGolden pins the live construction: three same-seed boots
