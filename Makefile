@@ -61,8 +61,8 @@ examples:
 # reports that work, deletes stay deleted), the write-concern
 # contract (w=2 succeeds past a dead replica, w=3 fails with honest ack
 # counts), the read-repair contract (a fallback read heals a stale owner
-# by exactly the divergence), the ring-size estimate on a ring past
-# the old 128-peer walk cap, the mid-scan churn contract (a paged
+# by exactly the divergence), Info's peer count (64 on every node of a
+# 64-node boot, -1 past the 128-peer walk), the mid-scan churn contract (a paged
 # scan rides out its serving peer's crash with no loss or duplication),
 # and the restart-durability contract (crash a durable owner mid-WAL,
 # restart it on the same data dir, lose no acked write, resurrect no
@@ -122,12 +122,15 @@ examples:
 # (TestPickCandidateSeedDeterministic: one seed picks one long-link
 # candidate however the two parallel draws interleave), the rewire's own
 # stream (TestRewireOwnStream: draws from every node's stream while the
-# passes run move no link) and the split that seeds it (TestSplit*:
+# passes run, or three more stabilisation rounds before them, move no
+# link) and the split that seeds it (TestSplit*:
 # same-seed streams split alike, at most two allocations and under 100
 # bytes a split) and the live walk
 # (TestWalkGolden: every op's owner, cost and error and the messages sent
 # over a ring with crashed, unstabilised peers match the committed
-# record), and the scan page's bounds (TestScanPageBounds: an owner
+# record), the stabilisation round's message budget
+# (TestStabilizeMessageBudget: on a healthy ring each node sends one
+# succ_list, one ping and one notify, nothing else), and the scan page's bounds (TestScanPageBounds: an owner
 # answers with all it holds of a range up to the request's limit, 8192
 # items or 4 MiB of values, with an exact More, on the carried page and on
 # OpScan alike), and the gather a scan page runs under the owner's lock
@@ -146,8 +149,8 @@ examples:
 # key order with nil, empty and cap == len kept, nothing is copied below
 # the trigger, the slabs replace the arrays they copy, and a store no page
 # reads keeps the caller's arrays).
-CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestScanPageBounds|TestScanGatherUnderInserts
+CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestInfoPeerCount|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose

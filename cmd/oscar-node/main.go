@@ -21,7 +21,7 @@
 //	getblob <frac> <out>  stream a blob back into a file, verifying checksums
 //	lookup <frac>         route to the key's owner
 //	info                  print ring pointers, links, stored items,
-//	                      tombstones, ring-size estimate and sync stats
+//	                      tombstones, peer count and sync stats
 //	wal-stats             print WAL size, frames since snapshot, and the
 //	                      last snapshot time (needs -data-dir)
 //	snapshot              force a compacted snapshot now (needs -data-dir)
@@ -352,7 +352,9 @@ func execute(ctx context.Context, node *oscar.Node, args []string) error {
 		fmt.Printf("links out=%d in=%d items=%d replicas=%d (r=%d, w=%d) tombstones=%d\n",
 			info.OutLinks, info.InLinks, info.StoredItems, info.ReplicaItems, info.Replicas, info.WriteConcern, info.Tombstones)
 		if info.Peers >= 0 {
-			fmt.Printf("peers %d (gossip estimate %.1f)\n", info.Peers, info.SizeEstimate)
+			fmt.Printf("peers %d\n", info.Peers)
+		} else {
+			fmt.Println("peers: more than 128 (not counted)")
 		}
 		ae := info.AntiEntropy
 		if ae.Rounds > 0 {

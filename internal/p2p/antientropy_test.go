@@ -3,7 +3,6 @@ package p2p
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -321,52 +320,6 @@ func TestMigrateCarriesTombstones(t *testing.T) {
 	n.mu.Unlock()
 	if !dead {
 		t.Error("migrated arc lost its tombstone")
-	}
-}
-
-// TestSizeEstimateConverges builds a ring far past the old 128-peer walk
-// cap and checks the gossip estimate lands within 20% of the true size on
-// every node — with no O(N) walks anywhere.
-func TestSizeEstimateConverges(t *testing.T) {
-	const size = 150
-	fabric := transport.NewFabric()
-	nodes := make([]*Node, size)
-	for i := 0; i < size; i++ {
-		// Near-even spacing with deterministic jitter: local density
-		// estimates are good but not trivially exact, so the test also
-		// exercises the gossip averaging.
-		f := (float64(i) + 0.25*math.Sin(float64(i)*1.7)) / size
-		nodes[i] = mustNode(t, fabric.Endpoint(), Config{Key: keyspace.FromFloat(f), Seed: int64(i)})
-		if i > 0 {
-			if err := nodes[i].Join(bg, nodes[i-1].Self().Addr); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for round := 0; round < 8; round++ {
-		for _, n := range nodes {
-			n.Stabilize(bg)
-		}
-	}
-	for i, n := range nodes {
-		est := n.SizeEstimate()
-		if math.Abs(est-size)/size > 0.20 {
-			t.Errorf("node %d estimates %.1f peers, want within 20%% of %d", i, est, size)
-		}
-	}
-}
-
-// TestSizeEstimateExactOnTinyRing: when the successor list wraps the whole
-// ring the estimate is an exact count, not a density guess.
-func TestSizeEstimateExactOnTinyRing(t *testing.T) {
-	c := newTestCluster(t, 3)
-	for i := 0; i < 4; i++ {
-		c.StabilizeAll(bg)
-	}
-	for _, n := range c.Nodes {
-		if est := n.SizeEstimate(); est != 3 {
-			t.Errorf("node %s estimates %.2f, want exactly 3", n.Self().Addr, est)
-		}
 	}
 }
 

@@ -178,23 +178,7 @@ type Node struct {
 	// successor. An empty list means the node is (or believes it is) a
 	// one-peer ring. Stabilize refreshes the tail from the live successor.
 	succs []transport.PeerRef
-	// succsWrapped records that the last list refresh stopped because the
-	// ring wrapped back to this node — the list provably covers the whole
-	// ring, so its length is an exact peer count. A short list without
-	// this flag (fresh join, post-crash fallback) proves nothing.
-	succsWrapped bool
-	// succsFreshRounds counts consecutive Stabilize refreshes since the
-	// list was last spliced provisionally (join, notify, crash repair).
-	// Each refresh re-verifies one more tail entry: the head is ping-
-	// verified directly and entry j is head's entry j-1 from the previous
-	// round, so after len(succs) rounds the whole list is known to be
-	// consecutive ring members. Only then does its density feed the
-	// ring-size gossip — a provisional tail predates peers that joined in
-	// between, spans far too much of the circle, and the resulting gross
-	// underestimate is exactly the outlier a harmonic mean is most
-	// sensitive to.
-	succsFreshRounds int
-	pred             transport.PeerRef
+	pred  transport.PeerRef
 	// arcFloor remembers the last real predecessor's key even after the
 	// slot is cleared by a failure (pred = self). While the slot is
 	// cleared, the routing layer claims the whole counterclockwise circle
@@ -218,11 +202,6 @@ type Node struct {
 	// lastChain snapshots the replica targets of the previous stabilisation
 	// round; a difference triggers re-replication of the local arc.
 	lastChain []transport.Addr
-	// sizeEst is the gossip-maintained ring-size estimate: a blend of the
-	// node's own successor-list density estimate and its neighbours'
-	// estimates, exchanged on succ_list traffic. 0 until the first
-	// stabilisation.
-	sizeEst float64
 	// lastGCPred and gcTick schedule the replica-collection walk: a
 	// predecessor change (or the periodic fallback reaching zero) makes
 	// the next stabilisation run it.
@@ -366,8 +345,6 @@ func (n *Node) setSuccLocked(p transport.PeerRef) {
 		// only costs freshness; validation covers correctness either way.
 		n.routes.Flush()
 	}
-	n.succsWrapped = false // provisional list: wrap knowledge is stale
-	n.succsFreshRounds = 0 // and its density must not feed the gossip
 	if p.Addr == "" || p.Addr == n.self.Addr {
 		n.succs = nil
 		return
@@ -455,64 +432,6 @@ func (n *Node) Tombstones() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.store.TombstoneCount() + n.replStore.TombstoneCount()
-}
-
-// SizeEstimate returns the gossip-maintained ring-size estimate: the blend
-// of this node's successor-list density estimate with its neighbours',
-// refreshed every stabilisation. On rings small enough for the successor
-// list to wrap it is an exact count. 0 means no estimate yet (no
-// stabilisation has run); a one-peer ring reports 1.
-func (n *Node) SizeEstimate() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if local, exact := n.localSizeEstimateLocked(); exact || n.sizeEst == 0 {
-		return local
-	}
-	return n.sizeEst
-}
-
-// harmonicBlend combines two ring-size estimates with weights wa+wb=1 in
-// inverse space: 1/(wa/a + wb/b). A successor-list density estimate k/f
-// is unbiased in its *inverse* (arc fractions f add up to exactly k/N
-// across the ring, however skewed the key spacing), so gossip that
-// averages inverses converges to the harmonic mean of the local
-// estimates — k divided by the true mean arc fraction, i.e. N — where an
-// arithmetic blend inherits the heavy right skew of 1/f and
-// overestimates under uneven spacing.
-func harmonicBlend(a, wa, b, wb float64) float64 {
-	if a <= 0 {
-		return b
-	}
-	if b <= 0 {
-		return a
-	}
-	return 1 / (wa/a + wb/b)
-}
-
-// localSizeEstimateLocked estimates the ring size from successor-list
-// density: k successors spanning fraction f of the circle imply about k/f
-// peers. When the last list refresh provably wrapped the ring, the list
-// covers every peer, the count is exact, and gossip must not dilute it
-// (exact is returned true) — but the wrap proof is only as good as the
-// tail it rests on, so it must have survived a full re-verification
-// cycle (see succsFreshRounds): a wrap recorded when the ring really was
-// three peers would otherwise keep overriding gossip long after a mass
-// join. A short list without the wrap proof (fresh join, post-crash
-// fallback) still yields a density estimate — never a confident
-// miscount.
-func (n *Node) localSizeEstimateLocked() (est float64, exact bool) {
-	k := len(n.succs)
-	if k == 0 {
-		return 1, true
-	}
-	if n.succsWrapped && n.succsFreshRounds >= k {
-		return float64(k + 1), true // whole ring in the list, verified
-	}
-	frac := keyspace.Key(n.self.Key.Distance(n.succs[k-1].Key)).Float()
-	if frac <= 0 {
-		return float64(k + 1), false
-	}
-	return float64(k) / frac, false
 }
 
 // arcLocked returns the arc this node owns, (pred, self]. The arc is only
@@ -681,29 +600,10 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 
 	case transport.OpSuccList:
 		// One RPC answers both stabilisation questions: the responder's
-		// predecessor (Peer) and its successor list (Peers). The exchange
-		// doubles as one gossip round of ring-size estimation: fold the
-		// caller's estimate into ours and return the result (push-pull
-		// averaging in inverse space preserves the mean of 1/est and
-		// spreads every local density estimate across the ring). An exact
-		// local count — the list wraps the whole ring — overrides gossip
-		// instead of blending into it. A request without an estimate
-		// (a join, a ring walk, replica GC) is no gossip round and leaves
-		// ours alone: a premature count of one would dominate every
-		// harmonic blend after it.
-		if req.SizeEst > 0 {
-			if local, exact := n.localSizeEstimateLocked(); exact {
-				n.sizeEst = local
-			} else if n.sizeEst == 0 {
-				n.sizeEst = req.SizeEst
-			} else {
-				n.sizeEst = harmonicBlend(n.sizeEst, 0.5, req.SizeEst, 0.5)
-			}
-		}
+		// predecessor (Peer) and its successor list (Peers).
 		return &transport.Response{
 			OK: true, Peer: n.pred,
-			Peers:   append([]transport.PeerRef(nil), n.succs...),
-			SizeEst: n.sizeEst,
+			Peers: append([]transport.PeerRef(nil), n.succs...),
 		}
 
 	case transport.OpNotify:

@@ -228,40 +228,6 @@ func (n *Node) Stabilize(ctx context.Context) {
 		succErr  error
 		predDead bool
 	)
-	// Refresh the ring-size estimate before the exchange: fold the local
-	// successor-list density estimate into the gossip value, then piggyback
-	// it on the succ_list RPC (the responder folds it in and returns its
-	// own — one push-pull gossip round per stabilisation, no extra
-	// messages). Blends are harmonic (averaged in inverse space): the
-	// density estimate k/f is unbiased in 1/est, so the gossip converges
-	// to N even under heavily skewed key spacing, where an arithmetic
-	// blend inherits the right skew of 1/f (see harmonicBlend). Only a
-	// fully re-verified list's density is injected (see
-	// succsFreshRounds): a provisional tail's gross underestimate would
-	// dominate harmonic blends for many rounds after the list itself
-	// healed. An exact local count — the list wraps the whole ring —
-	// overrides the gossip value outright.
-	n.mu.Lock()
-	local, exact := n.localSizeEstimateLocked()
-	switch {
-	case exact:
-		n.sizeEst = local
-	case n.succsFreshRounds >= len(n.succs):
-		if n.sizeEst == 0 {
-			n.sizeEst = local
-		} else {
-			// The local density is re-injected gently: the verified-list
-			// gate keeps junk out of the history, and the two gossip
-			// exchanges per round (successor + one long-range link) do the
-			// real averaging — a heavier local weight would anchor every
-			// node to its neighbourhood's density instead of the ring
-			// total, exactly the skew failure the harmonic mean exists to
-			// fix.
-			n.sizeEst = harmonicBlend(n.sizeEst, 0.875, local, 0.125)
-		}
-	}
-	est := n.sizeEst
-	n.mu.Unlock()
 
 	probes := 1 // the successor's; the predecessor's unless it is this node
 	if pred.Addr != n.self.Addr {
@@ -269,7 +235,7 @@ func (n *Node) Stabilize(ctx context.Context) {
 	}
 	n.parallel(probes, func(i int) {
 		if i == 0 {
-			succResp, _, succErr = n.readRetry(ctx, succ.Addr, &transport.Request{Op: transport.OpSuccList, SizeEst: est, From: n.self})
+			succResp, _, succErr = n.readRetry(ctx, succ.Addr, &transport.Request{Op: transport.OpSuccList, From: n.self})
 			return
 		}
 		// An overloaded predecessor is alive — it shed the probe, it
@@ -306,16 +272,6 @@ func (n *Node) Stabilize(ctx context.Context) {
 		// Successor is dead: walk the successor list for a live entry.
 		n.adoptNextSuccessor(ctx)
 	} else {
-		// Close the gossip round: fold in the successor's estimate —
-		// harmonically, like every blend — unless our own count is exact
-		// (a wrapped list beats gossip).
-		if succResp.SizeEst > 0 {
-			n.mu.Lock()
-			if _, exact := n.localSizeEstimateLocked(); !exact {
-				n.sizeEst = harmonicBlend(n.sizeEst, 0.5, succResp.SizeEst, 0.5)
-			}
-			n.mu.Unlock()
-		}
 		x := succResp.Peer // the successor's predecessor
 		adopted := false
 		if x.Addr != "" && x.Addr != n.self.Addr && x.Key.Between(n.self.Key, succ.Key) {
@@ -334,30 +290,6 @@ func (n *Node) Stabilize(ctx context.Context) {
 		_, _ = n.tr.CallCtx(ctx, n.Succ().Addr, &transport.Request{Op: transport.OpNotify, From: n.self})
 	}
 
-	// Second gossip exchange, with one random long-range link: successor
-	// traffic alone diffuses estimates a hop per round, so under skewed
-	// key spacing every neighbourhood converges to its *local* density
-	// instead of the ring total. The small-world links are an expander —
-	// one far exchange per round brings the global harmonic mean within
-	// O(log N) rounds. The responder treats it as any other succ_list
-	// gossip; the ring fields of its response are ignored.
-	n.mu.Lock()
-	var far transport.PeerRef
-	if len(n.out) > 0 {
-		far = n.out[n.rnd.Intn(len(n.out))]
-	}
-	est = n.sizeEst
-	n.mu.Unlock()
-	if ctx.Err() == nil && far.Addr != "" && far.Addr != n.self.Addr && est > 0 {
-		if resp, err := n.tr.CallCtx(ctx, far.Addr, &transport.Request{Op: transport.OpSuccList, SizeEst: est, From: n.self}); err == nil && resp.OK && resp.SizeEst > 0 {
-			n.mu.Lock()
-			if _, exact := n.localSizeEstimateLocked(); !exact {
-				n.sizeEst = harmonicBlend(n.sizeEst, 0.5, resp.SizeEst, 0.5)
-			}
-			n.mu.Unlock()
-		}
-	}
-
 	n.syncReplicas(ctx)
 	n.maybeGCReplicas(ctx)
 	n.gcTombstones()
@@ -373,14 +305,12 @@ func (n *Node) refreshSuccList(head transport.PeerRef, tail []transport.PeerRef)
 	limit := n.succListLen()
 	list := make([]transport.PeerRef, 0, limit)
 	list = append(list, head)
-	wrapped := false
 	for _, p := range tail {
 		if len(list) >= limit {
 			break
 		}
 		if p.Addr == "" || p.Addr == n.self.Addr {
-			wrapped = p.Addr == n.self.Addr // the ring wrapped back to us
-			break
+			break // the list ends, or wraps back to us
 		}
 		if p.Addr == head.Addr {
 			continue
@@ -392,8 +322,6 @@ func (n *Node) refreshSuccList(head transport.PeerRef, tail []transport.PeerRef)
 	// in flight.
 	if n.succLocked().Addr == head.Addr {
 		n.succs = list
-		n.succsWrapped = wrapped
-		n.succsFreshRounds++
 	}
 }
 
@@ -419,8 +347,6 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 			return false
 		}
 		n.succs = succs
-		n.succsWrapped = false // repaired tail: wrap knowledge is stale
-		n.succsFreshRounds = 0 // re-verified from the new head over the next rounds
 		return true
 	}
 	if len(list) > 1 {
@@ -1151,8 +1077,8 @@ func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, 
 // ctx.Err().
 //
 // The pass draws from a stream split off the node's at its start, so the
-// far-gossip pick and the overload backoff, which draw from the node's
-// stream meanwhile, do not move its links.
+// overload backoff, which draws from the node's stream meanwhile, does not
+// move its links. Stabilisation draws nothing from that stream.
 func (n *Node) Rewire(ctx context.Context) error {
 	return n.rewire(ctx, &lockedRand{r: n.rnd.Split()})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -477,6 +478,42 @@ func TestReplicatedDeletePropagates(t *testing.T) {
 	}
 	if got.Found {
 		t.Fatalf("deleted item resurrected from a replica: %q", got.Value)
+	}
+}
+
+// TestStabilizeMessageBudget pins what one stabilisation round costs on a
+// healthy ring: each node sends exactly one succ_list (its successor's
+// predecessor and list), one ping (its predecessor's liveness) and one
+// notify, and nothing else. 32- and 64-node rings at r = 1 and r = 3 run
+// three warm-up rounds past countedRing's own before the counted one.
+func TestStabilizeMessageBudget(t *testing.T) {
+	for _, size := range []int{32, 64} {
+		for _, r := range []int{1, 3} {
+			nodes, trs, _ := countedRing(t, size, Config{Replicas: r}, false, false, nil)
+			for range 3 {
+				for _, n := range nodes {
+					n.Stabilize(bg)
+				}
+			}
+			for _, tr := range trs {
+				tr.reset()
+			}
+			for _, n := range nodes {
+				n.Stabilize(bg)
+			}
+			sent := make(map[transport.Op]int)
+			for _, tr := range trs {
+				tr.mu.Lock()
+				for op, c := range tr.sent {
+					sent[op] += c
+				}
+				tr.mu.Unlock()
+			}
+			want := map[transport.Op]int{transport.OpSuccList: size, transport.OpPing: size, transport.OpNotify: size}
+			if !maps.Equal(sent, want) {
+				t.Errorf("%d nodes, r=%d: one round sent %v, want %v", size, r, sent, want)
+			}
+		}
 	}
 }
 

@@ -80,12 +80,13 @@ func linkLines(nodes []*Node) string {
 	return b.String()
 }
 
-// TestRewireOwnStream pins that a rewire draws only from the stream it
-// splits off the node's at its start: two same-seed 32-node rings rewire
-// every node in ring order, and on one of them a goroutine draws from
-// every node's stream while the passes run (after each pass has taken its
-// own), as the far-gossip pick and the overload backoff may. Both rings
-// wire the same links.
+// TestRewireOwnStream pins that a rewire's links depend on nothing but the
+// stream it splits off the node's at its start. Two same-seed 32-node
+// rings rewire every node in ring order, and on one of them a goroutine
+// draws from every node's stream while the passes run (after each pass
+// has taken its own), as the overload backoff may: both wire the same
+// links. A third same-seed ring stabilises three more rounds first and
+// wires them too, since stabilisation draws nothing from the stream.
 func TestRewireOwnStream(t *testing.T) {
 	quiet, _, _ := carryRing(t, 32, false, nil)
 	for _, n := range quiet {
@@ -124,8 +125,24 @@ func TestRewireOwnStream(t *testing.T) {
 	if draws := <-drawn; draws == 0 {
 		t.Fatal("no draw from the nodes' streams while the passes ran")
 	}
-	if got, want := linkLines(busy), linkLines(quiet); got != want {
+	want := linkLines(quiet)
+	if got := linkLines(busy); got != want {
 		t.Errorf("draws from the nodes' streams moved the links:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	stabilised, _, _ := carryRing(t, 32, false, nil)
+	for range 3 {
+		for _, n := range stabilised {
+			n.Stabilize(bg)
+		}
+	}
+	for _, n := range stabilised {
+		if err := n.Rewire(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := linkLines(stabilised); got != want {
+		t.Errorf("three more stabilisation rounds moved the links:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

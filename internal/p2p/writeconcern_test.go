@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -204,45 +203,6 @@ func TestReadFallbackRespectsTombstone(t *testing.T) {
 	}
 	if res.Found {
 		t.Fatalf("recordless owner + chain tombstone still served %q; the first chain tombstone must end the read", res.Value)
-	}
-}
-
-// TestSizeEstimateSkewedKeys: the harmonic (inverse-averaged) gossip
-// bounds the ring-size error to a small factor under heavily skewed key
-// spacing. Cubic spacing makes arc sizes span ~3 orders of magnitude and
-// single-node density estimates range from ~0.5N to ~250N; the former
-// arithmetic blend inherited the right skew of 1/f and parked sparse-arc
-// neighbourhoods at hundreds of times the truth, while the harmonic mean
-// (mixed over the successor ring plus one long-range link per round) must
-// keep every node within a factor of two.
-func TestSizeEstimateSkewedKeys(t *testing.T) {
-	const size = 64
-	fabric := transport.NewFabric()
-	nodes := make([]*Node, size)
-	for i := 0; i < size; i++ {
-		f := 0.001 + 0.998*math.Pow(float64(i)/size, 3)
-		nodes[i] = mustNode(t, fabric.Endpoint(), Config{Key: keyspace.FromFloat(f), Seed: int64(i)})
-		if i > 0 {
-			if err := nodes[i].Join(bg, nodes[i-1].Self().Addr); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	})
-	for round := 0; round < 16; round++ {
-		for _, n := range nodes {
-			n.Stabilize(bg)
-		}
-	}
-	for i, n := range nodes {
-		est := n.SizeEstimate()
-		if est < size/2 || est > size*2 {
-			t.Errorf("node %d estimates %.1f peers on skewed keys, want within 2x of %d", i, est, size)
-		}
 	}
 }
 

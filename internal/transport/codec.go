@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -62,7 +61,7 @@ const (
 	rtagBuckets
 	rtagValues
 	rtagStates
-	rtagSizeEst
+	_ // was SizeEst: reserved
 	rtagExclude
 	rtagCarry
 )
@@ -84,7 +83,7 @@ const (
 	stagTombs
 	stagDigest
 	stagStates
-	stagSizeEst
+	_ // was SizeEst: reserved
 	stagMaxIn
 	_ // was MaxOut: reserved
 	stagInDeg
@@ -147,14 +146,6 @@ func (w *binWriter) intField(tag int, v int) {
 	zz := zigzag(int64(v))
 	w.field(tag, uvarintLen(zz))
 	w.uvarint(zz)
-}
-
-func (w *binWriter) float64Field(tag int, v float64) {
-	if v == 0 {
-		return
-	}
-	w.field(tag, 8)
-	w.fixed64(math.Float64bits(v))
 }
 
 func (w *binWriter) keyField(tag int, k keyspace.Key) {
@@ -322,7 +313,6 @@ func (w *binWriter) request(req *Request) {
 	w.intsField(rtagBuckets, req.Buckets)
 	w.boolField(rtagValues, req.Values)
 	w.statesField(rtagStates, req.States)
-	w.float64Field(rtagSizeEst, req.SizeEst)
 	w.addrsField(rtagExclude, req.Exclude)
 	w.stringField(rtagCarry, string(req.Carry))
 }
@@ -363,7 +353,6 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.tombsField(stagTombs, resp.Tombs)
 	fixed64sField(w, stagDigest, resp.Digest)
 	w.statesField(stagStates, resp.States)
-	w.float64Field(stagSizeEst, resp.SizeEst)
 	w.intField(stagMaxIn, resp.MaxIn)
 	w.intField(stagInDeg, resp.InDeg)
 	w.rangeField(stagArc, resp.Arc)
@@ -695,8 +684,6 @@ func parseRequest(b []byte, req *Request, addrs *addrTable) error {
 			req.Values = true
 		case rtagStates:
 			req.States = fr.states()
-		case rtagSizeEst:
-			req.SizeEst = math.Float64frombits(fr.fixed64())
 		case rtagExclude:
 			req.Exclude = fr.addrs()
 		case rtagCarry:
@@ -840,8 +827,6 @@ func (r *binReader) responseFields(resp *Response) (result binReader, nested boo
 			resp.Digest = fixed64s[uint64](&fr)
 		case stagStates:
 			resp.States = fr.states()
-		case stagSizeEst:
-			resp.SizeEst = math.Float64frombits(fr.fixed64())
 		case stagMaxIn:
 			resp.MaxIn = fr.zigzag()
 		case stagInDeg:

@@ -55,7 +55,6 @@ func fullRequest() *Request {
 			{Key: 5, Hash: 0xdeadbeefcafef00d, Deleted: true},
 			{Key: 6, Hash: 1},
 		},
-		SizeEst: 147.25,
 		Exclude: []Addr{"1.2.3.4:1", "5.6.7.8:2"},
 		Carry:   OpPut,
 	}
@@ -76,7 +75,6 @@ func fullResponse() *Response {
 		Tombs:   []storage.Tombstone{{Key: 12, At: math.MaxInt64}},
 		Digest:  []uint64{0, 1, math.MaxUint64},
 		States:  []antientropy.State{{Key: 13, Hash: 2, Deleted: false}},
-		SizeEst: 9.75,
 		MaxIn:   27,
 		InDeg:   5,
 		Result: &Response{
@@ -174,14 +172,9 @@ func TestBinaryRoundTripResponse(t *testing.T) {
 }
 
 // normalizeReq maps empty-but-non-nil slices to nil: the codec, which
-// omits empty fields, does not distinguish them on the wire. It reads a
-// NaN SizeEst as 0, since NaN never equals itself; the fuzzers also
-// compare re-encoded bytes, which keep its bits.
+// omits empty fields, does not distinguish them on the wire.
 func normalizeReq(r *Request) *Request {
 	c := *r
-	if math.IsNaN(c.SizeEst) {
-		c.SizeEst = 0
-	}
 	if len(c.Value) == 0 {
 		c.Value = nil
 	}
@@ -195,9 +188,6 @@ func normalizeReq(r *Request) *Request {
 
 func normalizeResp(r *Response) *Response {
 	c := *r
-	if math.IsNaN(c.SizeEst) {
-		c.SizeEst = 0
-	}
 	if len(c.Value) == 0 {
 		c.Value = nil
 	}
@@ -278,9 +268,6 @@ func randomRequest(rng *rand.Rand) *Request {
 			})
 		}
 	}
-	if rng.Intn(2) == 0 {
-		req.SizeEst = rng.Float64() * 1e6
-	}
 	if rng.Intn(3) == 0 {
 		n := 1 + rng.Intn(4)
 		for i := 0; i < n; i++ {
@@ -322,7 +309,10 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 // TestBinaryUnknownFieldSkipped proves forward compatibility: a payload
-// carrying an unknown tag decodes cleanly, ignoring it.
+// carrying an unknown tag decodes cleanly, ignoring it. That includes the
+// ring-size estimate an older peer still sends in place, between the
+// fields around it: tag 14 of a request and tag 16 of a response, each an
+// 8-byte float.
 func TestBinaryUnknownFieldSkipped(t *testing.T) {
 	enc := appendRequest(nil, &Request{Op: OpPing, Key: 7})
 	// Append an unknown field: tag 200, 3-byte value.
@@ -336,6 +326,50 @@ func TestBinaryUnknownFieldSkipped(t *testing.T) {
 	if got.Op != OpPing || got.Key != 7 {
 		t.Fatalf("decoded %+v", got)
 	}
+
+	enc, want := oldSuccList()
+	var old Request
+	if err := decodeRequest(enc, &old, nil); err != nil {
+		t.Fatalf("decode an old succ_list: %v", err)
+	}
+	if !reflect.DeepEqual(&old, want) {
+		t.Fatalf("old succ_list decoded %+v, want %+v", &old, want)
+	}
+	enc, wantResp := oldSuccListAnswer()
+	var oldResp Response
+	if err := decodeResponse(enc, &oldResp, nil); err != nil {
+		t.Fatalf("decode an old succ_list answer: %v", err)
+	}
+	if !reflect.DeepEqual(&oldResp, wantResp) {
+		t.Fatalf("old succ_list answer decoded %+v, want %+v", &oldResp, wantResp)
+	}
+}
+
+// oldSuccList is a succ_list request as an older peer encodes it, with its
+// ring-size estimate as tag 14 between States and Exclude, and the request
+// it decodes to.
+func oldSuccList() ([]byte, *Request) {
+	want := &Request{Op: OpSuccList, From: PeerRef{Addr: "10.0.0.7:7000", Key: 9}, Exclude: []Addr{"1.2.3.4:1"}}
+	w := binWriter{b: appendRequest(nil, &Request{Op: want.Op, From: want.From})}
+	w.field(14, 8)
+	w.fixed64(math.Float64bits(147.25))
+	w.addrsField(rtagExclude, want.Exclude)
+	return w.b, want
+}
+
+// oldSuccListAnswer is oldSuccList's answer: the estimate is tag 16,
+// between States and MaxIn.
+func oldSuccListAnswer() ([]byte, *Response) {
+	want := &Response{
+		OK: true, Peer: PeerRef{Addr: "10.0.0.8:7000", Key: 3},
+		Peers: []PeerRef{{Addr: "a:1", Key: 11}, {Addr: "b:2", Key: 12}},
+		MaxIn: 27,
+	}
+	w := binWriter{b: appendResponse(nil, &Response{OK: true, Peer: want.Peer, Peers: want.Peers})}
+	w.field(16, 8)
+	w.fixed64(math.Float64bits(9.75))
+	w.intField(stagMaxIn, want.MaxIn)
+	return w.b, want
 }
 
 // TestCarriedOpRoundTrip round-trips the carried-op fields through whole
@@ -417,7 +451,8 @@ func TestBinaryRejectsCrossKind(t *testing.T) {
 // since nothing decoded may alias the buffer it was read from.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(appendRequest(nil, fullRequest()))
-	f.Add(appendRequest(nil, &Request{Op: OpScan, SizeEst: math.NaN()}))
+	old, _ := oldSuccList()
+	f.Add(old)
 	f.Add(appendRequest(nil, &Request{}))
 	f.Add(appendRequest(nil, &Request{Op: OpPut, Key: 3, Value: []byte("v")}))
 	f.Add(appendRequest(nil, &Request{Op: OpFindOwner, Key: 3, Value: []byte("v"), Carry: OpPut}))
@@ -452,7 +487,8 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeResponse is FuzzDecodeRequest for the response decoder.
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add(appendResponse(nil, fullResponse()))
-	f.Add(appendResponse(nil, &Response{OK: true, SizeEst: math.NaN()}))
+	old, _ := oldSuccListAnswer()
+	f.Add(old)
 	f.Add(appendResponse(nil, &Response{}))
 	f.Add(appendResponse(nil, &Response{OK: true, Value: []byte("x"), Found: true}))
 	f.Add(appendResponse(nil, &Response{OK: true, Found: true, Result: &Response{}}))

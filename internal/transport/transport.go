@@ -167,10 +167,6 @@ type Request struct {
 	// of the arc it is claiming (migrate): the responder filters items
 	// the joiner proved it has, shipping only the downtime delta.
 	States []antientropy.State
-	// SizeEst piggybacks the sender's ring-size estimate on stabilisation
-	// traffic (succ_list); receivers fold it into their own — the gossip
-	// half of membership estimation. 0 means "no estimate yet".
-	SizeEst float64
 	// Exclude lists peers the query has discovered dead (or routeless);
 	// find_owner skips them — the live analogue of the simulator's
 	// per-query known-dead set.
@@ -216,10 +212,8 @@ type Response struct {
 	// States is the responder's per-key sync states for the requested
 	// buckets (sync_pull).
 	States []antientropy.State
-	// SizeEst returns the responder's ring-size estimate on succ_list.
-	SizeEst float64
-	MaxIn   int
-	InDeg   int
+	MaxIn  int
+	InDeg  int
 	// Result, on a find_owner that answered Found, is the response of the
 	// op the request carried (Request.Carry), executed at the responder.
 	// Nil means the op did not run here — no op was carried, or the

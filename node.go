@@ -468,36 +468,23 @@ func (n *Node) Lookup(ctx context.Context, key Key) (LookupResponse, error) {
 	return LookupResponse{Owner: ownerRef(owner), Cost: cost}, nil
 }
 
-// peerCountMaxHops bounds Info's exact membership walk: while the gossip
-// estimate says the ring is at most this big, Info walks the ring for an
-// exact count; beyond it (where a walk would cost O(N) RPCs) the gossip
-// estimate itself is reported.
+// peerCountMaxHops bounds Info's membership walk: one succ_list message
+// per peer, so a ring larger than this is not counted.
 const peerCountMaxHops = 128
 
 // Info implements Client. A live node has no global membership table, so
-// Peers blends two local sources: the gossip-maintained ring-size estimate
-// (successor-list density averaged over neighbour exchanges, refreshed
-// every stabilisation) decides whether an exact successor-pointer walk is
-// affordable; small rings get the exact count, large rings the estimate —
-// never a -1 and never an O(N) walk at scale. Treat it as an estimate:
-// concurrent joins and crashes skew both sources.
+// Peers is a successor-pointer walk around the ring: exact on a healthy
+// ring of up to 128 peers, -1 on a larger ring or when the walk breaks
+// (a crashed successor not yet repaired). The walk sends one message per
+// peer it counts.
 func (n *Node) Info(ctx context.Context) (InfoResponse, error) {
 	if err := n.begin(ctx); err != nil {
 		return InfoResponse{}, err
 	}
-	est := n.inner.SizeEstimate()
-	peers := -1
-	if est <= peerCountMaxHops {
-		peers = n.inner.CountPeers(ctx, peerCountMaxHops)
-	}
-	if peers < 0 && est > 0 {
-		peers = int(est + 0.5)
-	}
 	sync := n.inner.SyncTotals()
 	caches := n.inner.CacheStats()
 	resp := InfoResponse{
-		Peers:        peers,
-		SizeEstimate: est,
+		Peers:        n.inner.CountPeers(ctx, peerCountMaxHops),
 		Replicas:     n.inner.Replicas(),
 		WriteConcern: n.inner.WriteConcern(),
 		Self:         ownerRef(n.inner.Self()),
