@@ -119,8 +119,13 @@ examples:
 # a put at r=2 starts no leg and sequential puts at r=3 keep one, Close
 # leaves none, 16 concurrent writers share them, a cancelled fan-out still fills every
 # slot and counts every send), the seeded link pick
-# (TestPickCandidateSeedDeterministic: one seed picks one long-link
-# candidate however the two parallel draws interleave), the rewire's own
+# (TestPickCandidateSeedDeterministic: one seed picks the same long-link
+# candidates, with the same loads, however the two parallel draws
+# interleave), the rewire under load (TestRewireConcurrent: every node of
+# a 64-node ring rewiring at once keeps each in-degree within its cap,
+# sends only neighbors, link and unlink, and keeps its links and lookup
+# cost within measured bounds; TestReleaseRetriesShedUnlink: a shed unlink
+# is retried, so no node keeps an in-link its holder dropped), the rewire's own
 # stream (TestRewireOwnStream: draws from every node's stream while the
 # passes run, or three more stabilisation rounds before them, move no
 # link) and the split that seeds it (TestSplit*:
@@ -150,7 +155,7 @@ examples:
 # the trigger, the slabs replace the arrays they copy, and a store no page
 # reads keeps the caller's arrays).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestInfoPeerCount|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireConcurrent|TestReleaseRetriesShedUnlink|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose

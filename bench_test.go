@@ -83,7 +83,7 @@ func BenchmarkMedianEstimation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := ids[i%len(ids)]
-		own, _ := net.Neighbors(ctx, id)
+		own, _, _ := net.Neighbors(ctx, id)
 		v := sampling.NewView[graph.NodeID](net, id, own)
 		samples, _, err := sampling.SampleChain(ctx, v, rnd, id, full, core.DefaultConfig().Samples, core.SampleSteps)
 		if err != nil {

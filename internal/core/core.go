@@ -10,7 +10,9 @@
 // sampling). A contacted peer accepts only while below ρmax_in (§3), and
 // because the approach is randomized the power-of-two technique
 // [Mitzenmacher et al.] balances in-degree load: draw two candidates, link
-// the one with the lower relative in-degree load.
+// the one with the lower relative in-degree load. The loads come with the
+// neighbour lists the walks fetched, so comparing them sends nothing, and
+// a slot the preferred candidate refuses falls back to the other (Relink).
 //
 // The construction is written once, against Substrate. The simulator runs
 // it over graph.Network (internal/sim) and the live node over RPCs
@@ -77,22 +79,21 @@ type Rand interface {
 // Substrate is one node as the construction sees it: Self is the node,
 // Successor its ring successor (Self when alone), MaxOut its out-link
 // budget ρmax_out, and LocalNeighbors its own neighbours, read with no
-// message. Neighbors (p's neighbours, which the pass's View asks once per
-// peer) and Load (p's relative in-degree load InDeg/MaxIn) are one message
-// each. Release drops the node's long-range links and sends each target an
-// unlink once, in parallel, ignoring the answers; Link asks p to accept
-// one, which p refuses at its in-degree cap. Parallel runs fn(0) …
-// fn(k-1), concurrently where the substrate can, and returns once every
-// one has. The construction never routes: every walk starts at the node
-// or at a border peer Discover returned.
+// message. Neighbors (p's neighbours and load, which the pass's View asks
+// once per peer) is one message. Release drops the node's long-range links,
+// sends each target an unlink in parallel, ignoring the answers, and
+// returns the targets; Link asks p to accept one, which p refuses at its
+// in-degree cap. Parallel runs fn(0) … fn(k-1), concurrently where the
+// substrate can, and returns once every one has. The construction never
+// routes: every walk starts at the node or at a border peer Discover
+// returned.
 type Substrate[P comparable] interface {
 	sampling.Graph[P]
 	Self() P
 	LocalNeighbors() []sampling.Neighbor[P]
 	Successor() P
 	MaxOut() int
-	Load(ctx context.Context, p P) (float64, error)
-	Release(ctx context.Context)
+	Release(ctx context.Context) []P
 	Link(ctx context.Context, p P) error
 	Parallel(k int, fn func(i int))
 }
@@ -105,9 +106,15 @@ func NewView[P comparable](s Substrate[P]) *sampling.View[P] {
 }
 
 // Draw draws one peer inside partition i of the pass from rnd and returns
-// it with the messages it sent; ok is false when the partition yielded
-// nobody.
-type Draw[P comparable] func(ctx context.Context, rnd *rand.Rand, i int) (p P, msgs int, ok bool)
+// it with its load and the messages it sent; ok is false when the
+// partition yielded nobody.
+type Draw[P comparable] func(ctx context.Context, rnd *rand.Rand, i int) (p P, load sampling.Load, msgs int, ok bool)
+
+// Candidate is a drawn peer and its load as the pass sees it.
+type Candidate[P comparable] struct {
+	Peer P
+	Load sampling.Load
+}
 
 // WireStats reports one wiring pass.
 type WireStats struct {
@@ -149,7 +156,7 @@ func Wire[P comparable](ctx context.Context, s Substrate[P], cfg Config, rnd Ran
 	if err != nil {
 		return nil, WireStats{LinksWanted: s.MaxOut(), SampleCost: msgs}, err
 	}
-	out, st, err := Relink(ctx, s, parts, WalkDraw(v, parts, starts), cfg.PowerOfTwo, true, rnd)
+	out, st, err := Relink(ctx, s, parts, WalkDraw(v, parts, starts), v, cfg.PowerOfTwo, true, rnd)
 	st.SampleCost = msgs
 	return out, st, err
 }
@@ -214,42 +221,55 @@ func Discover[P comparable](ctx context.Context, s Substrate[P], v *sampling.Vie
 }
 
 // Relink releases the node's links and fills its MaxOut link slots from
-// parts, one Pick and one link request per slot; a refused slot stays open
-// until the next rewire. With skipLinked a draw of a peer linked earlier
-// in the pass counts as none, so the other draw of the slot wins (the live
-// node). Without it that draw competes like any other, and if it wins,
-// Link refuses the duplicate and the slot stays open (the paper's
-// construction, which the simulator reproduces). With no partition Relink
-// keeps the links. It returns the links made and ctx.Err().
-func Relink[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], powerOfTwo, skipLinked bool, rnd Rand) ([]P, WireStats, error) {
+// parts, one Pick per slot, asking its preferred candidate first; a slot
+// no candidate takes stays open until the next rewire. With skipLinked a
+// draw of a peer linked earlier in the pass counts as none, so the other
+// draw of the slot wins (the live node). Without it that draw competes
+// like any other, and if it wins, Link refuses the duplicate and the slot
+// stays open (the paper's construction, which the simulator reproduces).
+// Any other refusal hands the slot to the other candidate unless its load
+// shows it full, as exact loads then always do: only loads gone stale
+// while other peers rewire cost a second link request. Relink moves the
+// loads v holds by its own unlinks and links. With no partition it keeps
+// the links. It returns the links made and ctx.Err().
+func Relink[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], v *sampling.View[P], powerOfTwo, skipLinked bool, rnd Rand) ([]P, WireStats, error) {
 	st := WireStats{LinksWanted: s.MaxOut(), Levels: parts.Count()}
 	if parts.Count() == 0 {
 		return nil, st, nil
 	}
-	s.Release(ctx)
+	for _, p := range s.Release(ctx) {
+		v.Moved(p, -1)
+	}
 	var out, linked []P
 	for slot := 0; slot < st.LinksWanted && ctx.Err() == nil; slot++ {
 		if skipLinked {
 			linked = out
 		}
-		cand, msgs, ok := Pick(ctx, s, parts, draw, linked, powerOfTwo, rnd)
+		cands, msgs := Pick(ctx, s, parts, draw, linked, powerOfTwo, rnd)
 		st.PickCost += msgs
-		if ok && s.Link(ctx, cand) == nil {
-			out = append(out, cand)
+		for i, c := range cands {
+			if i > 0 && (slices.Contains(out, cands[0].Peer) || c.Load.In >= c.Load.Max) {
+				break // a duplicate spends its slot, and a full peer refuses
+			}
+			if s.Link(ctx, c.Peer) == nil {
+				out = append(out, c.Peer)
+				v.Moved(c.Peer, 1)
+				break
+			}
 		}
 	}
 	st.LinksMade = len(out)
 	return out, st, ctx.Err()
 }
 
-// Pick draws a link candidate: a uniformly random partition, then draw's
-// peer inside it; a draw of the node itself or of a peer in existing
-// counts as none. With powerOfTwo it makes two draws and keeps the one
-// with the lower relative in-degree load. The draws, and the load probes
-// deciding between them, run in parallel; each draw takes its stream from
-// rnd.Split before either starts. It returns the candidate, the messages
-// the draws sent and whether any draw yielded one.
-func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], existing []P, powerOfTwo bool, rnd Rand) (P, int, bool) {
+// Pick draws a slot's link candidates: a uniformly random partition, then
+// draw's peer inside it; a draw of the node itself or of a peer in
+// existing counts as none. With powerOfTwo it makes two draws, in
+// parallel, each from a stream split off rnd before either starts. It
+// returns the distinct candidates drawn, the one with the lower relative
+// in-degree load first (the first draw on a tie), and the messages the
+// draws sent.
+func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Partitions, draw Draw[P], existing []P, powerOfTwo bool, rnd Rand) ([]Candidate[P], int) {
 	k := 1
 	if powerOfTwo {
 		k = 2
@@ -258,41 +278,38 @@ func Pick[P comparable](ctx context.Context, s Substrate[P], parts *partition.Pa
 	for i := range k {
 		rnds[i] = rnd.Split()
 	}
-	var picks [2]P
+	var picks [2]Candidate[P]
 	var oks [2]bool
 	var sent [2]int
 	s.Parallel(k, func(i int) {
-		p, msgs, ok := draw(ctx, rnds[i], rnds[i].Intn(parts.Count()))
-		picks[i], sent[i] = p, msgs
+		p, load, msgs, ok := draw(ctx, rnds[i], rnds[i].Intn(parts.Count()))
+		picks[i], sent[i] = Candidate[P]{p, load}, msgs
 		oks[i] = ok && p != s.Self() && !slices.Contains(existing, p)
 	})
 	msgs := sent[0] + sent[1]
 	switch {
+	case !oks[0] && !oks[1]:
+		return nil, msgs
 	case !oks[0]:
-		return picks[1], msgs, oks[1]
-	case !oks[1] || picks[1] == picks[0]:
-		return picks[0], msgs, true
+		return picks[1:], msgs
+	case !oks[1] || picks[1].Peer == picks[0].Peer:
+		return picks[:1], msgs
+	case picks[1].Load.Rel() < picks[0].Load.Rel():
+		picks[0], picks[1] = picks[1], picks[0]
 	}
-	var loads [2]float64
-	var errs [2]error
-	s.Parallel(2, func(i int) {
-		loads[i], errs[i] = s.Load(ctx, picks[i])
-	})
-	if errs[1] == nil && (errs[0] != nil || loads[1] < loads[0]) {
-		return picks[1], msgs, true
-	}
-	return picks[0], msgs, true
+	return picks[:], msgs
 }
 
 // WalkDraw is the deployable draw: walk PickSteps steps over v inside
-// partition i of parts from starts[i], its border peer (Discover). v
-// holds that peer's list unless it is the closing successor, and a start
-// that cannot be fetched yields none. The draws share v, so the two
+// partition i of parts from starts[i], its border peer (Discover), and
+// read the load of the peer it ends on from v, which fetched that peer's
+// list. v holds the start's list unless it is the closing successor, and
+// a start that cannot be fetched yields none. The draws share v, so the two
 // parallel draws of a Pick that step onto one peer fetch its list once,
 // and the count of messages stays the same whatever their schedule.
 func WalkDraw[P comparable](v *sampling.View[P], parts *partition.Partitions, starts []P) Draw[P] {
-	return func(ctx context.Context, rnd *rand.Rand, i int) (P, int, bool) {
+	return func(ctx context.Context, rnd *rand.Rand, i int) (P, sampling.Load, int, bool) {
 		cand, msgs, err := sampling.Walk(ctx, v, rnd, starts[i], parts.Range(i), PickSteps)
-		return cand, msgs, err == nil
+		return cand, v.Load(cand), msgs, err == nil
 	}
 }

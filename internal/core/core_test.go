@@ -15,6 +15,7 @@ import (
 	"github.com/oscar-overlay/oscar/internal/keyspace"
 	"github.com/oscar-overlay/oscar/internal/partition"
 	"github.com/oscar-overlay/oscar/internal/ring"
+	"github.com/oscar-overlay/oscar/internal/sampling"
 	"github.com/oscar-overlay/oscar/internal/sim"
 )
 
@@ -160,7 +161,7 @@ func TestPowerOfTwoBalancesLoad(t *testing.T) {
 		cfg.PowerOfTwo = p2c
 		wireAll(g, r, cfg, 12)
 		var loads []float64
-		g.ForEachAlive(func(n *graph.Node) { loads = append(loads, n.InLoad()) })
+		g.ForEachAlive(func(n *graph.Node) { loads = append(loads, n.Load().Rel()) })
 		// Spread: std deviation of relative loads.
 		var mean, ss float64
 		for _, l := range loads {
@@ -367,8 +368,7 @@ func TestWireCancelledKeepsLinks(t *testing.T) {
 	}
 }
 
-// goPeer runs a slot's draws and load probes on goroutines, as the live
-// node does.
+// goPeer runs a slot's draws on goroutines, as the live node does.
 type goPeer struct{ sim.Peer }
 
 func (p goPeer) Parallel(k int, fn func(i int)) {
@@ -414,7 +414,8 @@ func TestWireParallelDrawsDeterministic(t *testing.T) {
 // TestRelinkSkipLinked: the live node's discipline and the paper's differ
 // only on a draw of a peer linked earlier in the pass. With skipLinked the
 // other draw of the slot wins; without it the duplicate wins the load
-// comparison and its slot stays open.
+// comparison, Link refuses it, and its slot stays open although the other
+// draw has room: a refused duplicate hands its slot to no one.
 func TestRelinkSkipLinked(t *testing.T) {
 	for _, skip := range []bool{false, true} {
 		g := graph.New()
@@ -429,15 +430,16 @@ func TestRelinkSkipLinked(t *testing.T) {
 			t.Fatal(err)
 		}
 		draws := 0
-		draw := func(context.Context, *rand.Rand, int) (graph.NodeID, int, bool) {
+		draw := func(context.Context, *rand.Rand, int) (graph.NodeID, sampling.Load, int, bool) {
 			draws++ // each slot draws b, then c
+			id := c.ID
 			if draws%2 == 1 {
-				return b.ID, 0, true
+				id = b.ID
 			}
-			return c.ID, 0, true
+			return id, g.Node(id).Load(), 0, true
 		}
 		p := sim.Peer{Network: g, Ring: r, ID: a.ID}
-		out, _, err := core.Relink(bg, p, partition.BuildExact(g, r, a.ID), draw, true, skip, splitRand{rand.New(rand.NewSource(1))})
+		out, _, err := core.Relink(bg, p, partition.BuildExact(g, r, a.ID), draw, core.NewView[graph.NodeID](p), true, skip, splitRand{rand.New(rand.NewSource(1))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,6 +449,118 @@ func TestRelinkSkipLinked(t *testing.T) {
 		}
 		if !slices.Equal(out, want) {
 			t.Errorf("skipLinked=%v linked %v, want %v", skip, out, want)
+		}
+	}
+}
+
+// TestRelinkFallback: a preferred candidate that refuses hands its slot to
+// the other one, as when its load went stale while other peers rewired,
+// unless the other's load shows it full too; then Relink asks it nothing.
+func TestRelinkFallback(t *testing.T) {
+	for _, otherFull := range []bool{false, true} {
+		g := graph.New()
+		r := ring.New(g)
+		a := g.Add(1<<60, 4, 1)
+		b := g.Add(2<<60, 1, 4)
+		c := g.Add(3<<60, 4, 4)
+		for _, n := range []*graph.Node{a, b, c} {
+			r.Insert(n.ID)
+		}
+		if err := g.AddLink(c.ID, b.ID); err != nil { // b is full
+			t.Fatal(err)
+		}
+		cLoad := sampling.Load{In: 1, Max: 4}
+		if otherFull {
+			cLoad.In = 4
+		}
+		draws := 0
+		draw := func(context.Context, *rand.Rand, int) (graph.NodeID, sampling.Load, int, bool) {
+			if draws++; draws == 1 {
+				return b.ID, sampling.Load{In: 0, Max: 1}, 0, true // stale: b looks empty
+			}
+			return c.ID, cLoad, 0, true
+		}
+		p := &slotLinks{Peer: sim.Peer{Network: g, Ring: r, ID: a.ID}}
+		out, _, err := core.Relink(bg, p, partition.BuildExact(g, r, a.ID), draw, core.NewView[graph.NodeID](p), true, false, splitRand{rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, asked := []graph.NodeID{c.ID}, []graph.NodeID{b.ID, c.ID}
+		if otherFull {
+			want, asked = nil, asked[:1]
+		}
+		if !slices.Equal(out, want) || !slices.Equal(p.asked, asked) {
+			t.Errorf("other full=%v: linked %v after asking %v, want %v after %v", otherFull, out, p.asked, want, asked)
+		}
+	}
+}
+
+// slotLinks is a simulated peer that records its link requests, and how
+// many each slot sent: Pick opens a slot with its one Parallel call.
+type slotLinks struct {
+	sim.Peer
+	asked   []graph.NodeID
+	perSlot []int
+	refused int // requests refused at the target's in-degree cap
+}
+
+func (p *slotLinks) Parallel(k int, fn func(i int)) {
+	p.perSlot = append(p.perSlot, 0)
+	p.Peer.Parallel(k, fn)
+}
+
+func (p *slotLinks) Link(ctx context.Context, id graph.NodeID) error {
+	p.asked = append(p.asked, id)
+	p.perSlot[len(p.perSlot)-1]++
+	err := p.Peer.Link(ctx, id)
+	if errors.Is(err, graph.ErrRefused) {
+		p.refused++
+	}
+	return err
+}
+
+// TestSequentialPassSendsNoFallback: over the graph, where nothing else
+// moves a load during a pass, the view's loads, corrected for the pass's
+// own unlinks and links, are exact after every pass, so a refused
+// preferred candidate means the other is full too and no slot sends a
+// second link request. It runs the live node's order (Wire: discovery with
+// the links up, duplicates skipped) and the paper's (links dropped first,
+// duplicates competing), with in-degree caps tight enough that candidates
+// refuse.
+func TestSequentialPassSendsNoFallback(t *testing.T) {
+	for _, paper := range []bool{false, true} {
+		g, r := buildPopulation(t, 150, 4, 8, keydist.GnutellaLike(), 24)
+		rnd := splitRand{rand.New(rand.NewSource(25))}
+		refused := 0
+		for range 2 {
+			for _, id := range g.AliveIDs() {
+				p := &slotLinks{Peer: sim.Peer{Network: g, Ring: r, ID: id}}
+				if paper {
+					g.DropLinks(id)
+				}
+				v := core.NewView[graph.NodeID](p)
+				parts, starts, _, err := core.Discover(bg, p, v, core.DefaultConfig().Samples, rnd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := core.Relink(bg, p, parts, core.WalkDraw(v, parts, starts), v, true, !paper, rnd); err != nil {
+					t.Fatal(err)
+				}
+				for slot, k := range p.perSlot {
+					if k > 1 {
+						t.Fatalf("paper=%v: node %d slot %d sent %d link requests", paper, id, slot, k)
+					}
+				}
+				for _, q := range g.AliveIDs() {
+					if got := v.Load(q); q != id && got != (sampling.Load{}) && got != g.Node(q).Load() {
+						t.Fatalf("paper=%v: node %d's view holds load %+v for %d, which has %+v", paper, id, got, q, g.Node(q).Load())
+					}
+				}
+				refused += p.refused
+			}
+		}
+		if refused == 0 {
+			t.Errorf("paper=%v: no candidate refused at its cap; the test shows nothing", paper)
 		}
 	}
 }

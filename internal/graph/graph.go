@@ -66,14 +66,8 @@ type Node struct {
 // InDeg returns the number of alive peers linking to n.
 func (n *Node) InDeg() int { return len(n.In) }
 
-// InLoad returns the relative in-degree load InDeg/MaxIn used by the
-// power-of-two-choices rule; a peer with MaxIn == 0 reports 1 (full).
-func (n *Node) InLoad() float64 {
-	if n.MaxIn <= 0 {
-		return 1
-	}
-	return float64(len(n.In)) / float64(n.MaxIn)
-}
+// Load returns n's in-degree and its cap.
+func (n *Node) Load() sampling.Load { return sampling.Load{In: len(n.In), Max: n.MaxIn} }
 
 // HasOut reports whether n already links to target.
 func (n *Node) HasOut(target NodeID) bool {
@@ -191,15 +185,15 @@ func (g *Network) Kill(id NodeID) {
 }
 
 // Neighbors lists the alive neighbours of id (ring successor and
-// predecessor, long-range out-links and in-links) with their keys, for
-// the restricted walk (sampling.Graph). The list is a multiset: an edge
-// reachable two ways appears twice, and because ring pointers and in/out
-// lists match each other, the multiplicity of (v,u) equals that of (u,v).
-// A dead id has no place in the walk.
-func (g *Network) Neighbors(_ context.Context, id NodeID) ([]sampling.Neighbor[NodeID], error) {
+// predecessor, long-range out-links and in-links) with their keys, and
+// id's load, for the restricted walk (sampling.Graph). The list is a
+// multiset: an edge reachable two ways appears twice, and because ring
+// pointers and in/out lists match each other, the multiplicity of (v,u)
+// equals that of (u,v). A dead id has no place in the walk.
+func (g *Network) Neighbors(_ context.Context, id NodeID) ([]sampling.Neighbor[NodeID], sampling.Load, error) {
 	n := g.Node(id)
 	if !n.Alive {
-		return nil, ErrDead
+		return nil, sampling.Load{}, ErrDead
 	}
 	out := make([]sampling.Neighbor[NodeID], 0, 2+len(n.Out)+len(n.In))
 	consider := func(t NodeID) {
@@ -218,7 +212,7 @@ func (g *Network) Neighbors(_ context.Context, id NodeID) ([]sampling.Neighbor[N
 	for _, t := range n.In {
 		consider(t)
 	}
-	return out, nil
+	return out, n.Load(), nil
 }
 
 // ForEachAlive calls fn for every alive peer in id order.

@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"testing"
+
+	"github.com/oscar-overlay/oscar/internal/sampling"
 )
 
 func TestAddAndAccounting(t *testing.T) {
@@ -53,20 +55,22 @@ func TestAddLinkRejections(t *testing.T) {
 	}
 }
 
+// TestInLoad: a node's load counts its in-links against its cap, and a
+// node with no in-degree cap is full.
 func TestInLoad(t *testing.T) {
 	g := New()
 	a := g.Add(1, 4, 0)
 	b := g.Add(2, 0, 4)
-	if a.InLoad() != 0 {
+	if a.Load().Rel() != 0 {
 		t.Error("fresh node should have zero load")
 	}
 	if err := g.AddLink(b.ID, a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if a.InLoad() != 0.25 {
-		t.Errorf("load = %g", a.InLoad())
+	if got := a.Load(); got != (sampling.Load{In: 1, Max: 4}) || got.Rel() != 0.25 {
+		t.Errorf("load = %+v", got)
 	}
-	if b.InLoad() != 1 {
+	if b.Load().Rel() != 1 {
 		t.Error("MaxIn=0 peer must report full load")
 	}
 }

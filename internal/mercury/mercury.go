@@ -135,7 +135,7 @@ func Wire(net *graph.Network, rg *ring.Ring, walk *rand.Rand, u graph.NodeID,
 	// Learn the key distribution at uniform resolution, over one view. The
 	// graph fails no call of this walk: u is alive, and ctx never ends.
 	ctx := context.Background()
-	own, _ := net.Neighbors(ctx, u)
+	own, _, _ := net.Neighbors(ctx, u)
 	v := sampling.NewView[graph.NodeID](net, u, own)
 	samples, cost, _ := sampling.SampleChain(ctx, v, walk, u, keyspace.FullRange(), histSamples, walkSteps)
 	stats.SampleCost = cost

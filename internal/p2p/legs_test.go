@@ -270,9 +270,10 @@ func TestFanoutLegsCancelled(t *testing.T) {
 
 // TestPickCandidateSeedDeterministic: with the node's random stream reset
 // to one seed, core.Discover finds the same borders and core.Pick then
-// picks the same candidate and sends the same messages however its two
-// parallel draws interleave over the view and border peers of that
-// discovery — here shuffled by a differently seeded jitter on every call.
+// picks the same candidates, in the same order and with the same loads,
+// and sends the same messages however its two parallel draws interleave
+// over the view and border peers of that discovery — here shuffled by a
+// differently seeded jitter on every call.
 func TestPickCandidateSeedDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 60*time.Second)
 	defer cancel()
@@ -284,7 +285,7 @@ func TestPickCandidateSeedDeterministic(t *testing.T) {
 	n := c.Nodes[0]
 	base := n.tr
 	w := wiring{n}
-	var first transport.PeerRef
+	var first []core.Candidate[transport.PeerRef]
 	var firstBorders []keyspace.Key
 	var firstMsgs int
 	for trial := 0; trial < 8; trial++ {
@@ -297,12 +298,12 @@ func TestPickCandidateSeedDeterministic(t *testing.T) {
 		if err != nil || parts.Count() < 2 {
 			t.Fatalf("%d partitions (%v): the test needs at least two", parts.Count(), err)
 		}
-		got, msgs, _ := core.Pick(ctx, w, parts, core.WalkDraw(v, parts, starts), nil, true, n.rnd)
+		got, msgs := core.Pick(ctx, w, parts, core.WalkDraw(v, parts, starts), nil, true, n.rnd)
 		if trial == 0 {
 			first, firstBorders, firstMsgs = got, parts.Borders, msgs
 			continue
 		}
-		if got != first || msgs != firstMsgs || !slices.Equal(parts.Borders, firstBorders) {
+		if !slices.Equal(got, first) || msgs != firstMsgs || !slices.Equal(parts.Borders, firstBorders) {
 			t.Fatalf("trial %d picked %v with %d messages, trial 0 %v with %d: one seed, two outcomes", trial, got, msgs, first, firstMsgs)
 		}
 	}

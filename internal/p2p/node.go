@@ -592,12 +592,6 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 	case transport.OpPing:
 		return &transport.Response{OK: true, Peer: n.self}
 
-	case transport.OpInfo:
-		return &transport.Response{
-			OK: true, Peer: n.self,
-			MaxIn: n.cfg.MaxIn, InDeg: len(n.in),
-		}
-
 	case transport.OpSuccList:
 		// One RPC answers both stabilisation questions: the responder's
 		// predecessor (Peer) and its successor list (Peers).
@@ -866,8 +860,9 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 
 // neighborsLocked lists this node's neighbours (ring pointers, out-links,
 // in-links) as a multiset like the simulator's walker (symmetric
-// multiplicities keep the MH walk uniform). The walker filters them by its
-// range (sampling.View).
+// multiplicities keep the MH walk uniform), with its in-degree and cap,
+// which a rewiring peer's power-of-two rule compares. The walker filters
+// them by its range (sampling.View).
 func (n *Node) neighborsLocked() *transport.Response {
 	var peers []transport.PeerRef
 	consider := func(ref transport.PeerRef) {
@@ -893,7 +888,7 @@ func (n *Node) neighborsLocked() *transport.Response {
 	slices.SortFunc(peers[links:], func(a, b transport.PeerRef) int {
 		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Addr, b.Addr))
 	})
-	return &transport.Response{OK: true, Peers: peers, Peer: n.self}
+	return &transport.Response{OK: true, Peers: peers, Peer: n.self, MaxIn: n.cfg.MaxIn, InDeg: len(n.in)}
 }
 
 // findOwnerLocked answers one iterative routing step: if this node owns the

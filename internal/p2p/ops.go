@@ -1095,9 +1095,10 @@ func (n *Node) rewire(ctx context.Context, rnd *lockedRand) error {
 }
 
 // wiring is the node as the construction's substrate (core.Substrate):
-// every question about another peer is one RPC, a link request retries
-// once on overload, and the node's own neighbours are read locally, so a
-// walk that steps onto its own node sends nothing.
+// every question about another peer is one RPC, whose neighbours answer
+// carries that peer's load, a link or unlink request retries once on
+// overload, and the node's own neighbours are read locally, so a walk
+// that steps onto its own node sends nothing.
 type wiring struct{ n *Node }
 
 func (w wiring) Self() transport.PeerRef              { return w.n.self }
@@ -1112,12 +1113,12 @@ func (w wiring) LocalNeighbors() []sampling.Neighbor[transport.PeerRef] {
 	return keyed(w.n.neighborsLocked().Peers)
 }
 
-func (w wiring) Neighbors(ctx context.Context, p transport.PeerRef) ([]sampling.Neighbor[transport.PeerRef], error) {
+func (w wiring) Neighbors(ctx context.Context, p transport.PeerRef) ([]sampling.Neighbor[transport.PeerRef], sampling.Load, error) {
 	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpNeighbors}))
 	if err != nil {
-		return nil, err
+		return nil, sampling.Load{}, err
 	}
-	return keyed(resp.Peers), nil
+	return keyed(resp.Peers), sampling.Load{In: resp.InDeg, Max: resp.MaxIn}, nil
 }
 
 // keyed lists peers as a walk's neighbours.
@@ -1129,27 +1130,19 @@ func keyed(peers []transport.PeerRef) []sampling.Neighbor[transport.PeerRef] {
 	return out
 }
 
-func (w wiring) Load(ctx context.Context, p transport.PeerRef) (float64, error) {
-	resp, err := answered(w.n.tr.CallCtx(ctx, p.Addr, &transport.Request{Op: transport.OpInfo}))
-	if err != nil {
-		return 1, err
-	}
-	if resp.MaxIn <= 0 {
-		return 1, errors.New("p2p: info: no in-degree budget")
-	}
-	return float64(resp.InDeg) / float64(resp.MaxIn), nil
-}
-
-// Release sends the unlinks in parallel, once each and never retried.
-// They precede the new links, so no target counts this node twice.
-func (w wiring) Release(ctx context.Context) {
+// Release sends the unlinks in parallel, each retried once if the target
+// sheds it (callRetry): a shed unlink never ran, and would leave the
+// target holding the in-link against its cap. They precede the new links,
+// so no target counts this node twice.
+func (w wiring) Release(ctx context.Context) []transport.PeerRef {
 	n := w.n
 	n.mu.Lock()
 	old := n.out
 	n.out = nil
 	n.mu.Unlock()
 	req := &transport.Request{Op: transport.OpUnlink, From: n.self}
-	n.parallel(len(old), func(i int) { _, _ = n.tr.CallCtx(ctx, old[i].Addr, req) })
+	n.parallel(len(old), func(i int) { _, _, _ = n.callRetry(ctx, old[i].Addr, req) })
+	return old
 }
 
 // Link registers the in-link at p. The node routes on the new links only

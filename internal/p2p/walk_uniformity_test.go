@@ -51,7 +51,7 @@ func TestMHUniformityLive(t *testing.T) {
 	var hub transport.PeerRef
 	most := -1
 	for _, node := range nodes {
-		nbrs, err := w.Neighbors(bg, node.Self())
+		nbrs, _, err := w.Neighbors(bg, node.Self())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,8 @@
 // asks it for its whole neighbour list (one message, through Graph, which
 // the simulator's network and the live node's RPCs both implement), and
 // every later step onto that peer filters the cached list by the walk's
-// range. The range filter is written here only.
+// range, and keeps the peer's load that came with it. The range filter is
+// written here only.
 package sampling
 
 import (
@@ -41,27 +42,39 @@ type Neighbor[P any] struct {
 	Key  keyspace.Key
 }
 
+// Load is a peer's in-degree and its cap ρmax_in.
+type Load struct{ In, Max int }
+
+// Rel is the relative load In/Max; a peer with no cap is full (1).
+func (l Load) Rel() float64 {
+	if l.Max <= 0 {
+		return 1
+	}
+	return float64(l.In) / float64(l.Max)
+}
+
 // Graph is the overlay a View asks.
 type Graph[P any] interface {
 	// Key returns p's key.
 	Key(p P) keyspace.Key
-	// Neighbors returns p's neighbours as a multiset: an edge reachable
-	// two ways (say a peer that is both the successor and a link target)
-	// appears twice. Both ends of an edge count it equally often, which
-	// keeps the Metropolis–Hastings proposal symmetric — the condition for
-	// a uniform stationary distribution. Each call is one message.
-	Neighbors(ctx context.Context, p P) ([]Neighbor[P], error)
+	// Neighbors returns p's neighbours as a multiset, and p's load: an
+	// edge reachable two ways (say a peer that is both the successor and a
+	// link target) appears twice. Both ends of an edge count it equally
+	// often, which keeps the Metropolis–Hastings proposal symmetric — the
+	// condition for a uniform stationary distribution. One message.
+	Neighbors(ctx context.Context, p P) ([]Neighbor[P], Load, error)
 }
 
-// View is one pass's neighbour lists: it asks each peer for its list once
-// and answers every later question about that peer, in any range, from
-// the copy. Its methods are safe for concurrent use; two walks asking for
-// the same peer at once send one message. A failed fetch is not kept, so
-// the next question about that peer asks again.
+// View is one pass's neighbour lists and loads: it asks each peer for its
+// list once and answers every later question about that peer, in any
+// range, from the copy. Its methods are safe for concurrent use; two walks
+// asking for the same peer at once send one message. A failed fetch is not
+// kept, so the next question about that peer asks again.
 type View[P comparable] struct {
 	g     Graph[P]
 	mu    sync.Mutex
 	lists map[P][]Neighbor[P]
+	loads map[P]Load
 	// fetching lists the peers whose fetch is in flight, and done is
 	// broadcast, under mu, when one ends. Only walks running at once
 	// fetch at once, so the list stays that short.
@@ -72,9 +85,27 @@ type View[P comparable] struct {
 // NewView opens a view over g for the node self, whose own neighbours are
 // own: the walks read them with no message.
 func NewView[P comparable](g Graph[P], self P, own []Neighbor[P]) *View[P] {
-	v := &View[P]{g: g, lists: map[P][]Neighbor[P]{self: own}}
+	v := &View[P]{g: g, lists: map[P][]Neighbor[P]{self: own}, loads: map[P]Load{}}
 	v.done.L = &v.mu
 	return v
+}
+
+// Load returns p's load as its list reported it, moved since by Moved;
+// the zero Load unless the view fetched p's list.
+func (v *View[P]) Load(p P) Load {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.loads[p]
+}
+
+// Moved records that the pass changed p's in-degree by d: a load the view
+// holds follows, and a list fetched later reports the move itself.
+func (v *View[P]) Moved(p P, d int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if l, ok := v.loads[p]; ok {
+		v.loads[p] = Load{l.In + d, l.Max}
+	}
 }
 
 // Neighbors returns p's neighbours whose keys lie in rg, written over
@@ -115,10 +146,10 @@ func (v *View[P]) list(ctx context.Context, p P) ([]Neighbor[P], int, error) {
 	}
 	v.fetching = append(v.fetching, p)
 	v.mu.Unlock()
-	l, err := v.g.Neighbors(ctx, p)
+	l, load, err := v.g.Neighbors(ctx, p)
 	v.mu.Lock()
 	if err == nil {
-		v.lists[p] = l
+		v.lists[p], v.loads[p] = l, load
 	}
 	i := slices.Index(v.fetching, p)
 	v.fetching = slices.Delete(v.fetching, i, i+1)

@@ -46,7 +46,7 @@ type countedGraph struct {
 	asked map[graph.NodeID]int
 }
 
-func (c *countedGraph) Neighbors(ctx context.Context, id graph.NodeID) ([]sampling.Neighbor[graph.NodeID], error) {
+func (c *countedGraph) Neighbors(ctx context.Context, id graph.NodeID) ([]sampling.Neighbor[graph.NodeID], sampling.Load, error) {
 	c.calls++
 	if c.asked == nil {
 		c.asked = make(map[graph.NodeID]int)
@@ -58,7 +58,7 @@ func (c *countedGraph) Neighbors(ctx context.Context, id graph.NodeID) ([]sampli
 // viewOf opens a view over g for the node self.
 func viewOf(t *testing.T, g sampling.Graph[graph.NodeID], self graph.NodeID) *sampling.View[graph.NodeID] {
 	t.Helper()
-	own, err := g.Neighbors(bg, self)
+	own, _, err := g.Neighbors(bg, self)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSampleChainCountAndCost(t *testing.T) {
 	g, _ := buildLine(t, 100, 3, 6)
 	cg := &countedGraph{Network: g}
 	rnd := rand.New(rand.NewSource(7))
-	own, err := g.Neighbors(bg, 0)
+	own, _, err := g.Neighbors(bg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,12 @@ func randomMultigraph(rnd *rand.Rand, n, edges int) *multigraph {
 
 func (g *multigraph) Key(p int) keyspace.Key { return g.keys[p] }
 
-func (g *multigraph) Neighbors(_ context.Context, p int) ([]sampling.Neighbor[int], error) {
+// Neighbors answers p's list and a load of p in-links under a cap of 100.
+func (g *multigraph) Neighbors(_ context.Context, p int) ([]sampling.Neighbor[int], sampling.Load, error) {
 	g.mu.Lock()
 	g.asked[p]++
 	g.mu.Unlock()
-	return g.list(p), nil
+	return g.list(p), sampling.Load{In: p, Max: 100}, nil
 }
 
 // list is p's neighbour list, as Neighbors answers it.
@@ -236,17 +237,17 @@ type flakyGraph struct {
 
 var errUnreachable = errors.New("unreachable")
 
-func (f *flakyGraph) Neighbors(ctx context.Context, p int) ([]sampling.Neighbor[int], error) {
-	nbrs, _ := f.multigraph.Neighbors(ctx, p)
+func (f *flakyGraph) Neighbors(ctx context.Context, p int) ([]sampling.Neighbor[int], sampling.Load, error) {
+	nbrs, load, _ := f.multigraph.Neighbors(ctx, p)
 	if f.gate != nil {
 		<-f.gate
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail[p] {
-		return nil, errUnreachable
+		return nil, sampling.Load{}, errUnreachable
 	}
-	return nbrs, nil
+	return nbrs, load, nil
 }
 
 // TestViewRetriesFailedFetch: a failed fetch is not kept, so every
@@ -308,5 +309,35 @@ func TestViewConcurrentFetch(t *testing.T) {
 				t.Errorf("fail=%v: err = %v", fail, err)
 			}
 		}
+	}
+}
+
+// TestViewLoads: the view keeps the load each fetched list carried, Moved
+// moves a load it holds, and a list fetched after a move reports the
+// peer's own load, which Moved did not touch.
+func TestViewLoads(t *testing.T) {
+	g := randomMultigraph(rand.New(rand.NewSource(5)), 10, 10)
+	v := sampling.NewView[int](g, 0, g.list(0))
+	full := keyspace.FullRange()
+	if _, _, err := v.Neighbors(bg, 3, full, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Load(3); got != (sampling.Load{In: 3, Max: 100}) {
+		t.Fatalf("fetched load %+v", got)
+	}
+	v.Moved(3, -1)
+	v.Moved(3, 2)
+	v.Moved(7, 1) // not fetched yet: its answer will carry the move
+	if got := v.Load(3); got.In != 4 {
+		t.Errorf("moved load %+v, want In 4", got)
+	}
+	if _, _, err := v.Neighbors(bg, 7, full, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Load(7); got.In != 7 {
+		t.Errorf("load fetched after a move %+v, want In 7", got)
+	}
+	if got := v.Load(9); got != (sampling.Load{}) {
+		t.Errorf("unfetched load %+v, want zero", got)
 	}
 }

@@ -234,14 +234,14 @@ func (s *Sim) RewireOne(id graph.NodeID) core.WireStats {
 func WireOscar(net *graph.Network, rg *ring.Ring, id graph.NodeID, cfg core.Config, rnd *rand.Rand) core.WireStats {
 	p, ctx := Peer{Network: net, Ring: rg, ID: id}, context.Background()
 	net.DropLinks(id)
+	v := core.NewView[graph.NodeID](p)
 	if cfg.Oracle {
 		parts := partition.BuildExact(net, rg, id)
-		_, st, _ := core.Relink(ctx, p, parts, p.oracleDraw(parts), cfg.PowerOfTwo, false, seqRand{rnd})
+		_, st, _ := core.Relink(ctx, p, parts, p.oracleDraw(parts), v, cfg.PowerOfTwo, false, seqRand{rnd})
 		return st
 	}
-	v := core.NewView[graph.NodeID](p)
 	parts, starts, msgs, _ := core.Discover(ctx, p, v, cfg.Samples, seqRand{rnd})
-	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw(v, parts, starts), cfg.PowerOfTwo, false, seqRand{rnd})
+	_, st, _ := core.Relink(ctx, p, parts, core.WalkDraw(v, parts, starts), v, cfg.PowerOfTwo, false, seqRand{rnd})
 	st.SampleCost = msgs
 	return st
 }
@@ -262,13 +262,18 @@ type Peer struct {
 	ID   graph.NodeID
 }
 
-func (p Peer) Self() graph.NodeID      { return p.ID }
-func (p Peer) MaxOut() int             { return p.Node(p.ID).MaxOut }
-func (p Peer) Release(context.Context) { p.DropLinks(p.ID) }
+func (p Peer) Self() graph.NodeID { return p.ID }
+func (p Peer) MaxOut() int        { return p.Node(p.ID).MaxOut }
+
+func (p Peer) Release(context.Context) []graph.NodeID {
+	old := slices.Clone(p.Node(p.ID).Out)
+	p.DropLinks(p.ID)
+	return old
+}
 
 func (p Peer) LocalNeighbors() []sampling.Neighbor[graph.NodeID] {
 	// No error: the peer wiring is alive.
-	nbrs, _ := p.Neighbors(context.Background(), p.ID)
+	nbrs, _, _ := p.Neighbors(context.Background(), p.ID)
 	return nbrs
 }
 
@@ -277,10 +282,6 @@ func (p Peer) Successor() graph.NodeID {
 		return succ
 	}
 	return p.ID
-}
-
-func (p Peer) Load(_ context.Context, id graph.NodeID) (float64, error) {
-	return p.Node(id).InLoad(), nil
 }
 
 func (p Peer) Link(_ context.Context, id graph.NodeID) error { return p.AddLink(p.ID, id) }
@@ -292,11 +293,14 @@ func (p Peer) Parallel(k int, fn func(i int)) {
 }
 
 // oracleDraw is the ablation's exact uniform draw inside a partition of
-// parts.
+// parts, with the drawn peer's exact load.
 func (p Peer) oracleDraw(parts *partition.Partitions) core.Draw[graph.NodeID] {
-	return func(_ context.Context, rnd *rand.Rand, i int) (graph.NodeID, int, bool) {
+	return func(_ context.Context, rnd *rand.Rand, i int) (graph.NodeID, sampling.Load, int, bool) {
 		id := p.Ring.RandomAliveInRange(rnd, parts.Range(i))
-		return id, 0, id != graph.NoNode
+		if id == graph.NoNode {
+			return id, sampling.Load{}, 0, false
+		}
+		return id, p.Node(id).Load(), 0, true
 	}
 }
 
@@ -421,7 +425,7 @@ func (s *Sim) Measure() Measurement {
 			}
 		}
 		outMade += made
-		m.RelativeLoads = append(m.RelativeLoads, n.InLoad())
+		m.RelativeLoads = append(m.RelativeLoads, n.Load().Rel())
 	})
 	if capSum > 0 {
 		m.DegreeVolume = float64(inSum) / float64(capSum)

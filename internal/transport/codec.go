@@ -376,7 +376,7 @@ type binReader struct {
 var opNames = func() map[string]Op {
 	m := make(map[string]Op)
 	for _, op := range []Op{
-		OpPing, OpInfo, OpNotify, OpNeighbors, OpLink, OpUnlink, OpFindOwner,
+		OpPing, OpNotify, OpNeighbors, OpLink, OpUnlink, OpFindOwner,
 		OpPut, OpGet, OpDelete, OpScan, OpMigrate, OpSuccList, OpReplicate,
 		OpReplicateDel, OpDigest, OpSyncPull, OpReadRepair,
 	} {

@@ -206,7 +206,7 @@ func normalizeResp(r *Response) *Response {
 // the property-test generator. It never produces empty-but-non-nil slices
 // (the codec cannot represent them, by design: empty fields are omitted).
 func randomRequest(rng *rand.Rand) *Request {
-	ops := []Op{OpPing, OpInfo, OpFindOwner, OpPut, OpGet, OpDelete, OpScan,
+	ops := []Op{OpPing, OpFindOwner, OpPut, OpGet, OpDelete, OpScan,
 		OpMigrate, OpSuccList, OpReplicate, OpReplicateDel, OpDigest,
 		OpSyncPull, OpReadRepair, OpNotify, OpNeighbors, OpLink, OpUnlink}
 	req := &Request{Op: ops[rng.Intn(len(ops))]}

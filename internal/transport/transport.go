@@ -94,9 +94,8 @@ type Op string
 // The overlay protocol operations.
 const (
 	OpPing      Op = "ping"       // liveness probe
-	OpInfo      Op = "info"       // peer's key, caps, degrees
 	OpNotify    Op = "notify"     // Chord notify: candidate predecessor
-	OpNeighbors Op = "neighbors"  // all neighbour refs; the walker filters by range
+	OpNeighbors Op = "neighbors"  // all neighbour refs and the in-degree load; the walker filters by range
 	OpLink      Op = "link"       // request a long-range in-link
 	OpUnlink    Op = "unlink"     // release a long-range in-link
 	OpFindOwner Op = "find_owner" // iterative routing step: best next hop
@@ -212,8 +211,10 @@ type Response struct {
 	// States is the responder's per-key sync states for the requested
 	// buckets (sync_pull).
 	States []antientropy.State
-	MaxIn  int
-	InDeg  int
+	// MaxIn and InDeg, on a neighbors answer, are the responder's
+	// in-degree cap and in-degree.
+	MaxIn int
+	InDeg int
 	// Result, on a find_owner that answered Found, is the response of the
 	// op the request carried (Request.Carry), executed at the responder.
 	// Nil means the op did not run here — no op was carried, or the
