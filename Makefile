@@ -155,7 +155,7 @@ examples:
 # the trigger, the slabs replace the arrays they copy, and a store no page
 # reads keeps the caller's arrays).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestInfoPeerCount|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireConcurrent|TestReleaseRetriesShedUnlink|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireConcurrent|TestReleaseRetriesShedUnlink|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts|TestAbortedJoinKeepsAckedWrites|TestStateDuringRewire
 CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose

@@ -65,7 +65,7 @@ func liveDivergenceHarness(t *testing.T, name string, nodes []*Node, closeAll fu
 	for i := range keys {
 		keys[i] = owner.Key() - Key(i)
 	}
-	chain := owner.inner.SuccList()
+	chain := owner.inner.State().Succs
 	if len(chain) < divergenceReplicas-1 {
 		t.Fatalf("owner chain too short: %d", len(chain))
 	}

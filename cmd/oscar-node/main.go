@@ -65,11 +65,14 @@
 // stdin is closed and the interactive loop would exit immediately.
 //
 // With -debug-addr the node serves the standard net/http/pprof endpoints
-// (and nothing else) on that address, for profiling a live peer; it is off
-// by default and should stay on a loopback or otherwise private address:
+// on that address, for profiling a live peer, and /debug/state: the
+// node's info as JSON (the same record, and the same bounded ring walk,
+// as the info command). It is off by default and should stay on a
+// loopback or otherwise private address:
 //
 //	oscar-node -listen 127.0.0.1:7001 -key 0.10 -debug-addr 127.0.0.1:6060
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
+//	curl http://127.0.0.1:6060/debug/state
 //
 // The -fault-* flags wrap the node's transport in a seeded fault injector
 // (internal/faultnet): every outbound call rolls deterministic per-link
@@ -88,6 +91,7 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -128,7 +132,7 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "data directory for the WAL + snapshots (empty = memory only)")
 		fsync       = flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never (needs -data-dir)")
 		daemon      = flag.Bool("daemon", false, "no stdin command loop: run until SIGINT/SIGTERM (for containers)")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off); keep it private")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and /debug/state on this address (empty = off); keep it private")
 
 		faultSeed    = flag.Int64("fault-seed", 0, "seed for the deterministic fault injector (active when any -fault-* rate is set)")
 		faultDrop    = flag.Float64("fault-drop", 0, "probability an outbound call is dropped before delivery")
@@ -151,16 +155,6 @@ func main() {
 	tlsConf, err := loadTLS(*tlsCert, *tlsKey)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			log.Fatalf("debug-addr: %v", err)
-		}
-		defer ln.Close()
-		fmt.Printf("pprof at http://%s/debug/pprof/\n", ln.Addr())
-		go func() { _ = http.Serve(ln, pprofMux()) }()
 	}
 
 	// The fault injector wraps the node's own transport: caller-side,
@@ -198,6 +192,16 @@ func main() {
 		tlsNote = " (tls)"
 	}
 	fmt.Printf("node up at %s, key %s%s\n", node.Addr(), node.Key(), tlsNote)
+	if *debugAddr != "" {
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			_ = node.Close()
+			log.Fatalf("debug-addr: %v", err)
+		}
+		defer ln.Close()
+		fmt.Printf("pprof at http://%s/debug/pprof/, state at http://%[1]s/debug/state\n", ln.Addr())
+		go func() { _ = http.Serve(ln, debugMux(node)) }()
+	}
 	if rec := node.Recovery(); rec.Enabled {
 		how := "crash"
 		if rec.Clean {
@@ -279,11 +283,22 @@ func main() {
 
 var errQuit = errors.New("quit")
 
-// pprofMux serves the net/http/pprof handlers and nothing else. (The
-// package also registers them on http.DefaultServeMux, which is not
-// served.)
-func pprofMux() *http.ServeMux {
+// debugMux serves the net/http/pprof handlers and /debug/state. (The pprof
+// package also registers its handlers on http.DefaultServeMux, which is
+// not served.)
+func debugMux(node *oscar.Node) *http.ServeMux {
 	mux := http.NewServeMux()
+	// Info is one state read plus the info command's bounded ring walk:
+	// one message per peer, up to 128.
+	mux.HandleFunc("/debug/state", func(w http.ResponseWriter, r *http.Request) {
+		info, err := node.Info(r.Context())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(info)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -841,7 +841,7 @@ func liveWriteConcernHarness(t *testing.T, name string, clientNode *Node, nodes 
 		if owner == nil {
 			continue
 		}
-		chain := owner.inner.SuccList()
+		chain := owner.inner.State().Succs
 		if len(chain) < writeConcernReplicas-1 || string(chain[0].Addr) == clientNode.Addr() {
 			continue
 		}
@@ -1046,12 +1046,9 @@ func liveReadRepairHarness(t *testing.T, name string, nodes []*Node, closeAll fu
 				owner.inner.DropPrimary(k)
 			}
 		},
-		stats: func() SyncStats { return toSync(owner.inner.SyncTotals()) },
-		ownerHas: func(k Key) bool {
-			_, ok := owner.inner.PrimaryValue(k)
-			return ok
-		},
-		close: closeAll,
+		stats:    func() SyncStats { return toSync(owner.inner.State().Sync) },
+		ownerHas: func(k Key) bool { return owner.inner.KeyState(k).HasPrimary },
+		close:    closeAll,
 	}
 }
 

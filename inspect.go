@@ -1,25 +1,13 @@
 package oscar
 
+import "github.com/oscar-overlay/oscar/internal/p2p"
+
 // KeyDump reports where a key lives on one node's stores, bypassing the
 // protocol — an inspection hook for harnesses triaging durability or
 // convergence failures (cmd/oscar-soak prints one per live node for every
 // key that fails its teardown verification).
-type KeyDump struct {
-	// Primary is the value in the node's primary (owned-arc) store.
-	Primary    []byte
-	HasPrimary bool
-	// Replica is the value in the node's replica store.
-	Replica    []byte
-	HasReplica bool
-	// ReplicaTomb reports a tombstone in the replica store.
-	ReplicaTomb bool
-}
+type KeyDump = p2p.KeyState
 
-// DebugKey inspects this node's stores for k directly, without routing.
-func (n *Node) DebugKey(k Key) KeyDump {
-	var d KeyDump
-	d.Primary, d.HasPrimary = n.inner.PrimaryValue(k)
-	d.Replica, d.HasReplica = n.inner.ReplicaValue(k)
-	d.ReplicaTomb = n.inner.ReplicaDeleted(k)
-	return d
-}
+// DebugKey inspects this node's stores for k directly, without routing,
+// under one hold of the node's lock.
+func (n *Node) DebugKey(k Key) KeyDump { return n.inner.KeyState(k) }

@@ -53,14 +53,6 @@ func (s *SyncStats) add(o SyncStats) {
 	s.Messages += o.Messages
 }
 
-// SyncTotals returns the node's lifetime anti-entropy counters (membership
-// repairs and periodic passes alike).
-func (n *Node) SyncTotals() SyncStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
 // AntiEntropy runs one push-pull digest sync from this node, as arc owner,
 // against every member of its replica chain, and returns the pass's stats.
 // Traffic is proportional to the divergence: an in-sync replica costs one
@@ -396,7 +388,9 @@ func (n *Node) gcReplicas(ctx context.Context) int {
 	if r <= 1 {
 		return 0
 	}
-	start := n.Pred()
+	n.mu.Lock()
+	start := n.pred
+	n.mu.Unlock()
 	if start.Addr == "" || start.Addr == n.self.Addr {
 		return 0
 	}

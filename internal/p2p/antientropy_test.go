@@ -70,7 +70,7 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 		t.Fatalf("delete: %+v %v", res, err)
 	}
 
-	chain := owner.SuccList()
+	chain := owner.State().Succs
 	if len(chain) < 2 {
 		t.Fatalf("owner chain too short: %d", len(chain))
 	}
@@ -96,18 +96,17 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 	}
 
 	for i, k := range keys[:5] {
-		v, ok := replica.ReplicaValue(k)
-		if !ok || !bytes.Equal(v, []byte(fmt.Sprintf("v%d", i))) {
-			t.Errorf("key %d not repaired: %q, %v", i, v, ok)
+		ks := replica.KeyState(k)
+		if !ks.HasReplica || !bytes.Equal(ks.Replica, []byte(fmt.Sprintf("v%d", i))) {
+			t.Errorf("key %d not repaired: %q, %v", i, ks.Replica, ks.HasReplica)
 		}
 	}
-	if _, ok := replica.ReplicaValue(keys[5]); ok {
+	if ks := replica.KeyState(keys[5]); ks.HasReplica {
 		t.Error("resurrected delete survived the sync")
-	}
-	if !replica.ReplicaDeleted(keys[5]) {
+	} else if !ks.ReplicaTomb {
 		t.Error("replica did not learn the missed delete")
 	}
-	if _, ok := replica.ReplicaValue(stray); ok {
+	if replica.KeyState(stray).HasReplica {
 		t.Error("stray replica key survived the sync")
 	}
 
@@ -142,7 +141,7 @@ func TestSyncCostProportionalToDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replica := nodeByAddr(t, c.Nodes, owner.SuccList()[0].Addr)
+	replica := nodeByAddr(t, c.Nodes, owner.State().Succs[0].Addr)
 	for _, k := range keys[:diverged] {
 		replica.DropReplica(k)
 	}
@@ -153,7 +152,7 @@ func TestSyncCostProportionalToDivergence(t *testing.T) {
 			stats.KeysPushed, diverged, arcSize)
 	}
 	for i, k := range keys[:diverged] {
-		if v, ok := replica.ReplicaValue(k); !ok || v[0] != byte(i) {
+		if ks := replica.KeyState(k); !ks.HasReplica || ks.Replica[0] != byte(i) {
 			t.Errorf("diverged key %d not repaired", i)
 		}
 	}
@@ -193,7 +192,7 @@ func TestReplicaGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cn.ReplicaItems(); got != items {
+	if got := cn.State().ReplicaItems; got != items {
 		t.Fatalf("C holds %d replica items, want %d", got, items)
 	}
 
@@ -206,7 +205,7 @@ func TestReplicaGC(t *testing.T) {
 	nodes = append(nodes, d)
 	stabilize(nodes, 4)
 
-	if got := cn.ReplicaItems(); got != 0 {
+	if got := cn.State().ReplicaItems; got != 0 {
 		t.Errorf("C still holds %d stranded replica items after GC", got)
 	}
 	// The data is not lost — it lives at its owner and its current chain.
@@ -224,8 +223,8 @@ func TestReplicaGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	stabilize(nodes, 4)
-	if v, ok := cn.ReplicaValue(kd); !ok || string(v) != "keep" {
-		t.Errorf("GC discarded a live chain copy (got %q, %v)", v, ok)
+	if ks := cn.KeyState(kd); !ks.HasReplica || string(ks.Replica) != "keep" {
+		t.Errorf("GC discarded a live chain copy (got %q, %v)", ks.Replica, ks.HasReplica)
 	}
 }
 
@@ -265,7 +264,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	if stats := b.AntiEntropy(bg); stats.TombsPushed != 1 {
 		t.Fatalf("sync stats = %+v, want the one missed delete propagated", stats)
 	}
-	if _, ok := cn.ReplicaValue(k); ok {
+	if cn.KeyState(k).HasReplica {
 		t.Fatal("zombie copy survived anti-entropy")
 	}
 
@@ -314,11 +313,7 @@ func TestMigrateCarriesTombstones(t *testing.T) {
 	if err := cn.Join(bg, a.Self().Addr); err != nil {
 		t.Fatal(err)
 	}
-	n := cn
-	n.mu.Lock()
-	_, dead := n.store.Tombstone(k)
-	n.mu.Unlock()
-	if !dead {
+	if !cn.KeyState(k).PrimaryTomb {
 		t.Error("migrated arc lost its tombstone")
 	}
 }
@@ -389,7 +384,7 @@ func BenchmarkAntiEntropySync(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	replica := nodeByAddr(b, c.Nodes, owner.SuccList()[0].Addr)
+	replica := nodeByAddr(b, c.Nodes, owner.State().Succs[0].Addr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

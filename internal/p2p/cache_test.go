@@ -43,7 +43,7 @@ func TestRouteCacheServesWrites(t *testing.T) {
 	if second.Cost > first.Cost {
 		t.Errorf("cached write cost %d exceeds uncached cost %d", second.Cost, first.Cost)
 	}
-	if st := n.CacheStats(); st.RouteHits == 0 {
+	if st := n.State(); st.RouteHits == 0 {
 		t.Errorf("route cache recorded no hit: %+v", st)
 	}
 	got, err := n.Get(bg, k)
@@ -55,13 +55,11 @@ func TestRouteCacheServesWrites(t *testing.T) {
 // ownerArc is the arc a node owns, as its Found answers carry it.
 func ownerArc(t *testing.T, owner *Node) keyspace.Range {
 	t.Helper()
-	owner.mu.Lock()
-	defer owner.mu.Unlock()
-	arc, ok := owner.arcLocked()
-	if !ok {
+	st := owner.State()
+	if !st.HasArc {
 		t.Fatalf("%s has no arc", owner.Self().Addr)
 	}
-	return arc
+	return st.Arc
 }
 
 // TestRouteCacheArcHit pins what caching by the owner's arc buys: once one
@@ -84,7 +82,7 @@ func TestRouteCacheArcHit(t *testing.T) {
 	if ent, ok := entry.routes.Get(other); !ok || ent.owner.Addr != owner.Self().Addr || ent.arc != ownerArc(t, owner) {
 		t.Fatalf("after one put the cache holds %+v, %v for another key; want %s under its arc %v", ent, ok, owner.Self().Addr, ownerArc(t, owner))
 	}
-	hits := entry.CacheStats().RouteHits
+	hits := entry.State().RouteHits
 
 	check := func(name string, res OpResult, err error) {
 		t.Helper()
@@ -106,7 +104,7 @@ func TestRouteCacheArcHit(t *testing.T) {
 			t.Errorf("get = %+v, want %s", get, v)
 		}
 	}
-	if st := entry.CacheStats(); st.RouteHits != hits+4 {
+	if st := entry.State(); st.RouteHits != hits+4 {
 		t.Errorf("route hits %d → %d, want four more", hits, st.RouteHits)
 	}
 }
@@ -160,8 +158,8 @@ func TestRouteCacheArcSplitByJoin(t *testing.T) {
 				if res.Owner.Addr != owners[key].Self().Addr {
 					t.Errorf("put %v landed on %s, want %s", key, res.Owner.Addr, owners[key].Self().Addr)
 				}
-				if got, ok := owners[key].PrimaryValue(key); !ok || string(got) != v {
-					t.Errorf("owner of %v holds %q, %v; want %q", key, got, ok, v)
+				if ks := owners[key].KeyState(key); !ks.HasPrimary || string(ks.Primary) != v {
+					t.Errorf("owner of %v holds %q, %v; want %q", key, ks.Primary, ks.HasPrimary, v)
 				}
 			}
 			get := func(key keyspace.Key, want string) {
@@ -329,10 +327,10 @@ func TestRouteCacheReadFreshness(t *testing.T) {
 			t.Fatalf("read %d = %q (found %v, %v), want %q", i, got.Value, got.Found, err, step.want)
 		}
 		if i == 0 {
-			hits = reader.CacheStats().RouteHits // the walk that primed the cache
+			hits = reader.State().RouteHits // the walk that primed the cache
 		}
 	}
-	if st := reader.CacheStats(); st.RouteHits != hits+2 {
+	if st := reader.State(); st.RouteHits != hits+2 {
 		t.Errorf("route hits %d → %d, want both later reads through the cached arc", hits, st.RouteHits)
 	}
 }

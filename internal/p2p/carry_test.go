@@ -379,9 +379,10 @@ func TestInProcessDispatchCopies(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		copy(buf, "BUF!")
-		held, ok := entry.PrimaryValue(k)
+		ks := entry.KeyState(k)
+		held, ok := ks.Primary, ks.HasPrimary
 		if name != "owner" {
-			held, ok = entry.ReplicaValue(k)
+			held, ok = ks.Replica, ks.HasReplica
 		}
 		if !ok || string(held) != "mine" {
 			t.Errorf("%s: the node's own store holds %q, %v after the caller reused its buffer", name, held, ok)
@@ -392,7 +393,7 @@ func TestInProcessDispatchCopies(t *testing.T) {
 		t.Fatalf("get = %q, %v", got.Value, err)
 	}
 	copy(got.Value, "GOT!")
-	if held, _ := entry.PrimaryValue(own); string(held) != "mine" {
+	if held := entry.KeyState(own).Primary; string(held) != "mine" {
 		t.Errorf("the store holds %q after the caller overwrote the value Get returned", held)
 	}
 }
@@ -432,10 +433,14 @@ func TestTCPStoresExactValues(t *testing.T) {
 	if err != nil || res.Owner.Addr != nodes[1].Self().Addr {
 		t.Fatalf("put served by %s: %v; the test needs a remote owner", res.Owner.Addr, err)
 	}
-	for name, held := range map[string]func(keyspace.Key) ([]byte, bool){
-		"owner": nodes[1].PrimaryValue, "replica": nodes[2].ReplicaValue,
+	for name, ks := range map[string]KeyState{
+		"owner": nodes[1].KeyState(k), "replica": nodes[2].KeyState(k),
 	} {
-		if v, ok := held(k); !ok || !bytes.Equal(v, value) || cap(v) != len(v) {
+		v, ok := ks.Primary, ks.HasPrimary
+		if name == "replica" {
+			v, ok = ks.Replica, ks.HasReplica
+		}
+		if !ok || !bytes.Equal(v, value) || cap(v) != len(v) {
 			t.Errorf("%s holds %d bytes in a buffer of %d (found %v), want %d in %d", name, len(v), cap(v), ok, len(value), len(value))
 		}
 	}
@@ -468,8 +473,8 @@ func TestCarriedWriteContract(t *testing.T) {
 		if !errors.Is(err, transport.ErrUnreachable) || !strings.Contains(err.Error(), "owner unreachable") {
 			t.Fatalf("put with the carried hop's reply lost = %v, want the owner-unreachable error", err)
 		}
-		if v, ok := owner.PrimaryValue(k); !ok || !bytes.Equal(v, []byte("once")) {
-			t.Fatalf("owner holds %q, %v: the carried put did not run", v, ok)
+		if ks := owner.KeyState(k); !ks.HasPrimary || !bytes.Equal(ks.Primary, []byte("once")) {
+			t.Fatalf("owner holds %q, %v: the carried put did not run", ks.Primary, ks.HasPrimary)
 		}
 		if ran := ranTotal(transport.OpPut, trs...); ran != 1 {
 			t.Errorf("the put ran %d times, want 1", ran)
@@ -538,11 +543,11 @@ func TestCarriedOpStaleSafety(t *testing.T) {
 			if res.Owner.Addr != joiner.Self().Addr {
 				t.Errorf("put landed on %s, want the joiner %s", res.Owner.Addr, joiner.Self().Addr)
 			}
-			if v, ok := joiner.PrimaryValue(k); !ok || !bytes.Equal(v, []byte("moved")) {
-				t.Errorf("joiner holds %q, %v", v, ok)
+			if ks := joiner.KeyState(k); !ks.HasPrimary || !bytes.Equal(ks.Primary, []byte("moved")) {
+				t.Errorf("joiner holds %q, %v", ks.Primary, ks.HasPrimary)
 			}
-			if v, ok := old.PrimaryValue(k); ok {
-				t.Errorf("old owner kept %q: the write was stranded there", v)
+			if ks := old.KeyState(k); ks.HasPrimary {
+				t.Errorf("old owner kept %q: the write was stranded there", ks.Primary)
 			}
 			if ran := ranTotal(transport.OpPut, append(trs, jtr)...); ran != 1 {
 				t.Errorf("the put ran %d times, want 1", ran)
@@ -580,8 +585,8 @@ func TestCarriedOpIgnored(t *testing.T) {
 	tr.reset()
 	put, err := entry.Put(bg, k, []byte("v"))
 	check("put", transport.OpPut, put.Cost, err)
-	if v, ok := owner.PrimaryValue(k); !ok || !bytes.Equal(v, []byte("v")) {
-		t.Errorf("owner holds %q, %v after the direct put", v, ok)
+	if ks := owner.KeyState(k); !ks.HasPrimary || !bytes.Equal(ks.Primary, []byte("v")) {
+		t.Errorf("owner holds %q, %v after the direct put", ks.Primary, ks.HasPrimary)
 	}
 	get, err := entry.Get(bg, k)
 	check("get", transport.OpGet, get.Cost, err)

@@ -50,7 +50,7 @@ func TestMaintenanceHealsRing(t *testing.T) {
 				if i == 3 {
 					continue
 				}
-				if n.Succ().Addr == nodes[3].Self().Addr || n.Pred().Addr == nodes[3].Self().Addr {
+				if st := n.State(); st.Succ().Addr == nodes[3].Self().Addr || st.Pred.Addr == nodes[3].Self().Addr {
 					healed = false
 				}
 			}
@@ -92,8 +92,8 @@ func TestMaintenanceRunsAntiEntropy(t *testing.T) {
 	if _, err := nodes[0].Put(context.Background(), k, []byte("copy")); err != nil {
 		t.Fatal(err)
 	}
-	replica := nodeByAddr(t, nodes, owner.SuccList()[0].Addr)
-	if _, ok := replica.ReplicaValue(k); !ok {
+	replica := nodeByAddr(t, nodes, owner.State().Succs[0].Addr)
+	if !replica.KeyState(k).HasReplica {
 		t.Fatal("write push did not reach the replica")
 	}
 	replica.DropReplica(k)
@@ -113,7 +113,7 @@ func TestMaintenanceRunsAntiEntropy(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if v, ok := replica.ReplicaValue(k); ok && string(v) == "copy" {
+		if ks := replica.KeyState(k); ks.HasReplica && string(ks.Replica) == "copy" {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -217,7 +217,7 @@ type Node struct {
 	repairedAt time.Time
 	down       bool
 	// lastJoinItems / lastJoinTombs count what the most recent Join
-	// actually pulled over the wire (see JoinShipped).
+	// actually pulled over the wire (see State).
 	lastJoinItems, lastJoinTombs int
 	// joinDirty, while non-nil, records every key written (put or
 	// deleted) since this node's own Join spliced it into the ring.
@@ -238,7 +238,7 @@ type Node struct {
 	// dataOp) — and is flushed on membership change. nil when disabled;
 	// routecache methods are nil-safe.
 	routes *routecache.Cache[routeEntry]
-	// Cache effectiveness counters, surfaced through CacheStats. Atomics:
+	// Cache effectiveness counters, surfaced through State. Atomics:
 	// they are bumped on the read path without n.mu.
 	routeHits, routeMisses atomic.Uint64
 
@@ -257,21 +257,6 @@ type routeEntry struct {
 	owner transport.PeerRef
 	chain []transport.PeerRef
 	arc   keyspace.Range
-}
-
-// CacheStats is a snapshot of the node's route-cache effectiveness
-// counters: hits are data ops that reached the owner through a cached
-// resolution, misses are the ops that paid the full walk.
-type CacheStats struct {
-	RouteHits, RouteMisses uint64
-}
-
-// CacheStats returns the accumulated cache hit/miss counters.
-func (n *Node) CacheStats() CacheStats {
-	return CacheStats{
-		RouteHits:   n.routeHits.Load(),
-		RouteMisses: n.routeMisses.Load(),
-	}
 }
 
 // NewNode creates a node on the given transport and starts serving its
@@ -310,12 +295,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 
 // Self returns the node's own peer reference.
 func (n *Node) Self() transport.PeerRef { return n.self }
-
-// Replicas returns the node's replication factor r.
-func (n *Node) Replicas() int { return n.cfg.Replicas }
-
-// WriteConcern returns the node's default write concern w.
-func (n *Node) WriteConcern() int { return n.cfg.WriteConcern }
 
 // succListLen is the target successor-list length: long enough to resolve
 // the whole replica chain, and never shorter than the repair floor.
@@ -373,65 +352,6 @@ func (n *Node) replicaTargetsLocked() []transport.PeerRef {
 		want = len(n.succs)
 	}
 	return append([]transport.PeerRef(nil), n.succs[:want]...)
-}
-
-// Succ returns the current successor pointer (the successor list's head).
-func (n *Node) Succ() transport.PeerRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.succLocked()
-}
-
-// SuccList returns a snapshot of the successor list, nearest first.
-func (n *Node) SuccList() []transport.PeerRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]transport.PeerRef(nil), n.succs...)
-}
-
-// Pred returns the current predecessor pointer.
-func (n *Node) Pred() transport.PeerRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pred
-}
-
-// OutLinks returns a snapshot of the long-range out-links.
-func (n *Node) OutLinks() []transport.PeerRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]transport.PeerRef(nil), n.out...)
-}
-
-// InDegree returns the number of registered in-links.
-func (n *Node) InDegree() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.in)
-}
-
-// StoredItems returns the number of items in the local shard (the arc the
-// node owns; replica copies held for predecessors are not counted).
-func (n *Node) StoredItems() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.store.Len()
-}
-
-// ReplicaItems returns the number of replica copies held for predecessors'
-// arcs.
-func (n *Node) ReplicaItems() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.replStore.Len()
-}
-
-// Tombstones returns the number of tombstones held across the primary and
-// replica stores (deletes remembered for anti-entropy, not yet collected).
-func (n *Node) Tombstones() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.store.TombstoneCount() + n.replStore.TombstoneCount()
 }
 
 // arcLocked returns the arc this node owns, (pred, self]. The arc is only
@@ -516,29 +436,6 @@ func (n *Node) DropPrimary(k keyspace.Key) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.store.Drop(k)
-}
-
-// PrimaryValue reads the node's primary store directly (test/inspection
-// hook).
-func (n *Node) PrimaryValue(k keyspace.Key) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.store.Get(k)
-}
-
-// ReplicaValue reads a replica copy directly (test/inspection hook).
-func (n *Node) ReplicaValue(k keyspace.Key) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.replStore.Get(k)
-}
-
-// ReplicaDeleted reports whether the replica store remembers k as deleted.
-func (n *Node) ReplicaDeleted(k keyspace.Key) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.replStore.Tombstone(k)
-	return ok
 }
 
 // isDown reports whether the node has been closed.
@@ -850,6 +747,16 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		// response, so a restart re-ships only the downtime delta.
 		items, more := n.store.ExtractRangeLimit(req.Range, maxReplicateItems, maxReplicateBytes)
 		tombs := n.store.ExtractTombstones(req.Range)
+		if n.cfg.Replicas > 1 {
+			// Keep what is handed over as replica copies, before the filter
+			// shrinks the response: this node is the joiner's first
+			// successor, so these are its first chain copies. A joiner that
+			// crashes before its first Stabilize pushed anything would
+			// otherwise leave the keys only at the old replicas, and this
+			// node's next chain sync would drop them there as strays.
+			n.replStore.InsertBulk(items)
+			n.replStore.InsertTombstones(tombs)
+		}
 		items = filterMigrateItems(items, req.States)
 		return &transport.Response{OK: true, Items: items, Tombs: tombs, More: more}
 

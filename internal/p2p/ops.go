@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/oscar-overlay/oscar/internal/core"
@@ -213,7 +214,9 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 // the first r list entries changed. Call it periodically (or after
 // failures) to heal the ring.
 func (n *Node) Stabilize(ctx context.Context) {
-	succ := n.Succ()
+	n.mu.Lock()
+	succ, pred := n.succLocked(), n.pred
+	n.mu.Unlock()
 	if succ.Addr == n.self.Addr {
 		return
 	}
@@ -222,7 +225,6 @@ func (n *Node) Stabilize(ctx context.Context) {
 	// independent: overlap them so one dead peer's timeout does not delay
 	// probing the other. One succ_list RPC answers both stabilisation
 	// questions: the successor's predecessor and its successor list.
-	pred := n.Pred()
 	var (
 		succResp *transport.Response
 		succErr  error
@@ -287,7 +289,10 @@ func (n *Node) Stabilize(ctx context.Context) {
 			// succ's own list, in ring order.
 			n.refreshSuccList(succ, succResp.Peers)
 		}
-		_, _ = n.tr.CallCtx(ctx, n.Succ().Addr, &transport.Request{Op: transport.OpNotify, From: n.self})
+		n.mu.Lock()
+		succ = n.succLocked()
+		n.mu.Unlock()
+		_, _ = n.tr.CallCtx(ctx, succ.Addr, &transport.Request{Op: transport.OpNotify, From: n.self})
 	}
 
 	n.syncReplicas(ctx)
@@ -332,7 +337,9 @@ func (n *Node) refreshSuccList(head transport.PeerRef, tail []transport.PeerRef)
 // If the whole list is gone (correlated failures), the node falls back to
 // the nearest alive long-range or in-link clockwise.
 func (n *Node) adoptNextSuccessor(ctx context.Context) {
-	list := n.SuccList()
+	n.mu.Lock()
+	list := slices.Clone(n.succs)
+	n.mu.Unlock()
 	if len(list) == 0 {
 		return
 	}
@@ -494,7 +501,9 @@ func (n *Node) syncReplicas(ctx context.Context) {
 // when it cannot (a ring larger than max, or a break mid-walk). It is an
 // exact count on small healthy rings and a deliberate "unknown" otherwise.
 func (n *Node) CountPeers(ctx context.Context, max int) int {
-	cur := n.Succ()
+	n.mu.Lock()
+	cur := n.succLocked()
+	n.mu.Unlock()
 	count := 1 // self
 	for hops := 0; hops < max; hops++ {
 		if cur.Addr == n.self.Addr {
@@ -1103,9 +1112,14 @@ type wiring struct{ n *Node }
 
 func (w wiring) Self() transport.PeerRef              { return w.n.self }
 func (w wiring) Key(p transport.PeerRef) keyspace.Key { return p.Key }
-func (w wiring) Successor() transport.PeerRef         { return w.n.Succ() }
 func (w wiring) MaxOut() int                          { return w.n.cfg.MaxOut }
 func (w wiring) Parallel(k int, fn func(i int))       { w.n.parallel(k, fn) }
+
+func (w wiring) Successor() transport.PeerRef {
+	w.n.mu.Lock()
+	defer w.n.mu.Unlock()
+	return w.n.succLocked()
+}
 
 func (w wiring) LocalNeighbors() []sampling.Neighbor[transport.PeerRef] {
 	w.n.mu.Lock()

@@ -103,8 +103,8 @@ func shedRing(t *testing.T) ([]*Node, *shedTransport) {
 func TestOverloadedPeerStaysLinked(t *testing.T) {
 	nodes, shed := shedRing(t)
 	ctx := context.Background()
-	succ := nodes[0].Succ()
-	pred := nodes[0].Pred()
+	st := nodes[0].State()
+	succ, pred := st.Succ(), st.Pred
 	if succ.Addr != nodes[1].Self().Addr {
 		t.Fatalf("ring did not form: succ(0) = %v", succ)
 	}
@@ -117,10 +117,10 @@ func TestOverloadedPeerStaysLinked(t *testing.T) {
 		nodes[0].Stabilize(ctx)
 	}
 
-	if got := nodes[0].Succ().Addr; got != succ.Addr {
+	if got := nodes[0].State().Succ().Addr; got != succ.Addr {
 		t.Errorf("overloaded successor was evicted: succ = %s, want %s", got, succ.Addr)
 	}
-	if got := nodes[0].Pred().Addr; got != pred.Addr {
+	if got := nodes[0].State().Pred.Addr; got != pred.Addr {
 		t.Errorf("overloaded predecessor was dropped: pred = %s, want %s", got, pred.Addr)
 	}
 

@@ -51,7 +51,7 @@ func newTestCluster(t *testing.T, size int) *Cluster {
 func TestSingleNode(t *testing.T) {
 	c := newTestCluster(t, 1)
 	n := c.Nodes[0]
-	if n.Succ().Addr != n.Self().Addr || n.Pred().Addr != n.Self().Addr {
+	if st := n.State(); st.Succ().Addr != n.Self().Addr || st.Pred.Addr != n.Self().Addr {
 		t.Error("singleton must point at itself")
 	}
 	owner, cost, err := n.Lookup(bg, 12345)
@@ -68,7 +68,7 @@ func TestRingFormation(t *testing.T) {
 	// Walk successors from node 0: must visit all 24 nodes in key order.
 	start := c.Nodes[0].Self()
 	visited := map[transport.Addr]bool{start.Addr: true}
-	cur := c.Nodes[0].Succ()
+	cur := c.Nodes[0].State().Succ()
 	var keys []keyspace.Key
 	for cur.Addr != start.Addr {
 		if visited[cur.Addr] {
@@ -114,7 +114,7 @@ func TestRewireEstablishesLinks(t *testing.T) {
 	c := newTestCluster(t, 40)
 	total := 0
 	for _, n := range c.Nodes {
-		links := n.OutLinks()
+		links := n.State().Out
 		total += len(links)
 		for _, ref := range links {
 			if ref.Addr == n.Self().Addr {
@@ -127,8 +127,8 @@ func TestRewireEstablishesLinks(t *testing.T) {
 	}
 	// In-degree caps respected.
 	for _, n := range c.Nodes {
-		if n.InDegree() > n.cfg.MaxIn {
-			t.Errorf("node exceeds in-cap: %d > %d", n.InDegree(), n.cfg.MaxIn)
+		if in := len(n.State().In); in > n.cfg.MaxIn {
+			t.Errorf("node exceeds in-cap: %d > %d", in, n.cfg.MaxIn)
 		}
 	}
 }
@@ -154,13 +154,13 @@ func TestRewireCancelledKeepsLinks(t *testing.T) {
 	if err := n.Rewire(bg); err != nil {
 		t.Fatal(err)
 	}
-	links := n.OutLinks()
+	links := n.State().Out
 	if len(links) == 0 {
 		t.Fatal("test setup: the node wired no long links")
 	}
 	inDeg := make(map[transport.Addr]int)
 	for _, ref := range links {
-		inDeg[ref.Addr] = nodeByAddr(t, all, ref.Addr).InDegree()
+		inDeg[ref.Addr] = len(nodeByAddr(t, all, ref.Addr).State().In)
 	}
 
 	ctx, cancel := context.WithCancel(bg)
@@ -171,11 +171,11 @@ func TestRewireCancelledKeepsLinks(t *testing.T) {
 	if err := n.Rewire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled rewire returned %v, want context.Canceled", err)
 	}
-	if got := n.OutLinks(); !slices.Equal(got, links) {
+	if got := n.State().Out; !slices.Equal(got, links) {
 		t.Errorf("cancelled rewire left out-links %v, want %v", got, links)
 	}
 	for addr, want := range inDeg {
-		if got := nodeByAddr(t, all, addr).InDegree(); got != want {
+		if got := len(nodeByAddr(t, all, addr).State().In); got != want {
 			t.Errorf("target %s in-degree %d after the cancelled rewire, want %d", addr, got, want)
 		}
 	}
@@ -336,7 +336,7 @@ func TestJoinMigratesItems(t *testing.T) {
 			t.Fatalf("item %d lost after join", i)
 		}
 	}
-	if newbie.StoredItems() == 0 {
+	if newbie.State().Items == 0 {
 		t.Error("joining node received no items despite owning an arc")
 	}
 }
@@ -352,7 +352,7 @@ func TestSuccessorListMaintained(t *testing.T) {
 	}
 	// True ring order per node: sort all keys, walk clockwise from self.
 	for _, n := range c.Nodes {
-		list := n.SuccList()
+		list := n.State().Succs
 		if len(list) < minSuccList {
 			t.Fatalf("node %s has %d successor-list entries, want >= %d", n.Self().Addr, len(list), minSuccList)
 		}
@@ -376,7 +376,7 @@ func TestAdoptSuccessorFromList(t *testing.T) {
 		c.StabilizeAll(bg)
 	}
 	n := c.Nodes[0]
-	list := n.SuccList()
+	list := n.State().Succs
 	if len(list) < 3 {
 		t.Fatalf("need 3 list entries, have %d", len(list))
 	}
@@ -387,7 +387,7 @@ func TestAdoptSuccessorFromList(t *testing.T) {
 	_ = byAddr[list[0].Addr].Close()
 	_ = byAddr[list[1].Addr].Close()
 	n.Stabilize(bg)
-	if got := n.Succ().Addr; got != list[2].Addr {
+	if got := n.State().Succ().Addr; got != list[2].Addr {
 		t.Fatalf("after killing two successors, succ = %s, want list[2] = %s", got, list[2].Addr)
 	}
 }
@@ -615,7 +615,7 @@ func TestLookupCancelledMidWalk(t *testing.T) {
 	var key keyspace.Key
 	for f := 0.05; f < 1; f += 0.05 {
 		k := keyspace.FromFloat(f)
-		if owner := expectedOwner(all, k); owner.Addr != n.Self().Addr && owner.Addr != n.Succ().Addr {
+		if owner := expectedOwner(all, k); owner.Addr != n.Self().Addr && owner.Addr != n.State().Succ().Addr {
 			key = k
 			break
 		}

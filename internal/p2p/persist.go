@@ -62,7 +62,7 @@ func (n *Node) openEngine() error {
 }
 
 // logMut appends one mutation to the WAL. Engine errors are sticky
-// inside the engine and surface through PersistStats; the in-memory
+// inside the engine (every later Append returns them); the in-memory
 // store stays authoritative for the running process either way.
 func (n *Node) logMut(store uint8, m storage.Mutation) {
 	_ = n.eng.Append(wal.Record{Store: store, Mut: m})
@@ -70,15 +70,6 @@ func (n *Node) logMut(store uint8, m storage.Mutation) {
 
 // Recovery returns what this node reconstructed at startup.
 func (n *Node) Recovery() RecoveryInfo { return n.recovery }
-
-// PersistStats reports the durable engine's on-disk footprint. ok is
-// false when the node runs without a data directory.
-func (n *Node) PersistStats() (st wal.Stats, ok bool) {
-	if n.eng == nil {
-		return wal.Stats{}, false
-	}
-	return n.eng.Stats(), true
-}
 
 // Snapshot forces a compacted snapshot of both stores, truncating the
 // WAL. No-op without a durable engine.
@@ -133,16 +124,6 @@ func (n *Node) CloseClean() error {
 		return terr
 	}
 	return cerr
-}
-
-// JoinShipped reports how many items and tombstones the last Join
-// actually pulled from the successor — with recovered state announced,
-// the delta filter keeps already-held keys home, so this is the
-// downtime delta rather than the full arc.
-func (n *Node) JoinShipped() (items, tombs int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastJoinItems, n.lastJoinTombs
 }
 
 // joinStatesLocked builds the per-key state vector (both stores merged,

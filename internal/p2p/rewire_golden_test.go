@@ -72,7 +72,7 @@ func linkLines(nodes []*Node) string {
 	var b strings.Builder
 	for i, n := range nodes {
 		fmt.Fprintf(&b, "node %02d:", i)
-		for _, ref := range n.OutLinks() {
+		for _, ref := range n.State().Out {
 			fmt.Fprintf(&b, " %02d", index[ref.Addr])
 		}
 		b.WriteByte('\n')

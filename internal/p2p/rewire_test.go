@@ -55,16 +55,14 @@ func TestReleaseRetriesShedUnlink(t *testing.T) {
 	}
 	outs := make(map[transport.Addr][]transport.PeerRef, len(nodes))
 	for _, n := range nodes {
-		outs[n.Self().Addr] = n.OutLinks()
+		outs[n.Self().Addr] = n.State().Out
 	}
 	for i, n := range nodes {
-		n.mu.Lock()
-		for holder := range n.in {
-			if !slices.Contains(outs[holder], n.Self()) {
-				t.Errorf("node %02d holds an in-link of %s, which no longer links it", i, holder)
+		for _, holder := range n.State().In {
+			if !slices.Contains(outs[holder.Addr], n.Self()) {
+				t.Errorf("node %02d holds an in-link of %s, which no longer links it", i, holder.Addr)
 			}
 		}
-		n.mu.Unlock()
 	}
 }
 
@@ -101,8 +99,9 @@ func TestRewireConcurrent(t *testing.T) {
 		wg.Wait()
 		made := 0
 		for i, n := range nodes {
-			made += len(n.OutLinks())
-			if in := n.InDegree(); in > n.cfg.MaxIn {
+			st := n.State()
+			made += len(st.Out)
+			if in := len(st.In); in > n.cfg.MaxIn {
 				t.Errorf("run %d: node %02d holds %d in-links over its cap %d", run, i, in, n.cfg.MaxIn)
 			}
 		}

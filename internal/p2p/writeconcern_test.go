@@ -42,7 +42,7 @@ func TestWriteConcernAcks(t *testing.T) {
 		if ownerNode == nil {
 			continue
 		}
-		chain := ownerNode.SuccList()
+		chain := ownerNode.State().Succs
 		if len(chain) < 2 || chain[0].Addr == client.Self().Addr {
 			continue
 		}
@@ -124,16 +124,16 @@ func TestMigrateChunked(t *testing.T) {
 		t.Errorf("the arc migrated in %d chunks, want at least 3 of at most %d items", n, maxReplicateItems)
 	}
 
-	if got := n2.StoredItems(); got != items-1 {
+	if got := n2.State().Items; got != items-1 {
 		t.Fatalf("joiner holds %d items, want %d (the whole arc, beyond one frame)", got, items-1)
 	}
-	if got := n1.StoredItems(); got != 0 {
+	if got := n1.State().Items; got != 0 {
 		t.Fatalf("previous owner still holds %d arc items", got)
 	}
-	if _, found := n2.PrimaryValue(delKey); found {
+	if n2.KeyState(delKey).HasPrimary {
 		t.Fatal("deleted key resurfaced on the joiner")
 	}
-	if n2.Tombstones() == 0 {
+	if n2.State().Tombstones == 0 {
 		t.Error("arc tombstone did not travel with the chunked migration")
 	}
 }
@@ -173,7 +173,7 @@ func TestReadFallbackRespectsTombstone(t *testing.T) {
 	// The second replica resurrects the copy behind the protocol's back
 	// (a stale push arriving out of order would look the same); the first
 	// replica keeps the propagated tombstone.
-	chain := ownerNode.SuccList()
+	chain := ownerNode.State().Succs
 	if len(chain) < 2 {
 		t.Fatalf("owner chain too short: %d", len(chain))
 	}
@@ -242,7 +242,7 @@ func TestReadRepairHealsOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := owner.SyncTotals()
+	base := owner.State().Sync
 
 	owner.DropPrimary(keys[0])
 	owner.DropPrimary(keys[1])
@@ -254,9 +254,8 @@ func TestReadRepairHealsOwner(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := owner.SyncTotals()
-		_, has0 := owner.PrimaryValue(keys[0])
-		_, has1 := owner.PrimaryValue(keys[1])
+		st := owner.State().Sync
+		has0, has1 := owner.KeyState(keys[0]).HasPrimary, owner.KeyState(keys[1]).HasPrimary
 		if has0 && has1 && st.KeysPushed-base.KeysPushed >= 2 {
 			if pushed := st.KeysPushed - base.KeysPushed; pushed != 2 {
 				t.Fatalf("read-repair pushed %d keys, want exactly the divergence (2)", pushed)

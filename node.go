@@ -472,45 +472,43 @@ func (n *Node) Lookup(ctx context.Context, key Key) (LookupResponse, error) {
 // per peer, so a ring larger than this is not counted.
 const peerCountMaxHops = 128
 
-// Info implements Client. A live node has no global membership table, so
-// Peers is a successor-pointer walk around the ring: exact on a healthy
-// ring of up to 128 peers, -1 on a larger ring or when the walk breaks
-// (a crashed successor not yet repaired). The walk sends one message per
-// peer it counts.
+// Info implements Client. Every field but Peers comes from one state
+// record, read under one lock hold. A live node has no global membership
+// table, so Peers is a successor-pointer walk around the ring: exact on a
+// healthy ring of up to 128 peers, -1 on a larger ring or when the walk
+// breaks (a crashed successor not yet repaired). The walk sends one
+// message per peer it counts.
 func (n *Node) Info(ctx context.Context) (InfoResponse, error) {
 	if err := n.begin(ctx); err != nil {
 		return InfoResponse{}, err
 	}
-	sync := n.inner.SyncTotals()
-	caches := n.inner.CacheStats()
+	st := n.inner.State()
 	resp := InfoResponse{
 		Peers:        n.inner.CountPeers(ctx, peerCountMaxHops),
-		Replicas:     n.inner.Replicas(),
-		WriteConcern: n.inner.WriteConcern(),
-		Self:         ownerRef(n.inner.Self()),
-		Successor:    ownerRef(n.inner.Succ()),
-		Predecessor:  ownerRef(n.inner.Pred()),
-		OutLinks:     len(n.inner.OutLinks()),
-		InLinks:      n.inner.InDegree(),
-		StoredItems:  n.inner.StoredItems(),
-		ReplicaItems: n.inner.ReplicaItems(),
-		Tombstones:   n.inner.Tombstones(),
+		Replicas:     st.Replicas,
+		WriteConcern: st.WriteConcern,
+		Self:         ownerRef(st.Self),
+		Successor:    ownerRef(st.Succ()),
+		Predecessor:  ownerRef(st.Pred),
+		OutLinks:     len(st.Out),
+		InLinks:      len(st.In),
+		StoredItems:  st.Items,
+		ReplicaItems: st.ReplicaItems,
+		Tombstones:   st.Tombstones,
 		AntiEntropy: SyncStats{
-			Rounds:           sync.Rounds,
-			KeysPushed:       sync.KeysPushed,
-			TombstonesPushed: sync.TombsPushed,
-			Dropped:          sync.Dropped,
+			Rounds:           st.Sync.Rounds,
+			KeysPushed:       st.Sync.KeysPushed,
+			TombstonesPushed: st.Sync.TombsPushed,
+			Dropped:          st.Sync.Dropped,
 		},
-		RouteCacheHits:   caches.RouteHits,
-		RouteCacheMisses: caches.RouteMisses,
+		Durable:          st.Durable,
+		WALBytes:         st.WAL.WALBytes,
+		WALFrames:        int(st.WAL.Frames),
+		RouteCacheHits:   st.RouteHits,
+		RouteCacheMisses: st.RouteMisses,
 	}
-	if st, ok := n.inner.PersistStats(); ok {
-		resp.Durable = true
-		resp.WALBytes = st.WALBytes
-		resp.WALFrames = int(st.Frames)
-		if st.LastSnapshot != 0 {
-			resp.LastSnapshot = time.Unix(0, st.LastSnapshot)
-		}
+	if st.WAL.LastSnapshot != 0 {
+		resp.LastSnapshot = time.Unix(0, st.WAL.LastSnapshot)
 	}
 	return resp, nil
 }

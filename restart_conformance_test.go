@@ -220,7 +220,8 @@ func TestRestartDurability(t *testing.T) {
 
 	// The delta contract: the join migrated exactly the five downtime
 	// writes — not the dozens of arc keys the node recovered locally.
-	shippedItems, shippedTombs := restarted.inner.JoinShipped()
+	st := restarted.inner.State()
+	shippedItems, shippedTombs := st.JoinItems, st.JoinTombs
 	if shippedItems != len(downKeys) {
 		t.Errorf("join shipped %d items, want exactly the %d-key downtime delta", shippedItems, len(downKeys))
 	}
