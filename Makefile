@@ -88,7 +88,10 @@ examples:
 # client settles on the binary codec; a raw frame or a version-1 hello is
 # refused without disturbing the server), TLS round trips, overload
 # shedding (saturate past the in-flight cap: typed
-# ErrOverloaded, bounded goroutines, recovery), and the call path's own —
+# ErrOverloaded, bounded goroutines, recovery), the pool's one connection
+# per peer (TestMux*: concurrent calls share it with no cross-talk, a late
+# reply does not poison it, a restarted peer is redialed, an idle one is
+# reaped), and the call path's own —
 # handler workers on the resident pool (TestWorker*: sequential traffic
 # starts at most two, a blocked handler delays nobody, parked ones retire
 # on the reaper tick and on Close) and the caller-side flush (TestFlush*, TestCancelled*,
@@ -142,7 +145,10 @@ examples:
 # (TestScanGatherUnderInserts: two scanners' 4096-item scans on a 3-node
 # TCP ring while two writers insert, every page in order with every
 # preloaded key and exact values, raced against the encode outside the
-# lock). The resident package pins the pool both run on (TestPool*:
+# lock), and aborted joins (TestAbortedJoinKeepsAckedWrites,
+# TestJoinCrashBetweenMigrateChunks: a joiner that crashes before its
+# first round, or after one migrate chunk of a larger arc, loses no acked
+# write). The resident package pins the pool both run on (TestPool*:
 # a job goes to the goroutine that parked last, at most the cap stay
 # parked, Done finds its goroutine parked, RetireParked ends the parked
 # ones, Close waits for the busy ones and later jobs run on the caller).
@@ -155,8 +161,8 @@ examples:
 # the trigger, the slabs replace the arrays they copy, and a store no page
 # reads keeps the caller's arrays).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestInfoPeerCount|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
-CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireConcurrent|TestReleaseRetriesShedUnlink|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts|TestAbortedJoinKeepsAckedWrites|TestStateDuringRewire
-CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
+CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireConcurrent|TestReleaseRetriesShedUnlink|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts|TestAbortedJoinKeepsAckedWrites|TestStateDuringRewire|TestJoinCrashBetweenMigrateChunks
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestMuxConcurrentCallsShareConnection|TestMuxReconnectAfterRestart|TestMuxIdleReap|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose
 

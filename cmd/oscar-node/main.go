@@ -55,7 +55,7 @@
 // With -tls-cert/-tls-key every connection — the listener and all dials —
 // runs over TLS. All ring members must use TLS, and a fleet can share one
 // self-signed certificate (it doubles as the trust root). The transport
-// itself is fixed: 2 pooled connections per peer, a 5 s per-call timeout,
+// itself is fixed: one pooled connection per peer, a 5 s per-call timeout,
 // idle connections reaped after 60 s, and at most 256 calls in flight per
 // connection and handlers running at once, the excess shed
 // deterministically instead of queued without bound.

@@ -370,3 +370,34 @@ func TestRouteCacheOwnerCrashChainFallback(t *testing.T) {
 		t.Errorf("read during crash window cost %d but sent %d calls", got.Cost, tr.calls())
 	}
 }
+
+// TestCachedGetAllocs pins what a cached remote read allocates on an r = 3
+// ring: the read visits the owner, then its chain, without building a
+// slice of the two per read.
+func TestCachedGetAllocs(t *testing.T) {
+	c, err := NewCluster(bg, ClusterConfig{Size: 8, Seed: 7, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	n := c.Nodes[0]
+	k, _ := pickRemoteKey(t, c, n)
+	if _, err := n.Put(bg, k, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if res, err := n.Get(bg, k); err != nil || !res.Found || res.Cost != 1 {
+			t.Fatalf("cached get: %+v, %v; want found in one message", res, err)
+		}
+	}
+	get()
+	hits := n.State().RouteHits
+	allocs := testing.AllocsPerRun(200, get)
+	if n.State().RouteHits == hits {
+		t.Fatal("the reads missed the route cache: the test shows nothing")
+	}
+	// An owner+chain slice built per read would be a sixth.
+	if allocs > 5 {
+		t.Errorf("a cached get allocates %.1f times, want at most 5", allocs)
+	}
+}

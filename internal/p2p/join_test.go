@@ -1,7 +1,9 @@
 package p2p
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/oscar-overlay/oscar/internal/degreedist"
@@ -116,4 +118,114 @@ func TestAbortedJoinKeepsAckedWrites(t *testing.T) {
 			t.Errorf("the old owner kept %d replica copies at r = 1", st.ReplicaItems)
 		}
 	})
+}
+
+// failLaterMigrates passes a node's first migrate through and fails every
+// later one with ErrUnreachable: never delivered, or, with run set, run
+// at the old owner with the reply lost.
+type failLaterMigrates struct {
+	transport.Transport
+	run bool
+
+	mu       sync.Mutex
+	migrates int
+}
+
+func (f *failLaterMigrates) CallCtx(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpMigrate {
+		f.mu.Lock()
+		f.migrates++
+		later := f.migrates > 1
+		f.mu.Unlock()
+		if later {
+			if f.run {
+				_, _ = f.Transport.CallCtx(ctx, addr, req)
+			}
+			return nil, transport.ErrUnreachable
+		}
+	}
+	return f.Transport.CallCtx(ctx, addr, req)
+}
+
+// TestJoinCrashBetweenMigrateChunks crashes a joiner whose arc spans more
+// than two migrate chunks right after it pulled the first: its later
+// migrates are never delivered, or run at the old owner with the reply
+// lost, so the join stops after chunk 1, and the joiner is closed before
+// any round. After 6 rounds, a second joiner just past the old owner and 6
+// more rounds, every acked key reads back at r = 3.
+func TestJoinCrashBetweenMigrateChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  bool
+	}{{"undelivered", false}, {"reply lost", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					joinCrashBetweenChunks(t, seed, tc.run)
+				})
+			}
+		})
+	}
+}
+
+func joinCrashBetweenChunks(t *testing.T, seed int64, run bool) {
+	c, err := NewCluster(bg, ClusterConfig{Size: 16, Seed: seed, Replicas: 3, Degrees: degreedist.Constant(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	old := c.Nodes[int(seed)%len(c.Nodes)]
+	st := old.State()
+	joinKey := st.Pred.Key.Midpoint(st.Self.Key)
+
+	// 2 chunks and then some in the joiner's arc (pred, joinKey], 200
+	// keys anywhere.
+	r := rng.Derive(seed, "migrate-chunk-keys")
+	const inArc = 2*maxReplicateItems + 100
+	want := make(map[keyspace.Key]string)
+	for i := range inArc + 200 {
+		k := keyspace.Key(r.Uint64())
+		if i < inArc {
+			k = st.Pred.Key + 1 + keyspace.Key(uint64(k)%uint64(st.Pred.Key.Distance(joinKey)))
+		}
+		want[k] = fmt.Sprint(i)
+		if _, err := c.Nodes[i%len(c.Nodes)].Put(bg, k, []byte(want[k])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		c.StabilizeAll(bg)
+	}
+
+	tr := &failLaterMigrates{Transport: c.Fabric.Endpoint(), run: run}
+	joiner := mustNode(t, tr, Config{Key: joinKey, MaxIn: 4, MaxOut: 4, Replicas: 3, Seed: seed})
+	if err := joiner.Join(bg, c.Nodes[0].Self().Addr); err != nil {
+		t.Fatal(err)
+	}
+	if took := joiner.State().JoinItems; took == 0 || took > maxReplicateItems || tr.migrates < 2 {
+		t.Fatalf("the joiner took %d keys in %d migrates, want one chunk and a failed second: the test shows nothing", took, tr.migrates)
+	}
+	_ = joiner.Close()
+	c.Nodes = append(c.Nodes, joiner)
+	for range 6 {
+		c.StabilizeAll(bg)
+	}
+	second := mustNode(t, c.Fabric.Endpoint(), Config{Key: old.Self().Key + 1, MaxIn: 4, MaxOut: 4, Replicas: 3, Seed: seed + 100})
+	if err := second.Join(bg, c.Nodes[0].Self().Addr); err != nil {
+		t.Fatal(err)
+	}
+	c.Nodes = append(c.Nodes, second)
+	for range 6 {
+		c.StabilizeAll(bg)
+	}
+	lost := 0
+	for k, v := range want {
+		res, err := c.Nodes[0].Get(bg, k)
+		if err != nil || !res.Found || string(res.Value) != v {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Errorf("lost %d of %d acked keys", lost, len(want))
+	}
 }

@@ -982,7 +982,11 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 	ownerStale := false // the owner answered with no copy and no tombstone
 	answered := false
 	var lastErr error
-	for i, t := range append([]transport.PeerRef{owner}, rt.chain...) {
+	for i := 0; i <= len(rt.chain); i++ {
+		t := owner // then the chain, without building owner+chain per read
+		if i > 0 {
+			t = rt.chain[i-1]
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			return res, cerr
 		}

@@ -85,7 +85,7 @@ func TestWorkerSlowHandlerDoesNotBlockConnection(t *testing.T) {
 		}
 		return &Response{OK: true, Peer: PeerRef{Key: req.Key}}
 	})
-	client := listen(t, nil, withPoolSize(1))
+	client := listen(t, nil)
 
 	slow := make(chan error, 1)
 	go func() {
@@ -211,7 +211,7 @@ func (c *wireConn) Close() error {
 // the connection over a wireConn.
 func dialMux(t *testing.T, server *TCPEndpoint) (*muxConn, *wireConn) {
 	t.Helper()
-	p := newPool(1, time.Second, time.Second, defaultMaxInflight, nil)
+	p := newPool(time.Second, time.Second, defaultMaxInflight, nil)
 	conn, err := p.dial(context.Background(), server.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +505,7 @@ func TestLargeFramePoolConcurrent(t *testing.T) {
 	}{{"tcp", nil}, {"tls", []TCPOption{WithTLS(selfSignedTLS(t))}}} {
 		t.Run(tc.name, func(t *testing.T) {
 			server := listen(t, echoV2Handler, tc.opts...)
-			client := listen(t, nil, append([]TCPOption{withPoolSize(1)}, tc.opts...)...)
+			client := listen(t, nil, tc.opts...)
 			sizes := []int{70 << 10, 130 << 10, 300 << 10, 600 << 10, 1000 << 10}
 			const callers, calls = 8, 12
 			var wg sync.WaitGroup
@@ -589,7 +589,7 @@ func TestCancelledQueuedDial(t *testing.T) {
 			accepted <- conn
 		}
 	}()
-	client := listen(t, nil, withPoolSize(1))
+	client := listen(t, nil)
 	addr := Addr(ln.Addr().String())
 
 	first := make(chan error, 1)

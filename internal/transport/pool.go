@@ -8,68 +8,40 @@ import (
 	"time"
 )
 
-// pool keeps the persistent client connections of one TCP endpoint: a small
-// set per peer, dialed lazily on first use (TLS-wrapped and past the hello
+// pool keeps the persistent client connections of one TCP endpoint: one
+// per peer, dialed lazily on first use (TLS-wrapped and past the hello
 // before first use), shared by concurrent calls, evicted when broken, and
 // reaped when idle.
 type pool struct {
 	dialTimeout  time.Duration
 	writeTimeout time.Duration
-	perPeer      int // connection cap per peer
 	maxInflight  int // per-connection in-flight cap
 	tlsConf      *tls.Config
 
 	mu     sync.Mutex
-	peers  map[Addr]*peerConns
+	peers  map[Addr]*peerConn
 	closed bool
 }
 
-// peerConns is one peer's connection set; per-peer state keeps a slow dial
-// to one peer from stalling calls to every other peer. dialing counts
-// in-flight dials so the pool opens at most perPeer connections without
-// ever holding the lock across a dial; callers that found every slot
-// mid-dial wait on dialed for a result instead of dialing redundantly.
-type peerConns struct {
-	mu      sync.Mutex
-	conns   []*muxConn
-	dialing int
-	// dialed is non-nil while a caller waits for a dial to land; the next
-	// dial to complete closes it.
+// peerConn is one peer's connection; per-peer state keeps a slow dial to
+// one peer from stalling calls to every other peer. The dial runs outside
+// the lock, and callers that find it under way wait on dialed for it
+// instead of dialing redundantly.
+type peerConn struct {
+	mu   sync.Mutex
+	conn *muxConn
+	// dialed is non-nil while a dial is under way; the dial closes it when
+	// it lands.
 	dialed chan struct{}
 }
 
-// pruneLocked drops broken connections; callers hold pc.mu.
-func (pc *peerConns) pruneLocked() {
-	live := pc.conns[:0]
-	for _, c := range pc.conns {
-		if !c.isBroken() {
-			live = append(live, c)
-		}
-	}
-	pc.conns = live
-}
-
-// leastLoadedLocked returns the live connection with the fewest in-flight
-// calls (nil if none); callers hold pc.mu.
-func (pc *peerConns) leastLoadedLocked() (*muxConn, int) {
-	var best *muxConn
-	bestLoad := -1
-	for _, c := range pc.conns {
-		if load := c.inflight(); best == nil || load < bestLoad {
-			best, bestLoad = c, load
-		}
-	}
-	return best, bestLoad
-}
-
-func newPool(perPeer int, dialTimeout, writeTimeout time.Duration, maxInflight int, tlsConf *tls.Config) *pool {
+func newPool(dialTimeout, writeTimeout time.Duration, maxInflight int, tlsConf *tls.Config) *pool {
 	return &pool{
 		dialTimeout:  dialTimeout,
 		writeTimeout: writeTimeout,
-		perPeer:      perPeer,
 		maxInflight:  maxInflight,
 		tlsConf:      tlsConf,
-		peers:        make(map[Addr]*peerConns),
+		peers:        make(map[Addr]*peerConn),
 	}
 }
 
@@ -123,13 +95,11 @@ func (p *pool) dial(ctx context.Context, addr Addr) (net.Conn, error) {
 	return conn, nil
 }
 
-// get returns a live connection to addr, dialing lazily. Under concurrent
-// load it spreads calls across up to perPeer connections: an existing idle
-// connection is reused immediately, and a new one is dialed only while all
-// existing ones are busy and the cap has room. Dials happen outside the
-// peer lock and are bounded by the caller's context, so concurrent calls
-// to a dead peer time out in parallel, not serially; a caller waiting for
-// another's dial gives up when its own context ends, with ctx.Err().
+// get returns the live connection to addr, whatever its load, dialing it
+// when it is missing or broken. The dial happens outside the peer lock and
+// is bounded by the caller's context; a caller that finds another's dial
+// under way waits for it, giving up when its own context ends, with
+// ctx.Err(), and dials itself if that dial failed.
 func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -138,29 +108,22 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 	}
 	pc, ok := p.peers[addr]
 	if !ok {
-		pc = &peerConns{}
+		pc = &peerConn{}
 		p.peers[addr] = pc
 	}
 	p.mu.Unlock()
 
 	pc.mu.Lock()
 	for {
-		pc.pruneLocked()
-		best, bestLoad := pc.leastLoadedLocked()
-		if best != nil && (bestLoad == 0 || len(pc.conns)+pc.dialing >= p.perPeer) {
+		if c := pc.conn; c != nil && !c.isBroken() {
 			pc.mu.Unlock()
-			return best, nil
+			return c, nil
 		}
-		if len(pc.conns)+pc.dialing < p.perPeer {
-			pc.dialing++
+		if pc.dialed == nil {
 			break
 		}
-		// Every cap slot is an in-flight dial: wait for one to land
-		// rather than dialing redundantly, but no longer than ctx allows —
-		// the other caller's dial may run to the pool's dial timeout.
-		if pc.dialed == nil {
-			pc.dialed = make(chan struct{})
-		}
+		// The other caller's dial may run to the pool's dial timeout: wait
+		// no longer than ctx allows.
 		dialed := pc.dialed
 		pc.mu.Unlock()
 		select {
@@ -170,6 +133,8 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 		}
 		pc.mu.Lock()
 	}
+	dialed := make(chan struct{})
+	pc.dialed = dialed
 	pc.mu.Unlock()
 
 	// A call whose context has no deadline is bounded by a timer of its
@@ -183,45 +148,28 @@ func (p *pool) get(ctx context.Context, addr Addr) (*muxConn, error) {
 	conn, err := p.dial(dialCtx, addr)
 
 	pc.mu.Lock()
-	pc.dialing--
-	if pc.dialed != nil {
-		close(pc.dialed)
-		pc.dialed = nil
-	}
+	defer pc.mu.Unlock()
+	pc.dialed = nil
+	close(dialed)
 	if err != nil {
-		pc.pruneLocked()
-		fallback, _ := pc.leastLoadedLocked()
-		pc.mu.Unlock()
-		if fallback != nil {
-			return fallback, nil // the peer may still answer on a busy conn
-		}
 		return nil, err
 	}
-	mc := newMuxConn(conn, p.writeTimeout, p.maxInflight)
-	pc.pruneLocked()
-	// The reserved dialing slot guarantees room under the cap.
-	pc.conns = append(pc.conns, mc)
-	pc.mu.Unlock()
-	return mc, nil
+	pc.conn = newMuxConn(conn, p.writeTimeout, p.maxInflight)
+	return pc.conn, nil
 }
 
-// evict removes a broken connection from the peer's set and closes it.
+// evict drops a broken connection from the peer's slot and closes it.
 func (p *pool) evict(addr Addr, mc *muxConn) {
 	p.mu.Lock()
 	pc := p.peers[addr]
 	p.mu.Unlock()
-	if pc == nil {
-		mc.close()
-		return
-	}
-	pc.mu.Lock()
-	for i, c := range pc.conns {
-		if c == mc {
-			pc.conns = append(pc.conns[:i], pc.conns[i+1:]...)
-			break
+	if pc != nil {
+		pc.mu.Lock()
+		if pc.conn == mc {
+			pc.conn = nil
 		}
+		pc.mu.Unlock()
 	}
-	pc.mu.Unlock()
 	mc.close()
 }
 
@@ -230,7 +178,7 @@ func (p *pool) evict(addr Addr, mc *muxConn) {
 // row, returning how many it closed.
 func (p *pool) reap() int {
 	p.mu.Lock()
-	peers := make([]*peerConns, 0, len(p.peers))
+	peers := make([]*peerConn, 0, len(p.peers))
 	for _, pc := range p.peers {
 		peers = append(peers, pc)
 	}
@@ -239,16 +187,11 @@ func (p *pool) reap() int {
 	closed := 0
 	for _, pc := range peers {
 		pc.mu.Lock()
-		kept := pc.conns[:0]
-		for _, c := range pc.conns {
-			if c.idleTick() {
-				c.close()
-				closed++
-				continue
-			}
-			kept = append(kept, c)
+		if c := pc.conn; c != nil && c.idleTick() {
+			c.close()
+			pc.conn = nil
+			closed++
 		}
-		pc.conns = kept
 		pc.mu.Unlock()
 	}
 	return closed
@@ -259,14 +202,14 @@ func (p *pool) closeAll() {
 	p.mu.Lock()
 	p.closed = true
 	peers := p.peers
-	p.peers = make(map[Addr]*peerConns)
+	p.peers = make(map[Addr]*peerConn)
 	p.mu.Unlock()
 	for _, pc := range peers {
 		pc.mu.Lock()
-		for _, c := range pc.conns {
-			c.close()
+		if pc.conn != nil {
+			pc.conn.close()
+			pc.conn = nil
 		}
-		pc.conns = nil
 		pc.mu.Unlock()
 	}
 }

@@ -14,22 +14,21 @@ import (
 	"github.com/oscar-overlay/oscar/internal/resident"
 )
 
-// Transport settings. Every endpoint runs at these; tests shrink them
-// through the unexported tcpOptions.
+// Transport settings. Every endpoint runs at these, over one pooled
+// connection per peer (see pool); tests shrink them through the unexported
+// tcpOptions.
 const (
 	// defaultCallTimeout bounds one RPC round trip when the caller's
 	// context carries no deadline; a peer that cannot answer within it is
 	// treated as dead (the probe semantics routing relies on).
 	defaultCallTimeout = 5 * time.Second
-	// defaultPoolSize is the persistent-connection cap per peer.
-	defaultPoolSize = 2
 	// defaultIdleTimeout is how long a pooled connection may sit without
 	// in-flight calls before the reaper closes it. Server-side connections
 	// get 4x this before an idle read deadline fires, so the client side
 	// always disconnects first.
 	defaultIdleTimeout = 60 * time.Second
-	// defaultMaxInflight caps, per client connection, the calls awaiting a
-	// response, and, per endpoint, the requests being handled concurrently.
+	// defaultMaxInflight caps, per client connection (so per peer), the
+	// calls awaiting a response, and, per endpoint, the requests being handled concurrently.
 	// Both sides of the backpressure contract: a client saturating its cap
 	// fails fast with ErrOverloaded, a server past its cap sheds the
 	// excess deterministically instead of growing a goroutine per queued
@@ -53,7 +52,6 @@ const overloadedWireErr = "transport: overloaded"
 type TCPOption func(*tcpOptions)
 
 type tcpOptions struct {
-	poolSize    int
 	callTimeout time.Duration
 	idleTimeout time.Duration
 	maxInflight int
@@ -70,8 +68,8 @@ func WithTLS(cfg *tls.Config) TCPOption {
 	return func(o *tcpOptions) { o.tlsConf = cfg }
 }
 
-// TCPEndpoint is a Transport over real sockets: persistent pooled
-// connections carrying length-prefixed frames tagged with request ids, so
+// TCPEndpoint is a Transport over real sockets: one persistent connection
+// per peer carrying length-prefixed frames tagged with request ids, so
 // many in-flight Calls multiplex over one connection in each direction.
 // Each connection opens with a hello that confirms the binary codec. The
 // server side reads frames in a loop and hands each request to a handler
@@ -110,7 +108,6 @@ type TCPEndpoint struct {
 // free port).
 func ListenTCP(bind string, options ...TCPOption) (*TCPEndpoint, error) {
 	opts := tcpOptions{
-		poolSize:    defaultPoolSize,
 		callTimeout: defaultCallTimeout,
 		idleTimeout: defaultIdleTimeout,
 		maxInflight: defaultMaxInflight,
@@ -127,7 +124,7 @@ func ListenTCP(bind string, options ...TCPOption) (*TCPEndpoint, error) {
 	}
 	e := &TCPEndpoint{
 		ln:         ln,
-		pool:       newPool(opts.poolSize, opts.callTimeout, opts.callTimeout, opts.maxInflight, opts.tlsConf),
+		pool:       newPool(opts.callTimeout, opts.callTimeout, opts.maxInflight, opts.tlsConf),
 		opts:       opts,
 		slots:      make(chan struct{}, opts.maxInflight),
 		workers:    resident.New[serverJob](opts.maxInflight),
@@ -326,8 +323,8 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	}
 }
 
-// CallCtx implements Transport. It multiplexes the call over a pooled
-// persistent connection; if the connection turns out to be stale before
+// CallCtx implements Transport. It multiplexes the call over the peer's
+// pooled persistent connection; if the connection turns out to be stale before
 // the request is sent (e.g. the peer restarted since it was dialed) it
 // evicts it and retries once on a fresh dial. Once the request may have
 // reached the peer, a failure returns without retrying — at-most-once

@@ -37,7 +37,6 @@ func listen(t testing.TB, h Handler, opts ...TCPOption) *TCPEndpoint {
 
 // Endpoint settings tests shrink. Production endpoints run at the
 // default* constants; only WithTLS is exported.
-func withPoolSize(n int) TCPOption              { return func(o *tcpOptions) { o.poolSize = n } }
 func withIdleTimeout(d time.Duration) TCPOption { return func(o *tcpOptions) { o.idleTimeout = d } }
 func withMaxInflight(n int) TCPOption           { return func(o *tcpOptions) { o.maxInflight = n } }
 
@@ -287,7 +286,7 @@ func TestClientInflightCapOverload(t *testing.T) {
 		return &Response{OK: true}
 	})
 	server := listen(t, slow)
-	client := listen(t, nil, withMaxInflight(2), withPoolSize(1))
+	client := listen(t, nil, withMaxInflight(2))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

@@ -4,14 +4,14 @@
 // tests and single-process clusters, and a pooled, multiplexed TCP fabric
 // for real deployments.
 //
-// The TCP fabric keeps a small pool of persistent connections per peer
-// (lazy dial, idle reaping) and multiplexes many in-flight calls over each
-// connection: every frame is [4-byte length][8-byte request id][payload],
-// a per-connection demux loop routes responses to their waiting callers by
-// id, and a broken connection fails its in-flight calls, is evicted from
-// the pool, and is replaced by a fresh dial on the next call; a call that
-// finds every connection slot to its peer mid-dial waits for a dial to
-// land no longer than its own context allows. The payload
+// The TCP fabric keeps one persistent connection per peer (lazy dial,
+// idle reaping) and multiplexes many in-flight calls over it: every frame
+// is [4-byte length][8-byte request id][payload], a per-connection demux
+// loop routes responses to their waiting callers by id, and a broken
+// connection fails its in-flight calls, is evicted from the pool, and is
+// replaced by a fresh dial on the next call; a call that finds its peer's
+// connection mid-dial waits for that dial no longer than its own context
+// allows. The payload
 // is a compact binary tag/length/value format, confirmed once per
 // connection by a 5-byte hello that carries its version; a connection that
 // opens without it is refused. Connections can be TLS-wrapped end to end

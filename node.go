@@ -20,7 +20,7 @@ import (
 // internal/core, the one the graph simulator runs, at its default
 // settings (12 samples of 8 walk steps per median, 10-step draws, two
 // choices). A lookup sends one probe per hop. Nor are the transport and
-// the route cache: every node keeps 2 pooled connections per peer, gives
+// the route cache: every node keeps one pooled connection per peer, gives
 // a call without a deadline 5 s, reaps connections idle for 60 s, sheds
 // work past 256 in-flight calls or running handlers, and caches the
 // owners of 128 arcs for 2 s each.
