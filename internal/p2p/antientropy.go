@@ -89,6 +89,36 @@ func (n *Node) syncChain(ctx context.Context, targets []transport.PeerRef, arc k
 	return total
 }
 
+// digestRound opens a sync round with peer over arc, in either direction:
+// it fetches the peer's digest leaf vector for the arc and, where it
+// differs from this node's, pulls the peer's per-key states for the
+// mismatched buckets — with their values when values is set. pull is nil
+// when the round ends there: a call failed, or the digests agree.
+func (n *Node) digestRound(ctx context.Context, peer transport.PeerRef, arc keyspace.Range, values bool) (st SyncStats, diff []int, pull *transport.Response) {
+	st.Rounds++
+	n.mu.Lock()
+	mine := n.store.DigestLeaves()
+	n.mu.Unlock()
+	req := &transport.Request{Op: transport.OpDigest, Range: arc, Depth: antientropy.DefaultDepth, From: n.self}
+	resp, err := n.tr.CallCtx(ctx, peer.Addr, req)
+	st.Messages++
+	if err != nil || !resp.OK {
+		return st, nil, nil
+	}
+	diff = antientropy.DiffLeaves(mine, resp.Digest)
+	st.LeavesDiffed = len(diff)
+	if len(diff) == 0 {
+		return st, nil, nil
+	}
+	req = &transport.Request{Op: transport.OpSyncPull, Range: arc, Depth: antientropy.DefaultDepth, Buckets: diff, Values: values, From: n.self}
+	pull, err = n.tr.CallCtx(ctx, peer.Addr, req)
+	st.Messages++
+	if err != nil || !pull.OK {
+		return st, diff, nil
+	}
+	return st, diff, pull
+}
+
 // syncTarget reconciles one replica against the owner's arc:
 //
 //  1. digest: fetch the replica's leaf vector for the arc and compare it
@@ -103,31 +133,8 @@ func (n *Node) syncChain(ctx context.Context, targets []transport.PeerRef, arc k
 // retries. Writes racing the sync can leave a transient mismatch that the
 // next round repairs — the protocol is a convergence loop, not a barrier.
 func (n *Node) syncTarget(ctx context.Context, target transport.PeerRef, arc keyspace.Range) SyncStats {
-	var st SyncStats
-	st.Rounds++
-
-	n.mu.Lock()
-	mine := n.store.DigestLeaves()
-	n.mu.Unlock()
-
-	resp, err := n.tr.CallCtx(ctx, target.Addr, &transport.Request{
-		Op: transport.OpDigest, Range: arc, Depth: antientropy.DefaultDepth, From: n.self,
-	})
-	st.Messages++
-	if err != nil || !resp.OK {
-		return st
-	}
-	diff := antientropy.DiffLeaves(mine, resp.Digest)
-	st.LeavesDiffed = len(diff)
-	if len(diff) == 0 {
-		return st
-	}
-
-	pull, err := n.tr.CallCtx(ctx, target.Addr, &transport.Request{
-		Op: transport.OpSyncPull, Range: arc, Depth: antientropy.DefaultDepth, Buckets: diff, From: n.self,
-	})
-	st.Messages++
-	if err != nil || !pull.OK {
+	st, diff, pull := n.digestRound(ctx, target, arc, false)
+	if pull == nil {
 		return st
 	}
 
@@ -220,32 +227,8 @@ func (n *Node) readRepair(replica transport.PeerRef) {
 // Adopted keys count as KeysPushed/TombsPushed — they are the keys the
 // round moved.
 func (n *Node) pullFromReplica(ctx context.Context, replica transport.PeerRef, arc keyspace.Range) SyncStats {
-	var st SyncStats
-	st.Rounds++
-
-	n.mu.Lock()
-	mine := n.store.DigestLeaves()
-	n.mu.Unlock()
-
-	resp, err := n.tr.CallCtx(ctx, replica.Addr, &transport.Request{
-		Op: transport.OpDigest, Range: arc, Depth: antientropy.DefaultDepth, From: n.self,
-	})
-	st.Messages++
-	if err != nil || !resp.OK {
-		return st
-	}
-	diff := antientropy.DiffLeaves(mine, resp.Digest)
-	st.LeavesDiffed = len(diff)
-	if len(diff) == 0 {
-		return st
-	}
-
-	pull, err := n.tr.CallCtx(ctx, replica.Addr, &transport.Request{
-		Op: transport.OpSyncPull, Range: arc, Depth: antientropy.DefaultDepth,
-		Buckets: diff, Values: true, From: n.self,
-	})
-	st.Messages++
-	if err != nil || !pull.OK {
+	st, _, pull := n.digestRound(ctx, replica, arc, true)
+	if pull == nil {
 		return st
 	}
 

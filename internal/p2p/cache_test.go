@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
@@ -64,9 +65,9 @@ func ownerArc(t *testing.T, owner *Node) keyspace.Range {
 
 // TestRouteCacheArcHit pins what caching by the owner's arc buys: once one
 // op has walked to an owner, a put and a get on a different key of the
-// same arc each go straight there — one message, no walk through the
-// owner's predecessor. A get right after the reader's own overwrite is
-// still one message, and Cost counts it.
+// same arc each go straight there — one find_owner carrying the op, no
+// walk through the owner's predecessor. A get right after the reader's
+// own overwrite is still one message, and Cost counts it.
 func TestRouteCacheArcHit(t *testing.T) {
 	nodes, trs, _ := countedRing(t, 16, Config{}, true, true, nil)
 	entry, tr, owner := nodes[0], trs[0], nodes[6]
@@ -84,22 +85,25 @@ func TestRouteCacheArcHit(t *testing.T) {
 	}
 	hits := entry.State().RouteHits
 
-	check := func(name string, res OpResult, err error) {
+	check := func(op transport.Op, res OpResult, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", op, err)
 		}
 		if res.Cost != 1 || tr.calls() != 1 || res.Owner.Addr != owner.Self().Addr {
-			t.Errorf("%s on another key of the arc cost %d and sent %d calls to %s; want 1 and 1 to %s", name, res.Cost, tr.calls(), res.Owner.Addr, owner.Self().Addr)
+			t.Errorf("%s on another key of the arc cost %d and sent %d calls to %s; want 1 and 1 to %s", op, res.Cost, tr.calls(), res.Owner.Addr, owner.Self().Addr)
+		}
+		if carried := tr.get(tr.sentCarry, op); carried != 1 {
+			t.Errorf("%s sent %d find_owner calls carrying it, want 1", op, carried)
 		}
 		tr.reset()
 	}
 	tr.reset()
 	for _, v := range []string{"second", "third"} {
 		put, err := entry.Put(bg, other, []byte(v))
-		check("put", put, err)
+		check(transport.OpPut, put, err)
 		get, err := entry.Get(bg, other)
-		check("get", get, err)
+		check(transport.OpGet, get, err)
 		if !get.Found || string(get.Value) != v {
 			t.Errorf("get = %+v, want %s", get, v)
 		}
@@ -372,8 +376,9 @@ func TestRouteCacheOwnerCrashChainFallback(t *testing.T) {
 }
 
 // TestCachedGetAllocs pins what a cached remote read allocates on an r = 3
-// ring: the read visits the owner, then its chain, without building a
-// slice of the two per read.
+// ring: the get is built once, as the find_owner that carries it, and the
+// read visits the owner, then its chain, without building a slice of the
+// two per read.
 func TestCachedGetAllocs(t *testing.T) {
 	c, err := NewCluster(bg, ClusterConfig{Size: 8, Seed: 7, Replicas: 3})
 	if err != nil {
@@ -396,8 +401,42 @@ func TestCachedGetAllocs(t *testing.T) {
 	if n.State().RouteHits == hits {
 		t.Fatal("the reads missed the route cache: the test shows nothing")
 	}
-	// An owner+chain slice built per read would be a sixth.
-	if allocs > 5 {
-		t.Errorf("a cached get allocates %.1f times, want at most 5", allocs)
+	// An owner+chain slice built per read, or a carried copy of the
+	// get, would be a fifth.
+	if allocs > 4 {
+		t.Errorf("a cached get allocates %.1f times, want at most 4", allocs)
+	}
+}
+
+// TestCachedPutAllocs pins what a cached remote put allocates at r = 1
+// and at r = 3, where the owner's answer names the chain the put is then
+// pushed to: the carried request is built once and the owner's find_owner
+// answer shares the put's chain.
+func TestCachedPutAllocs(t *testing.T) {
+	for _, tc := range []struct{ replicas, max int }{{1, 6}, {3, 14}} {
+		t.Run(fmt.Sprintf("r=%d", tc.replicas), func(t *testing.T) {
+			c, err := NewCluster(bg, ClusterConfig{Size: 8, Seed: 7, Replicas: tc.replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			n := c.Nodes[0]
+			k, _ := pickRemoteKey(t, c, n)
+			put := func() {
+				if res, err := n.Put(bg, k, []byte("v")); err != nil || res.Acks != tc.replicas {
+					t.Fatalf("cached put: %+v, %v; want %d acks", res, err, tc.replicas)
+				}
+			}
+			put()
+			hits := n.State().RouteHits
+			allocs := testing.AllocsPerRun(200, put)
+			if n.State().RouteHits == hits {
+				t.Fatal("the puts missed the route cache: the test shows nothing")
+			}
+			t.Logf("allocs %.1f", allocs)
+			if allocs > float64(tc.max) {
+				t.Errorf("a cached put allocates %.1f times, want at most %d", allocs, tc.max)
+			}
+		})
 	}
 }

@@ -556,10 +556,10 @@ func TestCarriedOpStaleSafety(t *testing.T) {
 	}
 }
 
-// TestCarriedOpIgnored pins the fallback for a responder that answers
-// Found without running the op it was handed (a peer that predates the
-// carry tag skips it by length): every op still completes, through the
-// direct data RPC, at one message more than the walk.
+// TestCarriedOpIgnored pins the direct data RPC a route without a result
+// takes — an owner reached by a backtrack, or a chain head standing in for
+// a dead cached owner — by stripping the carry tag at every responder:
+// every op still completes, at one message more than the walk.
 func TestCarriedOpIgnored(t *testing.T) {
 	nodes, trs, _ := carryRing(t, 4, false, nil)
 	for _, tr := range trs {

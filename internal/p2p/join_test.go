@@ -147,28 +147,30 @@ func (f *failLaterMigrates) CallCtx(ctx context.Context, addr transport.Addr, re
 	return f.Transport.CallCtx(ctx, addr, req)
 }
 
-// TestJoinCrashBetweenMigrateChunks crashes a joiner whose arc spans more
-// than two migrate chunks right after it pulled the first: its later
-// migrates are never delivered, or run at the old owner with the reply
-// lost, so the join stops after chunk 1, and the joiner is closed before
-// any round. After 6 rounds, a second joiner just past the old owner and 6
-// more rounds, every acked key reads back at r = 3.
+// TestJoinCrashBetweenMigrateChunks fails the later migrates of a joiner
+// whose arc spans more than two migrate chunks, right after it pulled the
+// first: they are never delivered, or run at the old owner with the reply
+// lost, so the join's migration stops after chunk 1. The joiner is closed
+// before any round, or, with the replies lost, also left up: it must then
+// adopt the extracted chunks from the old owner's replica copies. After 6
+// rounds, a second joiner just past the old owner and 6 more rounds, every
+// acked key reads back at r = 3.
 func TestJoinCrashBetweenMigrateChunks(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		run  bool
-	}{{"undelivered", false}, {"reply lost", true}} {
+		name      string
+		run, stay bool
+	}{{"undelivered", false, false}, {"reply lost", true, false}, {"reply lost, joiner stays up", true, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					joinCrashBetweenChunks(t, seed, tc.run)
+					joinCrashBetweenChunks(t, seed, tc.run, tc.stay)
 				})
 			}
 		})
 	}
 }
 
-func joinCrashBetweenChunks(t *testing.T, seed int64, run bool) {
+func joinCrashBetweenChunks(t *testing.T, seed int64, run, stay bool) {
 	c, err := NewCluster(bg, ClusterConfig{Size: 16, Seed: seed, Replicas: 3, Degrees: degreedist.Constant(4)})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +207,9 @@ func joinCrashBetweenChunks(t *testing.T, seed int64, run bool) {
 	if took := joiner.State().JoinItems; took == 0 || took > maxReplicateItems || tr.migrates < 2 {
 		t.Fatalf("the joiner took %d keys in %d migrates, want one chunk and a failed second: the test shows nothing", took, tr.migrates)
 	}
-	_ = joiner.Close()
+	if !stay {
+		_ = joiner.Close()
+	}
 	c.Nodes = append(c.Nodes, joiner)
 	for range 6 {
 		c.StabilizeAll(bg)

@@ -106,10 +106,10 @@ const (
 	minTombstoneTTL = 10 * time.Minute
 	// routeCacheArcs bounds the per-node LRU of owner+chain resolutions,
 	// counted in arcs: an entry covers the owner's whole arc (pred, owner],
-	// so a hit on any key of it lets data ops skip the routing walk. Every
-	// hit is re-validated against the ring (ownership gates for writes, a
-	// direct find_owner for reads) before being trusted, so a stale entry
-	// costs one wasted RPC, never a wrong answer.
+	// so a hit on any key of it lets data ops skip the routing walk. A hit
+	// sends the op inside one find_owner that the cached owner must answer
+	// Found (see resolve), so a stale entry costs one wasted RPC, never a
+	// wrong answer.
 	routeCacheArcs = 128
 	// routeCacheTTL ages route-cache entries.
 	routeCacheTTL = 2 * time.Second
@@ -234,10 +234,10 @@ type Node struct {
 
 	// routes caches owner+chain resolutions by the owner's arc so data ops
 	// on any key of it skip the routing walk. It is a freshness cache
-	// only — every use is validated against the ring (see resolveRead /
-	// dataOp) — and is flushed on membership change. nil when disabled;
-	// routecache methods are nil-safe.
-	routes *routecache.Cache[routeEntry]
+	// only — resolve is its one user and confirms every hit with the
+	// owner's Found — and is flushed on membership change. nil when
+	// disabled; routecache methods are nil-safe.
+	routes *routecache.Cache[route]
 	// Cache effectiveness counters, surfaced through State. Atomics:
 	// they are bumped on the read path without n.mu.
 	routeHits, routeMisses atomic.Uint64
@@ -246,17 +246,6 @@ type Node struct {
 
 	// legs run the fan-outs' handed-off legs (see parallel).
 	legs *resident.Pool[legJob]
-}
-
-// routeEntry is one cached owner resolution: the peer that owned arc
-// when it was cached, plus its replica chain for read fallback. arc is
-// what the entry is cached under — the owner's arc when its Found answer
-// carried one, else the one key that was resolved — so a refresh on a hit
-// keeps it.
-type routeEntry struct {
-	owner transport.PeerRef
-	chain []transport.PeerRef
-	arc   keyspace.Range
 }
 
 // NewNode creates a node on the given transport and starts serving its
@@ -274,7 +263,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		rnd:  &lockedRand{r: rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Key)))},
 		legs: resident.New[legJob](maxParkedLegs),
 	}
-	n.routes = routecache.New[routeEntry](routeCacheArcs, routeCacheTTL)
+	n.routes = routecache.New[route](routeCacheArcs, routeCacheTTL)
 	n.pred = n.self
 	if cfg.DataDir != "" {
 		// Recovery runs before anything serves: the stores NewNode
@@ -538,13 +527,22 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		// ride; anything else is ignored and the requester, seeing no
 		// Result, sends it directly.
 		resp := n.findOwnerLocked(req.Key, req.Exclude)
-		if resp.Found {
-			switch req.Carry {
-			case transport.OpGet, transport.OpPut, transport.OpDelete, transport.OpScan:
-				op := *req
-				op.Op, op.Carry = req.Carry, ""
-				resp.Result = n.handleLocked(&op, borrowed)
-			}
+		if !resp.Found {
+			return resp
+		}
+		switch req.Carry {
+		case transport.OpGet, transport.OpPut, transport.OpDelete, transport.OpScan:
+			op := *req
+			op.Op, op.Carry = req.Carry, ""
+			resp.Result = n.handleLocked(&op, borrowed)
+		}
+		// Peers carries the owner's replica chain, so the querier can fall
+		// back through it if the owner crashes before the data RPC. A write
+		// that ran names the same chain, read in this lock hold: share it.
+		if r := resp.Result; r != nil && r.Peers != nil && (req.Carry == transport.OpPut || req.Carry == transport.OpDelete) {
+			resp.Peers = r.Peers
+		} else {
+			resp.Peers = n.replicaTargetsLocked()
 		}
 		return resp
 
@@ -799,9 +797,8 @@ func (n *Node) neighborsLocked() *transport.Response {
 }
 
 // findOwnerLocked answers one iterative routing step: if this node owns the
-// key, Found is true (and Peers carries the owner's replica chain, so the
-// querier can fall back through it if the owner crashes before the data
-// RPC); otherwise Peer is the next hop routing.Rank picks, clockwise, from
+// key, Found is true (the find_owner handler adds the replica chain);
+// otherwise Peer is the next hop routing.Rank picks, clockwise, from
 // the successor list and the out-links, skipping the query's exclude set.
 // With every useful neighbour excluded it reports no route (OK=false) and
 // the querier backtracks.
@@ -818,7 +815,7 @@ func (n *Node) findOwnerLocked(key keyspace.Key, exclude []transport.Addr) *tran
 	}, routing.Clockwise)
 	switch ans {
 	case routing.Owned:
-		resp := &transport.Response{OK: true, Found: true, Peer: n.self, Peers: n.replicaTargetsLocked()}
+		resp := &transport.Response{OK: true, Found: true, Peer: n.self}
 		if arc, ok := n.arcLocked(); ok && n.succLocked().Addr != n.self.Addr {
 			resp.Arc = arc
 		}

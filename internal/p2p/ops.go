@@ -134,10 +134,7 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 			if (err == nil && mig.OK) || attempt >= 3 || ctx.Err() != nil {
 				break
 			}
-			select {
-			case <-ctx.Done():
-			case <-time.After(20 * time.Millisecond):
-			}
+			_ = sleepCtx(ctx, 20*time.Millisecond)
 		}
 		if err != nil || mig == nil || !mig.OK {
 			// Partial migration: the un-pulled remainder stays in the
@@ -145,7 +142,16 @@ func (n *Node) Join(ctx context.Context, introducer transport.Addr) error {
 			// it until a future join drains the range (chunking already
 			// shrank the blast radius — before it, a lost migrate response
 			// dropped the entire extracted arc). See ROADMAP: migration
-			// leases.
+			// leases. A chunk that ran with its reply lost is gone from
+			// the successor's primary store, but at r > 1 it keeps a
+			// replica copy of it: adopt, pass by pass, every key of the
+			// arc this node has neither a copy nor a tombstone of, before
+			// the first chain sync drops those copies as strays.
+			for n.cfg.Replicas > 1 {
+				if st := n.pullFromReplica(ctx, owner, arc); st.KeysPushed+st.TombsPushed == 0 {
+					break
+				}
+			}
 			break
 		}
 		if len(mig.Items) > 0 || len(mig.Tombs) > 0 {
@@ -358,11 +364,7 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 	}
 	if len(list) > 1 {
 		tail := list[1:] // entry 0 is the successor that just failed
-		addrs := make([]transport.Addr, len(tail))
-		for i, c := range tail {
-			addrs[i] = c.Addr
-		}
-		results, _ := n.fanoutReadRetry(ctx, addrs, &transport.Request{Op: transport.OpPing})
+		results, _ := n.fanoutReadRetry(ctx, addrsOf(tail), &transport.Request{Op: transport.OpPing})
 		if ctx.Err() != nil {
 			return // cancelled probes are not dead list entries
 		}
@@ -392,11 +394,7 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 			filtered = append(filtered, c)
 		}
 	}
-	addrs := make([]transport.Addr, len(filtered))
-	for i, c := range filtered {
-		addrs[i] = c.Addr
-	}
-	results, _ := n.fanoutReadRetry(ctx, addrs, &transport.Request{Op: transport.OpPing})
+	results, _ := n.fanoutReadRetry(ctx, addrsOf(filtered), &transport.Request{Op: transport.OpPing})
 	if ctx.Err() != nil {
 		return // cancelled sweep: keep the current (possibly stale) head
 	}
@@ -414,6 +412,15 @@ func (n *Node) adoptNextSuccessor(ctx context.Context) {
 	if best.Addr != "" && install([]transport.PeerRef{best}) {
 		_, _ = n.tr.CallCtx(ctx, best.Addr, &transport.Request{Op: transport.OpNotify, From: n.self})
 	}
+}
+
+// addrsOf lists the peers' addresses.
+func addrsOf(peers []transport.PeerRef) []transport.Addr {
+	addrs := make([]transport.Addr, len(peers))
+	for i, p := range peers {
+		addrs[i] = p.Addr
+	}
+	return addrs
 }
 
 // promoteLocked moves the replica state in arc, which the node now owns,
@@ -475,11 +482,7 @@ func (n *Node) syncReplicas(ctx context.Context) {
 		}
 	}
 	if changed {
-		chain := make([]transport.Addr, len(targets))
-		for i, p := range targets {
-			chain[i] = p.Addr
-		}
-		n.lastChain = chain
+		n.lastChain = addrsOf(targets)
 		// The first-r chain this node replicates to changed: cached
 		// resolutions carry chains for read fallback, so the membership
 		// shift makes all of them suspect.
@@ -538,8 +541,7 @@ func (n *Node) CountPeers(ctx context.Context, max int) int {
 // the message cost (routing steps plus dead-peer probes). Cancelling the
 // context aborts the walk between hops with ctx.Err().
 func (n *Node) Lookup(ctx context.Context, key keyspace.Key) (transport.PeerRef, int, error) {
-	rt, cost, err := n.walk(ctx, n.self.Addr, key, nil)
-	return rt.owner, cost, err
+	return n.lookupVia(ctx, n.self.Addr, key)
 }
 
 // lookupVia routes starting at a given peer; see walk.
@@ -548,11 +550,12 @@ func (n *Node) lookupVia(ctx context.Context, start transport.Addr, key keyspace
 	return rt.owner, cost, err
 }
 
-// route is what a walk resolved: the key's owner, the owner's replica
-// chain (the successor list entries holding copies of its arc; reads fall
-// back through it when the owner dies), the owner's arc when its Found
-// answer carried one (the zero Range otherwise), and — when the walk
-// carried an op and the owner ran it — that op's response.
+// route is what a walk or the route cache resolved: the key's owner, the
+// owner's replica chain (the successor list entries holding copies of its
+// arc; ops fall back through it when the owner dies), the owner's arc when
+// its Found answer carried one (the zero Range otherwise; a cached route's
+// arc is the one it is cached under), and — when the route carried an op
+// and the owner ran it — that op's response.
 type route struct {
 	owner  transport.PeerRef
 	chain  []transport.PeerRef
@@ -560,24 +563,49 @@ type route struct {
 	result *transport.Response
 }
 
-// cacheRoute caches a resolution of key under e.arc — the owner's arc, so
-// one walk serves every key the owner holds — or, when the owner sent no
-// arc (the zero Range, which is full), under key alone.
-func (n *Node) cacheRoute(key keyspace.Key, e routeEntry) {
-	if e.arc.IsFull() {
-		e.arc = keyspace.Range{Start: key, End: key + 1}
+// cacheRoute caches rt, a resolution of key, under rt.arc — the owner's
+// arc, so one walk serves every key the owner holds — or, when the owner
+// sent no arc (the zero Range, which is full), under key alone. An owner
+// that refused the op as not its own (its arc moved after the step that
+// named it) is not cached: the arc containing key is dropped instead, so
+// the op's retry walks.
+func (n *Node) cacheRoute(key keyspace.Key, rt route) {
+	if rt.result != nil && rt.result.Err == errNotOwner {
+		n.routes.Invalidate(key)
+		return
 	}
-	n.routes.PutArc(e.arc, e)
+	if rt.arc.IsFull() {
+		rt.arc = keyspace.Range{Start: key, End: key + 1}
+	}
+	rt.result = nil
+	n.routes.PutArc(rt.arc, rt)
 }
 
-// carried returns the find_owner request that routes toward key and asks
-// a responder that turns out to be the owner to run op in the same
-// message (see transport.Request.Carry). op's arguments ride along in its
-// own fields.
-func carried(op *transport.Request, key keyspace.Key, exclude []transport.Addr) *transport.Request {
+// A data op is built once, as the find_owner that routes toward its key
+// and asks a responder that turns out to be the owner to run the op in
+// the same message (see transport.Request.Carry); its arguments ride in
+// the request's own fields. direct returns the data RPC op carries, for
+// an owner reached without running it and for a replica chain.
+func direct(op *transport.Request) *transport.Request {
 	req := *op
-	req.Op, req.Carry, req.Key, req.Exclude = transport.OpFindOwner, op.Op, key, exclude
+	req.Op, req.Carry = op.Carry, ""
 	return &req
+}
+
+// isWrite reports whether op carries a put or a delete.
+func isWrite(op *transport.Request) bool {
+	return op.Carry == transport.OpPut || op.Carry == transport.OpDelete
+}
+
+// send sends one hop of a route under readRetry, which rides out
+// transient unreachability, unless it carries a write: that is the data
+// RPC, re-sent only when shed (callRetry), since an unanswered write may
+// have run and a second send could apply it twice.
+func (n *Node) send(ctx context.Context, addr transport.Addr, req *transport.Request) (*transport.Response, int, error) {
+	if isWrite(req) {
+		return n.callRetry(ctx, addr, req)
+	}
+	return n.readRetry(ctx, addr, req)
 }
 
 // walk routes to the owner of key starting at a given peer, and — given
@@ -595,12 +623,11 @@ func carried(op *transport.Request, key keyspace.Key, exclude []transport.Addr) 
 // the previous responder named as the owner — key ∈ (responder, target],
 // which is how every walk arrives, because long links never overshoot.
 // Intermediate hops stay plain find_owner queries. A hop carrying a put
-// or a delete is sent under the data RPC's contract, not the walk's: it
-// is re-sent only when shed (never executed), and an ambiguous failure
-// ends the op with an error instead of excluding the peer and re-sending
-// the write somewhere else. A route that comes back without a result —
-// the owner was reached by a plain hop, or ignored the op — leaves the
-// op to the caller's direct RPC.
+// or a delete is sent under the data RPC's contract (send), and an
+// ambiguous failure ends the op with an error instead of excluding the
+// peer and re-sending the write somewhere else. A route whose owner was
+// reached by a plain hop (a backtrack) comes back without a result and
+// leaves the op to the caller's direct RPC.
 //
 // The context is checked before every hop and a transport failure caused by
 // cancellation surfaces as ctx.Err() rather than being mistaken for a dead
@@ -644,11 +671,12 @@ func (w *walker) Ask(cur transport.Addr, key keyspace.Key, bad []transport.Addr)
 	}
 	n, op := w.n, w.op
 	var probe *transport.Request
-	call, carriesWrite := n.readRetry, false
 	if op != nil && (cur == n.self.Addr || w.named) {
-		probe = carried(op, key, bad)
-		if op.Op == transport.OpPut || op.Op == transport.OpDelete {
-			call, carriesWrite = n.callRetry, true
+		probe = op
+		if len(bad) > 0 {
+			c := *op
+			c.Exclude = bad
+			probe = &c
 		}
 	} else {
 		probe = &transport.Request{Op: transport.OpFindOwner, Key: key, Exclude: bad}
@@ -657,7 +685,7 @@ func (w *walker) Ask(cur transport.Addr, key keyspace.Key, bad []transport.Addr)
 	// this node takes on itself — the walk's first, or a later one when
 	// churn routes the walk back through its entry node — is dispatched
 	// in-process (callRetry) and costs nothing.
-	resp, sends, err := call(w.ctx, cur, probe)
+	resp, sends, err := n.send(w.ctx, cur, probe)
 	w.cost += sends
 	if err != nil || !resp.OK {
 		if cerr := w.ctx.Err(); cerr != nil {
@@ -670,10 +698,10 @@ func (w *walker) Ask(cur transport.Addr, key keyspace.Key, bad []transport.Addr)
 			// the caller decide to retry the whole operation.
 			return "", 0, fmt.Errorf("p2p: lookup via %s: %w", cur, err)
 		}
-		if err != nil && carriesWrite {
+		if err != nil && isWrite(probe) {
 			// The write may have run with its ack lost: re-sending it
 			// anywhere could apply it twice.
-			return "", 0, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Op, err)
+			return "", 0, fmt.Errorf("p2p: %s: owner unreachable: %w", op.Carry, err)
 		}
 		w.named, w.curKeyed = false, false
 		if err != nil {
@@ -706,34 +734,36 @@ func (w *walker) Alive(addrs []transport.Addr) ([]bool, error) {
 	return alive, nil
 }
 
-// resolveRead resolves key → owner + replica chain for a read and runs
-// the read op (a get or one scan page) at the owner in the same messages,
+// resolve resolves key → owner + replica chain and runs op — a get, a
+// put, a delete or one scan page — at the owner in the same messages,
 // consulting the route cache first. A hit — the cached arc of an owner
-// contains key — sends one find_owner carrying the op straight to that
-// owner: Found from the gate that terminates every real walk confirms the
-// resolution, refreshes the chain and answers the read, so a multi-hop
-// walk plus a data RPC collapse to one message. Anything else falls back
-// to the full walk — an overloaded owner keeps its entry (alive, just
-// shedding), any other answer drops the arc containing key. A successful
-// resolve (either path) re-primes the cache.
+// contains key — sends one find_owner carrying op straight to that owner,
+// under the rule every carried hop follows (send): Found from the gate
+// that terminates every real walk confirms the resolution, refreshes the
+// chain and runs the op, so a multi-hop walk plus a data RPC collapse to
+// one message. Anything else falls back to the full walk — an overloaded
+// owner keeps its entry (alive, just shedding), any other answer drops
+// the arc containing key. A successful resolve (either path) re-primes
+// the cache.
 //
 // A cached owner that does not answer at all crashed after it last did.
-// Until its predecessor repairs, every walk dead-ends there, so the read
+// Until its predecessor repairs, every walk dead-ends there, so the op
 // goes to the replica chain the owner last named instead: its head stands
 // in as the owner — it inherits the arc — and the rest stay the chain.
-func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.Request) (route, int, error) {
+// That route comes back without a result, and the caller sends op there.
+func (n *Node) resolve(ctx context.Context, key keyspace.Key, op *transport.Request) (route, int, error) {
 	cost := 0
 	if ent, ok := n.routes.Get(key); ok {
-		resp, sends, err := n.readRetry(ctx, ent.owner.Addr, carried(op, key, nil))
+		resp, sends, err := n.send(ctx, ent.owner.Addr, op)
 		cost += sends
 		if cerr := ctx.Err(); cerr != nil {
 			return route{}, cost, cerr
 		}
 		if err == nil && resp.OK && resp.Found && resp.Peer.Addr == ent.owner.Addr {
 			n.routeHits.Add(1)
-			ent.chain = resp.Peers
+			ent.chain, ent.result = resp.Peers, resp.Result
 			n.cacheRoute(key, ent)
-			return route{owner: resp.Peer, chain: resp.Peers, result: resp.Result}, cost, nil
+			return ent, cost, nil
 		}
 		if !errors.Is(err, transport.ErrOverloaded) {
 			n.routes.Invalidate(key)
@@ -749,7 +779,7 @@ func (n *Node) resolveRead(ctx context.Context, key keyspace.Key, op *transport.
 	rt, c, err := n.walk(ctx, n.self.Addr, key, op)
 	cost += c
 	if err == nil {
-		n.cacheRoute(key, routeEntry{owner: rt.owner, chain: rt.chain, arc: rt.arc})
+		n.cacheRoute(key, rt)
 	}
 	return rt, cost, err
 }
@@ -780,100 +810,54 @@ type OpResult struct {
 	Acks int
 }
 
-// dataOp runs one write at the owner of key: the walk carries it, so it
-// costs the routing hops and no separate data RPC. The raw response is
-// returned alongside so write ops can read the replica chain the owner
-// piggybacks on it.
-//
-// The route cache short-circuits the walk: the owner whose cached arc
-// contains key is sent the op directly, with no validation RPC — the
-// write ops' own ownership gate is the validation. A stale entry earns a
-// typed errNotOwner (or an unreachable peer), which drops the arc and
-// falls back to the full walk without consuming one of the owner-moved
-// attempts: cache staleness is the cache's fault, not ring churn. The
-// direct RPC also serves a walk that found the owner without running the
-// op there.
+// dataOp runs one write at the owner of key through resolve, so a
+// cached route or the walk's last hop carries it and it costs no
+// separate data RPC. The raw response is returned alongside so write ops
+// can read the replica chain the owner piggybacks on it. A route that
+// comes back without a result — the owner reached by a backtrack, or the
+// chain head standing in for an unanswered cached owner — gets the op
+// as a direct RPC.
 //
 // A "not owner" rejection — from the gate behind the carried hop or the
 // direct RPC alike — means the arc moved after the routing step that
-// named the owner (a joiner spliced in): the op was definitely not
-// executed, so re-routing and retrying is safe for writes. The retry is
-// bounded and paced — one splice is a few notifies away from visible.
+// named the owner (a joiner spliced in, or the stand-in's predecessor has
+// not yet repaired): the op was definitely not executed, so re-routing
+// and retrying is safe for writes. The retry is bounded and paced — one
+// splice is a few notifies away from visible.
 func (n *Node) dataOp(ctx context.Context, key keyspace.Key, req *transport.Request) (OpResult, *transport.Response, error) {
 	const ownerMoves = 3
 	var res OpResult
-	cacheTried := false
-	for attempt := 0; ; {
-		var owner transport.PeerRef
-		var arc keyspace.Range // what the route is cached under on success
-		fromCache := false
-		if !cacheTried && attempt == 0 {
-			cacheTried = true
-			if ent, ok := n.routes.Get(key); ok {
-				owner, arc, fromCache = ent.owner, ent.arc, true
-			} else if n.routes != nil {
-				n.routeMisses.Add(1)
-			}
+	for attempt := 0; ; attempt++ {
+		rt, cost, err := n.resolve(ctx, key, req)
+		res.Cost += cost
+		if err != nil {
+			return res, nil, err
 		}
-		var resp *transport.Response
-		var err error
-		if owner.Addr == "" {
-			rt, cost, werr := n.walk(ctx, n.self.Addr, key, req)
-			res.Cost += cost
-			if werr != nil {
-				return res, nil, werr
-			}
-			owner, arc, resp = rt.owner, rt.arc, rt.result
-		}
-		res.Owner = owner
+		res.Owner = rt.owner
+		resp := rt.result
 		if resp == nil {
 			var sends int
-			resp, sends, err = n.callRetry(ctx, owner.Addr, req)
+			resp, sends, err = n.callRetry(ctx, rt.owner.Addr, direct(req))
 			res.Cost += sends
 		}
-		if err == nil && resp != nil && !resp.OK && resp.Err == errNotOwner {
-			n.routes.Invalidate(key)
-			if fromCache {
-				// Stale cache entry, not a mid-op arc move: re-resolve for
-				// free via the full walk.
-				n.routeMisses.Add(1)
-				continue
-			}
+		if err == nil && !resp.OK && resp.Err == errNotOwner {
 			if attempt < ownerMoves {
-				attempt++
-				select {
-				case <-ctx.Done():
-					return res, nil, ctx.Err()
-				case <-time.After(5 * time.Millisecond):
+				if serr := sleepCtx(ctx, 5*time.Millisecond); serr != nil {
+					return res, nil, serr
 				}
 				continue
 			}
-			return res, nil, fmt.Errorf("p2p: %s: owner of key moved during the op", req.Op)
+			return res, nil, fmt.Errorf("p2p: %s: owner of key moved during the op", req.Carry)
 		}
 		if err != nil || !resp.OK {
 			if cerr := ctx.Err(); cerr != nil {
 				return res, nil, cerr
 			}
-			if fromCache && !errors.Is(err, transport.ErrOverloaded) {
-				// The cached owner is gone. Drop every resolution pointing
-				// at it and re-resolve via the full walk, which will route
-				// around the corpse.
-				n.routeMisses.Add(1)
-				dead := owner.Addr
-				n.routes.InvalidateMatching(func(_ keyspace.Key, e routeEntry) bool {
-					return e.owner.Addr == dead
-				})
-				continue
-			}
 			if errors.Is(err, transport.ErrOverloaded) {
-				return res, nil, fmt.Errorf("p2p: %s: owner overloaded: %w", req.Op, err)
+				return res, nil, fmt.Errorf("p2p: %s: owner overloaded: %w", req.Carry, err)
 			}
-			return res, nil, fmt.Errorf("p2p: %s: owner unreachable: %w", req.Op, err)
+			return res, nil, fmt.Errorf("p2p: %s: owner unreachable: %w", req.Carry, err)
 		}
-		if fromCache {
-			n.routeHits.Add(1)
-		}
-		n.cacheRoute(key, routeEntry{owner: owner, chain: resp.Peers, arc: arc})
 		res.Replaced, res.Found, res.Value = resp.Found, resp.Found, resp.Value
 		return res, resp, nil
 	}
@@ -893,11 +877,7 @@ func (n *Node) pushReplicas(ctx context.Context, targets []transport.PeerRef, re
 	if len(targets) == 0 {
 		return 0, 0
 	}
-	addrs := make([]transport.Addr, len(targets))
-	for i, p := range targets {
-		addrs[i] = p.Addr
-	}
-	results, msgs := n.fanoutRetry(ctx, addrs, req)
+	results, msgs := n.fanoutRetry(ctx, addrsOf(targets), req)
 	for _, r := range results {
 		if r.OK() {
 			acks += r.Resp.Acks
@@ -927,13 +907,13 @@ func (n *Node) Put(ctx context.Context, key keyspace.Key, value []byte) (OpResul
 // context surfaces as the context's error, never as a fabricated
 // write-concern failure.
 func (n *Node) PutW(ctx context.Context, key keyspace.Key, value []byte, w int) (OpResult, error) {
-	return n.write(ctx, &transport.Request{Op: transport.OpPut, Key: key, Value: value, From: n.self},
+	return n.write(ctx, &transport.Request{Op: transport.OpFindOwner, Carry: transport.OpPut, Key: key, Value: value, From: n.self},
 		&transport.Request{Op: transport.OpReplicate, Items: []storage.Item{{Key: key, Value: value}}, From: n.self}, w)
 }
 
-// write runs req, a put or a delete, at the owner of req.Key, pushes
-// repl to the owner's replica chain and checks the acks of both against
-// the write concern w: PutW's and DeleteW's contract.
+// write runs req, a find_owner carrying a put or a delete, at the owner of
+// req.Key, pushes repl to the owner's replica chain and checks the acks of
+// both against the write concern w: PutW's and DeleteW's contract.
 func (n *Node) write(ctx context.Context, req, repl *transport.Request, w int) (OpResult, error) {
 	res, resp, err := n.dataOp(ctx, req.Key, req)
 	if err != nil {
@@ -972,8 +952,8 @@ func (n *Node) write(ctx context.Context, req, repl *transport.Request, w int) (
 // replica and re-syncs its trailing chain, asynchronously and counted in
 // its anti-entropy stats — fallback reads heal the data path they expose.
 func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
-	req := &transport.Request{Op: transport.OpGet, Key: key, From: n.self}
-	rt, cost, err := n.resolveRead(ctx, key, req)
+	req := &transport.Request{Op: transport.OpFindOwner, Carry: transport.OpGet, Key: key, From: n.self}
+	rt, cost, err := n.resolve(ctx, key, req)
 	if err != nil {
 		return OpResult{Cost: cost}, err
 	}
@@ -1007,7 +987,7 @@ func (n *Node) Get(ctx context.Context, key keyspace.Key) (OpResult, error) {
 				call = n.readRetry
 			}
 			var sends int
-			resp, sends, err = call(ctx, t.Addr, req)
+			resp, sends, err = call(ctx, t.Addr, direct(req))
 			res.Cost += sends
 		}
 		if err != nil || !resp.OK {
@@ -1076,7 +1056,7 @@ func (n *Node) Delete(ctx context.Context, key keyspace.Key) (OpResult, error) {
 // ErrWriteConcern while the delete holds wherever it was acked (and its
 // tombstone propagates to the rest via anti-entropy).
 func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, error) {
-	return n.write(ctx, &transport.Request{Op: transport.OpDelete, Key: key, From: n.self},
+	return n.write(ctx, &transport.Request{Op: transport.OpFindOwner, Carry: transport.OpDelete, Key: key, From: n.self},
 		&transport.Request{Op: transport.OpReplicateDel, Key: key, From: n.self}, w)
 }
 

@@ -83,7 +83,8 @@ func (n *Node) NewScanSession(start, end keyspace.Key) *ScanSession {
 func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want int) (ScanChunk, error) {
 	var out ScanChunk
 	rem := keyspace.Range{Start: cursor, End: s.rg.End}
-	req := &transport.Request{Op: transport.OpScan, Range: rem, Limit: want, From: s.n.self}
+	op := &transport.Request{Op: transport.OpFindOwner, Carry: transport.OpScan, Key: cursor, Range: rem, Limit: want, From: s.n.self}
+	req := direct(op)
 	// retryUntil is zero until the first full resume failure (owner and
 	// chain both unreachable); from then on it bounds the churn-recovery
 	// retries for this page.
@@ -97,7 +98,7 @@ func (s *ScanSession) NextPage(ctx context.Context, cursor keyspace.Key, want in
 		var resp *transport.Response
 		var err error
 		if !s.have {
-			rt, cost, rerr := s.n.resolveRead(ctx, cursor, req)
+			rt, cost, rerr := s.n.resolve(ctx, cursor, op)
 			out.Cost += cost
 			if rerr != nil {
 				// Routing itself fails transiently while the ring digests a

@@ -1,8 +1,8 @@
 // Package routecache provides the route cache: a small bounded LRU of
-// owner resolutions on the lookup/read path. It is a freshness cache,
-// never authority — every consumer validates an entry against the ring
-// (the owner's ownership gate, a direct find_owner) before trusting it, so
-// the cache is allowed to be stale without ever being wrong.
+// owner resolutions for the data ops. It is a freshness cache, never
+// authority — its consumer sends an op to a cached owner only inside a
+// find_owner, which the owner must answer Found for the op to run — so the
+// cache is allowed to be stale without ever being wrong.
 //
 // An entry covers a clockwise arc of keys, not one key: a live node stores
 // an owner under the arc it owns, (pred, owner], so one resolution serves
@@ -150,25 +150,6 @@ func (c *Cache[V]) Invalidate(k keyspace.Key) {
 	defer c.mu.Unlock()
 	if el := c.containingLocked(k); el != nil {
 		c.removeLocked(el)
-	}
-}
-
-// InvalidateMatching drops every entry the predicate selects — e.g. all
-// resolutions pointing at a peer that just proved unreachable. k is the
-// first key of the entry's arc: the key itself for a one-key entry.
-func (c *Cache[V]) InvalidateMatching(pred func(k keyspace.Key, v V) bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*entry[V])
-		if pred(e.arc.Start, e.val) {
-			c.removeLocked(el)
-		}
 	}
 }
 

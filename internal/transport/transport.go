@@ -217,14 +217,13 @@ type Response struct {
 	InDeg int
 	// Result, on a find_owner that answered Found, is the response of the
 	// op the request carried (Request.Carry), executed at the responder.
-	// Nil means the op did not run here — no op was carried, or the
-	// responder predates carrying — and the requester sends it directly.
+	// Nil means no op was carried, or none of the four data ops.
 	Result *Response
 	// Arc, on a find_owner that answered Found, is the owner's arc
 	// (pred, owner] as the clockwise range {pred.Key+1, owner.Key+1}: the
 	// requester may route every key of it to this owner. The zero value —
 	// a full range — means the owner sent no arc: it has no distinct
-	// predecessor to bound one, or it predates the field.
+	// predecessor to bound one, or no successor other than itself.
 	Arc keyspace.Range
 }
 
