@@ -117,7 +117,11 @@ examples:
 # TestDecodeIntern* that ops and known addresses decode without allocating
 # and that a connection's address table stays bounded) — and the wire
 # bytes themselves (TestWireGolden: every counted-slice field, a scan page
-# and a carried op's nested page encode to the committed hex). The p2p package
+# and a carried page encode to the committed hex), and the carried answer's
+# one-record shape (TestCarriedOpRoundTrip, TestArcRoundTrip: a carried op,
+# and an owner's answer with its Owner, Arc and replica chain, survive a
+# whole-frame round trip, so a requester neither loses the op's result nor
+# runs it twice). The p2p package
 # adds the fan-out's legs, the resident pool's other user (TestFanoutLegs*:
 # a put at r=2 starts no leg and sequential puts at r=3 keep one, Close
 # leaves none, 16 concurrent writers share them, a cancelled fan-out still fills every
@@ -162,7 +166,7 @@ examples:
 # reads keeps the caller's arrays).
 CONF_ROOT = TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestInfoPeerCount|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestStartClusterWiresOnce
 CONF_P2P = TestWriteConcern|TestReadRepair|TestLookupCancelled|TestScanCancelled|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestLookupCorrectness|TestCrashAndHeal|TestCarried|TestInProcessDispatchCopies|TestTCPStoresExactValues|TestFanoutLegs|TestPickCandidateSeedDeterministic|TestRewireConcurrent|TestReleaseRetriesShedUnlink|TestRewireOwnStream|TestSplit|TestRewireGolden|TestWalkGolden|TestStabilizeMessageBudget|TestScanPageBounds|TestScanGatherUnderInserts|TestAbortedJoinKeepsAckedWrites|TestStateDuringRewire|TestJoinCrashBetweenMigrateChunks
-CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestMuxConcurrentCallsShareConnection|TestMuxReconnectAfterRestart|TestMuxIdleReap|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
+CONF_TRANSPORT = TestCodecNegotiation|TestHandshakeRequired|TestTLS|TestOverloadShedding|TestClientInflightCapOverload|TestMuxCallTimeoutDoesNotPoisonPool|TestMuxConcurrentCallsShareConnection|TestMuxReconnectAfterRestart|TestMuxIdleReap|TestWorker|TestFlush|TestCancelled|TestWriteFailure|TestLargeFrame|TestWriterBounds|TestDecodedValue|TestDecodeIntern|TestWireGolden|TestCarriedOpRoundTrip|TestArcRoundTrip|TestFrameValues|FuzzDecodeRequest|FuzzDecodeResponse|FuzzFrameStream
 CONF_STORAGE = TestStoreMatchesModel|FuzzStoreOps|TestGather
 CONF_RESIDENT = TestPoolHandsToLastParked|TestPoolParkedCap|TestPoolDoneAfterPark|TestPoolRetireParked|TestPoolClose
 

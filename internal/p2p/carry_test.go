@@ -69,7 +69,7 @@ func (c *countingTransport) Serve(h transport.Handler) {
 			req = hook(req)
 		}
 		resp := h(req)
-		if resp.Result != nil && resp.Result.OK {
+		if resp.Owner.Addr != "" && resp.OK {
 			c.mu.Lock()
 			c.ran[req.Carry]++
 			c.mu.Unlock()

@@ -108,8 +108,8 @@ const (
 	// counted in arcs: an entry covers the owner's whole arc (pred, owner],
 	// so a hit on any key of it lets data ops skip the routing walk. A hit
 	// sends the op inside one find_owner that the cached owner must answer
-	// Found (see resolve), so a stale entry costs one wasted RPC, never a
-	// wrong answer.
+	// as the key's owner (see resolve), so a stale entry costs one wasted
+	// RPC, never a wrong answer.
 	routeCacheArcs = 128
 	// routeCacheTTL ages route-cache entries.
 	routeCacheTTL = 2 * time.Second
@@ -235,7 +235,7 @@ type Node struct {
 	// routes caches owner+chain resolutions by the owner's arc so data ops
 	// on any key of it skip the routing walk. It is a freshness cache
 	// only — resolve is its one user and confirms every hit with the
-	// owner's Found — and is flushed on membership change. nil when
+	// owner's answer — and is flushed on membership change. nil when
 	// disabled; routecache methods are nil-safe.
 	routes *routecache.Cache[route]
 	// Cache effectiveness counters, surfaced through State. Atomics:
@@ -476,7 +476,7 @@ func (n *Node) dispatch(req *transport.Request, borrowed bool) *transport.Respon
 func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Response {
 	switch req.Op {
 	case transport.OpPing:
-		return &transport.Response{OK: true, Peer: n.self}
+		return &transport.Response{OK: true}
 
 	case transport.OpSuccList:
 		// One RPC answers both stabilisation questions: the responder's
@@ -500,7 +500,7 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 				n.setSuccLocked(from)
 			}
 		}
-		return &transport.Response{OK: true, Peer: n.succLocked()}
+		return &transport.Response{OK: true}
 
 	case transport.OpNeighbors:
 		return n.neighborsLocked()
@@ -523,25 +523,38 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		// A routing step that ends here also runs the data op it carries,
 		// through that op's own case below — ownership gate, join-dirty
 		// mark and WAL sink included — inside this same lock hold, so the
-		// walk's last hop is the data RPC. Only the four client ops may
-		// ride; anything else is ignored and the requester, seeing no
-		// Result, sends it directly.
-		resp := n.findOwnerLocked(req.Key, req.Exclude)
-		if !resp.Found {
-			return resp
-		}
-		switch req.Carry {
-		case transport.OpGet, transport.OpPut, transport.OpDelete, transport.OpScan:
+		// walk's last hop is the data RPC, and answers with that op's
+		// response, naming itself as its Owner. Only the four client ops
+		// may ride; anything else is ignored and the owner answers Found,
+		// so the requester sends it directly.
+		next, ans := n.findOwnerLocked(req.Key, req.Exclude)
+		var resp *transport.Response
+		switch {
+		case ans == routing.Hop:
+			return &transport.Response{OK: true, Peer: next}
+		case ans != routing.Owned:
+			return &transport.Response{OK: false, Err: "no route"}
+		case req.Carry == transport.OpGet, req.Carry == transport.OpPut,
+			req.Carry == transport.OpDelete, req.Carry == transport.OpScan:
 			op := *req
 			op.Op, op.Carry = req.Carry, ""
-			resp.Result = n.handleLocked(&op, borrowed)
+			resp = n.handleLocked(&op, borrowed)
+			resp.Owner = n.self
+		default:
+			resp = &transport.Response{OK: true, Found: true, Peer: n.self}
 		}
-		// Peers carries the owner's replica chain, so the querier can fall
-		// back through it if the owner crashes before the data RPC. A write
-		// that ran names the same chain, read in this lock hold: share it.
-		if r := resp.Result; r != nil && r.Peers != nil && (req.Carry == transport.OpPut || req.Carry == transport.OpDelete) {
-			resp.Peers = r.Peers
-		} else {
+		// The owner's arc lets the querier cache one route for every key
+		// of it, but only from a node with a real, distinct predecessor
+		// and a successor other than itself: a cleared predecessor slot or
+		// a lone node claims the whole circle here, and that claim, cached,
+		// would send every read to a node whose chain then answers
+		// "absent". Peers carries the owner's replica chain, so the
+		// querier can fall back through it if the owner crashes; a write
+		// that ran names it already.
+		if arc, ok := n.arcLocked(); ok && n.succLocked().Addr != n.self.Addr {
+			resp.Arc = arc
+		}
+		if resp.Peers == nil {
 			resp.Peers = n.replicaTargetsLocked()
 		}
 		return resp
@@ -556,7 +569,7 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 			// anyway would strand the value in a store no lookup reaches
 			// and no digest covers — a silently lost acknowledged write.
 			// Rejection is a definite non-execution: the writer re-routes.
-			return &transport.Response{OK: false, Err: errNotOwner, Peer: n.succLocked()}
+			return &transport.Response{OK: false, Err: errNotOwner}
 		}
 		n.markJoinDirtyLocked(req.Key)
 		value := req.Value
@@ -593,7 +606,7 @@ func (n *Node) handleLocked(req *transport.Request, borrowed bool) *transport.Re
 		// nothing reads while the migrated live copy survives at the new
 		// owner — the delete would silently un-happen.
 		if !n.ownsLocked(req.Key) {
-			return &transport.Response{OK: false, Err: errNotOwner, Peer: n.succLocked()}
+			return &transport.Response{OK: false, Err: errNotOwner}
 		}
 		n.markJoinDirtyLocked(req.Key)
 		existed := n.store.Delete(req.Key)
@@ -793,37 +806,19 @@ func (n *Node) neighborsLocked() *transport.Response {
 	slices.SortFunc(peers[links:], func(a, b transport.PeerRef) int {
 		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Addr, b.Addr))
 	})
-	return &transport.Response{OK: true, Peers: peers, Peer: n.self, MaxIn: n.cfg.MaxIn, InDeg: len(n.in)}
+	return &transport.Response{OK: true, Peers: peers, MaxIn: n.cfg.MaxIn, InDeg: len(n.in)}
 }
 
-// findOwnerLocked answers one iterative routing step: if this node owns the
-// key, Found is true (the find_owner handler adds the replica chain);
-// otherwise Peer is the next hop routing.Rank picks, clockwise, from
+// findOwnerLocked answers one iterative routing step: Owned if this node
+// owns the key, otherwise the next hop routing.Rank picks, clockwise, from
 // the successor list and the out-links, skipping the query's exclude set.
-// With every useful neighbour excluded it reports no route (OK=false) and
-// the querier backtracks.
-//
-// A Found answer also carries the owned arc, so the querier can cache one
-// route for every key of it — but only from a node with a real, distinct
-// predecessor and a successor other than itself. A cleared predecessor
-// slot or a lone node claims the whole circle here, and that claim, cached,
-// would send every read to a node whose chain then answers "absent".
-func (n *Node) findOwnerLocked(key keyspace.Key, exclude []transport.Addr) *transport.Response {
+// With every useful neighbour excluded it answers NoRoute and the querier
+// backtracks.
+func (n *Node) findOwnerLocked(key keyspace.Key, exclude []transport.Addr) (transport.PeerRef, routing.Answer) {
 	v := routing.View[transport.PeerRef]{Self: n.self, Pred: n.pred, Succs: n.succs, Out: n.out}
-	next, ans := routing.Rank(v, peerKey, key, func(p transport.PeerRef) bool {
+	return routing.Rank(v, peerKey, key, func(p transport.PeerRef) bool {
 		return slices.Contains(exclude, p.Addr)
 	}, routing.Clockwise)
-	switch ans {
-	case routing.Owned:
-		resp := &transport.Response{OK: true, Found: true, Peer: n.self}
-		if arc, ok := n.arcLocked(); ok && n.succLocked().Addr != n.self.Addr {
-			resp.Arc = arc
-		}
-		return resp
-	case routing.Hop:
-		return &transport.Response{OK: true, Peer: next}
-	}
-	return &transport.Response{OK: false, Err: "no route"}
 }
 
 func peerKey(p transport.PeerRef) keyspace.Key { return p.Key }

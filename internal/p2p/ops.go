@@ -553,7 +553,7 @@ func (n *Node) lookupVia(ctx context.Context, start transport.Addr, key keyspace
 // route is what a walk or the route cache resolved: the key's owner, the
 // owner's replica chain (the successor list entries holding copies of its
 // arc; ops fall back through it when the owner dies), the owner's arc when
-// its Found answer carried one (the zero Range otherwise; a cached route's
+// its answer carried one (the zero Range otherwise; a cached route's
 // arc is the one it is cached under), and — when the route carried an op
 // and the owner ran it — that op's response.
 type route struct {
@@ -650,8 +650,8 @@ func (n *Node) walk(ctx context.Context, start transport.Addr, key keyspace.Key,
 
 // walker is the node as the router's substrate (routing.Substrate): Ask is
 // one find_owner step, Alive one parallel ping fan-out. It counts the
-// messages the walk sends and keeps the route the owner's Found answer
-// carried.
+// messages the walk sends and keeps the route the owner's answer carried
+// (ownerAnswer).
 type walker struct {
 	n    *Node
 	ctx  context.Context
@@ -687,6 +687,10 @@ func (w *walker) Ask(cur transport.Addr, key keyspace.Key, bad []transport.Addr)
 	// in-process (callRetry) and costs nothing.
 	resp, sends, err := n.send(w.ctx, cur, probe)
 	w.cost += sends
+	if owner, result, ok := ownerAnswer(resp, err); ok {
+		w.rt = route{owner: owner, chain: resp.Peers, arc: resp.Arc, result: result}
+		return cur, routing.Owned, nil
+	}
 	if err != nil || !resp.OK {
 		if cerr := w.ctx.Err(); cerr != nil {
 			return "", 0, cerr
@@ -709,13 +713,25 @@ func (w *walker) Ask(cur transport.Addr, key keyspace.Key, bad []transport.Addr)
 		}
 		return "", routing.NoRoute, nil
 	}
-	if resp.Found {
-		w.rt = route{owner: resp.Peer, chain: resp.Peers, arc: resp.Arc, result: resp.Result}
-		return cur, routing.Owned, nil
-	}
 	w.named = w.curKeyed && key.BetweenIncl(w.curKey, resp.Peer.Key)
 	w.curKey, w.curKeyed = resp.Peer.Key, true
 	return resp.Peer.Addr, routing.Hop, nil
+}
+
+// ownerAnswer reads a find_owner answer (resp, err) from the key's owner:
+// the owner, and the answer itself as the carried op's response when the
+// owner ran the op (Owner set), or nil when it only answered Found. A
+// refused carried write (OK=false, "not owner") is the op's result, not a
+// dead end. ok is false for anything else: a failed call, a hop, no route.
+func ownerAnswer(resp *transport.Response, err error) (owner transport.PeerRef, result *transport.Response, ok bool) {
+	switch {
+	case err != nil:
+	case resp.Owner.Addr != "":
+		return resp.Owner, resp, true
+	case resp.OK && resp.Found:
+		return resp.Peer, nil, true
+	}
+	return transport.PeerRef{}, nil, false
 }
 
 func (w *walker) Alive(addrs []transport.Addr) ([]bool, error) {
@@ -738,13 +754,13 @@ func (w *walker) Alive(addrs []transport.Addr) ([]bool, error) {
 // put, a delete or one scan page — at the owner in the same messages,
 // consulting the route cache first. A hit — the cached arc of an owner
 // contains key — sends one find_owner carrying op straight to that owner,
-// under the rule every carried hop follows (send): Found from the gate
-// that terminates every real walk confirms the resolution, refreshes the
-// chain and runs the op, so a multi-hop walk plus a data RPC collapse to
-// one message. Anything else falls back to the full walk — an overloaded
-// owner keeps its entry (alive, just shedding), any other answer drops
-// the arc containing key. A successful resolve (either path) re-primes
-// the cache.
+// under the rule every carried hop follows (send): that owner answering
+// as the owner (ownerAnswer), from the gate that terminates every real
+// walk, confirms the resolution, refreshes the chain and runs the op, so a
+// multi-hop walk plus a data RPC collapse to one message. Anything else
+// falls back to the full walk — an overloaded owner keeps its entry
+// (alive, just shedding), any other answer drops the arc containing key.
+// A successful resolve (either path) re-primes the cache.
 //
 // A cached owner that does not answer at all crashed after it last did.
 // Until its predecessor repairs, every walk dead-ends there, so the op
@@ -759,9 +775,9 @@ func (n *Node) resolve(ctx context.Context, key keyspace.Key, op *transport.Requ
 		if cerr := ctx.Err(); cerr != nil {
 			return route{}, cost, cerr
 		}
-		if err == nil && resp.OK && resp.Found && resp.Peer.Addr == ent.owner.Addr {
+		if owner, result, ok := ownerAnswer(resp, err); ok && owner.Addr == ent.owner.Addr {
 			n.routeHits.Add(1)
-			ent.chain, ent.result = resp.Peers, resp.Result
+			ent.chain, ent.result = resp.Peers, result
 			n.cacheRoute(key, ent)
 			return ent, cost, nil
 		}

@@ -71,14 +71,11 @@ func (n *Node) callRetry(ctx context.Context, addr transport.Addr, req *transpor
 }
 
 // ownResponse replaces, in a response the handler has just built, the
-// bytes that alias the store — a get's value, a page's item values, the
-// same in a carried op's result — with copies.
+// bytes that alias the store — a get's value, a page's item values — with
+// copies.
 func ownResponse(resp *transport.Response) {
 	resp.Value = bytes.Clone(resp.Value)
 	resp.Items = ownItems(resp.Items)
-	if resp.Result != nil {
-		ownResponse(resp.Result)
-	}
 }
 
 // ownItems copies items with their values laid out back to back in one

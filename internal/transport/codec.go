@@ -16,8 +16,10 @@ import (
 // 5-byte hello that opens every connection (see the handshake in tcp.go /
 // pool.go): the hand-rolled tag/length/value format below, in every
 // length-delimited frame. A peer that offers less is refused; the version
-// byte stays so that a future codec can still be negotiated.
-const codecBinary = 2
+// byte stays so that a future codec can still be negotiated. Version 3
+// answers a carried op in one record (Response.Owner): a version-2 peer
+// would read a carried get's Found as "I own the key".
+const codecBinary = 3
 
 // The binary payload is a flat sequence of fields, each encoded as
 // [tag uvarint][length uvarint][value], preceded by one kind byte ('Q' for
@@ -39,8 +41,8 @@ const codecBinary = 2
 //
 // Encoding is one pass: every field's length is known before its bytes are
 // written (a slice's from its count and element lengths), so values go
-// straight into the frame. The one exception is a nested Result, written
-// in place and then moved right by the width of its header.
+// straight into the frame. No field nests a message: a carried op's
+// answer is one flat response.
 const (
 	binKindRequest  = 'Q'
 	binKindResponse = 'S'
@@ -87,8 +89,9 @@ const (
 	stagMaxIn
 	_ // was MaxOut: reserved
 	stagInDeg
-	stagResult
+	_ // was Result: reserved
 	stagArc
+	stagOwner
 )
 
 var errBadPayload = errors.New("transport: bad binary payload")
@@ -320,26 +323,6 @@ func (w *binWriter) request(req *Request) {
 // response writes the binary encoding of resp.
 func (w *binWriter) response(resp *Response) {
 	w.b = append(w.b, binKindResponse)
-	w.responseFields(resp)
-	if resp.Result != nil {
-		// The carried op's response nests one level deep, as a plain field
-		// sequence; its own Result is never encoded (nor decoded), so a
-		// frame cannot make the decoder recurse. It is written in place and
-		// then moved right by the width of its header, once its length is
-		// known: one copy of bytes still in cache.
-		start := len(w.b)
-		w.responseFields(resp.Result)
-		n := len(w.b) - start
-		var hdr [2 * binary.MaxVarintLen64]byte
-		h := binary.AppendUvarint(binary.AppendUvarint(hdr[:0], stagResult), uint64(n))
-		w.b = append(w.b, h...)
-		copy(w.b[start+len(h):], w.b[start:start+n])
-		copy(w.b[start:], h)
-	}
-}
-
-// responseFields appends every field of resp except Result.
-func (w *binWriter) responseFields(resp *Response) {
 	w.boolField(stagOK, resp.OK)
 	w.stringField(stagErr, resp.Err)
 	w.peerRefField(stagPeer, resp.Peer)
@@ -356,6 +339,7 @@ func (w *binWriter) responseFields(resp *Response) {
 	w.intField(stagMaxIn, resp.MaxIn)
 	w.intField(stagInDeg, resp.InDeg)
 	w.rangeField(stagArc, resp.Arc)
+	w.peerRefField(stagOwner, resp.Owner)
 }
 
 // --- decoding ------------------------------------------------------------
@@ -638,7 +622,7 @@ func decodeRequest(b []byte, req *Request, addrs *addrTable) error {
 	if err := parseRequest(b, req, addrs); err != nil {
 		return err
 	}
-	ownValues(&req.Value, req.Items, nil)
+	ownValues(&req.Value, req.Items)
 	return nil
 }
 
@@ -702,61 +686,32 @@ func parseRequest(b []byte, req *Request, addrs *addrTable) error {
 	return nil
 }
 
-// decodeResponse decodes a binary response payload into resp, a nested
-// Result included; like decodeRequest, it leaves nothing aliasing b (the
-// in-place path): the addresses (Peer, Peers) come from addrs or are
-// converted, and the values of both levels share one exact-size allocation.
+// decodeResponse decodes a binary response payload into resp; like
+// decodeRequest, it leaves nothing aliasing b (the in-place path): the
+// addresses (Peer, Peers, Owner) come from addrs or are converted, and the
+// values share one exact-size allocation.
 func decodeResponse(b []byte, resp *Response, addrs *addrTable) error {
 	if err := parseResponse(b, resp, addrs); err != nil {
 		return err
 	}
-	ownValues(&resp.Value, resp.Items, resp.Result)
+	ownValues(&resp.Value, resp.Items)
 	return nil
 }
 
-// parseResponse is parseRequest for a response: the values of both levels
-// are slices of b.
-func parseResponse(b []byte, resp *Response, addrs *addrTable) error {
-	if len(b) == 0 || b[0] != binKindResponse {
-		return fmt.Errorf("%w: not a response", errBadPayload)
-	}
-	r := binReader{b: b[1:], intern: addrs}
-	result, nested, err := r.responseFields(resp)
-	if err != nil || !nested {
-		return err
-	}
-	// The carried op's response nests one level deep: a Result inside it
-	// is skipped like an unknown tag, which bounds the decoding at one
-	// level whatever the frame holds. Decoding it here, not by recursion,
-	// keeps the readers on the stack: a recursive call's receiver escapes.
-	resp.Result = new(Response)
-	_, _, err = result.responseFields(resp.Result)
-	return err
-}
-
-// ownValues copies v and the values of items, and those of a nested
-// Result, out of the frame they were decoded from into one allocation of
-// exactly their summed length: the step that lets a copying decoder's
-// input be reused.
-func ownValues(v *[]byte, items []storage.Item, result *Response) {
-	o := ownBuf{b: make([]byte, valuesLen(*v, items, result))}
+// ownValues copies v and the values of items out of the frame they were
+// decoded from into one allocation of exactly their summed length: the
+// step that lets a copying decoder's input be reused.
+func ownValues(v *[]byte, items []storage.Item) {
+	o := ownBuf{b: make([]byte, valuesLen(*v, items))}
 	*v = o.copy(*v)
 	o.items(items)
-	if result != nil {
-		result.Value = o.copy(result.Value)
-		o.items(result.Items)
-	}
 }
 
-// valuesLen is the byte count of v, of every value in items and of the
-// values of result, if any.
-func valuesLen(v []byte, items []storage.Item, result *Response) int {
+// valuesLen is the byte count of v and of every value in items.
+func valuesLen(v []byte, items []storage.Item) int {
 	n := len(v)
 	for i := range items {
 		n += len(items[i].Value)
-	}
-	if result != nil {
-		n += valuesLen(result.Value, result.Items, nil)
 	}
 	return n
 }
@@ -789,10 +744,13 @@ func (o *ownBuf) items(items []storage.Item) {
 	}
 }
 
-// responseFields decodes a response field sequence into resp, all but its
-// Result: nested reports whether the sequence holds a Result field, and
-// result reads the last one's bytes.
-func (r *binReader) responseFields(resp *Response) (result binReader, nested bool, err error) {
+// parseResponse is parseRequest for a response: the values are slices of
+// b.
+func parseResponse(b []byte, resp *Response, addrs *addrTable) error {
+	if len(b) == 0 || b[0] != binKindResponse {
+		return fmt.Errorf("%w: not a response", errBadPayload)
+	}
+	r := binReader{b: b[1:], intern: addrs}
 	for !r.empty() && !r.err {
 		tag, fr := r.field()
 		if r.err {
@@ -833,16 +791,18 @@ func (r *binReader) responseFields(resp *Response) (result binReader, nested boo
 			resp.InDeg = fr.zigzag()
 		case stagArc:
 			resp.Arc = keyspace.Range{Start: keyspace.Key(fr.fixed64()), End: keyspace.Key(fr.fixed64())}
-		case stagResult:
-			result, nested = fr, true
+		case stagOwner:
+			resp.Owner = fr.peerRef()
 		default:
+			// Unknown field from a newer peer, or a reserved tag: skipped
+			// by length.
 		}
 		if fr.err {
-			return binReader{}, false, errBadPayload
+			return errBadPayload
 		}
 	}
 	if r.err {
-		return binReader{}, false, errBadPayload
+		return errBadPayload
 	}
-	return result, nested, nil
+	return nil
 }

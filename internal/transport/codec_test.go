@@ -77,27 +77,21 @@ func fullResponse() *Response {
 		States:  []antientropy.State{{Key: 13, Hash: 2, Deleted: false}},
 		MaxIn:   27,
 		InDeg:   5,
-		Result: &Response{
-			OK: true, Found: true, Value: []byte("carried"), Acks: 1,
-			Peers: []PeerRef{{Addr: "c:3", Key: 9}},
-			Items: []storage.Item{{Key: 14, Value: []byte("page")}},
-			More:  true,
-		},
-		Arc: keyspace.Range{Start: keyspace.FromFloat(0.95), End: 8},
+		Arc:     keyspace.Range{Start: keyspace.FromFloat(0.95), End: 8},
+		Owner:   PeerRef{Addr: "c:3", Key: 9},
 	}
 }
 
-// arcAnswers are the two shapes of a find_owner answered Found with the
-// owner's arc: a plain routing answer, and one beside a carried op's
-// Result.
+// arcAnswers are the two shapes of a find_owner answer from the owner,
+// with its arc: a plain routing answer (Found, the owner in Peer), and a
+// carried op's own response (the owner in Owner).
 func arcAnswers() []*Response {
 	owner := PeerRef{Addr: "10.0.0.9:7000", Key: keyspace.FromFloat(0.5)}
 	arc := keyspace.Range{Start: keyspace.FromFloat(0.25) + 1, End: owner.Key + 1}
 	chain := []PeerRef{{Addr: "10.0.0.10:7000", Key: keyspace.FromFloat(0.75)}}
 	return []*Response{
 		{OK: true, Found: true, Peer: owner, Peers: chain, Arc: arc},
-		{OK: true, Found: true, Peer: owner, Peers: chain, Arc: arc,
-			Result: &Response{OK: true, Found: true, Value: []byte("carried"), Peers: chain, Acks: 1}},
+		{OK: true, Found: true, Value: []byte("carried"), Acks: 1, Owner: owner, Peers: chain, Arc: arc},
 	}
 }
 
@@ -112,9 +106,6 @@ func TestArcRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(normalizeResp(resp), normalizeResp(&got)) {
 			t.Fatalf("case %d: round trip mismatch:\n in: %+v\nout: %+v", i, resp, &got)
-		}
-		if got.Result != nil && got.Result.Arc != (keyspace.Range{}) {
-			t.Errorf("case %d: the carried Result grew an arc: %v", i, got.Result.Arc)
 		}
 	}
 	var got Response
@@ -153,10 +144,10 @@ func TestBinaryRoundTripResponse(t *testing.T) {
 		{},
 		{OK: true},
 		{OK: true, Peer: PeerRef{Addr: "y:2", Key: 3}},
-		// A carried op the gate refused, and one that ran and found nothing
-		// (an all-zero Result must still arrive as "ran here", not as nil).
-		{OK: true, Found: true, Result: &Response{Err: "not owner", Peer: PeerRef{Addr: "z:3", Key: 4}}},
-		{OK: true, Found: true, Result: &Response{}},
+		// A carried write the gate refused, and a carried get that ran and
+		// found nothing: each must still arrive as "ran here", Owner set.
+		{Err: "not owner", Owner: PeerRef{Addr: "z:3", Key: 4}},
+		{OK: true, Owner: PeerRef{Addr: "z:3", Key: 4}},
 		fullResponse(),
 	}
 	for i, resp := range cases {
@@ -195,9 +186,6 @@ func normalizeResp(r *Response) *Response {
 		if len(c.Items[i].Value) == 0 {
 			c.Items[i].Value = nil
 		}
-	}
-	if c.Result != nil {
-		c.Result = normalizeResp(c.Result)
 	}
 	return &c
 }
@@ -312,7 +300,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 // carrying an unknown tag decodes cleanly, ignoring it. That includes the
 // ring-size estimate an older peer still sends in place, between the
 // fields around it: tag 14 of a request and tag 16 of a response, each an
-// 8-byte float.
+// 8-byte float; and a response's reserved tag 20, a nested Result.
 func TestBinaryUnknownFieldSkipped(t *testing.T) {
 	enc := appendRequest(nil, &Request{Op: OpPing, Key: 7})
 	// Append an unknown field: tag 200, 3-byte value.
@@ -342,6 +330,14 @@ func TestBinaryUnknownFieldSkipped(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&oldResp, wantResp) {
 		t.Fatalf("old succ_list answer decoded %+v, want %+v", &oldResp, wantResp)
+	}
+	enc, wantResp = oldCarriedAnswer()
+	oldResp = Response{}
+	if err := decodeResponse(enc, &oldResp, nil); err != nil {
+		t.Fatalf("decode an old carried answer: %v", err)
+	}
+	if !reflect.DeepEqual(&oldResp, wantResp) {
+		t.Fatalf("old carried answer decoded %+v, want %+v", &oldResp, wantResp)
 	}
 }
 
@@ -373,7 +369,7 @@ func oldSuccListAnswer() ([]byte, *Response) {
 }
 
 // TestCarriedOpRoundTrip round-trips the carried-op fields through whole
-// frames: a Carry the decoder drops would run nowhere, and a lost Result
+// frames: a Carry the decoder drops would run nowhere, and a lost Owner
 // would make the requester send the op a second time.
 func TestCarriedOpRoundTrip(t *testing.T) {
 	f := acquireFrame()
@@ -400,34 +396,17 @@ func TestCarriedOpRoundTrip(t *testing.T) {
 	}
 }
 
-// nestedResult hand-builds a response whose Result field holds a Result of
-// its own, depth levels deep — a frame no encoder of ours produces.
-func nestedResult(depth int) []byte {
-	var inner []byte
-	for i := 0; i < depth; i++ {
-		w := binWriter{}
-		w.boolField(stagOK, true)
-		w.field(stagResult, len(inner))
-		w.b = append(w.b, inner...)
-		inner = w.b
-	}
-	return append([]byte{binKindResponse}, inner...)
-}
-
-// TestBinaryResultNestsOnce pins the decoder's recursion bound: a Result
-// inside a Result is skipped like an unknown tag, so a hostile frame of
-// nested results costs one level of decoding, not one stack frame each.
-func TestBinaryResultNestsOnce(t *testing.T) {
-	var resp Response
-	if err := decodeResponse(nestedResult(1000), &resp, nil); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !resp.OK || resp.Result == nil || !resp.Result.OK {
-		t.Fatalf("outer levels lost: %+v", resp)
-	}
-	if resp.Result.Result != nil {
-		t.Fatal("a Result nested inside a Result was decoded")
-	}
+// oldCarriedAnswer is a carried get's answer as a codec-2 peer encoded it:
+// Found with the owner in Peer, then the get's own response nested in tag
+// 20 (Result). Tag 20 is reserved now, so the frame decodes to the outer
+// fields alone.
+func oldCarriedAnswer() ([]byte, *Response) {
+	want := &Response{OK: true, Found: true, Peer: PeerRef{Addr: "10.0.0.9:7000", Key: 5}}
+	inner := appendResponse(nil, &Response{OK: true, Found: true, Value: []byte("v")})[1:]
+	w := binWriter{b: appendResponse(nil, want)}
+	w.field(20, len(inner))
+	w.b = append(w.b, inner...)
+	return w.b, want
 }
 
 // TestBinaryRejectsCrossKind ensures a response payload cannot decode as a
@@ -491,11 +470,12 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(old)
 	f.Add(appendResponse(nil, &Response{}))
 	f.Add(appendResponse(nil, &Response{OK: true, Value: []byte("x"), Found: true}))
-	f.Add(appendResponse(nil, &Response{OK: true, Found: true, Result: &Response{}}))
+	f.Add(appendResponse(nil, &Response{Err: "not owner", Owner: PeerRef{Addr: "z:3", Key: 4}}))
 	for _, resp := range arcAnswers() {
 		f.Add(appendResponse(nil, resp))
 	}
-	f.Add(nestedResult(3))
+	oldCarried, _ := oldCarriedAnswer()
+	f.Add(oldCarried)
 	f.Add([]byte{binKindResponse})
 	f.Add([]byte{binKindResponse, 4, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -94,17 +94,17 @@ func overwriteReader(r *bufio.Reader) {
 }
 
 // TestFrameValuesOutliveReader: small requests and responses, two frames
-// of 4 KiB + 1 and a 4096 × 100 B page carrying a nested Result, read back
+// of 4 KiB + 1 and a carried 4096 × 100 B page (Owner and Arc set), read back
 // to back through one 4 KiB reader, each decode to what a standalone decode
 // of a clone gives, and still do once the whole stream has been read and
 // both its source and the reader's buffer are overwritten: a small frame's
 // values are copied out of the reused buffer, a large frame's stay in a
 // buffer nothing reuses, unless they are a small part of it (a repair
 // answer of 2000 states and two values). Reading the page allocates its
-// frame, its Items slice and its Result, nothing per value.
+// frame and its Items slice, nothing per value.
 func TestFrameValuesOutliveReader(t *testing.T) {
 	page := scanPage(4096)
-	page.Result = &Response{OK: true, Found: true, Value: []byte("carried"), Acks: 1}
+	page.Owner, page.Arc = PeerRef{Addr: "127.0.0.1:7000", Key: 4}, keyspace.Range{Start: 1, End: 5}
 	msgs := []interface{}{
 		&Request{Op: OpGet, Key: 1, From: PeerRef{Addr: "10.0.0.1:7000", Key: 2}},
 		&Response{OK: true, Found: true, Value: []byte("small value")},
@@ -167,8 +167,8 @@ func TestFrameValuesOutliveReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("reading a 4096-item page allocates %v times, want at most 3: its frame, its Items and its Result", allocs)
+	if allocs > 2 {
+		t.Errorf("reading a 4096-item page allocates %v times, want at most 2: its frame and its Items", allocs)
 	}
 }
 
@@ -205,7 +205,7 @@ func frameKind(frame []byte) interface{} {
 // and the reader's buffer have been overwritten.
 func FuzzFrameStream(f *testing.F) {
 	page := scanPage(64)
-	page.Result = &Response{OK: true, Found: true, Value: bytes.Repeat([]byte("c"), 5000)}
+	page.Owner, page.Arc = PeerRef{Addr: "127.0.0.1:7000", Key: 4}, keyspace.Range{Start: 1, End: 5}
 	seeds := [][]interface{}{
 		{fullRequest(), fullResponse()},
 		{&Request{Op: OpPut, Key: 3, Value: bytes.Repeat([]byte("v"), 5000)}, &Response{OK: true}},

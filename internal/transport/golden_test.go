@@ -54,10 +54,11 @@ type goldenFrame struct {
 }
 
 // goldenFrames lists the frames TestWireGolden pins: each counted-slice
-// field, a scan page, and a carried find_owner whose nested Result is
-// larger than 16 KiB, so its length header is three bytes wide.
+// field, a scan page, and a carried scan page larger than 16 KiB, which
+// the owner answers as one record, naming itself in Owner.
 func goldenFrames() []goldenFrame {
 	peer := PeerRef{Addr: "10.0.0.7:7000", Key: keyspace.FromFloat(0.25)}
+	succ := PeerRef{Addr: "10.0.0.8:7000", Key: keyspace.FromFloat(0.5)}
 	return []goldenFrame{
 		{"req-items", &Request{Op: OpReplicate, From: peer, Items: []storage.Item{
 			{Key: 1, Value: []byte("a")}, {Key: 2, Value: []byte{}}, {Key: 3},
@@ -80,10 +81,10 @@ func goldenFrames() []goldenFrame {
 		{"resp-digest", &Response{OK: true, Digest: []uint64{0, 1, math.MaxUint64}}},
 		{"resp-full", fullResponse()},
 		{"resp-scan-page", &Response{OK: true, Peer: peer, Items: goldenPage(130, 100), More: true}},
-		{"resp-carried-page", &Response{OK: true, Found: true, Peer: peer,
-			Peers:  []PeerRef{{Addr: "10.0.0.8:7000", Key: keyspace.FromFloat(0.5)}},
-			Arc:    keyspace.Range{Start: keyspace.FromFloat(0.125), End: keyspace.FromFloat(0.25) + 1},
-			Result: &Response{OK: true, Peer: peer, Items: goldenPage(170, 100), More: true},
+		{"resp-carried-page", &Response{OK: true, Peer: succ, Items: goldenPage(170, 100), More: true,
+			Peers: []PeerRef{succ},
+			Arc:   keyspace.Range{Start: keyspace.FromFloat(0.125), End: keyspace.FromFloat(0.25) + 1},
+			Owner: peer,
 		}},
 	}
 }

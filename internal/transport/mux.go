@@ -358,14 +358,14 @@ func decodeFrame(payload []byte, v interface{}, addrs *addrTable, kept bool) err
 	case *Request:
 		if !kept {
 			err = decodeRequest(payload, m, addrs)
-		} else if err = parseRequest(payload, m, addrs); err == nil && 2*valuesLen(m.Value, m.Items, nil) < len(payload) {
-			ownValues(&m.Value, m.Items, nil)
+		} else if err = parseRequest(payload, m, addrs); err == nil && 2*valuesLen(m.Value, m.Items) < len(payload) {
+			ownValues(&m.Value, m.Items)
 		}
 	case *Response:
 		if !kept {
 			err = decodeResponse(payload, m, addrs)
-		} else if err = parseResponse(payload, m, addrs); err == nil && 2*valuesLen(m.Value, m.Items, m.Result) < len(payload) {
-			ownValues(&m.Value, m.Items, m.Result)
+		} else if err = parseResponse(payload, m, addrs); err == nil && 2*valuesLen(m.Value, m.Items) < len(payload) {
+			ownValues(&m.Value, m.Items)
 		}
 	default:
 		err = fmt.Errorf("transport: cannot decode %T", v)

@@ -102,6 +102,9 @@ func TestHandshakeRequired(t *testing.T) {
 	}{
 		{"raw frame", f.bytes()},
 		{"version 1", hello(1)},
+		// Version 2 nests a carried op's answer in Result: its Found would
+		// read as "I own the key" here.
+		{"version 2", hello(2)},
 		{"wrong magic", []byte{'X', 'O', 'S', 'C', codecBinary}},
 	} {
 		conn, got, err := open(t, server, tc.opening)

@@ -172,9 +172,10 @@ type Request struct {
 	Exclude []Addr
 	// Carry, on a find_owner, names a data op (get, put, delete or scan)
 	// whose arguments ride in this request's own fields: a responder that
-	// answers Found runs it as if it had arrived on its own and returns
-	// the outcome in Response.Result, so the walk's last hop is also the
-	// data RPC. A responder that is not the owner ignores it.
+	// owns the key runs it as if it had arrived on its own and answers
+	// with that op's response, naming itself in Response.Owner, so the
+	// walk's last hop is also the data RPC. A responder that is not the
+	// owner ignores it.
 	Carry Op
 }
 
@@ -215,11 +216,13 @@ type Response struct {
 	// in-degree cap and in-degree.
 	MaxIn int
 	InDeg int
-	// Result, on a find_owner that answered Found, is the response of the
-	// op the request carried (Request.Carry), executed at the responder.
-	// Nil means no op was carried, or none of the four data ops.
-	Result *Response
-	// Arc, on a find_owner that answered Found, is the owner's arc
+	// Owner, on a find_owner answer, is the responder when it owned the
+	// key and ran the op the request carried (Request.Carry): the rest of
+	// the answer is that op's response, refusal included, with the
+	// owner's replica chain in Peers. An owner that ran nothing answers
+	// Found with itself in Peer instead.
+	Owner PeerRef
+	// Arc, on a find_owner answer from the owner, is the owner's arc
 	// (pred, owner] as the clockwise range {pred.Key+1, owner.Key+1}: the
 	// requester may route every key of it to this owner. The zero value —
 	// a full range — means the owner sent no arc: it has no distinct
